@@ -56,7 +56,7 @@ struct AlphaChoice {
 };
 
 /// Minimizes Metric(P(alpha), T(alpha; N)) over alpha in [0, 1]. Runs
-/// every profiling repetition, so it is a hot-path root: the objective
+/// once per profiled invocation, so it is a hot-path root: the objective
 /// closure stays a stack lambda fed to the Minimize.h templates (a
 /// std::function here heap-allocated once per search — DESIGN.md §14).
 ECAS_HOT AlphaChoice chooseAlpha(const TimeModel &Model,

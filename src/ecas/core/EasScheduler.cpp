@@ -770,8 +770,14 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
     Profiler.setWatchdogPollSec(Config.Health.WatchdogPollSec);
     Profiler.setTrace(T);
     Profiler.setRepSeconds(Ins.ProfileRepSeconds);
-    std::vector<std::pair<double, double>> Grid;
     KernelRecord Local = KnownRec;
+    // Every repetition offloads the same GPU_PROFILE_SIZE chunk whatever
+    // alpha a search would pick, so only the last usable repetition's
+    // classify-and-search decides anything. The loop records the two
+    // values that search reads; steps 17-20 run once, after it.
+    ProfileSample SearchSample;
+    double SearchNrem = 0.0;
+    bool Searchable = false;
     double ProfileFloor = Iterations * Config.ProfileFraction;
     while (Nrem > ProfileFloor) {
       // Cancellation point 2: between profiling repetitions.
@@ -803,7 +809,6 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
         Monitor.noteHang(Proc.now());
         Outcome.HangDetected = true;
         ProfileHang = true;
-        Alpha = 0.0;
         break;
       }
       if (Sample.GpuIterations > 0.0)
@@ -815,10 +820,15 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
       if (Local.Sample.CpuThroughput <= 0.0 &&
           Local.Sample.GpuThroughput <= 0.0)
         break;
+      SearchSample = Local.Sample;
+      SearchNrem = Nrem;
+      Searchable = true;
+    }
 
+    if (Searchable) {
       // Steps 17-19: classify and pick the matching power curves.
       Outcome.Class =
-          Profiler.classify(Local.Sample, Nrem, Config.Thresholds);
+          Profiler.classify(SearchSample, SearchNrem, Config.Thresholds);
       if (T)
         T->instant("eas", "classify", Proc.now(), Outcome.Class.name());
 
@@ -829,8 +839,7 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
       // objective non-degenerate without changing the answer. With
       // P-states off this is exactly the paper's fixed-frequency alpha
       // grid (one view, unit scales).
-      TimeModel Model(Local.Sample.CpuThroughput,
-                      Local.Sample.GpuThroughput);
+      TimeModel Model(SearchSample.CpuThroughput, SearchSample.GpuThroughput);
       PStateView Views[kMaxPStates];
       unsigned NumViews = buildPStateViews(Proc, Outcome.Class, Views);
       OperatingPointSearchConfig Search;
@@ -839,18 +848,19 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
       Search.Policy = Config.Policy;
       Search.DeadlineSeconds = Config.DeadlineSeconds;
       Search.IdleWatts = Config.IdleWatts;
-      Search.MemBoundFraction =
-          memBoundFraction(Local.Sample.MissPerLoadStore);
+      Search.MemBoundFraction = memBoundFraction(SearchSample.MissPerLoadStore);
+      std::vector<std::pair<double, double>> Grid;
       if (T)
         Search.GridOut = &Grid;
-      Decision Choice = chooseOperatingPoint(Model, Views, NumViews,
-                                             Objective, std::max(Nrem, 1.0),
-                                             Search);
-      Alpha = Choice.Point.Alpha;
+      Decision Choice = chooseOperatingPoint(
+          Model, Views, NumViews, Objective, std::max(SearchNrem, 1.0), Search);
+      // A hang discards the alpha (the remainder runs CPU-alone) but
+      // keeps the last search's P-state, class and prediction.
+      Alpha = ProfileHang ? 0.0 : Choice.Point.Alpha;
       PState = Choice.Point.PState;
-      ++Outcome.AlphaSearches;
-      Outcome.AlphaEvaluations += Choice.Evaluations;
-      // Profiling decrements Nrem before each search, so the last
+      Outcome.AlphaSearches = 1;
+      Outcome.AlphaEvaluations = Choice.Evaluations;
+      // Profiling decrements Nrem before the state is recorded, so the
       // search's prediction covers exactly the remainder dispatched
       // below — it is the fidelity sample this invocation yields.
       Outcome.HasPrediction = true;
@@ -940,15 +950,19 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
     History.update(HistoryKey, [&](KernelRecord &Rec) {
       // The journal record mirrors this merge field for field and is
       // enqueued before the shard lock releases, so journal order
-      // equals merge order per key and replay is order-exact (sample
-      // accumulation and the confident transition do not commute).
+      // equals merge order per key and replay is order-exact (the
+      // merged sample and the confident transition do not commute).
       // enqueue() buffers without IO, so no fsync runs under the lock.
       HistoryDeltaRecord Delta;
       Delta.Key = HistoryKey;
-      if (Journal)
-        Delta.Samples = Deltas;
       for (const ProfileSample &S : Deltas)
         Rec.Sample.accumulate(S);
+      if (Journal && !Deltas.empty()) {
+        // One fixed-size sample however many repetitions ran; replay
+        // assigns it.
+        Delta.HasMergedSample = true;
+        Delta.MergedSample = Rec.Sample;
+      }
       if (!Rec.Confident && Rec.Sample.CpuIterations >= MinProfileIters &&
           Rec.Sample.GpuIterations >= MinProfileIters) {
         // First trustworthy measurement: discard the provisional alphas

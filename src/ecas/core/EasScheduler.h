@@ -199,8 +199,8 @@ public:
     WorkloadClass Class;
     /// Profiling repetitions performed (0 when table G was hit).
     unsigned ProfileRepetitions = 0;
-    /// Alpha-grid optimizations performed (once per profiling
-    /// repetition that produced a usable sample).
+    /// Operating-point searches performed: 1 when profiling produced a
+    /// usable sample (the search runs once, on the last one), else 0.
     unsigned AlphaSearches = 0;
     /// The GPU was quarantined, so this invocation degraded to
     /// CPU-alone without attempting a dispatch.
@@ -246,8 +246,8 @@ public:
     double MeasuredJoules = 0.0;
     /// Virtual seconds spent inside profiling repetitions.
     double ProfileSeconds = 0.0;
-    /// Total objective evaluations across this invocation's alpha
-    /// searches.
+    /// Objective evaluations of this invocation's search (0 without
+    /// one).
     unsigned AlphaEvaluations = 0;
 
     /// True when this invocation yields one model-fidelity sample: a

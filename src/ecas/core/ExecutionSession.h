@@ -170,7 +170,8 @@ struct SessionReport {
   //===--------------------------------------------------------------===//
   /// Total online-profiling repetitions across the run.
   unsigned ProfileRepetitions = 0;
-  /// Total alpha-grid optimizations performed.
+  /// Total operating-point searches performed: one per profiled
+  /// invocation whose profiling produced a usable sample.
   unsigned AlphaSearches = 0;
   /// Invocations that took a CPU-only fast path (small N, external GPU
   /// owner, or quarantine).

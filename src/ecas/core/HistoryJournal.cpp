@@ -9,6 +9,7 @@
 #include "ecas/core/HistoryCodec.h"
 #include "ecas/core/HistorySnapshot.h"
 #include "ecas/fault/StorageFaults.h"
+#include "ecas/support/Assert.h"
 #include "ecas/support/AtomicFile.h"
 #include "ecas/support/Crc32.h"
 #include "ecas/support/CrashPoint.h"
@@ -37,6 +38,8 @@ constexpr size_t FrameHeaderBytes = 8;
 constexpr size_t RecordFixedBytesV1 = 8 + 4 + 4 + 1 + 4 + 8 + 8 + 2;
 constexpr size_t RecordFixedBytes = RecordFixedBytesV1 + 4;
 constexpr size_t SampleBytes = 9 * 8 + 2;
+/// The u16 sample count bounds the deltas one record can carry.
+constexpr size_t MaxSampleDeltas = 0xffff;
 /// Structural sanity bound: a frame longer than this cannot have been
 /// written by us, so a length field above it marks the tear.
 constexpr size_t MaxFrameBytes = 1u << 20;
@@ -47,13 +50,21 @@ constexpr uint8_t FlagHasAlphaSample = 1u << 0;
 constexpr uint8_t FlagSetCpuOnly = 1u << 1;
 constexpr uint8_t FlagBecameConfident = 1u << 2;
 constexpr uint8_t FlagHasClass = 1u << 3;
-constexpr uint8_t FlagHasPState = 1u << 4; // v2+
+constexpr uint8_t FlagHasPState = 1u << 4;       // v2+
+constexpr uint8_t FlagHasMergedSample = 1u << 5; // v3+
 constexpr uint8_t FlagsKnownV1 = FlagHasAlphaSample | FlagSetCpuOnly |
                                  FlagBecameConfident | FlagHasClass;
-constexpr uint8_t FlagsKnown = FlagsKnownV1 | FlagHasPState;
+constexpr uint8_t FlagsKnownV2 = FlagsKnownV1 | FlagHasPState;
+constexpr uint8_t FlagsKnown = FlagsKnownV2 | FlagHasMergedSample;
+
 /// Semantic bound for a replayed P-state (mirrors core/OperatingPoint.h
 /// kMaxPStates without pulling the decision core into the codec).
 constexpr uint32_t MaxPStateIndex = 8;
+
+/// Flag bits a payload of format \p Version may carry.
+uint8_t knownFlags(uint32_t Version) {
+  return Version >= 3 ? FlagsKnown : Version == 2 ? FlagsKnownV2 : FlagsKnownV1;
+}
 
 void encodeSample(std::string &Out, const ProfileSample &S) {
   putF64(Out, S.CpuThroughput);
@@ -85,9 +96,9 @@ ProfileSample decodeSample(const unsigned char *P) {
   return S;
 }
 
-std::string encodeDeltaPayload(const HistoryDeltaRecord &Rec) {
-  std::string Out;
-  Out.reserve(RecordFixedBytes + Rec.Samples.size() * SampleBytes);
+void encodeDeltaPayload(std::string &Out, const HistoryDeltaRecord &Rec) {
+  ECAS_CHECK(Rec.Samples.size() <= MaxSampleDeltas,
+             "too many sample deltas for one journal record");
   putU64(Out, Rec.Key);
   putU32(Out, Rec.InvocationsDelta);
   putU32(Out, Rec.QuarantinedDelta);
@@ -102,6 +113,8 @@ std::string encodeDeltaPayload(const HistoryDeltaRecord &Rec) {
     Flags |= FlagHasClass;
   if (Rec.HasPState)
     Flags |= FlagHasPState;
+  if (Rec.HasMergedSample)
+    Flags |= FlagHasMergedSample;
   Out.push_back(static_cast<char>(Flags));
   putU32(Out, Rec.ClassIndex);
   putF64(Out, Rec.AlphaValue);
@@ -112,7 +125,14 @@ std::string encodeDeltaPayload(const HistoryDeltaRecord &Rec) {
   Out.push_back(static_cast<char>((Count >> 8) & 0xffu));
   for (const ProfileSample &S : Rec.Samples)
     encodeSample(Out, S);
-  return Out;
+  if (Rec.HasMergedSample)
+    encodeSample(Out, Rec.MergedSample);
+}
+
+/// Overwrites the four bytes at \p P with \p V, little-endian.
+void storeU32(char *P, uint32_t V) {
+  for (int I = 0; I != 4; ++I)
+    P[I] = static_cast<char>((V >> (8 * I)) & 0xffu);
 }
 
 /// Structural + semantic validation, so a CRC-colliding corruption (or
@@ -133,13 +153,14 @@ bool decodeDeltaPayload(std::string_view Payload, HistoryDeltaRecord &Rec,
       Rec.QuarantinedDelta > MaxCounterDelta)
     return false;
   uint8_t Flags = P[16];
-  if (Flags & ~(Version >= 2 ? FlagsKnown : FlagsKnownV1))
+  if (Flags & ~knownFlags(Version))
     return false;
   Rec.HasAlphaSample = (Flags & FlagHasAlphaSample) != 0;
   Rec.SetCpuOnly = (Flags & FlagSetCpuOnly) != 0;
   Rec.BecameConfident = (Flags & FlagBecameConfident) != 0;
   Rec.HasClass = (Flags & FlagHasClass) != 0;
   Rec.HasPState = (Flags & FlagHasPState) != 0;
+  Rec.HasMergedSample = (Flags & FlagHasMergedSample) != 0;
   Rec.ClassIndex = getU32(P + 17);
   if (Rec.HasClass && Rec.ClassIndex >= WorkloadClass::NumClasses)
     return false;
@@ -156,13 +177,17 @@ bool decodeDeltaPayload(std::string_view Payload, HistoryDeltaRecord &Rec,
   size_t CountOff = FixedBytes - 2;
   uint16_t Count = static_cast<uint16_t>(P[CountOff]) |
                    static_cast<uint16_t>(P[CountOff + 1]) << 8;
-  if (Payload.size() != FixedBytes + size_t{Count} * SampleBytes)
+  size_t Samples = size_t{Count} + (Rec.HasMergedSample ? 1 : 0);
+  if (Payload.size() != FixedBytes + Samples * SampleBytes)
     return false;
   Rec.Samples.clear();
   Rec.Samples.reserve(Count);
   for (uint16_t I = 0; I != Count; ++I)
     Rec.Samples.push_back(
         decodeSample(P + FixedBytes + size_t{I} * SampleBytes));
+  if (Rec.HasMergedSample)
+    Rec.MergedSample =
+        decodeSample(P + FixedBytes + size_t{Count} * SampleBytes);
   return true;
 }
 
@@ -173,11 +198,13 @@ void ecas::applyDeltaRecord(KernelHistory &History,
   // Mirror of the live merge closure in EasScheduler::executeAdmitted —
   // same operations, same order — so replay onto the same starting
   // state reproduces the same record bit-for-bit.
-  if (!Rec.Samples.empty() || Rec.BecameConfident || Rec.HasAlphaSample ||
-      Rec.SetCpuOnly || Rec.HasClass || Rec.HasPState)
+  if (!Rec.Samples.empty() || Rec.HasMergedSample || Rec.BecameConfident ||
+      Rec.HasAlphaSample || Rec.SetCpuOnly || Rec.HasClass || Rec.HasPState)
     History.update(Rec.Key, [&](KernelRecord &R) {
       for (const ProfileSample &S : Rec.Samples)
         R.Sample.accumulate(S);
+      if (Rec.HasMergedSample)
+        R.Sample = Rec.MergedSample;
       if (Rec.BecameConfident) {
         R.Confident = true;
         R.Alpha = SampleWeightedAlpha();
@@ -208,10 +235,15 @@ std::string ecas::encodeJournalHeader(uint64_t Epoch) {
 }
 
 void ecas::encodeDeltaFrame(std::string &Out, const HistoryDeltaRecord &Rec) {
-  std::string Payload = encodeDeltaPayload(Rec);
-  putU32(Out, static_cast<uint32_t>(Payload.size()));
-  putU32(Out, crc32(Payload.data(), Payload.size()));
-  Out += Payload;
+  // Reserve the frame header, encode the payload after it, then fill
+  // the header in: no temporary payload string.
+  size_t Frame = Out.size();
+  Out.append(FrameHeaderBytes, '\0');
+  encodeDeltaPayload(Out, Rec);
+  char *Header = Out.data() + Frame;
+  size_t PayloadBytes = Out.size() - Frame - FrameHeaderBytes;
+  storeU32(Header, static_cast<uint32_t>(PayloadBytes));
+  storeU32(Header + 4, crc32(Header + FrameHeaderBytes, PayloadBytes));
 }
 
 JournalScan ecas::scanJournal(std::string_view Bytes) {
@@ -509,27 +541,31 @@ HistoryJournal::~HistoryJournal() {
 }
 
 // Hot-path exception (DESIGN.md §14): journaling is opt-in durability.
-// enqueue() buffers the encoded frame under the leaf buffer lock and
-// never touches the file; allocation is amortized into the pending
-// batch. Invocations without a journal never get here (journalRecord
-// gates on the Journal pointer).
+// enqueue() encodes the frame straight into the pending batch under the
+// leaf buffer lock and never touches the file; the batch buffers are
+// reused across flushes, so a warm journal appends without allocating.
+// Invocations without a journal never get here (journalRecord gates on
+// the Journal pointer).
 // ecas-hotpath: allow(alloc, lock)
 void HistoryJournal::enqueue(const HistoryDeltaRecord &Rec) {
   if (Rec.empty())
     return;
-  std::string Frame;
-  encodeDeltaFrame(Frame, Rec);
+  size_t FrameBytes = 0;
   {
     LockGuard Lock(BufferMutex);
-    Pending += Frame;
-    ++PendingRecords;
+    size_t Before = Pending.size();
+    encodeDeltaFrame(Pending, Rec);
+    FrameBytes = Pending.size() - Before;
+    if (++PendingRecords >= Options.GroupCommitRecords ||
+        Pending.size() >= Options.GroupCommitBytes)
+      GroupFull.store(true, std::memory_order_release);
   }
   AppendCount.fetch_add(1, std::memory_order_relaxed);
-  AppendedBytes.fetch_add(Frame.size(), std::memory_order_relaxed);
+  AppendedBytes.fetch_add(FrameBytes, std::memory_order_relaxed);
   if (Metrics.Appends)
     Metrics.Appends->add();
   if (Metrics.Bytes)
-    Metrics.Bytes->add(Frame.size());
+    Metrics.Bytes->add(FrameBytes);
 }
 
 // Hot-path exception (DESIGN.md §14): the group-commit flush is the
@@ -538,12 +574,8 @@ void HistoryJournal::enqueue(const HistoryDeltaRecord &Rec) {
 // group-commit threshold. Journal-less schedulers never reach it.
 // ecas-hotpath: allow(io, alloc, lock, extern-call)
 Status HistoryJournal::maybeFlush() {
-  {
-    LockGuard Lock(BufferMutex);
-    if (PendingRecords < Options.GroupCommitRecords &&
-        Pending.size() < Options.GroupCommitBytes)
-      return Status::success();
-  }
+  if (!GroupFull.load(std::memory_order_acquire))
+    return Status::success();
   return flush();
 }
 
@@ -553,15 +585,22 @@ Status HistoryJournal::flush() {
 }
 
 Status HistoryJournal::flushLocked() {
-#ifdef _WIN32
-  return Status::success();
-#else
-  std::string Batch;
   {
     LockGuard Lock(BufferMutex);
     Batch.swap(Pending);
     PendingRecords = 0;
+    GroupFull.store(false, std::memory_order_relaxed);
   }
+  Status S = writeBatch();
+  // Keep the capacity: the next flush hands this buffer back to enqueue.
+  Batch.clear();
+  return S;
+}
+
+Status HistoryJournal::writeBatch() {
+#ifdef _WIN32
+  return Status::success();
+#else
   if (Batch.empty())
     return Status::success();
   if (Fd < 0)
@@ -607,6 +646,7 @@ Status HistoryJournal::reset(uint64_t NewEpoch) {
     LockGuard Lock(BufferMutex);
     Pending.clear();
     PendingRecords = 0;
+    GroupFull.store(false, std::memory_order_relaxed);
   }
   if (Fd >= 0)
     ::close(Fd);

@@ -18,16 +18,21 @@
 ///   frame    u32 payload length + u32 CRC-32(payload) + payload
 ///   payload  u64 key; u32 invocations delta; u32 quarantined delta;
 ///            u8 flags (alpha-sample / cpu-only / became-confident /
-///            class / pstate); u32 class index; f64 alpha value, f64
-///            alpha weight; u32 pstate (v2+, absent in v1 payloads);
-///            u16 sample count; then each ProfileSample delta as
-///            9 f64 + 2 flag bytes
+///            class / pstate / merged-sample); u32 class index; f64
+///            alpha value, f64 alpha weight; u32 pstate (v2+, absent in
+///            v1 payloads); u16 sample count; then each ProfileSample
+///            delta as 9 f64 + 2 flag bytes; then, when the
+///            merged-sample flag is set (v3+), one more ProfileSample
 ///
 /// v2 widened the payload by the joint (alpha, f) decision's chosen
-/// P-state. v1 journals still scan and replay (their deltas imply
-/// P-state 0, full speed — exactly what a v1 build ran at), but the
-/// append side refuses to extend a v1 file: recovery compacts it into
-/// a snapshot and resets the journal to the current version first.
+/// P-state. v3 journals a profiled merge's resulting sample once instead
+/// of every repetition's delta, so a profiled frame has a fixed size
+/// however many repetitions the invocation ran (a v2 frame grew 74
+/// bytes per repetition and could outgrow the scanner's frame bound).
+/// v1 and v2 journals still scan and replay (v1 deltas imply P-state 0,
+/// full speed — exactly what a v1 build ran at), but the append side
+/// refuses to extend an older file: recovery compacts it into a
+/// snapshot and resets the journal to the current version first.
 ///
 /// The epoch pairs a journal with its snapshot: snapshot(E) + replay of
 /// journal(E) == the live table. Recovery compacts to snapshot(E+1) and
@@ -51,6 +56,7 @@
 #include "ecas/support/Error.h"
 #include "ecas/support/ThreadAnnotations.h"
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -59,8 +65,9 @@
 namespace ecas {
 
 /// Current journal format version. v2 added the chosen P-state to the
-/// delta payload; v1 files remain replayable (P-state 0).
-inline constexpr uint32_t HistoryJournalVersion = 2;
+/// delta payload, v3 the merged sample; older files remain replayable
+/// (v1 as P-state 0).
+inline constexpr uint32_t HistoryJournalVersion = 3;
 
 /// Journal tunables, embedded in EasConfig::Journal and passed to
 /// HistoryJournal::open().
@@ -87,7 +94,14 @@ struct HistoryDeltaRecord {
   uint32_t InvocationsDelta = 0;
   uint32_t QuarantinedDelta = 0;
   /// Profile-sample deltas, accumulated in order (order-sensitive).
+  /// What v1/v2 writers journaled for a profiled merge; v3 writers
+  /// journal MergedSample instead.
   std::vector<ProfileSample> Samples;
+  /// The record's whole sample right after this merge accumulated its
+  /// repetitions, taken under the shard lock. Replay assigns it (after
+  /// any Samples), so journal order alone makes replay exact.
+  bool HasMergedSample = false;
+  ProfileSample MergedSample;
   /// The merge crossed the confident threshold: set Confident and reset
   /// the alpha accumulator to empty *before* adding AlphaValue.
   bool BecameConfident = false;
@@ -103,8 +117,8 @@ struct HistoryDeltaRecord {
 
   bool empty() const {
     return InvocationsDelta == 0 && QuarantinedDelta == 0 &&
-           Samples.empty() && !BecameConfident && !HasAlphaSample &&
-           !SetCpuOnly && !HasClass && !HasPState;
+           Samples.empty() && !HasMergedSample && !BecameConfident &&
+           !HasAlphaSample && !SetCpuOnly && !HasClass && !HasPState;
   }
 };
 
@@ -116,7 +130,9 @@ void applyDeltaRecord(KernelHistory &History, const HistoryDeltaRecord &Rec);
 /// file contains).
 std::string encodeJournalHeader(uint64_t Epoch);
 
-/// Appends one CRC-framed record to \p Out.
+/// Appends one CRC-framed record to \p Out, encoding in place: no
+/// temporary buffers, so appending into a buffer with spare capacity
+/// does not allocate.
 void encodeDeltaFrame(std::string &Out, const HistoryDeltaRecord &Rec);
 
 /// What a full parse of a journal's bytes found. Parsing stops at the
@@ -222,13 +238,15 @@ public:
 
   uint64_t epoch() const { return Epoch.load(std::memory_order_acquire); }
 
-  /// Buffers one delta record. Thread-safe; does no IO, so it is legal
-  /// (and, for order-sensitive records, required) inside the table-G
-  /// merge closure.
+  /// Buffers one delta record, encoding it straight into the pending
+  /// batch under one lock. Thread-safe; does no IO, so it is legal (and,
+  /// for order-sensitive records, required) inside the table-G merge
+  /// closure.
   void enqueue(const HistoryDeltaRecord &Rec);
 
-  /// Flushes when a group-commit threshold is crossed; returns
-  /// immediately otherwise. Call after enqueue(), outside shard locks.
+  /// Flushes when an enqueue crossed a group-commit threshold; returns
+  /// after one atomic load otherwise. Call after enqueue(), outside
+  /// shard locks.
   Status maybeFlush();
 
   /// Unconditionally writes and (per SyncOnFlush) fsyncs the pending
@@ -252,6 +270,8 @@ private:
       : Options(std::move(OptionsIn)), Epoch(EpochIn) {}
 
   Status flushLocked() ECAS_REQUIRES(IoMutex);
+  /// Writes (and per SyncOnFlush fsyncs) the swapped-out Batch.
+  Status writeBatch() ECAS_REQUIRES(IoMutex);
 
   JournalOptions Options;
   std::atomic<uint64_t> Epoch;
@@ -262,10 +282,17 @@ private:
   mutable AnnotatedMutex BufferMutex{"HistoryJournal.Buffer"};
   std::string Pending ECAS_GUARDED_BY(BufferMutex);
   unsigned PendingRecords ECAS_GUARDED_BY(BufferMutex) = 0;
+  /// Set by the enqueue that crosses a group-commit threshold, cleared
+  /// when the batch is swapped out, so maybeFlush() needs no lock.
+  std::atomic<bool> GroupFull{false};
 
   /// IO side; acquired before BufferMutex (to swap the batch out).
   mutable AnnotatedMutex IoMutex{"HistoryJournal.Io"};
   int Fd ECAS_GUARDED_BY(IoMutex) = -1;
+  /// The batch being written. Swapped with Pending and cleared (keeping
+  /// its capacity) after each flush, so the two buffers alternate and a
+  /// warm journal appends without allocating.
+  std::string Batch ECAS_GUARDED_BY(IoMutex);
 
   std::atomic<uint64_t> AppendCount{0};
   std::atomic<uint64_t> AppendedBytes{0};

@@ -124,7 +124,7 @@ struct Decision {
 /// states keep the lowest index, so with identical views the full-speed
 /// state wins deterministically. With one identity-scale view this is
 /// arithmetically identical to the legacy chooseAlpha search. Runs
-/// every profiling repetition — hot-path root, allocation-free.
+/// once per profiled invocation — hot-path root, allocation-free.
 ECAS_HOT Decision chooseOperatingPoint(
     const TimeModel &Model, const PStateView *Views, unsigned NumStates,
     const Metric &Objective, double Iterations,

@@ -10,15 +10,21 @@
 #include "ecas/core/KernelHistory.h"
 #include "ecas/core/Metric.h"
 #include "ecas/core/OperatingPoint.h"
+#include "ecas/core/Schedulers.h"
 #include "ecas/core/TimeModel.h"
+#include "ecas/fault/FaultPlan.h"
 #include "ecas/hw/Presets.h"
 #include "ecas/power/Characterizer.h"
 #include "ecas/power/MicroBenchmarks.h"
+#include "ecas/support/Cancellation.h"
+#include "ecas/support/Format.h"
 #include "ecas/support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 using namespace ecas;
 
@@ -546,4 +552,285 @@ TEST(AlphaSearch, DeadDevicesStillYieldAValidAlpha) {
   Choice =
       chooseAlpha(TimeModel(1e8, std::nan("")), Curve, Metric::edp(), 1e6);
   EXPECT_DOUBLE_EQ(Choice.Alpha, 0.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Differential test: one operating-point search per profiled invocation
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The desktop with a 4-state DVFS ladder, characterized per state
+/// (coarsely: the test compares two decision paths, not curve quality).
+const PlatformSpec &ladderSpec() {
+  static PlatformSpec Spec = [] {
+    PlatformSpec S = haswellDesktop();
+    S.synthesizePStates(4);
+    return S;
+  }();
+  return Spec;
+}
+
+const PowerCurveFamily &ladderFamily() {
+  static PowerCurveFamily Family = [] {
+    CharacterizerConfig Config;
+    Config.AlphaStep = 0.25;
+    Config.PolyDegree = 3;
+    return characterizeFamily(ladderSpec(), Config);
+  }();
+  return Family;
+}
+
+/// What the reference loop decided and observed for one invocation.
+struct ReferenceOutcome {
+  double AlphaUsed = 0.0;
+  unsigned PState = 0;
+  WorkloadClass Class;
+  bool HasPrediction = false;
+  double PredictedSeconds = 0.0;
+  double PredictedWatts = 0.0;
+  double PredictedMetric = 0.0;
+  unsigned ProfileRepetitions = 0;
+  unsigned Searches = 0;
+  unsigned LastEvaluations = 0;
+  bool Cancelled = false;
+  bool ProfileHang = false;
+  bool ProfileLaunchFailed = false;
+};
+
+/// The profiled path with the classify-and-search step inside the
+/// repetition loop, as Fig. 7 draws it: search after every usable
+/// repetition and keep the last answer. Mirrors EasScheduler's profiled
+/// path for a cold kernel on a GPU healthy at entry — the early exits,
+/// the health notes, and the remainder dispatch that can void the
+/// prediction.
+ReferenceOutcome referenceInvocation(SimProcessor &Proc,
+                                     const PowerCurveFamily &Curves,
+                                     const Metric &Objective,
+                                     const EasConfig &Config,
+                                     const KernelDesc &Kernel,
+                                     double Iterations,
+                                     const CancellationToken *Cancel) {
+  ReferenceOutcome Out;
+  GpuHealthMonitor Monitor(Config.Health);
+  if (Config.PStates)
+    Proc.pcu().clearFrequencyCap();
+  auto Stop = [&] { return Cancel && Cancel->shouldStop(Proc.now()); };
+  if (Stop()) {
+    Out.Cancelled = true;
+    return Out;
+  }
+  EXPECT_TRUE(Monitor.gpuUsable(Proc.now()));
+  double ProfileSize = Config.GpuProfileSize > 0.0
+                           ? Config.GpuProfileSize
+                           : Proc.spec().defaultGpuProfileSize();
+  OnlineProfiler Profiler(Proc, ProfileSize);
+  Profiler.setWatchdogPollSec(Config.Health.WatchdogPollSec);
+  ProfileSample Acc;
+  double Alpha = 0.0;
+  double Nrem = Iterations;
+  while (Nrem > Iterations * Config.ProfileFraction) {
+    if (Stop()) {
+      Out.Cancelled = true;
+      break;
+    }
+    ProfileSample Sample = Profiler.profileOnce(Kernel, Nrem);
+    ++Out.ProfileRepetitions;
+    if (Sample.GpuLaunchFailed) {
+      Monitor.noteLaunchFailure(Proc.now());
+      Out.ProfileLaunchFailed = true;
+      break;
+    }
+    if (Sample.GpuHung) {
+      Monitor.noteHang(Proc.now());
+      Out.ProfileHang = true;
+      Alpha = 0.0;
+      break;
+    }
+    if (Sample.GpuIterations > 0.0)
+      Monitor.noteGpuSuccess(Proc.now());
+    if (Sample.ElapsedSeconds <= 0.0)
+      break;
+    Acc.accumulate(Sample);
+    if (Acc.CpuThroughput <= 0.0 && Acc.GpuThroughput <= 0.0)
+      break;
+
+    Out.Class = Profiler.classify(Acc, Nrem, Config.Thresholds);
+    unsigned NumViews = 1;
+    if (Config.PStates)
+      NumViews = std::min({Proc.spec().pstateCount(), Curves.numPStates(),
+                           kMaxPStates});
+    PStateView Views[kMaxPStates];
+    PStateSpec Full = Proc.spec().pstateAt(0);
+    for (unsigned S = 0; S != NumViews; ++S) {
+      PStateSpec State = Proc.spec().pstateAt(S);
+      Views[S].Curve = &Curves.stateCurves(S).curveFor(Out.Class);
+      Views[S].CpuFreqScale = S == 0 || Full.CpuFreqGHz <= 0.0
+                                  ? 1.0
+                                  : State.CpuFreqGHz / Full.CpuFreqGHz;
+      Views[S].GpuFreqScale = S == 0 || Full.GpuFreqGHz <= 0.0
+                                  ? 1.0
+                                  : State.GpuFreqGHz / Full.GpuFreqGHz;
+    }
+    OperatingPointSearchConfig Search;
+    Search.Step = Config.AlphaStep;
+    Search.Refine = Config.RefineAlpha;
+    Search.Policy = Config.Policy;
+    Search.DeadlineSeconds = Config.DeadlineSeconds;
+    Search.IdleWatts = Config.IdleWatts;
+    double Threshold = Config.Thresholds.MemoryIntensity;
+    Search.MemBoundFraction =
+        Threshold > 0.0 && Acc.MissPerLoadStore > 0.0
+            ? std::min(Acc.MissPerLoadStore / Threshold, 1.0)
+            : 0.0;
+    Decision Choice = chooseOperatingPoint(
+        TimeModel(Acc.CpuThroughput, Acc.GpuThroughput), Views, NumViews,
+        Objective, std::max(Nrem, 1.0), Search);
+    Alpha = Choice.Point.Alpha;
+    Out.PState = Choice.Point.PState;
+    ++Out.Searches;
+    Out.LastEvaluations = Choice.Evaluations;
+    Out.HasPrediction = true;
+    Out.PredictedSeconds = Choice.PredictedSeconds;
+    Out.PredictedWatts = Choice.PredictedWatts;
+    Out.PredictedMetric = Choice.PredictedMetric;
+  }
+
+  if (!Out.Cancelled && Stop())
+    Out.Cancelled = true;
+  bool Voided = Out.ProfileHang;
+  if (Nrem > 0.0 && !Out.Cancelled) {
+    if (Config.PStates) {
+      PStateSpec Cap = Proc.spec().pstateAt(Out.PState);
+      Proc.pcu().setFrequencyCap(Cap.CpuFreqGHz, Cap.GpuFreqGHz);
+    }
+    PartitionOutcome Partition =
+        runPartitionedResilient(Proc, Monitor, Kernel, Nrem, Alpha);
+    Voided = Voided || Partition.HangDetected || Partition.QuarantineSkipped;
+  }
+  if (Voided)
+    Out.HasPrediction = false;
+  Out.AlphaUsed = Alpha;
+  return Out;
+}
+
+enum class ExitKind { None, Hang, LaunchFail, Cancel };
+
+KernelDesc randomKernel(Xoshiro256 &Rng, unsigned Case) {
+  KernelDesc Kernel;
+  Kernel.Name = "differential-" + std::to_string(Case);
+  Kernel.CpuCyclesPerIter = Rng.nextDouble(20.0, 600.0);
+  Kernel.GpuCyclesPerIter = Rng.nextDouble(20.0, 600.0);
+  Kernel.BytesPerIter = Rng.nextDouble(2.0, 96.0);
+  Kernel.LoadStoresPerIter = Rng.nextDouble(1.0, 30.0);
+  Kernel.LlcMissRatio = Rng.nextDouble(0.0, 0.8);
+  Kernel.InstrsPerIter = Rng.nextDouble(40.0, 600.0);
+  Kernel.GpuEfficiency = Rng.nextDouble(0.1, 1.0);
+  Kernel.CpuVectorizable = Rng.nextDouble(0.0, 1.0);
+  return Kernel.withAutoId();
+}
+
+} // namespace
+
+// Searching once after the repetition loop must decide exactly what
+// searching after every repetition decided: randomized kernels, sizes,
+// metrics, policies, P-state counts and refinement, through every early
+// exit (a hang, a refused launch, and a token firing mid-profile).
+TEST(EasScheduler, OneSearchPerInvocationMatchesPerRepetitionSearch) {
+  constexpr unsigned Cases = 240;
+  const PlatformSpec &Spec = ladderSpec();
+  const Metric Metrics[] = {Metric::energy(), Metric::edp(), Metric::ed2p()};
+  const SchedulingPolicy Policies[] = {SchedulingPolicy::MinimizeMetric,
+                                       SchedulingPolicy::RaceToIdle,
+                                       SchedulingPolicy::PaceToDeadline};
+  double MinIters = Spec.defaultGpuProfileSize();
+  Xoshiro256 Rng(0x0e5ea7c4ULL);
+  unsigned MultiSearch = 0, Hangs = 0, LaunchFails = 0, Cancels = 0;
+  unsigned JointStates = 0;
+  for (unsigned Case = 0; Case != Cases; ++Case) {
+    KernelDesc Kernel = randomKernel(Rng, Case);
+    ASSERT_TRUE(Kernel.valid());
+    double Iterations = std::floor(
+        std::exp(Rng.nextDouble(std::log(MinIters), std::log(2e6))));
+    const Metric &Objective = Metrics[Rng.nextBounded(3)];
+    EasConfig Config;
+    Config.PStates = Rng.nextBounded(2) == 1;
+    Config.RefineAlpha = Rng.nextBounded(2) == 1;
+    SchedulingPolicy Policy = Policies[Rng.nextBounded(3)];
+    ExitKind Exit = static_cast<ExitKind>(Rng.nextBounded(4));
+    SCOPED_TRACE(formatString("case %u: n=%.0f metric=%s pstates=%d "
+                              "refine=%d policy=%s exit=%d",
+                              Case, Iterations, Objective.name().c_str(),
+                              Config.PStates, Config.RefineAlpha,
+                              schedulingPolicyName(Policy),
+                              static_cast<int>(Exit)));
+
+    // A healthy pilot run times the profiling phase and the remainder,
+    // so faults, tokens and deadlines land inside them.
+    EasScheduler::InvocationOutcome Pilot;
+    {
+      SimProcessor Proc(Spec);
+      EasScheduler Scheduler(ladderFamily(), Objective, Config);
+      Pilot = Scheduler.execute(Proc, Kernel, Iterations);
+      ASSERT_TRUE(Pilot.Profiled);
+    }
+    Config.Policy = Policy;
+    if (Policy == SchedulingPolicy::RaceToIdle)
+      Config.IdleWatts = Rng.nextDouble(0.0, 20.0);
+    if (Policy == SchedulingPolicy::PaceToDeadline)
+      Config.DeadlineSeconds =
+          std::max(Pilot.MeasuredSeconds, 1e-6) * Rng.nextDouble(0.5, 2.5);
+
+    PlatformSpec Faulty = Spec;
+    double ExitAt = Pilot.ProfileSeconds * Rng.nextDouble(0.05, 1.0);
+    if (Exit == ExitKind::Hang || Exit == ExitKind::LaunchFail) {
+      FaultEvent Event;
+      Event.Kind = Exit == ExitKind::Hang ? FaultKind::GpuHang
+                                          : FaultKind::GpuLaunchFail;
+      Event.StartSec = Exit == ExitKind::Hang ? ExitAt : 0.0;
+      Event.Probability =
+          Exit == ExitKind::Hang ? 1.0 : Rng.nextDouble(0.002, 0.05);
+      Faulty.Faults.setSeed(Rng.next());
+      Faulty.Faults.addEvent(Event);
+    }
+    CancellationToken RefToken = CancellationToken::withDeadline(ExitAt);
+    CancellationToken Token = CancellationToken::withDeadline(ExitAt);
+    bool UseToken = Exit == ExitKind::Cancel;
+
+    SimProcessor RefProc(Faulty);
+    ReferenceOutcome Ref =
+        referenceInvocation(RefProc, ladderFamily(), Objective, Config,
+                            Kernel, Iterations, UseToken ? &RefToken : nullptr);
+
+    SimProcessor Proc(Faulty);
+    EasScheduler Scheduler(ladderFamily(), Objective, Config);
+    EasScheduler::InvocationOutcome Got =
+        UseToken ? Scheduler.execute(Proc, Kernel, Iterations, Token)
+                 : Scheduler.execute(Proc, Kernel, Iterations);
+
+    EXPECT_EQ(Got.AlphaUsed, Ref.AlphaUsed);
+    EXPECT_EQ(Got.PState, Ref.PState);
+    EXPECT_EQ(Got.Class.index(), Ref.Class.index());
+    EXPECT_EQ(Got.HasPrediction, Ref.HasPrediction);
+    EXPECT_EQ(Got.PredictedSeconds, Ref.PredictedSeconds);
+    EXPECT_EQ(Got.PredictedWatts, Ref.PredictedWatts);
+    EXPECT_EQ(Got.PredictedMetric, Ref.PredictedMetric);
+    EXPECT_EQ(Got.ProfileRepetitions, Ref.ProfileRepetitions);
+    EXPECT_EQ(Got.Cancelled, Ref.Cancelled);
+    EXPECT_EQ(Got.AlphaSearches, Ref.Searches ? 1u : 0u);
+    EXPECT_EQ(Got.AlphaEvaluations, Ref.LastEvaluations);
+
+    MultiSearch += Ref.Searches > 1;
+    Hangs += Ref.ProfileHang && Ref.Searches > 0;
+    LaunchFails += Ref.ProfileLaunchFailed && Ref.Searches > 0;
+    Cancels += Ref.Cancelled && Ref.ProfileRepetitions > 0;
+    JointStates += Ref.PState > 0;
+  }
+  // Every early exit fired mid-profile, after at least one search, in
+  // enough cases to matter; so did the joint search's lower states.
+  EXPECT_GE(MultiSearch, Cases / 2);
+  EXPECT_GE(Hangs, 10u);
+  EXPECT_GE(LaunchFails, 10u);
+  EXPECT_GE(Cancels, 10u);
+  EXPECT_GE(JointStates, 10u);
 }

@@ -141,6 +141,10 @@ HistoryDeltaRecord richDelta() {
   S.GpuLaunchFailed = false;
   S.GpuHung = true;
   Rec.Samples.push_back(S);
+  S.GpuHung = false;
+  S.CpuIterations = 9.5e5;
+  Rec.HasMergedSample = true;
+  Rec.MergedSample = S;
   Rec.BecameConfident = true;
   Rec.HasAlphaSample = true;
   Rec.AlphaValue = 0.625;
@@ -251,8 +255,14 @@ TEST(JournalFormat, FrameRoundTripAllFields) {
   EXPECT_TRUE(R.Samples[0].GpuLaunchFailed);
   EXPECT_FALSE(R.Samples[0].GpuHung);
   EXPECT_TRUE(R.Samples[1].GpuHung);
+  EXPECT_TRUE(R.HasMergedSample);
+  EXPECT_EQ(R.MergedSample.CpuIterations, Rich.MergedSample.CpuIterations);
+  EXPECT_EQ(R.MergedSample.MissPerLoadStore,
+            Rich.MergedSample.MissPerLoadStore);
+  EXPECT_FALSE(R.MergedSample.GpuHung);
 
   EXPECT_EQ(Scan.Records[1].Key, 42u);
+  EXPECT_FALSE(Scan.Records[1].HasMergedSample);
   EXPECT_TRUE(Scan.Records[1].SetCpuOnly);
   EXPECT_TRUE(Scan.Records[1].Samples.empty());
 }
@@ -379,6 +389,98 @@ TEST(JournalFormat, V1RecordRejectsPStateFlag) {
 
   std::string Bytes = encodeV1Header(1);
   frameRaw(Bytes, Payload);
+  JournalScan Scan = scanJournal(Bytes);
+  ASSERT_TRUE(Scan.HeaderValid);
+  EXPECT_TRUE(Scan.Torn);
+  EXPECT_TRUE(Scan.Records.empty());
+}
+
+/// A journal header as a v2 writer emitted it.
+std::string encodeV2Header(uint64_t Epoch) {
+  std::string Out = encodeV1Header(Epoch);
+  Out[8] = 2;
+  Out.resize(20);
+  putLe32(Out, crc32(Out.data() + 8, 12));
+  return Out;
+}
+
+// A v3 profiled merge carries the record's merged sample; replay assigns
+// it, whatever the record held before, instead of accumulating.
+TEST(JournalFormat, MergedSampleReplaysByAssignment) {
+  KernelHistory History;
+  History.update(5, [](KernelRecord &Rec) {
+    Rec.Sample.CpuThroughput = 1.0e8;
+    Rec.Sample.CpuIterations = 3.0e5;
+    Rec.Sample.CpuBusySeconds = 3.0e-3;
+    Rec.Sample.ElapsedSeconds = 3.0e-3;
+  });
+  HistoryDeltaRecord Rec;
+  Rec.Key = 5;
+  Rec.HasMergedSample = true;
+  Rec.MergedSample.CpuThroughput = 2.0e8;
+  Rec.MergedSample.GpuThroughput = 6.5e8;
+  Rec.MergedSample.CpuIterations = 7.0e5;
+  Rec.MergedSample.GpuIterations = 1.9e6;
+  Rec.MergedSample.ElapsedSeconds = 3.5e-3;
+  Rec.MergedSample.MissPerLoadStore = 0.125;
+  std::string Bytes = encodeJournalHeader(1);
+  encodeDeltaFrame(Bytes, Rec);
+  // Fixed size: header + v2 fixed payload + one sample, no deltas.
+  EXPECT_EQ(Bytes.size(), 24u + 8u + 43u + 74u);
+
+  JournalScan Scan = scanJournal(Bytes);
+  ASSERT_FALSE(Scan.Torn) << Scan.Error.toString();
+  ASSERT_EQ(Scan.Records.size(), 1u);
+  EXPECT_TRUE(Scan.Records[0].Samples.empty());
+  applyDeltaRecord(History, Scan.Records[0]);
+  KernelRecord Replayed;
+  ASSERT_TRUE(History.lookup(5, Replayed));
+  EXPECT_EQ(Replayed.Sample.CpuThroughput, 2.0e8);
+  EXPECT_EQ(Replayed.Sample.GpuThroughput, 6.5e8);
+  EXPECT_EQ(Replayed.Sample.CpuIterations, 7.0e5);
+  EXPECT_EQ(Replayed.Sample.GpuIterations, 1.9e6);
+  EXPECT_EQ(Replayed.Sample.ElapsedSeconds, 3.5e-3);
+  EXPECT_EQ(Replayed.Sample.MissPerLoadStore, 0.125);
+}
+
+// A v2 journal — profiled merges as per-repetition sample deltas — still
+// scans and replays by accumulation, exactly as a v2 build did.
+TEST(JournalFormat, V2JournalReplaysSampleDeltas) {
+  HistoryDeltaRecord Rec;
+  Rec.Key = 6;
+  ProfileSample S;
+  S.CpuIterations = 4.0e5;
+  S.CpuBusySeconds = 2.0e-3;
+  S.ElapsedSeconds = 2.0e-3;
+  S.CpuThroughput = 2.0e8;
+  Rec.Samples = {S, S};
+  std::string Bytes = encodeV2Header(4);
+  encodeDeltaFrame(Bytes, Rec);
+
+  JournalScan Scan = scanJournal(Bytes);
+  ASSERT_TRUE(Scan.HeaderValid);
+  EXPECT_EQ(Scan.Version, 2u);
+  ASSERT_FALSE(Scan.Torn) << Scan.Error.toString();
+  ASSERT_EQ(Scan.Records.size(), 1u);
+  KernelHistory History;
+  applyDeltaRecord(History, Scan.Records[0]);
+  KernelRecord Expected;
+  Expected.Sample.accumulate(S);
+  Expected.Sample.accumulate(S);
+  KernelRecord Replayed;
+  ASSERT_TRUE(History.lookup(6, Replayed));
+  EXPECT_EQ(Replayed.Sample.CpuIterations, Expected.Sample.CpuIterations);
+  EXPECT_EQ(Replayed.Sample.ElapsedSeconds, Expected.Sample.ElapsedSeconds);
+  EXPECT_EQ(Replayed.Sample.CpuThroughput, Expected.Sample.CpuThroughput);
+}
+
+// The merged-sample flag is unknown to v2 and must stop the scan.
+TEST(JournalFormat, V2RecordRejectsMergedSampleFlag) {
+  HistoryDeltaRecord Rec;
+  Rec.Key = 6;
+  Rec.HasMergedSample = true;
+  std::string Bytes = encodeV2Header(1);
+  encodeDeltaFrame(Bytes, Rec);
   JournalScan Scan = scanJournal(Bytes);
   ASSERT_TRUE(Scan.HeaderValid);
   EXPECT_TRUE(Scan.Torn);
@@ -785,6 +887,65 @@ TEST(SchedulerJournal, KillWithoutShutdownLosesNothingFlushed) {
               Live[I].second.Alpha.totalWeight());
     EXPECT_EQ(Entries[I].second.Invocations, Live[I].second.Invocations);
     EXPECT_EQ(Entries[I].second.Confident, Live[I].second.Confident);
+  }
+}
+
+// The same kill -9 scenario with an invocation long enough to profile
+// for ~23k repetitions. Journaling every repetition's sample delta in
+// one frame outgrew both the scanner's frame bound and the u16 sample
+// count, so recovery truncated at that frame and lost it and every later
+// record. The merged sample keeps the frame at a fixed size.
+TEST(SchedulerJournal, LongProfiledInvocationSurvivesKillWithoutShutdown) {
+  ScratchPair Files("long-profile");
+  ScratchPair Copy("long-profile-copy");
+
+  EasConfig Config;
+  Config.HistoryFile = Files.snap();
+  Config.Journal.Enabled = true;
+  Config.Journal.GroupCommitRecords = 1;
+
+  std::vector<std::pair<uint64_t, KernelRecord>> Live;
+  {
+    EasScheduler Scheduler(desktopCurves(), Metric::edp(), Config);
+    ASSERT_TRUE(Scheduler.journaling());
+    SimProcessor Proc(haswellDesktop());
+    EasScheduler::InvocationOutcome Long =
+        Scheduler.execute(Proc, namedKernel("wal-long"), 2e8);
+    ASSERT_TRUE(Long.Profiled);
+    EXPECT_GT(Long.ProfileRepetitions, 20000u);
+    Scheduler.execute(Proc, namedKernel("wal-later"), 2e6);
+    ASSERT_TRUE(Scheduler.flushJournal().ok());
+    Live = Scheduler.history().entries();
+    ASSERT_EQ(Live.size(), 2u);
+    writeRaw(Copy.snap(), readFile(Files.snap()));
+    writeRaw(Copy.wal(), readFile(Files.wal()));
+  }
+
+  KernelHistory Recovered;
+  RecoveryReport Report =
+      recoverKernelHistory(Recovered, Copy.snap(), Copy.wal());
+  EXPECT_EQ(Report.Outcome, RecoveryOutcome::Replayed);
+  EXPECT_EQ(Report.TruncatedRecords, 0u);
+  auto Entries = Recovered.entries();
+  ASSERT_EQ(Entries.size(), Live.size());
+  for (size_t I = 0; I != Live.size(); ++I) {
+    SCOPED_TRACE("kernel " + std::to_string(Live[I].first));
+    const KernelRecord &R = Entries[I].second;
+    const KernelRecord &L = Live[I].second;
+    EXPECT_EQ(Entries[I].first, Live[I].first);
+    EXPECT_EQ(R.Alpha.weightedSum(), L.Alpha.weightedSum());
+    EXPECT_EQ(R.Alpha.totalWeight(), L.Alpha.totalWeight());
+    EXPECT_EQ(R.Class.index(), L.Class.index());
+    EXPECT_EQ(R.Confident, L.Confident);
+    EXPECT_EQ(R.Invocations, L.Invocations);
+    EXPECT_EQ(R.PState, L.PState);
+    EXPECT_EQ(R.Sample.CpuThroughput, L.Sample.CpuThroughput);
+    EXPECT_EQ(R.Sample.GpuThroughput, L.Sample.GpuThroughput);
+    EXPECT_EQ(R.Sample.CpuIterations, L.Sample.CpuIterations);
+    EXPECT_EQ(R.Sample.GpuIterations, L.Sample.GpuIterations);
+    EXPECT_EQ(R.Sample.ElapsedSeconds, L.Sample.ElapsedSeconds);
+    EXPECT_EQ(R.Sample.MissPerLoadStore, L.Sample.MissPerLoadStore);
+    EXPECT_EQ(R.Sample.InstructionsRetired, L.Sample.InstructionsRetired);
   }
 }
 

@@ -511,6 +511,53 @@ TEST(EasTelemetry, RegistryMatchesSessionReport) {
   EXPECT_EQ(Hits + Misses, unsigned(Audit.size()));
 }
 
+// eas_alpha_search_evaluations observes one search per profiled
+// invocation: the whole repetition loop feeds a single search, so one
+// invocation records one sample — one 0.1-step grid, 11 evaluations —
+// well inside the histogram's 0-128 range.
+TEST(EasTelemetry, AlphaSearchEvaluationsRecordOneSearchPerInvocation) {
+  obs::MetricsRegistry Registry;
+  EasConfig Config;
+  Config.Metrics = &Registry;
+  EasScheduler Scheduler(desktopCurves(), Metric::edp(), Config);
+  SimProcessor Proc(haswellDesktop());
+  EasScheduler::InvocationOutcome Outcome =
+      Scheduler.execute(Proc, testKernel(), 2e6);
+  ASSERT_TRUE(Outcome.Profiled);
+  ASSERT_GT(Outcome.ProfileRepetitions, 1u);
+  EXPECT_EQ(Outcome.AlphaSearches, 1u);
+  EXPECT_EQ(Outcome.AlphaEvaluations, 11u);
+
+  obs::MetricsSnapshot Snap = Registry.snapshot();
+  const obs::MetricSample *Evals = Snap.find(obs::names::AlphaSearchEvals);
+  ASSERT_NE(Evals, nullptr);
+  EXPECT_EQ(Evals->Hist.Count, 1u);
+  EXPECT_EQ(Evals->Hist.Sum, double(Outcome.AlphaEvaluations));
+  ASSERT_FALSE(Evals->Hist.Counts.empty());
+  EXPECT_EQ(Evals->Hist.Counts.back(), 0u); // overflow bucket
+  EXPECT_LT(Evals->Hist.Max, Evals->Hist.UpperBounds.back());
+
+  // A session counts one search per profiled invocation.
+  InvocationTrace Trace = singleClassTrace();
+  ExecutionSession Session(haswellDesktop());
+  obs::MetricsRegistry SessionRegistry;
+  RunOptions Options;
+  Options.Trace = &Trace;
+  Options.Curves = &desktopCurves();
+  Options.Objective = Metric::edp();
+  Options.Metrics = &SessionRegistry;
+  SessionReport Report = Session.run(SchemeKind::Eas, Options);
+  obs::MetricsSnapshot SessionSnap = SessionRegistry.snapshot();
+  double Profiled = SessionSnap.total(obs::names::TableMissesTotal);
+  ASSERT_GT(Profiled, 0.0);
+  EXPECT_EQ(double(Report.AlphaSearches), Profiled);
+  const obs::MetricSample *SessionEvals =
+      SessionSnap.find(obs::names::AlphaSearchEvals);
+  ASSERT_NE(SessionEvals, nullptr);
+  EXPECT_EQ(double(SessionEvals->Hist.Count), Profiled);
+  EXPECT_EQ(SessionEvals->Hist.Counts.back(), 0u);
+}
+
 TEST(EasTelemetry, NullRegistryIsBitIdentical) {
   InvocationTrace Trace = singleClassTrace();
   ExecutionSession Session(haswellDesktop());
