@@ -46,12 +46,16 @@ ecas::bench::runComparison(const PlatformSpec &Spec,
                            const Metric &Objective) {
   ExecutionSession Session(Spec);
   std::vector<SchemeRow> Rows;
+  RunOptions Options;
+  Options.Curves = &Curves;
+  Options.Objective = Objective;
   for (const Workload &W : Suite) {
-    SessionReport Oracle = Session.runOracle(W.Trace, Objective);
-    SessionReport Cpu = Session.runCpuOnly(W.Trace, Objective);
-    SessionReport Gpu = Session.runGpuOnly(W.Trace, Objective);
-    SessionReport Perf = Session.runPerf(W.Trace, Objective);
-    SessionReport Eas = Session.runEas(W.Trace, Curves, Objective);
+    Options.Trace = &W.Trace;
+    SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+    SessionReport Cpu = Session.run(SchemeKind::CpuOnly, Options);
+    SessionReport Gpu = Session.run(SchemeKind::GpuOnly, Options);
+    SessionReport Perf = Session.run(SchemeKind::Perf, Options);
+    SessionReport Eas = Session.run(SchemeKind::Eas, Options);
     SchemeRow Row;
     Row.Abbrev = W.Abbrev;
     Row.CpuEff = Oracle.MetricValue / Cpu.MetricValue;

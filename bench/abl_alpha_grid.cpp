@@ -41,15 +41,18 @@ int main(int Argc, char **Argv) {
 
   std::printf("%-12s %14s %14s\n", "variant", "mean EAS eff",
               "min EAS eff");
+  RunOptions Options;
+  Options.Curves = &Curves;
+  Options.Objective = Objective;
+  Options.Step = 0.05;
   for (const Variant &V : Variants) {
-    EasConfig Config;
-    Config.AlphaStep = V.Step;
-    Config.RefineAlpha = V.Refine;
+    Options.Eas.AlphaStep = V.Step;
+    Options.Eas.RefineAlpha = V.Refine;
     RunningStats Eff;
     for (const Workload &W : Suite) {
-      SessionReport Oracle = Session.runOracle(W.Trace, Objective, 0.05);
-      SessionReport Eas =
-          Session.runEas(W.Trace, Curves, Objective, Config);
+      Options.Trace = &W.Trace;
+      SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+      SessionReport Eas = Session.run(SchemeKind::Eas, Options);
       Eff.add(Oracle.MetricValue / Eas.MetricValue);
     }
     std::printf("%-12s %13.1f%% %13.1f%%\n", V.Name, 100 * Eff.mean(),

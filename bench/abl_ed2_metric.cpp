@@ -32,10 +32,14 @@ int main(int Argc, char **Argv) {
 
   for (const Metric &Objective :
        {Metric::energy(), Metric::edp(), Metric::ed2p()}) {
+    RunOptions Options;
+    Options.Curves = &Curves;
+    Options.Objective = Objective;
     RunningStats Eff, OracleAlpha;
     for (const Workload &W : Suite) {
-      SessionReport Oracle = Session.runOracle(W.Trace, Objective);
-      SessionReport Eas = Session.runEas(W.Trace, Curves, Objective);
+      Options.Trace = &W.Trace;
+      SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+      SessionReport Eas = Session.run(SchemeKind::Eas, Options);
       Eff.add(Oracle.MetricValue / Eas.MetricValue);
       OracleAlpha.add(Oracle.MeanAlpha);
     }

@@ -35,14 +35,17 @@ int main(int Argc, char **Argv) {
     std::printf("\n--- objective: %s ---\n", Objective.name().c_str());
     std::printf("%-5s %14s %14s %10s\n", "bench", "EAS", "EAS+hints",
                 "delta");
+    RunOptions Options;
+    Options.Curves = &Curves;
+    Options.Objective = Objective;
     RunningStats Base, Hinted;
     for (const Workload &W : Suite) {
-      SessionReport Oracle = Session.runOracle(W.Trace, Objective);
-      SessionReport Plain = Session.runEas(W.Trace, Curves, Objective);
-      EasConfig Config;
-      Config.PcuHints = true;
-      SessionReport WithHints =
-          Session.runEas(W.Trace, Curves, Objective, Config);
+      Options.Trace = &W.Trace;
+      Options.Eas.PcuHints = false;
+      SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+      SessionReport Plain = Session.run(SchemeKind::Eas, Options);
+      Options.Eas.PcuHints = true;
+      SessionReport WithHints = Session.run(SchemeKind::Eas, Options);
       double EffPlain = Oracle.MetricValue / Plain.MetricValue;
       double EffHints = Oracle.MetricValue / WithHints.MetricValue;
       Base.add(EffPlain);

@@ -29,7 +29,8 @@ int main(int Argc, char **Argv) {
   WorkloadConfig Config = bench::configFromFlags(Args);
   std::vector<Workload> Suite = desktopSuite(Config);
   ExecutionSession Session(Spec);
-  Metric Objective = Metric::edp();
+  RunOptions Options;
+  Options.Objective = Metric::edp();
 
   std::printf("%6s %12s %12s %14s\n", "order", "mean r^2", "min r^2",
               "EAS EDP eff");
@@ -47,10 +48,12 @@ int main(int Argc, char **Argv) {
     for (unsigned Index = 0; Index != WorkloadClass::NumClasses; ++Index)
       R2.add(Curves.curveFor(WorkloadClass::fromIndex(Index)).RSquared);
 
+    Options.Curves = &Curves;
     std::vector<double> Effs;
     for (const Workload &W : Suite) {
-      SessionReport Oracle = Session.runOracle(W.Trace, Objective);
-      SessionReport Eas = Session.runEas(W.Trace, Curves, Objective);
+      Options.Trace = &W.Trace;
+      SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+      SessionReport Eas = Session.run(SchemeKind::Eas, Options);
       Effs.push_back(Oracle.MetricValue / Eas.MetricValue);
     }
     std::printf("%6u %12.4f %12.4f %13.1f%%\n", Degree, R2.mean(), R2.min(),

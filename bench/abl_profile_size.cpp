@@ -28,17 +28,18 @@ int main(int Argc, char **Argv) {
   PowerCurveSet Curves = Characterizer(Spec).characterize();
   std::vector<Workload> Suite = desktopSuite(bench::configFromFlags(Args));
   ExecutionSession Session(Spec);
-  Metric Objective = Metric::edp();
+  RunOptions Options;
+  Options.Curves = &Curves;
+  Options.Objective = Metric::edp();
 
   std::printf("%8s %14s %14s\n", "chunk", "mean EAS eff", "min EAS eff");
   for (double Chunk : {64.0, 256.0, 1024.0, 2048.0, 8192.0, 32768.0}) {
-    EasConfig Config;
-    Config.GpuProfileSize = Chunk;
+    Options.Eas.GpuProfileSize = Chunk;
     RunningStats Eff;
     for (const Workload &W : Suite) {
-      SessionReport Oracle = Session.runOracle(W.Trace, Objective);
-      SessionReport Eas =
-          Session.runEas(W.Trace, Curves, Objective, Config);
+      Options.Trace = &W.Trace;
+      SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+      SessionReport Eas = Session.run(SchemeKind::Eas, Options);
       Eff.add(Oracle.MetricValue / Eas.MetricValue);
     }
     std::printf("%8.0f %13.1f%% %13.1f%%%s\n", Chunk, 100 * Eff.mean(),

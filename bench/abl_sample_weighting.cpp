@@ -31,18 +31,19 @@ int main(int Argc, char **Argv) {
   PowerCurveSet Curves = Characterizer(Spec).characterize();
   std::vector<Workload> Suite = desktopSuite(bench::configFromFlags(Args));
   ExecutionSession Session(Spec);
-  Metric Objective = Metric::edp();
+  RunOptions Options;
+  Options.Curves = &Curves;
+  Options.Objective = Metric::edp();
 
   std::printf("%10s %14s %14s\n", "fraction", "mean EAS eff",
               "min EAS eff");
   for (double Fraction : {0.02, 0.1, 0.25, 0.5, 0.75, 0.95}) {
-    EasConfig Config;
-    Config.ProfileFraction = Fraction;
+    Options.Eas.ProfileFraction = Fraction;
     RunningStats Eff;
     for (const Workload &W : Suite) {
-      SessionReport Oracle = Session.runOracle(W.Trace, Objective);
-      SessionReport Eas =
-          Session.runEas(W.Trace, Curves, Objective, Config);
+      Options.Trace = &W.Trace;
+      SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+      SessionReport Eas = Session.run(SchemeKind::Eas, Options);
       Eff.add(Oracle.MetricValue / Eas.MetricValue);
     }
     std::printf("%10.2f %13.1f%% %13.1f%%%s\n", Fraction, 100 * Eff.mean(),

@@ -22,11 +22,15 @@ using namespace ecas;
 static double meanEff(const ExecutionSession &Session,
                       const std::vector<Workload> &Suite,
                       const PowerCurveSet &Curves, const EasConfig &Config) {
-  Metric Objective = Metric::edp();
+  RunOptions Options;
+  Options.Curves = &Curves;
+  Options.Objective = Metric::edp();
+  Options.Eas = Config;
   RunningStats Eff;
   for (const Workload &W : Suite) {
-    SessionReport Oracle = Session.runOracle(W.Trace, Objective);
-    SessionReport Eas = Session.runEas(W.Trace, Curves, Objective, Config);
+    Options.Trace = &W.Trace;
+    SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+    SessionReport Eas = Session.run(SchemeKind::Eas, Options);
     Eff.add(Oracle.MetricValue / Eas.MetricValue);
   }
   return Eff.mean();

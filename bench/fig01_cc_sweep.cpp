@@ -35,10 +35,13 @@ int main(int Argc, char **Argv) {
     double Alpha, Seconds, Joules;
   };
   std::vector<Point> Points;
+  RunOptions Options;
+  Options.Trace = &Cc.Trace;
+  Options.Objective = Metric::energy();
   for (double Alpha = 0.0; Alpha <= 1.0 + 1e-9; Alpha += Step) {
-    SessionReport R = Session.runFixedAlpha(Cc.Trace, std::min(Alpha, 1.0),
-                                            Metric::energy());
-    Points.push_back({std::min(Alpha, 1.0), R.Seconds, R.Joules});
+    Options.Alpha = std::min(Alpha, 1.0);
+    SessionReport R = Session.run(SchemeKind::FixedAlpha, Options);
+    Points.push_back({Options.Alpha, R.Seconds, R.Joules});
   }
 
   double MaxSeconds = 0, MaxJoules = 0;

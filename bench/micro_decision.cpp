@@ -125,8 +125,8 @@ int main(int Argc, char **Argv) {
 
   // Joint (alpha, frequency) search at profiling fidelity: the 0.05
   // alpha grid plus golden-section refine, evaluated across the whole
-  // DVFS ladder. (The JSON key keeps its legacy name so CI diffs stay
-  // comparable across the chooseAlpha -> chooseOperatingPoint redesign.)
+  // DVFS ladder. (The JSON keys keep their alpha_search_* names so CI
+  // diffs stay comparable with baselines from the alpha-only search.)
   TimeModel Model(4e8, 7e8);
   WorkloadClass Class;
   PStateView Views[kMaxPStates];

@@ -84,7 +84,8 @@ LatencyStats measureDecisions(obs::FlightRecorder *Flight, int Iterations,
                               uint64_t &AllocsOut) {
   PlatformSpec Spec = haswellDesktop();
   SimProcessor Proc(Spec);
-  static PowerCurveSet Curves = Characterizer(haswellDesktop()).characterize();
+  static PowerCurveFamily Curves = PowerCurveFamily::fromSingle(
+      Characterizer(haswellDesktop()).characterize());
   EasConfig Config;
   Config.Flight = Flight;
   EasScheduler Scheduler(Curves, Metric::edp(), Config);

@@ -26,7 +26,7 @@ static bool classifyByProfiling(const PlatformSpec &Spec,
                                 const PowerCurveSet &Curves,
                                 const Workload &W, WorkloadClass &Out) {
   SimProcessor Proc(Spec);
-  EasScheduler Scheduler(Curves, Metric::edp());
+  EasScheduler Scheduler(PowerCurveFamily::fromSingle(Curves), Metric::edp());
   bool Classified = false;
   for (const KernelInvocation &Invocation : W.Trace) {
     auto Outcome =

@@ -86,9 +86,12 @@ int main(int Argc, char **Argv) {
 
   ExecutionSession Session(*LoadedSpec);
   Workload Mm = *findWorkload(desktopSuite(WorkloadConfig{}), "MM");
-  Metric Objective = Metric::edp();
-  SessionReport Oracle = Session.runOracle(Mm.Trace, Objective);
-  SessionReport Eas = Session.runEas(Mm.Trace, *LoadedCurves, Objective);
+  RunOptions Options;
+  Options.Trace = &Mm.Trace;
+  Options.Curves = &*LoadedCurves;
+  Options.Objective = Metric::edp();
+  SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+  SessionReport Eas = Session.run(SchemeKind::Eas, Options);
   std::printf("MM on the custom part: EAS alpha %.2f, %.1f%% of oracle "
               "EDP (the wider GPU pulls work toward alpha=1)\n",
               Eas.MeanAlpha, 100.0 * Oracle.MetricValue / Eas.MetricValue);

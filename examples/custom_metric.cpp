@@ -48,10 +48,14 @@ int main() {
               "the split:\n\n");
   std::printf("%-10s %8s %10s %10s %9s %12s\n", "objective", "alpha",
               "time", "energy", "watts", "EAS vs oracle");
+  RunOptions Options;
+  Options.Trace = &Mm.Trace;
+  Options.Curves = &Curves;
   for (const Metric &Objective :
        {Metric::energy(), Metric::edp(), Battery, Deadline}) {
-    SessionReport Oracle = Session.runOracle(Mm.Trace, Objective);
-    SessionReport Eas = Session.runEas(Mm.Trace, Curves, Objective);
+    Options.Objective = Objective;
+    SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+    SessionReport Eas = Session.run(SchemeKind::Eas, Options);
     std::printf("%-10s %8.2f %10s %10s %8.2fW %11.1f%%\n",
                 Objective.name().c_str(), Eas.MeanAlpha,
                 formatDuration(Eas.Seconds).c_str(),

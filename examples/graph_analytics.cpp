@@ -55,13 +55,16 @@ int main(int Argc, char **Argv) {
   PlatformSpec Spec = haswellDesktop();
   PowerCurveSet Curves = Characterizer(Spec).characterize();
   ExecutionSession Session(Spec);
+  RunOptions Options;
+  Options.Curves = &Curves;
+  Options.Objective = Metric::edp();
 
   for (const Workload &W : {makeBfsWorkload(Config), makeCcWorkload(Config),
                             makeSsspWorkload(Config)}) {
-    Metric Objective = Metric::edp();
-    SessionReport Oracle = Session.runOracle(W.Trace, Objective);
-    SessionReport Eas = Session.runEas(W.Trace, Curves, Objective);
-    SessionReport Gpu = Session.runGpuOnly(W.Trace, Objective);
+    Options.Trace = &W.Trace;
+    SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+    SessionReport Eas = Session.run(SchemeKind::Eas, Options);
+    SessionReport Gpu = Session.run(SchemeKind::GpuOnly, Options);
     std::printf("%-4s EDP: oracle %-9s (alpha %.1f) | EAS %5.1f%% of "
                 "oracle (alpha %.2f) | GPU-alone %5.1f%%\n",
                 W.Abbrev.c_str(),
@@ -73,18 +76,20 @@ int main(int Argc, char **Argv) {
 
   // The Fig. 1 crossover on CC: best time vs minimum energy.
   Workload Cc2 = makeCcWorkload(Config);
+  Options.Trace = &Cc2.Trace;
+  Options.Objective = Metric::energy();
   double BestPerfAlpha = 0, BestPerfSeconds = 1e30;
   double BestEnergyAlpha = 0, BestEnergyJoules = 1e30;
   for (double Alpha = 0.0; Alpha <= 1.0 + 1e-9; Alpha += 0.1) {
-    SessionReport R = Session.runFixedAlpha(
-        Cc2.Trace, std::min(Alpha, 1.0), Metric::energy());
+    Options.Alpha = std::min(Alpha, 1.0);
+    SessionReport R = Session.run(SchemeKind::FixedAlpha, Options);
     if (R.Seconds < BestPerfSeconds) {
       BestPerfSeconds = R.Seconds;
-      BestPerfAlpha = std::min(Alpha, 1.0);
+      BestPerfAlpha = Options.Alpha;
     }
     if (R.Joules < BestEnergyJoules) {
       BestEnergyJoules = R.Joules;
-      BestEnergyAlpha = std::min(Alpha, 1.0);
+      BestEnergyAlpha = Options.Alpha;
     }
   }
   std::printf("\nCC crossover: best performance at %.0f%% GPU offload, "

@@ -100,9 +100,12 @@ int main(int Argc, char **Argv) {
   PowerCurveSet Curves = Characterizer(Spec).characterize();
   ExecutionSession Session(Spec);
   Workload Mb = makeMandelbrotWorkload(WorkloadConfig{});
-  Metric Objective = Metric::energy();
-  SessionReport Eas = Session.runEas(Mb.Trace, Curves, Objective);
-  SessionReport Cpu = Session.runCpuOnly(Mb.Trace, Objective);
+  RunOptions Options;
+  Options.Trace = &Mb.Trace;
+  Options.Curves = &Curves;
+  Options.Objective = Metric::energy();
+  SessionReport Eas = Session.run(SchemeKind::Eas, Options);
+  SessionReport Cpu = Session.run(SchemeKind::CpuOnly, Options);
   std::printf("\nsimulated desktop, full 7680x6144 frame:\n");
   std::printf("  CPU-alone: %s, %s\n", formatDuration(Cpu.Seconds).c_str(),
               formatEnergy(Cpu.Joules).c_str());

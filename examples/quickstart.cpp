@@ -58,7 +58,7 @@ int main() {
         Session.run(SchemeKind::Eas, Options), Oracle}) {
     std::printf("%-7s time %-10s energy %-10s avg %5.1f W  EDP %.4g  "
                 "(%.1f%% of oracle, mean alpha %.2f)\n",
-                R.Scheme.c_str(), formatDuration(R.Seconds).c_str(),
+                schemeKindName(R.Kind), formatDuration(R.Seconds).c_str(),
                 formatEnergy(R.Joules).c_str(), R.averageWatts(),
                 R.MetricValue, 100.0 * Oracle.MetricValue / R.MetricValue,
                 R.MeanAlpha);

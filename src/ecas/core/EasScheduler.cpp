@@ -87,11 +87,6 @@ double EasScheduler::InvocationOutcome::energyRelError() const {
          MeasuredJoules;
 }
 
-EasScheduler::EasScheduler(const PowerCurveSet &CurvesIn, Metric ObjectiveIn,
-                           EasConfig ConfigIn)
-    : EasScheduler(PowerCurveFamily::fromSingle(CurvesIn),
-                   std::move(ObjectiveIn), std::move(ConfigIn)) {}
-
 EasScheduler::EasScheduler(PowerCurveFamily CurvesIn, Metric ObjectiveIn,
                            EasConfig ConfigIn)
     : Curves(std::move(CurvesIn)), Objective(std::move(ObjectiveIn)),
@@ -144,11 +139,8 @@ void EasScheduler::initDurability() {
           Ins.RecoveryOutcomes[static_cast<unsigned>(Recovery.Outcome)])
     Outcome->add();
 
-  JournalOptions Opts;
+  JournalOptions Opts = Config.Journal;
   Opts.Path = journalPath();
-  Opts.GroupCommitRecords = Config.Journal.GroupCommitRecords;
-  Opts.GroupCommitBytes = Config.Journal.GroupCommitBytes;
-  Opts.SyncOnFlush = Config.Journal.SyncOnFlush;
   ErrorOr<std::unique_ptr<HistoryJournal>> Opened =
       HistoryJournal::open(std::move(Opts), Recovery.Epoch);
   if (!Opened) {
@@ -167,8 +159,8 @@ void EasScheduler::initDurability() {
 std::string EasScheduler::journalPath() const {
   if (!Config.Journal.Enabled)
     return {};
-  if (!Config.Journal.File.empty())
-    return Config.Journal.File;
+  if (!Config.Journal.Path.empty())
+    return Config.Journal.Path;
   return Config.HistoryFile + ".wal";
 }
 
@@ -529,29 +521,8 @@ Status EasScheduler::snapshot(const std::string &Path) const {
 
 EasScheduler::InvocationOutcome
 EasScheduler::execute(SimProcessor &Proc, const KernelDesc &Kernel,
-                      double Iterations) {
-  return executeGated(Proc, Kernel, Iterations, Kernel.Id, nullptr);
-}
-
-EasScheduler::InvocationOutcome
-EasScheduler::execute(SimProcessor &Proc, const KernelDesc &Kernel,
-                      double Iterations, const CancellationToken &Cancel) {
-  return executeGated(Proc, Kernel, Iterations, Kernel.Id, &Cancel);
-}
-
-EasScheduler::InvocationOutcome
-EasScheduler::execute(SimProcessor &Proc, const KernelDesc &Kernel,
                       double Iterations, const RequestContext &Request,
                       const CancellationToken *Cancel) {
-  return executeGated(Proc, Kernel, Iterations,
-                      namespacedKernelKey(Request.TenantId, Kernel.Id),
-                      Cancel);
-}
-
-EasScheduler::InvocationOutcome
-EasScheduler::executeGated(SimProcessor &Proc, const KernelDesc &Kernel,
-                           double Iterations, uint64_t HistoryKey,
-                           const CancellationToken *Cancel) {
   InFlight.fetch_add(1, std::memory_order_acq_rel);
   if (!Admitting.load(std::memory_order_acquire)) {
     endInvocation();
@@ -565,8 +536,9 @@ EasScheduler::executeGated(SimProcessor &Proc, const KernelDesc &Kernel,
     Outcome.Rejected = true;
     return Outcome;
   }
-  InvocationOutcome Outcome =
-      executeAdmitted(Proc, Kernel, Iterations, HistoryKey, Cancel);
+  InvocationOutcome Outcome = executeAdmitted(
+      Proc, Kernel, Iterations,
+      namespacedKernelKey(Request.TenantId, Kernel.Id), Cancel);
   recordInvocation(Kernel, Outcome);
   endInvocation();
   return Outcome;

@@ -27,7 +27,6 @@
 #ifndef ECAS_CORE_EASSCHEDULER_H
 #define ECAS_CORE_EASSCHEDULER_H
 
-#include "ecas/core/AlphaSearch.h"
 #include "ecas/core/HistoryJournal.h"
 #include "ecas/core/OperatingPoint.h"
 #include "ecas/core/KernelHistory.h"
@@ -84,8 +83,8 @@ struct EasConfig {
   /// platform and the characterization describe more than one P-state,
   /// the decision core searches the full OperatingPoint grid and
   /// actuates the winning state through the PCU's frequency cap before
-  /// dispatch. Off (the default) keeps the paper's fixed-frequency
-  /// chooseAlpha behaviour bit-identically.
+  /// dispatch. Off (the default) searches alpha alone at full speed,
+  /// the paper's fixed-frequency step 20.
   bool PStates = false;
   /// What the search minimizes (core/OperatingPoint.h): the metric
   /// itself, race-to-idle, or pace-to-deadline.
@@ -111,17 +110,12 @@ struct EasConfig {
   /// Write-ahead journaling of table-G merges (DESIGN.md §13). Off by
   /// default: snapshot-only durability is what every pre-§13 caller
   /// gets. The serve front end turns it on whenever --history-file is
-  /// set.
-  struct JournalConfig {
+  /// set. The fields are the journal's own JournalOptions plus the
+  /// switch; an empty Path derives "<HistoryFile>.wal".
+  struct JournalConfig : JournalOptions {
     /// Journal every table-G mutation and recover snapshot + journal at
-    /// construction. Requires HistoryFile (or an explicit File).
+    /// construction. Requires HistoryFile.
     bool Enabled = false;
-    /// Journal path; empty derives "<HistoryFile>.wal".
-    std::string File;
-    /// Group-commit thresholds and fsync policy (JournalOptions).
-    unsigned GroupCommitRecords = 32;
-    size_t GroupCommitBytes = 64 * 1024;
-    bool SyncOnFlush = true;
   };
   JournalConfig Journal;
   /// Optional trace recorder (not owned; must outlive the scheduler).
@@ -170,16 +164,12 @@ struct EasConfig {
 /// threads.
 class EasScheduler {
 public:
-  /// \p Curves must be complete (all eight categories) for the platform
-  /// that \p Metric-optimized runs will execute on. The legacy overload
-  /// wraps the single-state characterization as P-state 0 of a family —
-  /// every pre-DVFS caller schedules bit-identically through it.
-  EasScheduler(const PowerCurveSet &Curves, Metric Objective,
-               EasConfig Config = {});
-
-  /// Joint (alpha, f) form: one characterization per P-state, indexed
-  /// like the platform's P-state table. Every state present must be
-  /// complete. The family is copied in; the scheduler owns its curves.
+  /// \p Curves holds one characterization per P-state, indexed like the
+  /// platform's P-state table (PowerCurveFamily::fromSingle wraps a
+  /// fixed-frequency characterization as state 0). Every state present
+  /// must be complete (all eight categories) for the platform that
+  /// \p Objective-optimized runs will execute on. The family is copied
+  /// in; the scheduler owns its curves.
   EasScheduler(PowerCurveFamily Curves, Metric Objective,
                EasConfig Config = {});
 
@@ -266,24 +256,16 @@ public:
 
   /// Fig. 7's EAS(): schedules and executes one invocation of \p Kernel
   /// with \p Iterations parallel iterations on \p Proc. Thread-safe;
-  /// concurrent callers must each bring their own \p Proc.
-  InvocationOutcome execute(SimProcessor &Proc, const KernelDesc &Kernel,
-                            double Iterations);
-
-  /// As above, bounded by \p Cancel (deadlines are measured against
-  /// \p Proc's clock). Checked at invocation entry, between profiling
-  /// repetitions, and before the remainder execution.
+  /// concurrent callers must each bring their own \p Proc. Table-G
+  /// lookups and updates use namespacedKernelKey(Request.TenantId,
+  /// Kernel.Id), so one tenant's pathological kernels cannot poison
+  /// another's learned alphas; the default tenant 0 keys by Kernel.Id
+  /// alone. \p Cancel, when non-null, bounds the invocation (deadlines
+  /// are measured against \p Proc's clock): it is checked at entry,
+  /// between profiling repetitions, and before the remainder execution.
   InvocationOutcome execute(SimProcessor &Proc, const KernelDesc &Kernel,
                             double Iterations,
-                            const CancellationToken &Cancel);
-
-  /// Multi-tenant entry point: as above, but table-G lookups and updates
-  /// use the tenant-namespaced key namespacedKernelKey(Request.TenantId,
-  /// Kernel.Id), so one tenant's pathological kernels cannot poison
-  /// another's learned alphas. Tenant 0 behaves exactly like the
-  /// single-tenant overloads.
-  InvocationOutcome execute(SimProcessor &Proc, const KernelDesc &Kernel,
-                            double Iterations, const RequestContext &Request,
+                            const RequestContext &Request = {},
                             const CancellationToken *Cancel = nullptr);
 
   /// Marks the GPU as claimed by another client (the paper tests GPU
@@ -356,13 +338,6 @@ public:
   void reset() { History.clear(); }
 
 private:
-  /// Common admission prolog shared by every execute() overload: count
-  /// the invocation in flight, bounce it when the shutdown gate is
-  /// closed, and otherwise run it under \p HistoryKey and record the
-  /// outcome.
-  InvocationOutcome executeGated(SimProcessor &Proc, const KernelDesc &Kernel,
-                                 double Iterations, uint64_t HistoryKey,
-                                 const CancellationToken *Cancel);
   InvocationOutcome executeAdmitted(SimProcessor &Proc,
                                     const KernelDesc &Kernel,
                                     double Iterations, uint64_t HistoryKey,
@@ -404,8 +379,8 @@ private:
                         const InvocationOutcome &Outcome);
 
   /// P(alpha, f): one curve set per P-state (a single-state family for
-  /// legacy callers). Owned by value — the family is immutable after
-  /// construction, so the decision paths read it without locks.
+  /// fixed-frequency callers). Owned by value — the family is immutable
+  /// after construction, so the decision paths read it without locks.
   PowerCurveFamily Curves;
   Metric Objective;
   EasConfig Config;

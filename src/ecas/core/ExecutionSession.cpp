@@ -46,7 +46,6 @@ SessionReport ExecutionSession::finishReport(SchemeKind Kind,
                                              unsigned Invocations) const {
   SessionReport Report;
   Report.Kind = Kind;
-  Report.Scheme = schemeKindName(Kind);
   Report.Seconds = Seconds;
   Report.Joules = Joules;
   Report.MetricValue =
@@ -158,7 +157,6 @@ SessionReport ExecutionSession::runSweepScheme(SchemeKind Kind,
     }
   }
   Best.Kind = Kind;
-  Best.Scheme = schemeKindName(Kind);
   return Best;
 }
 
@@ -172,8 +170,6 @@ SessionReport ExecutionSession::runEasScheme(const RunOptions &Options) const {
     Config.Trace = Options.Recorder;
   if (Options.Metrics && !Config.Metrics)
     Config.Metrics = Options.Metrics;
-  if (Options.Decisions && !Config.Decisions)
-    Config.Decisions = Options.Decisions;
   SimProcessor Proc(Spec);
   if (Config.Metrics)
     Proc.meter().setReadCounter(&Config.Metrics->counter(
@@ -250,64 +246,4 @@ SessionReport ExecutionSession::runEasScheme(const RunOptions &Options) const {
   }
   attachResilience(Report, Scheduler.health(), Proc, Quarantined);
   return Report;
-}
-
-SessionReport
-ExecutionSession::runFixedAlpha(const InvocationTrace &Trace, double Alpha,
-                                const Metric &Objective) const {
-  RunOptions Options;
-  Options.Trace = &Trace;
-  Options.Objective = Objective;
-  Options.Alpha = Alpha;
-  return run(SchemeKind::FixedAlpha, Options);
-}
-
-SessionReport ExecutionSession::runCpuOnly(const InvocationTrace &Trace,
-                                           const Metric &Objective) const {
-  RunOptions Options;
-  Options.Trace = &Trace;
-  Options.Objective = Objective;
-  return run(SchemeKind::CpuOnly, Options);
-}
-
-SessionReport ExecutionSession::runGpuOnly(const InvocationTrace &Trace,
-                                           const Metric &Objective) const {
-  RunOptions Options;
-  Options.Trace = &Trace;
-  Options.Objective = Objective;
-  return run(SchemeKind::GpuOnly, Options);
-}
-
-SessionReport ExecutionSession::runOracle(const InvocationTrace &Trace,
-                                          const Metric &Objective,
-                                          double Step) const {
-  RunOptions Options;
-  Options.Trace = &Trace;
-  Options.Objective = Objective;
-  Options.Step = Step;
-  return run(SchemeKind::Oracle, Options);
-}
-
-SessionReport ExecutionSession::runPerf(const InvocationTrace &Trace,
-                                        const Metric &Objective,
-                                        double Step) const {
-  RunOptions Options;
-  Options.Trace = &Trace;
-  Options.Objective = Objective;
-  Options.Step = Step;
-  return run(SchemeKind::Perf, Options);
-}
-
-SessionReport ExecutionSession::runEas(const InvocationTrace &Trace,
-                                       const PowerCurveSet &Curves,
-                                       const Metric &Objective,
-                                       const EasConfig &Config,
-                                       const CancellationToken *Cancel) const {
-  RunOptions Options;
-  Options.Trace = &Trace;
-  Options.Curves = &Curves;
-  Options.Objective = Objective;
-  Options.Eas = Config;
-  Options.Cancel = Cancel;
-  return run(SchemeKind::Eas, Options);
 }

@@ -11,11 +11,10 @@
 /// best-performance PERF, and EAS — reporting time, energy, and the
 /// chosen metric for each.
 ///
-/// The primary entry point is the unified run() API: pick a SchemeKind
-/// and bundle everything else — the invocation trace, the power curves,
-/// the objective metric, the fixed alpha or sweep step, the EasConfig,
-/// a cancellation token, and an observability recorder — into one
-/// RunOptions:
+/// The entry point is run(): pick a SchemeKind and bundle everything
+/// else — the invocation trace, the power curves, the objective metric,
+/// the fixed alpha or sweep step, the EasConfig, a cancellation token,
+/// and an observability recorder — into one RunOptions:
 ///
 /// \code
 ///   ecas::PlatformSpec Spec = ecas::haswellDesktop();
@@ -34,9 +33,7 @@
 ///   Recorder.drainTo(Sink);                  // open in Perfetto
 /// \endcode
 ///
-/// The legacy per-scheme methods (runEas, runFixedAlpha, ...) remain as
-/// one-line wrappers over run() and behave exactly as before. Attaching
-/// a Recorder never changes scheduling decisions: with
+/// Attaching a Recorder never changes scheduling decisions: with
 /// Options.Recorder == nullptr the run is bit-identical to the
 /// pre-observability library (enforced by ObsTest).
 ///
@@ -70,8 +67,7 @@ enum class SchemeKind {
 };
 
 /// Stable lowercase name ("fixed", "cpu", "gpu", "oracle", "perf",
-/// "eas") — the value SessionReport::Scheme carries for CSV and bench
-/// compatibility.
+/// "eas") for CSV and bench output.
 const char *schemeKindName(SchemeKind Kind);
 
 /// Everything one run() needs besides the scheme. Pointer members are
@@ -108,8 +104,6 @@ struct RunOptions {
   /// attaches eas_msr_reads_total to the processor's energy meter. Null
   /// keeps the run bit-identical — the same contract as Recorder.
   obs::MetricsRegistry *Metrics = nullptr;
-  /// Optional per-decision audit ring (unless Eas.Decisions is set).
-  obs::DecisionLog *Decisions = nullptr;
   /// Who this run belongs to (Eas only). The default — anonymous tenant,
   /// SLA1, no deadline — schedules bit-identically to the pre-service
   /// library; a nonzero TenantId namespaces every table-G key so the
@@ -139,9 +133,6 @@ struct ResilienceSummary {
 struct SessionReport {
   /// Which scheme produced this report.
   SchemeKind Kind = SchemeKind::FixedAlpha;
-  /// schemeKindName(Kind), kept as a field so CSV emitters and the
-  /// bench harness keep working unchanged.
-  std::string Scheme;
   double Seconds = 0.0;
   double Joules = 0.0;
   /// The session metric computed from the measured totals.
@@ -207,41 +198,8 @@ public:
   const PlatformSpec &spec() const { return Spec; }
 
   /// Runs \p Options.Trace under \p Kind. See the file comment for the
-  /// full contract; the per-scheme methods below are wrappers over this.
+  /// full contract.
   SessionReport run(SchemeKind Kind, const RunOptions &Options) const;
-
-  /// Runs the whole trace at one fixed offload ratio.
-  SessionReport runFixedAlpha(const InvocationTrace &Trace, double Alpha,
-                              const Metric &Objective) const;
-
-  /// CPU-alone (TBB-style multicore baseline).
-  SessionReport runCpuOnly(const InvocationTrace &Trace,
-                           const Metric &Objective) const;
-
-  /// GPU-alone (vendor-OpenCL-style baseline).
-  SessionReport runGpuOnly(const InvocationTrace &Trace,
-                           const Metric &Objective) const;
-
-  /// Exhaustive search over fixed ratios, best by \p Objective — the
-  /// paper's Oracle baseline (alpha in [0,1] with \p Step increments).
-  SessionReport runOracle(const InvocationTrace &Trace,
-                          const Metric &Objective, double Step = 0.1) const;
-
-  /// Exhaustive search for the best *execution time*, reported under
-  /// \p Objective — the paper's PERF comparison scheme.
-  SessionReport runPerf(const InvocationTrace &Trace,
-                        const Metric &Objective, double Step = 0.1) const;
-
-  /// The energy-aware scheduler (Fig. 7) with fresh table-G state —
-  /// unless \p Config.HistoryFile names a snapshot, in which case the
-  /// run resumes from (and persists back to) that table G. \p Cancel,
-  /// when non-null, bounds the run: it is checked between invocations
-  /// and passed into the scheduler's cooperative cancellation points;
-  /// a fired token ends the run early with Report.Cancelled set.
-  SessionReport runEas(const InvocationTrace &Trace,
-                       const PowerCurveSet &Curves, const Metric &Objective,
-                       const EasConfig &Config = {},
-                       const CancellationToken *Cancel = nullptr) const;
 
 private:
   SessionReport runFixedAlphaScheme(SchemeKind Kind,

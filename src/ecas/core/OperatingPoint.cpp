@@ -82,9 +82,8 @@ Decision ecas::chooseOperatingPoint(const TimeModel &Model,
   for (unsigned State = 0; State != NumStates; ++State) {
     const PStateView &View = Views[State];
     ECAS_CHECK(View.Curve != nullptr, "P-state view is missing a power curve");
-    // Identity scales reuse the caller's model bit-for-bit so the
-    // single-view call stays arithmetically identical to the legacy
-    // chooseAlpha search (the wrapper's bit-identity guarantee).
+    // Identity scales reuse the caller's model bit-for-bit, so a
+    // single-view call searches exactly the profiled time model.
     bool Scale = View.CpuFreqScale != 1.0 || View.GpuFreqScale != 1.0;
     TimeModel Scaled =
         Scale ? Model.scaledTo(View.CpuFreqScale, View.GpuFreqScale,

@@ -17,11 +17,9 @@
 /// state's clocks, plus the CPU/GPU frequency ratios relative to the
 /// profiled (full-speed) state so the time model can be rescaled. The
 /// caller builds the views into a fixed-size stack array — the search
-/// itself allocates nothing and stays on the ECAS_HOT path.
-///
-/// chooseAlpha/AlphaChoice (core/AlphaSearch.h) remain as thin
-/// delegating wrappers over the single-state call, the same no-flag-day
-/// migration the PR-4 run(SchemeKind, RunOptions) redesign used.
+/// itself allocates nothing and stays on the ECAS_HOT path. The paper's
+/// fixed-frequency alpha search is the single-view call with identity
+/// frequency scales.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,9 +83,7 @@ struct PStateView {
   double GpuFreqScale = 1.0;
 };
 
-/// Joint-search configuration; the alpha-axis fields mirror
-/// AlphaSearchConfig so the delegating wrapper is a field-for-field
-/// forward.
+/// Joint-search configuration.
 struct OperatingPointSearchConfig {
   /// Alpha grid increment over [0, 1].
   double Step = 0.1;
@@ -123,8 +119,8 @@ struct Decision {
 /// \p NumStates views in \p Views (index = P-state). Ties between
 /// states keep the lowest index, so with identical views the full-speed
 /// state wins deterministically. With one identity-scale view this is
-/// arithmetically identical to the legacy chooseAlpha search. Runs
-/// once per profiled invocation — hot-path root, allocation-free.
+/// the paper's alpha-only grid search at the profiled clock. Runs once
+/// per profiled invocation — hot-path root, allocation-free.
 ECAS_HOT Decision chooseOperatingPoint(
     const TimeModel &Model, const PStateView *Views, unsigned NumStates,
     const Metric &Objective, double Iterations,

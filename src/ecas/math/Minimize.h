@@ -11,8 +11,8 @@
 /// grid cell as an extension ablation.
 ///
 /// The minimizers are templates over the objective callable rather than
-/// taking std::function: chooseAlpha() sits on the ECAS_HOT decision
-/// path, and wrapping its five-reference-capture lambda in a
+/// taking std::function: chooseOperatingPoint() sits on the ECAS_HOT
+/// decision path, and wrapping its reference-capturing lambda in a
 /// std::function exceeds libstdc++'s 16-byte small-buffer optimization —
 /// one heap allocation per alpha search (caught by the AllocGuard
 /// regression and ecas-hotpath's alloc rule; see DESIGN.md §14).

@@ -19,12 +19,12 @@
 
 #include "ecas/core/EasScheduler.h"
 #include "ecas/core/KernelHistory.h"
-#include "ecas/fault/FaultPlan.h"
 #include "ecas/hw/Presets.h"
-#include "ecas/power/Characterizer.h"
 #include "ecas/runtime/ThreadPool.h"
 #include "ecas/service/Service.h"
 #include "ecas/support/Cancellation.h"
+
+#include "TestSupport.h"
 
 #include <gtest/gtest.h>
 
@@ -35,29 +35,6 @@
 #include <vector>
 
 using namespace ecas;
-
-namespace {
-
-const PowerCurveSet &desktopCurves() {
-  static PowerCurveSet Curves = Characterizer(haswellDesktop()).characterize();
-  return Curves;
-}
-
-PlatformSpec faultySpec(const std::string &Scenario) {
-  PlatformSpec Spec = haswellDesktop();
-  ErrorOr<FaultPlan> Plan = FaultPlan::scenario(Scenario);
-  EXPECT_TRUE(Plan.ok()) << Scenario;
-  Spec.Faults = *Plan;
-  return Spec;
-}
-
-KernelDesc namedKernel(const std::string &Name) {
-  KernelDesc Kernel;
-  Kernel.Name = Name;
-  return Kernel.withAutoId();
-}
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Table G under concurrent mutation
@@ -203,7 +180,7 @@ TEST(Concurrency, ParallelForWithExpiredDeadlineRunsNothing) {
 //===----------------------------------------------------------------------===//
 
 TEST(Concurrency, ExpiredDeadlineCancelsWithoutPoisoningTableG) {
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
   SimProcessor Proc(haswellDesktop());
   KernelDesc Kernel = namedKernel("deadline-probe");
 
@@ -217,7 +194,7 @@ TEST(Concurrency, ExpiredDeadlineCancelsWithoutPoisoningTableG) {
   // cancelled at its entry point and must not touch what was learned.
   CancellationToken Expired = CancellationToken::withDeadline(Proc.now());
   EasScheduler::InvocationOutcome Cancelled =
-      Scheduler.execute(Proc, Kernel, 2e6, Expired);
+      Scheduler.execute(Proc, Kernel, 2e6, {}, &Expired);
   EXPECT_TRUE(Cancelled.Cancelled);
   EXPECT_FALSE(Cancelled.Rejected);
 
@@ -231,7 +208,7 @@ TEST(Concurrency, ExpiredDeadlineCancelsWithoutPoisoningTableG) {
   // A generous deadline leaves the invocation untouched.
   CancellationToken Roomy = CancellationToken::withDeadline(Proc.now() + 1e6);
   EasScheduler::InvocationOutcome Normal =
-      Scheduler.execute(Proc, Kernel, 2e6, Roomy);
+      Scheduler.execute(Proc, Kernel, 2e6, {}, &Roomy);
   EXPECT_FALSE(Normal.Cancelled);
   std::optional<KernelRecord> Counted = Scheduler.history().find(Kernel.Id);
   ASSERT_TRUE(Counted.has_value());
@@ -252,7 +229,7 @@ TEST(Concurrency, SchedulerStressUnderFaultsLosesNoUpdates) {
   for (unsigned K = 0; K != Kernels; ++K)
     Mixed.push_back(namedKernel("stress-" + std::to_string(K)));
 
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
 
   std::atomic<unsigned> Completed{0};
   std::atomic<unsigned> Rejected{0};
@@ -317,7 +294,7 @@ TEST(Concurrency, SchedulerStressUnderFaultsLosesNoUpdates) {
 TEST(Concurrency, ShutdownDrainsActiveClientsWithoutDeadlock) {
   PlatformSpec Spec = haswellDesktop();
   KernelDesc Kernel = namedKernel("drain-probe");
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
 
   // Clients run until the admission gate turns them away.
   std::atomic<unsigned> Completed{0};
@@ -350,7 +327,7 @@ TEST(Concurrency, ShutdownDrainsActiveClientsWithoutDeadlock) {
 }
 
 TEST(Concurrency, ConcurrentShutdownCallsAgree) {
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
   SimProcessor Proc(haswellDesktop());
   Scheduler.execute(Proc, namedKernel("shutdown-race"), 2e6);
 
@@ -374,7 +351,7 @@ TEST(Concurrency, ConcurrentShutdownCallsAgree) {
 //===----------------------------------------------------------------------===//
 
 TEST(Concurrency, ZeroCapacityServiceRejectsEveryConcurrentSubmission) {
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
   ServiceConfig Config;
   Config.Workers = 2;
   Config.QueueCapPerClass = 0; // permanently full: pure backpressure
@@ -412,7 +389,7 @@ TEST(Concurrency, ZeroCapacityServiceRejectsEveryConcurrentSubmission) {
 }
 
 TEST(Concurrency, ExpiredAtSubmitDeadlineIsRejectedNotQueued) {
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
   ServiceFrontEnd Service(Scheduler, haswellDesktop());
 
   RequestContext Ctx;
@@ -449,7 +426,7 @@ TEST(Concurrency, NamespacedKeysStayCollisionFreeAcrossManyTenants) {
 }
 
 TEST(Concurrency, ShutdownRacesProducersSpammingAFullQueue) {
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
   ServiceConfig Config;
   Config.Workers = 2;
   Config.QueueCapPerClass = 2; // tiny lanes: pushes race the close

@@ -4,7 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ecas/core/AlphaSearch.h"
 #include "ecas/core/EasScheduler.h"
 #include "ecas/core/ExecutionSession.h"
 #include "ecas/core/KernelHistory.h"
@@ -12,13 +11,14 @@
 #include "ecas/core/OperatingPoint.h"
 #include "ecas/core/Schedulers.h"
 #include "ecas/core/TimeModel.h"
-#include "ecas/fault/FaultPlan.h"
 #include "ecas/hw/Presets.h"
 #include "ecas/power/Characterizer.h"
 #include "ecas/power/MicroBenchmarks.h"
 #include "ecas/support/Cancellation.h"
 #include "ecas/support/Format.h"
 #include "ecas/support/Random.h"
+
+#include "TestSupport.h"
 
 #include <gtest/gtest.h>
 
@@ -97,8 +97,12 @@ TEST(AlphaSearch, FlatPowerPicksPerfForEdp) {
   TimeModel Model(100.0, 300.0);
   PowerCurve Flat;
   Flat.Poly = Polynomial({50.0});
-  AlphaChoice Choice = chooseAlpha(Model, Flat, Metric::edp(), 1000.0);
-  EXPECT_NEAR(Choice.Alpha, 0.8, 0.051); // Grid point nearest 0.75.
+  PStateView View;
+  View.Curve = &Flat;
+  Decision Choice =
+      chooseOperatingPoint(Model, &View, 1, Metric::edp(), 1000.0);
+  EXPECT_NEAR(Choice.Point.Alpha, 0.8, 0.051); // Grid point nearest 0.75.
+  EXPECT_EQ(Choice.Point.PState, 0u);
   EXPECT_EQ(Choice.Evaluations, 11u);
 }
 
@@ -107,48 +111,26 @@ TEST(AlphaSearch, CheapGpuPullsEnergyTowardOne) {
   // Power falls steeply with offload: GPU much more efficient.
   PowerCurve Falling;
   Falling.Poly = Polynomial({60.0, -35.0});
-  AlphaChoice Choice = chooseAlpha(Model, Falling, Metric::energy(), 1000.0);
-  EXPECT_GE(Choice.Alpha, 0.9);
+  PStateView View;
+  View.Curve = &Falling;
+  Decision Choice =
+      chooseOperatingPoint(Model, &View, 1, Metric::energy(), 1000.0);
+  EXPECT_GE(Choice.Point.Alpha, 0.9);
 }
 
 TEST(AlphaSearch, RefinementImprovesObjective) {
   TimeModel Model(100.0, 310.0);
   PowerCurve Curve;
   Curve.Poly = Polynomial({55.0, -10.0, 8.0});
-  AlphaSearchConfig Coarse;
-  AlphaSearchConfig Fine;
+  PStateView View;
+  View.Curve = &Curve;
+  OperatingPointSearchConfig Coarse;
+  OperatingPointSearchConfig Fine;
   Fine.Refine = true;
-  AlphaChoice A = chooseAlpha(Model, Curve, Metric::edp(), 1e6, Coarse);
-  AlphaChoice B = chooseAlpha(Model, Curve, Metric::edp(), 1e6, Fine);
+  Decision A =
+      chooseOperatingPoint(Model, &View, 1, Metric::edp(), 1e6, Coarse);
+  Decision B = chooseOperatingPoint(Model, &View, 1, Metric::edp(), 1e6, Fine);
   EXPECT_LE(B.PredictedMetric, A.PredictedMetric + 1e-12);
-}
-
-TEST(OperatingPoint, LegacyWrapperIsBitIdentical) {
-  // chooseAlpha is frozen as a delegating wrapper; every field of its
-  // result must equal the single-view joint search bit for bit.
-  TimeModel Model(100.0, 310.0);
-  PowerCurve Curve;
-  Curve.Poly = Polynomial({55.0, -10.0, 8.0});
-  for (bool Refine : {false, true}) {
-    AlphaSearchConfig Legacy;
-    Legacy.Step = 0.05;
-    Legacy.Refine = Refine;
-    AlphaChoice Old = chooseAlpha(Model, Curve, Metric::edp(), 1e6, Legacy);
-
-    PStateView View;
-    View.Curve = &Curve;
-    OperatingPointSearchConfig Joint;
-    Joint.Step = 0.05;
-    Joint.Refine = Refine;
-    Decision New =
-        chooseOperatingPoint(Model, &View, 1, Metric::edp(), 1e6, Joint);
-    EXPECT_EQ(Old.Alpha, New.Point.Alpha);
-    EXPECT_EQ(Old.PredictedMetric, New.PredictedMetric);
-    EXPECT_EQ(Old.PredictedSeconds, New.PredictedSeconds);
-    EXPECT_EQ(Old.PredictedWatts, New.PredictedWatts);
-    EXPECT_EQ(Old.Evaluations, New.Evaluations);
-    EXPECT_EQ(New.Point.PState, 0u);
-  }
 }
 
 TEST(OperatingPoint, CubicPowerMakesInteriorStateWin) {
@@ -303,22 +285,10 @@ TEST(KernelHistory, LookupAndUpdate) {
   EXPECT_FALSE(History.find(42).has_value());
 }
 
-namespace {
-
-/// Shared fixture: characterize each platform once (expensive) and hand
-/// the curves to every scheduler test.
-const PowerCurveSet &desktopCurves() {
-  static PowerCurveSet Curves =
-      Characterizer(haswellDesktop()).characterize();
-  return Curves;
-}
-
-} // namespace
-
 TEST(EasScheduler, SmallInvocationsRunCpuOnly) {
   PlatformSpec Spec = haswellDesktop();
   SimProcessor Proc(Spec);
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
   KernelDesc Kernel = computeBoundMicroKernel();
   auto Outcome = Scheduler.execute(Proc, Kernel, 100.0);
   EXPECT_TRUE(Outcome.CpuOnlyFastPath);
@@ -329,7 +299,7 @@ TEST(EasScheduler, SmallInvocationsRunCpuOnly) {
 TEST(EasScheduler, FirstLargeInvocationProfiles) {
   PlatformSpec Spec = haswellDesktop();
   SimProcessor Proc(Spec);
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
   KernelDesc Kernel = computeBoundMicroKernel();
   auto First = Scheduler.execute(Proc, Kernel, 2e6);
   EXPECT_TRUE(First.Profiled);
@@ -344,7 +314,7 @@ TEST(EasScheduler, FirstLargeInvocationProfiles) {
 TEST(EasScheduler, TinyFirstInvocationDoesNotPinKernel) {
   PlatformSpec Spec = haswellDesktop();
   SimProcessor Proc(Spec);
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
   KernelDesc Kernel = computeBoundMicroKernel();
   auto Tiny = Scheduler.execute(Proc, Kernel, 64.0);
   EXPECT_TRUE(Tiny.CpuOnlyFastPath);
@@ -355,7 +325,7 @@ TEST(EasScheduler, TinyFirstInvocationDoesNotPinKernel) {
 TEST(EasScheduler, GpuBiasedKernelGoesToGpu) {
   PlatformSpec Spec = haswellDesktop();
   SimProcessor Proc(Spec);
-  EasScheduler Scheduler(desktopCurves(), Metric::energy());
+  EasScheduler Scheduler(desktopFamily(), Metric::energy());
   // Strongly GPU-biased compute kernel: EAS should offload nearly all.
   KernelDesc Kernel = computeBoundMicroKernel();
   Kernel.CpuCyclesPerIter *= 20.0;
@@ -370,7 +340,7 @@ TEST(EasScheduler, GpuBiasedKernelGoesToGpu) {
 TEST(EasScheduler, CpuBiasedKernelStaysOnCpu) {
   PlatformSpec Spec = haswellDesktop();
   SimProcessor Proc(Spec);
-  EasScheduler Scheduler(desktopCurves(), Metric::energy());
+  EasScheduler Scheduler(desktopFamily(), Metric::energy());
   // FD-like: divergence destroys the GPU.
   KernelDesc Kernel = computeBoundMicroKernel();
   Kernel.GpuEfficiency = 0.02;
@@ -386,15 +356,18 @@ TEST(ExecutionSession, FixedAlphaExtremesDiffer) {
   ExecutionSession Session(Spec);
   KernelDesc Kernel = computeBoundMicroKernel();
   InvocationTrace Trace{{Kernel, 5e6}};
-  SessionReport Cpu = Session.runCpuOnly(Trace, Metric::energy());
-  SessionReport Gpu = Session.runGpuOnly(Trace, Metric::energy());
+  RunOptions Options;
+  Options.Trace = &Trace;
+  Options.Objective = Metric::energy();
+  SessionReport Cpu = Session.run(SchemeKind::CpuOnly, Options);
+  SessionReport Gpu = Session.run(SchemeKind::GpuOnly, Options);
   EXPECT_GT(Cpu.Seconds, 0.0);
   EXPECT_GT(Gpu.Seconds, 0.0);
   // Desktop: the GPU is faster and cheaper on regular compute.
   EXPECT_LT(Gpu.Seconds, Cpu.Seconds);
   EXPECT_LT(Gpu.Joules, Cpu.Joules);
-  EXPECT_EQ(Cpu.Scheme, "cpu");
-  EXPECT_EQ(Gpu.Scheme, "gpu");
+  EXPECT_EQ(Cpu.Kind, SchemeKind::CpuOnly);
+  EXPECT_EQ(Gpu.Kind, SchemeKind::GpuOnly);
 }
 
 TEST(ExecutionSession, OracleBeatsOrMatchesEveryFixedAlpha) {
@@ -402,10 +375,13 @@ TEST(ExecutionSession, OracleBeatsOrMatchesEveryFixedAlpha) {
   ExecutionSession Session(Spec);
   KernelDesc Kernel = memoryBoundMicroKernel();
   InvocationTrace Trace{{Kernel, 2e6}, {Kernel, 2e6}};
-  Metric Objective = Metric::edp();
-  SessionReport Oracle = Session.runOracle(Trace, Objective);
+  RunOptions Options;
+  Options.Trace = &Trace;
+  Options.Objective = Metric::edp();
+  SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
   for (double Alpha : {0.0, 0.3, 0.5, 0.7, 1.0}) {
-    SessionReport Fixed = Session.runFixedAlpha(Trace, Alpha, Objective);
+    Options.Alpha = Alpha;
+    SessionReport Fixed = Session.run(SchemeKind::FixedAlpha, Options);
     EXPECT_LE(Oracle.MetricValue, Fixed.MetricValue + 1e-9);
   }
 }
@@ -415,10 +391,13 @@ TEST(ExecutionSession, PerfMinimizesTimeNotEnergy) {
   ExecutionSession Session(Spec);
   KernelDesc Kernel = computeBoundMicroKernel();
   InvocationTrace Trace{{Kernel, 1e7}};
-  Metric Objective = Metric::energy();
-  SessionReport Perf = Session.runPerf(Trace, Objective);
+  RunOptions Options;
+  Options.Trace = &Trace;
+  Options.Objective = Metric::energy();
+  SessionReport Perf = Session.run(SchemeKind::Perf, Options);
   for (double Alpha : {0.0, 0.2, 0.5, 0.8, 1.0}) {
-    SessionReport Fixed = Session.runFixedAlpha(Trace, Alpha, Objective);
+    Options.Alpha = Alpha;
+    SessionReport Fixed = Session.run(SchemeKind::FixedAlpha, Options);
     EXPECT_LE(Perf.Seconds, Fixed.Seconds + 1e-9);
   }
 }
@@ -430,9 +409,12 @@ TEST(ExecutionSession, EasApproachesOracleOnEdp) {
   InvocationTrace Trace;
   for (int I = 0; I != 8; ++I)
     Trace.push_back({Kernel, 2e6});
-  Metric Objective = Metric::edp();
-  SessionReport Oracle = Session.runOracle(Trace, Objective);
-  SessionReport Eas = Session.runEas(Trace, desktopCurves(), Objective);
+  RunOptions Options;
+  Options.Trace = &Trace;
+  Options.Curves = &desktopCurves();
+  Options.Objective = Metric::edp();
+  SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+  SessionReport Eas = Session.run(SchemeKind::Eas, Options);
   ASSERT_GT(Eas.MetricValue, 0.0);
   double Efficiency = Oracle.MetricValue / Eas.MetricValue;
   EXPECT_GT(Efficiency, 0.75) << "EAS EDP efficiency too far from Oracle";
@@ -445,7 +427,7 @@ TEST(EasScheduler, ExternalGpuBusyForcesCpuAlone) {
   // CPU."
   PlatformSpec Spec = haswellDesktop();
   SimProcessor Proc(Spec);
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
   Scheduler.setExternalGpuBusy(true);
   KernelDesc Kernel = computeBoundMicroKernel();
   auto Outcome = Scheduler.execute(Proc, Kernel, 2e6);
@@ -466,7 +448,7 @@ TEST(EasScheduler, PeriodicReprofilingTracksDriftingKernels) {
   SimProcessor Proc(Spec);
   EasConfig Config;
   Config.ReprofileEveryInvocations = 4;
-  EasScheduler Scheduler(desktopCurves(), Metric::edp(), Config);
+  EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
   KernelDesc Kernel = computeBoundMicroKernel();
   unsigned Profiles = 0;
   for (int I = 0; I != 12; ++I) {
@@ -482,7 +464,7 @@ TEST(EasScheduler, PeriodicReprofilingTracksDriftingKernels) {
 TEST(EasScheduler, NoReprofilingByDefault) {
   PlatformSpec Spec = haswellDesktop();
   SimProcessor Proc(Spec);
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
   KernelDesc Kernel = computeBoundMicroKernel();
   unsigned Profiles = 0;
   for (int I = 0; I != 8; ++I)
@@ -541,17 +523,19 @@ TEST(TimeModel, DegenerateRatesAreSanitizedNotPropagated) {
 TEST(AlphaSearch, DeadDevicesStillYieldAValidAlpha) {
   PowerCurve Curve;
   Curve.Poly = Polynomial({30.0});
-  AlphaChoice Choice =
-      chooseAlpha(TimeModel(0.0, 0.0), Curve, Metric::edp(), 1e6);
-  EXPECT_GE(Choice.Alpha, 0.0);
-  EXPECT_LE(Choice.Alpha, 1.0);
+  PStateView View;
+  View.Curve = &Curve;
+  Decision Choice = chooseOperatingPoint(TimeModel(0.0, 0.0), &View, 1,
+                                         Metric::edp(), 1e6);
+  EXPECT_GE(Choice.Point.Alpha, 0.0);
+  EXPECT_LE(Choice.Point.Alpha, 1.0);
   EXPECT_TRUE(std::isfinite(Choice.PredictedMetric));
 
   // A NaN GPU probe (hung profiling run) must not poison the search:
   // every iteration lands on the device that still answers.
-  Choice =
-      chooseAlpha(TimeModel(1e8, std::nan("")), Curve, Metric::edp(), 1e6);
-  EXPECT_DOUBLE_EQ(Choice.Alpha, 0.0);
+  Choice = chooseOperatingPoint(TimeModel(1e8, std::nan("")), &View, 1,
+                                Metric::edp(), 1e6);
+  EXPECT_DOUBLE_EQ(Choice.Point.Alpha, 0.0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -804,9 +788,8 @@ TEST(EasScheduler, OneSearchPerInvocationMatchesPerRepetitionSearch) {
 
     SimProcessor Proc(Faulty);
     EasScheduler Scheduler(ladderFamily(), Objective, Config);
-    EasScheduler::InvocationOutcome Got =
-        UseToken ? Scheduler.execute(Proc, Kernel, Iterations, Token)
-                 : Scheduler.execute(Proc, Kernel, Iterations);
+    EasScheduler::InvocationOutcome Got = Scheduler.execute(
+        Proc, Kernel, Iterations, {}, UseToken ? &Token : nullptr);
 
     EXPECT_EQ(Got.AlphaUsed, Ref.AlphaUsed);
     EXPECT_EQ(Got.PState, Ref.PState);

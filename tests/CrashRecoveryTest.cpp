@@ -32,11 +32,12 @@
 #include "ecas/core/KernelHistory.h"
 #include "ecas/hw/Presets.h"
 #include "ecas/obs/MetricNames.h"
-#include "ecas/power/Characterizer.h"
 #include "ecas/support/AtomicFile.h"
 #include "ecas/support/CrashPoint.h"
 #include "ecas/support/Crc32.h"
 #include "ecas/support/Random.h"
+
+#include "TestSupport.h"
 
 #include <gtest/gtest.h>
 
@@ -819,21 +820,6 @@ TEST(Journal, ResetRewritesHeaderAndDropsPending) {
 // 4. Scheduler integration
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-const PowerCurveSet &desktopCurves() {
-  static PowerCurveSet Curves = Characterizer(haswellDesktop()).characterize();
-  return Curves;
-}
-
-KernelDesc namedKernel(const std::string &Name) {
-  KernelDesc Kernel;
-  Kernel.Name = Name;
-  return Kernel.withAutoId();
-}
-
-} // namespace
-
 TEST(SchedulerJournal, KillWithoutShutdownLosesNothingFlushed) {
   ScratchPair Files("no-shutdown");
   ScratchPair Copy("no-shutdown-copy");
@@ -845,7 +831,7 @@ TEST(SchedulerJournal, KillWithoutShutdownLosesNothingFlushed) {
 
   std::vector<std::pair<uint64_t, KernelRecord>> Live;
   {
-    EasScheduler Scheduler(desktopCurves(), Metric::edp(), Config);
+    EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
     ASSERT_TRUE(Scheduler.journalStatus().ok())
         << Scheduler.journalStatus().toString();
     EXPECT_TRUE(Scheduler.journaling());
@@ -906,7 +892,7 @@ TEST(SchedulerJournal, LongProfiledInvocationSurvivesKillWithoutShutdown) {
 
   std::vector<std::pair<uint64_t, KernelRecord>> Live;
   {
-    EasScheduler Scheduler(desktopCurves(), Metric::edp(), Config);
+    EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
     ASSERT_TRUE(Scheduler.journaling());
     SimProcessor Proc(haswellDesktop());
     EasScheduler::InvocationOutcome Long =
@@ -958,7 +944,7 @@ TEST(SchedulerJournal, MetricsExposeJournalAndRecovery) {
   Config.Journal.Enabled = true;
   Config.Metrics = &Registry;
 
-  EasScheduler Scheduler(desktopCurves(), Metric::edp(), Config);
+  EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
   SimProcessor Proc(haswellDesktop());
   Scheduler.execute(Proc, namedKernel("metrics-k"), 2e6);
   ASSERT_TRUE(Scheduler.flushJournal().ok());
@@ -1282,7 +1268,7 @@ TEST(CrashHarness, RandomSigkillUnderLoadNeverLosesFlushedPrefix) {
       Config.HistoryFile = Files.snap();
       Config.Journal.Enabled = true;
       Config.Journal.GroupCommitRecords = 2;
-      EasScheduler Scheduler(desktopCurves(), Metric::edp(), Config);
+      EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
       if (!Scheduler.journalStatus().ok())
         _exit(5);
       SimProcessor Proc(haswellDesktop());

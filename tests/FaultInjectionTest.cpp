@@ -14,9 +14,9 @@
 
 #include "ecas/core/EasScheduler.h"
 #include "ecas/core/ExecutionSession.h"
-#include "ecas/fault/FaultPlan.h"
 #include "ecas/hw/Presets.h"
-#include "ecas/power/Characterizer.h"
+
+#include "TestSupport.h"
 
 #include <gtest/gtest.h>
 
@@ -43,20 +43,6 @@ InvocationTrace longTrace(unsigned Invocations = 60,
   return Trace;
 }
 
-PlatformSpec faultySpec(const std::string &Scenario) {
-  PlatformSpec Spec = haswellDesktop();
-  ErrorOr<FaultPlan> Plan = FaultPlan::scenario(Scenario);
-  EXPECT_TRUE(Plan.ok()) << Scenario;
-  Spec.Faults = *Plan;
-  return Spec;
-}
-
-const PowerCurveSet &desktopCurves() {
-  // Characterization happens on the healthy platform, before deployment.
-  static PowerCurveSet Curves = Characterizer(haswellDesktop()).characterize();
-  return Curves;
-}
-
 void expectCompleted(const SessionReport &Report, unsigned Invocations) {
   EXPECT_TRUE(std::isfinite(Report.Seconds));
   EXPECT_GT(Report.Seconds, 0.0);
@@ -71,12 +57,15 @@ TEST(FaultInjection, EverySchemeCompletesThroughMidTraceHang) {
   PlatformSpec Spec = faultySpec("gpu-hang");
   ExecutionSession Session(Spec);
   InvocationTrace Trace = longTrace();
-  Metric Objective = Metric::edp();
+  RunOptions Options;
+  Options.Trace = &Trace;
+  Options.Curves = &desktopCurves();
+  Options.Step = 0.5;
   unsigned N = static_cast<unsigned>(Trace.size());
 
-  expectCompleted(Session.runCpuOnly(Trace, Objective), N);
+  expectCompleted(Session.run(SchemeKind::CpuOnly, Options), N);
 
-  SessionReport Gpu = Session.runGpuOnly(Trace, Objective);
+  SessionReport Gpu = Session.run(SchemeKind::GpuOnly, Options);
   expectCompleted(Gpu, N);
   // A GPU-alone run cannot dodge the hang: the watchdog must have fired
   // and stranded work back to the CPU.
@@ -87,10 +76,10 @@ TEST(FaultInjection, EverySchemeCompletesThroughMidTraceHang) {
   // alpha = 1.
   EXPECT_LT(Gpu.MeanAlpha, 1.0);
 
-  expectCompleted(Session.runPerf(Trace, Objective, /*Step=*/0.5), N);
-  expectCompleted(Session.runOracle(Trace, Objective, /*Step=*/0.5), N);
+  expectCompleted(Session.run(SchemeKind::Perf, Options), N);
+  expectCompleted(Session.run(SchemeKind::Oracle, Options), N);
 
-  SessionReport Eas = Session.runEas(Trace, desktopCurves(), Objective);
+  SessionReport Eas = Session.run(SchemeKind::Eas, Options);
   expectCompleted(Eas, N);
   EXPECT_TRUE(Eas.FaultsEnabled);
   EXPECT_TRUE(Eas.Injected.anyInjected());
@@ -99,8 +88,11 @@ TEST(FaultInjection, EverySchemeCompletesThroughMidTraceHang) {
 TEST(FaultInjection, EasQuarantinesDegradesAndReadmits) {
   PlatformSpec Spec = faultySpec("gpu-hang");
   ExecutionSession Session(Spec);
-  SessionReport Report =
-      Session.runEas(longTrace(), desktopCurves(), Metric::edp());
+  InvocationTrace Trace = longTrace();
+  RunOptions Options;
+  Options.Trace = &Trace;
+  Options.Curves = &desktopCurves();
+  SessionReport Report = Session.run(SchemeKind::Eas, Options);
 
   // Cause side: the injector really fired hang queries.
   EXPECT_TRUE(Report.FaultsEnabled);
@@ -122,7 +114,7 @@ TEST(FaultInjection, EasQuarantinesDegradesAndReadmits) {
 TEST(FaultInjection, EasPerInvocationOutcomesShowTheFullArc) {
   PlatformSpec Spec = faultySpec("gpu-hang");
   SimProcessor Proc(Spec);
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
   KernelDesc Kernel = testKernel();
 
   bool SawHang = false, SawQuarantined = false, SawReadmitted = false;
@@ -151,8 +143,11 @@ TEST(FaultInjection, EasPerInvocationOutcomesShowTheFullArc) {
 TEST(FaultInjection, FlakyLaunchesRetryAndFallBack) {
   PlatformSpec Spec = faultySpec("gpu-flaky-launch");
   ExecutionSession Session(Spec);
-  SessionReport Report =
-      Session.runEas(longTrace(20), desktopCurves(), Metric::edp());
+  InvocationTrace Trace = longTrace(20);
+  RunOptions Options;
+  Options.Trace = &Trace;
+  Options.Curves = &desktopCurves();
+  SessionReport Report = Session.run(SchemeKind::Eas, Options);
   expectCompleted(Report, 20);
   EXPECT_GT(Report.Injected.LaunchFailures, 0u);
   EXPECT_GE(Report.Resilience.LaunchRetries, 1u);
@@ -164,20 +159,25 @@ TEST(FaultInjection, ThrottleCollapseStillCompletes) {
   // Enough work to straddle the built-in throttle window [0.05 s, 0.4 s):
   // a short trace would finish before the collapse ever begins.
   InvocationTrace Trace = longTrace(60, 4e6);
-  SessionReport Faulted = Session.runGpuOnly(Trace, Metric::edp());
+  RunOptions Options;
+  Options.Trace = &Trace;
+  SessionReport Faulted = Session.run(SchemeKind::GpuOnly, Options);
   expectCompleted(Faulted, 60);
   EXPECT_GT(Faulted.Injected.ThrottleQueries, 0u);
 
   // The collapse costs wall-clock time against the healthy platform.
   ExecutionSession Healthy(haswellDesktop());
-  SessionReport Clean = Healthy.runGpuOnly(Trace, Metric::edp());
+  SessionReport Clean = Healthy.run(SchemeKind::GpuOnly, Options);
   EXPECT_GT(Faulted.Seconds, Clean.Seconds);
 }
 
 TEST(FaultInjection, RaplGlitchSkewsMeasuredEnergyOnly) {
   PlatformSpec Spec = faultySpec("rapl-glitch");
   ExecutionSession Session(Spec);
-  SessionReport Report = Session.runCpuOnly(longTrace(20), Metric::edp());
+  InvocationTrace Trace = longTrace(20);
+  RunOptions Options;
+  Options.Trace = &Trace;
+  SessionReport Report = Session.run(SchemeKind::CpuOnly, Options);
   expectCompleted(Report, 20);
   // The injector hit the meter...
   EXPECT_TRUE(Report.Injected.RaplSamplesDropped > 0 ||
@@ -185,7 +185,7 @@ TEST(FaultInjection, RaplGlitchSkewsMeasuredEnergyOnly) {
   // ...but never the schedule: a CPU-only run is time-identical to the
   // healthy platform because only the package meter is perturbed.
   ExecutionSession Healthy(haswellDesktop());
-  SessionReport Clean = Healthy.runCpuOnly(longTrace(20), Metric::edp());
+  SessionReport Clean = Healthy.run(SchemeKind::CpuOnly, Options);
   EXPECT_EQ(Report.Seconds, Clean.Seconds);
   EXPECT_NE(Report.Joules, Clean.Joules);
 }
@@ -208,7 +208,10 @@ TEST(FaultInjection, DisabledInjectorIsBitIdenticalToLegacyPrimitive) {
   // The resilient session path must take its fault-free fast path and
   // reproduce the run bit for bit.
   ExecutionSession Session(Spec);
-  SessionReport Report = Session.runFixedAlpha(Trace, 0.6, Metric::edp());
+  RunOptions Options;
+  Options.Trace = &Trace;
+  Options.Alpha = 0.6;
+  SessionReport Report = Session.run(SchemeKind::FixedAlpha, Options);
   EXPECT_EQ(Report.Seconds, LegacySeconds);
   EXPECT_EQ(Report.Joules, LegacyJoules);
   EXPECT_EQ(Report.MeanAlpha, 0.6);
@@ -220,12 +223,12 @@ TEST(FaultInjection, DisabledInjectorIsBitIdenticalToLegacyPrimitive) {
 TEST(FaultInjection, SeededScenariosAreReproducible) {
   PlatformSpec Spec = faultySpec("kitchen-sink");
   InvocationTrace Trace = longTrace(20);
-  Metric Objective = Metric::edp();
+  RunOptions Options;
+  Options.Trace = &Trace;
+  Options.Curves = &desktopCurves();
 
-  SessionReport A = ExecutionSession(Spec).runEas(Trace, desktopCurves(),
-                                                  Objective);
-  SessionReport B = ExecutionSession(Spec).runEas(Trace, desktopCurves(),
-                                                  Objective);
+  SessionReport A = ExecutionSession(Spec).run(SchemeKind::Eas, Options);
+  SessionReport B = ExecutionSession(Spec).run(SchemeKind::Eas, Options);
   EXPECT_EQ(A.Seconds, B.Seconds);
   EXPECT_EQ(A.Joules, B.Joules);
   EXPECT_EQ(A.MeanAlpha, B.MeanAlpha);

@@ -17,8 +17,9 @@
 #include "ecas/core/HistorySnapshot.h"
 #include "ecas/core/KernelHistory.h"
 #include "ecas/hw/Presets.h"
-#include "ecas/power/Characterizer.h"
 #include "ecas/support/Crc32.h"
+
+#include "TestSupport.h"
 
 #include <gtest/gtest.h>
 
@@ -334,21 +335,6 @@ TEST(HistorySnapshot, SaveOverwritesExistingSnapshot) {
 // End-to-end: the scheduler's HistoryFile plumbing
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-const PowerCurveSet &desktopCurves() {
-  static PowerCurveSet Curves = Characterizer(haswellDesktop()).characterize();
-  return Curves;
-}
-
-KernelDesc namedKernel(const std::string &Name) {
-  KernelDesc Kernel;
-  Kernel.Name = Name;
-  return Kernel.withAutoId();
-}
-
-} // namespace
-
 TEST(HistorySnapshot, SchedulerRecoversIdenticalAlphasAfterRestart) {
   ScratchFile File("scheduler-restart");
   PlatformSpec Spec = haswellDesktop();
@@ -360,7 +346,7 @@ TEST(HistorySnapshot, SchedulerRecoversIdenticalAlphasAfterRestart) {
 
   std::vector<std::pair<uint64_t, KernelRecord>> Learned;
   {
-    EasScheduler Scheduler(desktopCurves(), Metric::edp(), Config);
+    EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
     EXPECT_TRUE(Scheduler.restoreStatus().ok());
     EXPECT_EQ(Scheduler.restoredRecords(), 0u);
     SimProcessor Proc(Spec);
@@ -374,7 +360,7 @@ TEST(HistorySnapshot, SchedulerRecoversIdenticalAlphasAfterRestart) {
     EXPECT_TRUE(Down.ok()) << Down.toString();
   } // the destructor's shutdown() must be a no-op after the explicit one
 
-  EasScheduler Restarted(desktopCurves(), Metric::edp(), Config);
+  EasScheduler Restarted(desktopFamily(), Metric::edp(), Config);
   EXPECT_TRUE(Restarted.restoreStatus().ok())
       << Restarted.restoreStatus().toString();
   EXPECT_EQ(Restarted.restoredRecords(), 2u);
@@ -406,7 +392,7 @@ TEST(HistorySnapshot, SchedulerDegradesToColdTableOnCorruptSnapshot) {
 
   EasConfig Config;
   Config.HistoryFile = File.path();
-  EasScheduler Scheduler(desktopCurves(), Metric::edp(), Config);
+  EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
 
   // The corruption is reported, not fatal: cold table, still serving.
   EXPECT_FALSE(Scheduler.restoreStatus().ok());

@@ -24,6 +24,8 @@
 #include "ecas/power/MicroBenchmarks.h"
 #include "ecas/support/AllocGuard.h"
 
+#include "TestSupport.h"
+
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -31,14 +33,6 @@
 using namespace ecas;
 
 namespace {
-
-/// Shared fixture: characterize the platform once and hand the curves to
-/// every test (mirrors CoreTest's fixture).
-const PowerCurveSet &desktopCurves() {
-  static PowerCurveSet Curves =
-      Characterizer(haswellDesktop()).characterize();
-  return Curves;
-}
 
 /// Joint-search fixture: the same desktop with a 4-state DVFS ladder,
 /// characterized per P-state.
@@ -51,7 +45,7 @@ const PlatformSpec &desktopLadderSpec() {
   return Spec;
 }
 
-const PowerCurveFamily &desktopFamily() {
+const PowerCurveFamily &ladderFamily() {
   static PowerCurveFamily Family = characterizeFamily(desktopLadderSpec());
   return Family;
 }
@@ -88,7 +82,7 @@ TEST(AllocGuard, QuietRegionCountsNothing) {
 TEST(HotPath, WarmedTableHitIsAllocationFree) {
   PlatformSpec Spec = haswellDesktop();
   SimProcessor Proc(Spec);
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
   KernelDesc Kernel = computeBoundMicroKernel();
 
   // First large invocation profiles (allocates freely); the next few
@@ -114,7 +108,7 @@ TEST(HotPath, WarmedTableHitIsAllocationFree) {
 TEST(HotPath, SteadyStateRunStaysAllocationFree) {
   PlatformSpec Spec = haswellDesktop();
   SimProcessor Proc(Spec);
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
   KernelDesc Kernel = memoryBoundMicroKernel();
 
   ASSERT_TRUE(Scheduler.execute(Proc, Kernel, 2e6).Profiled);
@@ -138,7 +132,7 @@ TEST(HotPath, SteadyStateRunStaysAllocationFree) {
 // small-object buffer).
 TEST(HotPath, JointSearchIsAllocationFree) {
   const PlatformSpec &Spec = desktopLadderSpec();
-  const PowerCurveFamily &Family = desktopFamily();
+  const PowerCurveFamily &Family = ladderFamily();
   TimeModel Model(4e8, 7e8);
   Metric Objective = Metric::edp();
 
@@ -180,7 +174,7 @@ TEST(HotPath, WarmedJointDecisionIsAllocationFree) {
   SimProcessor Proc(Spec);
   EasConfig Config;
   Config.PStates = true;
-  EasScheduler Scheduler(desktopFamily(), Metric::energy(), Config);
+  EasScheduler Scheduler(ladderFamily(), Metric::energy(), Config);
   KernelDesc Kernel = computeBoundMicroKernel();
 
   ASSERT_TRUE(Scheduler.execute(Proc, Kernel, 2e6).Profiled);
@@ -207,7 +201,7 @@ TEST(HotPath, WarmedHitWithFlightRecorderIsAllocationFree) {
   obs::FlightRecorder Flight;
   EasConfig Config;
   Config.Flight = &Flight;
-  EasScheduler Scheduler(desktopCurves(), Metric::edp(), Config);
+  EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
   KernelDesc Kernel = computeBoundMicroKernel();
 
   // Profiling registers this thread's ring and fills the first slots;
@@ -253,7 +247,7 @@ TEST(HotPath, GpuHealthReadsAreAllocationFree) {
 TEST(HotPath, ColdProfilingPathDoesAllocate) {
   PlatformSpec Spec = haswellDesktop();
   SimProcessor Proc(Spec);
-  EasScheduler Scheduler(desktopCurves(), Metric::edp());
+  EasScheduler Scheduler(desktopFamily(), Metric::edp());
   KernelDesc Kernel = computeBoundMicroKernel();
 
   AllocTally Tally;

@@ -45,12 +45,14 @@ TEST(Integration, Fig1CcEnergyAndPerfCrossover) {
   ExecutionSession Session(Spec);
   Workload Cc = makeCcWorkload(testConfig());
 
+  RunOptions Options;
+  Options.Trace = &Cc.Trace;
+  Options.Objective = Metric::energy();
   double BestPerfAlpha = -1.0, BestPerfSeconds = 1e30;
   double BestEnergyAlpha = -1.0, BestEnergyJoules = 1e30;
   for (double Alpha = 0.0; Alpha <= 1.0 + 1e-9; Alpha += 0.1) {
-    SessionReport R =
-        Session.runFixedAlpha(Cc.Trace, std::min(Alpha, 1.0),
-                              Metric::energy());
+    Options.Alpha = std::min(Alpha, 1.0);
+    SessionReport R = Session.run(SchemeKind::FixedAlpha, Options);
     if (R.Seconds < BestPerfSeconds) {
       BestPerfSeconds = R.Seconds;
       BestPerfAlpha = Alpha;
@@ -71,10 +73,12 @@ TEST(Integration, DesktopEnergyGpuNearOraclePerfWorse) {
   PlatformSpec Spec = haswellDesktop();
   ExecutionSession Session(Spec);
   Workload Mm = *findWorkload(desktopSuite(testConfig()), "MM");
-  Metric Objective = Metric::energy();
-  SessionReport Oracle = Session.runOracle(Mm.Trace, Objective);
-  SessionReport Gpu = Session.runGpuOnly(Mm.Trace, Objective);
-  SessionReport Perf = Session.runPerf(Mm.Trace, Objective);
+  RunOptions Options;
+  Options.Trace = &Mm.Trace;
+  Options.Objective = Metric::energy();
+  SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+  SessionReport Gpu = Session.run(SchemeKind::GpuOnly, Options);
+  SessionReport Perf = Session.run(SchemeKind::Perf, Options);
   EXPECT_GT(Oracle.MetricValue / Gpu.MetricValue, 0.85);
   EXPECT_LT(Oracle.MetricValue / Perf.MetricValue,
             Oracle.MetricValue / Gpu.MetricValue + 1e-9);
@@ -91,9 +95,11 @@ TEST(Integration, EasBeatsSingleDeviceOnDesktopEdp) {
   // Trim the trace for test speed; 2000 identical invocations add
   // nothing at unit-test granularity.
   Bs.Trace.resize(40);
-  Metric Objective = Metric::edp();
-  SessionReport Eas = Session.runEas(Bs.Trace, curvesFor(Spec), Objective);
-  SessionReport Cpu = Session.runCpuOnly(Bs.Trace, Objective);
+  RunOptions Options;
+  Options.Trace = &Bs.Trace;
+  Options.Curves = &curvesFor(Spec);
+  SessionReport Eas = Session.run(SchemeKind::Eas, Options);
+  SessionReport Cpu = Session.run(SchemeKind::CpuOnly, Options);
   EXPECT_LT(Eas.MetricValue, Cpu.MetricValue);
 }
 
@@ -104,9 +110,11 @@ TEST(Integration, TabletGpuAloneIsNotEnergyOptimal) {
   ExecutionSession Session(Spec);
   WorkloadConfig Config = testConfig();
   Workload Mm = *findWorkload(tabletSuite(Config), "MM");
-  Metric Objective = Metric::energy();
-  SessionReport Oracle = Session.runOracle(Mm.Trace, Objective);
-  SessionReport Gpu = Session.runGpuOnly(Mm.Trace, Objective);
+  RunOptions Options;
+  Options.Trace = &Mm.Trace;
+  Options.Objective = Metric::energy();
+  SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+  SessionReport Gpu = Session.run(SchemeKind::GpuOnly, Options);
   EXPECT_LT(Oracle.MetricValue, Gpu.MetricValue);
 }
 
@@ -115,10 +123,13 @@ TEST(Integration, EasWithinBandOfOracleAcrossMetrics) {
   ExecutionSession Session(Spec);
   Workload Nb = *findWorkload(desktopSuite(testConfig()), "NB");
   Nb.Trace.resize(20);
+  RunOptions Options;
+  Options.Trace = &Nb.Trace;
+  Options.Curves = &curvesFor(Spec);
   for (const Metric &Objective : {Metric::energy(), Metric::edp()}) {
-    SessionReport Oracle = Session.runOracle(Nb.Trace, Objective);
-    SessionReport Eas =
-        Session.runEas(Nb.Trace, curvesFor(Spec), Objective);
+    Options.Objective = Objective;
+    SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+    SessionReport Eas = Session.run(SchemeKind::Eas, Options);
     double Efficiency = Oracle.MetricValue / Eas.MetricValue;
     EXPECT_GT(Efficiency, 0.6)
         << "metric " << Objective.name() << " efficiency " << Efficiency;
@@ -131,8 +142,10 @@ TEST(Integration, SessionReportsAreInternallyConsistent) {
   ExecutionSession Session(Spec);
   Workload Sm = *findWorkload(desktopSuite(testConfig()), "SM");
   Sm.Trace.resize(10);
-  Metric Objective = Metric::edp();
-  SessionReport R = Session.runEas(Sm.Trace, curvesFor(Spec), Objective);
+  RunOptions Options;
+  Options.Trace = &Sm.Trace;
+  Options.Curves = &curvesFor(Spec);
+  SessionReport R = Session.run(SchemeKind::Eas, Options);
   EXPECT_EQ(R.Invocations, 10u);
   EXPECT_GT(R.Seconds, 0.0);
   EXPECT_GT(R.Joules, 0.0);
@@ -148,9 +161,12 @@ TEST(Integration, CustomMetricIsHonored) {
   PlatformSpec Spec = haswellDesktop();
   ExecutionSession Session(Spec);
   Workload Mm = *findWorkload(desktopSuite(testConfig()), "MM");
-  SessionReport OracleEnergy =
-      Session.runOracle(Mm.Trace, Metric::energy());
-  SessionReport OracleEd2 = Session.runOracle(Mm.Trace, Metric::ed2p());
+  RunOptions Options;
+  Options.Trace = &Mm.Trace;
+  Options.Objective = Metric::energy();
+  SessionReport OracleEnergy = Session.run(SchemeKind::Oracle, Options);
+  Options.Objective = Metric::ed2p();
+  SessionReport OracleEd2 = Session.run(SchemeKind::Oracle, Options);
   EXPECT_LE(OracleEd2.Seconds, OracleEnergy.Seconds + 1e-9);
 }
 
@@ -161,8 +177,6 @@ TEST(Integration, ReprofilingAdaptsToDriftingKernels) {
   // CPU-biased halfway through; periodic re-profiling should follow the
   // drift while the default sticks with the stale alpha.
   PlatformSpec Spec = haswellDesktop();
-  const PowerCurveSet &Curves = curvesFor(Spec);
-  Metric Objective = Metric::edp();
 
   KernelDesc Friendly;
   Friendly.Name = "drifting.kernel";
@@ -185,20 +199,21 @@ TEST(Integration, ReprofilingAdaptsToDriftingKernels) {
     Trace.push_back({Hostile, 1e6});
 
   ExecutionSession Session(Spec);
-  EasConfig Adaptive;
-  Adaptive.ReprofileEveryInvocations = 4;
-  SessionReport Static = Session.runEas(Trace, Curves, Objective);
-  SessionReport Tracking =
-      Session.runEas(Trace, Curves, Objective, Adaptive);
+  RunOptions Options;
+  Options.Trace = &Trace;
+  Options.Curves = &curvesFor(Spec);
+  SessionReport Static = Session.run(SchemeKind::Eas, Options);
+  Options.Eas.ReprofileEveryInvocations = 4;
+  SessionReport Tracking = Session.run(SchemeKind::Eas, Options);
   EXPECT_LT(Tracking.MetricValue, Static.MetricValue)
       << "re-profiling should beat the stale alpha on a drifting kernel";
 }
 
 TEST(Integration, ExternalGpuBusySessionStillCompletes) {
   PlatformSpec Spec = haswellDesktop();
-  const PowerCurveSet &Curves = curvesFor(Spec);
   SimProcessor Proc(Spec);
-  EasScheduler Scheduler(Curves, Metric::edp());
+  EasScheduler Scheduler(PowerCurveFamily::fromSingle(curvesFor(Spec)),
+                         Metric::edp());
   Scheduler.setExternalGpuBusy(true);
   KernelDesc Kernel =
       findWorkload(desktopSuite(testConfig()), "SM")->Trace.front().Kernel;
@@ -220,8 +235,12 @@ TEST(Integration, CurveCacheRoundTripPreservesEasDecisions) {
 
   Workload Mm = *findWorkload(tabletSuite(testConfig()), "MM");
   ExecutionSession Session(Spec);
-  SessionReport A = Session.runEas(Mm.Trace, Fresh, Metric::edp());
-  SessionReport B = Session.runEas(Mm.Trace, *Reloaded, Metric::edp());
+  RunOptions Options;
+  Options.Trace = &Mm.Trace;
+  Options.Curves = &Fresh;
+  SessionReport A = Session.run(SchemeKind::Eas, Options);
+  Options.Curves = &*Reloaded;
+  SessionReport B = Session.run(SchemeKind::Eas, Options);
   EXPECT_DOUBLE_EQ(A.MeanAlpha, B.MeanAlpha);
   EXPECT_DOUBLE_EQ(A.Joules, B.Joules);
   EXPECT_DOUBLE_EQ(A.Seconds, B.Seconds);

@@ -23,6 +23,8 @@
 #include "ecas/obs/MetricsExport.h"
 #include "ecas/power/Characterizer.h"
 
+#include "TestSupport.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -51,11 +53,6 @@ InvocationTrace singleClassTrace(unsigned Invocations = 60,
   for (unsigned I = 0; I != Invocations; ++I)
     Trace.push_back({testKernel(), Iterations});
   return Trace;
-}
-
-const PowerCurveSet &desktopCurves() {
-  static PowerCurveSet Curves = Characterizer(haswellDesktop()).characterize();
-  return Curves;
 }
 
 void expectSameMeasurement(const SessionReport &A, const SessionReport &B) {
@@ -452,7 +449,7 @@ TEST(EasTelemetry, RegistryMatchesSessionReport) {
   Options.Curves = &desktopCurves();
   Options.Objective = Metric::edp();
   Options.Metrics = &Registry;
-  Options.Decisions = &Decisions;
+  Options.Eas.Decisions = &Decisions;
   SessionReport Report = Session.run(SchemeKind::Eas, Options);
 
   obs::MetricsSnapshot Snap = Registry.snapshot();
@@ -519,7 +516,7 @@ TEST(EasTelemetry, AlphaSearchEvaluationsRecordOneSearchPerInvocation) {
   obs::MetricsRegistry Registry;
   EasConfig Config;
   Config.Metrics = &Registry;
-  EasScheduler Scheduler(desktopCurves(), Metric::edp(), Config);
+  EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
   SimProcessor Proc(haswellDesktop());
   EasScheduler::InvocationOutcome Outcome =
       Scheduler.execute(Proc, testKernel(), 2e6);
@@ -561,17 +558,16 @@ TEST(EasTelemetry, AlphaSearchEvaluationsRecordOneSearchPerInvocation) {
 TEST(EasTelemetry, NullRegistryIsBitIdentical) {
   InvocationTrace Trace = singleClassTrace();
   ExecutionSession Session(haswellDesktop());
-  SessionReport Bare =
-      Session.runEas(Trace, desktopCurves(), Metric::edp());
-
-  obs::MetricsRegistry Registry;
-  obs::DecisionLog Decisions;
   RunOptions Options;
   Options.Trace = &Trace;
   Options.Curves = &desktopCurves();
   Options.Objective = Metric::edp();
+  SessionReport Bare = Session.run(SchemeKind::Eas, Options);
+
+  obs::MetricsRegistry Registry;
+  obs::DecisionLog Decisions;
   Options.Metrics = &Registry;
-  Options.Decisions = &Decisions;
+  Options.Eas.Decisions = &Decisions;
   SessionReport Observed = Session.run(SchemeKind::Eas, Options);
 
   // The telemetry is pure observation: const reads of the clock, the

@@ -16,12 +16,12 @@
 
 #include "ecas/cl/MiniCl.h"
 #include "ecas/core/ExecutionSession.h"
-#include "ecas/fault/FaultPlan.h"
 #include "ecas/hw/Presets.h"
 #include "ecas/obs/ChromeTrace.h"
 #include "ecas/obs/Sinks.h"
 #include "ecas/obs/Trace.h"
-#include "ecas/power/Characterizer.h"
+
+#include "TestSupport.h"
 
 #include <gtest/gtest.h>
 
@@ -47,21 +47,8 @@ InvocationTrace shortTrace(unsigned Invocations = 40,
   return Trace;
 }
 
-const PowerCurveSet &desktopCurves() {
-  static PowerCurveSet Curves = Characterizer(haswellDesktop()).characterize();
-  return Curves;
-}
-
-PlatformSpec faultySpec(const std::string &Scenario) {
-  PlatformSpec Spec = haswellDesktop();
-  ErrorOr<FaultPlan> Plan = FaultPlan::scenario(Scenario);
-  EXPECT_TRUE(Plan.ok()) << Scenario;
-  Spec.Faults = *Plan;
-  return Spec;
-}
-
 /// The numeric fields two reports must share for runs to count as
-/// bit-identical (string/enum bookkeeping is checked separately).
+/// bit-identical (the scheme Kind is checked separately).
 void expectSameMeasurement(const SessionReport &A, const SessionReport &B) {
   EXPECT_EQ(A.Seconds, B.Seconds);
   EXPECT_EQ(A.Joules, B.Joules);
@@ -365,65 +352,39 @@ TEST(SchemeKind, NamesAreStable) {
   EXPECT_STREQ(schemeKindName(SchemeKind::Eas), "eas");
 }
 
-TEST(UnifiedRun, LegacyWrappersMatchRunForEveryScheme) {
-  ExecutionSession Session(haswellDesktop());
-  InvocationTrace Trace = shortTrace(10);
-  Metric Objective = Metric::edp();
-
-  RunOptions Options;
-  Options.Trace = &Trace;
-  Options.Objective = Objective;
-  Options.Alpha = 0.3;
-  Options.Step = 0.5;
-  Options.Curves = &desktopCurves();
-
-  struct Case {
-    SchemeKind Kind;
-    SessionReport Legacy;
-  };
-  std::vector<Case> Cases;
-  Cases.push_back({SchemeKind::FixedAlpha,
-                   Session.runFixedAlpha(Trace, 0.3, Objective)});
-  Cases.push_back({SchemeKind::CpuOnly, Session.runCpuOnly(Trace, Objective)});
-  Cases.push_back({SchemeKind::GpuOnly, Session.runGpuOnly(Trace, Objective)});
-  Cases.push_back(
-      {SchemeKind::Oracle, Session.runOracle(Trace, Objective, 0.5)});
-  Cases.push_back({SchemeKind::Perf, Session.runPerf(Trace, Objective, 0.5)});
-  Cases.push_back(
-      {SchemeKind::Eas, Session.runEas(Trace, desktopCurves(), Objective)});
-
-  for (const Case &C : Cases) {
-    SessionReport Unified = Session.run(C.Kind, Options);
-    expectSameMeasurement(C.Legacy, Unified);
-    EXPECT_EQ(C.Legacy.Kind, C.Kind);
-    EXPECT_EQ(Unified.Kind, C.Kind);
-    EXPECT_EQ(Unified.Scheme, schemeKindName(C.Kind));
-    EXPECT_EQ(C.Legacy.Scheme, Unified.Scheme);
-  }
-}
-
 TEST(UnifiedRun, NullRecorderIsBitIdentical) {
   // The regression the whole design hangs on: attaching no recorder must
   // reproduce the pre-observability numbers exactly, and attaching one
-  // must not change a single scheduling decision.
+  // must not change a single scheduling decision — under every scheme,
+  // each of which reports itself as the Kind that produced it.
   ExecutionSession Session(haswellDesktop());
   InvocationTrace Trace = shortTrace();
   RunOptions Options;
   Options.Trace = &Trace;
   Options.Curves = &desktopCurves();
-
-  SessionReport Bare = Session.run(SchemeKind::Eas, Options);
-  EXPECT_EQ(Bare.TraceEventCount, 0u);
-
+  Options.Alpha = 0.3;
+  Options.Step = 0.5;
   obs::TraceRecorder Recorder;
-  Options.Recorder = &Recorder;
-  SessionReport Observed = Session.run(SchemeKind::Eas, Options);
 
-  expectSameMeasurement(Bare, Observed);
-  EXPECT_EQ(Bare.ProfileRepetitions, Observed.ProfileRepetitions);
-  EXPECT_EQ(Bare.AlphaSearches, Observed.AlphaSearches);
-  EXPECT_EQ(Bare.CpuOnlyFastPaths, Observed.CpuOnlyFastPaths);
-  EXPECT_GT(Observed.TraceEventCount, 0u);
+  for (SchemeKind Kind :
+       {SchemeKind::FixedAlpha, SchemeKind::CpuOnly, SchemeKind::GpuOnly,
+        SchemeKind::Oracle, SchemeKind::Perf, SchemeKind::Eas}) {
+    SCOPED_TRACE(schemeKindName(Kind));
+    Options.Recorder = nullptr;
+    SessionReport Bare = Session.run(Kind, Options);
+    EXPECT_EQ(Bare.TraceEventCount, 0u);
+
+    Options.Recorder = &Recorder;
+    SessionReport Observed = Session.run(Kind, Options);
+
+    EXPECT_EQ(Bare.Kind, Kind);
+    EXPECT_EQ(Observed.Kind, Kind);
+    expectSameMeasurement(Bare, Observed);
+    EXPECT_EQ(Bare.ProfileRepetitions, Observed.ProfileRepetitions);
+    EXPECT_EQ(Bare.AlphaSearches, Observed.AlphaSearches);
+    EXPECT_EQ(Bare.CpuOnlyFastPaths, Observed.CpuOnlyFastPaths);
+    EXPECT_GT(Observed.TraceEventCount, 0u);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,15 +17,15 @@
 #include "ecas/service/Service.h"
 
 #include "ecas/core/EasScheduler.h"
-#include "ecas/fault/FaultPlan.h"
 #include "ecas/hw/Presets.h"
 #include "ecas/obs/MetricNames.h"
-#include "ecas/power/Characterizer.h"
 #include "ecas/service/Admission.h"
 #include "ecas/service/Bounded.h"
 #include "ecas/service/SlaQueue.h"
 #include "ecas/sim/SimProcessor.h"
 #include "ecas/support/Random.h"
+
+#include "TestSupport.h"
 
 #include <gtest/gtest.h>
 
@@ -37,25 +37,6 @@
 using namespace ecas;
 
 namespace {
-
-const PowerCurveSet &desktopCurves() {
-  static PowerCurveSet Curves = Characterizer(haswellDesktop()).characterize();
-  return Curves;
-}
-
-PlatformSpec faultySpec(const std::string &Scenario) {
-  PlatformSpec Spec = haswellDesktop();
-  ErrorOr<FaultPlan> Plan = FaultPlan::scenario(Scenario);
-  EXPECT_TRUE(Plan.ok()) << Scenario;
-  Spec.Faults = *Plan;
-  return Spec;
-}
-
-KernelDesc namedKernel(const std::string &Name) {
-  KernelDesc Kernel;
-  Kernel.Name = Name;
-  return Kernel.withAutoId();
-}
 
 QueuedRequest requestFor(SlaClass Sla, uint64_t Sequence = 0) {
   QueuedRequest Request;
@@ -264,7 +245,7 @@ TEST(TenantNamespace, KeysAreUniqueAcrossTenantsAndNeverZero) {
 }
 
 TEST(TenantNamespace, TenantsLearnSeparateTableGRecords) {
-  EasScheduler Scheduler(desktopCurves(), Metric::edp(), {});
+  EasScheduler Scheduler(desktopFamily(), Metric::edp(), {});
   SimProcessor Proc(haswellDesktop());
   KernelDesc Kernel = namedKernel("shared-kernel");
 
@@ -314,7 +295,7 @@ TEST(ServeExit, Sla0MissOrShedStormExitsNonzero) {
 //===----------------------------------------------------------------------===//
 
 TEST(Service, CompletesRequestsAndBalancesTheBooks) {
-  EasScheduler Scheduler(desktopCurves(), Metric::edp(), {});
+  EasScheduler Scheduler(desktopFamily(), Metric::edp(), {});
   ServiceConfig Config;
   Config.Workers = 2;
   Config.QueueCapPerClass = 32;
@@ -346,7 +327,7 @@ TEST(Service, CompletesRequestsAndBalancesTheBooks) {
 }
 
 TEST(Service, ShedsRequestsWhoseDeadlineExpiredWhileQueued) {
-  EasScheduler Scheduler(desktopCurves(), Metric::edp(), {});
+  EasScheduler Scheduler(desktopFamily(), Metric::edp(), {});
   obs::MetricsRegistry Registry;
   ServiceConfig Config;
   Config.Workers = 1;
@@ -380,7 +361,7 @@ TEST(Service, ShedsRequestsWhoseDeadlineExpiredWhileQueued) {
 }
 
 TEST(Service, RejectsSubmissionsAfterShutdown) {
-  EasScheduler Scheduler(desktopCurves(), Metric::edp(), {});
+  EasScheduler Scheduler(desktopFamily(), Metric::edp(), {});
   ServiceFrontEnd Service(Scheduler, haswellDesktop());
   ServiceStats First = Service.shutdown();
   EXPECT_TRUE(First.consistent());
@@ -416,7 +397,7 @@ void runChaosSoak(const std::string &Scenario, unsigned Tenants,
   obs::MetricsRegistry Registry;
   EasConfig SchedulerConfig;
   SchedulerConfig.Metrics = &Registry;
-  EasScheduler Scheduler(desktopCurves(), Metric::edp(), SchedulerConfig);
+  EasScheduler Scheduler(desktopFamily(), Metric::edp(), SchedulerConfig);
 
   ServiceConfig Config;
   Config.Workers = 3;

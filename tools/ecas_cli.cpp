@@ -423,7 +423,7 @@ std::vector<Workload> suiteFor(const PlatformSpec &Spec,
 void printReport(const SessionReport &R) {
   std::printf("%-7s time %-10s energy %-10s avg %8.3f W  %s %.6g  "
               "alpha %.2f\n",
-              R.Scheme.c_str(), formatDuration(R.Seconds).c_str(),
+              schemeKindName(R.Kind), formatDuration(R.Seconds).c_str(),
               formatEnergy(R.Joules).c_str(), R.averageWatts(), "metric",
               R.MetricValue, R.MeanAlpha);
 }
@@ -524,7 +524,7 @@ int cmdRun(const Flags &Args) {
     Options.Metrics = &Registry;
   bool WantDecisions = !Args.getString("decision-log", "").empty();
   if (WantDecisions)
-    Options.Decisions = &Decisions;
+    EasCfg.Decisions = &Decisions;
 
   // EAS alone needs curves, a table-G file, and a deadline; the sweep
   // and fixed-ratio schemes ignore those options.
@@ -665,7 +665,7 @@ int cmdServe(const Flags &Args) {
   // last snapshot. --no-journal opts back into snapshot-only mode.
   Config.Journal.Enabled =
       !Config.HistoryFile.empty() && !Args.getBool("no-journal", false);
-  Config.Journal.File = Args.getString("journal", "");
+  Config.Journal.Path = Args.getString("journal", "");
   if (wantsObservability(Args))
     Config.Trace = &Recorder;
   if (wantsMetricsRegistry(Args) || Forensics)
@@ -1139,8 +1139,9 @@ int cmdBenchService(const Flags &Args) {
     return ExitRuntime;
   }
 
-  PowerCurveSet Curves = Characterizer(*Spec).characterize();
-  EasScheduler Scheduler(Curves, Objective, {});
+  EasScheduler Scheduler(
+      PowerCurveFamily::fromSingle(Characterizer(*Spec).characterize()),
+      Objective);
 
   // Warm table G so the measured decisions are steady-state hits, not
   // first-seen profiling runs.
@@ -1291,12 +1292,15 @@ int cmdSweep(const Flags &Args) {
   }
   Metric Objective = metricByName(Args.getString("metric", "edp"));
   ExecutionSession Session(*Spec);
+  RunOptions Options;
+  Options.Trace = &W->Trace;
+  Options.Objective = Objective;
   std::printf("%6s %12s %12s %12s\n", "gpu%", "time", "energy",
               Objective.name().c_str());
   for (double Alpha = 0.0; Alpha <= 1.0 + 1e-9; Alpha += 0.1) {
-    SessionReport R = Session.runFixedAlpha(
-        W->Trace, std::min(Alpha, 1.0), Objective);
-    std::printf("%5.0f%% %12s %12s %12.5g\n", 100 * std::min(Alpha, 1.0),
+    Options.Alpha = std::min(Alpha, 1.0);
+    SessionReport R = Session.run(SchemeKind::FixedAlpha, Options);
+    std::printf("%5.0f%% %12s %12s %12.5g\n", 100 * Options.Alpha,
                 formatDuration(R.Seconds).c_str(),
                 formatEnergy(R.Joules).c_str(), R.MetricValue);
   }
@@ -1316,18 +1320,20 @@ int cmdSuite(const Flags &Args) {
   ExecutionSession Session(*Spec);
   std::printf("%-5s %10s %10s %10s %10s %10s\n", "bench", "cpu", "gpu",
               "perf", "eas", "oracle-a");
+  RunOptions Options;
+  Options.Curves = &Curves;
+  Options.Objective = Objective;
   for (const Workload &W : suiteFor(*Spec, Args)) {
-    SessionReport Oracle = Session.runOracle(W.Trace, Objective);
-    auto Eff = [&Oracle](const SessionReport &R) {
-      return 100.0 * Oracle.MetricValue / R.MetricValue;
+    Options.Trace = &W.Trace;
+    SessionReport Oracle = Session.run(SchemeKind::Oracle, Options);
+    auto Eff = [&](SchemeKind Kind) {
+      return 100.0 * Oracle.MetricValue /
+             Session.run(Kind, Options).MetricValue;
     };
     std::printf("%-5s %9.1f%% %9.1f%% %9.1f%% %9.1f%% %10.1f\n",
-                W.Abbrev.c_str(),
-                Eff(Session.runCpuOnly(W.Trace, Objective)),
-                Eff(Session.runGpuOnly(W.Trace, Objective)),
-                Eff(Session.runPerf(W.Trace, Objective)),
-                Eff(Session.runEas(W.Trace, Curves, Objective)),
-                Oracle.MeanAlpha);
+                W.Abbrev.c_str(), Eff(SchemeKind::CpuOnly),
+                Eff(SchemeKind::GpuOnly), Eff(SchemeKind::Perf),
+                Eff(SchemeKind::Eas), Oracle.MeanAlpha);
   }
   return ExitOk;
 }
@@ -1371,11 +1377,15 @@ int cmdFaults(const Flags &Args) {
   // Curves come from the healthy platform: characterization happens
   // before deployment, the faults afterwards.
   PowerCurveSet Curves = Characterizer(*Spec).characterize();
+  RunOptions Options;
+  Options.Trace = &W->Trace;
+  Options.Curves = &Curves;
+  Options.Objective = Objective;
 
   // Healthy baseline to compare each scenario against.
   {
     ExecutionSession Session(*Spec);
-    SessionReport R = Session.runEas(W->Trace, Curves, Objective);
+    SessionReport R = Session.run(SchemeKind::Eas, Options);
     std::printf("baseline (no faults): %s on %s\n", W->Name.c_str(),
                 Spec->Name.c_str());
     printReport(R);
@@ -1389,7 +1399,7 @@ int cmdFaults(const Flags &Args) {
     std::printf("\nscenario '%s' (%zu events, seed %llu)\n", Names[I].c_str(),
                 Plan.events().size(),
                 static_cast<unsigned long long>(Plan.seed()));
-    SessionReport R = Session.runEas(W->Trace, Curves, Objective);
+    SessionReport R = Session.run(SchemeKind::Eas, Options);
     printReport(R);
     printDegradation(R);
   }

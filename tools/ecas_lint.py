@@ -450,33 +450,6 @@ def check_signal_unsafe_in_handler(path, raw_lines, code_lines, findings):
     # Unbalanced braces (macro tricks) simply end analysis at EOF.
 
 
-CHOOSE_ALPHA = re.compile(r"\bchooseAlpha\s*\(")
-CHOOSE_ALPHA_BLESSED = (
-    # The frozen wrapper itself, and the test pinning it bit-identical
-    # to a single-view chooseOperatingPoint.
-    "/src/ecas/core/AlphaSearch.h",
-    "/src/ecas/core/AlphaSearch.cpp",
-    "/tests/CoreTest.cpp",
-)
-
-
-def check_choose_alpha_deprecated(path, raw_lines, code_lines, findings):
-    rule = "choose-alpha-deprecated"
-    norm = path.replace(os.sep, "/")
-    if any(norm.endswith(b) for b in CHOOSE_ALPHA_BLESSED):
-        return
-    if file_allows(raw_lines, rule):
-        return
-    for ln, code in enumerate(code_lines, 1):
-        if CHOOSE_ALPHA.search(code) and \
-                not line_allows(raw_lines[ln - 1], rule):
-            findings.append(Finding(
-                path, ln, rule,
-                "chooseAlpha is the frozen legacy wrapper; new callers "
-                "use chooseOperatingPoint (ecas/core/OperatingPoint.h) so "
-                "the joint (alpha, frequency) search applies"))
-
-
 def check_metric_name(path, raw_lines, code_lines, findings):
     rule = "metric-name"
     if file_allows(raw_lines, rule):
@@ -532,7 +505,6 @@ STALE_TRIGGERS = {
                                    IOSTREAM_INCLUDE.match(code)),
     "atomic-write": lambda code: ATOMIC_WRITE.search(code),
     "signal-unsafe-in-handler": lambda code: SIGNAL_UNSAFE.search(code),
-    "choose-alpha-deprecated": lambda code: CHOOSE_ALPHA.search(code),
     "metric-name": lambda code: (METRIC_INLINE_REG.search(code) or
                                  '"' in code),
 }
@@ -544,8 +516,6 @@ STALE_SCOPE = {
     "atomic-write": lambda norm: (_in_ecas(norm) and
                                   not any(norm.endswith(b)
                                           for b in ATOMIC_WRITE_BLESSED)),
-    "choose-alpha-deprecated": lambda norm: not any(
-        norm.endswith(b) for b in CHOOSE_ALPHA_BLESSED),
     "metric-name": _in_ecas,
 }
 
@@ -606,7 +576,6 @@ CHECKS = [
     check_no_raw_output,
     check_atomic_write,
     check_signal_unsafe_in_handler,
-    check_choose_alpha_deprecated,
     check_metric_name,
     check_stale_suppression,
 ]
