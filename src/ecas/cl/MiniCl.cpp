@@ -327,10 +327,11 @@ void CommandQueue::workerLoop() {
         ++Failed;
     }
     double EndAt = hostSeconds();
-    Cmd->Event->advance(CommandState::Complete, EndAt);
 
     // Publish the settled lifecycle outside every lock (the recorder's
-    // registration mutex is a leaf and must stay one).
+    // registration mutex is a leaf and must stay one), and before the
+    // Complete transition: a waiter released by it may detach the recorder
+    // at once and must already find this command's spans recorded.
     if (obs::TraceRecorder *T = Trace.load(std::memory_order_acquire)) {
       std::string Range = formatString(
           "%s [%llu,%llu)", DeviceName.c_str(),
@@ -351,6 +352,7 @@ void CommandQueue::workerLoop() {
         T->count("minicl.launch_failures");
       }
     }
+    Cmd->Event->advance(CommandState::Complete, EndAt);
 
     {
       LockGuard Lock(Mutex);
