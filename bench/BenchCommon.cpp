@@ -9,7 +9,9 @@
 #include "ecas/obs/MetricsExport.h"
 #include "ecas/support/Csv.h"
 #include "ecas/support/Format.h"
+#include "ecas/support/Stats.h"
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace ecas;
@@ -23,6 +25,16 @@ void ecas::bench::printBanner(const std::string &Experiment,
   std::printf("paper: %s\n", PaperClaim.c_str());
   std::printf("================================================================"
               "===============\n");
+}
+
+LatencyStats ecas::bench::summarize(std::vector<double> &Samples) {
+  std::sort(Samples.begin(), Samples.end());
+  LatencyStats Stats;
+  Stats.P50 = quantileSorted(Samples, 0.50);
+  Stats.P90 = quantileSorted(Samples, 0.90);
+  Stats.P99 = quantileSorted(Samples, 0.99);
+  Stats.Mean = arithmeticMean(Samples);
+  return Stats;
 }
 
 std::string ecas::bench::bar(double Value, double Max, unsigned Width) {

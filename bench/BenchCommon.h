@@ -7,7 +7,8 @@
 /// \file
 /// Utilities shared by the figure/table reproduction harnesses: banner
 /// printing, ASCII bar charts for the efficiency figures, the
-/// four-scheme comparison runner, and optional CSV dumps.
+/// four-scheme comparison runner, optional CSV dumps, and the latency
+/// summary the micro-benchmarks report.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,6 +69,18 @@ void maybeWriteCsv(const Flags &Args, const std::vector<SchemeRow> &Rows);
 void maybeWriteBenchMetrics(const Flags &Args, const std::string &Experiment,
                             const Metric &Objective,
                             const std::vector<SchemeRow> &Rows);
+
+/// Percentiles and mean of one latency sample set.
+struct LatencyStats {
+  double P50 = 0.0;
+  double P90 = 0.0;
+  double P99 = 0.0;
+  double Mean = 0.0;
+};
+
+/// Sorts \p Samples (non-empty) in place and summarizes them; the
+/// percentiles interpolate between order statistics (quantileSorted).
+LatencyStats summarize(std::vector<double> &Samples);
 
 /// An ASCII horizontal bar scaled to \p Value in [0, Max].
 std::string bar(double Value, double Max, unsigned Width = 40);

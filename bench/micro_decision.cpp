@@ -27,7 +27,6 @@
 #include "ecas/power/MicroBenchmarks.h"
 #include "ecas/support/AllocGuard.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -42,32 +41,6 @@ using Clock = std::chrono::steady_clock;
 double nsSince(Clock::time_point Start) {
   return std::chrono::duration<double, std::nano>(Clock::now() - Start)
       .count();
-}
-
-struct LatencyStats {
-  double P50 = 0.0;
-  double P90 = 0.0;
-  double P99 = 0.0;
-  double Mean = 0.0;
-};
-
-LatencyStats summarize(std::vector<double> &SamplesNs) {
-  LatencyStats Stats;
-  if (SamplesNs.empty())
-    return Stats;
-  std::sort(SamplesNs.begin(), SamplesNs.end());
-  auto Pct = [&](double P) {
-    size_t Idx = static_cast<size_t>(P * (SamplesNs.size() - 1));
-    return SamplesNs[Idx];
-  };
-  Stats.P50 = Pct(0.50);
-  Stats.P90 = Pct(0.90);
-  Stats.P99 = Pct(0.99);
-  double Sum = 0.0;
-  for (double S : SamplesNs)
-    Sum += S;
-  Stats.Mean = Sum / static_cast<double>(SamplesNs.size());
-  return Stats;
 }
 
 } // namespace
@@ -119,7 +92,7 @@ int main(int Argc, char **Argv) {
     }
   }
   uint64_t HitAllocs = HitTally.allocations();
-  LatencyStats Hit = summarize(HitNs);
+  bench::LatencyStats Hit = bench::summarize(HitNs);
   double AllocsPerDecision =
       static_cast<double>(HitAllocs) / HitIterations;
 
@@ -157,7 +130,7 @@ int main(int Argc, char **Argv) {
     Evals = Choice.Evaluations;
   }
   uint64_t SearchAllocs = SearchTally.allocations();
-  LatencyStats Alpha = summarize(SearchNs);
+  bench::LatencyStats Alpha = bench::summarize(SearchNs);
 
   std::printf("table-hit decision: p50 %.0f ns  p90 %.0f ns  p99 %.0f ns  "
               "mean %.0f ns  (%d invocations, %llu allocations)\n",

@@ -31,7 +31,6 @@
 #include "ecas/power/MicroBenchmarks.h"
 #include "ecas/support/AllocGuard.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -51,37 +50,11 @@ double nsSince(Clock::time_point Start) {
       .count();
 }
 
-struct LatencyStats {
-  double P50 = 0.0;
-  double P90 = 0.0;
-  double P99 = 0.0;
-  double Mean = 0.0;
-};
-
-LatencyStats summarize(std::vector<double> &SamplesNs) {
-  LatencyStats Stats;
-  if (SamplesNs.empty())
-    return Stats;
-  std::sort(SamplesNs.begin(), SamplesNs.end());
-  auto Pct = [&](double P) {
-    size_t Idx = static_cast<size_t>(P * (SamplesNs.size() - 1));
-    return SamplesNs[Idx];
-  };
-  Stats.P50 = Pct(0.50);
-  Stats.P90 = Pct(0.90);
-  Stats.P99 = Pct(0.99);
-  double Sum = 0.0;
-  for (double S : SamplesNs)
-    Sum += S;
-  Stats.Mean = Sum / static_cast<double>(SamplesNs.size());
-  return Stats;
-}
-
 /// One warmed scheduler (recorder optionally armed) measured over the
 /// same table-hit loop micro_decision uses. Returns latency stats and
 /// the allocation count observed during the measured window.
-LatencyStats measureDecisions(obs::FlightRecorder *Flight, int Iterations,
-                              uint64_t &AllocsOut) {
+bench::LatencyStats measureDecisions(obs::FlightRecorder *Flight,
+                                     int Iterations, uint64_t &AllocsOut) {
   PlatformSpec Spec = haswellDesktop();
   SimProcessor Proc(Spec);
   static PowerCurveFamily Curves = PowerCurveFamily::fromSingle(
@@ -116,7 +89,7 @@ LatencyStats measureDecisions(obs::FlightRecorder *Flight, int Iterations,
     }
   }
   AllocsOut = Tally.allocations();
-  return summarize(SamplesNs);
+  return bench::summarize(SamplesNs);
 }
 
 } // namespace
@@ -131,9 +104,11 @@ int main(int Argc, char **Argv) {
   constexpr int Iterations = 2000;
   uint64_t NullAllocs = 0;
   uint64_t ArmedAllocs = 0;
-  LatencyStats Null = measureDecisions(nullptr, Iterations, NullAllocs);
+  bench::LatencyStats Null =
+      measureDecisions(nullptr, Iterations, NullAllocs);
   obs::FlightRecorder Flight;
-  LatencyStats Armed = measureDecisions(&Flight, Iterations, ArmedAllocs);
+  bench::LatencyStats Armed =
+      measureDecisions(&Flight, Iterations, ArmedAllocs);
   obs::FlightSnapshot Snap = Flight.drain();
   if (Snap.DecisionsRecorded == 0) {
     std::fprintf(stderr,
@@ -173,7 +148,7 @@ int main(int Argc, char **Argv) {
       return 1;
     }
   }
-  LatencyStats Dump = summarize(DumpNs);
+  bench::LatencyStats Dump = bench::summarize(DumpNs);
 
   std::printf("disarmed decision: p50 %.0f ns  p90 %.0f ns  mean %.0f ns\n",
               Null.P50, Null.P90, Null.Mean);

@@ -202,17 +202,24 @@ EasScheduler::~EasScheduler() { shutdown(); }
 
 void EasScheduler::registerInstruments() {
   obs::MetricsRegistry *M = Config.Metrics;
-  if (!M) {
-    // The flight recorder does not need a registry: wire the health
-    // monitor's transition instants into the ring even when metrics are
-    // off, so a crash bundle still carries the hang/quarantine timeline.
-    if (Config.Flight) {
-      GpuHealthMonitor::MetricHooks Hooks;
-      Hooks.Flight = Config.Flight;
-      Monitor.setMetrics(Hooks);
-    }
-    return;
+  // The health monitor's counters need a registry; its flight instants
+  // do not, so a crash bundle carries the hang/quarantine timeline even
+  // when metrics are off.
+  GpuHealthMonitor::MetricHooks Hooks;
+  Hooks.Flight = Config.Flight;
+  if (M) {
+    Hooks.Hangs = &M->counter(obs::names::HangsTotal, {},
+                              "Hangs declared by the watchdog");
+    Hooks.Quarantines = &M->counter(obs::names::QuarantinesTotal, {},
+                                    "GPU quarantines entered");
+    Hooks.Probes = &M->counter(obs::names::ProbesTotal, {},
+                               "Post-quarantine re-probe dispatches granted");
+    Hooks.Recoveries = &M->counter(obs::names::RecoveriesTotal, {},
+                                   "Probes that re-admitted the GPU");
   }
+  Monitor.setMetrics(Hooks);
+  if (!M)
+    return;
   // Rel errors are ratios spanning "model is exact" (1e-4) to "model is
   // off by an order of magnitude"; log buckets keep both ends resolved.
   const std::vector<double> RelErrBuckets = obs::logBuckets(1e-4, 2.0, 18);
@@ -282,8 +289,6 @@ void EasScheduler::registerInstruments() {
   Ins.QuarantinedRuns =
       &M->counter(obs::names::QuarantinedRunsTotal, {},
                   "Invocations pinned to the CPU by an active quarantine");
-  Ins.DecisionsLogged = &M->counter(obs::names::DecisionsLoggedTotal, {},
-                                    "Audit records appended");
   Ins.ShutdownDrain =
       &M->gauge(obs::names::ShutdownDrainSeconds, {},
                 "Host seconds the last shutdown spent draining");
@@ -307,22 +312,49 @@ void EasScheduler::registerInstruments() {
         obs::names::HistoryRecoveryOutcome,
         {{"outcome", recoveryOutcomeName(static_cast<RecoveryOutcome>(I))}},
         "Recoveries by how they found the on-disk state");
-  GpuHealthMonitor::MetricHooks Hooks;
-  Hooks.Hangs = &M->counter(obs::names::HangsTotal, {},
-                            "Hangs declared by the watchdog");
-  Hooks.Quarantines =
-      &M->counter(obs::names::QuarantinesTotal, {}, "GPU quarantines entered");
-  Hooks.Probes = &M->counter(obs::names::ProbesTotal, {},
-                             "Post-quarantine re-probe dispatches granted");
-  Hooks.Recoveries = &M->counter(obs::names::RecoveriesTotal, {},
-                                 "Probes that re-admitted the GPU");
-  Hooks.Flight = Config.Flight;
-  Monitor.setMetrics(Hooks);
 }
 
 void EasScheduler::recordInvocation(const KernelDesc &Kernel,
                                     const InvocationOutcome &Outcome) {
-  if (Config.Decisions || Config.Flight) {
+  // Each lifecycle tally is read off the outcome once and fans out to
+  // the trace counter and the registry counter alike, so the two
+  // cannot drift. A null name or instrument skips that sink.
+  if (Config.Trace || Config.Metrics) {
+    struct Tally {
+      double Delta;
+      const char *TraceName;
+      obs::Counter *Metric;
+    };
+    const Tally Tallies[] = {
+        {1.0, "eas.invocations", Ins.Invocations},
+        {double(Outcome.TableHit), "eas.table_hits", Ins.TableHits},
+        {double(Outcome.Profiled), nullptr, Ins.TableMisses},
+        {double(Outcome.CpuOnlyFastPath), "eas.cpu_only", Ins.CpuOnly},
+        {double(Outcome.Cancelled), "eas.cancelled", Ins.Cancelled},
+        {double(Outcome.GpuQuarantined), "eas.quarantined_runs",
+         Ins.QuarantinedRuns},
+        {double(Outcome.ProfileRepetitions), "eas.profile_reps",
+         Ins.ProfileReps},
+        {double(Outcome.AlphaSearches), "eas.alpha_searches", nullptr},
+        {double(Outcome.LaunchRetries), "eas.launch_retries",
+         Ins.LaunchRetries},
+        // The registry counts hangs where the watchdog declares them
+        // (GpuHealthMonitor's eas_health_hangs_total hook).
+        {double(Outcome.HangDetected), "eas.hangs", nullptr},
+        {double(Outcome.GpuReadmitted), "eas.readmissions",
+         Ins.Readmissions},
+    };
+    for (const Tally &Each : Tallies) {
+      if (Each.Delta == 0.0)
+        continue;
+      if (Config.Trace && Each.TraceName)
+        Config.Trace->count(Each.TraceName, Each.Delta);
+      if (Each.Metric)
+        Each.Metric->add(Each.Delta);
+    }
+  }
+
+  if (Config.Flight) {
     obs::DecisionRecord Rec;
     Rec.KernelId = Kernel.Id;
     Rec.ClassIndex = Outcome.TableHit || Outcome.Profiled
@@ -341,49 +373,24 @@ void EasScheduler::recordInvocation(const KernelDesc &Kernel,
     Rec.CpuOnlyFastPath = Outcome.CpuOnlyFastPath;
     Rec.GpuQuarantined = Outcome.GpuQuarantined;
     Rec.Cancelled = Outcome.Cancelled;
-    if (Config.Decisions) {
-      Config.Decisions->append(Rec);
-      if (Ins.DecisionsLogged)
-        Ins.DecisionsLogged->add();
-    }
-    if (Config.Flight) {
-      // Fixed-capacity overwrite ring: appending stays allocation-free
-      // once warm, so the recorder may be armed on the hot path. Every
-      // invocation lands in the decision ring; the event ring gets only
-      // transitions (a warm table hit's instant would duplicate the
-      // DecisionRecord and double the armed hot path's lock count).
-      Config.Flight->recordDecision(Rec);
-      if (Outcome.Profiled)
-        Config.Flight->instant("eas", "profile", Outcome.Seconds);
-      if (Outcome.GpuQuarantined)
-        Config.Flight->instant("eas", "quarantined-run");
-      if (Outcome.GpuReadmitted)
-        Config.Flight->instant("eas", "readmission");
-    }
+    // Fixed-capacity overwrite ring: appending stays allocation-free
+    // once warm, so the recorder may be armed on the hot path. Every
+    // invocation lands in the decision ring; the event ring gets only
+    // transitions (a warm table hit's instant would duplicate the
+    // DecisionRecord and double the armed hot path's lock count).
+    Config.Flight->recordDecision(Rec);
+    if (Outcome.Profiled)
+      Config.Flight->instant("eas", "profile", Outcome.Seconds);
+    if (Outcome.GpuQuarantined)
+      Config.Flight->instant("eas", "quarantined-run");
+    if (Outcome.GpuReadmitted)
+      Config.Flight->instant("eas", "readmission");
   }
-  if (!Config.Metrics)
-    return;
-  Ins.Invocations->add();
-  if (Outcome.TableHit)
-    Ins.TableHits->add();
-  if (Outcome.Profiled)
-    Ins.TableMisses->add();
-  if (Outcome.CpuOnlyFastPath)
-    Ins.CpuOnly->add();
-  if (Outcome.GpuQuarantined)
-    Ins.QuarantinedRuns->add();
-  if (Outcome.GpuReadmitted)
-    Ins.Readmissions->add();
-  if (Outcome.LaunchRetries)
-    Ins.LaunchRetries->add(Outcome.LaunchRetries);
-  if (Outcome.ProfileRepetitions)
-    Ins.ProfileReps->add(Outcome.ProfileRepetitions);
-  if (Outcome.Cancelled) {
+
+  if (!Config.Metrics || Outcome.Cancelled)
     // Partial invocations keep their work counters (above) but stay out
     // of the completed-run distributions.
-    Ins.Cancelled->add();
     return;
-  }
   Ins.InvocationSeconds->record(Outcome.Seconds);
   unsigned PIdx =
       std::min(Outcome.PState, std::min(Curves.numPStates(), kMaxPStates) - 1);
@@ -573,16 +580,12 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
       T ? formatString("kernel=%llu n=%.0f",
                        static_cast<unsigned long long>(Kernel.Id), Iterations)
         : std::string());
-  if (T)
-    T->count("eas.invocations");
 
   // Cancellation point 1: invocation entry.
   if (stopRequested(Proc.now(), Cancel)) {
     Outcome.Cancelled = true;
-    if (T) {
+    if (T)
       T->instant("eas", "cancelled", Proc.now(), "at-entry");
-      T->count("eas.cancelled");
-    }
     return Outcome;
   }
 
@@ -596,8 +599,6 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
     Outcome.Seconds = Proc.now() - Start;
     Outcome.MeasuredSeconds = Outcome.Seconds;
     Outcome.MeasuredJoules = Proc.meter().joulesSince(StartMsr);
-    if (T)
-      T->count("eas.cpu_only");
     return Outcome;
   }
 
@@ -628,10 +629,6 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
     Outcome.Seconds = Proc.now() - Start;
     Outcome.MeasuredSeconds = Outcome.Seconds;
     Outcome.MeasuredJoules = Proc.meter().joulesSince(StartMsr);
-    if (T) {
-      T->count("eas.quarantined_runs");
-      T->count("eas.cpu_only");
-    }
     return Outcome;
   }
 
@@ -721,8 +718,6 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
     Outcome.Seconds = Proc.now() - Start;
     Outcome.MeasuredSeconds = Outcome.Seconds;
     Outcome.MeasuredJoules = Proc.meter().joulesSince(StartMsr);
-    if (T)
-      T->count("eas.cpu_only");
     return Outcome;
   } else {
     // Steps 11-22: repeat profiling for half of the iterations. The
@@ -755,16 +750,12 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
       // Cancellation point 2: between profiling repetitions.
       if (stopRequested(Proc.now(), Cancel)) {
         Outcome.Cancelled = true;
-        if (T) {
+        if (T)
           T->instant("eas", "cancelled", Proc.now(), "mid-profile");
-          T->count("eas.cancelled");
-        }
         break;
       }
       ProfileSample Sample = Profiler.profileOnce(Kernel, Nrem);
       ++Outcome.ProfileRepetitions;
-      if (T)
-        T->count("eas.profile_reps");
       if (Sample.GpuLaunchFailed) {
         // The driver refused the profiling enqueue. Stop measuring; the
         // remainder execution below retries with backoff and degrades
@@ -849,7 +840,6 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
           Detail += formatString(I ? ",%.2f:%.4g" : "%.2f:%.4g",
                                  Grid[I].first, Grid[I].second);
         T->instant("eas", "alpha-search", Proc.now(), std::move(Detail));
-        T->count("eas.alpha_searches");
       }
     }
     Outcome.ProfileSeconds = Proc.now() - ProfileStart;
@@ -860,10 +850,8 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
   // nothing further.
   if (!Outcome.Cancelled && stopRequested(Proc.now(), Cancel)) {
     Outcome.Cancelled = true;
-    if (T) {
+    if (T)
       T->instant("eas", "cancelled", Proc.now(), "before-dispatch");
-      T->count("eas.cancelled");
-    }
   }
 
   // Steps 23-25: execute the remainder at the chosen split, optionally
@@ -976,18 +964,11 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
   Outcome.AlphaUsed = Alpha;
   Outcome.PState = PState;
   Outcome.Seconds = Proc.now() - Start;
-  if (T) {
-    if (Outcome.LaunchRetries)
-      T->count("eas.launch_retries", Outcome.LaunchRetries);
-    if (Outcome.HangDetected)
-      T->count("eas.hangs");
-    if (Outcome.GpuReadmitted)
-      T->count("eas.readmissions");
+  if (T)
     Invocation.setEndDetail(formatString("alpha=%.3f seconds=%.6f%s", Alpha,
                                          Outcome.Seconds,
                                          Outcome.Cancelled ? " cancelled"
                                                            : ""));
-  }
   return Outcome;
 }
 
@@ -1014,14 +995,14 @@ EasScheduler::InvocationOutcome EasScheduler::runTableHit(
                        Curves.numPStates() - 1, kMaxPStates - 1});
   Outcome.Class = KnownRec.Class;
   Outcome.TableHit = true;
-  if ((Config.Metrics || Config.Decisions) &&
-      (KnownRec.Sample.CpuThroughput > 0.0 ||
-       KnownRec.Sample.GpuThroughput > 0.0)) {
+  if (KnownRec.Sample.CpuThroughput > 0.0 ||
+      KnownRec.Sample.GpuThroughput > 0.0) {
     // Re-evaluate the analytical model from the stored record so hit
-    // invocations contribute fidelity samples too. Observation only:
-    // neither the prediction nor the telemetry touches Alpha. At a
-    // reduced P-state the stored full-speed throughputs are rescaled
-    // through the same Amdahl model the search used.
+    // invocations carry the prediction that justifies them, whatever
+    // sinks are attached. Observation only and allocation-free: neither
+    // Alpha nor PState is read back from it. At a reduced P-state the
+    // stored full-speed throughputs are rescaled through the same
+    // Amdahl model the search used.
     TimeModel Model(KnownRec.Sample.CpuThroughput,
                     KnownRec.Sample.GpuThroughput);
     const PowerCurveSet &StateSet = Curves.stateCurves(
@@ -1040,21 +1021,17 @@ EasScheduler::InvocationOutcome EasScheduler::runTableHit(
     Outcome.PredictedMetric =
         Objective.evaluate(Outcome.PredictedWatts, Outcome.PredictedSeconds);
   }
-  if (T) {
+  if (T)
     T->instant("eas", "table-hit", Proc.now(),
                formatString("alpha=%.3f", Alpha)); // ecas-hotpath: allow(alloc)
-    T->count("eas.table_hits"); // ecas-hotpath: allow(extern-call)
-  }
 
   // Cancellation point 3: before the remainder execution (points 1 and 2
   // precede the table lookup / only exist while profiling).
   if (stopRequested(Proc.now(), Cancel)) {
     Outcome.Cancelled = true;
-    if (T) {
+    if (T)
       T->instant("eas", "cancelled", Proc.now(),
                  "before-dispatch"); // ecas-hotpath: allow(alloc)
-      T->count("eas.cancelled");    // ecas-hotpath: allow(extern-call)
-    }
   }
 
   // Steps 23-25: execute the whole invocation at the learned split.
@@ -1115,14 +1092,9 @@ EasScheduler::InvocationOutcome EasScheduler::runTableHit(
   Outcome.AlphaUsed = Alpha;
   Outcome.PState = PState;
   Outcome.Seconds = Proc.now() - Start;
-  if (T) {
-    if (Outcome.LaunchRetries)
-      T->count("eas.launch_retries", Outcome.LaunchRetries); // ecas-hotpath: allow(extern-call)
-    if (Outcome.HangDetected)
-      T->count("eas.hangs"); // ecas-hotpath: allow(extern-call)
+  if (T)
     Invocation.setEndDetail(formatString( // ecas-hotpath: allow(alloc)
         "alpha=%.3f seconds=%.6f%s", Alpha, Outcome.Seconds,
         Outcome.Cancelled ? " cancelled" : ""));
-  }
   return Outcome;
 }

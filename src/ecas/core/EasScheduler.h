@@ -33,7 +33,6 @@
 #include "ecas/core/Metric.h"
 #include "ecas/core/RequestContext.h"
 #include "ecas/fault/GpuHealth.h"
-#include "ecas/obs/DecisionLog.h"
 #include "ecas/obs/FlightRecorder.h"
 #include "ecas/obs/Metrics.h"
 #include "ecas/obs/Trace.h"
@@ -119,33 +118,32 @@ struct EasConfig {
   };
   JournalConfig Journal;
   /// Optional trace recorder (not owned; must outlive the scheduler).
-  /// When set, every invocation emits spans and counters through it —
+  /// When set, every invocation emits spans and instants through it —
   /// admission, profiling repetitions, classification, the alpha
   /// search (with the evaluated grid), the remainder dispatch, health
-  /// transitions, and the shutdown drain/snapshot phases. When null,
-  /// nothing is recorded and scheduling is bit-identical to a build
-  /// without the observability layer (ObsTest's regression).
+  /// transitions, and the shutdown drain/snapshot phases — plus the
+  /// eas.* counters, which recordInvocation() derives from the
+  /// InvocationOutcome exactly like the eas_*_total metrics.
   obs::TraceRecorder *Trace = nullptr;
   /// Optional metrics registry (not owned; must outlive the scheduler).
   /// When set, the constructor pre-registers every instrument of the
   /// eas_* taxonomy (DESIGN.md §11) and each invocation folds its
   /// telemetry in — model rel-error histograms per workload class, the
   /// chosen-alpha distribution, profile overhead, lifecycle counters,
-  /// and the health monitor's transition counters. Same contract as
-  /// Trace: null means nothing is recorded and scheduling is
-  /// bit-identical (MetricsTest's regression).
+  /// and the health monitor's transition counters.
   obs::MetricsRegistry *Metrics = nullptr;
-  /// Optional per-decision audit ring (not owned). When set, every
-  /// admitted invocation appends one DecisionRecord after it finishes.
-  /// Null no-ops, preserving bit-identity like Trace and Metrics.
-  obs::DecisionLog *Decisions = nullptr;
-  /// Optional always-on flight recorder (not owned, DESIGN.md §16).
-  /// When set, every invocation appends its DecisionRecord to the
-  /// recorder's overwrite-oldest ring plus a handful of instant events
-  /// (invocation, hang, quarantine, readmission) — all fixed-capacity
-  /// and allocation-free once warm, so arming it keeps the hot path's
-  /// zero-allocation contract (HotPathTest's regression). Null no-ops,
-  /// bit-identical like the other three sinks.
+  /// Optional always-on flight recorder (not owned, DESIGN.md §16) and
+  /// the one home of per-decision audit records: every admitted
+  /// invocation appends its DecisionRecord to the recorder's
+  /// overwrite-oldest ring, plus a handful of instant events (profile,
+  /// hang, quarantine, readmission) — all fixed-capacity and
+  /// allocation-free once warm, so arming it keeps the hot path's
+  /// zero-allocation contract (HotPathTest's regression).
+  ///
+  /// All three sinks only observe. Each invocation's InvocationOutcome
+  /// — predictions included — is the same whichever of them are
+  /// attached, and null pointers no-op every hook (ObsTest's and
+  /// MetricsTest's regressions).
   obs::FlightRecorder *Flight = nullptr;
 
   /// Checks every tunable for sanity: AlphaStep outside (0, 1],
@@ -217,8 +215,8 @@ public:
     //===------------------------------------------------------------===//
     // Model-validation telemetry. Filled from pure observation — const
     // reads of the virtual clock, the energy meter, and table G — and
-    // never fed back into scheduling, so an un-metered run computes none
-    // of it yet schedules identically.
+    // never fed back into scheduling. Computed on every admitted
+    // invocation whatever sinks are attached.
     //===------------------------------------------------------------===//
     /// A T(alpha)/P(alpha) prediction backed the dispatch: either the
     /// alpha search's winning point (profiled path) or the analytical
@@ -343,8 +341,8 @@ private:
                                     double Iterations, uint64_t HistoryKey,
                                     const CancellationToken *Cancel);
   /// The steady-state table-hit path (Fig. 7 steps 2-4 through the
-  /// remainder dispatch): reuse the learned alpha, optionally re-evaluate
-  /// the analytical model for fidelity telemetry, dispatch, count the
+  /// remainder dispatch): reuse the learned alpha, re-evaluate the
+  /// analytical model for fidelity telemetry, dispatch, count the
   /// invocation, and journal the bump. This is the sub-microsecond
   /// decision path of ROADMAP item 3 — ECAS_HOT marks it as a root for
   /// tools/ecas_hotpath.py, and with observability and journaling off it
@@ -373,8 +371,10 @@ private:
   /// Pre-registers every instrument when Config.Metrics is set, so the
   /// execute() fast path never touches the registry mutex.
   void registerInstruments();
-  /// Folds one finished invocation into the registry and the decision
-  /// log (both optional; no-ops when neither is configured).
+  /// The one place an admitted invocation becomes observations: its
+  /// outcome turns into the eas.* trace counters, the flight recorder's
+  /// DecisionRecord and instants, and the registry's eas_* counters and
+  /// histograms. Each sink is optional; with none attached it no-ops.
   void recordInvocation(const KernelDesc &Kernel,
                         const InvocationOutcome &Outcome);
 
@@ -411,7 +411,6 @@ private:
     obs::Counter *LaunchRetries = nullptr;
     obs::Counter *Readmissions = nullptr;
     obs::Counter *QuarantinedRuns = nullptr;
-    obs::Counter *DecisionsLogged = nullptr;
     obs::Gauge *ShutdownDrain = nullptr;
     obs::Counter *JournalAppends = nullptr;
     obs::Counter *JournalBytes = nullptr;

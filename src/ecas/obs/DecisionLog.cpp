@@ -12,39 +12,6 @@
 using namespace ecas;
 using namespace ecas::obs;
 
-DecisionLog::DecisionLog(size_t Capacity) : Cap(Capacity ? Capacity : 1) {
-  // Reserved lazily in append(); an unused log costs nothing.
-}
-
-void DecisionLog::append(DecisionRecord Record) {
-  LockGuard Lock(Mutex);
-  Record.Sequence = Next;
-  if (Ring.size() < Cap)
-    Ring.push_back(Record);
-  else
-    Ring[static_cast<size_t>(Next % Cap)] = Record;
-  ++Next;
-}
-
-std::vector<DecisionRecord> DecisionLog::snapshot() const {
-  LockGuard Lock(Mutex);
-  std::vector<DecisionRecord> Out;
-  Out.reserve(Ring.size());
-  if (Ring.size() < Cap) {
-    Out = Ring;
-    return Out;
-  }
-  // Full ring: the slot Next maps to holds the oldest record.
-  for (size_t I = 0; I != Cap; ++I)
-    Out.push_back(Ring[static_cast<size_t>((Next + I) % Cap)]);
-  return Out;
-}
-
-uint64_t DecisionLog::appended() const {
-  LockGuard Lock(Mutex);
-  return Next;
-}
-
 namespace {
 
 const char *boolName(bool B) { return B ? "true" : "false"; }
@@ -93,9 +60,8 @@ DecisionLogSink::renderJsonLines(const std::vector<DecisionRecord> &Records) {
   return Out;
 }
 
-Status DecisionLogSink::write(const DecisionLog &Log,
+Status DecisionLogSink::write(const std::vector<DecisionRecord> &Records,
                               const std::string &Path) {
-  std::vector<DecisionRecord> Records = Log.snapshot();
   bool Csv = Path.size() >= 4 && Path.compare(Path.size() - 4, 4, ".csv") == 0;
   return writeFileAtomic(Path,
                          Csv ? renderCsv(Records) : renderJsonLines(Records));

@@ -6,19 +6,16 @@
 ///
 /// \file
 /// The audit half of model-fidelity telemetry: where the histograms in
-/// obs/Metrics.h answer "how wrong is the model on average", the
-/// DecisionLog answers "what exactly did the scheduler decide for
-/// invocation N and why". Each EasScheduler::execute appends one
-/// DecisionRecord — kernel id, workload class, chosen alpha, the
-/// predicted T/P/metric that justified it, the measured T/E that
-/// followed, and whether the choice came from a table-G hit or a fresh
-/// profile — into a fixed-capacity in-memory ring (old records are
-/// overwritten, a service never grows unbounded). DecisionLogSink
-/// renders a ring snapshot as CSV or JSON-lines for offline diffing,
-/// mirroring the CsvTraceSink / ChromeTrace split in the trace layer.
-///
-/// Like the registry, a null DecisionLog pointer in EasConfig no-ops
-/// every append and scheduling stays bit-identical.
+/// obs/Metrics.h answer "how wrong is the model on average", a
+/// DecisionRecord answers "what exactly did the scheduler decide for
+/// invocation N and why". Each admitted EasScheduler::execute yields one
+/// record — kernel id, workload class, chosen alpha, the predicted
+/// T/P/metric that justified it, the measured T/E that followed, and
+/// whether the choice came from a table-G hit or a fresh profile. The
+/// records live in the flight recorder's fixed-capacity decision ring
+/// (obs/FlightRecorder.h); DecisionLogSink renders a drained tail as CSV
+/// or JSON-lines for offline diffing, mirroring the CsvTraceSink /
+/// ChromeTrace split in the trace layer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +23,6 @@
 #define ECAS_OBS_DECISIONLOG_H
 
 #include "ecas/support/Error.h"
-#include "ecas/support/ThreadAnnotations.h"
 
 #include <cstdint>
 #include <string>
@@ -63,34 +59,7 @@ struct DecisionRecord {
   bool Cancelled = false;
 };
 
-/// Thread-safe fixed-capacity ring of DecisionRecords. append() takes
-/// one leaf mutex ("Obs.DecisionLog"); the scheduler calls it once per
-/// invocation, after dispatch, outside every scheduler lock.
-class DecisionLog {
-public:
-  explicit DecisionLog(size_t Capacity = 1024);
-
-  /// Stamps Sequence and stores \p Record, overwriting the oldest entry
-  /// once the ring is full.
-  void append(DecisionRecord Record);
-
-  /// Records still resident, oldest first.
-  std::vector<DecisionRecord> snapshot() const;
-
-  /// Total appends over the log's lifetime (>= snapshot().size()).
-  uint64_t appended() const;
-
-  size_t capacity() const { return Cap; }
-
-private:
-  const size_t Cap;
-  /// Leaf lock: nothing else is ever acquired while it is held.
-  mutable AnnotatedMutex Mutex{"Obs.DecisionLog"};
-  std::vector<DecisionRecord> Ring ECAS_GUARDED_BY(Mutex);
-  uint64_t Next ECAS_GUARDED_BY(Mutex) = 0;
-};
-
-/// Renders ring snapshots for offline inspection.
+/// Renders decision-ring snapshots for offline inspection.
 class DecisionLogSink {
 public:
   /// CSV with a header row; one line per record, columns matching the
@@ -101,9 +70,10 @@ public:
   static std::string
   renderJsonLines(const std::vector<DecisionRecord> &Records);
 
-  /// Writes \p Log's snapshot to \p Path (atomically); format picked by
+  /// Writes \p Records to \p Path (atomically); format picked by
   /// extension — ".csv" renders CSV, anything else JSON-lines.
-  static Status write(const DecisionLog &Log, const std::string &Path);
+  static Status write(const std::vector<DecisionRecord> &Records,
+                      const std::string &Path);
 };
 
 } // namespace ecas::obs

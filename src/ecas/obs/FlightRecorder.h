@@ -16,7 +16,7 @@
 /// few thousand things the scheduler did, in time order, however long
 /// the process has been up.
 ///
-/// The recording contract matches Trace/Metrics/DecisionLog: a null
+/// The recording contract matches Trace/Metrics: a null
 /// FlightRecorder pointer in EasConfig no-ops every hook and scheduling
 /// is bit-identical. The hot-path contract is stricter than the
 /// TraceRecorder's: FlightEvent is strictly POD (no Detail string), the
@@ -28,8 +28,9 @@
 /// Locking: "Obs.FlightRegistry" guards the ring list (taken once per
 /// (thread, recorder) pair and at drain); each ring has its own leaf
 /// "Obs.FlightRing" mutex, uncontended except while a drain copies the
-/// ring out. The decision ring uses the same design as DecisionLog
-/// under "Obs.FlightDecisions".
+/// ring out. The decision ring is the process's one home for
+/// DecisionRecords (`ecas-cli --decision-log` drains it too), guarded by
+/// the leaf "Obs.FlightDecisions" mutex.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -44,7 +44,6 @@ inline constexpr char CancelledTotal[] = "eas_cancelled_total";
 inline constexpr char RejectedTotal[] = "eas_rejected_total";
 inline constexpr char ProfileRepsTotal[] = "eas_profile_reps_total";
 inline constexpr char ProfileRepSeconds[] = "eas_profile_rep_seconds";
-inline constexpr char DecisionsLoggedTotal[] = "eas_decisions_logged_total";
 
 // GPU health (fault layer).
 inline constexpr char LaunchRetriesTotal[] = "eas_launch_retries_total";

@@ -7,17 +7,17 @@
 /// Coverage of the metrics tentpole: the lock-free histogram fast path
 /// (bucket placement, le semantics, NaN handling, concurrent recording
 /// with exact totals), snapshot merging, the Prometheus/JSON/report
-/// exporters and the Prometheus parser round trip, the decision audit
-/// ring, and the two end-to-end invariants: an EAS run's
+/// exporters and the Prometheus parser round trip, the decision-record
+/// sinks, and the end-to-end invariants: an EAS run's
 /// eas_model_*_rel_error histogram mean equals the SessionReport mean
-/// bitwise for a single-class trace, and a null registry leaves
-/// scheduling bit-identical.
+/// bitwise for a single-class trace, and no combination of attached
+/// sinks changes a single invocation's record or the report.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ecas/core/ExecutionSession.h"
 #include "ecas/hw/Presets.h"
-#include "ecas/obs/DecisionLog.h"
+#include "ecas/obs/FlightRecorder.h"
 #include "ecas/obs/MetricNames.h"
 #include "ecas/obs/Metrics.h"
 #include "ecas/obs/MetricsExport.h"
@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <thread>
 #include <vector>
@@ -385,27 +386,12 @@ TEST(MetricsExport, WriteFileAtomicReplacesContent) {
 }
 
 //===----------------------------------------------------------------------===//
-// DecisionLog
+// Decision records (the flight recorder's ring; FlightRecorder tests in
+// ForensicsTest cover its wrap behaviour)
 //===----------------------------------------------------------------------===//
 
-TEST(DecisionLog, RingKeepsNewestRecordsOldestFirst) {
-  obs::DecisionLog Log(4);
-  for (uint64_t I = 0; I != 10; ++I) {
-    obs::DecisionRecord R;
-    R.KernelId = 100 + I;
-    Log.append(R);
-  }
-  EXPECT_EQ(Log.appended(), 10u);
-  std::vector<obs::DecisionRecord> Snap = Log.snapshot();
-  ASSERT_EQ(Snap.size(), 4u);
-  for (size_t I = 0; I != Snap.size(); ++I) {
-    EXPECT_EQ(Snap[I].Sequence, 6 + I);
-    EXPECT_EQ(Snap[I].KernelId, 106 + I);
-  }
-}
-
 TEST(DecisionLog, SinksRenderCsvAndJsonLines) {
-  obs::DecisionLog Log;
+  obs::FlightRecorder Flight;
   obs::DecisionRecord R;
   R.KernelId = 7;
   R.ClassIndex = 3;
@@ -413,20 +399,21 @@ TEST(DecisionLog, SinksRenderCsvAndJsonLines) {
   R.HasPrediction = true;
   R.PredictedSeconds = 0.25;
   R.TableHit = true;
-  Log.append(R);
-  Log.append(R);
+  Flight.recordDecision(R);
+  Flight.recordDecision(R);
+  std::vector<obs::DecisionRecord> Records = Flight.drain().Decisions;
 
-  std::string Csv = obs::DecisionLogSink::renderCsv(Log.snapshot());
+  std::string Csv = obs::DecisionLogSink::renderCsv(Records);
   EXPECT_EQ(Csv.find("sequence"), 0u); // header row first
   EXPECT_EQ(std::count(Csv.begin(), Csv.end(), '\n'), 3); // header + 2 rows
 
-  std::string Jsonl = obs::DecisionLogSink::renderJsonLines(Log.snapshot());
+  std::string Jsonl = obs::DecisionLogSink::renderJsonLines(Records);
   EXPECT_EQ(std::count(Jsonl.begin(), Jsonl.end(), '\n'), 2);
   EXPECT_EQ(Jsonl.front(), '{');
   EXPECT_NE(Jsonl.find("\"kernel_id\": 7"), std::string::npos);
 
   std::string Path = ::testing::TempDir() + "ecas_decisions.csv";
-  ASSERT_TRUE(obs::DecisionLogSink::write(Log, Path).ok());
+  ASSERT_TRUE(obs::DecisionLogSink::write(Records, Path).ok());
   std::ifstream In(Path);
   std::string Content((std::istreambuf_iterator<char>(In)),
                       std::istreambuf_iterator<char>());
@@ -443,13 +430,13 @@ TEST(EasTelemetry, RegistryMatchesSessionReport) {
   ExecutionSession Session(haswellDesktop());
 
   obs::MetricsRegistry Registry;
-  obs::DecisionLog Decisions;
+  obs::FlightRecorder Flight;
   RunOptions Options;
   Options.Trace = &Trace;
   Options.Curves = &desktopCurves();
   Options.Objective = Metric::edp();
   Options.Metrics = &Registry;
-  Options.Eas.Decisions = &Decisions;
+  Options.Eas.Flight = &Flight;
   SessionReport Report = Session.run(SchemeKind::Eas, Options);
 
   obs::MetricsSnapshot Snap = Registry.snapshot();
@@ -493,11 +480,10 @@ TEST(EasTelemetry, RegistryMatchesSessionReport) {
   EXPECT_EQ(EnergySample->Hist.Count, uint64_t{Report.ModelSamples});
   EXPECT_EQ(EnergySample->Hist.mean(), Report.ModelEnergyRelError);
 
-  // One audit record per invocation; the newest ones are resident.
-  EXPECT_EQ(Decisions.appended(), uint64_t{Report.Invocations});
-  EXPECT_DOUBLE_EQ(Snap.total(obs::names::DecisionsLoggedTotal),
-                   double(Report.Invocations));
-  std::vector<obs::DecisionRecord> Audit = Decisions.snapshot();
+  // One decision record per invocation; the newest ones are resident.
+  obs::FlightSnapshot FlightSnap = Flight.drain();
+  EXPECT_EQ(FlightSnap.DecisionsRecorded, uint64_t{Report.Invocations});
+  const std::vector<obs::DecisionRecord> &Audit = FlightSnap.Decisions;
   ASSERT_FALSE(Audit.empty());
   unsigned Hits = 0, Misses = 0;
   for (const obs::DecisionRecord &R : Audit) {
@@ -565,9 +551,9 @@ TEST(EasTelemetry, NullRegistryIsBitIdentical) {
   SessionReport Bare = Session.run(SchemeKind::Eas, Options);
 
   obs::MetricsRegistry Registry;
-  obs::DecisionLog Decisions;
+  obs::FlightRecorder Flight;
   Options.Metrics = &Registry;
-  Options.Eas.Decisions = &Decisions;
+  Options.Eas.Flight = &Flight;
   SessionReport Observed = Session.run(SchemeKind::Eas, Options);
 
   // The telemetry is pure observation: const reads of the clock, the
@@ -576,11 +562,151 @@ TEST(EasTelemetry, NullRegistryIsBitIdentical) {
   EXPECT_EQ(Bare.ProfileRepetitions, Observed.ProfileRepetitions);
   EXPECT_EQ(Bare.AlphaSearches, Observed.AlphaSearches);
 
-  // Table-hit invocations only re-evaluate the model when telemetry is
-  // attached (the bare fast path stays one lookup + dispatch), so the
-  // observed run reports model samples for hits the bare run skipped.
+  // Table hits predict whatever sinks are attached, so the model
+  // samples match too.
   EXPECT_GT(Bare.ModelSamples, 0u);
-  EXPECT_GE(Observed.ModelSamples, Bare.ModelSamples);
+  EXPECT_EQ(Bare.ModelSamples, Observed.ModelSamples);
+  EXPECT_EQ(Bare.ModelTimeRelError, Observed.ModelTimeRelError);
+  EXPECT_EQ(Bare.ModelEnergyRelError, Observed.ModelEnergyRelError);
+}
+
+namespace {
+
+/// A trace that takes every admitted path: first-seen kernels profile,
+/// repeats hit table G, and invocations below the GPU profiling size
+/// run CPU-alone.
+InvocationTrace mixedPathTrace() {
+  InvocationTrace Trace;
+  for (unsigned I = 0; I != 12; ++I) {
+    Trace.push_back({testKernel("sinks-large"), 2e6});
+    Trace.push_back({testKernel("sinks-small"), 64});
+    Trace.push_back({testKernel("sinks-varying"), 4e5 + 5e4 * I});
+  }
+  return Trace;
+}
+
+uint64_t bitsOf(double V) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &V, sizeof Bits);
+  return Bits;
+}
+
+void expectSameOutcome(const EasScheduler::InvocationOutcome &A,
+                       const EasScheduler::InvocationOutcome &B) {
+  EXPECT_EQ(bitsOf(A.AlphaUsed), bitsOf(B.AlphaUsed));
+  EXPECT_EQ(A.PState, B.PState);
+  EXPECT_EQ(bitsOf(A.Seconds), bitsOf(B.Seconds));
+  EXPECT_EQ(A.Profiled, B.Profiled);
+  EXPECT_EQ(A.CpuOnlyFastPath, B.CpuOnlyFastPath);
+  EXPECT_EQ(A.Class.index(), B.Class.index());
+  EXPECT_EQ(A.ProfileRepetitions, B.ProfileRepetitions);
+  EXPECT_EQ(A.AlphaSearches, B.AlphaSearches);
+  EXPECT_EQ(A.GpuQuarantined, B.GpuQuarantined);
+  EXPECT_EQ(A.HangDetected, B.HangDetected);
+  EXPECT_EQ(A.LaunchRetries, B.LaunchRetries);
+  EXPECT_EQ(A.GpuReadmitted, B.GpuReadmitted);
+  EXPECT_EQ(A.Rejected, B.Rejected);
+  EXPECT_EQ(A.Cancelled, B.Cancelled);
+  EXPECT_EQ(A.TableHit, B.TableHit);
+  EXPECT_EQ(A.HasPrediction, B.HasPrediction);
+  EXPECT_EQ(bitsOf(A.PredictedSeconds), bitsOf(B.PredictedSeconds));
+  EXPECT_EQ(bitsOf(A.PredictedWatts), bitsOf(B.PredictedWatts));
+  EXPECT_EQ(bitsOf(A.PredictedMetric), bitsOf(B.PredictedMetric));
+  EXPECT_EQ(bitsOf(A.MeasuredSeconds), bitsOf(B.MeasuredSeconds));
+  EXPECT_EQ(bitsOf(A.MeasuredJoules), bitsOf(B.MeasuredJoules));
+  EXPECT_EQ(bitsOf(A.ProfileSeconds), bitsOf(B.ProfileSeconds));
+  EXPECT_EQ(A.AlphaEvaluations, B.AlphaEvaluations);
+}
+
+} // namespace
+
+// The decision record is the same whichever sinks watch it: every
+// InvocationOutcome field — the table-hit prediction included — and the
+// report's model-fidelity figures are bit-identical with nothing, each
+// sink alone, and all three attached, at fixed frequency and with the
+// joint (alpha, P-state) search.
+TEST(EasTelemetry, AttachedSinksCannotChangeTheRecord) {
+  InvocationTrace Trace = mixedPathTrace();
+  for (unsigned NumPStates : {1u, 4u}) {
+    SCOPED_TRACE(NumPStates);
+    PlatformSpec Spec = haswellDesktop();
+    PowerCurveFamily Family = desktopFamily();
+    if (NumPStates > 1) {
+      Spec.synthesizePStates(NumPStates);
+      CharacterizerConfig CharConfig;
+      CharConfig.AlphaStep = 0.5;
+      CharConfig.PolyDegree = 2;
+      Family = characterizeFamily(Spec, CharConfig);
+    }
+    ExecutionSession Session(Spec);
+
+    std::vector<EasScheduler::InvocationOutcome> Baseline;
+    SessionReport BaselineReport;
+    struct Sinks {
+      const char *Name;
+      bool Trace, Metrics, Flight;
+    };
+    for (Sinks Attached : {Sinks{"none", false, false, false},
+                           Sinks{"trace", true, false, false},
+                           Sinks{"metrics", false, true, false},
+                           Sinks{"flight", false, false, true},
+                           Sinks{"all", true, true, true}}) {
+      SCOPED_TRACE(Attached.Name);
+      obs::TraceRecorder Recorder;
+      obs::MetricsRegistry Registry;
+      obs::FlightRecorder Flight;
+      EasConfig Config;
+      Config.PStates = NumPStates > 1;
+      Config.Trace = Attached.Trace ? &Recorder : nullptr;
+      Config.Metrics = Attached.Metrics ? &Registry : nullptr;
+      Config.Flight = Attached.Flight ? &Flight : nullptr;
+
+      std::vector<EasScheduler::InvocationOutcome> Outcomes;
+      {
+        EasScheduler Scheduler(Family, Metric::edp(), Config);
+        SimProcessor Proc(Spec);
+        for (const KernelInvocation &Inv : Trace)
+          Outcomes.push_back(
+              Scheduler.execute(Proc, Inv.Kernel, Inv.Iterations));
+      }
+      RunOptions Options;
+      Options.Trace = &Trace;
+      Options.CurveFamily = &Family;
+      Options.Objective = Metric::edp();
+      Options.Eas = Config;
+      SessionReport Report = Session.run(SchemeKind::Eas, Options);
+
+      if (Baseline.empty()) {
+        // The trace must exercise every admitted path, and the hits must
+        // carry a prediction even with no sink attached.
+        unsigned Hits = 0, Profiled = 0, CpuOnly = 0, PredictedHits = 0;
+        for (const EasScheduler::InvocationOutcome &O : Outcomes) {
+          Hits += O.TableHit;
+          Profiled += O.Profiled;
+          CpuOnly += O.CpuOnlyFastPath;
+          PredictedHits += O.TableHit && O.HasPrediction;
+        }
+        EXPECT_GT(Hits, 0u);
+        EXPECT_GT(Profiled, 0u);
+        EXPECT_GT(CpuOnly, 0u);
+        EXPECT_EQ(PredictedHits, Hits);
+        Baseline = Outcomes;
+        BaselineReport = Report;
+        continue;
+      }
+      ASSERT_EQ(Outcomes.size(), Baseline.size());
+      for (size_t I = 0; I != Outcomes.size(); ++I) {
+        SCOPED_TRACE(I);
+        expectSameOutcome(Baseline[I], Outcomes[I]);
+      }
+      expectSameMeasurement(BaselineReport, Report);
+      EXPECT_EQ(Report.ModelSamples, BaselineReport.ModelSamples);
+      EXPECT_EQ(bitsOf(Report.ModelTimeRelError),
+                bitsOf(BaselineReport.ModelTimeRelError));
+      EXPECT_EQ(bitsOf(Report.ModelEnergyRelError),
+                bitsOf(BaselineReport.ModelEnergyRelError));
+    }
+  }
 }
 
 TEST(EasTelemetry, PStateLabelRendersAndRoundTrips) {

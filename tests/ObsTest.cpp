@@ -18,6 +18,9 @@
 #include "ecas/core/ExecutionSession.h"
 #include "ecas/hw/Presets.h"
 #include "ecas/obs/ChromeTrace.h"
+#include "ecas/obs/FlightRecorder.h"
+#include "ecas/obs/MetricNames.h"
+#include "ecas/obs/Metrics.h"
 #include "ecas/obs/Sinks.h"
 #include "ecas/obs/Trace.h"
 
@@ -446,10 +449,14 @@ TEST(GoldenPath, QuarantineArcShowsUpInTheTrace) {
   ExecutionSession Session(faultySpec("gpu-hang"));
   InvocationTrace Trace = shortTrace(60);
   obs::TraceRecorder Recorder;
+  obs::MetricsRegistry Registry;
+  obs::FlightRecorder Flight;
   RunOptions Options;
   Options.Trace = &Trace;
   Options.Curves = &desktopCurves();
   Options.Recorder = &Recorder;
+  Options.Metrics = &Registry;
+  Options.Eas.Flight = &Flight;
   SessionReport Report = Session.run(SchemeKind::Eas, Options);
 
   obs::TraceLog Log = Recorder.drain();
@@ -457,12 +464,11 @@ TEST(GoldenPath, QuarantineArcShowsUpInTheTrace) {
   EXPECT_GE(Log.countNamed("hang"), 1u);
   EXPECT_GE(Log.countNamed("quarantine"), 1u);
   EXPECT_GE(Log.countNamed("recovery"), 1u);
-  // The quarantined-run counter fires on the pre-dispatch quarantine
-  // path; a mid-dispatch quarantine also marks the invocation, so the
-  // counter is a lower bound on the report's tally.
+  // The quarantined-run counter is read off each invocation's outcome,
+  // so pre-dispatch and mid-dispatch quarantines both count.
   EXPECT_GE(Log.counterTotal("eas.quarantined_runs"), 1.0);
-  EXPECT_LE(Log.counterTotal("eas.quarantined_runs"),
-            double(Report.Resilience.QuarantinedInvocations));
+  EXPECT_DOUBLE_EQ(Log.counterTotal("eas.quarantined_runs"),
+                   double(Report.Resilience.QuarantinedInvocations));
   EXPECT_GE(Log.counterTotal("eas.hangs"), 1.0);
   EXPECT_GE(Log.counterTotal("eas.cpu_only"), 1.0);
   EXPECT_TRUE(Report.Resilience.degraded());
@@ -471,4 +477,27 @@ TEST(GoldenPath, QuarantineArcShowsUpInTheTrace) {
   ErrorOr<obs::ChromeTraceData> Parsed = obs::parseChromeTrace(Json);
   ASSERT_TRUE(Parsed.ok()) << Parsed.status().toString();
   EXPECT_TRUE(Parsed->hasEventNamed("quarantine"));
+
+  // One count, three consumers: each eas.* trace counter and its
+  // eas_*_total metric come from the same InvocationOutcome field, and
+  // the flight recorder holds one decision record per invocation.
+  obs::MetricsSnapshot Snap = Registry.snapshot();
+  const std::pair<const char *, const char *> Pairs[] = {
+      {"eas.invocations", obs::names::InvocationsTotal},
+      {"eas.table_hits", obs::names::TableHitsTotal},
+      {"eas.cpu_only", obs::names::CpuOnlyTotal},
+      {"eas.cancelled", obs::names::CancelledTotal},
+      {"eas.quarantined_runs", obs::names::QuarantinedRunsTotal},
+      {"eas.profile_reps", obs::names::ProfileRepsTotal},
+      {"eas.launch_retries", obs::names::LaunchRetriesTotal},
+      {"eas.hangs", obs::names::HangsTotal},
+      {"eas.readmissions", obs::names::ReadmissionsTotal},
+  };
+  for (const auto &[TraceName, MetricName] : Pairs) {
+    SCOPED_TRACE(TraceName);
+    EXPECT_DOUBLE_EQ(Log.counterTotal(TraceName), Snap.total(MetricName));
+  }
+  EXPECT_DOUBLE_EQ(Log.counterTotal("eas.alpha_searches"),
+                   double(Report.AlphaSearches));
+  EXPECT_EQ(Flight.drain().DecisionsRecorded, uint64_t{Report.Invocations});
 }

@@ -24,7 +24,6 @@
 #include "ecas/hw/Presets.h"
 #include "ecas/obs/Anomaly.h"
 #include "ecas/obs/ChromeTrace.h"
-#include "ecas/obs/DecisionLog.h"
 #include "ecas/obs/FlightRecorder.h"
 #include "ecas/obs/Incident.h"
 #include "ecas/obs/LastGasp.h"
@@ -38,6 +37,7 @@
 #include "ecas/support/Flags.h"
 #include "ecas/support/Format.h"
 #include "ecas/support/Random.h"
+#include "ecas/support/Stats.h"
 #include "ecas/support/ThreadAnnotations.h"
 #include "ecas/workloads/Registry.h"
 
@@ -126,6 +126,7 @@ int usage() {
       "        [--detector-interval-ms=N]   bundles (newest K kept) plus a\n"
       "                                     crash-time last-gasp document\n"
       "        [--no-flight-recorder]       disarm the always-on black box\n"
+      "                                     (--decision-log keeps it armed)\n"
       "        (--threads/--invocations keep working as legacy aliases;\n"
       "        exit 1 when any SLA0 deadline missed or shed fraction\n"
       "        exceeds --shed-threshold)\n"
@@ -271,11 +272,16 @@ bool wantsMetricsRegistry(const Flags &Args) {
          !Args.getString("metrics-json", "").empty();
 }
 
-/// Writes the registry snapshot and the audit ring wherever
-/// --metrics-out, --metrics-json, and --decision-log point (each write
-/// atomic: tmp + rename). Returns false on an I/O failure (reported).
+/// Decision-ring capacity when --decision-log is given: the newest 1024
+/// records reach the file.
+constexpr size_t DecisionLogCapacity = 1024;
+
+/// Writes the registry snapshot and the flight recorder's decision ring
+/// wherever --metrics-out, --metrics-json, and --decision-log point
+/// (each write atomic: tmp + rename). Returns false on an I/O failure
+/// (reported).
 bool writeMetricsOutputs(const obs::MetricsRegistry &Registry,
-                         const obs::DecisionLog *Decisions,
+                         const obs::FlightRecorder &Flight,
                          const Flags &Args) {
   std::string Out = Args.getString("metrics-out", "");
   std::string Json = Args.getString("metrics-json", "");
@@ -304,16 +310,17 @@ bool writeMetricsOutputs(const obs::MetricsRegistry &Registry,
     }
   }
   std::string LogPath = Args.getString("decision-log", "");
-  if (!LogPath.empty() && Decisions) {
-    if (Status S = obs::DecisionLogSink::write(*Decisions, LogPath); !S) {
+  if (!LogPath.empty()) {
+    obs::FlightSnapshot Snap = Flight.drain();
+    if (Status S = obs::DecisionLogSink::write(Snap.Decisions, LogPath); !S) {
       std::fprintf(stderr, "error: %s: %s\n", LogPath.c_str(),
                    S.message().c_str());
       return false;
     }
     std::printf("wrote %s (%llu decisions, newest %zu resident)\n",
                 LogPath.c_str(),
-                static_cast<unsigned long long>(Decisions->appended()),
-                Decisions->snapshot().size());
+                static_cast<unsigned long long>(Snap.DecisionsRecorded),
+                Snap.Decisions.size());
   }
   return true;
 }
@@ -513,7 +520,7 @@ int cmdRun(const Flags &Args) {
 
   obs::TraceRecorder Recorder;
   obs::MetricsRegistry Registry;
-  obs::DecisionLog Decisions;
+  obs::FlightRecorder Flight(/*EventsPerThread=*/4096, DecisionLogCapacity);
   RunOptions Options;
   Options.Trace = &W->Trace;
   Options.Objective = Objective;
@@ -522,9 +529,8 @@ int cmdRun(const Flags &Args) {
     Options.Recorder = &Recorder;
   if (wantsMetricsRegistry(Args))
     Options.Metrics = &Registry;
-  bool WantDecisions = !Args.getString("decision-log", "").empty();
-  if (WantDecisions)
-    EasCfg.Decisions = &Decisions;
+  if (!Args.getString("decision-log", "").empty())
+    EasCfg.Flight = &Flight;
 
   // EAS alone needs curves, a table-G file, and a deadline; the sweep
   // and fixed-ratio schemes ignore those options.
@@ -572,8 +578,7 @@ int cmdRun(const Flags &Args) {
     if (!drainObservability(Recorder, Args))
       return ExitRuntime;
   }
-  if (!writeMetricsOutputs(Registry, WantDecisions ? &Decisions : nullptr,
-                           Args))
+  if (!writeMetricsOutputs(Registry, Flight, Args))
     return ExitRuntime;
   return ExitOk;
 }
@@ -634,7 +639,11 @@ int cmdServe(const Flags &Args) {
   std::string IncidentDir = Args.getString("incident-dir", "");
   long long IncidentKeep = Args.getInt("incident-keep", 8);
   double DetectorIntervalMs = Args.getDouble("detector-interval-ms", 50.0);
-  bool FlightArmed = !Args.getBool("no-flight-recorder", false);
+  // The decision log drains the flight recorder's decision ring, so
+  // asking for one arms the recorder.
+  bool WantDecisions = !Args.getString("decision-log", "").empty();
+  bool FlightArmed =
+      WantDecisions || !Args.getBool("no-flight-recorder", false);
   if (IncidentKeep < 1 || DetectorIntervalMs <= 0.0) {
     std::fprintf(stderr, "error: --incident-keep must be >= 1 and "
                          "--detector-interval-ms positive\n");
@@ -653,8 +662,8 @@ int cmdServe(const Flags &Args) {
 
   obs::TraceRecorder Recorder;
   obs::MetricsRegistry Registry;
-  obs::DecisionLog Decisions;
-  obs::FlightRecorder Flight;
+  obs::FlightRecorder Flight(/*EventsPerThread=*/4096,
+                             WantDecisions ? DecisionLogCapacity : 512);
   // The detectors and the control endpoint both read the registry, so
   // forensics implies metrics even without an export flag.
   bool Forensics = !IncidentDir.empty() || !ControlSocket.empty();
@@ -670,9 +679,6 @@ int cmdServe(const Flags &Args) {
     Config.Trace = &Recorder;
   if (wantsMetricsRegistry(Args) || Forensics)
     Config.Metrics = &Registry;
-  bool WantDecisions = !Args.getString("decision-log", "").empty();
-  if (WantDecisions)
-    Config.Decisions = &Decisions;
   if (FlightArmed)
     Config.Flight = &Flight;
   // DVFS flags mutate the spec's P-state ladder; apply before the
@@ -1006,8 +1012,7 @@ int cmdServe(const Flags &Args) {
     return ExitRuntime;
   // Final authoritative write — covers the no-interval case and leaves
   // the post-shutdown totals (drain gauge included) on disk.
-  if (!writeMetricsOutputs(Registry, WantDecisions ? &Decisions : nullptr,
-                           Args))
+  if (!writeMetricsOutputs(Registry, Flight, Args))
     return ExitRuntime;
   // Overload is an outcome, not a detail: an SLA0 miss or a shed storm
   // exits 1 so scripts can tell a degraded run from a clean one.
@@ -1105,17 +1110,6 @@ int cmdInspect(const Flags &Args) {
   return ExitOk;
 }
 
-/// Sorted-sample quantile in nanoseconds (\p Samples already sorted).
-double quantileNs(const std::vector<double> &Samples, double Q) {
-  if (Samples.empty())
-    return 0.0;
-  double Pos = Q * static_cast<double>(Samples.size() - 1);
-  size_t Lo = static_cast<size_t>(Pos);
-  size_t Hi = std::min(Lo + 1, Samples.size() - 1);
-  double Frac = Pos - static_cast<double>(Lo);
-  return Samples[Lo] + (Samples[Hi] - Samples[Lo]) * Frac;
-}
-
 int cmdBenchService(const Flags &Args) {
   auto Spec = platformByName(Args.getString("platform", "haswell-desktop"));
   if (!Spec) {
@@ -1199,13 +1193,6 @@ int cmdBenchService(const Flags &Args) {
 
   std::sort(AdmissionNs.begin(), AdmissionNs.end());
   std::sort(DecisionNs.begin(), DecisionNs.end());
-  auto MeanOf = [](const std::vector<double> &Samples) {
-    double Sum = 0.0;
-    for (double S : Samples)
-      Sum += S;
-    return Samples.empty() ? 0.0
-                           : Sum / static_cast<double>(Samples.size());
-  };
 
   std::string Json = formatString(
       "{\n"
@@ -1223,11 +1210,11 @@ int cmdBenchService(const Flags &Args) {
       "  \"shed\": %llu,\n"
       "  \"cancelled\": %llu\n"
       "}\n",
-      Spec->Name.c_str(), Requests, Workers, quantileNs(AdmissionNs, 0.5),
-      quantileNs(AdmissionNs, 0.9), quantileNs(AdmissionNs, 0.99),
-      MeanOf(AdmissionNs), quantileNs(DecisionNs, 0.5),
-      quantileNs(DecisionNs, 0.9), quantileNs(DecisionNs, 0.99),
-      MeanOf(DecisionNs), ThroughputRps,
+      Spec->Name.c_str(), Requests, Workers, quantileSorted(AdmissionNs, 0.5),
+      quantileSorted(AdmissionNs, 0.9), quantileSorted(AdmissionNs, 0.99),
+      arithmeticMean(AdmissionNs), quantileSorted(DecisionNs, 0.5),
+      quantileSorted(DecisionNs, 0.9), quantileSorted(DecisionNs, 0.99),
+      arithmeticMean(DecisionNs), ThroughputRps,
       static_cast<unsigned long long>(Stats.Completed),
       static_cast<unsigned long long>(Stats.Rejected),
       static_cast<unsigned long long>(Stats.Shed),
@@ -1239,7 +1226,8 @@ int cmdBenchService(const Flags &Args) {
   }
   std::printf("bench-service: admission p99 %.0f ns, decision p99 %.0f ns, "
               "%.1f completed/s -> %s\n",
-              quantileNs(AdmissionNs, 0.99), quantileNs(DecisionNs, 0.99),
+              quantileSorted(AdmissionNs, 0.99),
+              quantileSorted(DecisionNs, 0.99),
               ThroughputRps, Out.c_str());
   return ExitOk;
 }
