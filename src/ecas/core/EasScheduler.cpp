@@ -223,15 +223,13 @@ void EasScheduler::registerInstruments() {
   // Rel errors are ratios spanning "model is exact" (1e-4) to "model is
   // off by an order of magnitude"; log buckets keep both ends resolved.
   const std::vector<double> RelErrBuckets = obs::logBuckets(1e-4, 2.0, 18);
-  // A single-state family keeps the legacy label sets (no pstate label),
-  // so pre-DVFS dashboards and the MetricsTest goldens never change; a
-  // real family fans each series out by the chosen P-state.
+  // Every per-state series carries its pstate label, one state or many,
+  // so a scrape's label sets do not depend on the curve family.
   unsigned K = std::min(Curves.numPStates(), kMaxPStates);
   for (unsigned I = 0; I != WorkloadClass::NumClasses; ++I) {
     for (unsigned S = 0; S != K; ++S) {
-      obs::MetricLabels ByClass{{"class", WorkloadClass::fromIndex(I).name()}};
-      if (K > 1)
-        ByClass.emplace_back("pstate", formatString("%u", S));
+      obs::MetricLabels ByClass{{"class", WorkloadClass::fromIndex(I).name()},
+                                {"pstate", formatString("%u", S)}};
       Ins.TimeRelError[I][S] = &M->histogram(
           obs::names::ModelTimeRelError, RelErrBuckets, ByClass,
           "Relative error of the analytical T(alpha) prediction against the "
@@ -243,9 +241,7 @@ void EasScheduler::registerInstruments() {
     }
   }
   for (unsigned S = 0; S != K; ++S) {
-    obs::MetricLabels ByState;
-    if (K > 1)
-      ByState.emplace_back("pstate", formatString("%u", S));
+    obs::MetricLabels ByState{{"pstate", formatString("%u", S)}};
     Ins.AlphaChosen[S] = &M->histogram(
         obs::names::AlphaChosen, obs::linearBuckets(0.0, 0.05, 20), ByState,
         "GPU offload ratio used by completed invocations");

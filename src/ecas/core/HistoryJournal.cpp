@@ -9,7 +9,6 @@
 #include "ecas/core/HistoryCodec.h"
 #include "ecas/core/HistorySnapshot.h"
 #include "ecas/fault/StorageFaults.h"
-#include "ecas/support/Assert.h"
 #include "ecas/support/AtomicFile.h"
 #include "ecas/support/Crc32.h"
 #include "ecas/support/CrashPoint.h"
@@ -32,14 +31,9 @@ namespace {
 constexpr char Magic[8] = {'E', 'C', 'A', 'S', 'J', 'R', 'N', 'L'};
 constexpr size_t HeaderBytes = 24;
 constexpr size_t FrameHeaderBytes = 8;
-/// Fixed part of a record payload (everything but the samples). v2
-/// inserted a u32 P-state between the alpha weight and the sample
-/// count; v1 frames lack it.
-constexpr size_t RecordFixedBytesV1 = 8 + 4 + 4 + 1 + 4 + 8 + 8 + 2;
-constexpr size_t RecordFixedBytes = RecordFixedBytesV1 + 4;
+/// Fixed part of a record payload (everything but the merged sample).
+constexpr size_t RecordFixedBytes = 8 + 4 + 4 + 1 + 4 + 8 + 8 + 4 + 2;
 constexpr size_t SampleBytes = 9 * 8 + 2;
-/// The u16 sample count bounds the deltas one record can carry.
-constexpr size_t MaxSampleDeltas = 0xffff;
 /// Structural sanity bound: a frame longer than this cannot have been
 /// written by us, so a length field above it marks the tear.
 constexpr size_t MaxFrameBytes = 1u << 20;
@@ -50,21 +44,15 @@ constexpr uint8_t FlagHasAlphaSample = 1u << 0;
 constexpr uint8_t FlagSetCpuOnly = 1u << 1;
 constexpr uint8_t FlagBecameConfident = 1u << 2;
 constexpr uint8_t FlagHasClass = 1u << 3;
-constexpr uint8_t FlagHasPState = 1u << 4;       // v2+
-constexpr uint8_t FlagHasMergedSample = 1u << 5; // v3+
-constexpr uint8_t FlagsKnownV1 = FlagHasAlphaSample | FlagSetCpuOnly |
-                                 FlagBecameConfident | FlagHasClass;
-constexpr uint8_t FlagsKnownV2 = FlagsKnownV1 | FlagHasPState;
-constexpr uint8_t FlagsKnown = FlagsKnownV2 | FlagHasMergedSample;
+constexpr uint8_t FlagHasPState = 1u << 4;
+constexpr uint8_t FlagHasMergedSample = 1u << 5;
+constexpr uint8_t FlagsKnown = FlagHasAlphaSample | FlagSetCpuOnly |
+                               FlagBecameConfident | FlagHasClass |
+                               FlagHasPState | FlagHasMergedSample;
 
 /// Semantic bound for a replayed P-state (mirrors core/OperatingPoint.h
 /// kMaxPStates without pulling the decision core into the codec).
 constexpr uint32_t MaxPStateIndex = 8;
-
-/// Flag bits a payload of format \p Version may carry.
-uint8_t knownFlags(uint32_t Version) {
-  return Version >= 3 ? FlagsKnown : Version == 2 ? FlagsKnownV2 : FlagsKnownV1;
-}
 
 void encodeSample(std::string &Out, const ProfileSample &S) {
   putF64(Out, S.CpuThroughput);
@@ -97,8 +85,6 @@ ProfileSample decodeSample(const unsigned char *P) {
 }
 
 void encodeDeltaPayload(std::string &Out, const HistoryDeltaRecord &Rec) {
-  ECAS_CHECK(Rec.Samples.size() <= MaxSampleDeltas,
-             "too many sample deltas for one journal record");
   putU64(Out, Rec.Key);
   putU32(Out, Rec.InvocationsDelta);
   putU32(Out, Rec.QuarantinedDelta);
@@ -120,11 +106,8 @@ void encodeDeltaPayload(std::string &Out, const HistoryDeltaRecord &Rec) {
   putF64(Out, Rec.AlphaValue);
   putF64(Out, Rec.AlphaWeight);
   putU32(Out, Rec.PState);
-  uint16_t Count = static_cast<uint16_t>(Rec.Samples.size());
-  Out.push_back(static_cast<char>(Count & 0xffu));
-  Out.push_back(static_cast<char>((Count >> 8) & 0xffu));
-  for (const ProfileSample &S : Rec.Samples)
-    encodeSample(Out, S);
+  // The u16 sample count: always 0 (see decodeDeltaPayload).
+  Out.append(2, '\0');
   if (Rec.HasMergedSample)
     encodeSample(Out, Rec.MergedSample);
 }
@@ -138,10 +121,8 @@ void storeU32(char *P, uint32_t V) {
 /// Structural + semantic validation, so a CRC-colliding corruption (or
 /// a handcrafted file) degrades to a truncated scan instead of tripping
 /// the assertions inside SampleWeightedAlpha::addSample during replay.
-bool decodeDeltaPayload(std::string_view Payload, HistoryDeltaRecord &Rec,
-                        uint32_t Version) {
-  size_t FixedBytes = Version >= 2 ? RecordFixedBytes : RecordFixedBytesV1;
-  if (Payload.size() < FixedBytes)
+bool decodeDeltaPayload(std::string_view Payload, HistoryDeltaRecord &Rec) {
+  if (Payload.size() < RecordFixedBytes)
     return false;
   const auto *P = reinterpret_cast<const unsigned char *>(Payload.data());
   Rec.Key = getU64(P);
@@ -153,7 +134,7 @@ bool decodeDeltaPayload(std::string_view Payload, HistoryDeltaRecord &Rec,
       Rec.QuarantinedDelta > MaxCounterDelta)
     return false;
   uint8_t Flags = P[16];
-  if (Flags & ~knownFlags(Version))
+  if (Flags & ~FlagsKnown)
     return false;
   Rec.HasAlphaSample = (Flags & FlagHasAlphaSample) != 0;
   Rec.SetCpuOnly = (Flags & FlagSetCpuOnly) != 0;
@@ -171,23 +152,18 @@ bool decodeDeltaPayload(std::string_view Payload, HistoryDeltaRecord &Rec,
        Rec.AlphaValue > 1.0 || !std::isfinite(Rec.AlphaWeight) ||
        Rec.AlphaWeight < 0.0))
     return false;
-  Rec.PState = Version >= 2 ? getU32(P + 37) : 0;
+  Rec.PState = getU32(P + 37);
   if (Rec.HasPState && Rec.PState >= MaxPStateIndex)
     return false;
-  size_t CountOff = FixedBytes - 2;
-  uint16_t Count = static_cast<uint16_t>(P[CountOff]) |
-                   static_cast<uint16_t>(P[CountOff + 1]) << 8;
-  size_t Samples = size_t{Count} + (Rec.HasMergedSample ? 1 : 0);
-  if (Payload.size() != FixedBytes + Samples * SampleBytes)
+  // The u16 sample count once carried per-repetition sample deltas;
+  // writers of this version leave it 0 and journal MergedSample instead.
+  if (P[41] != 0 || P[42] != 0)
     return false;
-  Rec.Samples.clear();
-  Rec.Samples.reserve(Count);
-  for (uint16_t I = 0; I != Count; ++I)
-    Rec.Samples.push_back(
-        decodeSample(P + FixedBytes + size_t{I} * SampleBytes));
+  if (Payload.size() !=
+      RecordFixedBytes + (Rec.HasMergedSample ? SampleBytes : 0))
+    return false;
   if (Rec.HasMergedSample)
-    Rec.MergedSample =
-        decodeSample(P + FixedBytes + size_t{Count} * SampleBytes);
+    Rec.MergedSample = decodeSample(P + RecordFixedBytes);
   return true;
 }
 
@@ -198,11 +174,9 @@ void ecas::applyDeltaRecord(KernelHistory &History,
   // Mirror of the live merge closure in EasScheduler::executeAdmitted —
   // same operations, same order — so replay onto the same starting
   // state reproduces the same record bit-for-bit.
-  if (!Rec.Samples.empty() || Rec.HasMergedSample || Rec.BecameConfident ||
-      Rec.HasAlphaSample || Rec.SetCpuOnly || Rec.HasClass || Rec.HasPState)
+  if (Rec.HasMergedSample || Rec.BecameConfident || Rec.HasAlphaSample ||
+      Rec.SetCpuOnly || Rec.HasClass || Rec.HasPState)
     History.update(Rec.Key, [&](KernelRecord &R) {
-      for (const ProfileSample &S : Rec.Samples)
-        R.Sample.accumulate(S);
       if (Rec.HasMergedSample)
         R.Sample = Rec.MergedSample;
       if (Rec.BecameConfident) {
@@ -263,11 +237,11 @@ JournalScan ecas::scanJournal(std::string_view Bytes) {
     return Scan;
   }
   uint32_t Version = getU32(P + 8);
-  if (Version < 1 || Version > HistoryJournalVersion) {
+  if (Version != HistoryJournalVersion) {
     Scan.Torn = true;
     Scan.Error = Status::error(ErrCode::VersionMismatch,
                                "journal format v" + std::to_string(Version) +
-                                   ", this build reads v1-v" +
+                                   ", this build reads v" +
                                    std::to_string(HistoryJournalVersion));
     return Scan;
   }
@@ -278,7 +252,6 @@ JournalScan ecas::scanJournal(std::string_view Bytes) {
     return Scan;
   }
   Scan.HeaderValid = true;
-  Scan.Version = Version;
   Scan.Epoch = getU64(P + 12);
   Scan.ValidBytes = HeaderBytes;
 
@@ -316,7 +289,7 @@ JournalScan ecas::scanJournal(std::string_view Bytes) {
       break;
     }
     HistoryDeltaRecord Rec;
-    if (!decodeDeltaPayload(Payload, Rec, Version)) {
+    if (!decodeDeltaPayload(Payload, Rec)) {
       Scan.Torn = true;
       Scan.TruncatedRecords = 1;
       Scan.Error = Status::error(ErrCode::CorruptData,
@@ -473,16 +446,9 @@ HistoryJournal::open(JournalOptions Options, uint64_t Epoch) {
   if (Existed && !Existing.empty()) {
     JournalScan Scan = scanJournal(Existing);
     if (!Scan.HeaderValid)
-      return Status::error(ErrCode::CorruptData,
+      return Status::error(Scan.Error.code(),
                            Options.Path + ": " + Scan.Error.message() +
                                " (recover before opening)");
-    if (Scan.Version != HistoryJournalVersion)
-      return Status::error(
-          ErrCode::VersionMismatch,
-          Options.Path + ": journal format v" + std::to_string(Scan.Version) +
-              " cannot be appended to by a v" +
-              std::to_string(HistoryJournalVersion) +
-              " writer (recover before opening)");
     if (Scan.Epoch != Epoch)
       return Status::error(
           ErrCode::VersionMismatch,

@@ -19,20 +19,17 @@
 ///   payload  u64 key; u32 invocations delta; u32 quarantined delta;
 ///            u8 flags (alpha-sample / cpu-only / became-confident /
 ///            class / pstate / merged-sample); u32 class index; f64
-///            alpha value, f64 alpha weight; u32 pstate (v2+, absent in
-///            v1 payloads); u16 sample count; then each ProfileSample
-///            delta as 9 f64 + 2 flag bytes; then, when the
-///            merged-sample flag is set (v3+), one more ProfileSample
+///            alpha value, f64 alpha weight; u32 pstate; u16 sample
+///            count, always 0; then, when the merged-sample flag is
+///            set, the merged ProfileSample as 9 f64 + 2 flag bytes
 ///
-/// v2 widened the payload by the joint (alpha, f) decision's chosen
-/// P-state. v3 journals a profiled merge's resulting sample once instead
-/// of every repetition's delta, so a profiled frame has a fixed size
-/// however many repetitions the invocation ran (a v2 frame grew 74
-/// bytes per repetition and could outgrow the scanner's frame bound).
-/// v1 and v2 journals still scan and replay (v1 deltas imply P-state 0,
-/// full speed — exactly what a v1 build ran at), but the append side
-/// refuses to extend an older file: recovery compacts it into a
-/// snapshot and resets the journal to the current version first.
+/// A profiled merge journals its resulting sample once, so every frame
+/// has a fixed size however many repetitions the invocation ran. The
+/// sample count is a remnant of older versions, which journaled each
+/// repetition's delta; a nonzero count is a malformed record. Only this
+/// version is read: an older journal is a VersionMismatch, and recovery
+/// degrades it like any other unreadable journal and resets the file to
+/// the current version.
 ///
 /// The epoch pairs a journal with its snapshot: snapshot(E) + replay of
 /// journal(E) == the live table. Recovery compacts to snapshot(E+1) and
@@ -40,8 +37,8 @@
 /// two leaves a *stale* journal (epoch < snapshot's) that the next
 /// recovery skips — deltas are never applied twice.
 ///
-/// Replay is order-exact: records whose effect does not commute (sample
-/// accumulation, the confident transition that resets the alpha
+/// Replay is order-exact: records whose effect does not commute (the
+/// merged sample, the confident transition that resets the alpha
 /// accumulator, alpha samples, class) are enqueued inside the table-G
 /// shard-locked merge closure, so journal order equals live merge order
 /// per key; purely additive counter deltas may enqueue outside locks.
@@ -64,9 +61,8 @@
 
 namespace ecas {
 
-/// Current journal format version. v2 added the chosen P-state to the
-/// delta payload, v3 the merged sample; older files remain replayable
-/// (v1 as P-state 0).
+/// The journal format version this build writes and reads. v2 added the
+/// chosen P-state to the delta payload, v3 the merged sample.
 inline constexpr uint32_t HistoryJournalVersion = 3;
 
 /// Journal tunables, embedded in EasConfig::Journal and passed to
@@ -93,13 +89,9 @@ struct HistoryDeltaRecord {
   /// bumpInvocations / bumpQuarantinedRuns deltas (commutative).
   uint32_t InvocationsDelta = 0;
   uint32_t QuarantinedDelta = 0;
-  /// Profile-sample deltas, accumulated in order (order-sensitive).
-  /// What v1/v2 writers journaled for a profiled merge; v3 writers
-  /// journal MergedSample instead.
-  std::vector<ProfileSample> Samples;
   /// The record's whole sample right after this merge accumulated its
-  /// repetitions, taken under the shard lock. Replay assigns it (after
-  /// any Samples), so journal order alone makes replay exact.
+  /// repetitions, taken under the shard lock. Replay assigns it, so
+  /// journal order alone makes replay exact.
   bool HasMergedSample = false;
   ProfileSample MergedSample;
   /// The merge crossed the confident threshold: set Confident and reset
@@ -117,8 +109,8 @@ struct HistoryDeltaRecord {
 
   bool empty() const {
     return InvocationsDelta == 0 && QuarantinedDelta == 0 &&
-           Samples.empty() && !HasMergedSample && !BecameConfident &&
-           !HasAlphaSample && !SetCpuOnly && !HasClass && !HasPState;
+           !HasMergedSample && !BecameConfident && !HasAlphaSample &&
+           !SetCpuOnly && !HasClass && !HasPState;
   }
 };
 
@@ -143,9 +135,6 @@ struct JournalScan {
   /// Header parsed successfully; Epoch and Records are meaningful.
   bool HeaderValid = false;
   uint64_t Epoch = 0;
-  /// Format version from the header (the append side refuses to extend
-  /// anything but the current version; the scanner reads them all).
-  uint32_t Version = 0;
   std::vector<HistoryDeltaRecord> Records;
   /// Parsing stopped before the end of the bytes.
   bool Torn = false;

@@ -21,10 +21,7 @@ namespace {
 constexpr char Magic[8] = {'E', 'C', 'A', 'S', 'T', 'B', 'L', 'G'};
 constexpr size_t HeaderBytes = 24;
 constexpr size_t EpochBytes = 8;
-
-/// v3 appended a trailing u32 P-state to every record; older snapshots
-/// carry 112-byte records and decode to P-state 0 (full speed).
-size_t recordBytes(uint32_t Version) { return Version >= 3 ? 116 : 112; }
+constexpr size_t RecordBytes = 116;
 
 void encodeRecord(std::string &Out, uint64_t Key, const KernelRecord &Rec) {
   putU64(Out, Key);
@@ -49,8 +46,7 @@ void encodeRecord(std::string &Out, uint64_t Key, const KernelRecord &Rec) {
   putU32(Out, Rec.PState);
 }
 
-std::pair<uint64_t, KernelRecord> decodeRecord(const unsigned char *P,
-                                               uint32_t Version) {
+std::pair<uint64_t, KernelRecord> decodeRecord(const unsigned char *P) {
   KernelRecord Rec;
   uint64_t Key = getU64(P);
   Rec.Alpha = SampleWeightedAlpha::fromParts(getF64(P + 8), getF64(P + 16));
@@ -71,8 +67,7 @@ std::pair<uint64_t, KernelRecord> decodeRecord(const unsigned char *P,
   Rec.Sample.GpuBusySeconds = getF64(P + 88);
   Rec.Sample.MissPerLoadStore = getF64(P + 96);
   Rec.Sample.InstructionsRetired = getF64(P + 104);
-  if (Version >= 3)
-    Rec.PState = getU32(P + 112);
+  Rec.PState = getU32(P + 112);
   return {Key, Rec};
 }
 
@@ -82,8 +77,7 @@ std::string ecas::serializeKernelHistory(const KernelHistory &History,
                                          uint64_t Epoch) {
   std::vector<std::pair<uint64_t, KernelRecord>> Entries = History.entries();
   std::string Payload;
-  Payload.reserve(EpochBytes +
-                  Entries.size() * recordBytes(HistorySnapshotVersion));
+  Payload.reserve(EpochBytes + Entries.size() * RecordBytes);
   putU64(Payload, Epoch);
   for (const auto &[Key, Rec] : Entries)
     encodeRecord(Payload, Key, Rec);
@@ -113,26 +107,24 @@ ErrorOr<size_t> ecas::deserializeKernelHistory(KernelHistory &History,
     return Status::error(ErrCode::CorruptData,
                          "snapshot magic mismatch (not a table-G file)");
   uint32_t Version = getU32(P + 8);
-  if (Version < 1 || Version > HistorySnapshotVersion)
+  if (Version != HistorySnapshotVersion)
     return Status::error(ErrCode::VersionMismatch,
                          "snapshot format v" + std::to_string(Version) +
-                             ", this build reads v1-v" +
+                             ", this build reads v" +
                              std::to_string(HistorySnapshotVersion));
-  size_t PayloadPrefix = Version >= 2 ? EpochBytes : 0;
-  size_t RecBytes = recordBytes(Version);
   uint64_t CountField = getU64(P + 12);
   uint32_t ExpectedCrc = getU32(P + 20);
   size_t PayloadSize = Bytes.size() - HeaderBytes;
   // The count field is not CRC-covered (the CRC spans the payload), so
   // bound it before the multiplication: a flipped high bit would wrap
-  // CountField * RecBytes past 2^64, slip through the equality, and
+  // CountField * RecordBytes past 2^64, slip through the equality, and
   // turn the reserve() below into an unhandled length_error.
-  if (CountField > PayloadSize / RecBytes ||
-      PayloadSize != PayloadPrefix + CountField * RecBytes)
+  if (CountField > PayloadSize / RecordBytes ||
+      PayloadSize != EpochBytes + CountField * RecordBytes)
     return Status::error(
         ErrCode::Truncated,
         "snapshot declares " + std::to_string(CountField) + " records (" +
-            std::to_string(PayloadPrefix + CountField * RecBytes) +
+            std::to_string(EpochBytes + CountField * RecordBytes) +
             " payload bytes) but " +
             std::to_string(Bytes.size() - HeaderBytes) + " are present");
   uint32_t ActualCrc =
@@ -142,14 +134,14 @@ ErrorOr<size_t> ecas::deserializeKernelHistory(KernelHistory &History,
                          "snapshot payload CRC mismatch (stored " +
                              std::to_string(ExpectedCrc) + ", computed " +
                              std::to_string(ActualCrc) + ")");
-  if (EpochOut && Version >= 2)
+  if (EpochOut)
     *EpochOut = getU64(P + HeaderBytes);
 
-  const unsigned char *Records = P + HeaderBytes + PayloadPrefix;
+  const unsigned char *Records = P + HeaderBytes + EpochBytes;
   std::vector<std::pair<uint64_t, KernelRecord>> Entries;
   Entries.reserve(CountField);
   for (uint64_t I = 0; I != CountField; ++I)
-    Entries.push_back(decodeRecord(Records + I * RecBytes, Version));
+    Entries.push_back(decodeRecord(Records + I * RecordBytes));
   History.restore(Entries);
   return Entries.size();
 }

@@ -18,17 +18,14 @@
 ///   12      8     u64 record count
 ///   20      4     u32 CRC-32 of the payload
 ///   24      ...   payload: u64 journal epoch, then count x 116-byte
-///                 records (v1 payloads have no epoch field and imply
-///                 epoch 0; v1/v2 records are 112 bytes, lacking the
-///                 trailing P-state; this build still reads both)
+///                 records
 ///
 /// Each record: u64 kernel id; f64 alpha weighted-sum, f64 alpha total
 /// weight; u32 class index, u8 cpu-only, u8 confident, u8 launch-failed,
 /// u8 hung; u32 invocations, u32 quarantined runs; then the accumulated
 /// ProfileSample as 9 f64 (cpu/gpu throughput, cpu/gpu iterations,
-/// elapsed, cpu/gpu busy seconds, miss ratio, instructions); v3 appends
-/// the chosen P-state as a trailing u32 (v1/v2 records decode to
-/// P-state 0, full speed — exactly what those builds ran at).
+/// elapsed, cpu/gpu busy seconds, miss ratio, instructions); the chosen
+/// P-state as a trailing u32.
 ///
 /// The epoch ties a snapshot to its write-ahead journal (DESIGN.md
 /// §13): a snapshot at epoch E plus a journal at epoch E reproduce the
@@ -40,7 +37,9 @@
 /// snapshot or the new one — never a torn destination, and never a
 /// rename the filesystem forgets. Loads verify magic, version, declared
 /// size, and CRC; any mismatch returns a recoverable Status and the
-/// caller degrades to a cold table instead of aborting.
+/// caller degrades to a cold table instead of aborting. Only the current
+/// version is read: an older file is a VersionMismatch, and the next
+/// write (recovery's compaction, or shutdown) replaces it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,10 +54,9 @@
 
 namespace ecas {
 
-/// Current snapshot format version. v2 added the journal epoch as the
-/// first payload field; v3 widened each record by a trailing u32
-/// P-state for the joint (alpha, f) decision core. v1 and v2 files
-/// remain readable (epoch 0 for v1, P-state 0 for both).
+/// The snapshot format version this build writes and reads. v2 added
+/// the journal epoch as the first payload field; v3 widened each record
+/// by a trailing u32 P-state for the joint (alpha, f) decision core.
 inline constexpr uint32_t HistorySnapshotVersion = 3;
 
 /// Serializes a consistent copy of \p History into the snapshot byte
@@ -70,7 +68,7 @@ std::string serializeKernelHistory(const KernelHistory &History,
 /// error (bad magic, truncation, version mismatch, CRC failure) the
 /// table is left cleared — a cold start — and the Status says why.
 /// \p EpochOut, when non-null, receives the stored journal epoch
-/// (0 for v1 files). \returns the number of records restored.
+/// (0 on error). \returns the number of records restored.
 ErrorOr<size_t> deserializeKernelHistory(KernelHistory &History,
                                          std::string_view Bytes,
                                          uint64_t *EpochOut = nullptr);

@@ -510,12 +510,8 @@ std::string ServiceFrontEnd::renderStatusz() const {
     for (const obs::MetricSample &Sample : Snap.Samples) {
       if (Sample.Name != obs::names::PStateResidencySeconds)
         continue;
-      const char *State = "0";
-      for (const auto &Label : Sample.Labels)
-        if (Label.first == "pstate")
-          State = Label.second.c_str();
-      Out += formatString("pstate %s residency_sec=%.6f\n", State,
-                          Sample.Value);
+      Out += formatString("pstate %s residency_sec=%.6f\n",
+                          Sample.Labels[0].second.c_str(), Sample.Value);
     }
   }
   const GpuHealthMonitor &Health = Scheduler.health();

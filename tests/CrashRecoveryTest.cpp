@@ -27,6 +27,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ecas/core/EasScheduler.h"
+#include "ecas/core/HistoryCodec.h"
 #include "ecas/core/HistoryJournal.h"
 #include "ecas/core/HistorySnapshot.h"
 #include "ecas/core/KernelHistory.h"
@@ -127,7 +128,8 @@ HistoryDeltaRecord richDelta() {
   Rec.Key = 0xfeedbeef12345678ULL;
   Rec.InvocationsDelta = 3;
   Rec.QuarantinedDelta = 1;
-  ProfileSample S;
+  Rec.HasMergedSample = true;
+  ProfileSample &S = Rec.MergedSample;
   S.CpuThroughput = 2.5e8;
   S.GpuThroughput = 7.0e8;
   S.CpuIterations = 4.0e5;
@@ -138,14 +140,6 @@ HistoryDeltaRecord richDelta() {
   S.MissPerLoadStore = 0.21;
   S.InstructionsRetired = 6.5e6;
   S.GpuLaunchFailed = true;
-  Rec.Samples.push_back(S);
-  S.GpuLaunchFailed = false;
-  S.GpuHung = true;
-  Rec.Samples.push_back(S);
-  S.GpuHung = false;
-  S.CpuIterations = 9.5e5;
-  Rec.HasMergedSample = true;
-  Rec.MergedSample = S;
   Rec.BecameConfident = true;
   Rec.HasAlphaSample = true;
   Rec.AlphaValue = 0.625;
@@ -163,20 +157,22 @@ void putLe32(std::string &Out, uint32_t V) {
 }
 
 /// Re-frames \p Payload the way encodeDeltaFrame does (u32 length, u32
-/// payload CRC, payload) — for hand-built prior-version records.
+/// payload CRC, payload) — for hand-built records.
 void frameRaw(std::string &Out, const std::string &Payload) {
   putLe32(Out, static_cast<uint32_t>(Payload.size()));
   putLe32(Out, crc32(Payload.data(), Payload.size()));
   Out += Payload;
 }
 
-/// A journal header as a v1 writer emitted it: same layout, version 1.
-std::string encodeV1Header(uint64_t Epoch) {
-  std::string Out = encodeJournalHeader(Epoch);
-  Out[8] = 1;     // u32 LE version
-  Out.resize(20); // drop the stale header CRC and restamp
-  putLe32(Out, crc32(Out.data() + 8, 12));
-  return Out;
+/// Restamps the journal in \p Bytes as a \p Version writer would have
+/// headed it: same layout, the u32 version changed, the header CRC over
+/// bytes [8, 20) recomputed.
+void setJournalVersion(std::string &Bytes, uint32_t Version) {
+  std::string Header = Bytes.substr(0, 8);
+  putLe32(Header, Version);
+  Header.append(Bytes, 12, 8); // the epoch
+  putLe32(Header, crc32(Header.data() + 8, 12));
+  Bytes.replace(0, Header.size(), Header);
 }
 
 void expectSameEntries(const KernelHistory &A, const KernelHistory &B) {
@@ -225,17 +221,22 @@ TEST(JournalFormat, FrameRoundTripAllFields) {
   Bare.Key = 42;
   Bare.InvocationsDelta = 1;
   Bare.SetCpuOnly = true;
+  // The other fault-flag byte, so each decodes independently.
+  HistoryDeltaRecord Hung;
+  Hung.Key = 43;
+  Hung.HasMergedSample = true;
+  Hung.MergedSample.GpuHung = true;
 
   std::string Bytes = encodeJournalHeader(3);
   encodeDeltaFrame(Bytes, Rich);
   encodeDeltaFrame(Bytes, Bare);
+  encodeDeltaFrame(Bytes, Hung);
 
   JournalScan Scan = scanJournal(Bytes);
   ASSERT_TRUE(Scan.HeaderValid);
-  EXPECT_EQ(Scan.Version, HistoryJournalVersion);
   EXPECT_EQ(Scan.Epoch, 3u);
   EXPECT_FALSE(Scan.Torn);
-  ASSERT_EQ(Scan.Records.size(), 2u);
+  ASSERT_EQ(Scan.Records.size(), 3u);
 
   const HistoryDeltaRecord &R = Scan.Records[0];
   EXPECT_EQ(R.Key, Rich.Key);
@@ -249,23 +250,24 @@ TEST(JournalFormat, FrameRoundTripAllFields) {
   EXPECT_EQ(R.ClassIndex, Rich.ClassIndex);
   EXPECT_EQ(R.HasPState, Rich.HasPState);
   EXPECT_EQ(R.PState, Rich.PState);
-  ASSERT_EQ(R.Samples.size(), 2u);
-  EXPECT_EQ(R.Samples[0].CpuThroughput, Rich.Samples[0].CpuThroughput);
-  EXPECT_EQ(R.Samples[0].InstructionsRetired,
-            Rich.Samples[0].InstructionsRetired);
-  EXPECT_TRUE(R.Samples[0].GpuLaunchFailed);
-  EXPECT_FALSE(R.Samples[0].GpuHung);
-  EXPECT_TRUE(R.Samples[1].GpuHung);
   EXPECT_TRUE(R.HasMergedSample);
+  EXPECT_EQ(R.MergedSample.CpuThroughput, Rich.MergedSample.CpuThroughput);
   EXPECT_EQ(R.MergedSample.CpuIterations, Rich.MergedSample.CpuIterations);
   EXPECT_EQ(R.MergedSample.MissPerLoadStore,
             Rich.MergedSample.MissPerLoadStore);
+  EXPECT_EQ(R.MergedSample.InstructionsRetired,
+            Rich.MergedSample.InstructionsRetired);
+  EXPECT_TRUE(R.MergedSample.GpuLaunchFailed);
   EXPECT_FALSE(R.MergedSample.GpuHung);
 
   EXPECT_EQ(Scan.Records[1].Key, 42u);
   EXPECT_FALSE(Scan.Records[1].HasMergedSample);
   EXPECT_TRUE(Scan.Records[1].SetCpuOnly);
-  EXPECT_TRUE(Scan.Records[1].Samples.empty());
+
+  EXPECT_EQ(Scan.Records[2].Key, 43u);
+  EXPECT_TRUE(Scan.Records[2].HasMergedSample);
+  EXPECT_FALSE(Scan.Records[2].MergedSample.GpuLaunchFailed);
+  EXPECT_TRUE(Scan.Records[2].MergedSample.GpuHung);
 }
 
 TEST(JournalFormat, TornTailTruncatesAtFirstBadFrame) {
@@ -320,9 +322,16 @@ TEST(JournalFormat, HeaderCorruptionRejected) {
   BadMagic[0] = 'X';
   EXPECT_FALSE(scanJournal(BadMagic).HeaderValid);
 
-  std::string BadVersion = Good;
-  BadVersion[8] = static_cast<char>(HistoryJournalVersion + 1);
-  EXPECT_FALSE(scanJournal(BadVersion).HeaderValid);
+  // Only the current version is read: an older or newer header is
+  // rejected even with a valid header CRC.
+  for (uint32_t Version : {1u, 2u, HistoryJournalVersion + 1}) {
+    std::string BadVersion = Good;
+    setJournalVersion(BadVersion, Version);
+    JournalScan Scan = scanJournal(BadVersion);
+    EXPECT_FALSE(Scan.HeaderValid) << "v" << Version;
+    ASSERT_FALSE(Scan.Error.ok()) << "v" << Version;
+    EXPECT_EQ(Scan.Error.code(), ErrCode::VersionMismatch) << "v" << Version;
+  }
 
   std::string BadCrc = Good;
   BadCrc[21] = static_cast<char>(BadCrc[21] ^ 0x01);
@@ -332,80 +341,7 @@ TEST(JournalFormat, HeaderCorruptionRejected) {
   EXPECT_FALSE(scanJournal("").HeaderValid);
 }
 
-// A journal written before the DVFS axis (v1: 39-byte fixed records, no
-// P-state flag) must still scan and replay, with every delta decoding
-// to HasPState = false / P-state 0. The v1 record is assembled by hand
-// from a v2 frame: strip the 4-byte P-state field that v2 inserted
-// before the sample count.
-TEST(JournalFormat, V1JournalReplaysWithPStateZero) {
-  HistoryDeltaRecord Rec;
-  Rec.Key = 7;
-  Rec.InvocationsDelta = 2;
-  Rec.HasAlphaSample = true;
-  Rec.AlphaValue = 0.4;
-  Rec.AlphaWeight = 5e5;
-  std::string V2Frame;
-  encodeDeltaFrame(V2Frame, Rec);
-  constexpr size_t FrameHeader = 8, PStateOff = 37;
-  std::string Payload = V2Frame.substr(FrameHeader);
-  Payload.erase(PStateOff, 4);
-
-  std::string Bytes = encodeV1Header(5);
-  frameRaw(Bytes, Payload);
-  frameRaw(Bytes, Payload);
-
-  JournalScan Scan = scanJournal(Bytes);
-  ASSERT_TRUE(Scan.HeaderValid) << Scan.Error.toString();
-  EXPECT_EQ(Scan.Version, 1u);
-  EXPECT_EQ(Scan.Epoch, 5u);
-  EXPECT_FALSE(Scan.Torn);
-  ASSERT_EQ(Scan.Records.size(), 2u);
-  for (const HistoryDeltaRecord &R : Scan.Records) {
-    EXPECT_EQ(R.Key, 7u);
-    EXPECT_FALSE(R.HasPState);
-    EXPECT_EQ(R.PState, 0u);
-    EXPECT_EQ(R.AlphaValue, 0.4);
-  }
-
-  KernelHistory History;
-  for (const HistoryDeltaRecord &R : Scan.Records)
-    applyDeltaRecord(History, R);
-  KernelRecord Replayed;
-  ASSERT_TRUE(History.lookup(7, Replayed));
-  EXPECT_EQ(Replayed.PState, 0u);
-  EXPECT_EQ(Replayed.Invocations, 4u);
-}
-
-// A flag byte claiming a P-state on a v1 record is unknown to v1 and
-// must stop the scan, exactly like any other unknown flag bit.
-TEST(JournalFormat, V1RecordRejectsPStateFlag) {
-  HistoryDeltaRecord Rec;
-  Rec.Key = 7;
-  Rec.HasPState = true;
-  Rec.PState = 1;
-  std::string V2Frame;
-  encodeDeltaFrame(V2Frame, Rec);
-  std::string Payload = V2Frame.substr(8);
-  Payload.erase(37, 4); // v1 layout, but the flag byte still says pstate
-
-  std::string Bytes = encodeV1Header(1);
-  frameRaw(Bytes, Payload);
-  JournalScan Scan = scanJournal(Bytes);
-  ASSERT_TRUE(Scan.HeaderValid);
-  EXPECT_TRUE(Scan.Torn);
-  EXPECT_TRUE(Scan.Records.empty());
-}
-
-/// A journal header as a v2 writer emitted it.
-std::string encodeV2Header(uint64_t Epoch) {
-  std::string Out = encodeV1Header(Epoch);
-  Out[8] = 2;
-  Out.resize(20);
-  putLe32(Out, crc32(Out.data() + 8, 12));
-  return Out;
-}
-
-// A v3 profiled merge carries the record's merged sample; replay assigns
+// A profiled merge carries the record's merged sample; replay assigns
 // it, whatever the record held before, instead of accumulating.
 TEST(JournalFormat, MergedSampleReplaysByAssignment) {
   KernelHistory History;
@@ -426,13 +362,12 @@ TEST(JournalFormat, MergedSampleReplaysByAssignment) {
   Rec.MergedSample.MissPerLoadStore = 0.125;
   std::string Bytes = encodeJournalHeader(1);
   encodeDeltaFrame(Bytes, Rec);
-  // Fixed size: header + v2 fixed payload + one sample, no deltas.
+  // Fixed size: header + frame header + fixed payload + one sample.
   EXPECT_EQ(Bytes.size(), 24u + 8u + 43u + 74u);
 
   JournalScan Scan = scanJournal(Bytes);
   ASSERT_FALSE(Scan.Torn) << Scan.Error.toString();
   ASSERT_EQ(Scan.Records.size(), 1u);
-  EXPECT_TRUE(Scan.Records[0].Samples.empty());
   applyDeltaRecord(History, Scan.Records[0]);
   KernelRecord Replayed;
   ASSERT_TRUE(History.lookup(5, Replayed));
@@ -444,53 +379,10 @@ TEST(JournalFormat, MergedSampleReplaysByAssignment) {
   EXPECT_EQ(Replayed.Sample.MissPerLoadStore, 0.125);
 }
 
-// A v2 journal — profiled merges as per-repetition sample deltas — still
-// scans and replays by accumulation, exactly as a v2 build did.
-TEST(JournalFormat, V2JournalReplaysSampleDeltas) {
-  HistoryDeltaRecord Rec;
-  Rec.Key = 6;
-  ProfileSample S;
-  S.CpuIterations = 4.0e5;
-  S.CpuBusySeconds = 2.0e-3;
-  S.ElapsedSeconds = 2.0e-3;
-  S.CpuThroughput = 2.0e8;
-  Rec.Samples = {S, S};
-  std::string Bytes = encodeV2Header(4);
-  encodeDeltaFrame(Bytes, Rec);
-
-  JournalScan Scan = scanJournal(Bytes);
-  ASSERT_TRUE(Scan.HeaderValid);
-  EXPECT_EQ(Scan.Version, 2u);
-  ASSERT_FALSE(Scan.Torn) << Scan.Error.toString();
-  ASSERT_EQ(Scan.Records.size(), 1u);
-  KernelHistory History;
-  applyDeltaRecord(History, Scan.Records[0]);
-  KernelRecord Expected;
-  Expected.Sample.accumulate(S);
-  Expected.Sample.accumulate(S);
-  KernelRecord Replayed;
-  ASSERT_TRUE(History.lookup(6, Replayed));
-  EXPECT_EQ(Replayed.Sample.CpuIterations, Expected.Sample.CpuIterations);
-  EXPECT_EQ(Replayed.Sample.ElapsedSeconds, Expected.Sample.ElapsedSeconds);
-  EXPECT_EQ(Replayed.Sample.CpuThroughput, Expected.Sample.CpuThroughput);
-}
-
-// The merged-sample flag is unknown to v2 and must stop the scan.
-TEST(JournalFormat, V2RecordRejectsMergedSampleFlag) {
-  HistoryDeltaRecord Rec;
-  Rec.Key = 6;
-  Rec.HasMergedSample = true;
-  std::string Bytes = encodeV2Header(1);
-  encodeDeltaFrame(Bytes, Rec);
-  JournalScan Scan = scanJournal(Bytes);
-  ASSERT_TRUE(Scan.HeaderValid);
-  EXPECT_TRUE(Scan.Torn);
-  EXPECT_TRUE(Scan.Records.empty());
-}
-
-// An in-range CRC-valid frame whose P-state index exceeds the ladder
-// bound is semantic corruption: the scan must degrade, not replay a
-// record that would later index past the P-state arrays.
+// A CRC-valid frame that no writer of this version emits is semantic
+// corruption: the scan must degrade, not replay it. A P-state index past
+// the ladder bound would later index past the P-state arrays; an unknown
+// flag bit or a nonzero sample count is a record of another format.
 TEST(JournalFormat, OutOfRangePStateStopsScan) {
   HistoryDeltaRecord Rec;
   Rec.Key = 7;
@@ -498,15 +390,23 @@ TEST(JournalFormat, OutOfRangePStateStopsScan) {
   Rec.PState = 2;
   std::string Frame;
   encodeDeltaFrame(Frame, Rec);
-  std::string Payload = Frame.substr(8);
-  Payload[37] = 8; // kMaxPStates: one past the largest legal index
-  std::string Bytes = encodeJournalHeader(1);
-  frameRaw(Bytes, Payload);
+  const std::string Good = Frame.substr(8);
+  constexpr size_t FlagsOff = 16, PStateOff = 37, CountOff = 41;
 
-  JournalScan Scan = scanJournal(Bytes);
-  ASSERT_TRUE(Scan.HeaderValid);
-  EXPECT_TRUE(Scan.Torn);
-  EXPECT_TRUE(Scan.Records.empty());
+  std::string BadPState = Good;
+  BadPState[PStateOff] = 8; // kMaxPStates: one past the largest legal index
+  std::string UnknownFlag = Good;
+  UnknownFlag[FlagsOff] = static_cast<char>(UnknownFlag[FlagsOff] | (1 << 6));
+  std::string SampleCount = Good;
+  SampleCount[CountOff] = 1;
+  for (const std::string &Payload : {BadPState, UnknownFlag, SampleCount}) {
+    std::string Bytes = encodeJournalHeader(1);
+    frameRaw(Bytes, Payload);
+    JournalScan Scan = scanJournal(Bytes);
+    ASSERT_TRUE(Scan.HeaderValid);
+    EXPECT_TRUE(Scan.Torn);
+    EXPECT_TRUE(Scan.Records.empty());
+  }
 }
 
 TEST(JournalFormat, BecameConfidentResetsAlphaBeforeAdding) {
@@ -747,11 +647,13 @@ TEST(Journal, OpenRejectsEpochMismatch) {
 }
 
 // open() only appends current-version frames, so a journal left by a
-// prior release must be rejected — recovery (scanJournal + snapshot
-// rewrite) is the upgrade path, not in-place mixed-version appends.
+// prior release must be rejected — recovery (which resets the journal
+// to the current version) is the upgrade path, not mixed-version appends.
 TEST(Journal, OpenRejectsPriorVersionJournal) {
   ScratchPair Files("prior-version");
-  writeRaw(Files.wal(), encodeV1Header(4));
+  std::string Wal = encodeJournalHeader(4);
+  setJournalVersion(Wal, 1);
+  writeRaw(Files.wal(), Wal);
   JournalOptions Opts;
   Opts.Path = Files.wal();
   auto Journal = HistoryJournal::open(Opts, 4);
@@ -968,6 +870,79 @@ TEST(SchedulerJournal, ValidationRejectsJournalWithoutHistoryFile) {
   Config.HistoryFile = "/tmp/x.tblg";
   Config.Journal.GroupCommitRecords = 0;
   EXPECT_FALSE(Config.validate().ok());
+}
+
+// Only the current format is read. A snapshot or journal left by an
+// older release takes the VersionMismatch path to a cold table, and the
+// next write (recovery's compaction, or shutdown without a journal)
+// replaces it at the current version.
+TEST(SchedulerJournal, PriorVersionFilesDegradeAndAreRewritten) {
+  ScratchPair Files("prior-version-restart");
+  EasConfig Config;
+  Config.HistoryFile = Files.snap();
+  Config.Journal.Enabled = true;
+  EasConfig SnapshotOnly;
+  SnapshotOnly.HistoryFile = Files.snap();
+  SimProcessor Proc(haswellDesktop());
+  {
+    EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
+    for (const char *Name : {"prior-a", "prior-b", "prior-c"})
+      Scheduler.execute(Proc, namedKernel(Name), 2e6);
+    ASSERT_EQ(Scheduler.history().size(), 3u);
+    ASSERT_TRUE(Scheduler.shutdown().ok());
+  }
+  const std::string Snap = readFile(Files.snap());
+  const std::string Wal = readFile(Files.wal());
+  // Both formats carry the u32 version right after the 8-byte magic.
+  auto VersionOf = [](const std::string &Path) {
+    std::string Bytes = readFile(Path);
+    return Bytes.size() < 12 ? 0u
+                             : history_codec::getU32(
+                                   reinterpret_cast<const unsigned char *>(
+                                       Bytes.data() + 8));
+  };
+
+  for (uint32_t Version : {1u, 2u}) {
+    SCOPED_TRACE("v" + std::to_string(Version));
+    std::string OldSnap = Snap;
+    OldSnap[8] = static_cast<char>(Version); // the CRC covers the payload
+    std::string OldWal = Wal;
+    setJournalVersion(OldWal, Version);
+
+    // Journaling restart: both files degrade, compaction rewrites them.
+    writeRaw(Files.snap(), OldSnap);
+    writeRaw(Files.wal(), OldWal);
+    {
+      EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
+      const RecoveryReport &Report = Scheduler.recoveryReport();
+      ASSERT_FALSE(Report.SnapshotStatus.ok());
+      EXPECT_EQ(Report.SnapshotStatus.code(), ErrCode::VersionMismatch);
+      ASSERT_FALSE(Report.JournalStatus.ok());
+      EXPECT_EQ(Report.JournalStatus.code(), ErrCode::VersionMismatch);
+      EXPECT_EQ(Report.Outcome, RecoveryOutcome::Truncated);
+      EXPECT_EQ(Scheduler.history().size(), 0u);
+      EXPECT_TRUE(Scheduler.journaling());
+      EXPECT_EQ(VersionOf(Files.snap()), HistorySnapshotVersion);
+      EXPECT_EQ(VersionOf(Files.wal()), HistoryJournalVersion);
+    }
+    {
+      EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
+      EXPECT_EQ(Scheduler.recoveryReport().Outcome, RecoveryOutcome::Clean);
+    }
+
+    // Snapshot-only restart: the load degrades, shutdown rewrites it.
+    writeRaw(Files.snap(), OldSnap);
+    {
+      EasScheduler Scheduler(desktopFamily(), Metric::edp(), SnapshotOnly);
+      ASSERT_FALSE(Scheduler.restoreStatus().ok());
+      EXPECT_EQ(Scheduler.restoreStatus().code(), ErrCode::VersionMismatch);
+      EXPECT_EQ(Scheduler.history().size(), 0u);
+      ASSERT_TRUE(Scheduler.shutdown().ok());
+    }
+    EXPECT_EQ(VersionOf(Files.snap()), HistorySnapshotVersion);
+    KernelHistory Reloaded;
+    EXPECT_TRUE(loadKernelHistory(Reloaded, Files.snap()).ok());
+  }
 }
 
 //===----------------------------------------------------------------------===//

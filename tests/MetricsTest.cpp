@@ -471,8 +471,9 @@ TEST(EasTelemetry, RegistryMatchesSessionReport) {
   EXPECT_EQ(TimeErrCount, uint64_t{Report.ModelSamples});
   ASSERT_NE(ClassSample, nullptr);
   EXPECT_EQ(ClassSample->Hist.mean(), Report.ModelTimeRelError);
-  ASSERT_EQ(ClassSample->Labels.size(), 1u);
+  ASSERT_EQ(ClassSample->Labels.size(), 2u);
   EXPECT_EQ(ClassSample->Labels[0].first, "class");
+  EXPECT_EQ(ClassSample->Labels[1].first, "pstate");
 
   const obs::MetricSample *EnergySample =
       Snap.find(obs::names::ModelEnergyRelError, ClassSample->Labels);

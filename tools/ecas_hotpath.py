@@ -28,16 +28,10 @@ the call graph from those roots and reports:
                see whether it allocates or blocks, so it must be either
                annotated, whitelisted, or suppressed with a reason.
 
-Two engines implement the same rules:
-
-  textual      Regex + brace matching over src/ecas. No dependencies;
-               runs everywhere; this is the CI gate and the self-test
-               subject. Conservative: it walks every same-name candidate
-               definition for a method call.
-  clang        libclang (python3-clang) over compile_commands.json; the
-               AST resolves calls exactly and reads the annotate
-               attribute. Advisory in CI (continue-on-error) because
-               runners without libclang must not mask textual findings.
+The engine is textual: regex + brace matching over src/ecas, with no
+dependencies, so it runs everywhere; it is the CI gate and the
+self-test subject. It is conservative: it walks every same-name
+candidate definition for a method call.
 
 Suppressions match ecas-lint's syntax, one comment per line:
   // ecas-hotpath: allow(rule)          on the offending line, or as a
@@ -83,7 +77,7 @@ WALK_MODULES = ("core", "device", "fault", "hw", "math", "power",
 ALLOW_LINE = re.compile(r"//\s*ecas-hotpath:\s*allow\(([\w\s,-]+)\)")
 
 # ---------------------------------------------------------------------------
-# Shared rule tables (both engines).
+# Rule tables.
 # ---------------------------------------------------------------------------
 
 # Call targets that allocate no matter who resolves them.
@@ -642,181 +636,6 @@ class TextualEngine:
 
 
 # ---------------------------------------------------------------------------
-# Clang engine (advisory where libclang is unavailable).
-# ---------------------------------------------------------------------------
-
-CLANG_ALLOC_NAMES = ALLOC_CALLS | {"operator new", "operator new[]"}
-
-
-class ClangEngine:
-    """AST-exact engine over compile_commands.json. Import failures are
-    reported by availability(); run() assumes import succeeds."""
-
-    @staticmethod
-    def availability():
-        try:
-            import clang.cindex  # noqa: F401
-            return None
-        except ImportError as e:
-            return str(e)
-
-    def __init__(self, root, build_dir):
-        import clang.cindex as ci
-        self.ci = ci
-        self.root = root
-        self.build_dir = build_dir
-        self.findings = []
-        self._seen = set()
-        self._raw_cache = {}
-
-    def _line_rules(self, path, line):
-        if path not in self._raw_cache:
-            try:
-                with open(path, encoding="utf-8", errors="replace") as f:
-                    self._raw_cache[path] = f.read().splitlines()
-            except OSError:
-                self._raw_cache[path] = []
-        lines = self._raw_cache[path]
-        if 1 <= line <= len(lines):
-            return allowed_rules_at(lines, line)
-        return frozenset()
-
-    def _emit(self, loc, rule, message, chain):
-        key = (loc.file.name if loc.file else "?", loc.line, rule, message)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.findings.append(Finding(
-            loc.file.name if loc.file else "?", loc.line, rule, message,
-            list(chain)))
-
-    def run(self):
-        ci = self.ci
-        db = ci.CompilationDatabase.fromDirectory(self.build_dir)
-        index = ci.Index.create()
-        roots = []
-        defs_by_usr = {}
-        tus = []
-        for cmd in db.getAllCompileCommands():
-            path = os.path.join(cmd.directory, cmd.filename)
-            norm = os.path.normpath(path)
-            if os.sep + os.path.join("src", "ecas") + os.sep not in norm:
-                continue
-            args = [a for a in list(cmd.arguments)[1:]
-                    if a != cmd.filename and a != "-c" and a != "-o"]
-            # Drop the object-file operand the '-o' used to take.
-            args = [a for a in args if not a.endswith(".o")]
-            try:
-                tu = index.parse(norm, args=args)
-            except ci.TranslationUnitLoadError:
-                continue
-            tus.append(tu)
-            for cur in tu.cursor.walk_preorder():
-                if cur.kind in (ci.CursorKind.FUNCTION_DECL,
-                                ci.CursorKind.CXX_METHOD,
-                                ci.CursorKind.FUNCTION_TEMPLATE,
-                                ci.CursorKind.CONSTRUCTOR):
-                    if cur.is_definition():
-                        defs_by_usr[cur.get_usr()] = cur
-                        if self._is_hot(cur):
-                            roots.append(cur)
-                    elif self._is_hot(cur):
-                        roots.append(cur)  # resolve the body below
-        if not roots:
-            return None
-        hot_usrs = {c.get_usr() for c in roots}
-        for usr in sorted(hot_usrs):
-            body = defs_by_usr.get(usr)
-            if body is not None:
-                self._walk(body, defs_by_usr, frozenset(),
-                           [body.spelling], set())
-        return self.findings
-
-    def _is_hot(self, cursor):
-        for child in cursor.get_children():
-            if child.kind == self.ci.CursorKind.ANNOTATE_ATTR and \
-                    child.spelling == "ecas_hot":
-                return True
-        return False
-
-    def _walk(self, cursor, defs_by_usr, suppressed, chain, visiting):
-        usr = cursor.get_usr()
-        key = (usr, suppressed)
-        if key in visiting:
-            return
-        visiting = visiting | {key}
-        ci = self.ci
-        for node in cursor.walk_preorder():
-            loc = node.location
-            if not loc.file:
-                continue
-            allowed = suppressed | self._line_rules(loc.file.name, loc.line)
-            k = node.kind
-            if k == ci.CursorKind.CXX_NEW_EXPR:
-                if "alloc" not in allowed:
-                    self._emit(loc, "alloc",
-                               "new expression on the hot path", chain)
-            elif k == ci.CursorKind.CXX_THROW_EXPR:
-                if "throw" not in allowed:
-                    self._emit(loc, "throw",
-                               "throw on the hot path", chain)
-            elif k == ci.CursorKind.CXX_TRY_STMT:
-                if "throw" not in allowed:
-                    self._emit(loc, "throw",
-                               "try/catch region on the hot path", chain)
-            elif k == ci.CursorKind.CALL_EXPR:
-                self._check_call(node, defs_by_usr, allowed, chain,
-                                 visiting)
-
-    def _check_call(self, node, defs_by_usr, allowed, chain, visiting):
-        ref = node.referenced
-        name = node.spelling or (ref.spelling if ref else "")
-        loc = node.location
-        if not name:
-            return
-        if name in CLANG_ALLOC_NAMES:
-            if "alloc" not in allowed:
-                self._emit(loc, "alloc",
-                           f"allocating call '{name}' on the hot path",
-                           chain)
-            return
-        if name in IO_CALLS:
-            if "io" not in allowed:
-                self._emit(loc, "io",
-                           f"blocking/IO call '{name}' on the hot path",
-                           chain)
-            return
-        if name in LOCK_TYPES or name == "lock":
-            fn = chain[-1]
-            if fn not in LOCK_WHITELIST_FUNCTIONS and "lock" not in allowed:
-                self._emit(loc, "lock",
-                           f"lock acquisition '{name}' on the hot path",
-                           chain)
-            return
-        if name in ALLOWED_EXTERNALS:
-            return
-        if ref is None:
-            return
-        usr = ref.get_usr()
-        body = defs_by_usr.get(usr)
-        if body is not None:
-            self._walk(body, defs_by_usr, allowed, chain + [name], visiting)
-            return
-        # Defined outside the project: trusted only when annotated hot
-        # (visible via its declaration) or whitelisted above.
-        if self._is_hot(ref):
-            return
-        ref_file = ref.location.file.name if ref.location.file else ""
-        norm = os.path.normpath(ref_file)
-        if os.sep + os.path.join("src", "ecas") + os.sep in norm:
-            return  # declared in-project; body in another TU covers it
-        if "extern-call" not in allowed:
-            self._emit(loc, "extern-call",
-                       f"call to external '{name}' with no visible "
-                       "definition or annotation", chain)
-
-
-# ---------------------------------------------------------------------------
 # Self-test over the fixture corpus.
 # ---------------------------------------------------------------------------
 
@@ -867,13 +686,6 @@ def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=None,
                         help="repository root (default: parent of tools/)")
-    parser.add_argument("--engine", choices=["auto", "textual", "clang"],
-                        default="auto",
-                        help="auto prefers clang, falls back to textual "
-                             "with a loud note")
-    parser.add_argument("-p", "--build-dir", default=None,
-                        help="build dir containing compile_commands.json "
-                             "(clang engine; default: <root>/build)")
     parser.add_argument("--json", dest="json_out", default=None,
                         help="also write findings as JSON to this path")
     parser.add_argument("--self-test", action="store_true",
@@ -893,41 +705,9 @@ def main(argv):
     if args.self_test:
         return run_self_test(root)
 
-    engine_name = args.engine
-    if engine_name in ("auto", "clang"):
-        missing = ClangEngine.availability()
-        if missing:
-            msg = ("ecas-hotpath: libclang python bindings unavailable "
-                   f"({missing})")
-            if engine_name == "clang":
-                print(msg + "; cannot run the clang engine",
-                      file=sys.stderr)
-                print("ecas-hotpath: SKIPPED clang engine — findings NOT "
-                      "checked by AST; run the textual engine or install "
-                      "python3-clang", file=sys.stderr)
-                return 2
-            print(msg + "; falling back to the textual engine",
-                  file=sys.stderr)
-            engine_name = "textual"
-        else:
-            engine_name = "clang"
-
-    if engine_name == "clang":
-        build_dir = args.build_dir or os.path.join(root, "build")
-        cc = os.path.join(build_dir, "compile_commands.json")
-        if not os.path.isfile(cc):
-            print(f"ecas-hotpath: no compile_commands.json under "
-                  f"{build_dir} (configure with "
-                  "-DCMAKE_EXPORT_COMPILE_COMMANDS=ON)", file=sys.stderr)
-            return 2
-        engine = ClangEngine(root, build_dir)
-        findings = engine.run()
-        walked = "AST"
-    else:
-        engine = TextualEngine(
-            root, [os.path.join("src", "ecas", mod) for mod in WALK_MODULES])
-        findings = engine.run()
-        walked = f"{len(engine.walked)} functions"
+    engine = TextualEngine(
+        root, [os.path.join("src", "ecas", mod) for mod in WALK_MODULES])
+    findings = engine.run()
 
     if findings is None:
         print("ecas-hotpath: no ECAS_HOT roots found — is "
@@ -939,14 +719,13 @@ def main(argv):
         print(f.render(root))
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as out:
-            json.dump({"engine": engine_name,
+            json.dump({"engine": "textual",
                        "findings": [f.as_dict(root) for f in findings]},
                       out, indent=2)
             out.write("\n")
-    roots = (sorted(engine.roots) if hasattr(engine, "roots") else [])
-    print(f"ecas-hotpath: engine={engine_name}, "
-          f"{len(roots)} root name(s), {walked} walked, "
-          f"{len(findings)} finding(s)")
+    print(f"ecas-hotpath: engine=textual, "
+          f"{len(engine.roots)} root name(s), {len(engine.walked)} functions "
+          f"walked, {len(findings)} finding(s)")
     return 1 if findings else 0
 
 
