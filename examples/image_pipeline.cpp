@@ -66,7 +66,7 @@ int main(int Argc, char **Argv) {
 
   // CPU-only parallel render on the work-stealing pool.
   double Start = wallSeconds();
-  parallelFor(Pool, Pixels, Body, /*Grain=*/512);
+  Pool.parallelFor(0, Pixels, /*Grain=*/512, Body);
   double PoolSeconds = wallSeconds() - Start;
   bool PoolMatches = Out == Reference;
 

@@ -19,8 +19,7 @@
 /// SimProcessor instantiates a FaultInjector from it and threads the
 /// injected effects through SimGpuDevice (throughput derating),
 /// EnergyMeter (dropped samples, counter jumps), and OnlineProfiler
-/// (counter noise). The host-side MiniCl layer exposes a generic
-/// pre-dispatch fault hook that an injector can drive the same way.
+/// (counter noise).
 ///
 //===----------------------------------------------------------------------===//
 

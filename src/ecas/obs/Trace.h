@@ -54,8 +54,8 @@ enum class EventKind {
   SpanBegin,
   SpanEnd,
   /// A complete span recorded after the fact with an explicit start and
-  /// duration (Value) — how MiniCl publishes its QUEUED/START/END
-  /// timestamps once a command settles.
+  /// duration (Value) — how the online profiler publishes each profiling
+  /// repetition once it has been measured.
   SpanComplete,
   /// A point event.
   Instant,
@@ -147,7 +147,7 @@ public:
                std::string Detail = {});
 
   /// Records a complete span after the fact from explicit host
-  /// timestamps (MiniCl's profiling-event channel).
+  /// timestamps (the online profiler's "profile-rep" spans).
   void completeSpan(const char *Category, const char *Name,
                     double StartHostSec, double DurationSec,
                     double VirtualSec =

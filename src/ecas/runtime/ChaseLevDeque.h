@@ -62,8 +62,11 @@ public:
       Buf = grow(Buf, TIdx, B);
     }
     Buf->put(B, Value);
-    std::atomic_thread_fence(std::memory_order_release);
-    Bottom.store(B + 1, std::memory_order_relaxed);
+    // Publishes the slot, and everything the owner saw before pushing,
+    // to the thief that steals it. This must be a release store, not a
+    // release fence plus a relaxed store: both order the same writes,
+    // but TSan models only the store.
+    Bottom.store(B + 1, std::memory_order_release);
   }
 
   /// Owner-only: removes from the bottom (LIFO). Empty -> nullopt.
@@ -71,6 +74,9 @@ public:
     int64_t B = Bottom.load(std::memory_order_relaxed) - 1;
     RingBuffer *Buf = Buffer.load(std::memory_order_relaxed);
     Bottom.store(B, std::memory_order_relaxed);
+    // Lê et al.'s store->load ordering against a concurrent steal(), not
+    // publication. TSan ignores standalone fences, so no happens-before
+    // edge may rely on this one (nor on the one in steal()).
     std::atomic_thread_fence(std::memory_order_seq_cst);
     int64_t TIdx = Top.load(std::memory_order_relaxed);
     if (TIdx > B) {
@@ -94,6 +100,7 @@ public:
   /// Thief: removes from the top (FIFO). Empty or lost race -> nullopt.
   std::optional<T> steal() {
     int64_t TIdx = Top.load(std::memory_order_acquire);
+    // Pairs with pop()'s fence (store->load ordering only; see there).
     std::atomic_thread_fence(std::memory_order_seq_cst);
     int64_t B = Bottom.load(std::memory_order_acquire);
     if (TIdx >= B)
@@ -113,8 +120,6 @@ public:
     int64_t TIdx = Top.load(std::memory_order_relaxed);
     return B > TIdx ? B - TIdx : 0;
   }
-
-  bool emptyEstimate() const { return sizeEstimate() == 0; }
 
 private:
   struct RingBuffer {

@@ -27,11 +27,6 @@ uint64_t WorkPool::remaining() const {
   return Cursor >= End ? 0 : End - Cursor;
 }
 
-uint64_t ecas::parallelFor(ThreadPool &Pool, uint64_t N, const RangeBody &Body,
-                           uint64_t Grain, const CancellationToken *Cancel) {
-  return Pool.parallelFor(0, N, Grain, Body, Cancel);
-}
-
 namespace {
 
 /// Monotonic wall-clock seconds.
@@ -60,8 +55,8 @@ HybridResult ecas::hybridParallelFor(ThreadPool &Pool, uint64_t N,
 
   // The GPU proxy is one dedicated thread driving the executor, exactly
   // like the proxy CPU worker of Section 3.1. Once launched the GPU
-  // share runs to completion — only the executor itself (e.g. MiniCl's
-  // token-aware wait) can cut it short.
+  // share runs to completion — only the executor itself can cut it
+  // short.
   std::thread Proxy;
   double GpuStart = hostSeconds();
   if (GpuIters > 0)

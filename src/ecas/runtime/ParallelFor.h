@@ -58,18 +58,12 @@ struct HybridResult {
   bool Cancelled = false;
 };
 
-/// Convenience wrapper: CPU-only parallel_for over [0, N).
-/// \returns iterations executed (N unless \p Cancel fired).
-uint64_t parallelFor(ThreadPool &Pool, uint64_t N, const RangeBody &Body,
-                     uint64_t Grain = 256,
-                     const CancellationToken *Cancel = nullptr);
-
 /// Partitioned execution per Fig. 7 steps 23-25: the GPU proxy offloads
 /// the tail Alpha*N iterations to \p Gpu while the CPU side executes the
 /// head ((1-Alpha)*N) with work-stealing. Blocks until both finish.
 /// \p Cancel bounds the CPU side cooperatively and is checked before the
-/// GPU share is launched; a GPU executor that can observe the token
-/// should poll it too (the MiniCl layer's waits do).
+/// GPU share is launched; once launched the GPU share runs to completion
+/// unless the executor itself observes the token.
 HybridResult hybridParallelFor(ThreadPool &Pool, uint64_t N, double Alpha,
                                const RangeBody &CpuBody,
                                const GpuExecutor &Gpu, uint64_t Grain = 256,

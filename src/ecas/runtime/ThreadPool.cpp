@@ -7,12 +7,10 @@
 #include "ecas/runtime/ThreadPool.h"
 
 #include "ecas/support/Assert.h"
-#include "ecas/support/Format.h"
 #include "ecas/support/Random.h"
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
 using namespace ecas;
 
@@ -66,9 +64,6 @@ uint64_t ThreadPool::parallelFor(uint64_t Begin, uint64_t End, uint64_t Grain,
   if (Grain == 0)
     Grain = 1;
   LockGuard CallerLock(CallerMutex);
-  obs::TraceRecorder *T = Trace.load(std::memory_order_acquire);
-  double TraceStart = T ? obs::TraceRecorder::hostSeconds() : 0.0;
-  uint64_t StealsBefore = T ? totalSteals() : 0;
 
   const uint64_t Total = End - Begin;
   CurrentJob.Body.store(&Body, std::memory_order_relaxed);
@@ -134,23 +129,7 @@ uint64_t ThreadPool::parallelFor(uint64_t Begin, uint64_t End, uint64_t Grain,
   // Drop the token before the caller's stack frame (which may own it)
   // unwinds; lingering workers only ever see null or the live pointer.
   CurrentJob.Cancel.store(nullptr, std::memory_order_release);
-  uint64_t Executed = CurrentJob.Executed.load(std::memory_order_acquire);
-  if (T) {
-    T->completeSpan(
-        "runtime", "parallel-for", TraceStart,
-        obs::TraceRecorder::hostSeconds() - TraceStart,
-        std::numeric_limits<double>::quiet_NaN(),
-        formatString("range=[%llu,%llu) grain=%llu executed=%llu steals=%llu",
-                     static_cast<unsigned long long>(Begin),
-                     static_cast<unsigned long long>(End),
-                     static_cast<unsigned long long>(Grain),
-                     static_cast<unsigned long long>(Executed),
-                     static_cast<unsigned long long>(totalSteals() -
-                                                     StealsBefore)));
-    T->count("pool.parallel_fors");
-    T->count("pool.iterations", static_cast<double>(Executed));
-  }
-  return Executed;
+  return CurrentJob.Executed.load(std::memory_order_acquire);
 }
 
 bool ThreadPool::takeInjected(IterRange &Out) {

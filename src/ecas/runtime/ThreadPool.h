@@ -15,7 +15,6 @@
 #ifndef ECAS_RUNTIME_THREADPOOL_H
 #define ECAS_RUNTIME_THREADPOOL_H
 
-#include "ecas/obs/Trace.h"
 #include "ecas/runtime/ChaseLevDeque.h"
 #include "ecas/support/Cancellation.h"
 #include "ecas/support/Random.h"
@@ -74,15 +73,6 @@ public:
     return Steals.load(std::memory_order_relaxed);
   }
 
-  /// Attaches a trace recorder (nullptr detaches): each parallelFor then
-  /// emits one "parallel-for" span covering the job, with the range,
-  /// grain, executed-iteration count, and steal delta in the detail.
-  /// Observation only — range splitting, stealing, and cancellation are
-  /// unchanged by an attached recorder.
-  void setTrace(obs::TraceRecorder *Recorder) {
-    Trace.store(Recorder, std::memory_order_release);
-  }
-
 private:
   struct Worker {
     ChaseLevDeque<IterRange> Deque;
@@ -137,7 +127,6 @@ private:
   std::atomic<uint64_t> JobEpoch{0};
   std::atomic<bool> ShuttingDown{false};
   std::atomic<uint64_t> Steals{0};
-  std::atomic<obs::TraceRecorder *> Trace{nullptr};
 };
 
 } // namespace ecas

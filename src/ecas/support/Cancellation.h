@@ -7,12 +7,12 @@
 /// \file
 /// A shared cancellation token with an optional deadline, threaded
 /// through the runtime's blocking surfaces (ThreadPool, ParallelFor,
-/// MiniCl, EasScheduler) so a caller can bound any invocation.
+/// EasScheduler) so a caller can bound any invocation.
 ///
 /// The token is clock-agnostic: setDeadline() records a value on
 /// whatever clock the polling site reads — host steady seconds in the
-/// ThreadPool and MiniCl, virtual SimProcessor seconds in the scheduler
-/// — and shouldStop(Now) compares against it. Cancellation is
+/// ThreadPool and ParallelFor, virtual SimProcessor seconds in the
+/// scheduler — and shouldStop(Now) compares against it. Cancellation is
 /// cooperative and sticky: once cancel() is called or a deadline is
 /// observed expired, every copy of the token reports cancelled forever.
 ///

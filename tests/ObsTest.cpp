@@ -14,7 +14,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "ecas/cl/MiniCl.h"
 #include "ecas/core/ExecutionSession.h"
 #include "ecas/hw/Presets.h"
 #include "ecas/obs/ChromeTrace.h"
@@ -209,8 +208,8 @@ TEST(ChromeTrace, RoundTripsSpansOnBothClockTracks) {
     obs::ScopedSpan Span(&Rec, "eas", "invocation", [] { return 0.5; });
     Rec.instant("eas", "alpha-search", 0.6, "alpha=0.40");
   }
-  Rec.completeSpan("minicl", "exec", obs::TraceRecorder::hostSeconds(),
-                   1e-3);
+  Rec.completeSpan("profile", "profile-rep",
+                   obs::TraceRecorder::hostSeconds(), 1e-3);
   Rec.count("eas.invocations");
 
   std::string Json = renderChromeTrace(Rec.drain());
@@ -226,7 +225,7 @@ TEST(ChromeTrace, RoundTripsSpansOnBothClockTracks) {
   EXPECT_EQ(Parsed->countPhase("C"), 1u);
   EXPECT_TRUE(Parsed->hasEventNamed("invocation"));
   EXPECT_TRUE(Parsed->hasEventNamed("alpha-search"));
-  EXPECT_TRUE(Parsed->hasEventNamed("exec"));
+  EXPECT_TRUE(Parsed->hasEventNamed("profile-rep"));
   bool SawHostPid = false, SawVirtualPid = false;
   for (const obs::ChromeTraceEvent &E : Parsed->Events) {
     SawHostPid = SawHostPid || E.Pid == 1;
@@ -260,34 +259,6 @@ TEST(ChromeTrace, ParserRejectsMalformedDocuments) {
   EXPECT_TRUE(obs::parseChromeTrace(Json).ok());
   EXPECT_FALSE(
       obs::parseChromeTrace(Json.substr(0, Json.size() / 2)).ok());
-}
-
-//===----------------------------------------------------------------------===//
-// Runtime and MiniCl instrumentation
-//===----------------------------------------------------------------------===//
-
-TEST(ObsRuntime, MiniClPublishesLifecycleSpans) {
-  obs::TraceRecorder Rec;
-  cl::MiniContext Ctx(2);
-  Ctx.setTrace(&Rec);
-
-  std::atomic<uint64_t> Touched{0};
-  cl::MiniKernel Kernel("obs-kernel", [&Touched](uint64_t B, uint64_t E) {
-    Touched += E - B;
-  });
-  Ctx.gpuQueue().enqueue(Kernel, 0, 1024).wait();
-  Ctx.pool().parallelFor(0, 4096, 64, [&Touched](uint64_t B, uint64_t E) {
-    Touched += E - B;
-  });
-  Ctx.setTrace(nullptr);
-
-  EXPECT_EQ(Touched.load(), 1024u + 4096u);
-  obs::TraceLog Log = Rec.drain();
-  EXPECT_GE(Log.countNamed("queue-wait"), 1u);
-  EXPECT_GE(Log.countNamed("exec"), 1u);
-  EXPECT_GE(Log.countNamed("parallel-for"), 1u);
-  EXPECT_GE(Log.counterTotal("minicl.commands"), 1.0);
-  EXPECT_DOUBLE_EQ(Log.counterTotal("pool.iterations"), 4096.0);
 }
 
 //===----------------------------------------------------------------------===//

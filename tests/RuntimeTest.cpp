@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <thread>
 
@@ -124,16 +125,27 @@ TEST(ThreadPool, EmptyAndTinyRanges) {
 }
 
 TEST(ThreadPool, BackToBackJobs) {
+  // Each job's body lives on the heap and is freed as soon as
+  // parallelFor returns, and its cost is front-loaded so workers steal
+  // ranges their peers pushed. TSan flags a thief that runs a body whose
+  // publication it cannot see; ASan flags a range that outlives its job.
   ThreadPool Pool(4);
-  for (int Job = 0; Job != 50; ++Job) {
+  for (int Job = 0; Job != 200; ++Job) {
     std::atomic<uint64_t> Sum{0};
     const uint64_t N = 5000;
-    Pool.parallelFor(0, N, 32, [&](uint64_t Begin, uint64_t End) {
+    auto Body = std::make_unique<RangeBody>([&Sum](uint64_t Begin,
+                                                   uint64_t End) {
       uint64_t Local = 0;
-      for (uint64_t I = Begin; I != End; ++I)
+      for (uint64_t I = Begin; I != End; ++I) {
+        volatile uint64_t Spin = 0;
+        for (unsigned R = 0, Reps = I < N / 8 ? 64 : 1; R != Reps; ++R)
+          Spin = Spin + R;
         Local += I;
+      }
       Sum.fetch_add(Local, std::memory_order_relaxed);
     });
+    Pool.parallelFor(0, N, 32, *Body);
+    Body.reset();
     ASSERT_EQ(Sum.load(), N * (N - 1) / 2) << "job " << Job;
   }
 }
@@ -196,27 +208,61 @@ TEST(WorkPool, ConcurrentGrabsPartitionTheRange) {
 
 TEST(HybridParallelFor, SplitsByAlpha) {
   ThreadPool Pool(4);
+  const uint64_t N = 10000;
+  std::vector<std::atomic<uint32_t>> Hits(N);
   std::atomic<uint64_t> CpuIters{0}, GpuIters{0};
+  uint64_t GpuBegin = 0, GpuEnd = 0;
   HybridResult Result = hybridParallelFor(
-      Pool, 10000, 0.3,
-      [&](uint64_t B, uint64_t E) { CpuIters.fetch_add(E - B); },
-      [&](uint64_t B, uint64_t E) { GpuIters.fetch_add(E - B); });
-  EXPECT_EQ(CpuIters.load() + GpuIters.load(), 10000u);
+      Pool, N, 0.3,
+      [&](uint64_t B, uint64_t E) {
+        CpuIters.fetch_add(E - B);
+        for (uint64_t I = B; I != E; ++I)
+          Hits[I].fetch_add(1, std::memory_order_relaxed);
+      },
+      [&](uint64_t B, uint64_t E) {
+        GpuIters.fetch_add(E - B);
+        GpuBegin = B;
+        GpuEnd = E;
+        for (uint64_t I = B; I != E; ++I)
+          Hits[I].fetch_add(1, std::memory_order_relaxed);
+      });
+  EXPECT_EQ(CpuIters.load() + GpuIters.load(), N);
   EXPECT_EQ(GpuIters.load(), 3000u);
   EXPECT_EQ(Result.CpuIterations, 7000u);
   EXPECT_EQ(Result.GpuIterations, 3000u);
+  // The GPU executor receives the tail in one launch.
+  EXPECT_EQ(GpuBegin, 7000u);
+  EXPECT_EQ(GpuEnd, N);
+  for (uint64_t I = 0; I != N; ++I)
+    ASSERT_EQ(Hits[I].load(), 1u) << "index " << I;
 }
 
 TEST(HybridParallelFor, AlphaExtremes) {
   ThreadPool Pool(2);
   std::atomic<uint64_t> CpuIters{0}, GpuIters{0};
-  auto CpuBody = [&](uint64_t B, uint64_t E) { CpuIters.fetch_add(E - B); };
-  auto GpuBody = [&](uint64_t B, uint64_t E) { GpuIters.fetch_add(E - B); };
-  hybridParallelFor(Pool, 1000, 0.0, CpuBody, GpuBody);
+  std::atomic<unsigned> CpuCalls{0}, GpuLaunches{0};
+  auto CpuBody = [&](uint64_t B, uint64_t E) {
+    CpuCalls.fetch_add(1);
+    CpuIters.fetch_add(E - B);
+  };
+  auto GpuBody = [&](uint64_t B, uint64_t E) {
+    GpuLaunches.fetch_add(1);
+    GpuIters.fetch_add(E - B);
+  };
+  // An empty share never reaches its device.
+  HybridResult CpuOnly = hybridParallelFor(Pool, 1000, 0.0, CpuBody, GpuBody);
   EXPECT_EQ(CpuIters.load(), 1000u);
   EXPECT_EQ(GpuIters.load(), 0u);
-  hybridParallelFor(Pool, 1000, 1.0, CpuBody, GpuBody);
+  EXPECT_EQ(GpuLaunches.load(), 0u);
+  EXPECT_EQ(CpuOnly.CpuIterations, 1000u);
+  EXPECT_EQ(CpuOnly.GpuIterations, 0u);
+  CpuCalls = 0;
+  HybridResult GpuOnly = hybridParallelFor(Pool, 1000, 1.0, CpuBody, GpuBody);
   EXPECT_EQ(GpuIters.load(), 1000u);
+  EXPECT_EQ(CpuCalls.load(), 0u);
+  EXPECT_EQ(GpuLaunches.load(), 1u);
+  EXPECT_EQ(GpuOnly.CpuIterations, 0u);
+  EXPECT_EQ(GpuOnly.GpuIterations, 1000u);
 }
 
 TEST(ProfileChunkOnHost, CpuWorkersStopWhenGpuFinishes) {
@@ -236,6 +282,10 @@ TEST(ProfileChunkOnHost, CpuWorkersStopWhenGpuFinishes) {
   EXPECT_EQ(Result.GpuIterations, 2048u);
   EXPECT_EQ(Result.CpuIterations, CpuDone.load());
   EXPECT_GT(Result.CpuIterations, 0u);
+  // Both busy times are usable throughput denominators: the GPU side
+  // covers its whole launch, and the CPU side ran until it stopped.
+  EXPECT_GE(Result.GpuSeconds, 0.040);
+  EXPECT_GE(Result.CpuSeconds, Result.GpuSeconds);
   // The pool retains whatever neither side consumed.
   EXPECT_EQ(Pool.remaining(),
             (1u << 20) - Result.GpuIterations - Result.CpuIterations);

@@ -48,11 +48,11 @@ amortized subsystems (HistoryJournal::enqueue, maybeFlush) carry their
 justification once, at the definition, instead of at every call site.
 
 The textual engine walks definitions in the decision-path modules only
-(WALK_MODULES below). cl/, obs/, runtime/, service/ and workloads/ are
+(WALK_MODULES below). obs/, runtime/, service/ and workloads/ are
 architecturally off the steady-state decision path; calls that resolve
 only there surface as extern-call findings unless the name is a
 whitelisted null-gated obs entry point. This also keeps common method
-names (enqueue, open, flush) from dragging the MiniCl emulator or the
+names (enqueue, open, flush) from dragging the host thread pool or the
 service front end into the hot walk.
 
 Exit status: 0 clean, 1 findings, 2 usage/environment errors.
@@ -67,9 +67,9 @@ import sys
 RULES = ("alloc", "throw", "lock", "io", "extern-call")
 
 # Modules the textual engine indexes and walks. Everything the decision
-# hot path can touch lives here; cl/ (MiniCl emulator), obs/ (null-gated
-# trace layer), runtime/, service/ and workloads/ are not reachable from
-# an ECAS_HOT root by design, and excluding them keeps same-name methods
+# hot path can touch lives here; obs/ (null-gated trace layer), runtime/
+# (host thread pool), service/ and workloads/ are not reachable from an
+# ECAS_HOT root by design, and excluding them keeps same-name methods
 # (enqueue, flush, open, wait) from aliasing into their call graphs.
 WALK_MODULES = ("core", "device", "fault", "hw", "math", "power",
                 "profile", "sim", "support")
