@@ -6,12 +6,9 @@
 
 #include "BenchCommon.h"
 
-#include "ecas/obs/MetricsExport.h"
 #include "ecas/support/Csv.h"
 #include "ecas/support/Format.h"
-#include "ecas/support/Stats.h"
 
-#include <algorithm>
 #include <cstdio>
 
 using namespace ecas;
@@ -25,16 +22,6 @@ void ecas::bench::printBanner(const std::string &Experiment,
   std::printf("paper: %s\n", PaperClaim.c_str());
   std::printf("================================================================"
               "===============\n");
-}
-
-LatencyStats ecas::bench::summarize(std::vector<double> &Samples) {
-  std::sort(Samples.begin(), Samples.end());
-  LatencyStats Stats;
-  Stats.P50 = quantileSorted(Samples, 0.50);
-  Stats.P90 = quantileSorted(Samples, 0.90);
-  Stats.P99 = quantileSorted(Samples, 0.99);
-  Stats.Mean = arithmeticMean(Samples);
-  return Stats;
 }
 
 std::string ecas::bench::bar(double Value, double Max, unsigned Width) {
@@ -76,10 +63,6 @@ ecas::bench::runComparison(const PlatformSpec &Spec,
     Row.EasEff = Oracle.MetricValue / Eas.MetricValue;
     Row.OracleAlpha = Oracle.MeanAlpha;
     Row.EasAlpha = Eas.MeanAlpha;
-    Row.EasSeconds = Eas.Seconds;
-    Row.EasJoules = Eas.Joules;
-    Row.OracleSeconds = Oracle.Seconds;
-    Row.OracleJoules = Oracle.Joules;
     Rows.push_back(Row);
   }
   return Rows;
@@ -136,44 +119,6 @@ void ecas::bench::maybeWriteCsv(const Flags &Args,
     std::printf("\ncsv written to %s\n", Path.c_str());
   else
     std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
-}
-
-void ecas::bench::maybeWriteBenchMetrics(const Flags &Args,
-                                         const std::string &Experiment,
-                                         const Metric &Objective,
-                                         const std::vector<SchemeRow> &Rows) {
-  if (!Args.has("bench-metrics"))
-    return;
-  std::string Path = Args.getString("bench-metrics", "");
-  // A bare --bench-metrics parses as the boolean sentinel; both spellings
-  // mean "use the default file name".
-  if (Path.empty() || Path == "true")
-    Path = "BENCH_metrics.json";
-  std::string Out = "{\n  \"schema\": \"ecas-bench-metrics-v1\",\n";
-  Out += "  \"experiment\": \"" + Experiment + "\",\n";
-  Out += "  \"objective\": \"" + Objective.name() + "\",\n";
-  Out += "  \"workloads\": [";
-  bool First = true;
-  for (const SchemeRow &Row : Rows) {
-    Out += First ? "\n" : ",\n";
-    First = false;
-    Out += "    {\"bench\": \"" + Row.Abbrev + "\"";
-    Out += formatString(", \"eas\": {\"seconds\": %.9g, \"joules\": %.9g, "
-                        "\"alpha\": %.4f}",
-                        Row.EasSeconds, Row.EasJoules, Row.EasAlpha);
-    Out += formatString(", \"oracle\": {\"seconds\": %.9g, \"joules\": %.9g, "
-                        "\"alpha\": %.4f}",
-                        Row.OracleSeconds, Row.OracleJoules, Row.OracleAlpha);
-    Out += formatString(", \"eff\": {\"cpu\": %.6f, \"gpu\": %.6f, "
-                        "\"perf\": %.6f, \"eas\": %.6f}}",
-                        Row.CpuEff, Row.GpuEff, Row.PerfEff, Row.EasEff);
-  }
-  Out += "\n  ]\n}\n";
-  if (Status S = obs::writeFileAtomic(Path, Out); !S)
-    std::fprintf(stderr, "error: cannot write %s: %s\n", Path.c_str(),
-                 S.message().c_str());
-  else
-    std::printf("\nbench metrics written to %s\n", Path.c_str());
 }
 
 WorkloadConfig ecas::bench::configFromFlags(const Flags &Args,

@@ -7,8 +7,7 @@
 /// \file
 /// Utilities shared by the figure/table reproduction harnesses: banner
 /// printing, ASCII bar charts for the efficiency figures, the
-/// four-scheme comparison runner, optional CSV dumps, and the latency
-/// summary the micro-benchmarks report.
+/// four-scheme comparison runner, and optional CSV dumps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,12 +38,6 @@ struct SchemeRow {
   double EasEff = 0.0;
   double OracleAlpha = 0.0;
   double EasAlpha = 0.0;
-  /// Absolute EAS/Oracle totals, kept for the machine-readable dump so
-  /// future runs can diff raw time/energy, not just ratios.
-  double EasSeconds = 0.0;
-  double EasJoules = 0.0;
-  double OracleSeconds = 0.0;
-  double OracleJoules = 0.0;
 };
 
 /// Runs CPU/GPU/PERF/EAS against the Oracle for every workload under
@@ -61,26 +54,6 @@ void printComparison(const std::vector<SchemeRow> &Rows);
 
 /// Writes the comparison as CSV when --csv=<path> was passed.
 void maybeWriteCsv(const Flags &Args, const std::vector<SchemeRow> &Rows);
-
-/// Writes a machine-readable JSON dump (per-workload time/energy/alpha
-/// plus the efficiency ratios) when --bench-metrics[=<path>] was
-/// passed; the path defaults to BENCH_metrics.json. Written atomically
-/// so a concurrent reader never sees a torn document.
-void maybeWriteBenchMetrics(const Flags &Args, const std::string &Experiment,
-                            const Metric &Objective,
-                            const std::vector<SchemeRow> &Rows);
-
-/// Percentiles and mean of one latency sample set.
-struct LatencyStats {
-  double P50 = 0.0;
-  double P90 = 0.0;
-  double P99 = 0.0;
-  double Mean = 0.0;
-};
-
-/// Sorts \p Samples (non-empty) in place and summarizes them; the
-/// percentiles interpolate between order statistics (quantileSorted).
-LatencyStats summarize(std::vector<double> &Samples);
 
 /// An ASCII horizontal bar scaled to \p Value in [0, Max].
 std::string bar(double Value, double Max, unsigned Width = 40);

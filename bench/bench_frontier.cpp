@@ -5,12 +5,12 @@
 // Figs. 9-12 companion for the DVFS axis: per workload class, runs the
 // EAS scheduler once at fixed full frequency (the paper's decision
 // space) and once with the joint (alpha, P-state) search enabled, and
-// reports total energy / time / EDP for both. The committed
-// BENCH_frontier.json at the repo root pins the frontier shift: the
-// joint search must beat fixed-f energy on the memory-leaning classes,
-// where downclocking is nearly free, and must never lose elsewhere.
+// prints total energy / time / EDP / mean alpha for both. The output is
+// deterministic; bench/expected/bench_frontier.txt is its golden, diffed
+// by CI like figs. 9-12, so a change that moves one joint decision
+// changes a printed digit.
 //
-// Usage: bench_frontier [output.json]   (default: BENCH_frontier.json)
+// Usage: bench_frontier   (exits 1 if joint wins energy on < 3 classes)
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +21,6 @@
 #include "ecas/power/MicroBenchmarks.h"
 
 #include <cstdio>
-#include <string>
 #include <vector>
 
 using namespace ecas;
@@ -66,8 +65,7 @@ SchemeTotals runScheme(const PlatformSpec &Spec, const InvocationTrace &Trace,
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  std::string OutPath = Argc > 1 ? Argv[1] : "BENCH_frontier.json";
+int main() {
   bench::printBanner(
       "bench_frontier: fixed-frequency vs joint (alpha, f) energy per class",
       "cubic power vs ~linear rate: interior P-states win on "
@@ -94,59 +92,28 @@ int main(int Argc, char **Argv) {
     Rows.push_back(Row);
   }
 
-  std::printf("%-26s %12s %12s %9s %12s %12s\n", "class", "fixed J",
-              "joint J", "saved", "fixed s", "joint s");
+  std::printf("haswell-desktop, %u P-states, energy objective, %u "
+              "invocations per class\n",
+              NumPStates, Invocations);
+  std::printf("%-27s %9s %8s %11s %5s %9s %8s %11s %5s %7s\n", "class",
+              "fixed J", "fixed s", "fixed EDP", "f-a", "joint J", "joint s",
+              "joint EDP", "j-a", "saved%");
   unsigned JointWins = 0;
   for (const ClassRow &Row : Rows) {
     bool Wins = Row.Joint.Joules < Row.Fixed.Joules;
     JointWins += Wins;
-    std::printf("%-26s %12.2f %12.2f %8.1f%% %12.3f %12.3f%s\n",
-                Row.Class.name().c_str(), Row.Fixed.Joules, Row.Joint.Joules,
-                Row.energySavingsPct(), Row.Fixed.Seconds, Row.Joint.Seconds,
-                Wins ? "  <- joint" : "");
+    std::printf("%-27s %9.4f %8.5f %11.5f %5.3f %9.4f %8.5f %11.5f %5.3f "
+                "%7.2f%s\n",
+                Row.Class.name().c_str(), Row.Fixed.Joules, Row.Fixed.Seconds,
+                Row.Fixed.edp(), Row.Fixed.MeanAlpha, Row.Joint.Joules,
+                Row.Joint.Seconds, Row.Joint.edp(), Row.Joint.MeanAlpha,
+                Row.energySavingsPct(), Wins ? "  <- joint" : "");
   }
   std::printf("joint wins energy on %u of %u classes\n", JointWins,
               WorkloadClass::NumClasses);
 
-  std::FILE *Out = std::fopen(OutPath.c_str(), "w");
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write %s\n", OutPath.c_str());
-    return 1;
-  }
-  std::fprintf(Out,
-               "{\n"
-               "  \"bench\": \"frontier\",\n"
-               "  \"platform\": \"haswell-desktop\",\n"
-               "  \"pstates\": %u,\n"
-               "  \"objective\": \"energy\",\n"
-               "  \"invocations_per_class\": %u,\n"
-               "  \"classes\": [\n",
-               NumPStates, Invocations);
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const ClassRow &Row = Rows[I];
-    std::fprintf(
-        Out,
-        "    {\"class\": \"%s\",\n"
-        "     \"fixed\": {\"joules\": %.4f, \"seconds\": %.5f, "
-        "\"edp\": %.5f, \"mean_alpha\": %.3f},\n"
-        "     \"joint\": {\"joules\": %.4f, \"seconds\": %.5f, "
-        "\"edp\": %.5f, \"mean_alpha\": %.3f},\n"
-        "     \"joint_energy_savings_pct\": %.2f}%s\n",
-        Row.Class.name().c_str(), Row.Fixed.Joules, Row.Fixed.Seconds,
-        Row.Fixed.edp(), Row.Fixed.MeanAlpha, Row.Joint.Joules,
-        Row.Joint.Seconds, Row.Joint.edp(), Row.Joint.MeanAlpha,
-        Row.energySavingsPct(), I + 1 == Rows.size() ? "" : ",");
-  }
-  std::fprintf(Out,
-               "  ],\n"
-               "  \"joint_wins_energy\": %u\n"
-               "}\n",
-               JointWins);
-  std::fclose(Out);
-  std::printf("wrote %s\n", OutPath.c_str());
-
-  // The acceptance bar: the joint search must shift the frontier on at
-  // least 3 of the 8 classes, and a warmed fixed-f run must never be
-  // beaten BY more than noise the other way (it is the same code path).
+  // The acceptance bar: the joint search must beat fixed-frequency
+  // energy on at least 3 of the 8 classes. Per-class values are pinned
+  // by the golden, not by this exit code.
   return JointWins >= 3 ? 0 : 1;
 }

@@ -29,8 +29,6 @@ int main(int Argc, char **Argv) {
       bench::runComparison(Spec, Suite, Curves, Metric::energy());
   bench::printComparison(Rows);
   bench::maybeWriteCsv(Args, Rows);
-  bench::maybeWriteBenchMetrics(Args, "fig10-desktop-energy", Metric::energy(),
-                                Rows);
   Args.reportUnknown();
   return 0;
 }

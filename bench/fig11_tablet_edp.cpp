@@ -28,7 +28,6 @@ int main(int Argc, char **Argv) {
       bench::runComparison(Spec, Suite, Curves, Metric::edp());
   bench::printComparison(Rows);
   bench::maybeWriteCsv(Args, Rows);
-  bench::maybeWriteBenchMetrics(Args, "fig11-tablet-edp", Metric::edp(), Rows);
   Args.reportUnknown();
   return 0;
 }

@@ -30,8 +30,6 @@ int main(int Argc, char **Argv) {
       bench::runComparison(Spec, Suite, Curves, Metric::energy());
   bench::printComparison(Rows);
   bench::maybeWriteCsv(Args, Rows);
-  bench::maybeWriteBenchMetrics(Args, "fig12-tablet-energy", Metric::energy(),
-                                Rows);
   Args.reportUnknown();
   return 0;
 }

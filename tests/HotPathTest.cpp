@@ -20,6 +20,8 @@
 #include "ecas/fault/GpuHealth.h"
 #include "ecas/hw/Presets.h"
 #include "ecas/obs/FlightRecorder.h"
+#include "ecas/obs/MetricNames.h"
+#include "ecas/obs/Metrics.h"
 #include "ecas/power/Characterizer.h"
 #include "ecas/power/MicroBenchmarks.h"
 #include "ecas/support/AllocGuard.h"
@@ -194,38 +196,50 @@ TEST(HotPath, WarmedJointDecisionIsAllocationFree) {
 // The flight recorder's whole reason to exist: armed, always-on, and
 // still zero allocations on the warmed path. Each thread's ring
 // storage is allocated at its first event — which warmup covers — so a
-// steady-state record is a leaf-lock plus a POD slot copy.
+// steady-state record is a leaf-lock plus a POD slot copy. The second
+// configuration adds the metrics registry, armed the way `serve` and
+// perfbench arm it: every hit then also bumps counters and observes
+// histograms, whose series are created on first use during warmup.
 TEST(HotPath, WarmedHitWithFlightRecorderIsAllocationFree) {
-  PlatformSpec Spec = haswellDesktop();
-  SimProcessor Proc(Spec);
-  obs::FlightRecorder Flight;
-  EasConfig Config;
-  Config.Flight = &Flight;
-  EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
-  KernelDesc Kernel = computeBoundMicroKernel();
+  for (bool WithMetrics : {false, true}) {
+    SCOPED_TRACE(WithMetrics ? "metrics + flight recorder"
+                             : "flight recorder only");
+    PlatformSpec Spec = haswellDesktop();
+    SimProcessor Proc(Spec);
+    obs::MetricsRegistry Registry;
+    obs::FlightRecorder Flight;
+    EasConfig Config;
+    Config.Metrics = WithMetrics ? &Registry : nullptr;
+    Config.Flight = &Flight;
+    EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
+    KernelDesc Kernel = computeBoundMicroKernel();
 
-  // Profiling registers this thread's ring and fills the first slots;
-  // the warm laps reach ring steady state (wrapping included).
-  ASSERT_TRUE(Scheduler.execute(Proc, Kernel, 2e6).Profiled);
-  for (int I = 0; I != 3; ++I)
-    ASSERT_TRUE(Scheduler.execute(Proc, Kernel, 2e6).TableHit);
-  ASSERT_GT(Flight.eventsRecorded(), 0u);
+    // Profiling registers this thread's ring and fills the first slots;
+    // the warm laps reach ring steady state (wrapping included).
+    ASSERT_TRUE(Scheduler.execute(Proc, Kernel, 2e6).Profiled);
+    for (int I = 0; I != 3; ++I)
+      ASSERT_TRUE(Scheduler.execute(Proc, Kernel, 2e6).TableHit);
+    ASSERT_GT(Flight.eventsRecorded(), 0u);
 
-  AllocTally Tally;
-  for (int I = 0; I != 64; ++I) {
-    auto Hit = Scheduler.execute(Proc, Kernel, 2e6);
-    ASSERT_TRUE(Hit.TableHit);
+    AllocTally Tally;
+    for (int I = 0; I != 64; ++I) {
+      auto Hit = Scheduler.execute(Proc, Kernel, 2e6);
+      ASSERT_TRUE(Hit.TableHit);
+    }
+    EXPECT_EQ(Tally.allocations(), 0u)
+        << "64 warmed invocations with the sinks armed must not allocate";
+
+    // And the recording actually happened — the zero above must not be
+    // the zero of a disarmed sink.
+    obs::FlightSnapshot Snap = Flight.drain();
+    EXPECT_GE(Snap.DecisionsRecorded, 68u);
+    EXPECT_FALSE(Snap.Decisions.empty());
+    EXPECT_FALSE(Snap.Trace.Events.empty());
+    if (WithMetrics) {
+      EXPECT_GE(Registry.snapshot().total(obs::names::InvocationsTotal),
+                68.0);
+    }
   }
-  EXPECT_EQ(Tally.allocations(), 0u)
-      << "64 warmed invocations with the flight recorder armed must "
-         "not allocate";
-
-  // And the recording actually happened — the zero above must not be
-  // the zero of a disarmed recorder.
-  obs::FlightSnapshot Snap = Flight.drain();
-  EXPECT_GE(Snap.DecisionsRecorded, 68u);
-  EXPECT_FALSE(Snap.Decisions.empty());
-  EXPECT_FALSE(Snap.Trace.Events.empty());
 }
 
 // Fault-monitor reads sit on every dispatch; the lock-free mirrors must

@@ -10,8 +10,8 @@
 //            --metric=edp [--curves=curves.txt] [--scale=0.3]
 //   ecas-cli sweep --platform=baytrail-tablet --workload=MM
 //   ecas-cli suite --platform=haswell-desktop --metric=edp
-//   ecas-cli serve --platform=haswell-desktop --threads=8
-//            --invocations=200 --history-file=tableg.bin
+//   ecas-cli serve --platform=haswell-desktop --tenants=8
+//            --requests=200 --history-file=tableg.bin
 //
 // Exit codes: 0 success, 1 runtime failure (I/O, snapshot corruption,
 // drain failure), 2 usage error (unknown command/platform/workload/
@@ -37,7 +37,6 @@
 #include "ecas/support/Flags.h"
 #include "ecas/support/Format.h"
 #include "ecas/support/Random.h"
-#include "ecas/support/Stats.h"
 #include "ecas/support/ThreadAnnotations.h"
 #include "ecas/workloads/Registry.h"
 
@@ -127,18 +126,12 @@ int usage() {
       "                                     crash-time last-gasp document\n"
       "        [--no-flight-recorder]       disarm the always-on black box\n"
       "                                     (--decision-log keeps it armed)\n"
-      "        (--threads/--invocations keep working as legacy aliases;\n"
-      "        exit 1 when any SLA0 deadline missed or shed fraction\n"
+      "        (exit 1 when any SLA0 deadline missed or shed fraction\n"
       "        exceeds --shed-threshold)\n"
       "  inspect SOCKET [COMMAND]          query a live serve's control\n"
       "                                    endpoint (default statusz)\n"
       "  inspect --validate=DIR            validate one incident bundle\n"
       "  inspect --validate-lastgasp=FILE  validate a last-gasp document\n"
-      "  bench-service --platform=NAME [--requests=N] [--workers=W]\n"
-      "        [--out=FILE]                steady-state admission+decision\n"
-      "                                    latency and service throughput,\n"
-      "                                    written as JSON (default\n"
-      "                                    BENCH_service.json)\n"
       "  stats FILE                        pretty-print a Prometheus-text\n"
       "                                    snapshot (from --metrics-out)\n"
       "exit codes: 0 success, 1 runtime failure, 2 usage error\n");
@@ -606,12 +599,8 @@ int cmdServe(const Flags &Args) {
   }
   if (!applyFaultPlan(*Spec, Args))
     return ExitRuntime;
-  // --threads/--invocations remain as legacy aliases of
-  // --tenants/--requests so pre-service scripts keep working.
-  long long Tenants =
-      Args.getInt("tenants", Args.getInt("threads", 8));
-  long long PerTenant =
-      Args.getInt("requests", Args.getInt("invocations", 100));
+  long long Tenants = Args.getInt("tenants", 8);
+  long long PerTenant = Args.getInt("requests", 100);
   long long Workers = Args.getInt("workers", 4);
   long long QueueCap = Args.getInt("queue-cap", 64);
   if (Tenants < 1 || PerTenant < 1 || Workers < 1 || QueueCap < 0) {
@@ -1110,128 +1099,6 @@ int cmdInspect(const Flags &Args) {
   return ExitOk;
 }
 
-int cmdBenchService(const Flags &Args) {
-  auto Spec = platformByName(Args.getString("platform", "haswell-desktop"));
-  if (!Spec) {
-    std::fprintf(stderr, "error: unknown platform\n");
-    return ExitUsage;
-  }
-  long long Requests = Args.getInt("requests", 1000);
-  long long Workers = Args.getInt("workers", 4);
-  if (Requests < 1 || Workers < 1) {
-    std::fprintf(stderr, "error: --requests and --workers must be positive\n");
-    return ExitUsage;
-  }
-  std::string Out = Args.getString("out", "BENCH_service.json");
-  Metric Objective = metricByName(Args.getString("metric", "edp"));
-
-  InvocationTrace Work;
-  for (const Workload &W : suiteFor(*Spec, Args))
-    Work.insert(Work.end(), W.Trace.begin(), W.Trace.end());
-  if (Work.empty()) {
-    std::fprintf(stderr, "error: empty workload suite\n");
-    return ExitRuntime;
-  }
-
-  EasScheduler Scheduler(
-      PowerCurveFamily::fromSingle(Characterizer(*Spec).characterize()),
-      Objective);
-
-  // Warm table G so the measured decisions are steady-state hits, not
-  // first-seen profiling runs.
-  {
-    SimProcessor Warm(*Spec);
-    for (const KernelInvocation &Inv : Work)
-      Scheduler.execute(Warm, Inv.Kernel, Inv.Iterations);
-  }
-
-  using HostClock = std::chrono::steady_clock;
-  auto ElapsedNs = [](HostClock::time_point T0) {
-    return std::chrono::duration<double, std::nano>(HostClock::now() - T0)
-        .count();
-  };
-
-  // Decision latency: host cost of one steady-state scheduler decision
-  // plus its simulated execution, against a warmed table G.
-  std::vector<double> DecisionNs;
-  DecisionNs.reserve(static_cast<size_t>(Requests));
-  {
-    SimProcessor Proc(*Spec);
-    for (long long I = 0; I != Requests; ++I) {
-      const KernelInvocation &Inv =
-          Work[static_cast<size_t>(I) % Work.size()];
-      HostClock::time_point T0 = HostClock::now();
-      Scheduler.execute(Proc, Inv.Kernel, Inv.Iterations);
-      DecisionNs.push_back(ElapsedNs(T0));
-    }
-  }
-
-  // Admission + throughput: submit every request through the service
-  // front end (lane capacity sized so admission itself is what we
-  // measure), then drain and derive completed-per-second.
-  ServiceConfig FrontConfig;
-  FrontConfig.Workers = static_cast<unsigned>(Workers);
-  FrontConfig.QueueCapPerClass = static_cast<size_t>(Requests);
-  ServiceFrontEnd Service(Scheduler, *Spec, FrontConfig);
-  std::vector<double> AdmissionNs;
-  AdmissionNs.reserve(static_cast<size_t>(Requests));
-  HostClock::time_point RunStart = HostClock::now();
-  for (long long I = 0; I != Requests; ++I) {
-    const KernelInvocation &Inv = Work[static_cast<size_t>(I) % Work.size()];
-    RequestContext Ctx;
-    Ctx.TenantId = 1 + static_cast<uint64_t>(I % 4);
-    Ctx.Sla = static_cast<SlaClass>(I % NumSlaClasses);
-    HostClock::time_point T0 = HostClock::now();
-    Service.submit(Inv.Kernel, Inv.Iterations, Ctx);
-    AdmissionNs.push_back(ElapsedNs(T0));
-  }
-  ServiceStats Stats = Service.shutdown();
-  double RunSec = std::chrono::duration<double>(HostClock::now() - RunStart)
-                      .count();
-  double ThroughputRps =
-      RunSec > 0.0 ? static_cast<double>(Stats.Completed) / RunSec : 0.0;
-
-  std::sort(AdmissionNs.begin(), AdmissionNs.end());
-  std::sort(DecisionNs.begin(), DecisionNs.end());
-
-  std::string Json = formatString(
-      "{\n"
-      "  \"bench\": \"service\",\n"
-      "  \"platform\": \"%s\",\n"
-      "  \"requests\": %lld,\n"
-      "  \"workers\": %lld,\n"
-      "  \"admission_latency_ns\": "
-      "{\"p50\": %.0f, \"p90\": %.0f, \"p99\": %.0f, \"mean\": %.0f},\n"
-      "  \"decision_latency_ns\": "
-      "{\"p50\": %.0f, \"p90\": %.0f, \"p99\": %.0f, \"mean\": %.0f},\n"
-      "  \"throughput_rps\": %.1f,\n"
-      "  \"completed\": %llu,\n"
-      "  \"rejected\": %llu,\n"
-      "  \"shed\": %llu,\n"
-      "  \"cancelled\": %llu\n"
-      "}\n",
-      Spec->Name.c_str(), Requests, Workers, quantileSorted(AdmissionNs, 0.5),
-      quantileSorted(AdmissionNs, 0.9), quantileSorted(AdmissionNs, 0.99),
-      arithmeticMean(AdmissionNs), quantileSorted(DecisionNs, 0.5),
-      quantileSorted(DecisionNs, 0.9), quantileSorted(DecisionNs, 0.99),
-      arithmeticMean(DecisionNs), ThroughputRps,
-      static_cast<unsigned long long>(Stats.Completed),
-      static_cast<unsigned long long>(Stats.Rejected),
-      static_cast<unsigned long long>(Stats.Shed),
-      static_cast<unsigned long long>(Stats.Cancelled));
-  if (Status S = obs::writeFileAtomic(Out, Json); !S) {
-    std::fprintf(stderr, "error: %s: %s\n", Out.c_str(),
-                 S.message().c_str());
-    return ExitRuntime;
-  }
-  std::printf("bench-service: admission p99 %.0f ns, decision p99 %.0f ns, "
-              "%.1f completed/s -> %s\n",
-              quantileSorted(AdmissionNs, 0.99),
-              quantileSorted(DecisionNs, 0.99),
-              ThroughputRps, Out.c_str());
-  return ExitOk;
-}
-
 int cmdStats(const Flags &Args) {
   if (Args.positional().size() < 2) {
     std::fprintf(stderr, "usage: ecas-cli stats FILE\n");
@@ -1415,8 +1282,6 @@ int main(int Argc, char **Argv) {
     return cmdFaults(Args);
   if (Command == "serve")
     return cmdServe(Args);
-  if (Command == "bench-service")
-    return cmdBenchService(Args);
   if (Command == "stats")
     return cmdStats(Args);
   if (Command == "inspect")
