@@ -98,7 +98,6 @@ EasScheduler::EasScheduler(PowerCurveFamily CurvesIn, Metric ObjectiveIn,
   // callers with untrusted configs validate() first.
   if (Status Valid = Config.validate(); !Valid.ok())
     reportFatalError(Valid.toString().c_str(), __FILE__, __LINE__);
-  Monitor.setTrace(Config.Trace);
   registerInstruments();
   initDurability();
 }
@@ -206,6 +205,7 @@ void EasScheduler::registerInstruments() {
   // do not, so a crash bundle carries the hang/quarantine timeline even
   // when metrics are off.
   GpuHealthMonitor::MetricHooks Hooks;
+  Hooks.Trace = Config.Trace;
   Hooks.Flight = Config.Flight;
   if (M) {
     Hooks.Hangs = &M->counter(obs::names::HangsTotal, {},
@@ -376,7 +376,7 @@ void EasScheduler::recordInvocation(const KernelDesc &Kernel,
     // DecisionRecord and double the armed hot path's lock count).
     Config.Flight->recordDecision(Rec);
     if (Outcome.Profiled)
-      Config.Flight->instant("eas", "profile", Outcome.Seconds);
+      Config.Flight->instant("eas", "profile", {}, {}, Outcome.Seconds);
     if (Outcome.GpuQuarantined)
       Config.Flight->instant("eas", "quarantined-run");
     if (Outcome.GpuReadmitted)
@@ -530,7 +530,8 @@ EasScheduler::execute(SimProcessor &Proc, const KernelDesc &Kernel,
   if (!Admitting.load(std::memory_order_acquire)) {
     endInvocation();
     if (Config.Trace) {
-      Config.Trace->instant("eas", "rejected", Proc.now());
+      Config.Trace->instant("eas", "rejected",
+                            obs::VirtualTime(Proc.now()));
       Config.Trace->count("eas.rejected");
     }
     if (Ins.Rejected)
@@ -568,7 +569,7 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
   // recording below is observation-only: with T == nullptr every helper
   // no-ops, and with a recorder attached the scheduling decisions are
   // bit-identical (ObsTest's null-sink regression).
-  obs::TraceRecorder *T = Config.Trace;
+  obs::FlightRecorder *T = Config.Trace;
   obs::ScopedSpan Invocation(
       T, "eas", "invocation",
       T ? std::function<double()>([&Proc] { return Proc.now(); })
@@ -581,7 +582,8 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
   if (stopRequested(Proc.now(), Cancel)) {
     Outcome.Cancelled = true;
     if (T)
-      T->instant("eas", "cancelled", Proc.now(), "at-entry");
+      T->instant("eas", "cancelled", obs::VirtualTime(Proc.now()),
+                 "at-entry");
     return Outcome;
   }
 
@@ -589,7 +591,7 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
   // counter A26 on the paper's machines), run entirely on the CPU.
   if (externalGpuBusy()) {
     if (T)
-      T->instant("eas", "external-gpu-busy", Proc.now());
+      T->instant("eas", "external-gpu-busy", obs::VirtualTime(Proc.now()));
     runPartitioned(Proc, Kernel, Iterations, /*Alpha=*/0.0);
     Outcome.CpuOnlyFastPath = true;
     Outcome.Seconds = Proc.now() - Start;
@@ -668,7 +670,7 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
     Outcome.GpuReadmitted = true;
     ReprofileDue = true;
     if (T)
-      T->instant("eas", "readmit-reprofile", Proc.now());
+      T->instant("eas", "readmit-reprofile", obs::VirtualTime(Proc.now()));
   }
 
   // Freshly measured samples to merge into table G at the end; the
@@ -693,7 +695,7 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
     // a later invocation large enough to fill the GPU still profiles
     // (graph kernels routinely open with a tiny frontier).
     if (T)
-      T->instant("eas", "small-invocation", Proc.now(),
+      T->instant("eas", "small-invocation", obs::VirtualTime(Proc.now()),
                  formatString("n=%.0f below profile size %.0f", Iterations,
                               GpuProfileSize));
     runPartitioned(Proc, Kernel, Iterations, /*Alpha=*/0.0);
@@ -747,7 +749,8 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
       if (stopRequested(Proc.now(), Cancel)) {
         Outcome.Cancelled = true;
         if (T)
-          T->instant("eas", "cancelled", Proc.now(), "mid-profile");
+          T->instant("eas", "cancelled", obs::VirtualTime(Proc.now()),
+                     "mid-profile");
         break;
       }
       ProfileSample Sample = Profiler.profileOnce(Kernel, Nrem);
@@ -789,7 +792,8 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
       Outcome.Class =
           Profiler.classify(SearchSample, SearchNrem, Config.Thresholds);
       if (T)
-        T->instant("eas", "classify", Proc.now(), Outcome.Class.name());
+        T->instant("eas", "classify", obs::VirtualTime(Proc.now()),
+                   Outcome.Class.name());
 
       // Step 20, extended along the DVFS axis: minimize OBJ over the
       // (alpha, P-state) grid. Profiling may have consumed every
@@ -835,7 +839,8 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
         for (size_t I = 0; I != Grid.size(); ++I)
           Detail += formatString(I ? ",%.2f:%.4g" : "%.2f:%.4g",
                                  Grid[I].first, Grid[I].second);
-        T->instant("eas", "alpha-search", Proc.now(), std::move(Detail));
+        T->instant("eas", "alpha-search", obs::VirtualTime(Proc.now()),
+                   Detail);
       }
     }
     Outcome.ProfileSeconds = Proc.now() - ProfileStart;
@@ -847,7 +852,8 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
   if (!Outcome.Cancelled && stopRequested(Proc.now(), Cancel)) {
     Outcome.Cancelled = true;
     if (T)
-      T->instant("eas", "cancelled", Proc.now(), "before-dispatch");
+      T->instant("eas", "cancelled", obs::VirtualTime(Proc.now()),
+                 "before-dispatch");
   }
 
   // Steps 23-25: execute the remainder at the chosen split, optionally
@@ -972,7 +978,7 @@ EasScheduler::InvocationOutcome EasScheduler::runTableHit(
     SimProcessor &Proc, const KernelDesc &Kernel, double Iterations,
     uint64_t HistoryKey, const KernelRecord &KnownRec,
     const CancellationToken *Cancel, double Start, uint32_t StartMsr,
-    obs::TraceRecorder *T, obs::ScopedSpan &Invocation) {
+    obs::FlightRecorder *T, obs::ScopedSpan &Invocation) {
   // Steps 2-4 steady state: replay the learned ratio. Every statement
   // below mirrors the shared tail of executeAdmitted in its original
   // order (with Nrem == Iterations and no profiling merge), so the
@@ -1018,7 +1024,7 @@ EasScheduler::InvocationOutcome EasScheduler::runTableHit(
         Objective.evaluate(Outcome.PredictedWatts, Outcome.PredictedSeconds);
   }
   if (T)
-    T->instant("eas", "table-hit", Proc.now(),
+    T->instant("eas", "table-hit", obs::VirtualTime(Proc.now()),
                formatString("alpha=%.3f", Alpha)); // ecas-hotpath: allow(alloc)
 
   // Cancellation point 3: before the remainder execution (points 1 and 2
@@ -1026,7 +1032,7 @@ EasScheduler::InvocationOutcome EasScheduler::runTableHit(
   if (stopRequested(Proc.now(), Cancel)) {
     Outcome.Cancelled = true;
     if (T)
-      T->instant("eas", "cancelled", Proc.now(),
+      T->instant("eas", "cancelled", obs::VirtualTime(Proc.now()),
                  "before-dispatch"); // ecas-hotpath: allow(alloc)
   }
 

@@ -35,7 +35,6 @@
 #include "ecas/fault/GpuHealth.h"
 #include "ecas/obs/FlightRecorder.h"
 #include "ecas/obs/Metrics.h"
-#include "ecas/obs/Trace.h"
 #include "ecas/power/PowerCurve.h"
 #include "ecas/profile/OnlineProfiler.h"
 #include "ecas/sim/SimProcessor.h"
@@ -117,14 +116,16 @@ struct EasConfig {
     bool Enabled = false;
   };
   JournalConfig Journal;
-  /// Optional trace recorder (not owned; must outlive the scheduler).
-  /// When set, every invocation emits spans and instants through it —
-  /// admission, profiling repetitions, classification, the alpha
-  /// search (with the evaluated grid), the remainder dispatch, health
-  /// transitions, and the shutdown drain/snapshot phases — plus the
-  /// eas.* counters, which recordInvocation() derives from the
-  /// InvocationOutcome exactly like the eas_*_total metrics.
-  obs::TraceRecorder *Trace = nullptr;
+  /// Optional trace recorder (not owned; must outlive the scheduler),
+  /// normally in capture mode (obs::FlightRecorder::Unbounded) so it
+  /// keeps every event and its Detail text. When set, every invocation
+  /// emits spans and instants through it — admission, profiling
+  /// repetitions, classification, the alpha search (with the evaluated
+  /// grid), the remainder dispatch, health transitions, and the
+  /// shutdown drain/snapshot phases — plus the eas.* counters, which
+  /// recordInvocation() derives from the InvocationOutcome exactly like
+  /// the eas_*_total metrics.
+  obs::FlightRecorder *Trace = nullptr;
   /// Optional metrics registry (not owned; must outlive the scheduler).
   /// When set, the constructor pre-registers every instrument of the
   /// eas_* taxonomy (DESIGN.md §11) and each invocation folds its
@@ -132,11 +133,11 @@ struct EasConfig {
   /// chosen-alpha distribution, profile overhead, lifecycle counters,
   /// and the health monitor's transition counters.
   obs::MetricsRegistry *Metrics = nullptr;
-  /// Optional always-on flight recorder (not owned, DESIGN.md §16) and
-  /// the one home of per-decision audit records: every admitted
-  /// invocation appends its DecisionRecord to the recorder's
-  /// overwrite-oldest ring, plus a handful of instant events (profile,
-  /// hang, quarantine, readmission) — all fixed-capacity and
+  /// Optional always-on flight recorder in bounded mode (not owned,
+  /// DESIGN.md §16) and the one home of per-decision audit records:
+  /// every admitted invocation appends its DecisionRecord to the
+  /// recorder's overwrite-oldest ring, plus a handful of instant events
+  /// (profile, hang, quarantine, readmission) — all fixed-capacity and
   /// allocation-free once warm, so arming it keeps the hot path's
   /// zero-allocation contract (HotPathTest's regression).
   ///
@@ -352,7 +353,7 @@ private:
   runTableHit(SimProcessor &Proc, const KernelDesc &Kernel, double Iterations,
               uint64_t HistoryKey, const KernelRecord &KnownRec,
               const CancellationToken *Cancel, double Start, uint32_t StartMsr,
-              obs::TraceRecorder *T, obs::ScopedSpan &Invocation);
+              obs::FlightRecorder *T, obs::ScopedSpan &Invocation);
   /// Fills \p Views with one PStateView per searchable state — curve
   /// for \p Class plus the state's frequency scales relative to state 0
   /// — and returns the count. 1 (full speed only) unless Config.PStates

@@ -25,12 +25,14 @@
 ///   Options.Trace = &Trace;                  // the invocation sequence
 ///   Options.Curves = &Curves;                // required for Eas/alpha search
 ///   Options.Objective = ecas::Metric::edp();
-///   ecas::obs::TraceRecorder Recorder;       // optional observability
+///   ecas::obs::FlightRecorder Recorder(      // optional observability,
+///       ecas::obs::FlightRecorder::Unbounded); // in capture mode
 ///   Options.Recorder = &Recorder;
 ///   ecas::SessionReport Report = Session.run(ecas::SchemeKind::Eas, Options);
 ///
-///   ecas::obs::ChromeTraceSink Sink("run.trace.json");
-///   Recorder.drainTo(Sink);                  // open in Perfetto
+///   ecas::obs::TraceLog Log = Recorder.drain().Trace;
+///   ecas::obs::writeFileAtomic("run.trace.json", // open in Perfetto
+///                              ecas::obs::renderChromeTrace(Log));
 /// \endcode
 ///
 /// Attaching a Recorder never changes scheduling decisions: with
@@ -45,7 +47,7 @@
 #include "ecas/core/EasScheduler.h"
 #include "ecas/core/Schedulers.h"
 #include "ecas/hw/PlatformSpec.h"
-#include "ecas/obs/Trace.h"
+#include "ecas/obs/FlightRecorder.h"
 
 namespace ecas {
 
@@ -94,11 +96,12 @@ struct RunOptions {
   /// invocations and at the scheduler's cooperative points; a fired
   /// token ends the run early with Report.Cancelled set.
   const CancellationToken *Cancel = nullptr;
-  /// Optional observability recorder. When set, the run emits a
-  /// "session" span, wires the recorder through the EAS scheduler
-  /// (unless Eas.Trace is already set), and fills the report's
-  /// TraceEventCount. Never changes scheduling.
-  obs::TraceRecorder *Recorder = nullptr;
+  /// Optional observability recorder, normally a capture one
+  /// (FlightRecorder::Unbounded). When set, the run emits a "session"
+  /// span, wires the recorder through the EAS scheduler (unless
+  /// Eas.Trace is already set), and fills the report's TraceEventCount.
+  /// Never changes scheduling.
+  obs::FlightRecorder *Recorder = nullptr;
   /// Optional metrics registry, wired through the EAS scheduler like the
   /// recorder (unless Eas.Metrics is already set). An EAS run also
   /// attaches eas_msr_reads_total to the processor's energy meter. Null

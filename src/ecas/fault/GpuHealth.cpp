@@ -62,17 +62,21 @@ bool GpuHealthMonitor::gpuUsable(double NowSec) {
     }
     ECAS_UNREACHABLE("unknown health state");
   }();
-  // Leaf-lock discipline: trace events and counter bumps only after the
+  // Leaf-lock discipline: events and counter bumps only after the
   // mutex is released.
   if (Probing) {
-    if (obs::TraceRecorder *T = Trace.load(std::memory_order_acquire))
-      T->instant("health", "probe", NowSec);
+    emit("probe", NowSec);
     if (Metrics.Probes)
       Metrics.Probes->add();
-    if (Metrics.Flight)
-      Metrics.Flight->instant("health", "probe", NowSec);
   }
   return Usable;
+}
+
+void GpuHealthMonitor::emit(const char *Name, double NowSec,
+                            const char *Detail) const {
+  for (obs::FlightRecorder *Recorder : {Metrics.Trace, Metrics.Flight})
+    if (Recorder)
+      Recorder->instant("health", Name, obs::VirtualTime(NowSec), Detail);
 }
 
 void GpuHealthMonitor::quarantine(double NowSec) {
@@ -96,8 +100,7 @@ void GpuHealthMonitor::noteLaunchFailure(double NowSec) {
     PristineFast.store(false, std::memory_order_release);
     ++Counters.LaunchFailures;
   }
-  if (obs::TraceRecorder *T = Trace.load(std::memory_order_acquire))
-    T->instant("health", "launch-retry", NowSec);
+  emit("launch-retry", NowSec);
 }
 
 // ecas-hotpath: allow(lock)
@@ -109,12 +112,9 @@ void GpuHealthMonitor::noteLaunchAbandoned(double NowSec) {
     ++Counters.LaunchesAbandoned;
     quarantine(NowSec);
   }
-  if (obs::TraceRecorder *T = Trace.load(std::memory_order_acquire))
-    T->instant("health", "quarantine", NowSec, "launch-abandoned");
+  emit("quarantine", NowSec, "launch-abandoned");
   if (Metrics.Quarantines)
     Metrics.Quarantines->add();
-  if (Metrics.Flight)
-    Metrics.Flight->instant("health", "quarantine", NowSec);
 }
 
 // ecas-hotpath: allow(lock)
@@ -126,18 +126,12 @@ void GpuHealthMonitor::noteHang(double NowSec) {
     ++Counters.HangsDetected;
     quarantine(NowSec);
   }
-  if (obs::TraceRecorder *T = Trace.load(std::memory_order_acquire)) {
-    T->instant("health", "hang", NowSec);
-    T->instant("health", "quarantine", NowSec, "hang");
-  }
+  emit("hang", NowSec);
+  emit("quarantine", NowSec, "hang");
   if (Metrics.Hangs)
     Metrics.Hangs->add();
   if (Metrics.Quarantines)
     Metrics.Quarantines->add();
-  if (Metrics.Flight) {
-    Metrics.Flight->instant("health", "hang", NowSec);
-    Metrics.Flight->instant("health", "quarantine", NowSec);
-  }
 }
 
 // ecas-hotpath: allow(lock)
@@ -155,11 +149,8 @@ void GpuHealthMonitor::noteGpuSuccess(double NowSec) {
     StateFast.store(GpuHealthState::Healthy, std::memory_order_release);
   }
   if (Recovered) {
-    if (obs::TraceRecorder *T = Trace.load(std::memory_order_acquire))
-      T->instant("health", "recovery", NowSec);
+    emit("recovery", NowSec);
     if (Metrics.Recoveries)
       Metrics.Recoveries->add();
-    if (Metrics.Flight)
-      Metrics.Flight->instant("health", "recovery", NowSec);
   }
 }

@@ -27,7 +27,6 @@
 
 #include "ecas/obs/FlightRecorder.h"
 #include "ecas/obs/Metrics.h"
-#include "ecas/obs/Trace.h"
 #include "ecas/support/HotPath.h"
 #include "ecas/support/ThreadAnnotations.h"
 
@@ -130,35 +129,35 @@ public:
     return QuarantinedUntil;
   }
 
-  /// Attaches (or detaches, with nullptr) a trace recorder. State
-  /// transitions then emit "health" instants — quarantine, probe,
-  /// recovery, hang — stamped with the observation's virtual time.
-  /// Events are always emitted after the monitor's mutex is released:
-  /// this mutex is a documented leaf, so no other lock (the recorder's
-  /// registry included) may be acquired under it.
-  void setTrace(obs::TraceRecorder *Recorder) {
-    Trace.store(Recorder, std::memory_order_release);
-  }
-
-  /// Counters for the reaction-side transitions (hang, quarantine,
-  /// probe, recovery), bumped after the leaf mutex is released, exactly
-  /// like the trace instants. Null members are skipped. Attach before
+  /// Counters and recorders for the reaction-side transitions (hang,
+  /// quarantine, probe, recovery; recorders also get launch retries).
+  /// All are fed after the monitor's mutex is released: it is a
+  /// documented leaf, so no other lock (a recorder's included) may be
+  /// acquired under it. Null members are skipped. Attach before
   /// concurrent use — the EasScheduler constructor does — because the
-  /// hook pointers themselves are unsynchronized (the counters they
-  /// point at are atomic).
+  /// hook pointers themselves are unsynchronized (the counters and
+  /// recorders they point at are thread-safe).
   struct MetricHooks {
     obs::Counter *Hangs = nullptr;
     obs::Counter *Quarantines = nullptr;
     obs::Counter *Probes = nullptr;
     obs::Counter *Recoveries = nullptr;
-    /// Flight-recorder sink for the same transitions (DESIGN.md §16);
-    /// instants land in the crash ring even without a registry.
+    /// Recorders that get each transition as a "health" instant stamped
+    /// with the observation's virtual time: the capture trace
+    /// (EasConfig::Trace) and the flight ring (DESIGN.md §16), which
+    /// gets them even without a registry, so a crash bundle carries the
+    /// hang/quarantine timeline.
+    obs::FlightRecorder *Trace = nullptr;
     obs::FlightRecorder *Flight = nullptr;
   };
   void setMetrics(const MetricHooks &Hooks) { Metrics = Hooks; }
 
 private:
   void quarantine(double NowSec) ECAS_REQUIRES(Mutex);
+  /// Emits the "health" instant \p Name at virtual time \p NowSec to
+  /// each attached recorder. Never called with the mutex held.
+  void emit(const char *Name, double NowSec,
+            const char *Detail = "") const;
 
   GpuHealthConfig Config;
   /// Leaf lock: nothing else is acquired while this monitor's mutex is
@@ -179,9 +178,6 @@ private:
   bool Pristine ECAS_GUARDED_BY(Mutex) = true;
   double QuarantinedUntil ECAS_GUARDED_BY(Mutex) = 0.0;
   double CurrentQuarantineSec ECAS_GUARDED_BY(Mutex);
-  /// Not guarded: read/written with its own acquire/release ordering so
-  /// transition events can be emitted outside the leaf mutex.
-  std::atomic<obs::TraceRecorder *> Trace{nullptr};
   /// Not guarded: written once by setMetrics() before concurrent use.
   MetricHooks Metrics;
 };

@@ -9,7 +9,6 @@
 #include "ecas/support/Format.h"
 
 #include <cmath>
-#include <fstream>
 #include <map>
 
 using namespace ecas;
@@ -71,15 +70,25 @@ private:
 };
 } // namespace
 
+/// The fields every rendered event shares, plus an "args" object
+/// holding the Detail text and, when nonzero, \p Payload (an instant's
+/// Value; spans pass none, since a complete span's Value is its "dur").
 static std::string commonFields(const char *Phase, const TraceEvent &E,
-                                double TsUs, long long Pid) {
+                                double TsUs, long long Pid,
+                                double Payload = 0.0) {
   std::string Fields = formatString(
       "\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,"
       "\"pid\":%lld,\"tid\":%u",
       jsonEscape(E.Name).c_str(), jsonEscape(E.Category).c_str(), Phase,
       TsUs, Pid, E.ThreadId);
+  std::string Args;
   if (!E.Detail.empty())
-    Fields += ",\"args\":{\"detail\":\"" + jsonEscape(E.Detail) + "\"}";
+    Args = "\"detail\":\"" + jsonEscape(E.Detail) + "\"";
+  if (Payload != 0.0 && std::isfinite(Payload))
+    Args += formatString("%s\"value\":%.6g", Args.empty() ? "" : ",",
+                         Payload);
+  if (!Args.empty())
+    Fields += ",\"args\":{" + Args + "}";
   return Fields;
 }
 
@@ -120,9 +129,11 @@ std::string ecas::obs::renderChromeTrace(const TraceLog &Log) {
       break;
     case EventKind::Instant:
       // Scope "t": thread-scoped instant marker.
-      Out.add(commonFields("i", E, HostUs, HostPid) + ",\"s\":\"t\"");
+      Out.add(commonFields("i", E, HostUs, HostPid, E.Value) +
+              ",\"s\":\"t\"");
       if (E.hasVirtualTime())
-        Out.add(commonFields("i", E, VirtUs, VirtualPid) + ",\"s\":\"t\"");
+        Out.add(commonFields("i", E, VirtUs, VirtualPid, E.Value) +
+                ",\"s\":\"t\"");
       break;
     case EventKind::Counter: {
       double &Value = Running[E.Name];
@@ -136,23 +147,6 @@ std::string ecas::obs::renderChromeTrace(const TraceLog &Log) {
     }
   }
   return Out.finish();
-}
-
-ChromeTraceSink::ChromeTraceSink(std::string PathIn)
-    : Path(std::move(PathIn)) {}
-
-Status ChromeTraceSink::consume(const TraceLog &Log) {
-  Json = renderChromeTrace(Log);
-  if (Path.empty())
-    return Status::success();
-  std::ofstream File(Path, std::ios::binary);
-  if (!File)
-    return Status::error(ErrCode::IoError, "cannot write trace " + Path);
-  File << Json;
-  File.flush();
-  if (!File)
-    return Status::error(ErrCode::IoError, "short write to " + Path);
-  return Status::success();
 }
 
 //===----------------------------------------------------------------------===//
@@ -446,6 +440,11 @@ ErrorOr<ChromeTraceData> ecas::obs::parseChromeTrace(const std::string &Json) {
     double Pid = 0.0, Tid = 0.0;
     TakeNumber("pid", Pid);
     TakeNumber("tid", Tid);
+    if (const JsonValue *Args = Item.field("args");
+        Args && Args->Kind == JsonValue::Type::Object)
+      if (const JsonValue *V = Args->field("value");
+          V && V->Kind == JsonValue::Type::Number)
+        E.Value = V->Number;
     E.Pid = static_cast<long long>(Pid);
     E.Tid = static_cast<long long>(Tid);
     if (E.Phase.empty())

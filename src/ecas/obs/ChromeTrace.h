@@ -18,6 +18,9 @@
 ///     with the scheduler's own decisions.
 /// Counters render as cumulative "C" events on the host track, so each
 /// counter becomes a ramp whose final height equals its TraceLog total.
+/// An event's Detail text renders as args.detail, and an instant's
+/// nonzero Value (a shed request's wait, a profile's seconds) as
+/// args.value.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,27 +28,12 @@
 #define ECAS_OBS_CHROMETRACE_H
 
 #include "ecas/obs/Trace.h"
+#include "ecas/support/Error.h"
 
 namespace ecas::obs {
 
 /// Renders \p Log as a Chrome trace-event JSON document.
 std::string renderChromeTrace(const TraceLog &Log);
-
-/// TraceSink writing renderChromeTrace() to \p Path (or only keeping it
-/// in memory when \p Path is empty).
-class ChromeTraceSink : public TraceSink {
-public:
-  explicit ChromeTraceSink(std::string Path = {});
-
-  Status consume(const TraceLog &Log) override;
-
-  /// The rendered JSON ("" before consume()).
-  const std::string &json() const { return Json; }
-
-private:
-  std::string Path;
-  std::string Json;
-};
 
 /// One parsed trace-event record (the fields the project emits).
 struct ChromeTraceEvent {
@@ -57,6 +45,8 @@ struct ChromeTraceEvent {
   double DurationUs = 0.0;
   long long Pid = 0;
   long long Tid = 0;
+  /// args.value: an instant's payload, or a counter's running total.
+  double Value = 0.0;
 };
 
 /// Parsed form of a Chrome trace document.

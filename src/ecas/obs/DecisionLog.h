@@ -14,8 +14,7 @@
 /// whether the choice came from a table-G hit or a fresh profile. The
 /// records live in the flight recorder's fixed-capacity decision ring
 /// (obs/FlightRecorder.h); DecisionLogSink renders a drained tail as CSV
-/// or JSON-lines for offline diffing, mirroring the CsvTraceSink /
-/// ChromeTrace split in the trace layer.
+/// or JSON-lines for offline diffing.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,4 +1,4 @@
-//===-- ecas/obs/FlightRecorder.cpp - Always-on black-box ring ------------===//
+//===-- ecas/obs/FlightRecorder.cpp - The one event recorder --------------===//
 //
 // Part of the ecas project, under the MIT License.
 //
@@ -7,64 +7,114 @@
 #include "ecas/obs/FlightRecorder.h"
 
 #include <algorithm>
-#include <string>
+#include <chrono>
+#include <map>
+#include <type_traits>
 
 using namespace ecas;
 using namespace ecas::obs;
 
 namespace {
 
-/// Process-wide recorder identity source, shared with nothing: flight
-/// recorders and trace recorders keep separate caches, so their id
-/// spaces are independent.
-uint64_t nextFlightRecorderId() {
+/// Process-wide recorder identity source.
+uint64_t nextRecorderId() {
   static std::atomic<uint64_t> Next{1};
   return Next.fetch_add(1, std::memory_order_relaxed);
 }
 
+constexpr uint32_t NoDetail = std::numeric_limits<uint32_t>::max();
+
+/// One ring slot. The recording thread's id belongs to the ring and the
+/// Detail text to the ring's side store, so the slot is a flat copy
+/// whose size sets the bounded rings' footprint: 4096 slots per
+/// recording thread, counted in every armed service's heap.
+struct Slot {
+  const char *Category;
+  const char *Name;
+  double HostSeconds;
+  double VirtualSeconds;
+  double Value;
+  uint64_t Seq;
+  /// Index into the ring's side store, or NoDetail.
+  uint32_t DetailIndex;
+  EventKind Kind;
+};
+static_assert(std::is_trivially_copyable_v<Slot> &&
+                  std::is_standard_layout_v<Slot>,
+              "a ring slot must be POD: recording copies it under a lock");
+static_assert(sizeof(Slot) <= 56,
+              "a larger slot grows every bounded ring (heap_mb)");
+
 } // namespace
 
-/// One thread's fixed-capacity ring. The storage vector is sized once
-/// at registration and never grows; push() overwrites the slot at
-/// Next % capacity under the ring's own leaf mutex. The mutex (rather
-/// than the TraceRecorder's lock-free published-prefix chunks) is what
-/// makes overwrite-oldest sound: a drain can copy a slot that a wrapped
-/// writer is about to reuse, and append-only publishing cannot express
-/// that. Uncontended lock/unlock allocates nothing, so the armed hot
-/// path stays heap-silent.
+/// One thread's ring. A bounded ring's storage is reserved once at
+/// registration and never grows; push() appends until full, then
+/// overwrites the slot at Next % capacity, all under the ring's own leaf
+/// mutex. The mutex is what makes overwrite-oldest sound: a drain can
+/// copy a slot that a wrapped writer is about to reuse. Uncontended
+/// lock/unlock allocates nothing, so the armed hot path stays
+/// heap-silent. A capture ring (Unbounded) appends forever and keeps
+/// each non-empty Detail in its side store.
 struct FlightRecorder::ThreadRing {
-  ThreadRing(uint32_t Id, size_t Cap) : ThreadId(Id) {
-    Events.resize(Cap);
+  ThreadRing(uint32_t Id, size_t CapIn) : ThreadId(Id), Cap(CapIn) {
+    if (Cap != Unbounded)
+      Slots.reserve(Cap);
   }
 
-  void push(const FlightEvent &Event) {
+  void push(Slot S, std::string_view Detail) {
     LockGuard Lock(Mutex);
-    Events[static_cast<size_t>(Next % Events.size())] = Event;
+    S.DetailIndex = NoDetail;
+    if (Cap == Unbounded && !Detail.empty()) {
+      S.DetailIndex = static_cast<uint32_t>(Details.size());
+      Details.emplace_back(Detail);
+    }
+    if (Slots.size() < Cap)
+      Slots.push_back(S);
+    else
+      Slots[static_cast<size_t>(Next % Cap)] = S;
     ++Next;
   }
 
-  /// Appends the surviving slots (oldest first) to \p Out and the
+  /// Appends the resident slots (oldest first) to \p Out and the
   /// overwrite count to \p Dropped.
-  void snapshot(std::vector<FlightEvent> &Out, uint64_t &Dropped) const {
+  void snapshot(std::vector<TraceEvent> &Out, uint64_t &Dropped) const {
     LockGuard Lock(Mutex);
-    const uint64_t Cap = Events.size();
-    const uint64_t Resident = std::min(Next, Cap);
+    const uint64_t Resident = Slots.size();
     Dropped += Next - Resident;
-    for (uint64_t I = 0; I != Resident; ++I)
-      Out.push_back(
-          Events[static_cast<size_t>((Next - Resident + I) % Cap)]);
+    for (uint64_t I = 0; I != Resident; ++I) {
+      const Slot &S = Slots[static_cast<size_t>((Next - Resident + I) %
+                                                Resident)];
+      TraceEvent &E = Out.emplace_back();
+      E.Kind = S.Kind;
+      E.Category = S.Category;
+      E.Name = S.Name;
+      E.HostSeconds = S.HostSeconds;
+      E.VirtualSeconds = S.VirtualSeconds;
+      E.Value = S.Value;
+      E.ThreadId = ThreadId;
+      E.Seq = S.Seq;
+      if (S.DetailIndex != NoDetail)
+        E.Detail = Details[S.DetailIndex];
+    }
   }
 
   const uint32_t ThreadId;
+  const size_t Cap;
   /// Leaf lock: nothing else is ever acquired while it is held.
   mutable AnnotatedMutex Mutex{"Obs.FlightRing"};
-  std::vector<FlightEvent> Events ECAS_GUARDED_BY(Mutex);
+  std::vector<Slot> Slots ECAS_GUARDED_BY(Mutex);
+  std::vector<std::string> Details ECAS_GUARDED_BY(Mutex);
   uint64_t Next ECAS_GUARDED_BY(Mutex) = 0;
 };
 
+double FlightRecorder::hostSeconds() {
+  using Clock = std::chrono::steady_clock;
+  return std::chrono::duration<double>(Clock::now().time_since_epoch())
+      .count();
+}
+
 FlightRecorder::FlightRecorder(size_t EventsPerThread, size_t DecisionCapacity)
-    : RecorderId(nextFlightRecorderId()),
-      Epoch(TraceRecorder::hostSeconds()),
+    : RecorderId(nextRecorderId()), Epoch(hostSeconds()),
       EventCap(std::max<size_t>(EventsPerThread, 1)),
       DecisionCap(std::max<size_t>(DecisionCapacity, 1)) {}
 
@@ -94,26 +144,49 @@ FlightRecorder::ThreadRing &FlightRecorder::localRing() {
 }
 
 void FlightRecorder::record(EventKind Kind, const char *Category,
-                            const char *Name, double Value) {
+                            const char *Name, double HostSec, VirtualTime At,
+                            double Value, std::string_view Detail) {
   ThreadRing &Ring = localRing();
-  FlightEvent Event;
-  Event.Kind = Kind;
-  Event.Category = Category;
-  Event.Name = Name;
-  Event.HostSeconds = TraceRecorder::hostSeconds();
-  Event.Value = Value;
-  Event.ThreadId = Ring.ThreadId;
-  Event.Seq = NextSeq.fetch_add(1, std::memory_order_relaxed);
-  Ring.push(Event);
+  Slot S;
+  S.Kind = Kind;
+  S.Category = Category;
+  S.Name = Name;
+  S.HostSeconds = HostSec;
+  S.VirtualSeconds = At.Seconds;
+  S.Value = Value;
+  S.Seq = NextSeq.fetch_add(1, std::memory_order_relaxed);
+  Ring.push(S, Detail);
+}
+
+void FlightRecorder::beginSpan(const char *Category, const char *Name,
+                               VirtualTime At, std::string_view Detail) {
+  record(EventKind::SpanBegin, Category, Name, hostSeconds(), At, 0.0,
+         Detail);
+}
+
+void FlightRecorder::endSpan(const char *Category, const char *Name,
+                             VirtualTime At, std::string_view Detail) {
+  record(EventKind::SpanEnd, Category, Name, hostSeconds(), At, 0.0,
+         Detail);
+}
+
+void FlightRecorder::completeSpan(const char *Category, const char *Name,
+                                  double StartHostSec, double DurationSec,
+                                  VirtualTime At, std::string_view Detail) {
+  record(EventKind::SpanComplete, Category, Name, StartHostSec, At,
+         DurationSec, Detail);
 }
 
 void FlightRecorder::instant(const char *Category, const char *Name,
+                             VirtualTime At, std::string_view Detail,
                              double Value) {
-  record(EventKind::Instant, Category, Name, Value);
+  record(EventKind::Instant, Category, Name, hostSeconds(), At, Value,
+         Detail);
 }
 
 void FlightRecorder::count(const char *Name, double Delta) {
-  record(EventKind::Counter, "counter", Name, Delta);
+  record(EventKind::Counter, "counter", Name, hostSeconds(), VirtualTime(),
+         Delta, {});
 }
 
 void FlightRecorder::recordDecision(const DecisionRecord &Record) {
@@ -136,59 +209,37 @@ void FlightRecorder::recordDecision(const DecisionRecord &Record) {
 
 FlightSnapshot FlightRecorder::drain() const {
   FlightSnapshot Snap;
-  Snap.Trace.EpochHostSeconds = Epoch;
-
-  std::vector<FlightEvent> Raw;
+  TraceLog &Log = Snap.Trace;
+  Log.EpochHostSeconds = Epoch;
   {
     LockGuard Lock(RegistryMutex);
     for (const std::unique_ptr<ThreadRing> &Ring : Rings)
-      Ring->snapshot(Raw, Snap.EventsDropped);
+      Ring->snapshot(Log.Events, Snap.EventsDropped);
   }
   Snap.EventsRecorded = NextSeq.load(std::memory_order_relaxed);
-
-  Snap.Trace.Events.reserve(Raw.size());
-  for (const FlightEvent &E : Raw) {
-    TraceEvent Out;
-    Out.Kind = E.Kind;
-    Out.Category = E.Category;
-    Out.Name = E.Name;
-    Out.HostSeconds = E.HostSeconds;
-    Out.Value = E.Value;
-    Out.ThreadId = E.ThreadId;
-    Out.Seq = E.Seq;
-    Snap.Trace.Events.push_back(std::move(Out));
-  }
-  std::sort(Snap.Trace.Events.begin(), Snap.Trace.Events.end(),
+  std::sort(Log.Events.begin(), Log.Events.end(),
             [](const TraceEvent &A, const TraceEvent &B) {
               if (A.HostSeconds != B.HostSeconds)
                 return A.HostSeconds < B.HostSeconds;
               return A.Seq < B.Seq;
             });
 
-  // Counter totals over the surviving tail (drops are gone for good —
-  // the point of a flight recorder is the recent window, not lifetime
-  // accounting; lifetime counts live in the MetricsRegistry).
-  for (const TraceEvent &E : Snap.Trace.Events) {
+  // Counter totals over the drained events. A bounded ring's overwritten
+  // deltas are gone for good — the point of a flight recorder is the
+  // recent window, not lifetime accounting; lifetime counts live in the
+  // MetricsRegistry.
+  std::map<std::string, CounterTotal> Totals;
+  for (const TraceEvent &E : Log.Events) {
     if (E.Kind != EventKind::Counter)
       continue;
-    auto It = std::find_if(Snap.Trace.Counters.begin(),
-                           Snap.Trace.Counters.end(),
-                           [&](const CounterTotal &T) {
-                             return T.Name == E.Name;
-                           });
-    if (It == Snap.Trace.Counters.end()) {
-      CounterTotal Total;
-      Total.Name = E.Name;
-      Snap.Trace.Counters.push_back(std::move(Total));
-      It = Snap.Trace.Counters.end() - 1;
-    }
-    It->Total += E.Value;
-    ++It->Samples;
+    CounterTotal &C = Totals[E.Name];
+    C.Name = E.Name;
+    C.Total += E.Value;
+    ++C.Samples;
   }
-  std::sort(Snap.Trace.Counters.begin(), Snap.Trace.Counters.end(),
-            [](const CounterTotal &A, const CounterTotal &B) {
-              return A.Name < B.Name;
-            });
+  Log.Counters.reserve(Totals.size());
+  for (auto &[Name, Total] : Totals)
+    Log.Counters.push_back(std::move(Total));
 
   {
     LockGuard Lock(DecisionMutex);
@@ -202,4 +253,22 @@ FlightSnapshot FlightRecorder::drain() const {
           (NextDecision - Resident + I) % DecisionRing.size())]);
   }
   return Snap;
+}
+
+//===----------------------------------------------------------------------===//
+// ScopedSpan
+//===----------------------------------------------------------------------===//
+
+ScopedSpan::ScopedSpan(FlightRecorder *RecorderIn, const char *CategoryIn,
+                       const char *NameIn, std::function<double()> VirtualNowIn,
+                       std::string BeginDetail)
+    : Recorder(RecorderIn), Category(CategoryIn), Name(NameIn),
+      VirtualNow(std::move(VirtualNowIn)) {
+  if (Recorder)
+    Recorder->beginSpan(Category, Name, now(), std::move(BeginDetail));
+}
+
+ScopedSpan::~ScopedSpan() {
+  if (Recorder)
+    Recorder->endSpan(Category, Name, now(), std::move(EndDetail));
 }

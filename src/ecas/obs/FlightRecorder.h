@@ -1,30 +1,40 @@
-//===-- ecas/obs/FlightRecorder.h - Always-on black-box ring ---*- C++ -*-===//
+//===-- ecas/obs/FlightRecorder.h - The one event recorder -----*- C++ -*-===//
 //
 // Part of the ecas project, under the MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The forensics layer's always-on half (DESIGN.md §16). Where a
-/// TraceRecorder keeps *everything* and grows until drained — right for
-/// a bounded experiment, wrong for a service that runs for weeks — the
-/// FlightRecorder keeps only the recent past: a fixed-capacity
-/// per-thread ring of trace events plus one shared ring of
-/// DecisionRecords, both overwriting their oldest entries once full.
-/// Drain it at any moment (an anomaly trigger, a `dump` control
-/// command, a crash handler's pre-serialized tail) and you get the last
-/// few thousand things the scheduler did, in time order, however long
-/// the process has been up.
+/// The observability layer's one event recorder (DESIGN.md §10, §16). A
+/// FlightRecorder collects spans (nested begin/end, or complete after
+/// the fact), instant events, and monotonic counters from any number of
+/// threads into per-thread rings, plus one shared ring of
+/// DecisionRecords. The per-thread capacity picks its mode:
 ///
-/// The recording contract matches Trace/Metrics: a null
-/// FlightRecorder pointer in EasConfig no-ops every hook and scheduling
-/// is bit-identical. The hot-path contract is stricter than the
-/// TraceRecorder's: FlightEvent is strictly POD (no Detail string), the
-/// per-thread ring storage is allocated once at a thread's first event,
-/// and a steady-state record is a leaf-mutex lock plus a slot copy —
-/// zero heap traffic, proven by HotPathTest's armed-recorder regression.
-/// bench/micro_obs fails if arming costs more than 15% of a disarmed
-/// table hit.
+///   - bounded (flight; the default 4096 events per thread): a ring
+///     keeps only the recent past, overwriting its oldest slot once
+///     full — right for a service that runs for weeks. Drain it at any
+///     moment (an anomaly trigger, a `dump` control command, a crash
+///     handler's pre-serialized tail) and you get the last few thousand
+///     things the scheduler did, in time order.
+///   - unbounded (capture; EventsPerThread = Unbounded): rings grow
+///     until drained and keep each event's Detail text — right for a
+///     bounded experiment (`ecas-cli --trace-out`, ExecutionSession's
+///     RunOptions::Recorder).
+///
+/// Recording never feeds anything back into scheduling state, virtual
+/// time, or the random streams. A null recorder pointer no-ops every
+/// hook (EasConfig::Trace / ::Flight, RunOptions::Recorder, ScopedSpan),
+/// so unobserved runs stay bit-identical (ObsTest's and MetricsTest's
+/// regressions).
+///
+/// Hot path: a ring slot is strictly POD, a bounded ring's storage is
+/// reserved once at a thread's first event, and a steady-state record is
+/// a leaf-mutex lock plus a slot copy — zero heap traffic, proven by
+/// HotPathTest's armed-recorder regression. Detail text never enters a
+/// slot: it lives in a per-thread side store, referenced by index, that
+/// only a capture recorder fills. bench/micro_obs fails if arming a
+/// bounded recorder costs more than 15% of a disarmed table hit.
 ///
 /// Locking: "Obs.FlightRegistry" guards the ring list (taken once per
 /// (thread, recorder) pair and at drain); each ring has its own leaf
@@ -44,34 +54,28 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace ecas::obs {
 
-/// One black-box event. Strictly POD: Category and Name must be string
-/// literals (the ring stores the pointers), and unlike TraceEvent there
-/// is no Detail payload — a free-form string would put an allocation on
-/// the armed hot path.
-struct FlightEvent {
-  EventKind Kind = EventKind::Instant;
-  const char *Category = "";
-  const char *Name = "";
-  /// Host steady-clock seconds (TraceRecorder::hostSeconds).
-  double HostSeconds = 0.0;
-  /// Counter delta, or free-form numeric payload for instants.
-  double Value = 0.0;
-  /// Dense per-recorder id of the recording thread.
-  uint32_t ThreadId = 0;
-  /// Global record order; gaps in a drained snapshot reveal overwritten
-  /// history, exactly like DecisionRecord::Sequence.
-  uint64_t Seq = 0;
+/// A simulator timestamp for an event. A distinct type so that an
+/// event's virtual time and an instant's numeric payload, both doubles,
+/// can never be passed for each other.
+struct VirtualTime {
+  constexpr VirtualTime() = default;
+  constexpr explicit VirtualTime(double SecondsIn) : Seconds(SecondsIn) {}
+  /// NaN when the site has no simulated clock.
+  double Seconds = std::numeric_limits<double>::quiet_NaN();
 };
 
-/// Everything the recorder still holds, in sink-ready form: the event
-/// tail as a TraceLog (renderable by ChromeTrace like any full trace)
+/// Everything the recorder still holds: the event tail as a TraceLog
 /// plus the decision-record tail, with drop counters quantifying how
-/// much history the rings have already overwritten.
+/// much history the bounded rings have already overwritten.
 struct FlightSnapshot {
   TraceLog Trace;
   std::vector<DecisionRecord> Decisions;
@@ -81,14 +85,21 @@ struct FlightSnapshot {
   uint64_t DecisionsDropped = 0;
 };
 
-/// The always-on flight recorder. Construction is cheap; arm one per
+/// The event recorder. Construction is cheap; arm a bounded one per
 /// service via EasConfig::Flight (and ServiceConfig::Flight for the
-/// front end's shed/miss events). All record methods are thread-safe.
+/// front end's shed/miss events), and a capture one per experiment via
+/// EasConfig::Trace or RunOptions::Recorder. All record methods are
+/// thread-safe. Category and Name must be string literals (or otherwise
+/// outlive the recorder): slots store the pointers, not copies.
 class FlightRecorder {
 public:
-  /// \p EventsPerThread is each thread's ring capacity; \p
-  /// DecisionCapacity bounds the shared decision ring. Both are clamped
-  /// to at least 1.
+  /// The EventsPerThread value of a capture recorder: its rings never
+  /// wrap, and it keeps every event's Detail text.
+  static constexpr size_t Unbounded = std::numeric_limits<size_t>::max();
+
+  /// \p EventsPerThread is each thread's ring capacity (or Unbounded);
+  /// \p DecisionCapacity bounds the shared decision ring. Both are
+  /// clamped to at least 1.
   explicit FlightRecorder(size_t EventsPerThread = 4096,
                           size_t DecisionCapacity = 512);
   ~FlightRecorder();
@@ -96,21 +107,37 @@ public:
   FlightRecorder(const FlightRecorder &) = delete;
   FlightRecorder &operator=(const FlightRecorder &) = delete;
 
-  /// Records a point event with an optional numeric payload.
-  void instant(const char *Category, const char *Name, double Value = 0.0);
+  /// Opens a span named \p Name on the calling thread.
+  void beginSpan(const char *Category, const char *Name, VirtualTime At = {},
+                 std::string_view Detail = {});
 
-  /// Adds \p Delta to the monotonic counter \p Name (folded into
-  /// TraceLog::Counters at drain, like the TraceRecorder's).
+  /// Closes the calling thread's innermost span named \p Name.
+  void endSpan(const char *Category, const char *Name, VirtualTime At = {},
+               std::string_view Detail = {});
+
+  /// Records a complete span after the fact from explicit host
+  /// timestamps (the online profiler's "profile-rep" spans).
+  void completeSpan(const char *Category, const char *Name,
+                    double StartHostSec, double DurationSec,
+                    VirtualTime At = {}, std::string_view Detail = {});
+
+  /// Records a point event with an optional numeric payload \p Value
+  /// (rendered as args.value when nonzero).
+  void instant(const char *Category, const char *Name, VirtualTime At = {},
+               std::string_view Detail = {}, double Value = 0.0);
+
+  /// Adds \p Delta to the monotonic counter \p Name (the record is the
+  /// delta; totals are folded at drain).
   void count(const char *Name, double Delta = 1.0);
 
   /// Appends one decision record to the shared ring, stamping its
   /// Sequence. POD copy under a leaf mutex; no allocation.
   void recordDecision(const DecisionRecord &Record);
 
-  /// Snapshots the surviving tail: events merged across threads in
+  /// Snapshots what the rings hold: events merged across threads in
   /// (HostSeconds, Seq) order with counter deltas folded into totals,
   /// decisions oldest-first. Safe while other threads record; each ring
-  /// contributes what its writer has published.
+  /// contributes what its writer has pushed. Does not reset.
   FlightSnapshot drain() const;
 
   /// Events recorded over the recorder's lifetime (not just resident).
@@ -118,21 +145,23 @@ public:
     return NextSeq.load(std::memory_order_relaxed);
   }
 
-  size_t eventCapacityPerThread() const { return EventCap; }
-  size_t decisionCapacity() const { return DecisionCap; }
+  /// Host steady-clock seconds now — the clock every event is stamped
+  /// with, exposed so callers can stamp complete spans and correlate.
+  static double hostSeconds();
 
 private:
   struct ThreadRing;
 
   /// The calling thread's ring, registering one on first use (the only
-  /// allocation a recording thread ever performs).
+  /// allocation a bounded recorder's thread ever performs).
   ThreadRing &localRing();
   void record(EventKind Kind, const char *Category, const char *Name,
-              double Value);
+              double HostSec, VirtualTime At, double Value,
+              std::string_view Detail);
 
   /// Never-reused identity; thread-local caches key on it so a stale
   /// entry for a destroyed recorder cannot alias a new one at the same
-  /// address (the TraceRecorder idiom).
+  /// address.
   const uint64_t RecorderId;
   const double Epoch;
   const size_t EventCap;
@@ -149,6 +178,35 @@ private:
   mutable AnnotatedMutex DecisionMutex{"Obs.FlightDecisions"};
   std::vector<DecisionRecord> DecisionRing ECAS_GUARDED_BY(DecisionMutex);
   uint64_t NextDecision ECAS_GUARDED_BY(DecisionMutex) = 0;
+};
+
+/// RAII span: begins on construction, ends on destruction — safe across
+/// the scheduler's early returns. A null recorder makes it a no-op. The
+/// optional \p VirtualNow callback is re-read at both edges so the end
+/// event carries the advanced virtual clock.
+class ScopedSpan {
+public:
+  ScopedSpan(FlightRecorder *Recorder, const char *Category, const char *Name,
+             std::function<double()> VirtualNow = {},
+             std::string BeginDetail = {});
+  ~ScopedSpan();
+
+  ScopedSpan(const ScopedSpan &) = delete;
+  ScopedSpan &operator=(const ScopedSpan &) = delete;
+
+  /// Attaches a payload to the end event ("alpha=0.40").
+  void setEndDetail(std::string Detail) { EndDetail = std::move(Detail); }
+
+private:
+  VirtualTime now() const {
+    return VirtualNow ? VirtualTime(VirtualNow()) : VirtualTime();
+  }
+
+  FlightRecorder *Recorder;
+  const char *Category;
+  const char *Name;
+  std::function<double()> VirtualNow;
+  std::string EndDetail;
 };
 
 } // namespace ecas::obs

@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The observability layer's aggregation half. Where obs/Trace.h keeps
-/// every event (and is drained per run), a MetricsRegistry keeps only
+/// The observability layer's aggregation half. Where a FlightRecorder
+/// keeps events (obs/FlightRecorder.h), a MetricsRegistry keeps only
 /// running aggregates — counters, gauges, and log-bucketed histograms —
 /// cheap enough to leave attached to a long-running service and
 /// queryable at any moment.
 ///
-/// The contract mirrors the TraceRecorder's: instruments only fold
+/// The contract mirrors the FlightRecorder's: instruments only fold
 /// observations into their own atomics, never feed anything back into
 /// scheduling state, and a null registry pointer no-ops every record
 /// helper, so un-metered runs stay bit-identical (MetricsTest's

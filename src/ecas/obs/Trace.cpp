@@ -1,4 +1,4 @@
-//===-- ecas/obs/Trace.cpp - Spans, counters, per-thread buffers ----------===//
+//===-- ecas/obs/Trace.cpp - Drained event logs and their summary ---------===//
 //
 // Part of the ecas project, under the MIT License.
 //
@@ -6,29 +6,12 @@
 
 #include "ecas/obs/Trace.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cstring>
+#include "ecas/support/Format.h"
+
 #include <map>
 
 using namespace ecas;
 using namespace ecas::obs;
-
-const char *ecas::obs::eventKindName(EventKind Kind) {
-  switch (Kind) {
-  case EventKind::SpanBegin:
-    return "span-begin";
-  case EventKind::SpanEnd:
-    return "span-end";
-  case EventKind::SpanComplete:
-    return "span-complete";
-  case EventKind::Instant:
-    return "instant";
-  case EventKind::Counter:
-    return "counter";
-  }
-  ECAS_UNREACHABLE("unknown event kind");
-}
 
 double TraceLog::counterTotal(const std::string &Name) const {
   for (const CounterTotal &C : Counters)
@@ -44,247 +27,66 @@ size_t TraceLog::countNamed(const std::string &Name) const {
   return N;
 }
 
-//===----------------------------------------------------------------------===//
-// ThreadBuffer: single-writer chunked event list. The owning thread
-// appends without locks; a concurrent drain observes the prefix the
-// writer published (Count release-store / acquire-load per chunk, chunk
-// links via release pointers), so the snapshot is always consistent.
-//===----------------------------------------------------------------------===//
-
-struct TraceRecorder::ThreadBuffer {
-  static constexpr size_t ChunkEvents = 512;
-
-  struct Chunk {
-    TraceEvent Events[ChunkEvents];
-    /// Slots [0, Count) are fully written; the writer stores with
-    /// release after filling the slot, readers load with acquire.
-    std::atomic<size_t> Count{0};
-    std::atomic<Chunk *> Next{nullptr};
+std::string ecas::obs::renderTraceSummary(const TraceLog &Log) {
+  // Pair begin/end per (thread, name) by nesting order to charge each
+  // span its host-clock duration; SpanComplete events carry theirs.
+  struct SpanStats {
+    uint64_t Count = 0;
+    double TotalSeconds = 0.0;
   };
-
-  explicit ThreadBuffer(uint32_t ThreadIdIn)
-      : ThreadId(ThreadIdIn), Head(new Chunk), Tail(Head) {}
-
-  ~ThreadBuffer() {
-    for (Chunk *C = Head; C != nullptr;) {
-      Chunk *Next = C->Next.load(std::memory_order_relaxed);
-      delete C;
-      C = Next;
-    }
-  }
-
-  /// Owner thread only.
-  void push(TraceEvent Event) {
-    Event.ThreadId = ThreadId;
-    size_t Used = Tail->Count.load(std::memory_order_relaxed);
-    if (Used == ChunkEvents) {
-      Chunk *Fresh = new Chunk;
-      Tail->Next.store(Fresh, std::memory_order_release);
-      Tail = Fresh;
-      Used = 0;
-    }
-    Tail->Events[Used] = std::move(Event);
-    Tail->Count.store(Used + 1, std::memory_order_release);
-  }
-
-  /// Any thread: copies the published prefix into \p Out.
-  void snapshot(std::vector<TraceEvent> &Out) const {
-    for (const Chunk *C = Head; C != nullptr;
-         C = C->Next.load(std::memory_order_acquire)) {
-      size_t N = C->Count.load(std::memory_order_acquire);
-      for (size_t I = 0; I != N; ++I)
-        Out.push_back(C->Events[I]);
-    }
-  }
-
-  uint64_t published() const {
-    uint64_t N = 0;
-    for (const Chunk *C = Head; C != nullptr;
-         C = C->Next.load(std::memory_order_acquire))
-      N += C->Count.load(std::memory_order_acquire);
-    return N;
-  }
-
-  const uint32_t ThreadId;
-  Chunk *const Head;
-  /// Owner thread only.
-  Chunk *Tail;
-};
-
-//===----------------------------------------------------------------------===//
-// TraceRecorder
-//===----------------------------------------------------------------------===//
-
-double TraceRecorder::hostSeconds() {
-  using Clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(Clock::now().time_since_epoch())
-      .count();
-}
-
-static uint64_t nextRecorderId() {
-  static std::atomic<uint64_t> Next{1};
-  return Next.fetch_add(1, std::memory_order_relaxed);
-}
-
-TraceRecorder::TraceRecorder()
-    : RecorderId(nextRecorderId()), Epoch(hostSeconds()) {}
-
-TraceRecorder::~TraceRecorder() = default;
-
-TraceRecorder::ThreadBuffer &TraceRecorder::localBuffer() {
-  /// (recorder id -> buffer) for this thread; ids are never reused, so
-  /// an entry can only ever resolve to the recorder that created it.
-  struct CacheEntry {
-    uint64_t RecorderId;
-    ThreadBuffer *Buffer;
-  };
-  thread_local std::vector<CacheEntry> Cache;
-  for (const CacheEntry &E : Cache)
-    if (E.RecorderId == RecorderId)
-      return *E.Buffer;
-
-  ThreadBuffer *Fresh = nullptr;
-  {
-    LockGuard Lock(RegistryMutex);
-    Fresh = Buffers
-                .emplace_back(std::make_unique<ThreadBuffer>(
-                    static_cast<uint32_t>(Buffers.size())))
-                .get();
-  }
-  Cache.push_back({RecorderId, Fresh});
-  return *Fresh;
-}
-
-void TraceRecorder::record(TraceEvent Event) {
-  Event.Seq = NextSeq.fetch_add(1, std::memory_order_relaxed);
-  localBuffer().push(std::move(Event));
-}
-
-void TraceRecorder::beginSpan(const char *Category, const char *Name,
-                              double VirtualSec, std::string Detail) {
-  TraceEvent E;
-  E.Kind = EventKind::SpanBegin;
-  E.Category = Category;
-  E.Name = Name;
-  E.HostSeconds = hostSeconds();
-  E.VirtualSeconds = VirtualSec;
-  E.Detail = std::move(Detail);
-  record(std::move(E));
-}
-
-void TraceRecorder::endSpan(const char *Category, const char *Name,
-                            double VirtualSec, std::string Detail) {
-  TraceEvent E;
-  E.Kind = EventKind::SpanEnd;
-  E.Category = Category;
-  E.Name = Name;
-  E.HostSeconds = hostSeconds();
-  E.VirtualSeconds = VirtualSec;
-  E.Detail = std::move(Detail);
-  record(std::move(E));
-}
-
-void TraceRecorder::completeSpan(const char *Category, const char *Name,
-                                 double StartHostSec, double DurationSec,
-                                 double VirtualSec, std::string Detail) {
-  TraceEvent E;
-  E.Kind = EventKind::SpanComplete;
-  E.Category = Category;
-  E.Name = Name;
-  E.HostSeconds = StartHostSec;
-  E.VirtualSeconds = VirtualSec;
-  E.Value = DurationSec;
-  E.Detail = std::move(Detail);
-  record(std::move(E));
-}
-
-void TraceRecorder::instant(const char *Category, const char *Name,
-                            double VirtualSec, std::string Detail) {
-  TraceEvent E;
-  E.Kind = EventKind::Instant;
-  E.Category = Category;
-  E.Name = Name;
-  E.HostSeconds = hostSeconds();
-  E.VirtualSeconds = VirtualSec;
-  E.Detail = std::move(Detail);
-  record(std::move(E));
-}
-
-void TraceRecorder::count(const char *Name, double Delta) {
-  TraceEvent E;
-  E.Kind = EventKind::Counter;
-  E.Category = "counter";
-  E.Name = Name;
-  E.HostSeconds = hostSeconds();
-  E.Value = Delta;
-  record(std::move(E));
-}
-
-uint64_t TraceRecorder::eventsRecorded() const {
-  LockGuard Lock(RegistryMutex);
-  uint64_t N = 0;
-  for (const auto &Buffer : Buffers)
-    N += Buffer->published();
-  return N;
-}
-
-TraceLog TraceRecorder::drain() const {
-  TraceLog Log;
-  Log.EpochHostSeconds = Epoch;
-  {
-    LockGuard Lock(RegistryMutex);
-    for (const auto &Buffer : Buffers)
-      Buffer->snapshot(Log.Events);
-  }
-  std::sort(Log.Events.begin(), Log.Events.end(),
-            [](const TraceEvent &A, const TraceEvent &B) {
-              if (A.HostSeconds != B.HostSeconds)
-                return A.HostSeconds < B.HostSeconds;
-              return A.Seq < B.Seq;
-            });
-
-  std::map<std::string, CounterTotal> Totals;
+  std::map<std::string, SpanStats> Spans;
+  std::map<std::string, uint64_t> Instants;
+  std::map<std::pair<uint32_t, std::string>, std::vector<double>> Open;
   for (const TraceEvent &E : Log.Events) {
-    if (E.Kind != EventKind::Counter)
-      continue;
-    CounterTotal &C = Totals[E.Name];
-    C.Name = E.Name;
-    C.Total += E.Value;
-    ++C.Samples;
+    switch (E.Kind) {
+    case EventKind::SpanBegin:
+      Open[{E.ThreadId, E.Name}].push_back(E.HostSeconds);
+      break;
+    case EventKind::SpanEnd: {
+      auto &Stack = Open[{E.ThreadId, E.Name}];
+      SpanStats &S = Spans[E.Name];
+      ++S.Count;
+      if (!Stack.empty()) {
+        S.TotalSeconds += E.HostSeconds - Stack.back();
+        Stack.pop_back();
+      }
+      break;
+    }
+    case EventKind::SpanComplete: {
+      SpanStats &S = Spans[E.Name];
+      ++S.Count;
+      S.TotalSeconds += E.Value;
+      break;
+    }
+    case EventKind::Instant:
+      ++Instants[E.Name];
+      break;
+    case EventKind::Counter:
+      break;
+    }
   }
-  Log.Counters.reserve(Totals.size());
-  for (auto &[Name, Total] : Totals)
-    Log.Counters.push_back(std::move(Total));
-  return Log;
-}
 
-Status TraceRecorder::drainTo(TraceSink &Sink) const {
-  return Sink.consume(drain());
-}
-
-//===----------------------------------------------------------------------===//
-// ScopedSpan
-//===----------------------------------------------------------------------===//
-
-ScopedSpan::ScopedSpan(TraceRecorder *RecorderIn, const char *CategoryIn,
-                       const char *NameIn, std::function<double()> VirtualNowIn,
-                       std::string BeginDetail)
-    : Recorder(RecorderIn), Category(CategoryIn), Name(NameIn),
-      VirtualNow(std::move(VirtualNowIn)) {
-  if (!Recorder)
-    return;
-  Recorder->beginSpan(Category, Name,
-                      VirtualNow
-                          ? VirtualNow()
-                          : std::numeric_limits<double>::quiet_NaN(),
-                      std::move(BeginDetail));
-}
-
-ScopedSpan::~ScopedSpan() {
-  if (!Recorder)
-    return;
-  Recorder->endSpan(Category, Name,
-                    VirtualNow ? VirtualNow()
-                               : std::numeric_limits<double>::quiet_NaN(),
-                    std::move(EndDetail));
+  std::string Out;
+  Out += formatString("trace summary: %zu events\n", Log.Events.size());
+  if (!Spans.empty()) {
+    Out += "  spans:\n";
+    for (const auto &[Name, S] : Spans)
+      Out += formatString("    %-24s x%-8llu %s\n", Name.c_str(),
+                          static_cast<unsigned long long>(S.Count),
+                          formatDuration(S.TotalSeconds).c_str());
+  }
+  if (!Instants.empty()) {
+    Out += "  instants:\n";
+    for (const auto &[Name, N] : Instants)
+      Out += formatString("    %-24s x%llu\n", Name.c_str(),
+                          static_cast<unsigned long long>(N));
+  }
+  if (!Log.Counters.empty()) {
+    Out += "  counters:\n";
+    for (const CounterTotal &C : Log.Counters)
+      Out += formatString("    %-24s %.6g (%llu samples)\n", C.Name.c_str(),
+                          C.Total,
+                          static_cast<unsigned long long>(C.Samples));
+  }
+  return Out;
 }

@@ -83,7 +83,8 @@ ProfileSample OnlineProfiler::profileOnce(const KernelDesc &Kernel,
   if (Faults && Faults->gpuLaunchFails(Proc.now())) {
     Sample.GpuLaunchFailed = true;
     if (Trace)
-      Trace->instant("profile", "profile-launch-failed", Proc.now());
+      Trace->instant("profile", "profile-launch-failed",
+                     obs::VirtualTime(Proc.now()));
     return Sample;
   }
 
@@ -93,7 +94,7 @@ ProfileSample OnlineProfiler::profileOnce(const KernelDesc &Kernel,
   PerfCounters CpuBefore = Proc.cpu().counters();
   PerfCounters GpuBefore = Proc.gpu().counters();
   double Start = Proc.now();
-  double HostStart = Trace ? obs::TraceRecorder::hostSeconds() : 0.0;
+  double HostStart = Trace ? obs::FlightRecorder::hostSeconds() : 0.0;
 
   Proc.gpu().enqueue(Kernel, GpuChunk);
   if (CpuShare > 0.0)
@@ -160,7 +161,8 @@ ProfileSample OnlineProfiler::profileOnce(const KernelDesc &Kernel,
   if (Trace)
     Trace->completeSpan(
         "profile", "profile-rep", HostStart,
-        obs::TraceRecorder::hostSeconds() - HostStart, Start,
+        obs::FlightRecorder::hostSeconds() - HostStart,
+        obs::VirtualTime(Start),
         formatString("cpu=%.0f gpu=%.0f elapsed=%.6fs%s",
                      Sample.CpuIterations, Sample.GpuIterations,
                      Sample.ElapsedSeconds, Sample.GpuHung ? " hung" : ""));

@@ -20,7 +20,7 @@
 
 #include "ecas/device/KernelDesc.h"
 #include "ecas/obs/Metrics.h"
-#include "ecas/obs/Trace.h"
+#include "ecas/obs/FlightRecorder.h"
 #include "ecas/profile/WorkloadClass.h"
 #include "ecas/sim/SimProcessor.h"
 
@@ -93,7 +93,7 @@ public:
   /// the measured split in the detail. Purely observational — the
   /// profiler's measurements and RemainingIters arithmetic are
   /// bit-identical with or without a recorder.
-  void setTrace(obs::TraceRecorder *Recorder) { Trace = Recorder; }
+  void setTrace(obs::FlightRecorder *Recorder) { Trace = Recorder; }
 
   /// Attaches a histogram (nullptr detaches) that receives each
   /// repetition's elapsed virtual seconds (eas_profile_rep_seconds) —
@@ -117,7 +117,7 @@ private:
   SimProcessor &Proc;
   double GpuProfileSize;
   double WatchdogPollSec = 0.02;
-  obs::TraceRecorder *Trace = nullptr;
+  obs::FlightRecorder *Trace = nullptr;
   obs::Histogram *RepSeconds = nullptr;
 };
 

@@ -260,7 +260,7 @@ void ServiceFrontEnd::accountShed(const QueuedRequest &Request,
   if (Ins.QueueWait[Sla])
     Ins.QueueWait[Sla]->record(WaitSec);
   if (Config.Flight)
-    Config.Flight->instant("service", "shed", WaitSec);
+    Config.Flight->instant("service", "shed", {}, {}, WaitSec);
 }
 
 void ServiceFrontEnd::accountCancelled(const QueuedRequest &Request,

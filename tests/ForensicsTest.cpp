@@ -114,7 +114,7 @@ std::string controlRequest(const std::string &SocketPath,
 TEST(FlightRecorder, EventRingKeepsNewestAndCountsDrops) {
   FlightRecorder Flight(/*EventsPerThread=*/8, /*DecisionCapacity=*/4);
   for (int I = 0; I != 20; ++I)
-    Flight.instant("test", "tick", static_cast<double>(I));
+    Flight.instant("test", "tick", {}, {}, static_cast<double>(I));
 
   FlightSnapshot Snap = Flight.drain();
   EXPECT_EQ(Snap.EventsRecorded, 20u);
@@ -162,7 +162,7 @@ TEST(FlightRecorder, MultiThreadedRecordingMergesInTimeOrder) {
   for (int T = 0; T != Threads; ++T)
     Workers.emplace_back([&Flight] {
       for (int I = 0; I != PerThread; ++I)
-        Flight.instant("worker", "step", static_cast<double>(I));
+        Flight.instant("worker", "step", {}, {}, static_cast<double>(I));
     });
   for (std::thread &W : Workers)
     W.join();
@@ -321,7 +321,7 @@ TEST(AnomalyDetector, LatencyP99RegressionFires) {
 TEST(IncidentWriter, BundleRoundTripsThroughValidator) {
   ScratchDir Scratch("roundtrip");
   FlightRecorder Flight;
-  Flight.instant("test", "event", 1.0);
+  Flight.instant("test", "event", {}, {}, 1.0);
   Flight.recordDecision(makeDecision(7, 0.002));
   MetricsRegistry Registry;
   Registry.counter(names::QuarantinesTotal).add(1.0);
@@ -526,7 +526,7 @@ TEST(ControlServer, HandlersAreImmutableAfterStart) {
 
 TEST(LastGasp, RenderedDocumentValidatesAndTornOnesDoNot) {
   FlightRecorder Flight;
-  Flight.instant("test", "event", 1.0);
+  Flight.instant("test", "event", {}, {}, 1.0);
   for (uint64_t I = 0; I != 5; ++I)
     Flight.recordDecision(makeDecision(I, 0.001));
 

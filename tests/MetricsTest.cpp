@@ -653,7 +653,7 @@ TEST(EasTelemetry, AttachedSinksCannotChangeTheRecord) {
                            Sinks{"flight", false, false, true},
                            Sinks{"all", true, true, true}}) {
       SCOPED_TRACE(Attached.Name);
-      obs::TraceRecorder Recorder;
+      obs::FlightRecorder Recorder(obs::FlightRecorder::Unbounded);
       obs::MetricsRegistry Registry;
       obs::FlightRecorder Flight;
       EasConfig Config;

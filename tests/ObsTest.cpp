@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Coverage of the observability tentpole: multi-threaded recording into
-/// the per-thread buffers, ScopedSpan pairing, the Chrome trace-event
-/// exporter and its parser (round trip + malformed-input rejection), the
-/// CSV and summary sinks, the unified ExecutionSession::run() API with
+/// a capture recorder's per-thread rings (and its equivalence with a
+/// bounded one), ScopedSpan pairing, the Chrome trace-event exporter and
+/// its parser (round trip + malformed-input rejection), the trace
+/// summary, the unified ExecutionSession::run() API with
 /// SchemeKind, EasConfig::validate(), and the two invariants the design
 /// stands on: a null recorder leaves scheduling bit-identical, and an
 /// attached recorder never perturbs the decisions it observes.
@@ -20,13 +21,13 @@
 #include "ecas/obs/FlightRecorder.h"
 #include "ecas/obs/MetricNames.h"
 #include "ecas/obs/Metrics.h"
-#include "ecas/obs/Sinks.h"
 #include "ecas/obs/Trace.h"
 
 #include "TestSupport.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -62,22 +63,23 @@ void expectSameMeasurement(const SessionReport &A, const SessionReport &B) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// TraceRecorder
+// Capture mode (FlightRecorder::Unbounded)
 //===----------------------------------------------------------------------===//
 
-TEST(TraceRecorder, RecordsSpansInstantsAndCounters) {
-  obs::TraceRecorder Rec;
+TEST(CaptureRecorder, RecordsSpansInstantsAndCounters) {
+  obs::FlightRecorder Rec(obs::FlightRecorder::Unbounded);
   Rec.beginSpan("t", "outer");
-  Rec.instant("t", "tick", 1.5, "n=1");
+  Rec.instant("t", "tick", obs::VirtualTime(1.5), "n=1");
   Rec.count("t.events", 2.0);
   Rec.count("t.events");
   Rec.endSpan("t", "outer");
 
-  obs::TraceLog Log = Rec.drain();
+  obs::TraceLog Log = Rec.drain().Trace;
   ASSERT_EQ(Log.Events.size(), 5u);
   EXPECT_EQ(Log.Events.front().Kind, obs::EventKind::SpanBegin);
   EXPECT_EQ(Log.Events.back().Kind, obs::EventKind::SpanEnd);
   EXPECT_EQ(Log.countNamed("tick"), 1u);
+  EXPECT_EQ(Log.Events[1].Detail, "n=1");
   EXPECT_DOUBLE_EQ(Log.counterTotal("t.events"), 3.0);
   EXPECT_DOUBLE_EQ(Log.counterTotal("never-fired"), 0.0);
   ASSERT_EQ(Log.Counters.size(), 1u);
@@ -85,21 +87,21 @@ TEST(TraceRecorder, RecordsSpansInstantsAndCounters) {
   EXPECT_EQ(Rec.eventsRecorded(), 5u);
 }
 
-TEST(TraceRecorder, VirtualTimestampsAreOptional) {
-  obs::TraceRecorder Rec;
-  Rec.instant("t", "with-virtual", 2.25);
+TEST(CaptureRecorder, VirtualTimestampsAreOptional) {
+  obs::FlightRecorder Rec(obs::FlightRecorder::Unbounded);
+  Rec.instant("t", "with-virtual", obs::VirtualTime(2.25));
   Rec.instant("t", "host-only");
-  obs::TraceLog Log = Rec.drain();
+  obs::TraceLog Log = Rec.drain().Trace;
   ASSERT_EQ(Log.Events.size(), 2u);
   EXPECT_TRUE(Log.Events[0].hasVirtualTime());
   EXPECT_DOUBLE_EQ(Log.Events[0].VirtualSeconds, 2.25);
   EXPECT_FALSE(Log.Events[1].hasVirtualTime());
 }
 
-TEST(TraceRecorder, ConcurrentWritersMergeInOrder) {
-  obs::TraceRecorder Rec;
+TEST(CaptureRecorder, ConcurrentWritersMergeInOrder) {
+  obs::FlightRecorder Rec(obs::FlightRecorder::Unbounded);
   constexpr unsigned Threads = 4;
-  constexpr unsigned PerThread = 2000; // > one 512-event chunk each
+  constexpr unsigned PerThread = 2000; // > the default bounded ring
   std::vector<std::thread> Writers;
   for (unsigned T = 0; T != Threads; ++T)
     Writers.emplace_back([&Rec] {
@@ -111,24 +113,128 @@ TEST(TraceRecorder, ConcurrentWritersMergeInOrder) {
   for (std::thread &W : Writers)
     W.join();
 
-  obs::TraceLog Log = Rec.drain();
+  obs::FlightSnapshot Snap = Rec.drain();
+  const obs::TraceLog &Log = Snap.Trace;
   EXPECT_EQ(Log.Events.size(), size_t{2} * Threads * PerThread);
+  EXPECT_EQ(Snap.EventsDropped, 0u);
   EXPECT_DOUBLE_EQ(Log.counterTotal("mt.count"),
                    double(Threads) * PerThread);
   for (size_t I = 1; I < Log.Events.size(); ++I)
     EXPECT_LE(Log.Events[I - 1].HostSeconds, Log.Events[I].HostSeconds);
 }
 
-TEST(TraceRecorder, DrainWhileRecordingSeesAPrefix) {
-  obs::TraceRecorder Rec;
+TEST(CaptureRecorder, DrainWhileRecordingSeesAPrefix) {
+  obs::FlightRecorder Rec(obs::FlightRecorder::Unbounded);
   for (unsigned I = 0; I != 100; ++I)
     Rec.count("pre.drain");
-  obs::TraceLog First = Rec.drain();
+  obs::TraceLog First = Rec.drain().Trace;
   for (unsigned I = 0; I != 50; ++I)
     Rec.count("pre.drain");
-  obs::TraceLog Second = Rec.drain();
+  obs::TraceLog Second = Rec.drain().Trace;
   EXPECT_DOUBLE_EQ(First.counterTotal("pre.drain"), 100.0);
   EXPECT_DOUBLE_EQ(Second.counterTotal("pre.drain"), 150.0);
+
+  // Drains racing a live writer (the race the TSan job repeats): each
+  // sees a prefix of the writer's stream, so a later drain never holds
+  // fewer events, and every Detail arrives whole.
+  constexpr unsigned Late = 5000;
+  std::atomic<bool> Done{false};
+  std::thread Writer([&] {
+    for (unsigned I = 0; I != Late; ++I)
+      Rec.instant("t", "late", {}, "detail");
+    Done.store(true, std::memory_order_release);
+  });
+  size_t Seen = 0, Shrinks = 0, TornDetails = 0;
+  while (!Done.load(std::memory_order_acquire)) {
+    obs::TraceLog Mid = Rec.drain().Trace;
+    Shrinks += Mid.Events.size() < Seen ? 1 : 0;
+    Seen = Mid.Events.size();
+    for (const obs::TraceEvent &E : Mid.Events)
+      TornDetails +=
+          E.Kind == obs::EventKind::Instant && E.Detail != "detail" ? 1 : 0;
+  }
+  Writer.join();
+  EXPECT_EQ(Shrinks, 0u);
+  EXPECT_EQ(TornDetails, 0u);
+  EXPECT_EQ(Rec.drain().Trace.Events.size(), 150u + Late);
+}
+
+// The two modes are one recorder: the same scripted sequence, fed from
+// four threads into a capture recorder and into a bounded one that never
+// wraps, drains to the same log in every field but Detail, which only
+// capture keeps, and the host stamps, which are read from the clock at
+// each call. The threads take turns, so every event has one place in
+// the global order (and each thread one registration rank) in both.
+TEST(CaptureRecorder, MatchesANeverWrappingBoundedRecorder) {
+  constexpr unsigned Threads = 4;
+  constexpr unsigned Rounds = 50;
+  obs::FlightRecorder Capture(obs::FlightRecorder::Unbounded);
+  obs::FlightRecorder Bounded(/*EventsPerThread=*/4096);
+  std::atomic<unsigned> Turn{0};
+  std::vector<std::thread> Writers;
+  for (unsigned T = 0; T != Threads; ++T)
+    Writers.emplace_back([&, T] {
+      for (unsigned I = 0; I != Rounds; ++I) {
+        while (Turn.load(std::memory_order_acquire) != I * Threads + T)
+          std::this_thread::yield();
+        // A complete span starting before any of this turn's events and
+        // after all of the last turn's keeps the time order of each
+        // log equal to the record order.
+        double Start = obs::FlightRecorder::hostSeconds();
+        obs::VirtualTime At(0.5 * I);
+        for (obs::FlightRecorder *R : {&Capture, &Bounded}) {
+          R->completeSpan("profile", "profile-rep", Start, 1e-6 * (I + 1),
+                          At, "rep=1");
+          obs::ScopedSpan Span(R, "eas", "invocation",
+                               [I] { return 0.5 * I; }, "kernel=7");
+          R->instant("health", "quarantine", At, "hang");
+          R->instant("service", "shed", {}, {}, 0.25 * (T + 1));
+          R->count("eas.invocations", T + 1.0);
+        }
+        Turn.store(I * Threads + T + 1, std::memory_order_release);
+      }
+    });
+  for (std::thread &W : Writers)
+    W.join();
+
+  obs::FlightSnapshot A = Capture.drain();
+  obs::FlightSnapshot B = Bounded.drain();
+  EXPECT_EQ(A.EventsRecorded, B.EventsRecorded);
+  EXPECT_EQ(A.EventsDropped, 0u);
+  EXPECT_EQ(B.EventsDropped, 0u);
+  ASSERT_EQ(A.Trace.Events.size(), size_t{6} * Threads * Rounds);
+  ASSERT_EQ(A.Trace.Events.size(), B.Trace.Events.size());
+  size_t WithDetail = 0;
+  for (size_t I = 0; I != A.Trace.Events.size(); ++I) {
+    const obs::TraceEvent &X = A.Trace.Events[I];
+    const obs::TraceEvent &Y = B.Trace.Events[I];
+    SCOPED_TRACE(I);
+    EXPECT_EQ(X.Kind, Y.Kind);
+    EXPECT_STREQ(X.Category, Y.Category);
+    EXPECT_STREQ(X.Name, Y.Name);
+    EXPECT_EQ(X.Value, Y.Value);
+    EXPECT_EQ(X.ThreadId, Y.ThreadId);
+    EXPECT_EQ(X.Seq, Y.Seq);
+    EXPECT_EQ(X.hasVirtualTime(), Y.hasVirtualTime());
+    if (X.hasVirtualTime()) {
+      EXPECT_EQ(X.VirtualSeconds, Y.VirtualSeconds);
+    }
+    if (X.Kind == obs::EventKind::SpanComplete) {
+      EXPECT_EQ(X.HostSeconds, Y.HostSeconds);
+    }
+    EXPECT_TRUE(Y.Detail.empty());
+    WithDetail += X.Detail.empty() ? 0 : 1;
+  }
+  // Span begin, complete span and quarantine carry a Detail.
+  EXPECT_EQ(WithDetail, size_t{3} * Threads * Rounds);
+  ASSERT_EQ(A.Trace.Counters.size(), B.Trace.Counters.size());
+  for (size_t I = 0; I != A.Trace.Counters.size(); ++I) {
+    EXPECT_EQ(A.Trace.Counters[I].Name, B.Trace.Counters[I].Name);
+    EXPECT_EQ(A.Trace.Counters[I].Total, B.Trace.Counters[I].Total);
+    EXPECT_EQ(A.Trace.Counters[I].Samples, B.Trace.Counters[I].Samples);
+  }
+  EXPECT_DOUBLE_EQ(A.Trace.counterTotal("eas.invocations"),
+                   double(Rounds) * (1 + 2 + 3 + 4));
 }
 
 TEST(ScopedSpan, NullRecorderIsANoOp) {
@@ -139,7 +245,7 @@ TEST(ScopedSpan, NullRecorderIsANoOp) {
 }
 
 TEST(ScopedSpan, EmitsPairedBeginEndWithVirtualClock) {
-  obs::TraceRecorder Rec;
+  obs::FlightRecorder Rec(obs::FlightRecorder::Unbounded);
   double Virtual = 10.0;
   {
     obs::ScopedSpan Outer(&Rec, "t", "outer", [&Virtual] { return Virtual; });
@@ -147,7 +253,7 @@ TEST(ScopedSpan, EmitsPairedBeginEndWithVirtualClock) {
     obs::ScopedSpan Inner(&Rec, "t", "inner");
     Inner.setEndDetail("done");
   }
-  obs::TraceLog Log = Rec.drain();
+  obs::TraceLog Log = Rec.drain().Trace;
   ASSERT_EQ(Log.Events.size(), 4u);
   EXPECT_STREQ(Log.Events[0].Name, "outer");
   EXPECT_STREQ(Log.Events[1].Name, "inner");
@@ -159,39 +265,18 @@ TEST(ScopedSpan, EmitsPairedBeginEndWithVirtualClock) {
 }
 
 //===----------------------------------------------------------------------===//
-// Sinks
+// Trace summary
 //===----------------------------------------------------------------------===//
 
-TEST(Sinks, NullSinkTalliesAndCsvRendersEveryRow) {
-  obs::TraceRecorder Rec;
-  Rec.beginSpan("t", "work");
-  Rec.count("t.n", 5.0);
-  Rec.endSpan("t", "work");
-
-  obs::NullSink Null;
-  EXPECT_TRUE(Rec.drainTo(Null).ok());
-  EXPECT_EQ(Null.consumed(), 3u);
-
-  obs::CsvTraceSink Csv;
-  ASSERT_TRUE(Rec.drainTo(Csv).ok());
-  std::string Rendered = Csv.render();
-  EXPECT_EQ(Rendered.rfind("kind,category,name,host_sec", 0), 0u);
-  EXPECT_NE(Rendered.find("span-begin"), std::string::npos);
-  EXPECT_NE(Rendered.find("counter-total"), std::string::npos);
-  // Three events + one counter-total row (the header is separate).
-  EXPECT_EQ(Csv.table().numRows(), 4u);
-}
-
 TEST(Sinks, SummaryReportsSpanDurationsAndCounters) {
-  obs::TraceRecorder Rec;
+  obs::FlightRecorder Rec(obs::FlightRecorder::Unbounded);
   {
     obs::ScopedSpan Span(&Rec, "t", "phase");
   }
   Rec.instant("t", "blip");
   Rec.count("t.total", 7.0);
-  obs::SummarySink Summary;
-  ASSERT_TRUE(Rec.drainTo(Summary).ok());
-  const std::string &Text = Summary.text();
+  std::string Text = obs::renderTraceSummary(Rec.drain().Trace);
+  EXPECT_NE(Text.find("trace summary: 4 events"), std::string::npos);
   EXPECT_NE(Text.find("phase"), std::string::npos);
   EXPECT_NE(Text.find("blip"), std::string::npos);
   EXPECT_NE(Text.find("t.total"), std::string::npos);
@@ -203,16 +288,19 @@ TEST(Sinks, SummaryReportsSpanDurationsAndCounters) {
 //===----------------------------------------------------------------------===//
 
 TEST(ChromeTrace, RoundTripsSpansOnBothClockTracks) {
-  obs::TraceRecorder Rec;
+  obs::FlightRecorder Rec(obs::FlightRecorder::Unbounded);
   {
     obs::ScopedSpan Span(&Rec, "eas", "invocation", [] { return 0.5; });
-    Rec.instant("eas", "alpha-search", 0.6, "alpha=0.40");
+    Rec.instant("eas", "alpha-search", obs::VirtualTime(0.6), "alpha=0.40");
   }
   Rec.completeSpan("profile", "profile-rep",
-                   obs::TraceRecorder::hostSeconds(), 1e-3);
+                   obs::FlightRecorder::hostSeconds(), 1e-3);
   Rec.count("eas.invocations");
+  // A valued instant (the service's shed wait): its payload must reach
+  // the document as args.value.
+  Rec.instant("service", "shed", {}, {}, 0.125);
 
-  std::string Json = renderChromeTrace(Rec.drain());
+  std::string Json = renderChromeTrace(Rec.drain().Trace);
   ErrorOr<obs::ChromeTraceData> Parsed = obs::parseChromeTrace(Json);
   ASSERT_TRUE(Parsed.ok()) << Parsed.status().toString();
 
@@ -221,7 +309,8 @@ TEST(ChromeTrace, RoundTripsSpansOnBothClockTracks) {
   EXPECT_EQ(Parsed->countPhase("B"), 2u);
   EXPECT_EQ(Parsed->countPhase("E"), 2u);
   EXPECT_EQ(Parsed->countPhase("X"), 1u);
-  EXPECT_EQ(Parsed->countPhase("i"), 2u); // host + virtual instants
+  // alpha-search on both tracks, shed on the host track only.
+  EXPECT_EQ(Parsed->countPhase("i"), 3u);
   EXPECT_EQ(Parsed->countPhase("C"), 1u);
   EXPECT_TRUE(Parsed->hasEventNamed("invocation"));
   EXPECT_TRUE(Parsed->hasEventNamed("alpha-search"));
@@ -230,17 +319,23 @@ TEST(ChromeTrace, RoundTripsSpansOnBothClockTracks) {
   for (const obs::ChromeTraceEvent &E : Parsed->Events) {
     SawHostPid = SawHostPid || E.Pid == 1;
     SawVirtualPid = SawVirtualPid || E.Pid == 2;
+    if (E.Phase == "i") {
+      EXPECT_DOUBLE_EQ(E.Value, E.Name == "shed" ? 0.125 : 0.0) << E.Name;
+    }
+    if (E.Phase == "X") {
+      EXPECT_DOUBLE_EQ(E.Value, 0.0) << "a span's duration is its dur";
+    }
   }
   EXPECT_TRUE(SawHostPid);
   EXPECT_TRUE(SawVirtualPid);
 }
 
 TEST(ChromeTrace, EscapesHostileDetailPayloads) {
-  obs::TraceRecorder Rec;
-  Rec.instant("t", "hostile", std::numeric_limits<double>::quiet_NaN(),
-              std::string("quote=\" backslash=\\ newline=\n tab=\t "
-                          "ctrl=\x01 end"));
-  std::string Json = renderChromeTrace(Rec.drain());
+  obs::FlightRecorder Rec(obs::FlightRecorder::Unbounded);
+  Rec.instant("t", "hostile", {},
+              "quote=\" backslash=\\ newline=\n tab=\t "
+              "ctrl=\x01 end");
+  std::string Json = renderChromeTrace(Rec.drain().Trace);
   ErrorOr<obs::ChromeTraceData> Parsed = obs::parseChromeTrace(Json);
   ASSERT_TRUE(Parsed.ok()) << Parsed.status().toString();
   EXPECT_TRUE(Parsed->hasEventNamed("hostile"));
@@ -338,7 +433,7 @@ TEST(UnifiedRun, NullRecorderIsBitIdentical) {
   Options.Curves = &desktopCurves();
   Options.Alpha = 0.3;
   Options.Step = 0.5;
-  obs::TraceRecorder Recorder;
+  obs::FlightRecorder Recorder(obs::FlightRecorder::Unbounded);
 
   for (SchemeKind Kind :
        {SchemeKind::FixedAlpha, SchemeKind::CpuOnly, SchemeKind::GpuOnly,
@@ -368,14 +463,14 @@ TEST(UnifiedRun, NullRecorderIsBitIdentical) {
 TEST(GoldenPath, TracedEasRunEmitsTheSchedulingStory) {
   ExecutionSession Session(haswellDesktop());
   InvocationTrace Trace = shortTrace();
-  obs::TraceRecorder Recorder;
+  obs::FlightRecorder Recorder(obs::FlightRecorder::Unbounded);
   RunOptions Options;
   Options.Trace = &Trace;
   Options.Curves = &desktopCurves();
   Options.Recorder = &Recorder;
   SessionReport Report = Session.run(SchemeKind::Eas, Options);
 
-  obs::TraceLog Log = Recorder.drain();
+  obs::TraceLog Log = Recorder.drain().Trace;
   // The spans and instants the issue's golden path names.
   EXPECT_GE(Log.countNamed("session"), 2u); // begin + end
   EXPECT_GE(Log.countNamed("invocation"), 2u);
@@ -419,7 +514,7 @@ TEST(GoldenPath, TracedEasRunEmitsTheSchedulingStory) {
 TEST(GoldenPath, QuarantineArcShowsUpInTheTrace) {
   ExecutionSession Session(faultySpec("gpu-hang"));
   InvocationTrace Trace = shortTrace(60);
-  obs::TraceRecorder Recorder;
+  obs::FlightRecorder Recorder(obs::FlightRecorder::Unbounded);
   obs::MetricsRegistry Registry;
   obs::FlightRecorder Flight;
   RunOptions Options;
@@ -430,7 +525,7 @@ TEST(GoldenPath, QuarantineArcShowsUpInTheTrace) {
   Options.Eas.Flight = &Flight;
   SessionReport Report = Session.run(SchemeKind::Eas, Options);
 
-  obs::TraceLog Log = Recorder.drain();
+  obs::TraceLog Log = Recorder.drain().Trace;
   // Health-state transitions: hang -> quarantine -> probe -> recovery.
   EXPECT_GE(Log.countNamed("hang"), 1u);
   EXPECT_GE(Log.countNamed("quarantine"), 1u);
@@ -470,5 +565,22 @@ TEST(GoldenPath, QuarantineArcShowsUpInTheTrace) {
   }
   EXPECT_DOUBLE_EQ(Log.counterTotal("eas.alpha_searches"),
                    double(Report.AlphaSearches));
-  EXPECT_EQ(Flight.drain().DecisionsRecorded, uint64_t{Report.Invocations});
+  obs::FlightSnapshot FlightSnap = Flight.drain();
+  EXPECT_EQ(FlightSnap.DecisionsRecorded, uint64_t{Report.Invocations});
+
+  // The flight ring's health instants carry the observation's virtual
+  // time, so an incident bundle's trace.json plots the arc on the
+  // virtual-clock track (pid 2), not only on the host track.
+  ErrorOr<obs::ChromeTraceData> FlightTrace =
+      obs::parseChromeTrace(renderChromeTrace(FlightSnap.Trace));
+  ASSERT_TRUE(FlightTrace.ok()) << FlightTrace.status().toString();
+  bool HangOnVirtual = false, QuarantineOnVirtual = false;
+  for (const obs::ChromeTraceEvent &E : FlightTrace->Events) {
+    if (E.Phase == "M" || E.Pid != 2)
+      continue;
+    HangOnVirtual = HangOnVirtual || E.Name == "hang";
+    QuarantineOnVirtual = QuarantineOnVirtual || E.Name == "quarantine";
+  }
+  EXPECT_TRUE(HangOnVirtual);
+  EXPECT_TRUE(QuarantineOnVirtual);
 }

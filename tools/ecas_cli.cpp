@@ -29,7 +29,6 @@
 #include "ecas/obs/LastGasp.h"
 #include "ecas/obs/Metrics.h"
 #include "ecas/obs/MetricsExport.h"
-#include "ecas/obs/Sinks.h"
 #include "ecas/power/Characterizer.h"
 #include "ecas/service/Service.h"
 #include "ecas/support/AtomicFile.h"
@@ -232,30 +231,25 @@ bool wantsObservability(const Flags &Args) {
          Args.getBool("metrics", false);
 }
 
-/// Drains \p Recorder into whatever the --trace-out / --metrics flags
-/// requested. Returns false on an I/O failure (already reported).
-bool drainObservability(const obs::TraceRecorder &Recorder,
+/// Drains \p Recorder once and renders the log into whatever the
+/// --trace-out / --metrics flags requested. Returns false on an I/O
+/// failure (already reported).
+bool drainObservability(const obs::FlightRecorder &Recorder,
                         const Flags &Args) {
+  obs::TraceLog Log = Recorder.drain().Trace;
   std::string TraceOut = Args.getString("trace-out", "");
   if (!TraceOut.empty()) {
-    obs::ChromeTraceSink Sink(TraceOut);
-    if (Status S = Recorder.drainTo(Sink); !S) {
+    if (Status S = obs::writeFileAtomic(TraceOut, obs::renderChromeTrace(Log));
+        !S) {
       std::fprintf(stderr, "error: %s\n", S.message().c_str());
       return false;
     }
-    std::printf("wrote %s (%llu events; load in Perfetto or "
+    std::printf("wrote %s (%zu events; load in Perfetto or "
                 "chrome://tracing)\n",
-                TraceOut.c_str(),
-                static_cast<unsigned long long>(Recorder.eventsRecorded()));
+                TraceOut.c_str(), Log.Events.size());
   }
-  if (Args.getBool("metrics", false)) {
-    obs::SummarySink Summary;
-    if (Status S = Recorder.drainTo(Summary); !S) {
-      std::fprintf(stderr, "error: %s\n", S.message().c_str());
-      return false;
-    }
-    std::fputs(Summary.text().c_str(), stdout);
-  }
+  if (Args.getBool("metrics", false))
+    std::fputs(obs::renderTraceSummary(Log).c_str(), stdout);
   return true;
 }
 
@@ -511,7 +505,7 @@ int cmdRun(const Flags &Args) {
               W->Name.c_str(), Spec->Name.c_str(),
               Objective.name().c_str(), W->numInvocations());
 
-  obs::TraceRecorder Recorder;
+  obs::FlightRecorder Recorder(obs::FlightRecorder::Unbounded);
   obs::MetricsRegistry Registry;
   obs::FlightRecorder Flight(/*EventsPerThread=*/4096, DecisionLogCapacity);
   RunOptions Options;
@@ -649,7 +643,7 @@ int cmdServe(const Flags &Args) {
     return ExitRuntime;
   }
 
-  obs::TraceRecorder Recorder;
+  obs::FlightRecorder Recorder(obs::FlightRecorder::Unbounded);
   obs::MetricsRegistry Registry;
   obs::FlightRecorder Flight(/*EventsPerThread=*/4096,
                              WantDecisions ? DecisionLogCapacity : 512);
@@ -736,7 +730,7 @@ int cmdServe(const Flags &Args) {
         return std::string("err dump needs --incident-dir\n");
       ErrorOr<std::string> Bundle =
           Incidents->write(ForensicInputs(), {},
-                           obs::TraceRecorder::hostSeconds(),
+                           obs::FlightRecorder::hostSeconds(),
                            /*Force=*/true);
       if (!Bundle)
         return "err " + Bundle.status().toString() + "\n";
@@ -750,7 +744,7 @@ int cmdServe(const Flags &Args) {
     std::printf("control socket %s\n", ControlSocket.c_str());
   }
 
-  double ServeStartSec = obs::TraceRecorder::hostSeconds();
+  double ServeStartSec = obs::FlightRecorder::hostSeconds();
   obs::AnomalyDetector Detector;
   AnnotatedMutex ForensicMutex{"Cli.Forensics"};
   std::condition_variable ForensicCv;
@@ -778,7 +772,7 @@ int cmdServe(const Flags &Args) {
           Lock.native(),
           std::chrono::duration<double, std::milli>(DetectorIntervalMs),
           [&] { return ForensicDone; })) {
-        double NowSec = obs::TraceRecorder::hostSeconds();
+        double NowSec = obs::FlightRecorder::hostSeconds();
         std::vector<obs::AnomalyTrigger> Triggers =
             Detector.evaluate(Registry.snapshot(), NowSec);
         std::set<std::string> NowRules;

@@ -153,10 +153,12 @@ ALLOWED_EXTERNALS = {
     "size", "empty", "clear", "begin", "end", "data", "front", "back",
     "pop_back", "pop_front", "erase", "find", "at", "c_str", "length",
     "has_value", "hasValue", "value", "value_or", "reset", "count",
-    # obs layer entry points: null-gated on the hot path (TraceRecorder*
-    # is null unless tracing is on); ObsTest pins bit-identity with the
-    # recorder off and HotPathTest pins zero allocations through them
-    "instant", "setEndDetail", "ScopedSpan",
+    # obs layer entry points: the capture recorder (EasConfig::Trace) is
+    # null unless tracing is on, and a bounded FlightRecorder records
+    # into a preallocated ring; ObsTest pins bit-identity with the
+    # recorders off and HotPathTest pins zero allocations with the
+    # bounded one armed; VirtualTime is their one-double timestamp type
+    "instant", "setEndDetail", "ScopedSpan", "VirtualTime",
     # project assertion macros: abort on failure, never throw/allocate
     "ECAS_CHECK", "ECAS_ASSERT",
     # template callable parameters (Minimize.h convention): the callable
