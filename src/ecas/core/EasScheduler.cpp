@@ -103,22 +103,16 @@ EasScheduler::EasScheduler(PowerCurveFamily CurvesIn, Metric ObjectiveIn,
 }
 
 void EasScheduler::initDurability() {
-  if (!Config.Journal.Enabled) {
-    if (Config.HistoryFile.empty())
-      return;
-    ErrorOr<size_t> Restored = loadKernelHistory(History, Config.HistoryFile);
-    if (Restored)
-      RestoredRecords = *Restored;
-    else
-      RestoreStatus = Restored.status();
+  if (Config.HistoryFile.empty())
     return;
-  }
 
-  // Journal-aware recovery: newest valid snapshot + replay, compacted
-  // to a fresh epoch before the journal reopens for appending.
+  // One restore path: the newest valid snapshot, then — with the
+  // journal on — replay, compacted to a fresh epoch before the journal
+  // reopens for appending. Without a journal, journalPath() is "", so
+  // nothing is replayed and nothing is written.
   obs::ScopedSpan RecoverySpan(Config.Trace, "eas", "recovery");
-  Recovery =
-      recoverKernelHistory(History, Config.HistoryFile, journalPath());
+  Recovery = recoverKernelHistory(History, Config.HistoryFile, journalPath(),
+                                  /*Compact=*/Config.Journal.Enabled);
   RestoredRecords = Recovery.SnapshotRecords + Recovery.ReplayedRecords;
   if (!Recovery.SnapshotStatus.ok())
     RestoreStatus = Recovery.SnapshotStatus;
@@ -138,6 +132,8 @@ void EasScheduler::initDurability() {
           Ins.RecoveryOutcomes[static_cast<unsigned>(Recovery.Outcome)])
     Outcome->add();
 
+  if (!Config.Journal.Enabled)
+    return;
   JournalOptions Opts = Config.Journal;
   Opts.Path = journalPath();
   ErrorOr<std::unique_ptr<HistoryJournal>> Opened =
@@ -587,17 +583,34 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
     return Outcome;
   }
 
+  // The CPU-alone exits (external GPU owner, quarantine, small N) share
+  // one tail: the whole invocation is the measured window, and what
+  // table G learns from it — CpuOnlyDelta, empty for an external owner —
+  // is applied and journaled through the code replay runs. Its fields
+  // commute with every other record (counters add, CpuOnly only ever
+  // becomes true), so it may enqueue outside the shard lock.
+  HistoryDeltaRecord CpuOnlyDelta;
+  CpuOnlyDelta.Key = HistoryKey;
+  auto CpuOnlyExit = [&] {
+    if (!CpuOnlyDelta.empty()) {
+      applyDeltaRecord(History, CpuOnlyDelta);
+      journalRecord(CpuOnlyDelta);
+      journalCommit();
+    }
+    Outcome.CpuOnlyFastPath = true;
+    Outcome.Seconds = Proc.now() - Start;
+    Outcome.MeasuredSeconds = Outcome.Seconds;
+    Outcome.MeasuredJoules = Proc.meter().joulesSince(StartMsr);
+    return Outcome;
+  };
+
   // Section 5: when the GPU is busy with another client (performance
   // counter A26 on the paper's machines), run entirely on the CPU.
   if (externalGpuBusy()) {
     if (T)
       T->instant("eas", "external-gpu-busy", obs::VirtualTime(Proc.now()));
     runPartitioned(Proc, Kernel, Iterations, /*Alpha=*/0.0);
-    Outcome.CpuOnlyFastPath = true;
-    Outcome.Seconds = Proc.now() - Start;
-    Outcome.MeasuredSeconds = Outcome.Seconds;
-    Outcome.MeasuredJoules = Proc.meter().joulesSince(StartMsr);
-    return Outcome;
+    return CpuOnlyExit();
   }
 
   // Graceful degradation: a quarantined GPU pins the invocation to
@@ -612,22 +625,10 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
         "alpha=0.00 quarantined");
     runPartitionedResilient(Proc, Monitor, Kernel, Iterations,
                             /*Alpha=*/0.0);
-    History.bumpQuarantinedRuns(HistoryKey);
-    History.bumpInvocations(HistoryKey);
-    if (Journal) {
-      HistoryDeltaRecord Delta;
-      Delta.Key = HistoryKey;
-      Delta.QuarantinedDelta = 1;
-      Delta.InvocationsDelta = 1;
-      journalRecord(Delta);
-      journalCommit();
-    }
     Outcome.GpuQuarantined = true;
-    Outcome.CpuOnlyFastPath = true;
-    Outcome.Seconds = Proc.now() - Start;
-    Outcome.MeasuredSeconds = Outcome.Seconds;
-    Outcome.MeasuredJoules = Proc.meter().joulesSince(StartMsr);
-    return Outcome;
+    CpuOnlyDelta.QuarantinedDelta = 1;
+    CpuOnlyDelta.InvocationsDelta = 1;
+    return CpuOnlyExit();
   }
 
   // A recovery since the last invocation means the device coming back
@@ -650,8 +651,7 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
                                ? Config.MinProfileIters
                                : GpuProfileSize / 4.0;
 
-  double Alpha = 0.0;
-  unsigned PState = 0;
+  OperatingPoint Point;
   double Nrem = Iterations;
   bool ProfileHang = false;
   KernelRecord KnownRec;
@@ -680,16 +680,19 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
   // exactly).
   std::vector<ProfileSample> Deltas;
 
+  // Decide: a table-G hit, the small-N CPU exit, or profile and search.
   if (Known && KnownRec.Alpha.hasValue() && !ReprofileDue &&
-      (KnownRec.Confident || Iterations < GpuProfileSize))
+      (KnownRec.Confident || Iterations < GpuProfileSize)) {
     // Steps 2-4: multiple invocations of f reuse the learned ratio.
     // This steady-state hit is the lock-free path: one lookup, the
-    // partitioned run, one counter bump — extracted into the ECAS_HOT
-    // root so the hot-path analyzer and AllocGuard regression pin it.
-    return runTableHit(Proc, Kernel, Iterations, HistoryKey, KnownRec, Cancel,
-                       Start, StartMsr, T, Invocation);
-
-  if (Iterations < GpuProfileSize) {
+    // partitioned run, one counter bump. Its decision, dispatch and
+    // finish are ECAS_HOT roots, so the hot-path analyzer and the
+    // AllocGuard regression pin it.
+    Point = decideTableHit(Proc, KnownRec, Iterations, Outcome);
+    if (T)
+      T->instant("eas", "table-hit", obs::VirtualTime(Proc.now()),
+                 formatString("alpha=%.3f", Point.Alpha));
+  } else if (Iterations < GpuProfileSize) {
     // Steps 6-10: not enough parallelism to fill the GPU — run this
     // invocation on the multicore CPU alone. The kernel is not pinned:
     // a later invocation large enough to fill the GPU still profiles
@@ -699,24 +702,9 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
                  formatString("n=%.0f below profile size %.0f", Iterations,
                               GpuProfileSize));
     runPartitioned(Proc, Kernel, Iterations, /*Alpha=*/0.0);
-    History.update(HistoryKey,
-                   [](KernelRecord &Rec) { Rec.CpuOnly = true; });
-    History.bumpInvocations(HistoryKey);
-    if (Journal) {
-      // Setting CpuOnly commutes (it only ever becomes true), so the
-      // record may enqueue outside the shard lock.
-      HistoryDeltaRecord Delta;
-      Delta.Key = HistoryKey;
-      Delta.SetCpuOnly = true;
-      Delta.InvocationsDelta = 1;
-      journalRecord(Delta);
-      journalCommit();
-    }
-    Outcome.CpuOnlyFastPath = true;
-    Outcome.Seconds = Proc.now() - Start;
-    Outcome.MeasuredSeconds = Outcome.Seconds;
-    Outcome.MeasuredJoules = Proc.meter().joulesSince(StartMsr);
-    return Outcome;
+    CpuOnlyDelta.SetCpuOnly = true;
+    CpuOnlyDelta.InvocationsDelta = 1;
+    return CpuOnlyExit();
   } else {
     // Steps 11-22: repeat profiling for half of the iterations. The
     // measurements fold into the kernel's record, so a kernel whose
@@ -819,8 +807,8 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
           Model, Views, NumViews, Objective, std::max(SearchNrem, 1.0), Search);
       // A hang discards the alpha (the remainder runs CPU-alone) but
       // keeps the last search's P-state, class and prediction.
-      Alpha = ProfileHang ? 0.0 : Choice.Point.Alpha;
-      PState = Choice.Point.PState;
+      Point.Alpha = ProfileHang ? 0.0 : Choice.Point.Alpha;
+      Point.PState = Choice.Point.PState;
       Outcome.AlphaSearches = 1;
       Outcome.AlphaEvaluations = Choice.Evaluations;
       // Profiling decrements Nrem before the state is recorded, so the
@@ -856,48 +844,8 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
                  "before-dispatch");
   }
 
-  // Steps 23-25: execute the remainder at the chosen split, optionally
-  // telling the governor what is coming (future-work extension). The
-  // resilient primitive handles launch retries, hang detection, and
-  // quarantine-stranding; on a healthy platform it is exactly
-  // runPartitioned.
-  if (Nrem > 0.0 && !Outcome.Cancelled) {
-    obs::ScopedSpan Dispatch(
-        T, "eas", "dispatch",
-        T ? std::function<double()>([&Proc] { return Proc.now(); })
-          : std::function<double()>(),
-        T ? formatString("alpha=%.3f n=%.0f", Alpha, Nrem) : std::string());
-    if (Config.PStates) {
-      // Actuate the frequency half of the operating point: cap the PCU
-      // at the chosen state's clocks for the remainder dispatch.
-      PStateSpec Cap = Proc.spec().pstateAt(PState);
-      Proc.pcu().setFrequencyCap(Cap.CpuFreqGHz, Cap.GpuFreqGHz);
-    }
-    if (Config.PcuHints)
-      Proc.pcu().hintUpcomingSplit(Alpha);
-    double DispatchStart = Proc.now();
-    uint32_t DispatchMsr = Proc.meter().readMsr();
-    PartitionOutcome Partition =
-        runPartitionedResilient(Proc, Monitor, Kernel, Nrem, Alpha);
-    Outcome.MeasuredSeconds = Proc.now() - DispatchStart;
-    Outcome.MeasuredJoules = Proc.meter().joulesSince(DispatchMsr);
-    Outcome.LaunchRetries += Partition.LaunchRetries;
-    Outcome.HangDetected = Outcome.HangDetected || Partition.HangDetected;
-    Outcome.GpuQuarantined =
-        Outcome.GpuQuarantined || Partition.QuarantineSkipped;
-    if (T && (Partition.LaunchRetries || Partition.HangDetected ||
-              Partition.QuarantineSkipped))
-      Dispatch.setEndDetail(formatString(
-          "retries=%u%s%s", Partition.LaunchRetries,
-          Partition.HangDetected ? " hang" : "",
-          Partition.QuarantineSkipped ? " quarantine-skipped" : ""));
-  }
-
-  // A prediction encodes the healthy-platform assumption; a hang or a
-  // quarantine-stranded GPU share broke it mid-flight, so the measured
-  // window no longer answers "how good is the model".
-  if (Outcome.HangDetected || Outcome.GpuQuarantined)
-    Outcome.HasPrediction = false;
+  if (Nrem > 0.0 && !Outcome.Cancelled)
+    dispatchRemainder(Proc, Kernel, Nrem, Point, Outcome);
 
   // Step 26: sample-weighted accumulation across invocations. Only
   // freshly computed alphas are samples; a table-G reuse feeds back the
@@ -910,81 +858,50 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
     bool AddAlpha = !ProfileHang && !Outcome.Cancelled;
     double AlphaWeight = std::max(Nrem, 1.0);
     History.update(HistoryKey, [&](KernelRecord &Rec) {
-      // The journal record mirrors this merge field for field and is
-      // enqueued before the shard lock releases, so journal order
-      // equals merge order per key and replay is order-exact (the
-      // merged sample and the confident transition do not commute).
-      // enqueue() buffers without IO, so no fsync runs under the lock.
+      // The merge is one delta, built against the locked record and
+      // applied by the code replay runs. It is enqueued before the shard
+      // lock releases, so journal order equals merge order per key and
+      // replay is order-exact (the merged sample and the confident
+      // transition do not commute). enqueue() buffers without IO, so no
+      // fsync runs under the lock.
       HistoryDeltaRecord Delta;
       Delta.Key = HistoryKey;
+      // One fixed-size sample however many repetitions ran; replay
+      // assigns it.
+      Delta.HasMergedSample = !Deltas.empty();
+      Delta.MergedSample = Rec.Sample;
       for (const ProfileSample &S : Deltas)
-        Rec.Sample.accumulate(S);
-      if (Journal && !Deltas.empty()) {
-        // One fixed-size sample however many repetitions ran; replay
-        // assigns it.
-        Delta.HasMergedSample = true;
-        Delta.MergedSample = Rec.Sample;
-      }
-      if (!Rec.Confident && Rec.Sample.CpuIterations >= MinProfileIters &&
-          Rec.Sample.GpuIterations >= MinProfileIters) {
-        // First trustworthy measurement: discard the provisional alphas
-        // accumulated while one device was starved of observations.
-        Rec.Confident = true;
-        Rec.Alpha = SampleWeightedAlpha();
-        Delta.BecameConfident = true;
-      }
+        Delta.MergedSample.accumulate(S);
+      // First trustworthy measurement: discard the provisional alphas
+      // accumulated while one device was starved of observations.
+      Delta.BecameConfident =
+          !Rec.Confident &&
+          Delta.MergedSample.CpuIterations >= MinProfileIters &&
+          Delta.MergedSample.GpuIterations >= MinProfileIters;
       if (AddAlpha) {
-        Rec.Alpha.addSample(Alpha, AlphaWeight);
         Delta.HasAlphaSample = true;
-        Delta.AlphaValue = Alpha;
+        Delta.AlphaValue = Point.Alpha;
         Delta.AlphaWeight = AlphaWeight;
         // The P-state rides the same gate: a hang- or cancel-tainted
         // decision must not steer future invocations' clocks either.
-        Rec.PState = PState;
         Delta.HasPState = true;
-        Delta.PState = PState;
+        Delta.PState = Point.PState;
       }
-      Rec.Class = Outcome.Class;
       Delta.HasClass = true;
       Delta.ClassIndex = Outcome.Class.index();
+      applyDeltaFields(Rec, Delta);
       journalRecord(Delta);
     });
   }
-  // A cancelled invocation did not complete; counting it would make
-  // periodic re-profiling cadence drift under cancellation storms.
-  if (!Outcome.Cancelled) {
-    History.bumpInvocations(HistoryKey);
-    if (Journal) {
-      HistoryDeltaRecord Delta;
-      Delta.Key = HistoryKey;
-      Delta.InvocationsDelta = 1;
-      journalRecord(Delta);
-    }
-  }
-  journalCommit();
 
-  Outcome.AlphaUsed = Alpha;
-  Outcome.PState = PState;
-  Outcome.Seconds = Proc.now() - Start;
-  if (T)
-    Invocation.setEndDetail(formatString("alpha=%.3f seconds=%.6f%s", Alpha,
-                                         Outcome.Seconds,
-                                         Outcome.Cancelled ? " cancelled"
-                                                           : ""));
+  finishInvocation(Proc, HistoryKey, Point, Start, Invocation, Outcome);
   return Outcome;
 }
 
-EasScheduler::InvocationOutcome EasScheduler::runTableHit(
-    SimProcessor &Proc, const KernelDesc &Kernel, double Iterations,
-    uint64_t HistoryKey, const KernelRecord &KnownRec,
-    const CancellationToken *Cancel, double Start, uint32_t StartMsr,
-    obs::FlightRecorder *T, obs::ScopedSpan &Invocation) {
-  // Steps 2-4 steady state: replay the learned ratio. Every statement
-  // below mirrors the shared tail of executeAdmitted in its original
-  // order (with Nrem == Iterations and no profiling merge), so the
-  // decision stream is bit-identical to the pre-extraction branch —
-  // ObsTest and MetricsTest pin that equivalence.
-  InvocationOutcome Outcome;
+OperatingPoint EasScheduler::decideTableHit(const SimProcessor &Proc,
+                                            const KernelRecord &KnownRec,
+                                            double Iterations,
+                                            InvocationOutcome &Outcome) const {
   double Alpha = KnownRec.Alpha.value();
   // Replay the frequency half of the learned operating point too,
   // clamped to what this platform and characterization actually cover
@@ -1023,63 +940,65 @@ EasScheduler::InvocationOutcome EasScheduler::runTableHit(
     Outcome.PredictedMetric =
         Objective.evaluate(Outcome.PredictedWatts, Outcome.PredictedSeconds);
   }
-  if (T)
-    T->instant("eas", "table-hit", obs::VirtualTime(Proc.now()),
-               formatString("alpha=%.3f", Alpha)); // ecas-hotpath: allow(alloc)
+  return OperatingPoint{Alpha, PState};
+}
 
-  // Cancellation point 3: before the remainder execution (points 1 and 2
-  // precede the table lookup / only exist while profiling).
-  if (stopRequested(Proc.now(), Cancel)) {
-    Outcome.Cancelled = true;
-    if (T)
-      T->instant("eas", "cancelled", obs::VirtualTime(Proc.now()),
-                 "before-dispatch"); // ecas-hotpath: allow(alloc)
+void EasScheduler::dispatchRemainder(SimProcessor &Proc,
+                                     const KernelDesc &Kernel, double Nrem,
+                                     OperatingPoint Point,
+                                     InvocationOutcome &Outcome) {
+  // Steps 23-25: execute the remainder at the chosen split, optionally
+  // telling the governor what is coming (future-work extension). The
+  // resilient primitive handles launch retries, hang detection, and
+  // quarantine-stranding; on a healthy platform it is exactly
+  // runPartitioned.
+  obs::FlightRecorder *T = Config.Trace;
+  obs::ScopedSpan Dispatch(
+      T, "eas", "dispatch",
+      T ? std::function<double()>([&Proc] { return Proc.now(); }) // ecas-hotpath: allow(alloc)
+        : std::function<double()>(),
+      T ? formatString("alpha=%.3f n=%.0f", Point.Alpha, Nrem) // ecas-hotpath: allow(alloc)
+        : std::string());
+  if (Config.PStates) {
+    // Actuate the frequency half of the operating point: cap the PCU
+    // at the chosen state's clocks for the remainder dispatch. A warmed
+    // hit does this with two PCU calls — no search, no allocation (the
+    // AllocGuard regression covers it with a multi-state family).
+    PStateSpec Cap = Proc.spec().pstateAt(Point.PState);
+    Proc.pcu().setFrequencyCap(Cap.CpuFreqGHz, Cap.GpuFreqGHz);
   }
+  if (Config.PcuHints)
+    Proc.pcu().hintUpcomingSplit(Point.Alpha);
+  double DispatchStart = Proc.now();
+  uint32_t DispatchMsr = Proc.meter().readMsr();
+  PartitionOutcome Partition =
+      runPartitionedResilient(Proc, Monitor, Kernel, Nrem, Point.Alpha);
+  Outcome.MeasuredSeconds = Proc.now() - DispatchStart;
+  Outcome.MeasuredJoules = Proc.meter().joulesSince(DispatchMsr);
+  Outcome.LaunchRetries += Partition.LaunchRetries;
+  Outcome.HangDetected = Outcome.HangDetected || Partition.HangDetected;
+  Outcome.GpuQuarantined =
+      Outcome.GpuQuarantined || Partition.QuarantineSkipped;
+  if (T && (Partition.LaunchRetries || Partition.HangDetected ||
+            Partition.QuarantineSkipped))
+    Dispatch.setEndDetail(formatString( // ecas-hotpath: allow(alloc)
+        "retries=%u%s%s", Partition.LaunchRetries,
+        Partition.HangDetected ? " hang" : "",
+        Partition.QuarantineSkipped ? " quarantine-skipped" : ""));
+}
 
-  // Steps 23-25: execute the whole invocation at the learned split.
-  if (Iterations > 0.0 && !Outcome.Cancelled) {
-    obs::ScopedSpan Dispatch(
-        T, "eas", "dispatch",
-        T ? std::function<double()>([&Proc] { return Proc.now(); }) // ecas-hotpath: allow(alloc)
-          : std::function<double()>(),
-        T ? formatString("alpha=%.3f n=%.0f", Alpha, Iterations) // ecas-hotpath: allow(alloc)
-          : std::string());
-    if (Config.PStates) {
-      // Warmed hits actuate the learned state with two PCU calls — no
-      // search, no allocation (the AllocGuard regression covers this
-      // path with a multi-state family).
-      PStateSpec Cap = Proc.spec().pstateAt(PState);
-      Proc.pcu().setFrequencyCap(Cap.CpuFreqGHz, Cap.GpuFreqGHz);
-    }
-    if (Config.PcuHints)
-      Proc.pcu().hintUpcomingSplit(Alpha);
-    double DispatchStart = Proc.now();
-    uint32_t DispatchMsr = Proc.meter().readMsr();
-    PartitionOutcome Partition =
-        runPartitionedResilient(Proc, Monitor, Kernel, Iterations, Alpha);
-    Outcome.MeasuredSeconds = Proc.now() - DispatchStart;
-    Outcome.MeasuredJoules = Proc.meter().joulesSince(DispatchMsr);
-    Outcome.LaunchRetries += Partition.LaunchRetries;
-    Outcome.HangDetected = Outcome.HangDetected || Partition.HangDetected;
-    Outcome.GpuQuarantined =
-        Outcome.GpuQuarantined || Partition.QuarantineSkipped;
-    if (T && (Partition.LaunchRetries || Partition.HangDetected ||
-              Partition.QuarantineSkipped))
-      Dispatch.setEndDetail(formatString( // ecas-hotpath: allow(alloc)
-          "retries=%u%s%s", Partition.LaunchRetries,
-          Partition.HangDetected ? " hang" : "",
-          Partition.QuarantineSkipped ? " quarantine-skipped" : ""));
-  }
-
+void EasScheduler::finishInvocation(const SimProcessor &Proc,
+                                    uint64_t HistoryKey, OperatingPoint Point,
+                                    double Start, obs::ScopedSpan &Invocation,
+                                    InvocationOutcome &Outcome) {
   // A prediction encodes the healthy-platform assumption; a hang or a
-  // quarantine-stranded GPU share broke it mid-flight.
+  // quarantine-stranded GPU share broke it mid-flight, so the measured
+  // window no longer answers "how good is the model".
   if (Outcome.HangDetected || Outcome.GpuQuarantined)
     Outcome.HasPrediction = false;
 
-  // No profiling merge on a hit (a table-G reuse feeds back the
-  // accumulator's own value and must not inflate its weight): just the
-  // invocation count, which cancellation skips so the re-profiling
-  // cadence cannot drift under cancellation storms.
+  // A cancelled invocation did not complete; counting it would make
+  // periodic re-profiling cadence drift under cancellation storms.
   if (!Outcome.Cancelled) {
     History.bumpInvocations(HistoryKey);
     if (Journal) {
@@ -1091,12 +1010,11 @@ EasScheduler::InvocationOutcome EasScheduler::runTableHit(
   }
   journalCommit(); // ecas-hotpath: allow(io)
 
-  Outcome.AlphaUsed = Alpha;
-  Outcome.PState = PState;
+  Outcome.AlphaUsed = Point.Alpha;
+  Outcome.PState = Point.PState;
   Outcome.Seconds = Proc.now() - Start;
-  if (T)
+  if (Config.Trace)
     Invocation.setEndDetail(formatString( // ecas-hotpath: allow(alloc)
-        "alpha=%.3f seconds=%.6f%s", Alpha, Outcome.Seconds,
+        "alpha=%.3f seconds=%.6f%s", Point.Alpha, Outcome.Seconds,
         Outcome.Cancelled ? " cancelled" : ""));
-  return Outcome;
 }

@@ -306,9 +306,9 @@ public:
   /// Records recovered by the constructor's restore.
   size_t restoredRecords() const { return RestoredRecords; }
 
-  /// What the constructor's journal-aware recovery did (meaningful only
-  /// with Config.Journal.Enabled; a snapshot-only restore reports Cold
-  /// or Clean with zero replayed records).
+  /// What the constructor's recovery did. A snapshot-only restore runs
+  /// the same recovery without a journal: Cold, Clean or Truncated,
+  /// with zero replayed records.
   const RecoveryReport &recoveryReport() const { return Recovery; }
   /// Non-success when journaling was requested but the journal could
   /// not be opened (or a flush failed); the scheduler keeps running
@@ -337,23 +337,42 @@ public:
   void reset() { History.clear(); }
 
 private:
+  /// Fig. 7 in order: decide (a table-G hit, the small-N CPU exit, or
+  /// profile and search), then one dispatch tail shared by the hit and
+  /// the profiled paths — cancellation point 3, dispatchRemainder(), the
+  /// profiled merge, finishInvocation(). The three CPU-alone exits
+  /// (external GPU owner, quarantine, small N) share one tail of their
+  /// own. decideTableHit(), dispatchRemainder() and finishInvocation()
+  /// are a warmed hit's whole per-invocation work: ECAS_HOT marks them
+  /// as roots for tools/ecas_hotpath.py, and with observability and
+  /// journaling off they must stay allocation-free (the AllocGuard
+  /// regression).
   InvocationOutcome executeAdmitted(SimProcessor &Proc,
                                     const KernelDesc &Kernel,
                                     double Iterations, uint64_t HistoryKey,
                                     const CancellationToken *Cancel);
-  /// The steady-state table-hit path (Fig. 7 steps 2-4 through the
-  /// remainder dispatch): reuse the learned alpha, re-evaluate the
-  /// analytical model for fidelity telemetry, dispatch, count the
-  /// invocation, and journal the bump. This is the sub-microsecond
-  /// decision path of ROADMAP item 3 — ECAS_HOT marks it as a root for
-  /// tools/ecas_hotpath.py, and with observability and journaling off it
-  /// must stay allocation-free end to end (the AllocGuard regression).
-  /// Behaviour is bit-identical to the pre-extraction inline branch.
-  ECAS_HOT InvocationOutcome
-  runTableHit(SimProcessor &Proc, const KernelDesc &Kernel, double Iterations,
-              uint64_t HistoryKey, const KernelRecord &KnownRec,
-              const CancellationToken *Cancel, double Start, uint32_t StartMsr,
-              obs::FlightRecorder *T, obs::ScopedSpan &Invocation);
+  /// Steps 2-4: the learned alpha and the record's P-state, clamped to
+  /// what this platform and characterization cover. Stamps the class
+  /// and TableHit into \p Outcome, plus the analytical model's
+  /// prediction re-evaluated from the stored sample (fidelity telemetry
+  /// only; nothing reads it back).
+  ECAS_HOT OperatingPoint decideTableHit(const SimProcessor &Proc,
+                                         const KernelRecord &KnownRec,
+                                         double Iterations,
+                                         InvocationOutcome &Outcome) const;
+  /// Steps 23-25: caps the PCU at \p Point's P-state, dispatches \p Nrem
+  /// iterations at its alpha through the resilient primitive, and folds
+  /// the measured window and the PartitionOutcome into \p Outcome.
+  ECAS_HOT void dispatchRemainder(SimProcessor &Proc, const KernelDesc &Kernel,
+                                  double Nrem, OperatingPoint Point,
+                                  InvocationOutcome &Outcome);
+  /// Clears a fault-tainted prediction, counts and journals the
+  /// invocation unless it was cancelled, group-commits the journal, and
+  /// stamps AlphaUsed, PState, Seconds and the invocation span's end.
+  ECAS_HOT void finishInvocation(const SimProcessor &Proc, uint64_t HistoryKey,
+                                 OperatingPoint Point, double Start,
+                                 obs::ScopedSpan &Invocation,
+                                 InvocationOutcome &Outcome);
   /// Fills \p Views with one PStateView per searchable state — curve
   /// for \p Class plus the state's frequency scales relative to state 0
   /// — and returns the count. 1 (full speed only) unless Config.PStates
@@ -437,7 +456,7 @@ private:
   // failure).
   //===--------------------------------------------------------------===//
   /// Runs the constructor's recovery + journal open; never throws —
-  /// failures degrade to snapshot-only mode with JournalOpenStatus set.
+  /// failures degrade to snapshot-only mode, reported by journalStatus().
   void initDurability();
   /// Buffers one delta record into the journal (no IO; legal inside the
   /// table-G shard-locked merge closure). No-op without a live journal.

@@ -31,8 +31,8 @@
 ///   ecas::SessionReport Report = Session.run(ecas::SchemeKind::Eas, Options);
 ///
 ///   ecas::obs::TraceLog Log = Recorder.drain().Trace;
-///   ecas::obs::writeFileAtomic("run.trace.json", // open in Perfetto
-///                              ecas::obs::renderChromeTrace(Log));
+///   ecas::writeFileAtomic("run.trace.json", // open in Perfetto
+///                         ecas::obs::renderChromeTrace(Log));
 /// \endcode
 ///
 /// Attaching a Recorder never changes scheduling decisions: with

@@ -169,29 +169,28 @@ bool decodeDeltaPayload(std::string_view Payload, HistoryDeltaRecord &Rec) {
 
 } // namespace
 
+void ecas::applyDeltaFields(KernelRecord &R, const HistoryDeltaRecord &Rec) {
+  if (Rec.HasMergedSample)
+    R.Sample = Rec.MergedSample;
+  if (Rec.BecameConfident) {
+    R.Confident = true;
+    R.Alpha = SampleWeightedAlpha();
+  }
+  if (Rec.HasAlphaSample)
+    R.Alpha.addSample(Rec.AlphaValue, Rec.AlphaWeight);
+  if (Rec.HasClass)
+    R.Class = WorkloadClass::fromIndex(Rec.ClassIndex);
+  if (Rec.SetCpuOnly)
+    R.CpuOnly = true;
+  if (Rec.HasPState)
+    R.PState = Rec.PState;
+}
+
 void ecas::applyDeltaRecord(KernelHistory &History,
                             const HistoryDeltaRecord &Rec) {
-  // Mirror of the live merge closure in EasScheduler::executeAdmitted —
-  // same operations, same order — so replay onto the same starting
-  // state reproduces the same record bit-for-bit.
-  if (Rec.HasMergedSample || Rec.BecameConfident || Rec.HasAlphaSample ||
-      Rec.SetCpuOnly || Rec.HasClass || Rec.HasPState)
-    History.update(Rec.Key, [&](KernelRecord &R) {
-      if (Rec.HasMergedSample)
-        R.Sample = Rec.MergedSample;
-      if (Rec.BecameConfident) {
-        R.Confident = true;
-        R.Alpha = SampleWeightedAlpha();
-      }
-      if (Rec.HasAlphaSample)
-        R.Alpha.addSample(Rec.AlphaValue, Rec.AlphaWeight);
-      if (Rec.HasClass)
-        R.Class = WorkloadClass::fromIndex(Rec.ClassIndex);
-      if (Rec.SetCpuOnly)
-        R.CpuOnly = true;
-      if (Rec.HasPState)
-        R.PState = Rec.PState;
-    });
+  if (Rec.hasRecordFields())
+    History.update(Rec.Key,
+                   [&Rec](KernelRecord &R) { applyDeltaFields(R, Rec); });
   for (uint32_t I = 0; I != Rec.InvocationsDelta; ++I)
     History.bumpInvocations(Rec.Key);
   for (uint32_t I = 0; I != Rec.QuarantinedDelta; ++I)

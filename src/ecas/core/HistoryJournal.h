@@ -107,15 +107,27 @@ struct HistoryDeltaRecord {
   bool HasPState = false;
   uint32_t PState = 0;
 
+  /// True when the delta changes the record itself, not just counters.
+  bool hasRecordFields() const {
+    return HasMergedSample || BecameConfident || HasAlphaSample ||
+           SetCpuOnly || HasClass || HasPState;
+  }
   bool empty() const {
     return InvocationsDelta == 0 && QuarantinedDelta == 0 &&
-           !HasMergedSample && !BecameConfident && !HasAlphaSample &&
-           !SetCpuOnly && !HasClass && !HasPState;
+           !hasRecordFields();
   }
 };
 
-/// Applies one journaled delta to \p History through the same public
-/// mutation API the live merge path uses.
+/// Applies \p Rec's record fields (not its counters) to \p R: the merged
+/// sample, the confident transition, the alpha sample, class, CpuOnly
+/// and P-state, in that order. The scheduler's live merge closure
+/// applies its delta through this function under the shard lock, and
+/// replay does too, so the two cannot drift.
+void applyDeltaFields(KernelRecord &R, const HistoryDeltaRecord &Rec);
+
+/// Applies one delta to \p History: its record fields through
+/// applyDeltaFields() under KernelHistory::update(), then its counter
+/// bumps. Replay and the scheduler's CPU-alone paths use it.
 void applyDeltaRecord(KernelHistory &History, const HistoryDeltaRecord &Rec);
 
 /// Serializes a fresh journal header at \p Epoch (what a reset journal

@@ -275,11 +275,3 @@ ErrorOr<PlatformSpec> PlatformSpec::load(const std::string &Text) {
     return Status::error(ErrCode::InvalidArgument, Error);
   return Spec;
 }
-
-std::optional<PlatformSpec>
-PlatformSpec::deserialize(const std::string &Text) {
-  ErrorOr<PlatformSpec> Loaded = load(Text);
-  if (!Loaded.ok())
-    return std::nullopt;
-  return *Loaded;
-}

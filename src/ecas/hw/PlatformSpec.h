@@ -21,7 +21,6 @@
 #include "ecas/support/Error.h"
 
 #include <array>
-#include <optional>
 #include <string>
 
 namespace ecas {
@@ -184,10 +183,6 @@ struct PlatformSpec {
   /// offending line for malformed input (unknown key, unparsable or
   /// non-finite value, failed validation).
   static ErrorOr<PlatformSpec> load(const std::string &Text);
-
-  /// Legacy wrapper over load() for callers that only care about
-  /// success/failure.
-  static std::optional<PlatformSpec> deserialize(const std::string &Text);
 };
 
 } // namespace ecas

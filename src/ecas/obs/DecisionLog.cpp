@@ -6,7 +6,7 @@
 
 #include "ecas/obs/DecisionLog.h"
 
-#include "ecas/obs/MetricsExport.h"
+#include "ecas/support/AtomicFile.h"
 #include "ecas/support/Format.h"
 
 using namespace ecas;

@@ -6,7 +6,6 @@
 
 #include "ecas/obs/MetricsExport.h"
 
-#include "ecas/support/AtomicFile.h"
 #include "ecas/support/Format.h"
 
 #include <algorithm>
@@ -496,13 +495,4 @@ ErrorOr<MetricsSnapshot> ecas::obs::parsePrometheusText(
               return A.Labels < B.Labels;
             });
   return Snap;
-}
-
-Status ecas::obs::writeFileAtomic(const std::string &Path,
-                                  const std::string &Text) {
-  // Delegates to the one blessed implementation (DESIGN.md §13), which
-  // closes the durability hole this helper used to have: without the
-  // parent-directory fsync after rename, a power cut could forget the
-  // rename and resurrect the old file — or none at all.
-  return ecas::writeFileAtomic(Path, Text);
 }

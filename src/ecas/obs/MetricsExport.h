@@ -49,11 +49,6 @@ std::string renderMetricsReport(const MetricsSnapshot &Snap);
 /// guessing.
 ErrorOr<MetricsSnapshot> parsePrometheusText(const std::string &Text);
 
-/// Writes \p Text to \p Path via tmp-file + rename so readers only ever
-/// see a complete document (the serve-loop periodic rewrite relies on
-/// this).
-Status writeFileAtomic(const std::string &Path, const std::string &Text);
-
 } // namespace ecas::obs
 
 #endif // ECAS_OBS_METRICSEXPORT_H

@@ -133,14 +133,6 @@ ErrorOr<PowerCurveSet> PowerCurveSet::load(const std::string &Text,
   return Set;
 }
 
-std::optional<PowerCurveSet>
-PowerCurveSet::deserialize(const std::string &Text) {
-  ErrorOr<PowerCurveSet> Loaded = load(Text);
-  if (!Loaded.ok())
-    return std::nullopt;
-  return *Loaded;
-}
-
 PowerCurveFamily PowerCurveFamily::fromSingle(PowerCurveSet Set) {
   PowerCurveFamily Family;
   Family.States[0] = std::move(Set);

@@ -21,7 +21,6 @@
 #include "ecas/support/HotPath.h"
 
 #include <array>
-#include <optional>
 #include <string>
 
 namespace ecas {
@@ -63,10 +62,6 @@ public:
   /// characterization callers use to fall back to re-characterizing.
   static ErrorOr<PowerCurveSet> load(const std::string &Text,
                                      bool RequireComplete = false);
-
-  /// Legacy wrapper over load() for callers that only care about
-  /// success/failure.
-  static std::optional<PowerCurveSet> deserialize(const std::string &Text);
 
 private:
   std::string Platform;

@@ -8,7 +8,7 @@
 /// The ECAS_HOT function attribute marking the steady-state decision
 /// path (DESIGN.md §14): the table-G lock-free lookup, the analytical
 /// model evaluation, the alpha search, and the EasScheduler table-hit
-/// branch through dispatch. Functions carrying it are the roots
+/// decision, dispatch and finish. Functions carrying it are the roots
 /// tools/ecas_hotpath.py walks; everything reachable from a root must be
 /// allocation-free, exception-free, lock-disciplined (only the
 /// KernelHistory shard leaf lock), and must not block on IO. Violations

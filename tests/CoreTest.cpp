@@ -544,27 +544,6 @@ TEST(AlphaSearch, DeadDevicesStillYieldAValidAlpha) {
 
 namespace {
 
-/// The desktop with a 4-state DVFS ladder, characterized per state
-/// (coarsely: the test compares two decision paths, not curve quality).
-const PlatformSpec &ladderSpec() {
-  static PlatformSpec Spec = [] {
-    PlatformSpec S = haswellDesktop();
-    S.synthesizePStates(4);
-    return S;
-  }();
-  return Spec;
-}
-
-const PowerCurveFamily &ladderFamily() {
-  static PowerCurveFamily Family = [] {
-    CharacterizerConfig Config;
-    Config.AlphaStep = 0.25;
-    Config.PolyDegree = 3;
-    return characterizeFamily(ladderSpec(), Config);
-  }();
-  return Family;
-}
-
 /// What the reference loop decided and observed for one invocation.
 struct ReferenceOutcome {
   double AlphaUsed = 0.0;

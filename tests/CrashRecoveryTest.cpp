@@ -42,10 +42,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,6 +177,31 @@ void setJournalVersion(std::string &Bytes, uint32_t Version) {
   Bytes.replace(0, Header.size(), Header);
 }
 
+/// Every KernelRecord field, doubles compared bit for bit.
+void expectSameRecord(const KernelRecord &A, const KernelRecord &B) {
+  auto Bits = [](double V) { return std::bit_cast<uint64_t>(V); };
+  EXPECT_EQ(Bits(A.Alpha.weightedSum()), Bits(B.Alpha.weightedSum()));
+  EXPECT_EQ(Bits(A.Alpha.totalWeight()), Bits(B.Alpha.totalWeight()));
+  EXPECT_EQ(A.Class.index(), B.Class.index());
+  EXPECT_EQ(Bits(A.Sample.CpuThroughput), Bits(B.Sample.CpuThroughput));
+  EXPECT_EQ(Bits(A.Sample.GpuThroughput), Bits(B.Sample.GpuThroughput));
+  EXPECT_EQ(Bits(A.Sample.CpuIterations), Bits(B.Sample.CpuIterations));
+  EXPECT_EQ(Bits(A.Sample.GpuIterations), Bits(B.Sample.GpuIterations));
+  EXPECT_EQ(Bits(A.Sample.ElapsedSeconds), Bits(B.Sample.ElapsedSeconds));
+  EXPECT_EQ(Bits(A.Sample.CpuBusySeconds), Bits(B.Sample.CpuBusySeconds));
+  EXPECT_EQ(Bits(A.Sample.GpuBusySeconds), Bits(B.Sample.GpuBusySeconds));
+  EXPECT_EQ(Bits(A.Sample.MissPerLoadStore), Bits(B.Sample.MissPerLoadStore));
+  EXPECT_EQ(Bits(A.Sample.InstructionsRetired),
+            Bits(B.Sample.InstructionsRetired));
+  EXPECT_EQ(A.Sample.GpuLaunchFailed, B.Sample.GpuLaunchFailed);
+  EXPECT_EQ(A.Sample.GpuHung, B.Sample.GpuHung);
+  EXPECT_EQ(A.CpuOnly, B.CpuOnly);
+  EXPECT_EQ(A.Confident, B.Confident);
+  EXPECT_EQ(A.Invocations, B.Invocations);
+  EXPECT_EQ(A.QuarantinedRuns, B.QuarantinedRuns);
+  EXPECT_EQ(A.PState, B.PState);
+}
+
 void expectSameEntries(const KernelHistory &A, const KernelHistory &B) {
   auto Ea = A.entries();
   auto Eb = B.entries();
@@ -182,19 +209,7 @@ void expectSameEntries(const KernelHistory &A, const KernelHistory &B) {
   for (size_t I = 0; I != Ea.size(); ++I) {
     SCOPED_TRACE("kernel " + std::to_string(Ea[I].first));
     EXPECT_EQ(Ea[I].first, Eb[I].first);
-    const KernelRecord &Ra = Ea[I].second;
-    const KernelRecord &Rb = Eb[I].second;
-    EXPECT_EQ(Ra.Alpha.weightedSum(), Rb.Alpha.weightedSum());
-    EXPECT_EQ(Ra.Alpha.totalWeight(), Rb.Alpha.totalWeight());
-    EXPECT_EQ(Ra.Class.index(), Rb.Class.index());
-    EXPECT_EQ(Ra.CpuOnly, Rb.CpuOnly);
-    EXPECT_EQ(Ra.Confident, Rb.Confident);
-    EXPECT_EQ(Ra.Invocations, Rb.Invocations);
-    EXPECT_EQ(Ra.QuarantinedRuns, Rb.QuarantinedRuns);
-    EXPECT_EQ(Ra.Sample.CpuThroughput, Rb.Sample.CpuThroughput);
-    EXPECT_EQ(Ra.Sample.GpuIterations, Rb.Sample.GpuIterations);
-    EXPECT_EQ(Ra.Sample.GpuLaunchFailed, Rb.Sample.GpuLaunchFailed);
-    EXPECT_EQ(Ra.Sample.GpuHung, Rb.Sample.GpuHung);
+    expectSameRecord(Ea[I].second, Eb[I].second);
   }
 }
 
@@ -722,59 +737,106 @@ TEST(Journal, ResetRewritesHeaderAndDropsPending) {
 // 4. Scheduler integration
 //===----------------------------------------------------------------------===//
 
+// Replay must equal live for every kind of delta the scheduler journals:
+// hits and clean profiles, the small-N CPU exit, a token firing
+// mid-profile, a hang-tainted profile (no alpha sample) and quarantined
+// runs under gpu-hang — at fixed frequency and with a 4-state joint
+// search.
 TEST(SchedulerJournal, KillWithoutShutdownLosesNothingFlushed) {
-  ScratchPair Files("no-shutdown");
-  ScratchPair Copy("no-shutdown-copy");
+  for (unsigned States : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(States) + " P-state(s)");
+    ScratchPair Files("no-shutdown-" + std::to_string(States));
+    ScratchPair Copy("no-shutdown-copy-" + std::to_string(States));
 
-  EasConfig Config;
-  Config.HistoryFile = Files.snap();
-  Config.Journal.Enabled = true;
-  Config.Journal.GroupCommitRecords = 1; // every merge commits
+    EasConfig Config;
+    Config.HistoryFile = Files.snap();
+    Config.Journal.Enabled = true;
+    Config.Journal.GroupCommitRecords = 1; // every merge commits
+    Config.PStates = States > 1;
+    PlatformSpec Healthy = States > 1 ? ladderSpec() : haswellDesktop();
+    PlatformSpec Hanging = Healthy;
+    Hanging.Faults = *FaultPlan::scenario("gpu-hang");
 
-  std::vector<std::pair<uint64_t, KernelRecord>> Live;
-  {
-    EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
-    ASSERT_TRUE(Scheduler.journalStatus().ok())
-        << Scheduler.journalStatus().toString();
-    EXPECT_TRUE(Scheduler.journaling());
-    EXPECT_EQ(Scheduler.journalPath(), Files.wal());
-    EXPECT_EQ(Scheduler.recoveryReport().Outcome, RecoveryOutcome::Cold);
+    std::vector<std::pair<uint64_t, KernelRecord>> Live;
+    {
+      EasScheduler Scheduler(States > 1 ? ladderFamily() : desktopFamily(),
+                             Metric::edp(), Config);
+      ASSERT_TRUE(Scheduler.journalStatus().ok())
+          << Scheduler.journalStatus().toString();
+      EXPECT_TRUE(Scheduler.journaling());
+      EXPECT_EQ(Scheduler.journalPath(), Files.wal());
+      EXPECT_EQ(Scheduler.recoveryReport().Outcome, RecoveryOutcome::Cold);
 
-    SimProcessor Proc(haswellDesktop());
-    KernelDesc KernelA = namedKernel("wal-a");
-    KernelDesc KernelB = namedKernel("wal-b");
-    for (int I = 0; I != 6; ++I) {
-      Scheduler.execute(Proc, KernelA, 2e6);
-      Scheduler.execute(Proc, KernelB, 1e6);
+      SimProcessor Proc(Healthy);
+      KernelDesc KernelA = namedKernel("wal-a");
+      KernelDesc KernelB = namedKernel("wal-b");
+      for (int I = 0; I != 6; ++I) {
+        Scheduler.execute(Proc, KernelA, 2e6);
+        Scheduler.execute(Proc, KernelB, 1e6);
+      }
+
+      // Small N: CPU alone, and the record is marked CpuOnly.
+      EasScheduler::InvocationOutcome Small = Scheduler.execute(
+          Proc, namedKernel("wal-small"), Healthy.defaultGpuProfileSize() / 2);
+      ASSERT_TRUE(Small.CpuOnlyFastPath);
+
+      // A token that fires after the first profiling repetition: the
+      // measurements merge, the alpha and the count do not.
+      CancellationToken Token =
+          CancellationToken::withDeadline(Proc.now() + 1e-9);
+      EasScheduler::InvocationOutcome Cut = Scheduler.execute(
+          Proc, namedKernel("wal-cut"), 2e6, {}, &Token);
+      ASSERT_TRUE(Cut.Cancelled);
+      ASSERT_GT(Cut.ProfileRepetitions, 0u);
+
+      // gpu-hang: move the faulty clock into the hang window on the CPU
+      // (an external GPU owner learns nothing), so the next kernel's
+      // first profile hangs and later invocations are quarantined.
+      SimProcessor Faulty(Hanging);
+      Scheduler.setExternalGpuBusy(true);
+      while (Faulty.now() < 0.03)
+        Scheduler.execute(Faulty, namedKernel("wal-idle"), 2e6);
+      Scheduler.setExternalGpuBusy(false);
+      KernelDesc KernelH = namedKernel("wal-hang");
+      EasScheduler::InvocationOutcome Hung =
+          Scheduler.execute(Faulty, KernelH, 2e6);
+      ASSERT_TRUE(Hung.Profiled);
+      ASSERT_TRUE(Hung.HangDetected);
+      for (int I = 0; I != 3; ++I)
+        Scheduler.execute(Faulty, KernelH, 2e6);
+
+      ASSERT_TRUE(Scheduler.flushJournal().ok());
+      EXPECT_GT(Scheduler.journalStats().Appends, 0u);
+      Live = Scheduler.history().entries();
+      ASSERT_EQ(Live.size(), 5u);
+      std::optional<KernelRecord> HangRec =
+          Scheduler.history().find(KernelH.Id);
+      ASSERT_TRUE(HangRec);
+      EXPECT_GT(HangRec->QuarantinedRuns, 0u);
+      unsigned ReducedStates = 0;
+      for (const auto &Entry : Live)
+        ReducedStates += Entry.second.PState > 0;
+      EXPECT_EQ(ReducedStates > 0, States > 1);
+
+      // Freeze the on-disk state exactly as a kill -9 here would leave
+      // it, before the destructor's orderly shutdown compacts it.
+      writeRaw(Copy.snap(), readFile(Files.snap()));
+      writeRaw(Copy.wal(), readFile(Files.wal()));
     }
-    ASSERT_TRUE(Scheduler.flushJournal().ok());
-    EXPECT_GT(Scheduler.journalStats().Appends, 0u);
-    Live = Scheduler.history().entries();
-    ASSERT_EQ(Live.size(), 2u);
 
-    // Freeze the on-disk state exactly as a kill -9 here would leave
-    // it, before the destructor's orderly shutdown compacts it.
-    writeRaw(Copy.snap(), readFile(Files.snap()));
-    writeRaw(Copy.wal(), readFile(Files.wal()));
-  }
-
-  KernelHistory Recovered;
-  RecoveryReport Report =
-      recoverKernelHistory(Recovered, Copy.snap(), Copy.wal());
-  EXPECT_EQ(Report.Outcome, RecoveryOutcome::Replayed);
-  auto Entries = Recovered.entries();
-  ASSERT_EQ(Entries.size(), Live.size());
-  for (size_t I = 0; I != Live.size(); ++I) {
-    SCOPED_TRACE("kernel " + std::to_string(Live[I].first));
-    EXPECT_EQ(Entries[I].first, Live[I].first);
-    // The headline guarantee: with every merge flushed, a kill -9
-    // costs nothing — bit-identical alphas and exact counters.
-    EXPECT_EQ(Entries[I].second.Alpha.weightedSum(),
-              Live[I].second.Alpha.weightedSum());
-    EXPECT_EQ(Entries[I].second.Alpha.totalWeight(),
-              Live[I].second.Alpha.totalWeight());
-    EXPECT_EQ(Entries[I].second.Invocations, Live[I].second.Invocations);
-    EXPECT_EQ(Entries[I].second.Confident, Live[I].second.Confident);
+    KernelHistory Recovered;
+    RecoveryReport Report =
+        recoverKernelHistory(Recovered, Copy.snap(), Copy.wal());
+    EXPECT_EQ(Report.Outcome, RecoveryOutcome::Replayed);
+    auto Entries = Recovered.entries();
+    ASSERT_EQ(Entries.size(), Live.size());
+    for (size_t I = 0; I != Live.size(); ++I) {
+      SCOPED_TRACE("kernel " + std::to_string(Live[I].first));
+      EXPECT_EQ(Entries[I].first, Live[I].first);
+      // The headline guarantee: with every merge flushed, a kill -9
+      // costs nothing — every field bit-identical.
+      expectSameRecord(Entries[I].second, Live[I].second);
+    }
   }
 }
 

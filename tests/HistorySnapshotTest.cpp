@@ -327,6 +327,11 @@ TEST(HistorySnapshot, SchedulerRecoversIdenticalAlphasAfterRestart) {
   EXPECT_TRUE(Restarted.restoreStatus().ok())
       << Restarted.restoreStatus().toString();
   EXPECT_EQ(Restarted.restoredRecords(), 2u);
+  // A snapshot-only restore goes through the same recovery as a
+  // journaled one and reports what it restored.
+  EXPECT_EQ(Restarted.recoveryReport().Outcome, RecoveryOutcome::Clean);
+  EXPECT_EQ(Restarted.recoveryReport().SnapshotRecords,
+            Restarted.restoredRecords());
 
   auto Recovered = Restarted.history().entries();
   ASSERT_EQ(Recovered.size(), Learned.size());

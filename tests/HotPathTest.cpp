@@ -34,26 +34,6 @@
 
 using namespace ecas;
 
-namespace {
-
-/// Joint-search fixture: the same desktop with a 4-state DVFS ladder,
-/// characterized per P-state.
-const PlatformSpec &desktopLadderSpec() {
-  static PlatformSpec Spec = [] {
-    PlatformSpec S = haswellDesktop();
-    S.synthesizePStates(4);
-    return S;
-  }();
-  return Spec;
-}
-
-const PowerCurveFamily &ladderFamily() {
-  static PowerCurveFamily Family = characterizeFamily(desktopLadderSpec());
-  return Family;
-}
-
-} // namespace
-
 TEST(AllocGuard, InterposerIsActive) {
   ASSERT_TRUE(alloc_guard::active());
 }
@@ -133,7 +113,7 @@ TEST(HotPath, SteadyStateRunStaysAllocationFree) {
 // per search (the 5-reference capture exceeds libstdc++'s 16-byte
 // small-object buffer).
 TEST(HotPath, JointSearchIsAllocationFree) {
-  const PlatformSpec &Spec = desktopLadderSpec();
+  const PlatformSpec &Spec = ladderSpec();
   const PowerCurveFamily &Family = ladderFamily();
   TimeModel Model(4e8, 7e8);
   Metric Objective = Metric::edp();
@@ -172,7 +152,7 @@ TEST(HotPath, JointSearchIsAllocationFree) {
 // frequency-cap actuation, partitioned dispatch — still allocates
 // nothing.
 TEST(HotPath, WarmedJointDecisionIsAllocationFree) {
-  const PlatformSpec &Spec = desktopLadderSpec();
+  const PlatformSpec &Spec = ladderSpec();
   SimProcessor Proc(Spec);
   EasConfig Config;
   Config.PStates = true;

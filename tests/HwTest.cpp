@@ -38,8 +38,8 @@ TEST(PlatformSpec, TabletGeometryMatchesPaper) {
 TEST(PlatformSpec, SerializeRoundTrip) {
   PlatformSpec Spec = haswellDesktop();
   std::string Text = Spec.serialize();
-  auto Restored = PlatformSpec::deserialize(Text);
-  ASSERT_TRUE(Restored.has_value());
+  auto Restored = PlatformSpec::load(Text);
+  ASSERT_TRUE(Restored.ok());
   EXPECT_EQ(Restored->Name, Spec.Name);
   EXPECT_EQ(Restored->Cpu.Cores, Spec.Cpu.Cores);
   EXPECT_DOUBLE_EQ(Restored->Cpu.MaxTurboGHz, Spec.Cpu.MaxTurboGHz);
@@ -53,17 +53,17 @@ TEST(PlatformSpec, SerializeRoundTrip) {
 }
 
 TEST(PlatformSpec, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(PlatformSpec::deserialize("not a spec").has_value());
-  EXPECT_FALSE(PlatformSpec::deserialize("bogus.key = 3\n").has_value());
+  EXPECT_FALSE(PlatformSpec::load("not a spec").ok());
+  EXPECT_FALSE(PlatformSpec::load("bogus.key = 3\n").ok());
   EXPECT_FALSE(
-      PlatformSpec::deserialize("cpu.cores = banana\n").has_value());
+      PlatformSpec::load("cpu.cores = banana\n").ok());
 }
 
 TEST(PlatformSpec, DeserializeSkipsCommentsAndBlanks) {
   PlatformSpec Spec = bayTrailTablet();
   std::string Text = "# a comment\n\n" + Spec.serialize();
-  auto Restored = PlatformSpec::deserialize(Text);
-  ASSERT_TRUE(Restored.has_value());
+  auto Restored = PlatformSpec::load(Text);
+  ASSERT_TRUE(Restored.ok());
   EXPECT_EQ(Restored->Name, Spec.Name);
 }
 
@@ -139,8 +139,8 @@ TEST(PlatformSpec, PStateTableSerializeRoundTrip) {
   std::string Error;
   ASSERT_TRUE(Spec.validate(Error)) << Error;
 
-  auto Restored = PlatformSpec::deserialize(Spec.serialize());
-  ASSERT_TRUE(Restored.has_value());
+  auto Restored = PlatformSpec::load(Spec.serialize());
+  ASSERT_TRUE(Restored.ok());
   EXPECT_EQ(Restored->PStateCount, 4u);
   for (unsigned I = 0; I != 4; ++I) {
     EXPECT_DOUBLE_EQ(Restored->PStates[I].CpuFreqGHz,

@@ -230,8 +230,8 @@ TEST(Integration, CurveCacheRoundTripPreservesEasDecisions) {
   // process — decisions must be identical.
   PlatformSpec Spec = bayTrailTablet();
   PowerCurveSet Fresh = Characterizer(Spec).characterize();
-  auto Reloaded = PowerCurveSet::deserialize(Fresh.serialize());
-  ASSERT_TRUE(Reloaded.has_value());
+  auto Reloaded = PowerCurveSet::load(Fresh.serialize());
+  ASSERT_TRUE(Reloaded.ok());
 
   Workload Mm = *findWorkload(tabletSuite(testConfig()), "MM");
   ExecutionSession Session(Spec);

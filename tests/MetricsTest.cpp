@@ -22,6 +22,7 @@
 #include "ecas/obs/Metrics.h"
 #include "ecas/obs/MetricsExport.h"
 #include "ecas/power/Characterizer.h"
+#include "ecas/support/AtomicFile.h"
 
 #include "TestSupport.h"
 
@@ -376,8 +377,8 @@ TEST(MetricsExport, ReportRendersHistogramSummaries) {
 
 TEST(MetricsExport, WriteFileAtomicReplacesContent) {
   std::string Path = ::testing::TempDir() + "ecas_metrics_atomic.txt";
-  ASSERT_TRUE(obs::writeFileAtomic(Path, "first\n").ok());
-  ASSERT_TRUE(obs::writeFileAtomic(Path, "second\n").ok());
+  ASSERT_TRUE(writeFileAtomic(Path, "first\n").ok());
+  ASSERT_TRUE(writeFileAtomic(Path, "second\n").ok());
   std::ifstream In(Path);
   std::string Content((std::istreambuf_iterator<char>(In)),
                       std::istreambuf_iterator<char>());

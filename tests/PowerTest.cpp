@@ -44,8 +44,8 @@ TEST(PowerCurveSet, SerializeRoundTrip) {
   Curve.RSquared = 0.987;
   Set.setCurve(Curve);
 
-  auto Restored = PowerCurveSet::deserialize(Set.serialize());
-  ASSERT_TRUE(Restored.has_value());
+  auto Restored = PowerCurveSet::load(Set.serialize());
+  ASSERT_TRUE(Restored.ok());
   EXPECT_EQ(Restored->platformName(), "test-platform");
   ASSERT_TRUE(Restored->hasCurve(WorkloadClass::fromIndex(5)));
   const PowerCurve &Back = Restored->curveFor(WorkloadClass::fromIndex(5));
@@ -56,10 +56,10 @@ TEST(PowerCurveSet, SerializeRoundTrip) {
 }
 
 TEST(PowerCurveSet, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(PowerCurveSet::deserialize("curve x = 1 2 3").has_value());
-  EXPECT_FALSE(PowerCurveSet::deserialize("curve 99 = 1 r2 1").has_value());
+  EXPECT_FALSE(PowerCurveSet::load("curve x = 1 2 3").ok());
+  EXPECT_FALSE(PowerCurveSet::load("curve 99 = 1 r2 1").ok());
   EXPECT_FALSE(
-      PowerCurveSet::deserialize("curve 1 = a b r2 1").has_value());
+      PowerCurveSet::load("curve 1 = a b r2 1").ok());
 }
 
 TEST(MicroBenchmarks, BaseKernelsAreValidAndOpposed) {
@@ -152,8 +152,8 @@ TEST(Characterizer, FullCharacterizationIsComplete) {
   EXPECT_TRUE(Set.complete());
   EXPECT_EQ(Set.platformName(), Spec.Name);
   // Round-trip through serialization.
-  auto Restored = PowerCurveSet::deserialize(Set.serialize());
-  ASSERT_TRUE(Restored.has_value());
+  auto Restored = PowerCurveSet::load(Set.serialize());
+  ASSERT_TRUE(Restored.ok());
   EXPECT_TRUE(Restored->complete());
 }
 

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Fixtures several test binaries share: the desktop characterization
-/// (measured once per binary), a fault-injected desktop spec, and a
-/// named kernel with a stable id.
+/// (measured once per binary), the desktop with a 4-state DVFS ladder
+/// and its coarse per-state characterization, a fault-injected desktop
+/// spec, and a named kernel with a stable id.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +38,29 @@ inline const PowerCurveSet &desktopCurves() {
 inline const PowerCurveFamily &desktopFamily() {
   static PowerCurveFamily Family =
       PowerCurveFamily::fromSingle(desktopCurves());
+  return Family;
+}
+
+/// The desktop with a 4-state DVFS ladder, for joint (alpha, P-state)
+/// tests.
+inline const PlatformSpec &ladderSpec() {
+  static PlatformSpec Spec = [] {
+    PlatformSpec S = haswellDesktop();
+    S.synthesizePStates(4);
+    return S;
+  }();
+  return Spec;
+}
+
+/// ladderSpec() characterized per state, coarsely: the tests using it
+/// compare decision paths or count allocations, not curve quality.
+inline const PowerCurveFamily &ladderFamily() {
+  static PowerCurveFamily Family = [] {
+    CharacterizerConfig Config;
+    Config.AlphaStep = 0.25;
+    Config.PolyDegree = 3;
+    return characterizeFamily(ladderSpec(), Config);
+  }();
   return Family;
 }
 

@@ -137,18 +137,27 @@ int usage() {
   return ExitUsage;
 }
 
+/// Resolves --platform: a preset name, or a path to a serialized spec.
+/// Returns nullopt after saying why on stderr: an unknown name, or the
+/// spec file's first bad line.
 std::optional<PlatformSpec> platformByName(const std::string &Name) {
   for (PlatformSpec &Spec : allPresets())
     if (Spec.Name == Name)
       return Spec;
-  // Also accept a path to a serialized spec.
   std::ifstream File(Name);
-  if (File) {
-    std::ostringstream Buffer;
-    Buffer << File.rdbuf();
-    return PlatformSpec::deserialize(Buffer.str());
+  if (!File) {
+    std::fprintf(stderr, "error: unknown platform\n");
+    return std::nullopt;
   }
-  return std::nullopt;
+  std::ostringstream Buffer;
+  Buffer << File.rdbuf();
+  ErrorOr<PlatformSpec> Loaded = PlatformSpec::load(Buffer.str());
+  if (!Loaded) {
+    std::fprintf(stderr, "error: %s: %s\n", Name.c_str(),
+                 Loaded.status().message().c_str());
+    return std::nullopt;
+  }
+  return *Loaded;
 }
 
 /// Attaches --fault-plan=FILE|SCENARIO to \p Spec when present: a path
@@ -239,7 +248,7 @@ bool drainObservability(const obs::FlightRecorder &Recorder,
   obs::TraceLog Log = Recorder.drain().Trace;
   std::string TraceOut = Args.getString("trace-out", "");
   if (!TraceOut.empty()) {
-    if (Status S = obs::writeFileAtomic(TraceOut, obs::renderChromeTrace(Log));
+    if (Status S = writeFileAtomic(TraceOut, obs::renderChromeTrace(Log));
         !S) {
       std::fprintf(stderr, "error: %s\n", S.message().c_str());
       return false;
@@ -275,7 +284,7 @@ bool writeMetricsOutputs(const obs::MetricsRegistry &Registry,
   if (!Out.empty() || !Json.empty()) {
     obs::MetricsSnapshot Snap = Registry.snapshot();
     if (!Out.empty()) {
-      if (Status S = obs::writeFileAtomic(Out, obs::renderPrometheus(Snap));
+      if (Status S = writeFileAtomic(Out, obs::renderPrometheus(Snap));
           !S) {
         std::fprintf(stderr, "error: %s: %s\n", Out.c_str(),
                      S.message().c_str());
@@ -286,7 +295,7 @@ bool writeMetricsOutputs(const obs::MetricsRegistry &Registry,
     }
     if (!Json.empty()) {
       if (Status S =
-              obs::writeFileAtomic(Json, obs::renderMetricsJson(Snap));
+              writeFileAtomic(Json, obs::renderMetricsJson(Snap));
           !S) {
         std::fprintf(stderr, "error: %s: %s\n", Json.c_str(),
                      S.message().c_str());
@@ -362,20 +371,23 @@ bool applyDvfsFlags(PlatformSpec &Spec, EasConfig &Config,
 PowerCurveSet curvesFor(const PlatformSpec &Spec, const Flags &Args) {
   std::string Path = Args.getString("curves", "");
   if (!Path.empty()) {
+    std::string Why = "unreadable file";
     std::ifstream File(Path);
     if (File) {
       std::ostringstream Buffer;
       Buffer << File.rdbuf();
-      auto Loaded = PowerCurveSet::deserialize(Buffer.str());
-      if (Loaded && Loaded->complete()) {
+      ErrorOr<PowerCurveSet> Loaded =
+          PowerCurveSet::load(Buffer.str(), /*RequireComplete=*/true);
+      if (Loaded) {
         std::printf("loaded curves from %s (platform %s)\n", Path.c_str(),
                     Loaded->platformName().c_str());
         return *Loaded;
       }
+      Why = Loaded.status().message();
     }
-    std::fprintf(stderr,
-                 "warning: cannot load %s; characterizing instead\n",
-                 Path.c_str());
+    std::fprintf(stderr, "warning: cannot load %s: %s; characterizing "
+                         "instead\n",
+                 Path.c_str(), Why.c_str());
   }
   return Characterizer(Spec).characterize();
 }
@@ -387,6 +399,7 @@ PowerCurveSet curvesFor(const PlatformSpec &Spec, const Flags &Args) {
 PowerCurveFamily familyFor(const PlatformSpec &Spec, const Flags &Args) {
   std::string Path = Args.getString("curves", "");
   if (!Path.empty()) {
+    std::string Why = "unreadable file";
     std::ifstream File(Path);
     if (File) {
       std::ostringstream Buffer;
@@ -399,9 +412,11 @@ PowerCurveFamily familyFor(const PlatformSpec &Spec, const Flags &Args) {
                     Loaded->platformName().c_str());
         return *Loaded;
       }
+      Why = Loaded.status().message();
     }
-    std::fprintf(stderr, "warning: cannot load %s; characterizing instead\n",
-                 Path.c_str());
+    std::fprintf(stderr, "warning: cannot load %s: %s; characterizing "
+                         "instead\n",
+                 Path.c_str(), Why.c_str());
   }
   return characterizeFamily(Spec);
 }
@@ -435,10 +450,8 @@ int cmdPlatforms() {
 
 int cmdCharacterize(const Flags &Args) {
   auto Spec = platformByName(Args.getString("platform", "haswell-desktop"));
-  if (!Spec) {
-    std::fprintf(stderr, "error: unknown platform\n");
+  if (!Spec)
     return ExitUsage;
-  }
   // --pstates=N characterizes every rung of an N-entry synthesized
   // ladder and writes the delimited family format; without it the
   // output stays the legacy single-state set, byte for byte.
@@ -472,10 +485,8 @@ int cmdCharacterize(const Flags &Args) {
 
 int cmdRun(const Flags &Args) {
   auto Spec = platformByName(Args.getString("platform", "haswell-desktop"));
-  if (!Spec) {
-    std::fprintf(stderr, "error: unknown platform\n");
+  if (!Spec)
     return ExitUsage;
-  }
   if (!applyFaultPlan(*Spec, Args))
     return ExitRuntime;
   std::vector<Workload> Suite = suiteFor(*Spec, Args);
@@ -587,10 +598,8 @@ bool parseSlaMix(const std::string &Text, double (&Mix)[NumSlaClasses]) {
 
 int cmdServe(const Flags &Args) {
   auto Spec = platformByName(Args.getString("platform", "haswell-desktop"));
-  if (!Spec) {
-    std::fprintf(stderr, "error: unknown platform\n");
+  if (!Spec)
     return ExitUsage;
-  }
   if (!applyFaultPlan(*Spec, Args))
     return ExitRuntime;
   long long Tenants = Args.getInt("tenants", 8);
@@ -801,7 +810,7 @@ int cmdServe(const Flags &Args) {
         Gasp.Flight = Config.Flight;
         std::string Doc = obs::renderLastGasp(Gasp);
         obs::LastGasp::instance().refresh(Doc);
-        (void)obs::writeFileAtomic(GaspPath, Doc);
+        (void)writeFileAtomic(GaspPath, Doc);
       }
     });
   }
@@ -822,7 +831,7 @@ int cmdServe(const Flags &Args) {
       while (!ExportCv.wait_for(
           Lock.native(), std::chrono::duration<double, std::milli>(IntervalMs),
           [&] { return ExportDone; })) {
-        if (Status S = obs::writeFileAtomic(
+        if (Status S = writeFileAtomic(
                 MetricsOut, obs::renderPrometheus(Registry.snapshot()));
             !S)
           std::fprintf(stderr, "warning: %s: %s\n", MetricsOut.c_str(),
@@ -1127,10 +1136,8 @@ int cmdStats(const Flags &Args) {
 
 int cmdSweep(const Flags &Args) {
   auto Spec = platformByName(Args.getString("platform", "haswell-desktop"));
-  if (!Spec) {
-    std::fprintf(stderr, "error: unknown platform\n");
+  if (!Spec)
     return ExitUsage;
-  }
   if (!applyFaultPlan(*Spec, Args))
     return ExitRuntime;
   std::vector<Workload> Suite = suiteFor(*Spec, Args);
@@ -1158,10 +1165,8 @@ int cmdSweep(const Flags &Args) {
 
 int cmdSuite(const Flags &Args) {
   auto Spec = platformByName(Args.getString("platform", "haswell-desktop"));
-  if (!Spec) {
-    std::fprintf(stderr, "error: unknown platform\n");
+  if (!Spec)
     return ExitUsage;
-  }
   if (!applyFaultPlan(*Spec, Args))
     return ExitRuntime;
   Metric Objective = metricByName(Args.getString("metric", "edp"));
@@ -1189,10 +1194,8 @@ int cmdSuite(const Flags &Args) {
 
 int cmdFaults(const Flags &Args) {
   auto Spec = platformByName(Args.getString("platform", "haswell-desktop"));
-  if (!Spec) {
-    std::fprintf(stderr, "error: unknown platform\n");
+  if (!Spec)
     return ExitUsage;
-  }
   std::vector<Workload> Suite = suiteFor(*Spec, Args);
   const Workload *W = findWorkload(Suite, Args.getString("workload", "CC"));
   if (!W) {

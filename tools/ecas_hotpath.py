@@ -5,9 +5,10 @@ allocation-free, exception-free, and lock-disciplined (DESIGN.md §14).
 Functions marked ECAS_HOT (ecas/support/HotPath.h) are hot-path roots:
 the KernelHistory lock-free lookup and counter bumps, the TimeModel /
 Metric / PowerCurve evaluations, the alpha search and its Minimize.h
-kernels, the GpuHealth fast-path reads, and EasScheduler::runTableHit —
-the steady-state table-hit branch through dispatch. The analyzer walks
-the call graph from those roots and reports:
+kernels, the GpuHealth fast-path reads, and the three EasScheduler
+helpers a warmed table hit runs: decideTableHit, dispatchRemainder and
+finishInvocation. The analyzer walks the call graph from those roots
+and reports:
 
   alloc        Heap allocation: new expressions, malloc and friends,
                make_unique/make_shared, growing container operations
