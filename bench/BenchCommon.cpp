@@ -10,6 +10,7 @@
 #include "ecas/support/Format.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 using namespace ecas;
 using namespace ecas::bench;
@@ -124,7 +125,15 @@ void ecas::bench::maybeWriteCsv(const Flags &Args,
 WorkloadConfig ecas::bench::configFromFlags(const Flags &Args,
                                             double DefaultScale) {
   WorkloadConfig Config;
-  Config.Scale = Args.getDouble("scale", DefaultScale);
+  Config.Scale = DefaultScale;
+  std::string ScaleText = Args.getString("scale", "");
+  if (!ScaleText.empty() && (!parseDouble(ScaleText, Config.Scale) ||
+                             !WorkloadConfig::validScale(Config.Scale))) {
+    std::fprintf(stderr,
+                 "error: --scale wants a number in (0, %g], got '%s'\n",
+                 WorkloadConfig::MaxScale, ScaleText.c_str());
+    std::exit(2);
+  }
   Config.Seed = static_cast<uint64_t>(Args.getInt("seed", 0x5eed));
   return Config;
 }

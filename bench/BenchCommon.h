@@ -59,7 +59,9 @@ void maybeWriteCsv(const Flags &Args, const std::vector<SchemeRow> &Rows);
 std::string bar(double Value, double Max, unsigned Width = 40);
 
 /// Workload config from --scale (default keeps the graph workloads
-/// quick while preserving per-invocation magnitudes).
+/// quick while preserving per-invocation magnitudes) and --seed. Exits
+/// with status 2 (usage error) on a scale WorkloadConfig::validScale
+/// rejects.
 WorkloadConfig configFromFlags(const Flags &Args,
                                double DefaultScale = 0.3);
 

@@ -89,13 +89,21 @@ static void applyBandwidthCap(const RatePoint &Rate, double BytesPerIter,
   StallFraction = 1.0 - IssueShare * (1.0 - Rate.LatencyStallFraction);
 }
 
+RatePoint SimDevice::itemRate(const WorkItem &Item, double FreqGHz) const {
+  if (Item.RateFreqGHz != FreqGHz) {
+    Item.Rate = rateModel(Item.Kernel, FreqGHz, Item.InitialIterations);
+    Item.RateFreqGHz = FreqGHz;
+  }
+  return Item.Rate;
+}
+
 RatePoint SimDevice::currentRate(double FreqGHz) const {
   if (!busy())
     return RatePoint();
   const WorkItem &Item = head();
   if (Item.SetupSecondsLeft > 0.0)
     return RatePoint(); // Launch overhead: no issue, no traffic.
-  return rateModel(Item.Kernel, FreqGHz, Item.InitialIterations);
+  return itemRate(Item, FreqGHz);
 }
 
 double SimDevice::timeToHeadDrain(double FreqGHz,
@@ -108,14 +116,12 @@ double SimDevice::timeToHeadDrain(double FreqGHz,
   // end of setup, after which shares are recomputed.
   if (Item.SetupSecondsLeft > 0.0)
     return Item.SetupSecondsLeft;
-  double Total = 0.0;
-  RatePoint Rate = rateModel(Item.Kernel, FreqGHz, Item.InitialIterations);
   double EffRate, StallFraction;
-  applyBandwidthCap(Rate, Item.Kernel.BytesPerIter, BandwidthShareGBs,
-                    EffRate, StallFraction);
+  applyBandwidthCap(itemRate(Item, FreqGHz), Item.Kernel.BytesPerIter,
+                    BandwidthShareGBs, EffRate, StallFraction);
   if (EffRate <= 0.0)
     return 1e30;
-  return Total + Item.IterationsLeft / EffRate;
+  return Item.IterationsLeft / EffRate;
 }
 
 double SimDevice::advance(double Dt, double FreqGHz,
@@ -139,10 +145,9 @@ double SimDevice::advance(double Dt, double FreqGHz,
       ActivityTime += Power.IdleActivity * Step;
       continue;
     }
-    RatePoint Rate = rateModel(Item.Kernel, FreqGHz, Item.InitialIterations);
     double EffRate, StallFraction;
-    applyBandwidthCap(Rate, Item.Kernel.BytesPerIter, BandwidthShareGBs,
-                      EffRate, StallFraction);
+    applyBandwidthCap(itemRate(Item, FreqGHz), Item.Kernel.BytesPerIter,
+                      BandwidthShareGBs, EffRate, StallFraction);
     if (EffRate <= 0.0)
       break; // Malformed operating point; refuse to spin forever.
     double TimeToDrain = Item.IterationsLeft / EffRate;

@@ -126,6 +126,14 @@ protected:
   /// Power-model activity factors for this device.
   virtual const DevicePowerSpec &powerSpec() const = 0;
 
+  /// Drops the head item's cached rate. A subclass calls this when an
+  /// input of rateModel other than the frequency changes (the GPU's
+  /// fault derate).
+  void invalidateRate() {
+    if (busy())
+      head().RateFreqGHz = -1.0;
+  }
+
 private:
   struct WorkItem {
     /// Numeric cost slice only — no name, so a WorkItem is trivially
@@ -136,7 +144,15 @@ private:
     double InitialIterations;
     /// Pending fixed startup cost (GPU launch latency) in seconds.
     double SetupSecondsLeft;
+    /// rateModel's answer at RateFreqGHz (negative: none yet). A
+    /// simulator step asks for the head's rate three times at one clock
+    /// (currentRate, timeToHeadDrain, advance); the model runs once.
+    mutable double RateFreqGHz = -1.0;
+    mutable RatePoint Rate;
   };
+
+  /// rateModel for \p Item at \p FreqGHz, through the item's cache.
+  RatePoint itemRate(const WorkItem &Item, double FreqGHz) const;
 
   /// FIFO access over the vector-backed ring. The live items are
   /// [Head, Queue.size()); draining resets Head and clear()s the vector

@@ -31,7 +31,12 @@ public:
   /// bandwidth it demands) by \p Scale. 1 is nominal; 0 models a hung
   /// device that accepts work but retires nothing. Set by SimProcessor
   /// each step from the active fault plan.
-  void setThroughputDerate(double Scale) { Derate = Scale; }
+  void setThroughputDerate(double Scale) {
+    if (Scale != Derate) {
+      Derate = Scale;
+      invalidateRate();
+    }
+  }
   double throughputDerate() const { return Derate; }
 
 protected:

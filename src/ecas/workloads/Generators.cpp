@@ -14,6 +14,8 @@ using namespace ecas;
 RoadGraph ecas::makeRoadGraph(uint32_t Width, uint32_t Height,
                               uint64_t Seed) {
   ECAS_CHECK(Width >= 2 && Height >= 2, "road graph needs a 2x2 grid");
+  ECAS_CHECK(static_cast<uint64_t>(Width) * Height <= UINT32_MAX,
+             "road graph node ids must fit in 32 bits");
   RoadGraph Graph;
   Graph.Width = Width;
   Graph.Height = Height;

@@ -47,41 +47,71 @@ GraphAlgoResult ecas::runBfsLevels(const RoadGraph &Graph, uint32_t Source) {
 GraphAlgoResult ecas::runConnectedComponents(const RoadGraph &Graph) {
   GraphAlgoResult Result;
   const uint32_t Nodes = Graph.numNodes();
+
+  // Repack the CSR into a fixed-width table. Road graphs are 4-neighbour
+  // grids, so four slots hold every node's streets; pad slots name the
+  // node itself, which never lowers its minimum, so the sweep below has
+  // no data-dependent branch. A compile-time width lets the compiler
+  // unroll the four loads. Reach bounds how far apart two neighbours'
+  // ids can be (the grid width for a row-major grid).
+  constexpr uint32_t Slots = 4;
+  std::vector<uint32_t> Adjacency(static_cast<size_t>(Nodes) * Slots);
+  uint32_t Reach = 0;
+  for (uint32_t V = 0; V != Nodes; ++V) {
+    ECAS_CHECK(Graph.Offsets[V + 1] - Graph.Offsets[V] <= Slots,
+               "road graph node has more than four streets");
+    uint32_t *Row = &Adjacency[static_cast<size_t>(V) * Slots];
+    uint32_t *Pad = std::copy(Graph.Targets.begin() + Graph.Offsets[V],
+                              Graph.Targets.begin() + Graph.Offsets[V + 1],
+                              Row);
+    std::fill(Pad, Row + Slots, V);
+    for (uint32_t *U = Row; U != Pad; ++U)
+      Reach = std::max(Reach, *U > V ? *U - V : V - *U);
+  }
+
   std::vector<uint32_t> Label(Nodes);
   for (uint32_t V = 0; V != Nodes; ++V)
     Label[V] = V;
-  std::vector<uint8_t> InNext(Nodes, 0);
-  std::vector<uint32_t> Worklist(Nodes);
-  for (uint32_t V = 0; V != Nodes; ++V)
-    Worklist[V] = V;
-
-  // Rounds are synchronous (labels read from the previous round's
-  // snapshot), matching a GPU-style bulk-parallel kernel: asynchronous
-  // in-place propagation would collapse the round count and with it the
-  // invocation trace.
   std::vector<uint32_t> NextLabel = Label;
-  while (!Worklist.empty()) {
-    Result.RoundSizes.push_back(static_cast<double>(Worklist.size()));
-    std::vector<uint32_t> Next;
-    for (uint32_t V : Worklist) {
-      uint32_t Mine = Label[V];
-      for (uint32_t E = Graph.Offsets[V]; E != Graph.Offsets[V + 1]; ++E) {
-        uint32_t U = Graph.Targets[E];
-        if (Mine < NextLabel[U]) {
-          NextLabel[U] = Mine;
-          if (!InNext[U]) {
-            InNext[U] = 1;
-            Next.push_back(U);
-          }
-        }
-      }
+
+  // Rounds are synchronous (each node takes the minimum of its own and
+  // its neighbours' labels from the previous round's buffer), matching a
+  // GPU-style bulk-parallel kernel: asynchronous in-place propagation
+  // would collapse the round count and with it the invocation trace.
+  // Round 0 activates every node; each later round's size is the number
+  // of labels that fell. Only neighbours of last round's changes can
+  // change, so each sweep covers last round's changed id range widened
+  // by Reach on both sides.
+  Result.RoundSizes.push_back(static_cast<double>(Nodes));
+  uint32_t Lo = 0;
+  uint32_t Hi = Nodes; // Sweep window [Lo, Hi).
+  while (true) {
+    const uint32_t *Prev = Label.data();
+    uint32_t *Next = NextLabel.data();
+    const uint32_t *Row = Adjacency.data() + static_cast<size_t>(Lo) * Slots;
+    uint32_t Changed = 0;
+    for (uint32_t V = Lo; V != Hi; ++V, Row += Slots) {
+      uint32_t Min = std::min(std::min(Prev[Row[0]], Prev[Row[1]]),
+                              std::min(Prev[Row[2]], Prev[Row[3]]));
+      Min = std::min(Min, Prev[V]);
+      Changed += Min != Prev[V];
+      Next[V] = Min;
     }
-    // Incremental sync: only entries in Next changed in NextLabel.
-    for (uint32_t U : Next) {
-      InNext[U] = 0;
-      Label[U] = NextLabel[U];
-    }
-    Worklist = std::move(Next);
+    if (Changed == 0)
+      break;
+    Result.RoundSizes.push_back(static_cast<double>(Changed));
+
+    // The changed ids span [First, Last]; outside it the buffers agree.
+    uint32_t First = Lo;
+    while (Prev[First] == Next[First])
+      ++First;
+    uint32_t Last = Hi - 1;
+    while (Prev[Last] == Next[Last])
+      --Last;
+    std::copy(Next + First, Next + Last + 1, Label.begin() + First);
+    Lo = First > Reach ? First - Reach : 0;
+    Hi = static_cast<uint32_t>(
+        std::min<uint64_t>(Nodes, static_cast<uint64_t>(Last) + Reach + 1));
   }
 
   uint64_t LabelSum = 0;

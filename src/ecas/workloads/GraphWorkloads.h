@@ -33,7 +33,17 @@ struct GraphAlgoResult {
 /// depths. Unreached nodes contribute nothing.
 GraphAlgoResult runBfsLevels(const RoadGraph &Graph, uint32_t Source);
 
-/// Connected components by min-label propagation with a worklist.
+/// Connected components by synchronous min-label propagation. Each
+/// round, every node in a window takes the minimum of its own and its
+/// neighbours' labels from the previous round (a pull sweep over a
+/// padded 4-slot adjacency table); the window is last round's changed id
+/// range widened by the largest id distance along an edge. This equals
+/// the push formulation, where last round's changed nodes send their
+/// labels to their neighbours: a neighbour that did not change last round
+/// already sent its current label in the round after its last change, so
+/// pulling it cannot lower the minimum further. The changed sets, and
+/// with them RoundSizes and Checksum, are therefore identical.
+/// RoundSizes[0] is the node count (round 0 activates every node).
 /// Checksum: number of components * 2^32 + (sum of final labels mod
 /// 2^32).
 GraphAlgoResult runConnectedComponents(const RoadGraph &Graph);

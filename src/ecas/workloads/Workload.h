@@ -20,6 +20,7 @@
 #include "ecas/core/Schedulers.h"
 #include "ecas/profile/WorkloadClass.h"
 
+#include <cmath>
 #include <string>
 
 namespace ecas {
@@ -34,6 +35,14 @@ struct WorkloadConfig {
   /// other workloads' traces cost nothing to build and always use the
   /// Table 1 sizes.
   double Scale = 1.0;
+  /// Largest Scale whose road graph still numbers its nodes in 32 bits
+  /// (graphDimensions: side 875 * sqrt(Scale), side^2 nodes).
+  static constexpr double MaxScale = 5600.0;
+  /// True for a finite Scale in (0, MaxScale]. Callers taking Scale from
+  /// outside (a --scale flag) check it before building anything.
+  static bool validScale(double Scale) {
+    return std::isfinite(Scale) && Scale > 0.0 && Scale <= MaxScale;
+  }
   /// Seed for input generators.
   uint64_t Seed = 0x5eed;
   /// Use the tablet column of Table 1 for input sizes.

@@ -116,6 +116,25 @@ TEST(SimGpuDevice, OccupancyPenalizesSmallDispatches) {
   EXPECT_NEAR(Dev.currentRate(1.2).ComputeRate, FullRate, 1e-9);
 }
 
+TEST(SimGpuDevice, RateFollowsFrequencyAndDerateMidItem) {
+  // The head item's rate is cached per step; a new clock or a fault
+  // derate on the same item must still reach the model.
+  PlatformSpec Spec = haswellDesktop();
+  Spec.Gpu.LaunchLatencySec = 0.0;
+  SimGpuDevice Dev(Spec);
+  Dev.enqueue(simpleKernel(), 1e6);
+  double Nominal = Dev.currentRate(1.2).ComputeRate;
+  EXPECT_DOUBLE_EQ(Dev.currentRate(0.6).ComputeRate, Nominal / 2);
+  EXPECT_DOUBLE_EQ(Dev.currentRate(1.2).ComputeRate, Nominal);
+  Dev.setThroughputDerate(0.5); // Same clock as the cached rate.
+  EXPECT_DOUBLE_EQ(Dev.currentRate(1.2).ComputeRate, Nominal / 2);
+  Dev.setThroughputDerate(0.0); // Hung: the item stops retiring.
+  EXPECT_DOUBLE_EQ(Dev.currentRate(1.2).ComputeRate, 0.0);
+  EXPECT_DOUBLE_EQ(Dev.advance(1e-3, 1.2, 100.0), 0.0);
+  Dev.setThroughputDerate(1.0);
+  EXPECT_DOUBLE_EQ(Dev.currentRate(1.2).ComputeRate, Nominal);
+}
+
 TEST(SimGpuDevice, LaunchLatencyDelaysWork) {
   PlatformSpec Spec = haswellDesktop();
   SimGpuDevice Dev(Spec);

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ecas/support/Random.h"
 #include "ecas/workloads/BarnesHut.h"
 #include "ecas/workloads/BlackScholes.h"
 #include "ecas/workloads/FaceDetect.h"
@@ -100,6 +101,121 @@ TEST(GraphAlgos, ConnectedComponentsCountsPartitions) {
   for (double Size : Result.RoundSizes)
     Activations += Size;
   EXPECT_GE(Activations, static_cast<double>(Graph.numNodes()));
+}
+
+namespace {
+/// The push-worklist formulation runConnectedComponents replaced, kept as
+/// the reference for the pull sweep: each round, last round's changed
+/// nodes push their labels to their neighbours.
+GraphAlgoResult pushWorklistComponents(const RoadGraph &Graph) {
+  GraphAlgoResult Result;
+  const uint32_t Nodes = Graph.numNodes();
+  std::vector<uint32_t> Label(Nodes);
+  for (uint32_t V = 0; V != Nodes; ++V)
+    Label[V] = V;
+  std::vector<uint8_t> InNext(Nodes, 0);
+  std::vector<uint32_t> Worklist = Label;
+  std::vector<uint32_t> NextLabel = Label;
+  while (!Worklist.empty()) {
+    Result.RoundSizes.push_back(static_cast<double>(Worklist.size()));
+    std::vector<uint32_t> Next;
+    for (uint32_t V : Worklist) {
+      uint32_t Mine = Label[V];
+      for (uint32_t E = Graph.Offsets[V]; E != Graph.Offsets[V + 1]; ++E) {
+        uint32_t U = Graph.Targets[E];
+        if (Mine < NextLabel[U]) {
+          NextLabel[U] = Mine;
+          if (!InNext[U]) {
+            InNext[U] = 1;
+            Next.push_back(U);
+          }
+        }
+      }
+    }
+    for (uint32_t U : Next) {
+      InNext[U] = 0;
+      Label[U] = NextLabel[U];
+    }
+    Worklist = std::move(Next);
+  }
+  uint64_t LabelSum = 0;
+  uint64_t Components = 0;
+  for (uint32_t V = 0; V != Nodes; ++V) {
+    LabelSum += Label[V];
+    if (Label[V] == V)
+      ++Components;
+  }
+  Result.Checksum = (Components << 32) + (LabelSum & 0xffffffffULL);
+  return Result;
+}
+
+/// A Width x Height grid keeping each street with probability \p Keep.
+/// Far sparser than makeRoadGraph's 92%, so it has the winding dead ends
+/// whose labels arrive from a neighbour exactly Width ids away: the edge
+/// of runConnectedComponents' sweep window.
+RoadGraph sparseGrid(uint32_t Width, uint32_t Height, double Keep,
+                     uint64_t Seed) {
+  RoadGraph Graph;
+  Graph.Width = Width;
+  Graph.Height = Height;
+  const uint32_t Nodes = Width * Height;
+  std::vector<std::vector<uint32_t>> Streets(Nodes);
+  Xoshiro256 Rng(Seed);
+  auto MaybeLink = [&](uint32_t V, uint32_t U) {
+    if (Rng.nextDouble() < Keep) {
+      Streets[V].push_back(U);
+      Streets[U].push_back(V);
+    }
+  };
+  for (uint32_t V = 0; V != Nodes; ++V) {
+    if (V % Width + 1 != Width)
+      MaybeLink(V, V + 1);
+    if (V + Width < Nodes)
+      MaybeLink(V, V + Width);
+  }
+  Graph.Offsets.push_back(0);
+  for (const std::vector<uint32_t> &Targets : Streets) {
+    Graph.Targets.insert(Graph.Targets.end(), Targets.begin(), Targets.end());
+    Graph.Offsets.push_back(static_cast<uint32_t>(Graph.Targets.size()));
+  }
+  Graph.Weights.assign(Graph.Targets.size(), 1.0f);
+  return Graph;
+}
+} // namespace
+
+TEST(GraphAlgos, ConnectedComponentsMatchesPushWorklist) {
+  const std::pair<uint32_t, uint32_t> Grids[] = {
+      {2, 2}, {3, 3}, {2, 64}, {64, 2}, {12, 12}, {37, 53}, {160, 160}};
+  for (const auto &[Width, Height] : Grids) {
+    for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
+      SCOPED_TRACE(testing::Message()
+                   << Width << "x" << Height << " seed " << Seed);
+      RoadGraph Graph = makeRoadGraph(Width, Height, Seed);
+      GraphAlgoResult Pull = runConnectedComponents(Graph);
+      GraphAlgoResult Push = pushWorklistComponents(Graph);
+      EXPECT_EQ(Pull.RoundSizes, Push.RoundSizes);
+      EXPECT_EQ(Pull.Checksum, Push.Checksum);
+    }
+  }
+  // With 8% of streets removed this grid splits, so the matrix covers
+  // labels that settle above 0, not only one connected graph.
+  EXPECT_GT(runConnectedComponents(makeRoadGraph(37, 53, 1)).Checksum >> 32,
+            1u);
+  for (double Keep : {0.5, 0.6, 0.7}) {
+    for (uint64_t Seed = 1; Seed <= 10; ++Seed) {
+      SCOPED_TRACE(testing::Message() << "keep " << Keep << " seed " << Seed);
+      RoadGraph Graph = sparseGrid(12, 12, Keep, Seed);
+      GraphAlgoResult Pull = runConnectedComponents(Graph);
+      GraphAlgoResult Push = pushWorklistComponents(Graph);
+      EXPECT_EQ(Pull.RoundSizes, Push.RoundSizes);
+      EXPECT_EQ(Pull.Checksum, Push.Checksum);
+    }
+  }
+}
+
+TEST(GeneratorsDeathTest, RoadGraphRejectsNodeIdOverflow) {
+  // 70000^2 nodes wrap uint32_t; the check fires before any allocation.
+  EXPECT_DEATH(makeRoadGraph(70000, 70000, 1), "node ids must fit");
 }
 
 TEST(GraphAlgos, ShortestPathsDominatedByBfsDepth) {

@@ -1264,6 +1264,17 @@ int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
   if (Args.positional().empty())
     return usage();
+  // --scale sizes the graph workloads' road network; reject a value that
+  // would overflow its node ids (or means nothing) before any command
+  // builds a suite.
+  std::string ScaleText = Args.getString("scale", "0.3");
+  double Scale = 0.0;
+  if (!parseDouble(ScaleText, Scale) || !WorkloadConfig::validScale(Scale)) {
+    std::fprintf(stderr,
+                 "error: --scale wants a number in (0, %g], got '%s'\n",
+                 WorkloadConfig::MaxScale, ScaleText.c_str());
+    return ExitUsage;
+  }
   const std::string &Command = Args.positional().front();
   if (Command == "platforms")
     return cmdPlatforms();
