@@ -122,18 +122,24 @@ void ecas::bench::maybeWriteCsv(const Flags &Args,
     std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
 }
 
+void ecas::bench::exitUsage(const Status &Why) {
+  std::fprintf(stderr, "error: %s\n", Why.message().c_str());
+  std::exit(2);
+}
+
 WorkloadConfig ecas::bench::configFromFlags(const Flags &Args,
                                             double DefaultScale) {
   WorkloadConfig Config;
-  Config.Scale = DefaultScale;
-  std::string ScaleText = Args.getString("scale", "");
-  if (!ScaleText.empty() && (!parseDouble(ScaleText, Config.Scale) ||
-                             !WorkloadConfig::validScale(Config.Scale))) {
+  ErrorOr<double> Scale = Args.getNumber("scale", DefaultScale);
+  if (!Scale || !WorkloadConfig::validScale(*Scale)) {
     std::fprintf(stderr,
                  "error: --scale wants a number in (0, %g], got '%s'\n",
-                 WorkloadConfig::MaxScale, ScaleText.c_str());
+                 WorkloadConfig::MaxScale,
+                 Args.getString("scale", "").c_str());
     std::exit(2);
   }
-  Config.Seed = static_cast<uint64_t>(Args.getInt("seed", 0x5eed));
+  Config.Scale = *Scale;
+  Config.Seed =
+      static_cast<uint64_t>(numberFlag<long long>(Args, "seed", 0x5eed));
   return Config;
 }

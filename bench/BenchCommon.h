@@ -19,6 +19,7 @@
 #include "ecas/support/Flags.h"
 #include "ecas/workloads/Registry.h"
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -61,9 +62,24 @@ std::string bar(double Value, double Max, unsigned Width = 40);
 /// Workload config from --scale (default keeps the graph workloads
 /// quick while preserving per-invocation magnitudes) and --seed. Exits
 /// with status 2 (usage error) on a scale WorkloadConfig::validScale
-/// rejects.
+/// rejects or a seed that is not an integer.
 WorkloadConfig configFromFlags(const Flags &Args,
                                double DefaultScale = 0.3);
+
+/// Prints \p Why and exits with status 2 (usage error).
+[[noreturn]] void exitUsage(const Status &Why);
+
+/// --Name through Flags::getNumber, or \p Default when absent. Exits
+/// with status 2 when the value is malformed or outside [Min, Max].
+template <typename T>
+T numberFlag(const Flags &Args, const std::string &Name, T Default,
+             T Min = std::numeric_limits<T>::lowest(),
+             T Max = std::numeric_limits<T>::max()) {
+  ErrorOr<T> Value = Args.getNumber(Name, Default, Min, Max);
+  if (!Value)
+    exitUsage(Value.status());
+  return *Value;
+}
 
 } // namespace ecas::bench
 

@@ -29,7 +29,7 @@ int main(int Argc, char **Argv) {
   PlatformSpec Spec = haswellDesktop();
   Workload Cc = makeCcWorkload(bench::configFromFlags(Args));
   ExecutionSession Session(Spec);
-  double Step = Args.getDouble("step", 0.1);
+  double Step = bench::numberFlag(Args, "step", 0.1, 1e-6, 1.0);
 
   struct Point {
     double Alpha, Seconds, Joules;

@@ -33,7 +33,7 @@ static void runTimeline(const PlatformSpec &Spec, double Alpha,
   double N = 2.0 * (Rates.CpuItersPerSec + Rates.GpuItersPerSec);
 
   SimProcessor Proc(Spec);
-  double Interval = Args.getDouble("interval", 0.05);
+  double Interval = bench::numberFlag(Args, "interval", 0.05, 1e-6, 1e6);
   Proc.enableTrace(Interval);
   Proc.gpu().enqueue(Kernel, Alpha * N);
   Proc.cpu().enqueue(Kernel, (1 - Alpha) * N);

@@ -31,7 +31,8 @@ int main(int Argc, char **Argv) {
   KernelDesc Kernel = memoryBoundMicroKernel();
   DeviceRates Rates = probeDeviceRates(Spec, Kernel);
 
-  unsigned Executions = static_cast<unsigned>(Args.getInt("executions", 10));
+  auto Executions = static_cast<unsigned>(
+      bench::numberFlag<long long>(Args, "executions", 10, 1, 1000000));
   // Each execution: ~2 s of CPU work with 5% of iterations on the GPU.
   double PerExecution = 2.0 * Rates.CpuItersPerSec;
 

@@ -29,8 +29,9 @@ int main(int Argc, char **Argv) {
 
   PlatformSpec Spec = bayTrailTablet();
   CharacterizerConfig Config;
-  Config.AlphaStep = Args.getDouble("step", 0.1);
-  Config.PolyDegree = static_cast<unsigned>(Args.getInt("degree", 6));
+  Config.AlphaStep = bench::numberFlag(Args, "step", 0.1, 1e-6, 1.0);
+  Config.PolyDegree = static_cast<unsigned>(
+      bench::numberFlag<long long>(Args, "degree", 6, 1, 30));
   Characterizer Probe(Spec, Config);
 
   CsvTable Table;

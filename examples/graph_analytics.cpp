@@ -27,7 +27,13 @@ using namespace ecas;
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
   WorkloadConfig Config;
-  Config.Scale = Args.getDouble("scale", 0.2);
+  ErrorOr<double> Scale = Args.getNumber("scale", 0.2);
+  if (!Scale || !WorkloadConfig::validScale(*Scale)) {
+    std::fprintf(stderr, "error: --scale wants a number in (0, %g]\n",
+                 WorkloadConfig::MaxScale);
+    return 2;
+  }
+  Config.Scale = *Scale;
 
   // Real algorithms on a real (synthetic) road network.
   uint32_t Width, Height;

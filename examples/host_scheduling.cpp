@@ -41,9 +41,17 @@ static void benchmarkSink(double Value) {
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
-  const uint64_t N = static_cast<uint64_t>(Args.getInt("n", 2'000'000));
-  const uint64_t ProfileChunk =
-      static_cast<uint64_t>(Args.getInt("chunk", 131'072));
+  ErrorOr<long long> NFlag =
+      Args.getNumber<long long>("n", 2'000'000, 1, 1LL << 40);
+  ErrorOr<long long> ChunkFlag =
+      Args.getNumber<long long>("chunk", 131'072, 1, 1LL << 40);
+  if (!NFlag || !ChunkFlag) {
+    std::fprintf(stderr, "error: %s\n",
+                 (NFlag ? ChunkFlag : NFlag).status().message().c_str());
+    return 2;
+  }
+  const auto N = static_cast<uint64_t>(*NFlag);
+  const auto ProfileChunk = static_cast<uint64_t>(*ChunkFlag);
   const unsigned CpuThreads = 4;
   const double GpuDispatchLatencySec = 50e-6;
 

@@ -32,8 +32,20 @@ static double wallSeconds() {
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
-  const uint32_t Width = static_cast<uint32_t>(Args.getInt("width", 1024));
-  const uint32_t Height = static_cast<uint32_t>(Args.getInt("height", 768));
+  ErrorOr<long long> WidthFlag =
+      Args.getNumber<long long>("width", 1024, 1, 65536);
+  ErrorOr<long long> HeightFlag =
+      Args.getNumber<long long>("height", 768, 1, 65536);
+  if (!WidthFlag || !HeightFlag) {
+    std::fprintf(stderr, "error: %s\n",
+                 (WidthFlag ? HeightFlag : WidthFlag)
+                     .status()
+                     .message()
+                     .c_str());
+    return 2;
+  }
+  const auto Width = static_cast<uint32_t>(*WidthFlag);
+  const auto Height = static_cast<uint32_t>(*HeightFlag);
   const uint32_t MaxIter = 256;
   const uint64_t Pixels = static_cast<uint64_t>(Width) * Height;
 

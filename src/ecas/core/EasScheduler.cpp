@@ -15,8 +15,10 @@
 #include "ecas/support/Format.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 using namespace ecas;
@@ -27,6 +29,24 @@ static_assert(kMaxPStates == PlatformSpec::MaxPStates,
               "decision-core and platform P-state tables disagree");
 static_assert(kMaxPStates == PowerCurveFamily::MaxPStates,
               "decision-core and power-family P-state tables disagree");
+
+/// True when every field has the same bit pattern in both samples, so
+/// +0 and -0 differ and a NaN equals only an identical NaN.
+static bool bitwiseEqual(const ProfileSample &A, const ProfileSample &B) {
+  auto Same = [](double X, double Y) {
+    return std::bit_cast<uint64_t>(X) == std::bit_cast<uint64_t>(Y);
+  };
+  return Same(A.CpuThroughput, B.CpuThroughput) &&
+         Same(A.GpuThroughput, B.GpuThroughput) &&
+         Same(A.CpuIterations, B.CpuIterations) &&
+         Same(A.GpuIterations, B.GpuIterations) &&
+         Same(A.ElapsedSeconds, B.ElapsedSeconds) &&
+         Same(A.CpuBusySeconds, B.CpuBusySeconds) &&
+         Same(A.GpuBusySeconds, B.GpuBusySeconds) &&
+         Same(A.MissPerLoadStore, B.MissPerLoadStore) &&
+         Same(A.InstructionsRetired, B.InstructionsRetired) &&
+         A.GpuLaunchFailed == B.GpuLaunchFailed && A.GpuHung == B.GpuHung;
+}
 
 Status EasConfig::validate() const {
   auto Invalid = [](std::string Message) {
@@ -654,6 +674,12 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
   OperatingPoint Point;
   double Nrem = Iterations;
   bool ProfileHang = false;
+  // Profiling's contribution to table G: Local is the looked-up sample
+  // with every usable repetition accumulated onto it in order, Fresh the
+  // same repetitions alone.
+  ProfileSample Local;
+  ProfileSample Fresh;
+  bool Measured = false;
   KernelRecord KnownRec;
   bool Known = History.lookup(HistoryKey, KnownRec);
 
@@ -672,13 +698,6 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
     if (T)
       T->instant("eas", "readmit-reprofile", obs::VirtualTime(Proc.now()));
   }
-
-  // Freshly measured samples to merge into table G at the end; the
-  // accumulate operation is associative and commutative, so merging the
-  // local deltas under the record lock preserves every concurrent
-  // client's contribution (and reproduces the single-threaded result
-  // exactly).
-  std::vector<ProfileSample> Deltas;
 
   // Decide: a table-G hit, the small-N CPU exit, or profile and search.
   if (Known && KnownRec.Alpha.hasValue() && !ReprofileDue &&
@@ -711,8 +730,8 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
     // first large invocation starved one device (a growing BFS frontier
     // barely above GPU_PROFILE_SIZE) keeps refining across invocations
     // until both devices have been properly observed. Profiling works
-    // on a private copy (base record + local deltas); the deltas merge
-    // into the shared record once, at the end.
+    // on a private copy of the record; the merge below folds it into the
+    // shared record once, at the end.
     Outcome.Profiled = true;
     double ProfileStart = Proc.now();
     obs::ScopedSpan Profile(
@@ -723,7 +742,7 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
     Profiler.setWatchdogPollSec(Config.Health.WatchdogPollSec);
     Profiler.setTrace(T);
     Profiler.setRepSeconds(Ins.ProfileRepSeconds);
-    KernelRecord Local = KnownRec;
+    Local = KnownRec.Sample;
     // Every repetition offloads the same GPU_PROFILE_SIZE chunk whatever
     // alpha a search would pick, so only the last usable repetition's
     // classify-and-search decides anything. The loop records the two
@@ -765,12 +784,12 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
         Monitor.noteGpuSuccess(Proc.now());
       if (Sample.ElapsedSeconds <= 0.0)
         break;
-      Local.Sample.accumulate(Sample);
-      Deltas.push_back(Sample);
-      if (Local.Sample.CpuThroughput <= 0.0 &&
-          Local.Sample.GpuThroughput <= 0.0)
+      Local.accumulate(Sample);
+      Fresh.accumulate(Sample);
+      Measured = true;
+      if (Local.CpuThroughput <= 0.0 && Local.GpuThroughput <= 0.0)
         break;
-      SearchSample = Local.Sample;
+      SearchSample = Local;
       SearchNrem = Nrem;
       Searchable = true;
     }
@@ -867,11 +886,21 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
       HistoryDeltaRecord Delta;
       Delta.Key = HistoryKey;
       // One fixed-size sample however many repetitions ran; replay
-      // assigns it.
-      Delta.HasMergedSample = !Deltas.empty();
-      Delta.MergedSample = Rec.Sample;
-      for (const ProfileSample &S : Deltas)
-        Delta.MergedSample.accumulate(S);
+      // assigns it. When no other client merged into this key since the
+      // lookup (always, for a cold key without a racing writer), Local
+      // already holds the locked record plus each repetition, added in
+      // order: the sequential result, bit for bit. Otherwise the
+      // invocation's repetitions land as one running sum. That keeps
+      // every iteration and busy second, but the floating-point sums
+      // associate differently than per-repetition accumulates would, so
+      // only concurrent profiling of one key can see that difference.
+      Delta.HasMergedSample = Measured;
+      if (bitwiseEqual(Rec.Sample, KnownRec.Sample)) {
+        Delta.MergedSample = Local;
+      } else {
+        Delta.MergedSample = Rec.Sample;
+        Delta.MergedSample.accumulate(Fresh);
+      }
       // First trustworthy measurement: discard the provisional alphas
       // accumulated while one device was starved of observations.
       Delta.BecameConfident =

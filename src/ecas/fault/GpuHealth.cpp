@@ -136,6 +136,13 @@ void GpuHealthMonitor::noteHang(double NowSec) {
 
 // ecas-hotpath: allow(lock)
 void GpuHealthMonitor::noteGpuSuccess(double NowSec) {
+  // Steady-state fast path, as in gpuUsable(): from Healthy the slow
+  // path below would only store Healthy over Healthy. Profiling notes a
+  // success every repetition, so this keeps the leaf mutex off that
+  // loop. A stale Healthy read racing a quarantine orders this success
+  // just before the fault.
+  if (StateFast.load(std::memory_order_acquire) == GpuHealthState::Healthy)
+    return;
   bool Recovered = false;
   {
     LockGuard Lock(Mutex);

@@ -98,7 +98,8 @@ public:
   /// The watchdog declared a dispatch hung. Quarantines.
   void noteHang(double NowSec);
   /// A GPU dispatch ran to completion. From Probing this is the
-  /// recovery that re-admits the device and resets the backoff.
+  /// recovery that re-admits the device and resets the backoff. From
+  /// Healthy it changes nothing and returns after one mirror load.
   void noteGpuSuccess(double NowSec);
 
   /// Reaction-side tallies (what the policy did, not what was injected).

@@ -50,7 +50,10 @@ struct ProfileSample {
   /// True when this repetition observed any GPU fault.
   bool faulted() const { return GpuLaunchFailed || GpuHung; }
 
-  /// Merges another repetition (iteration-weighted) into this sample.
+  /// Merges another repetition into this sample: iteration counts,
+  /// busy seconds, elapsed time and instructions add; the throughputs
+  /// are recomputed from the summed iterations and busy seconds; the
+  /// miss ratio is blended weighted by elapsed time.
   void accumulate(const ProfileSample &Other);
 };
 

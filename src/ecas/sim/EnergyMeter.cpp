@@ -17,10 +17,10 @@ EnergyMeter::EnergyMeter(double EnergyUnitJoules)
   ECAS_CHECK(EnergyUnitJoules > 0.0, "energy unit must be positive");
 }
 
-void EnergyMeter::deposit(double Joules) {
+void EnergyMeter::deposit(double Joules, double Units) {
   ECAS_CHECK(Joules >= 0.0, "energy deposits cannot be negative");
   Total += Joules;
-  Fraction += Joules / UnitJoules;
+  Fraction += Units;
   double Whole = std::floor(Fraction);
   Fraction -= Whole;
   // Wraparound is the defined MSR behaviour; uint32_t addition provides it.

@@ -38,8 +38,13 @@ class EnergyMeter {
 public:
   explicit EnergyMeter(double EnergyUnitJoules);
 
-  /// Adds \p Joules of package energy (called by the simulator each step).
-  void deposit(double Joules);
+  /// Adds \p Joules of package energy.
+  void deposit(double Joules) { deposit(Joules, Joules / UnitJoules); }
+
+  /// deposit() given \p Units == Joules / energyUnitJoules(), already
+  /// computed by the caller. The simulator deposits a few distinct
+  /// amounts over and over and computes each quotient once.
+  void deposit(double Joules, double Units);
 
   /// Reads the emulated MSR_PKG_ENERGY_STATUS value.
   uint32_t readMsr() const {

@@ -10,6 +10,7 @@
 #include "ecas/support/Assert.h"
 
 #include <algorithm>
+#include <bit>
 
 using namespace ecas;
 
@@ -110,44 +111,65 @@ double SimProcessor::step(double MaxDt) {
 
   double CpuBusySec = Cpu.advance(Dt, CpuFreq, CpuShare);
   double GpuBusySec = Gpu.advance(Dt, GpuFreq, GpuShare);
+  const SliceEnergy &Energy = sliceEnergy(
+      {Dt, CpuBusySec, GpuBusySec, Cpu.lastActivity(), Gpu.lastActivity(),
+       Cpu.lastTrafficGBs(), Gpu.lastTrafficGBs(), CpuFreq, GpuFreq});
 
-  // Time-weighted activity: a device that drained mid-slice idles for the
-  // remainder.
-  auto BlendActivity = [Dt](double BusySec, double BusyActivity,
-                            double IdleActivity) {
-    return (BusyActivity * BusySec + IdleActivity * (Dt - BusySec)) / Dt;
-  };
-  double CpuActivity = BlendActivity(CpuBusySec, Cpu.lastActivity(),
-                                     Spec.CpuPower.IdleActivity);
-  double GpuActivity = BlendActivity(GpuBusySec, Gpu.lastActivity(),
-                                     Spec.GpuPower.IdleActivity);
-  double TrafficGBs = (Cpu.lastTrafficGBs() * CpuBusySec +
-                       Gpu.lastTrafficGBs() * GpuBusySec) /
-                      Dt;
-
-  PowerBreakdown Power = packagePower(Spec, CpuFreq, CpuActivity, GpuFreq,
-                                      GpuActivity, TrafficGBs);
   // RAPL faults hit only the package meter the characterization reads;
   // PP0/PP1 stay truthful so tests can still see the ground truth. A
   // dropped sample is energy that flowed but was never counted; a
   // counter jump is the reverse.
   bool DropSample = Faults && Faults->dropRaplSample(Now);
   if (!DropSample)
-    Meter.deposit(Power.packageWatts() * Dt);
+    Meter.deposit(Energy.PkgJoules, Energy.PkgUnits);
   if (Faults) {
     if (uint64_t Jump = Faults->pendingRaplJumpUnits(Now))
       Meter.injectCounterJump(Jump);
   }
-  Pp0Meter.deposit(Power.CpuWatts * Dt);
-  Pp1Meter.deposit(Power.GpuWatts * Dt);
+  Pp0Meter.deposit(Energy.Pp0Joules, Energy.Pp0Units);
+  Pp1Meter.deposit(Energy.Pp1Joules, Energy.Pp1Units);
   if (Trace) { // power-trace capture is opt-in (enableTrace)
     // ecas-hotpath: allow(alloc)
-    Trace->addSegment(Now, Dt, Power, CpuFreq, GpuFreq);
+    Trace->addSegment(Now, Dt, Energy.Power, CpuFreq, GpuFreq);
   }
 
-  LastTrafficGBs = TrafficGBs;
+  LastTrafficGBs = Energy.TrafficGBs;
   Now += Dt;
   return Dt;
+}
+
+const SimProcessor::SliceEnergy &
+SimProcessor::sliceEnergy(const std::array<double, 9> &Inputs) {
+  auto Key = std::bit_cast<std::array<uint64_t, 9>>(Inputs);
+  if (Memo[MemoNewest].Key == Key)
+    return Memo[MemoNewest];
+  MemoNewest ^= 1;
+  SliceEnergy &Out = Memo[MemoNewest];
+  if (Out.Key == Key)
+    return Out;
+
+  double Dt = Inputs[0], CpuBusySec = Inputs[1], GpuBusySec = Inputs[2];
+  // Time-weighted activity: a device that drained mid-slice idles for the
+  // remainder.
+  auto BlendActivity = [Dt](double BusySec, double BusyActivity,
+                            double IdleActivity) {
+    return (BusyActivity * BusySec + IdleActivity * (Dt - BusySec)) / Dt;
+  };
+  double CpuActivity =
+      BlendActivity(CpuBusySec, Inputs[3], Spec.CpuPower.IdleActivity);
+  double GpuActivity =
+      BlendActivity(GpuBusySec, Inputs[4], Spec.GpuPower.IdleActivity);
+  Out.Key = Key;
+  Out.TrafficGBs = (Inputs[5] * CpuBusySec + Inputs[6] * GpuBusySec) / Dt;
+  Out.Power = packagePower(Spec, Inputs[7], CpuActivity, Inputs[8],
+                           GpuActivity, Out.TrafficGBs);
+  Out.PkgJoules = Out.Power.packageWatts() * Dt;
+  Out.PkgUnits = Out.PkgJoules / Meter.energyUnitJoules();
+  Out.Pp0Joules = Out.Power.CpuWatts * Dt;
+  Out.Pp0Units = Out.Pp0Joules / Pp0Meter.energyUnitJoules();
+  Out.Pp1Joules = Out.Power.GpuWatts * Dt;
+  Out.Pp1Units = Out.Pp1Joules / Pp1Meter.energyUnitJoules();
+  return Out;
 }
 
 double SimProcessor::runUntilIdle(double DeadlineSec) {

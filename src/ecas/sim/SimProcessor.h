@@ -23,8 +23,11 @@
 #include "ecas/hw/PlatformSpec.h"
 #include "ecas/sim/EnergyMeter.h"
 #include "ecas/sim/Pcu.h"
+#include "ecas/sim/PowerModel.h"
 #include "ecas/sim/PowerTrace.h"
 
+#include <array>
+#include <cstdint>
 #include <memory>
 
 namespace ecas {
@@ -82,9 +85,33 @@ public:
   void setMaxSliceSec(double Seconds);
 
 private:
+  /// What a slice feeds the meters and the trace once both devices have
+  /// advanced. It is a pure function of nine doubles (see
+  /// sliceEnergy()), which often repeat bit for bit: profiling
+  /// repetitions alternate a launch slice and an execution slice, and a
+  /// long dispatch repeats one slice between governor epochs.
+  struct SliceEnergy {
+    /// Bit patterns of the inputs: Dt, CPU and GPU busy seconds, CPU and
+    /// GPU lastActivity(), CPU and GPU lastTrafficGBs(), CPU and GPU
+    /// clock. Dt is at least 1e-9, so the all-zero key of an entry never
+    /// filled cannot match.
+    std::array<uint64_t, 9> Key{};
+    double TrafficGBs = 0.0;
+    PowerBreakdown Power;
+    /// Each meter's deposit and its quotient by the energy unit.
+    double PkgJoules = 0.0, PkgUnits = 0.0;
+    double Pp0Joules = 0.0, Pp0Units = 0.0;
+    double Pp1Joules = 0.0, Pp1Units = 0.0;
+  };
+
   /// Advances one slice of at most \p MaxDt seconds. Returns the slice
   /// length (always positive).
   double step(double MaxDt);
+
+  /// The slice result for \p Inputs (ordered as SliceEnergy::Key), from
+  /// the two most recent distinct inputs when either matches bit for
+  /// bit, else computed and kept in place of the older one.
+  const SliceEnergy &sliceEnergy(const std::array<double, 9> &Inputs);
 
   PlatformSpec Spec;
   SimCpuDevice Cpu;
@@ -102,6 +129,9 @@ private:
   bool LastCpuBusy = false;
   bool LastGpuBusy = false;
   double LastGovernorTime = 0.0;
+  SliceEnergy Memo[2];
+  /// Index of the most recently used Memo entry.
+  unsigned MemoNewest = 0;
 };
 
 } // namespace ecas

@@ -4,15 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// ecas-lint: allow-file(no-raw-output) -- malformed-flag warnings go to
-// stderr by design: the parser runs before any reporting machinery and
-// must not abort a CLI over a typo.
+// ecas-lint: allow-file(no-raw-output) -- reportUnknown()'s warnings go
+// to stderr by design: the parser runs before any reporting machinery.
 
 #include "ecas/support/Flags.h"
 
 #include "ecas/support/Format.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <type_traits>
 
 using namespace ecas;
 
@@ -54,32 +56,46 @@ std::string Flags::getString(const std::string &Name,
   return It->second;
 }
 
-double Flags::getDouble(const std::string &Name, double Default) const {
+template <typename T>
+ErrorOr<T> Flags::getNumber(const std::string &Name, T Default, T Min,
+                            T Max) const {
   auto It = Values.find(Name);
   if (It == Values.end())
     return Default;
   Queried[Name] = true;
-  double Value;
-  if (!parseDouble(It->second, Value)) {
-    std::fprintf(stderr, "warning: flag --%s: '%s' is not a number\n",
-                 Name.c_str(), It->second.c_str());
-    return Default;
-  }
+  T Value;
+  bool Parsed;
+  if constexpr (std::is_same_v<T, double>)
+    Parsed = parseDouble(It->second, Value) && std::isfinite(Value);
+  else
+    Parsed = parseInt64(It->second, Value);
+  if (!Parsed)
+    return Status::error(ErrCode::ParseError,
+                         formatString("--%s wants a finite %s, got '%s'",
+                                      Name.c_str(),
+                                      std::is_same_v<T, double> ? "number"
+                                                                : "integer",
+                                      It->second.c_str()));
+  if (Value < Min || Value > Max)
+    return Status::error(
+        ErrCode::OutOfRange,
+        formatString("--%s wants a value in [%g, %g], got '%s'",
+                     Name.c_str(), static_cast<double>(Min),
+                     static_cast<double>(Max), It->second.c_str()));
   return Value;
 }
 
-long long Flags::getInt(const std::string &Name, long long Default) const {
-  auto It = Values.find(Name);
-  if (It == Values.end())
-    return Default;
-  Queried[Name] = true;
-  long long Value;
-  if (!parseInt64(It->second, Value)) {
-    std::fprintf(stderr, "warning: flag --%s: '%s' is not an integer\n",
-                 Name.c_str(), It->second.c_str());
-    return Default;
-  }
-  return Value;
+template ErrorOr<double> Flags::getNumber(const std::string &, double,
+                                          double, double) const;
+template ErrorOr<long long> Flags::getNumber(const std::string &, long long,
+                                             long long, long long) const;
+
+Status Flags::checkAccepted(const std::vector<std::string> &Accepted) const {
+  for (const auto &[Name, Value] : Values)
+    if (std::find(Accepted.begin(), Accepted.end(), Name) == Accepted.end())
+      return Status::error(ErrCode::InvalidArgument,
+                           "unknown flag --" + Name);
+  return Status::success();
 }
 
 bool Flags::getBool(const std::string &Name, bool Default) const {

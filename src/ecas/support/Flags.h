@@ -5,15 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small --key=value / --key value flag parser shared by the benchmark
-/// harnesses and examples. Every bench binary must also run with zero
-/// arguments, so all flags carry defaults.
+/// A small --key=value flag parser shared by the command-line tool, the
+/// benchmark harnesses and the examples. Every bench binary must also
+/// run with zero arguments, so all flags carry defaults.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ECAS_SUPPORT_FLAGS_H
 #define ECAS_SUPPORT_FLAGS_H
 
+#include "ecas/support/Error.h"
+
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,8 +27,8 @@ namespace ecas {
 ///
 /// Accepted forms: "--name=value" and bare "--name" (recorded with value
 /// "true"). Anything not starting with "--" is a positional argument.
-/// Unknown flags are kept; callers query what they need and may call
-/// reportUnknown() to diagnose typos.
+/// Unknown flags are kept; callers query what they need and either
+/// reject the rest with checkAccepted() or warn with reportUnknown().
 class Flags {
 public:
   Flags(int Argc, const char *const *Argv);
@@ -34,11 +37,20 @@ public:
 
   std::string getString(const std::string &Name,
                         const std::string &Default) const;
-  double getDouble(const std::string &Name, double Default) const;
-  long long getInt(const std::string &Name, long long Default) const;
   bool getBool(const std::string &Name, bool Default) const;
 
+  /// --Name as a T (double or long long), or \p Default when the flag is
+  /// absent. A value that does not parse as a T, is not finite, or lies
+  /// outside [Min, Max] is an error naming the flag and the value.
+  template <typename T>
+  ErrorOr<T> getNumber(const std::string &Name, T Default,
+                       T Min = std::numeric_limits<T>::lowest(),
+                       T Max = std::numeric_limits<T>::max()) const;
+
   const std::vector<std::string> &positional() const { return Positional; }
+
+  /// An error naming the first flag given that \p Accepted does not list.
+  Status checkAccepted(const std::vector<std::string> &Accepted) const;
 
   /// Prints "unknown flag" warnings to stderr for any flag never queried.
   /// \returns the number of unqueried flags.

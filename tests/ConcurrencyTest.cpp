@@ -29,8 +29,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -213,6 +216,66 @@ TEST(Concurrency, ExpiredDeadlineCancelsWithoutPoisoningTableG) {
   std::optional<KernelRecord> Counted = Scheduler.history().find(Kernel.Id);
   ASSERT_TRUE(Counted.has_value());
   EXPECT_EQ(Counted->Invocations, Before->Invocations + 1);
+}
+
+//===----------------------------------------------------------------------===//
+// Profiled merges racing on one key
+//===----------------------------------------------------------------------===//
+
+// Two clients profile one cold key at once. A client that merges after
+// the other finds the record changed since its lookup and adds its
+// repetitions as one running sum. No profiled iteration may be lost or
+// counted twice, and the record must stay finite.
+TEST(Concurrency, SameKeyProfilesRaceWithoutLosingIterations) {
+  constexpr unsigned Rounds = 8;
+  // Sizes whose profiling takes milliseconds, so the two invocations
+  // overlap even when the host time-slices both clients on one core.
+  const double Sizes[2] = {1e8, 1.5e8};
+  // What each client's invocation profiles alone: a cold key on a
+  // scheduler of its own, on an identical processor, runs the same
+  // repetitions.
+  double Solo[2];
+  for (unsigned I = 0; I != 2; ++I) {
+    EasScheduler Scheduler(desktopFamily(), Metric::edp());
+    SimProcessor Proc(haswellDesktop());
+    KernelDesc Kernel = namedKernel("same-key-solo");
+    ASSERT_TRUE(Scheduler.execute(Proc, Kernel, Sizes[I]).Profiled);
+    std::optional<KernelRecord> Rec = Scheduler.history().find(Kernel.Id);
+    ASSERT_TRUE(Rec.has_value());
+    Solo[I] = Rec->Sample.CpuIterations + Rec->Sample.GpuIterations;
+  }
+
+  for (unsigned Round = 0; Round != Rounds; ++Round) {
+    EasScheduler Scheduler(desktopFamily(), Metric::edp());
+    KernelDesc Kernel = namedKernel("same-key-race-" + std::to_string(Round));
+    std::atomic<unsigned> Ready{0};
+    bool Profiled[2] = {false, false};
+    std::vector<std::thread> Clients;
+    for (unsigned I = 0; I != 2; ++I)
+      Clients.emplace_back([&, I] {
+        SimProcessor Proc(haswellDesktop());
+        Ready.fetch_add(1, std::memory_order_acq_rel);
+        while (Ready.load(std::memory_order_acquire) != 2) {
+        }
+        Profiled[I] = Scheduler.execute(Proc, Kernel, Sizes[I]).Profiled;
+      });
+    for (std::thread &Client : Clients)
+      Client.join();
+
+    std::optional<KernelRecord> Rec = Scheduler.history().find(Kernel.Id);
+    ASSERT_TRUE(Rec.has_value());
+    const ProfileSample &Merged = Rec->Sample;
+    double Want = (Profiled[0] ? Solo[0] : 0.0) + (Profiled[1] ? Solo[1] : 0.0);
+    EXPECT_NEAR(Merged.CpuIterations + Merged.GpuIterations, Want,
+                1e-12 * Want)
+        << "round " << Round << " profiled " << Profiled[0] << Profiled[1];
+    for (double Field :
+         {Merged.CpuThroughput, Merged.GpuThroughput, Merged.CpuIterations,
+          Merged.GpuIterations, Merged.ElapsedSeconds, Merged.CpuBusySeconds,
+          Merged.GpuBusySeconds, Merged.MissPerLoadStore,
+          Merged.InstructionsRetired})
+      EXPECT_TRUE(std::isfinite(Field)) << "round " << Round;
+  }
 }
 
 //===----------------------------------------------------------------------===//

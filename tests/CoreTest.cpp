@@ -23,7 +23,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <optional>
 #include <string>
 
 using namespace ecas;
@@ -559,6 +561,9 @@ struct ReferenceOutcome {
   bool Cancelled = false;
   bool ProfileHang = false;
   bool ProfileLaunchFailed = false;
+  /// Every usable repetition accumulated, one at a time and in order,
+  /// onto a cold key's empty record: the sample table G must then hold.
+  ProfileSample Merged;
 };
 
 /// The profiled path with the classify-and-search step inside the
@@ -674,6 +679,7 @@ ReferenceOutcome referenceInvocation(SimProcessor &Proc,
   if (Voided)
     Out.HasPrediction = false;
   Out.AlphaUsed = Alpha;
+  Out.Merged = Acc;
   return Out;
 }
 
@@ -795,4 +801,51 @@ TEST(EasScheduler, OneSearchPerInvocationMatchesPerRepetitionSearch) {
   EXPECT_GE(LaunchFails, 10u);
   EXPECT_GE(Cancels, 10u);
   EXPECT_GE(JointStates, 10u);
+}
+
+// A cold profiled invocation merges its profiling into table G once, at
+// the end. The record must then hold exactly what accumulating each
+// repetition onto the looked-up record would, field for field and bit
+// for bit: randomized kernels, sizes, objectives and P-state counts.
+TEST(EasScheduler, ColdMergeMatchesPerRepetitionAccumulation) {
+  constexpr unsigned Cases = 60;
+  const PlatformSpec &Spec = ladderSpec();
+  const Metric Metrics[] = {Metric::energy(), Metric::edp(), Metric::ed2p()};
+  double MinIters = Spec.defaultGpuProfileSize();
+  Xoshiro256 Rng(0x3e29e5a1ULL);
+  for (unsigned Case = 0; Case != Cases; ++Case) {
+    KernelDesc Kernel = randomKernel(Rng, Case);
+    double Iterations = std::floor(
+        std::exp(Rng.nextDouble(std::log(MinIters), std::log(2e6))));
+    const Metric &Objective = Metrics[Rng.nextBounded(3)];
+    EasConfig Config;
+    Config.PStates = Rng.nextBounded(2) == 1;
+    SCOPED_TRACE(formatString("case %u: n=%.0f pstates=%d", Case,
+                              Iterations, Config.PStates));
+
+    SimProcessor RefProc(Spec);
+    ReferenceOutcome Ref =
+        referenceInvocation(RefProc, ladderFamily(), Objective, Config,
+                            Kernel, Iterations, nullptr);
+    SimProcessor Proc(Spec);
+    EasScheduler Scheduler(ladderFamily(), Objective, Config);
+    ASSERT_TRUE(Scheduler.execute(Proc, Kernel, Iterations).Profiled);
+    std::optional<KernelRecord> Rec = Scheduler.history().find(Kernel.Id);
+    ASSERT_TRUE(Rec.has_value());
+
+    auto Bits = [](double Value) { return std::bit_cast<uint64_t>(Value); };
+    const ProfileSample &Got = Rec->Sample, &Want = Ref.Merged;
+    EXPECT_EQ(Bits(Got.CpuThroughput), Bits(Want.CpuThroughput));
+    EXPECT_EQ(Bits(Got.GpuThroughput), Bits(Want.GpuThroughput));
+    EXPECT_EQ(Bits(Got.CpuIterations), Bits(Want.CpuIterations));
+    EXPECT_EQ(Bits(Got.GpuIterations), Bits(Want.GpuIterations));
+    EXPECT_EQ(Bits(Got.ElapsedSeconds), Bits(Want.ElapsedSeconds));
+    EXPECT_EQ(Bits(Got.CpuBusySeconds), Bits(Want.CpuBusySeconds));
+    EXPECT_EQ(Bits(Got.GpuBusySeconds), Bits(Want.GpuBusySeconds));
+    EXPECT_EQ(Bits(Got.MissPerLoadStore), Bits(Want.MissPerLoadStore));
+    EXPECT_EQ(Bits(Got.InstructionsRetired), Bits(Want.InstructionsRetired));
+    EXPECT_EQ(Got.GpuLaunchFailed, Want.GpuLaunchFailed);
+    EXPECT_EQ(Got.GpuHung, Want.GpuHung);
+    EXPECT_GT(Got.ElapsedSeconds, 0.0);
+  }
 }

@@ -7,16 +7,22 @@
 #include "ecas/fault/FaultPlan.h"
 #include "ecas/hw/Presets.h"
 #include "ecas/power/MicroBenchmarks.h"
+#include "ecas/profile/OnlineProfiler.h"
 #include "ecas/sim/EnergyMeter.h"
 #include "ecas/sim/Pcu.h"
 #include "ecas/sim/PowerModel.h"
 #include "ecas/sim/PowerTrace.h"
 #include "ecas/sim/SimProcessor.h"
+#include "ecas/support/Format.h"
 #include "ecas/support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <string>
+#include <vector>
 
 using namespace ecas;
 
@@ -623,4 +629,350 @@ TEST(SimProcessor, CappedClocksDrawLessPowerAndRunLonger) {
   double SlowWatts = Proc.meter().totalJoules() / SlowSeconds;
   EXPECT_GT(SlowSeconds, FullSeconds * 1.2);
   EXPECT_LT(SlowWatts, FullWatts * 0.8);
+}
+
+//===----------------------------------------------------------------------===//
+// Slice bit identity: what every kind of slice writes, pinned to the bit.
+// The scenarios reach each kind of slice step() takes: runs of profiling
+// repetitions (launch and execution slices in turn), a long co-run
+// dispatch across governor epochs, GPU dispatches below the lane count,
+// a frequency cap with a frequency hint, a hint that moves one clock in
+// mid-dispatch, idle time, and the GPU-throttle and RAPL-dropout faults. The expected values are hexfloat literals
+// printed by the simulator as it was before step() reused its last two
+// slice results; a mismatch prints the case's actual line.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// now(); each meter's totalJoules() and readMsr() (package, PP0, PP1);
+/// then each device's PerfCounters, CPU first.
+constexpr size_t NumSliceObservables = 1 + 3 * 2 + 2 * 7;
+using SliceObservables = std::array<double, NumSliceObservables>;
+
+SliceObservables sliceObservables(const SimProcessor &Proc) {
+  SliceObservables Out{};
+  size_t I = 0;
+  Out[I++] = Proc.now();
+  for (const EnergyMeter *Meter :
+       {&Proc.meter(), &Proc.pp0Meter(), &Proc.pp1Meter()}) {
+    Out[I++] = Meter->totalJoules();
+    Out[I++] = static_cast<double>(Meter->readMsr());
+  }
+  for (const SimDevice *Device :
+       {static_cast<const SimDevice *>(&Proc.cpu()),
+        static_cast<const SimDevice *>(&Proc.gpu())}) {
+    const PerfCounters &C = Device->counters();
+    for (double Value : {C.InstructionsRetired, C.LoadStores, C.LlcMisses,
+                         C.IterationsDone, C.BytesTransferred, C.BusySeconds,
+                         C.SetupSeconds})
+      Out[I++] = Value;
+  }
+  return Out;
+}
+
+/// Drives a processor of \p Spec through every kind of slice with
+/// \p Micro's kernel.
+SliceObservables runSliceScenario(const PlatformSpec &Spec,
+                                  const MicroBenchmark &Micro) {
+  SimProcessor Proc(Spec);
+  const KernelDesc &Kernel = Micro.Kernel;
+  // A run of profiling repetitions, as Fig. 7 steps 11-22 issue them.
+  OnlineProfiler Profiler(Proc, Spec.defaultGpuProfileSize());
+  double Nrem = Micro.Iterations;
+  for (int Rep = 0; Rep != 24 && Nrem > 0.5 * Micro.Iterations; ++Rep)
+    Profiler.profileOnce(Kernel, Nrem);
+  // The remainder as one long co-run dispatch across governor epochs.
+  Proc.cpu().enqueue(Kernel, 0.5 * Nrem);
+  Proc.gpu().enqueue(Kernel, 0.5 * Nrem);
+  Proc.runUntilIdle();
+  // GPU dispatches below the lane count, each behind its launch slice.
+  double Lanes = static_cast<double>(Spec.Gpu.ExecutionUnits) *
+                 Spec.Gpu.ThreadsPerEU * Spec.Gpu.SimdWidth;
+  for (double Size : {0.1 * Lanes, 0.5 * Lanes, Lanes - 1.0}) {
+    Proc.gpu().enqueue(Kernel, Size);
+    Proc.runUntilGpuIdle();
+  }
+  // A cap on both clocks and a CPU hint below the cap.
+  Proc.pcu().setFrequencyCap(0.8 * Spec.Cpu.MaxTurboGHz,
+                             0.8 * Spec.Gpu.MaxFreqGHz);
+  Proc.cpu().setFrequencyHintGHz(0.6 * Spec.Cpu.MaxTurboGHz);
+  Proc.cpu().enqueue(Kernel, 0.25 * Micro.Iterations);
+  Proc.gpu().enqueue(Kernel, 0.25 * Micro.Iterations);
+  Proc.runUntilIdle();
+  Proc.pcu().clearFrequencyCap();
+  Proc.cpu().setFrequencyHintGHz(0.0);
+  // A hint that changes one device's clock in mid-dispatch and nothing
+  // else: the slices on either side differ only in that clock.
+  for (SimDevice *Device : {static_cast<SimDevice *>(&Proc.gpu()),
+                            static_cast<SimDevice *>(&Proc.cpu())}) {
+    Device->enqueue(Kernel, 0.25 * Micro.Iterations);
+    Proc.runFor(0.004);
+    Device->setFrequencyHintGHz(Device == &Proc.gpu()
+                                    ? 0.5 * Spec.Gpu.MaxFreqGHz
+                                    : 0.5 * Spec.Cpu.MaxTurboGHz);
+    Proc.runFor(0.004);
+    Device->setFrequencyHintGHz(0.0);
+    Proc.runUntilIdle();
+  }
+  Proc.runFor(0.0123);
+  return sliceObservables(Proc);
+}
+
+std::string sliceCaseLiteral(const std::string &Name,
+                             const SliceObservables &Values) {
+  std::string Line = "    {\"" + Name + "\", {";
+  for (size_t I = 0; I != Values.size(); ++I)
+    Line += formatString(I ? ", %a" : "%a", Values[I]);
+  return Line + "}},\n";
+}
+
+struct SliceCase {
+  const char *Name;
+  SliceObservables Expected;
+};
+
+// clang-format off
+const SliceCase ParentSliceResults[] = {
+    {"haswell-desktop/compute/cpu-long/gpu-long",
+     {0x1.ca7fecaf758d8p-1, 0x1.e62a79ba03073p+4, 0x1.e62a4p+18,
+      0x1.539d53ca70caep+4, 0x1.539d4p+18, 0x1.64f4a1668e4d6p+2,
+      0x1.64f4p+16, 0x1.620fb722bfffep+36, 0x1.9bffab3666664p+30,
+      0x0p+0, 0x1.9bffab3666664p+28, 0x0p+0,
+      0x1.a65e11e0877e4p-1, 0x0p+0, 0x1.6207d31400001p+36,
+      0x1.9bf67c9999998p+30, 0x0p+0, 0x1.9bf67c9999998p+28,
+      0x0p+0, 0x1.edab0ca4283e3p-3, 0x1.3a92a30553264p-13}},
+    {"haswell-desktop/compute/cpu-long/gpu-short",
+     {0x1.218bf69888746p-1, 0x1.313bdc8bea695p+4, 0x1.313bcp+18,
+      0x1.f99b293a49521p+3, 0x1.f99bp+17, 0x1.03cc91bb4b879p+0,
+      0x1.03ccp+14, 0x1.1b247d7355556p+33, 0x1.497996a222222p+27,
+      0x0p+0, 0x1.497996a222222p+25, 0x0p+0,
+      0x1.1724fc03baaacp-1, 0x0p+0, 0x1.1b6789f2aaaa9p+33,
+      0x1.49c79bddddddcp+27, 0x0p+0, 0x1.49c79bddddddcp+25,
+      0x0p+0, 0x1.a29b815a70bp-6, 0x1.3a92a30553264p-13}},
+    {"haswell-desktop/compute/cpu-short/gpu-long",
+     {0x1.254603e540e25p-2, 0x1.04e45cb4d5a53p+3, 0x1.04e4p+17,
+      0x1.b0da5a6b9f963p+0, 0x1.b0d8p+14, 0x1.5440a1d5732acp+2,
+      0x1.544p+16, 0x1.72bd2d9555553p+32, 0x1.af67c55555553p+26,
+      0x0p+0, 0x1.af67c55555553p+24, 0x0p+0,
+      0x1.de0a1c21707e1p-5, 0x0p+0, 0x1.6efb82feaaaaap+32,
+      0x1.ab08bdaaaaaa7p+26, 0x0p+0, 0x1.ab08bdaaaaaa7p+24,
+      0x0p+0, 0x1.0afe18f4b3a3bp-2, 0x1.3a92a30553264p-13}},
+    {"haswell-desktop/compute/cpu-short/gpu-short",
+     {0x1.4a1d21ff93652p-4, 0x1.28e3799b74bbep+1, 0x1.28e2p+15,
+      0x1.91d0d43cdaf83p+0, 0x1.91dp+14, 0x1.b5bb59e8a696ep-2,
+      0x1.b5bp+12, 0x1.a48a972bffffep+32, 0x1.e95b736666663p+26,
+      0x0p+0, 0x1.e95b736666663p+24, 0x0p+0,
+      0x1.edca9ab24a30ep-5, 0x0p+0, 0x1.a40c563fffffep+32,
+      0x1.e8c8899999998p+26, 0x0p+0, 0x1.e8c8899999998p+24,
+      0x0p+0, 0x1.255c539f8100fp-6, 0x1.3a92a30553264p-13}},
+    {"haswell-desktop/memory/cpu-long/gpu-long",
+     {0x1.db37f05c49019p-2, 0x1.7b39d7e68dbe2p+4, 0x1.7b39cp+18,
+      0x1.a1aa5293837c7p+2, 0x1.a1aap+16, 0x1.12d7c55a457a8p+2,
+      0x1.12d7p+16, 0x1.ad4493bp+30, 0x1.576a0fbffffffp+26,
+      0x1.576a0fbffffffp+26, 0x1.576a0fbffffffp+26, 0x1.576a0fbffffffp+32,
+      0x1.94fd7dfa56c91p-2, 0x0p+0, 0x1.ad0e5b5ffffffp+30,
+      0x1.573eaf7ffffffp+26, 0x1.573eaf7ffffffp+26, 0x1.573eaf7ffffffp+26,
+      0x1.573eaf7ffffffp+32, 0x1.8fe2014727dd2p-2, 0x1.3a92a30553264p-13}},
+    {"haswell-desktop/memory/cpu-long/gpu-short",
+     {0x1.34ea884dc3214p-2, 0x1.74e20e2e529e1p+3, 0x1.74e2p+17,
+      0x1.dc97ba06518adp+2, 0x1.dc97p+16, 0x1.90e8b6e37b50ep-1,
+      0x1.90e8p+13, 0x1.58c0406da2809p+28, 0x1.13cd0057b534ep+24,
+      0x1.13cd0057b534ep+24, 0x1.13cd0057b534ep+24, 0x1.13cd0057b534ep+30,
+      0x1.1cb6cb679e3ebp-2, 0x0p+0, 0x1.596009d25d7eep+28,
+      0x1.144cd4a84acbcp+24, 0x1.144cd4a84acbcp+24, 0x1.144cd4a84acbcp+24,
+      0x1.144cd4a84acbcp+30, 0x1.a16dcd65a0155p-5, 0x1.3a92a30553264p-13}},
+    {"haswell-desktop/memory/cpu-short/gpu-long",
+     {0x1.0197313480659p-2, 0x1.2ec9cb0dde161p+3, 0x1.2ec98p+17,
+      0x1.76736ee730a76p+0, 0x1.767p+14, 0x1.22220304bbc52p+2,
+      0x1.2222p+16, 0x1.80764cc000005p+28, 0x1.3391d70000004p+24,
+      0x1.3391d70000004p+24, 0x1.3391d70000004p+24, 0x1.3391d70000004p+30,
+      0x1.371893fed9434p-4, 0x0p+0, 0x1.7d956b8000004p+28,
+      0x1.3144560000003p+24, 0x1.3144560000003p+24, 0x1.3144560000003p+24,
+      0x1.3144560000003p+30, 0x1.cc65cc781337ap-3, 0x1.3a92a30553264p-13}},
+    {"haswell-desktop/memory/cpu-short/gpu-short",
+     {0x1.cb12f2cbe4f0ap-4, 0x1.405df3869a21dp+2, 0x1.405dp+16,
+      0x1.4a53ea451913ap+0, 0x1.4a5p+14, 0x1.bb624178d2d83p-1,
+      0x1.bb6p+13, 0x1.764a64cp+28, 0x1.2b6eb7p+24,
+      0x1.2b6eb7p+24, 0x1.2b6eb7p+24, 0x1.2b6eb7p+30,
+      0x1.6662c318c3f17p-4, 0x0p+0, 0x1.7571838p+28,
+      0x1.2ac136p+24, 0x1.2ac136p+24, 0x1.2ac136p+24,
+      0x1.2ac136p+30, 0x1.51f4d04c08418p-4, 0x1.3a92a30553264p-13}},
+    {"haswell-desktop/gpu-throttle/compute/cpu-long/gpu-long",
+     {0x1.d8766677707cfp-1, 0x1.0b4dc46adef6p+5, 0x1.0b4dcp+19,
+      0x1.39c740554210ap+4, 0x1.39c74p+18, 0x1.438af7631b9d5p+3,
+      0x1.438a8p+17, 0x1.620fb722bfffdp+36, 0x1.9bffab3666664p+30,
+      0x0p+0, 0x1.9bffab3666664p+28, 0x0p+0,
+      0x1.b4548ba8826dbp-1, 0x0p+0, 0x1.6207d313fffffp+36,
+      0x1.9bf67c9999998p+30, 0x0p+0, 0x1.9bf67c9999998p+28,
+      0x0p+0, 0x1.bf89bfaa24817p-2, 0x1.3a92a30553264p-13}},
+    {"haswell-desktop/gpu-throttle/memory/cpu-long/gpu-long",
+     {0x1.db37f05c49019p-2, 0x1.7bcaac2dce5b8p+4, 0x1.7bca8p+18,
+      0x1.a1aa5293837c7p+2, 0x1.a1aap+16, 0x1.151b167747f3cp+2,
+      0x1.151bp+16, 0x1.ad4493bp+30, 0x1.576a0fbffffffp+26,
+      0x1.576a0fbffffffp+26, 0x1.576a0fbffffffp+26, 0x1.576a0fbffffffp+32,
+      0x1.94fd7dfa56c91p-2, 0x0p+0, 0x1.ad0e5b5ffffffp+30,
+      0x1.573eaf7ffffffp+26, 0x1.573eaf7ffffffp+26, 0x1.573eaf7ffffffp+26,
+      0x1.573eaf7ffffffp+32, 0x1.8fe2014727dd2p-2, 0x1.3a92a30553264p-13}},
+    {"haswell-desktop/rapl-dropout/compute/cpu-long/gpu-long",
+     {0x1.ca7fecaf758d8p-1, 0x1.4d8eff60b65d4p+4, 0x1.4d8ecp+18,
+      0x1.539d53ca70caep+4, 0x1.539d4p+18, 0x1.64f4a1668e4d6p+2,
+      0x1.64f4p+16, 0x1.620fb722bfffep+36, 0x1.9bffab3666664p+30,
+      0x0p+0, 0x1.9bffab3666664p+28, 0x0p+0,
+      0x1.a65e11e0877e4p-1, 0x0p+0, 0x1.6207d31400001p+36,
+      0x1.9bf67c9999998p+30, 0x0p+0, 0x1.9bf67c9999998p+28,
+      0x0p+0, 0x1.edab0ca4283e3p-3, 0x1.3a92a30553264p-13}},
+    {"haswell-desktop/rapl-dropout/memory/cpu-long/gpu-long",
+     {0x1.db37f05c49019p-2, 0x1.06dae9db9b52cp+4, 0x1.06dacp+18,
+      0x1.a1aa5293837c7p+2, 0x1.a1aap+16, 0x1.12d7c55a457a8p+2,
+      0x1.12d7p+16, 0x1.ad4493bp+30, 0x1.576a0fbffffffp+26,
+      0x1.576a0fbffffffp+26, 0x1.576a0fbffffffp+26, 0x1.576a0fbffffffp+32,
+      0x1.94fd7dfa56c91p-2, 0x0p+0, 0x1.ad0e5b5ffffffp+30,
+      0x1.573eaf7ffffffp+26, 0x1.573eaf7ffffffp+26, 0x1.573eaf7ffffffp+26,
+      0x1.573eaf7ffffffp+32, 0x1.8fe2014727dd2p-2, 0x1.3a92a30553264p-13}},
+    {"baytrail-tablet/compute/cpu-long/gpu-long",
+     {0x1.a070592430f32p-1, 0x1.20cb0a2a7259p+0, 0x1.20cbp+16,
+      0x1.2c61668734dedp-1, 0x1.2c6p+15, 0x1.ad7ada76ea93p-2,
+      0x1.ad78p+14, 0x1.3ae795edfb858p+33, 0x1.6e6f3a199468ep+27,
+      0x0p+0, 0x1.6e6f3a199468ep+25, 0x0p+0,
+      0x1.7c49586b1841ap-1, 0x0p+0, 0x1.3acd51ec0478ap+33,
+      0x1.6e50a9ccd201p+27, 0x0p+0, 0x1.6e50a9ccd201p+25,
+      0x0p+0, 0x1.eec44afb81df5p-3, 0x1.d7dbf487fcb9p-12}},
+    {"baytrail-tablet/compute/cpu-long/gpu-short",
+     {0x1.ff50d1d4b5975p-2, 0x1.1d78577ceac05p-1, 0x1.1d78p+15,
+      0x1.92ae3d3083471p-2, 0x1.92acp+14, 0x1.6e3fafa5a8c48p-4,
+      0x1.6e3p+12, 0x1.1c38588b3822dp+30, 0x1.4aba9594097dbp+24,
+      0x0p+0, 0x1.4aba9594097dbp+22, 0x0p+0,
+      0x1.ea1b657dd3b4ep-2, 0x0p+0, 0x1.1c60b924c7da1p+30,
+      0x1.4ae9919f29b7fp+24, 0x0p+0, 0x1.4ae9919f29b7fp+22,
+      0x0p+0, 0x1.daf2956201eacp-6, 0x1.d7dbf487fcb9p-12}},
+    {"baytrail-tablet/compute/cpu-short/gpu-long",
+     {0x1.2cde194533dc1p-2, 0x1.fb17cf245be34p-2, 0x1.fb14p+14,
+      0x1.acb56883141dcp-5, 0x1.acap+11, 0x1.985fd17ccb30ap-2,
+      0x1.985cp+14, 0x1.52d87126a33b2p+29, 0x1.8a4afcaf4993ap+23,
+      0x0p+0, 0x1.8a4afcaf4993ap+21, 0x0p+0,
+      0x1.dd194c8ffeabdp-5, 0x0p+0, 0x1.4e7707395cc3dp+29,
+      0x1.853211b71cd2cp+23, 0x0p+0, 0x1.853211b71cd2cp+21,
+      0x0p+0, 0x1.11d663170493ap-2, 0x1.d7dbf487fcb9p-12}},
+    {"baytrail-tablet/compute/cpu-short/gpu-short",
+     {0x1.6508f377f5cccp-4, 0x1.595a13d1b2677p-4, 0x1.595p+12,
+      0x1.27e18a575cd46p-5, 0x1.27ep+11, 0x1.1fb65441a4a32p-5,
+      0x1.1fap+11, 0x1.8a7cb4dfb87ap+29, 0x1.cb0a2199465e6p+23,
+      0x0p+0, 0x1.cb0a2199465e6p+21, 0x0p+0,
+      0x1.11b00fbc03d1ap-4, 0x0p+0, 0x1.88d874c04785cp+29,
+      0x1.c9211ccd2006bp+23, 0x0p+0, 0x1.c9211ccd2006bp+21,
+      0x0p+0, 0x1.382d8aa81f0cp-6, 0x1.d7dbf487fcb9p-12}},
+    {"baytrail-tablet/memory/cpu-long/gpu-long",
+     {0x1.f4f556e31b823p-2, 0x1.3382bdcffacfdp-1, 0x1.3382p+15,
+      0x1.20e9368571151p-3, 0x1.20e8p+13, 0x1.5a946fd88d2dfp-2,
+      0x1.5a94p+14, 0x1.6389f7c6c0965p+29, 0x1.1c6e5fd233ac8p+25,
+      0x1.1c6e5fd233ac8p+25, 0x1.1c6e5fd233ac8p+25, 0x1.1c6e5fd233ac8p+31,
+      0x1.aeb36431eb58fp-2, 0x0p+0, 0x1.6335ebd93f6a4p+29,
+      0x1.1c2b231432bb2p+25, 0x1.1c2b231432bb2p+25, 0x1.1c2b231432bb2p+25,
+      0x1.1c2b231432bb2p+31, 0x1.8f961c2fadbb4p-2, 0x1.d7dbf487fcb9p-12}},
+    {"baytrail-tablet/memory/cpu-long/gpu-short",
+     {0x1.863b28fee511p-2, 0x1.927a634bcfd97p-2, 0x1.9278p+14,
+      0x1.0cc818e9c0263p-2, 0x1.0cc8p+14, 0x1.0ecb994894bc7p-4,
+      0x1.0ecp+12, 0x1.b25ad9f1fd74ep+26, 0x1.5b7be18e645edp+22,
+      0x1.5b7be18e645edp+22, 0x1.5b7be18e645edp+22, 0x1.5b7be18e645edp+28,
+      0x1.70c519db1db58p-2, 0x0p+0, 0x1.b272950e028a4p+26,
+      0x1.5b8edda4ced54p+22, 0x1.5b8edda4ced54p+22, 0x1.5b8edda4ced54p+22,
+      0x1.5b8edda4ced54p+28, 0x1.2c28eada20b62p-5, 0x1.d7dbf487fcb9p-12}},
+    {"baytrail-tablet/memory/cpu-short/gpu-long",
+     {0x1.9c120fe71cb8bp-2, 0x1.5966cb206ba88p-1, 0x1.5966p+15,
+      0x1.84cfba1171093p-5, 0x1.84cp+11, 0x1.1fb3dbf186e0dp-1,
+      0x1.1fb2p+15, 0x1.2570df19e6da6p+26, 0x1.d58164f63e2a1p+21,
+      0x1.d58164f63e2a1p+21, 0x1.d58164f63e2a1p+21, 0x1.d58164f63e2a1p+27,
+      0x1.5bc354db23e19p-5, 0x0p+0, 0x1.1efee1e619265p+26,
+      0x1.cb316970283eep+21, 0x1.cb316970283eep+21, 0x1.cb316970283eep+21,
+      0x1.cb316970283eep+27, 0x1.83d448365a2c9p-2, 0x1.d7dbf487fcb9p-12}},
+    {"baytrail-tablet/memory/cpu-short/gpu-short",
+     {0x1.8ec42faa5b153p-4, 0x1.999931e26ceb1p-4, 0x1.999p+12,
+      0x1.5a0c9846f0657p-6, 0x1.5ap+10, 0x1.cc32ddc9c1779p-5,
+      0x1.cc2p+11, 0x1.e406d53604b2ep+26, 0x1.8338aa919d5bcp+22,
+      0x1.8338aa919d5bcp+22, 0x1.8338aa919d5bcp+22, 0x1.8338aa919d5bcp+28,
+      0x1.3501b030f66a6p-4, 0x0p+0, 0x1.e16675c9fb4d9p+26,
+      0x1.811ec4a195d79p+22, 0x1.811ec4a195d79p+22, 0x1.811ec4a195d79p+22,
+      0x1.811ec4a195d79p+28, 0x1.0de39bd36cc62p-4, 0x1.d7dbf487fcb9p-12}},
+    {"baytrail-tablet/gpu-throttle/compute/cpu-long/gpu-long",
+     {0x1.b195961fea4a4p-1, 0x1.5fbafe28c7d43p+0, 0x1.5fbap+16,
+      0x1.0fe4c6057b394p-1, 0x1.0fe4p+15, 0x1.6e8792fa7e0ebp-1,
+      0x1.6e86p+15, 0x1.3ae795edfb867p+33, 0x1.6e6f3a1994691p+27,
+      0x0p+0, 0x1.6e6f3a1994691p+25, 0x0p+0,
+      0x1.8d6e9566d198cp-1, 0x0p+0, 0x1.3acd51ec04782p+33,
+      0x1.6e50a9ccd2013p+27, 0x0p+0, 0x1.6e50a9ccd2013p+25,
+      0x0p+0, 0x1.c1ac4e5345842p-2, 0x1.d7dbf487fcb9p-12}},
+    {"baytrail-tablet/gpu-throttle/memory/cpu-long/gpu-long",
+     {0x1.f4f556e31b823p-2, 0x1.3831bd2c0f95fp-1, 0x1.383p+15,
+      0x1.20e9368571151p-3, 0x1.20e8p+13, 0x1.63f26e90b6b95p-2,
+      0x1.63fp+14, 0x1.6389f7c6c0965p+29, 0x1.1c6e5fd233ac8p+25,
+      0x1.1c6e5fd233ac8p+25, 0x1.1c6e5fd233ac8p+25, 0x1.1c6e5fd233ac8p+31,
+      0x1.aeb36431eb58fp-2, 0x0p+0, 0x1.6335ebd93f6a4p+29,
+      0x1.1c2b231432bb2p+25, 0x1.1c2b231432bb2p+25, 0x1.1c2b231432bb2p+25,
+      0x1.1c2b231432bb2p+31, 0x1.8f961c2fadbb4p-2, 0x1.d7dbf487fcb9p-12}},
+    {"baytrail-tablet/rapl-dropout/compute/cpu-long/gpu-long",
+     {0x1.a070592430f32p-1, 0x1.9482c4a89ac27p-1, 0x1.9482p+15,
+      0x1.2c61668734dedp-1, 0x1.2c6p+15, 0x1.ad7ada76ea93p-2,
+      0x1.ad78p+14, 0x1.3ae795edfb858p+33, 0x1.6e6f3a199468ep+27,
+      0x0p+0, 0x1.6e6f3a199468ep+25, 0x0p+0,
+      0x1.7c49586b1841ap-1, 0x0p+0, 0x1.3acd51ec0478ap+33,
+      0x1.6e50a9ccd201p+27, 0x0p+0, 0x1.6e50a9ccd201p+25,
+      0x0p+0, 0x1.eec44afb81df5p-3, 0x1.d7dbf487fcb9p-12}},
+    {"baytrail-tablet/rapl-dropout/memory/cpu-long/gpu-long",
+     {0x1.f4f556e31b823p-2, 0x1.ab276e26e6151p-2, 0x1.ab24p+14,
+      0x1.20e9368571151p-3, 0x1.20e8p+13, 0x1.5a946fd88d2dfp-2,
+      0x1.5a94p+14, 0x1.6389f7c6c0965p+29, 0x1.1c6e5fd233ac8p+25,
+      0x1.1c6e5fd233ac8p+25, 0x1.1c6e5fd233ac8p+25, 0x1.1c6e5fd233ac8p+31,
+      0x1.aeb36431eb58fp-2, 0x0p+0, 0x1.6335ebd93f6a4p+29,
+      0x1.1c2b231432bb2p+25, 0x1.1c2b231432bb2p+25, 0x1.1c2b231432bb2p+25,
+      0x1.1c2b231432bb2p+31, 0x1.8f961c2fadbb4p-2, 0x1.d7dbf487fcb9p-12}},
+};
+// clang-format on
+
+} // namespace
+
+TEST(SimProcessor, SliceResultsMatchParentBits) {
+  std::vector<std::pair<std::string, SliceObservables>> Actual;
+  for (const PlatformSpec &Healthy : {haswellDesktop(), bayTrailTablet()}) {
+    std::vector<MicroBenchmark> Micros;
+    for (unsigned C = 0; C != WorkloadClass::NumClasses; ++C) {
+      WorkloadClass Class = WorkloadClass::fromIndex(C);
+      Micros.push_back(makeMicroBenchmark(Healthy, Class));
+      Actual.emplace_back(Healthy.Name + "/" + Class.name(),
+                          runSliceScenario(Healthy, Micros.back()));
+    }
+    FaultEvent Throttle;
+    Throttle.Kind = FaultKind::GpuThrottle;
+    Throttle.StartSec = 0.02;
+    Throttle.EndSec = 0.3;
+    Throttle.Magnitude = 0.3;
+    FaultEvent Dropout;
+    Dropout.Kind = FaultKind::RaplDropout;
+    Dropout.Probability = 0.3;
+    for (const FaultEvent &Event : {Throttle, Dropout}) {
+      PlatformSpec Faulty = Healthy;
+      Faulty.Faults.addEvent(Event);
+      // A compute-bound and a memory-bound class, both long on each
+      // device.
+      for (unsigned C : {0u, 4u})
+        Actual.emplace_back(Healthy.Name + "/" + faultKindName(Event.Kind) +
+                                "/" + WorkloadClass::fromIndex(C).name(),
+                            runSliceScenario(Faulty, Micros[C]));
+    }
+  }
+
+  std::string Mismatches;
+  size_t NumExpected = std::size(ParentSliceResults);
+  for (size_t I = 0; I != Actual.size(); ++I) {
+    const auto &[Name, Values] = Actual[I];
+    bool Same = I < NumExpected && Name == ParentSliceResults[I].Name;
+    for (size_t V = 0; Same && V != NumSliceObservables; ++V)
+      Same = std::bit_cast<uint64_t>(Values[V]) ==
+             std::bit_cast<uint64_t>(ParentSliceResults[I].Expected[V]);
+    if (!Same)
+      Mismatches += sliceCaseLiteral(Name, Values);
+  }
+  EXPECT_EQ(Actual.size(), NumExpected);
+  EXPECT_TRUE(Mismatches.empty()) << "actual results of the mismatched "
+                                     "cases:\n"
+                                  << Mismatches;
 }

@@ -207,8 +207,9 @@ TEST(Flags, ParsingForms) {
   const char *Argv[] = {"prog", "--alpha=0.5", "--count=7", "--enable",
                         "positional"};
   Flags F(5, Argv);
-  EXPECT_DOUBLE_EQ(F.getDouble("alpha", 0.0), 0.5);
-  EXPECT_EQ(F.getInt("count", 0), 7);
+  EXPECT_DOUBLE_EQ(F.getNumber("alpha", 0.0).value(), 0.5);
+  EXPECT_EQ(F.getNumber<long long>("count", 0).value(), 7);
+  EXPECT_DOUBLE_EQ(F.getNumber("missing", 0.25).value(), 0.25);
   EXPECT_TRUE(F.getBool("enable", false));
   EXPECT_EQ(F.getString("missing", "dflt"), "dflt");
   ASSERT_EQ(F.positional().size(), 1u);
@@ -222,8 +223,28 @@ TEST(Flags, UnknownFlagsAreCounted) {
   EXPECT_EQ(F.reportUnknown(), 1u);
 }
 
-TEST(Flags, BadNumberFallsBack) {
-  const char *Argv[] = {"prog", "--alpha=abc"};
-  Flags F(2, Argv);
-  EXPECT_DOUBLE_EQ(F.getDouble("alpha", 0.25), 0.25);
+TEST(Flags, BadNumberIsAnError) {
+  const char *Argv[] = {"prog",       "--alpha=abc", "--beta=nan",
+                        "--gamma=inf", "--count=2.5", "--delta=7"};
+  Flags F(6, Argv);
+  for (const char *Name : {"alpha", "beta", "gamma"}) {
+    ErrorOr<double> Value = F.getNumber(Name, 0.25);
+    ASSERT_FALSE(Value.ok()) << Name;
+    EXPECT_EQ(Value.status().code(), ErrCode::ParseError);
+    EXPECT_NE(Value.status().message().find(Name), std::string::npos);
+  }
+  EXPECT_FALSE(F.getNumber<long long>("count", 1).ok());
+  ErrorOr<double> OutOfRange = F.getNumber("delta", 1.0, 0.0, 5.0);
+  ASSERT_FALSE(OutOfRange.ok());
+  EXPECT_EQ(OutOfRange.status().code(), ErrCode::OutOfRange);
+  EXPECT_DOUBLE_EQ(F.getNumber("delta", 1.0, 0.0, 7.0).value(), 7.0);
+}
+
+TEST(Flags, CheckAcceptedNamesTheFirstStranger) {
+  const char *Argv[] = {"prog", "--alpha=1", "--bogus=1", "pos"};
+  Flags F(4, Argv);
+  EXPECT_TRUE(F.checkAccepted({"alpha", "bogus"}).ok());
+  Status S = F.checkAccepted({"alpha"});
+  ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.message(), "unknown flag --bogus");
 }

@@ -15,7 +15,8 @@
 //
 // Exit codes: 0 success, 1 runtime failure (I/O, snapshot corruption,
 // drain failure), 2 usage error (unknown command/platform/workload/
-// scenario or malformed flag value).
+// scenario, a flag the command does not accept, or a malformed or
+// out-of-range flag value).
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,10 +43,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -135,6 +139,118 @@ int usage() {
       "                                    snapshot (from --metrics-out)\n"
       "exit codes: 0 success, 1 runtime failure, 2 usage error\n");
   return ExitUsage;
+}
+
+/// Reports a malformed command line, then prints usage: exit code 2.
+int usageError(const std::string &Why) {
+  std::fprintf(stderr, "error: %s\n", Why.c_str());
+  return usage();
+}
+
+constexpr double Inf = std::numeric_limits<double>::infinity();
+
+/// One flag a command accepts. Numeric flags are range-checked before
+/// the command runs, so a command reads them with number() and never
+/// sees a malformed value.
+struct FlagSpec {
+  enum KindT { Text, Real, Integer };
+  const char *Name;
+  KindT Kind = Text;
+  double Min = -Inf;
+  double Max = Inf;
+};
+
+/// The flags \p Command accepts, or nullopt for an unknown command.
+std::optional<std::vector<FlagSpec>>
+acceptedFlags(const std::string &Command) {
+  using F = FlagSpec;
+  const F PStates{"pstates", F::Integer, 0, PlatformSpec::MaxPStates};
+  const std::vector<F> Suite = {{"platform"}, {"scale", F::Real},
+                                {"metric"},   {"fault-plan"}};
+  const std::vector<F> Eas = {PStates,
+                              {"policy"},
+                              {"idle-watts", F::Real, 0, Inf},
+                              {"deadline-ms", F::Real, 0, Inf},
+                              {"curves"},
+                              {"history-file"},
+                              {"trace-out"},
+                              {"metrics"},
+                              {"metrics-out"},
+                              {"metrics-json"},
+                              {"decision-log"}};
+  auto Join = [](std::vector<F> A, const std::vector<F> &B) {
+    A.insert(A.end(), B.begin(), B.end());
+    return A;
+  };
+  if (Command == "platforms" || Command == "stats")
+    return std::vector<F>{};
+  if (Command == "characterize")
+    return std::vector<F>{{"platform"}, {"out"}, PStates};
+  if (Command == "run")
+    return Join(Join(Suite, Eas),
+                {{"workload"}, {"scheme"}, {"alpha", F::Real, 0, 1}});
+  if (Command == "sweep")
+    return Join(Suite, {{"workload"}});
+  if (Command == "suite")
+    return Join(Suite, {{"curves"}});
+  if (Command == "faults")
+    return std::vector<F>{{"platform"}, {"scale", F::Real}, {"metric"},
+                          {"workload"}, {"scenario"}};
+  if (Command == "serve")
+    return Join(Join(Suite, Eas),
+                {{"tenants", F::Integer, 1, 1024},
+                 {"requests", F::Integer, 1, Inf},
+                 {"workers", F::Integer, 1, 256},
+                 {"queue-cap", F::Integer, 0, Inf},
+                 {"sla-mix"},
+                 {"qps", F::Real, 0, Inf},
+                 {"sla0-deadline-ms", F::Real, 0, Inf},
+                 {"sla1-deadline-ms", F::Real, 0, Inf},
+                 {"shed-threshold", F::Real, 0, 1},
+                 {"drain-grace-ms", F::Real, 0, Inf},
+                 {"control-socket"},
+                 {"incident-dir"},
+                 {"incident-keep", F::Integer, 1, Inf},
+                 {"detector-interval-ms", F::Real, 1e-3, Inf},
+                 {"no-flight-recorder"},
+                 {"no-journal"},
+                 {"journal"},
+                 {"metrics-interval-ms", F::Real, 0, Inf}});
+  if (Command == "inspect")
+    return std::vector<F>{{"validate"}, {"validate-lastgasp"}};
+  return std::nullopt;
+}
+
+/// Checks \p Args against \p Accepted: every flag known, every numeric
+/// flag a finite value in range.
+Status checkFlags(const Flags &Args, const std::vector<FlagSpec> &Accepted) {
+  std::vector<std::string> Names;
+  for (const FlagSpec &Spec : Accepted)
+    Names.push_back(Spec.Name);
+  if (Status S = Args.checkAccepted(Names); !S)
+    return S;
+  for (const FlagSpec &Spec : Accepted) {
+    if (Spec.Kind == FlagSpec::Real) {
+      ErrorOr<double> V = Args.getNumber(Spec.Name, 0.0, Spec.Min, Spec.Max);
+      if (!V)
+        return V.status();
+    } else if (Spec.Kind == FlagSpec::Integer) {
+      auto Bound = [](double X, long long Clamp) {
+        return std::isinf(X) ? Clamp : static_cast<long long>(X);
+      };
+      ErrorOr<long long> V = Args.getNumber<long long>(
+          Spec.Name, 0, Bound(Spec.Min, LLONG_MIN), Bound(Spec.Max, LLONG_MAX));
+      if (!V)
+        return V.status();
+    }
+  }
+  return Status::success();
+}
+
+/// A numeric flag checkFlags() already accepted, or \p Default.
+template <typename T>
+T number(const Flags &Args, const char *Name, T Default) {
+  return Args.getNumber<T>(Name, Default).value();
 }
 
 /// Resolves --platform: a preset name, or a path to a serialized spec.
@@ -337,13 +453,8 @@ Metric metricByName(const std::string &Name) {
 /// on a malformed flag.
 bool applyDvfsFlags(PlatformSpec &Spec, EasConfig &Config,
                     const Flags &Args) {
-  double PStatesFlag = Args.getDouble("pstates", 0.0);
-  if (PStatesFlag < 0.0 || PStatesFlag > PlatformSpec::MaxPStates) {
-    std::fprintf(stderr, "error: --pstates wants 1..%u\n",
-                 PlatformSpec::MaxPStates);
-    return false;
-  }
-  if (unsigned PStates = static_cast<unsigned>(PStatesFlag)) {
+  if (auto PStates = static_cast<unsigned>(
+          number<long long>(Args, "pstates", 0))) {
     Spec.synthesizePStates(PStates);
     Config.PStates = true;
   }
@@ -356,9 +467,9 @@ bool applyDvfsFlags(PlatformSpec &Spec, EasConfig &Config,
     }
     Config.Policy = *Policy;
   }
-  Config.IdleWatts = Args.getDouble("idle-watts", 0.0);
+  Config.IdleWatts = number(Args, "idle-watts", 0.0);
   if (Config.Policy == SchedulingPolicy::PaceToDeadline) {
-    Config.DeadlineSeconds = Args.getDouble("deadline-ms", 0.0) / 1e3;
+    Config.DeadlineSeconds = number(Args, "deadline-ms", 0.0) / 1e3;
     if (Config.DeadlineSeconds <= 0.0) {
       std::fprintf(stderr, "error: --policy=pace-to-deadline needs a "
                            "positive --deadline-ms\n");
@@ -424,7 +535,7 @@ PowerCurveFamily familyFor(const PlatformSpec &Spec, const Flags &Args) {
 std::vector<Workload> suiteFor(const PlatformSpec &Spec,
                                const Flags &Args) {
   WorkloadConfig Config;
-  Config.Scale = Args.getDouble("scale", 0.3);
+  Config.Scale = number(Args, "scale", 0.3);
   return Spec.Name == "baytrail-tablet" ? tabletSuite(Config)
                                         : desktopSuite(Config);
 }
@@ -456,13 +567,8 @@ int cmdCharacterize(const Flags &Args) {
   // ladder and writes the delimited family format; without it the
   // output stays the legacy single-state set, byte for byte.
   std::string Text;
-  double PStatesFlag = Args.getDouble("pstates", 0.0);
-  if (PStatesFlag < 0.0 || PStatesFlag > PlatformSpec::MaxPStates) {
-    std::fprintf(stderr, "error: --pstates wants 1..%u\n",
-                 PlatformSpec::MaxPStates);
-    return ExitUsage;
-  }
-  if (unsigned PStates = static_cast<unsigned>(PStatesFlag)) {
+  if (auto PStates = static_cast<unsigned>(
+          number<long long>(Args, "pstates", 0))) {
     Spec->synthesizePStates(PStates);
     Text = characterizeFamily(*Spec).serialize();
   } else {
@@ -522,7 +628,7 @@ int cmdRun(const Flags &Args) {
   RunOptions Options;
   Options.Trace = &W->Trace;
   Options.Objective = Objective;
-  Options.Alpha = Args.getDouble("alpha", 0.5);
+  Options.Alpha = number(Args, "alpha", 0.5);
   if (wantsObservability(Args))
     Options.Recorder = &Recorder;
   if (wantsMetricsRegistry(Args))
@@ -540,7 +646,7 @@ int cmdRun(const Flags &Args) {
     Options.Eas.HistoryFile = Args.getString("history-file", "");
     // The deadline bounds the run in the workload's virtual time (each
     // run starts its clock at zero).
-    double DeadlineMs = Args.getDouble("deadline-ms", 0.0);
+    double DeadlineMs = number(Args, "deadline-ms", 0.0);
     if (DeadlineMs > 0.0) {
       Deadline.setDeadline(DeadlineMs / 1000.0);
       Options.Cancel = &Deadline;
@@ -602,16 +708,10 @@ int cmdServe(const Flags &Args) {
     return ExitUsage;
   if (!applyFaultPlan(*Spec, Args))
     return ExitRuntime;
-  long long Tenants = Args.getInt("tenants", 8);
-  long long PerTenant = Args.getInt("requests", 100);
-  long long Workers = Args.getInt("workers", 4);
-  long long QueueCap = Args.getInt("queue-cap", 64);
-  if (Tenants < 1 || PerTenant < 1 || Workers < 1 || QueueCap < 0) {
-    std::fprintf(stderr,
-                 "error: --tenants/--requests/--workers must be positive "
-                 "and --queue-cap nonnegative\n");
-    return ExitUsage;
-  }
+  long long Tenants = number<long long>(Args, "tenants", 8);
+  long long PerTenant = number<long long>(Args, "requests", 100);
+  long long Workers = number<long long>(Args, "workers", 4);
+  long long QueueCap = number<long long>(Args, "queue-cap", 64);
   double Mix[NumSlaClasses] = {2.0, 5.0, 3.0};
   if (std::string MixText = Args.getString("sla-mix", "");
       !MixText.empty() && !parseSlaMix(MixText, Mix)) {
@@ -619,28 +719,23 @@ int cmdServe(const Flags &Args) {
                          "weights with a positive sum\n");
     return ExitUsage;
   }
-  double Qps = Args.getDouble("qps", 0.0);
-  double Sla0DeadlineSec = Args.getDouble("sla0-deadline-ms", 200.0) / 1e3;
-  double Sla1DeadlineSec = Args.getDouble("sla1-deadline-ms", 1000.0) / 1e3;
-  double ShedThreshold = Args.getDouble("shed-threshold", 0.5);
+  double Qps = number(Args, "qps", 0.0);
+  double Sla0DeadlineSec = number(Args, "sla0-deadline-ms", 200.0) / 1e3;
+  double Sla1DeadlineSec = number(Args, "sla1-deadline-ms", 1000.0) / 1e3;
+  double ShedThreshold = number(Args, "shed-threshold", 0.5);
   Metric Objective = metricByName(Args.getString("metric", "edp"));
-  double DrainGraceSec = Args.getDouble("drain-grace-ms", 5000.0) / 1000.0;
+  double DrainGraceSec = number(Args, "drain-grace-ms", 5000.0) / 1000.0;
 
   // Forensics flags (DESIGN.md §16).
   std::string ControlSocket = Args.getString("control-socket", "");
   std::string IncidentDir = Args.getString("incident-dir", "");
-  long long IncidentKeep = Args.getInt("incident-keep", 8);
-  double DetectorIntervalMs = Args.getDouble("detector-interval-ms", 50.0);
+  long long IncidentKeep = number<long long>(Args, "incident-keep", 8);
+  double DetectorIntervalMs = number(Args, "detector-interval-ms", 50.0);
   // The decision log drains the flight recorder's decision ring, so
   // asking for one arms the recorder.
   bool WantDecisions = !Args.getString("decision-log", "").empty();
   bool FlightArmed =
       WantDecisions || !Args.getBool("no-flight-recorder", false);
-  if (IncidentKeep < 1 || DetectorIntervalMs <= 0.0) {
-    std::fprintf(stderr, "error: --incident-keep must be >= 1 and "
-                         "--detector-interval-ms positive\n");
-    return ExitUsage;
-  }
 
   // Mixed kernels: every workload of the platform's suite contributes
   // its invocations to one flat work list the tenants cycle over.
@@ -819,7 +914,7 @@ int cmdServe(const Flags &Args) {
   // the Prometheus snapshot atomically every interval — what a scrape
   // target looks like for a service without an HTTP listener.
   std::string MetricsOut = Args.getString("metrics-out", "");
-  double IntervalMs = Args.getDouble("metrics-interval-ms", 0.0);
+  double IntervalMs = number(Args, "metrics-interval-ms", 0.0);
   AnnotatedMutex ExportMutex{"Cli.MetricsExport"};
   std::condition_variable ExportCv;
   bool ExportDone = false;
@@ -1264,18 +1359,20 @@ int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
   if (Args.positional().empty())
     return usage();
+  const std::string &Command = Args.positional().front();
+  std::optional<std::vector<FlagSpec>> Accepted = acceptedFlags(Command);
+  if (!Accepted)
+    return usageError("unknown command '" + Command + "'");
+  if (Status S = checkFlags(Args, *Accepted); !S)
+    return usageError(S.message());
   // --scale sizes the graph workloads' road network; reject a value that
   // would overflow its node ids (or means nothing) before any command
   // builds a suite.
-  std::string ScaleText = Args.getString("scale", "0.3");
-  double Scale = 0.0;
-  if (!parseDouble(ScaleText, Scale) || !WorkloadConfig::validScale(Scale)) {
-    std::fprintf(stderr,
-                 "error: --scale wants a number in (0, %g], got '%s'\n",
-                 WorkloadConfig::MaxScale, ScaleText.c_str());
-    return ExitUsage;
-  }
-  const std::string &Command = Args.positional().front();
+  if (!WorkloadConfig::validScale(number(Args, "scale", 0.3)))
+    return usageError(formatString("--scale wants a number in (0, %g], got "
+                                   "'%s'",
+                                   WorkloadConfig::MaxScale,
+                                   Args.getString("scale", "").c_str()));
   if (Command == "platforms")
     return cmdPlatforms();
   if (Command == "characterize")
@@ -1292,8 +1389,5 @@ int main(int Argc, char **Argv) {
     return cmdServe(Args);
   if (Command == "stats")
     return cmdStats(Args);
-  if (Command == "inspect")
-    return cmdInspect(Args);
-  std::fprintf(stderr, "error: unknown command '%s'\n", Command.c_str());
-  return usage();
+  return cmdInspect(Args);
 }
