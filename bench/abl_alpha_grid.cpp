@@ -19,6 +19,9 @@ using namespace ecas;
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"scale", "seed"},
+                         "usage: abl_alpha_grid [--scale=X] [--seed=N]"))
+    return 2;
   bench::printBanner(
       "Ablation: offload-ratio grid step and refinement (desktop, EDP)",
       "paper uses 0.1 or 0.05 increments; refinement is an extension");
@@ -58,6 +61,5 @@ int main(int Argc, char **Argv) {
     std::printf("%-12s %13.1f%% %13.1f%%\n", V.Name, 100 * Eff.mean(),
                 100 * Eff.min());
   }
-  Args.reportUnknown();
   return 0;
 }

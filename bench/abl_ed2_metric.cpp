@@ -20,6 +20,9 @@ using namespace ecas;
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"scale", "seed"},
+                         "usage: abl_ed2_metric [--scale=X] [--seed=N]"))
+    return 2;
   bench::printBanner(
       "Extension: optimizing ED^2 in addition to E and EDP (desktop)",
       "the paper defines ED^2 but does not evaluate it; the optimal "
@@ -48,6 +51,5 @@ int main(int Argc, char **Argv) {
                 Objective.name().c_str(), 100 * Eff.mean(),
                 100 * Eff.min(), OracleAlpha.mean());
   }
-  Args.reportUnknown();
   return 0;
 }

@@ -21,6 +21,9 @@ using namespace ecas;
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"scale", "seed"},
+                         "usage: abl_pcu_hints [--scale=X] [--seed=N]"))
+    return 2;
   bench::printBanner(
       "Extension: runtime->PCU feedback hints (desktop, per metric)",
       "the paper's future work — hinting the upcoming split removes "
@@ -58,6 +61,5 @@ int main(int Argc, char **Argv) {
                 100 * Base.mean(), 100 * Hinted.mean(),
                 100 * (Hinted.mean() - Base.mean()));
   }
-  Args.reportUnknown();
   return 0;
 }

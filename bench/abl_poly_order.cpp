@@ -21,6 +21,9 @@ using namespace ecas;
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"scale", "seed"},
+                         "usage: abl_poly_order [--scale=X] [--seed=N]"))
+    return 2;
   bench::printBanner(
       "Ablation: power-curve polynomial order (desktop)",
       "the paper found sixth-order a good fit; this sweeps orders 2..8");
@@ -59,6 +62,5 @@ int main(int Argc, char **Argv) {
     std::printf("%6u %12.4f %12.4f %13.1f%%\n", Degree, R2.mean(), R2.min(),
                 100 * arithmeticMean(Effs));
   }
-  Args.reportUnknown();
   return 0;
 }

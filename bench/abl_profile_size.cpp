@@ -20,6 +20,9 @@ using namespace ecas;
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"scale", "seed"},
+                         "usage: abl_profile_size [--scale=X] [--seed=N]"))
+    return 2;
   bench::printBanner(
       "Ablation: GPU profiling chunk size (desktop, EDP)",
       "paper picks 2048 to fill the 2240-way parallel desktop GPU");
@@ -46,6 +49,5 @@ int main(int Argc, char **Argv) {
                 100 * Eff.min(),
                 Chunk == 2048.0 ? "   <- platform default" : "");
   }
-  Args.reportUnknown();
   return 0;
 }

@@ -21,6 +21,10 @@ using namespace ecas;
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"scale", "seed"},
+                         "usage: abl_sample_weighting [--scale=X] "
+                         "[--seed=N]"))
+    return 2;
   bench::printBanner(
       "Ablation: profiled fraction of first-seen invocations (desktop, "
       "EDP)",
@@ -50,6 +54,5 @@ int main(int Argc, char **Argv) {
                 100 * Eff.min(),
                 Fraction == 0.5 ? "   <- paper's strategy" : "");
   }
-  Args.reportUnknown();
   return 0;
 }

@@ -38,6 +38,9 @@ static double meanEff(const ExecutionSession &Session,
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"scale", "seed"},
+                         "usage: abl_thresholds [--scale=X] [--seed=N]"))
+    return 2;
   bench::printBanner(
       "Ablation: classification thresholds (desktop, EDP)",
       "paper: memory-bound above 0.33 misses/load-store; short below "
@@ -65,6 +68,5 @@ int main(int Argc, char **Argv) {
     std::printf("%10.3f %13.1f%%\n", T,
                 100 * meanEff(Session, Suite, Curves, Config));
   }
-  Args.reportUnknown();
   return 0;
 }

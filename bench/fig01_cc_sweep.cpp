@@ -22,6 +22,10 @@ using namespace ecas;
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"scale", "seed", "step", "csv"},
+                         "usage: fig01_cc_sweep [--scale=X] [--seed=N] "
+                         "[--step=X] [--csv=PATH]"))
+    return 2;
   bench::printBanner(
       "Figure 1: CC energy & runtime vs GPU offload percent (desktop)",
       "minimum energy near 90% GPU offload; best performance near 60%");
@@ -86,6 +90,5 @@ int main(int Argc, char **Argv) {
       Table.addNumericRow({100 * P.Alpha, P.Seconds, P.Joules});
     Table.writeFile(Path);
   }
-  Args.reportUnknown();
   return 0;
 }

@@ -66,6 +66,10 @@ static void runTimeline(const PlatformSpec &Spec, double Alpha,
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"interval", "csv-desktop", "csv-tablet"},
+                         "usage: fig02_power_timeline [--interval=SEC] "
+                         "[--csv-desktop=PATH] [--csv-tablet=PATH]"))
+    return 2;
   bench::printBanner(
       "Figure 2: package & CPU power over time, memory-bound app at "
       "90-10% GPU-CPU split",
@@ -73,6 +77,5 @@ int main(int Argc, char **Argv) {
       "during the CPU-only tail");
   runTimeline(bayTrailTablet(), 0.9, Args);
   runTimeline(haswellDesktop(), 0.9, Args);
-  Args.reportUnknown();
   return 0;
 }

@@ -55,6 +55,8 @@ static void runMicroTrace(const PlatformSpec &Spec, const KernelDesc &Kernel,
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({}, "usage: fig03_micro_traces"))
+    return 2;
   bench::printBanner(
       "Figure 3: power traces of long-running compute- and memory-bound "
       "micro-benchmarks (desktop)",
@@ -62,6 +64,5 @@ int main(int Argc, char **Argv) {
   PlatformSpec Spec = haswellDesktop();
   runMicroTrace(Spec, computeBoundMicroKernel(), "compute-bound", 55);
   runMicroTrace(Spec, memoryBoundMicroKernel(), "memory-bound", 63);
-  Args.reportUnknown();
   return 0;
 }

@@ -22,6 +22,9 @@ using namespace ecas;
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"executions"},
+                         "usage: fig04_burst_dips [--executions=N]"))
+    return 2;
   bench::printBanner(
       "Figure 4: memory-bound micro executed 10x with a 5% GPU share "
       "(desktop)",
@@ -63,6 +66,5 @@ int main(int Argc, char **Argv) {
   std::printf("\npeak package power: %.1f W (paper: ~60 W)\n", MaxWatts);
   std::printf("deepest busy-phase dip: %.1f W (paper: <~40 W)\n",
               MinBusyWatts);
-  Args.reportUnknown();
   return 0;
 }

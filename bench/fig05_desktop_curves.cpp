@@ -64,12 +64,15 @@ void printCurves(const PlatformSpec &Spec, const Flags &Args) {
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"step", "degree", "csv"},
+                         "usage: fig05_desktop_curves [--step=X] "
+                         "[--degree=N] [--csv=PATH]"))
+    return 2;
   bench::printBanner(
       "Figure 5: desktop power characterization, eight categories with "
       "sixth-order fits",
       "CPU-alone compute ~45 W, GPU-alone ~30 W; memory-bound curves run "
       "hotter; short-CPU categories convex");
   printCurves(haswellDesktop(), Args);
-  Args.reportUnknown();
   return 0;
 }

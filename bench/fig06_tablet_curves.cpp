@@ -21,6 +21,10 @@ using namespace ecas;
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"step", "degree", "csv"},
+                         "usage: fig06_tablet_curves [--step=X] "
+                         "[--degree=N] [--csv=PATH]"))
+    return 2;
   bench::printBanner(
       "Figure 6: Bay Trail tablet power characterization, eight "
       "categories with sixth-order fits",
@@ -65,6 +69,5 @@ int main(int Argc, char **Argv) {
   std::string Path = Args.getString("csv", "");
   if (!Path.empty())
     Table.writeFile(Path);
-  Args.reportUnknown();
   return 0;
 }

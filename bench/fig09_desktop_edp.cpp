@@ -16,6 +16,10 @@ using namespace ecas;
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"scale", "seed", "csv"},
+                         "usage: fig09_desktop_edp [--scale=X] [--seed=N] "
+                         "[--csv=PATH]"))
+    return 2;
   bench::printBanner(
       "Figure 9: relative EDP efficiency vs Oracle (desktop, higher is "
       "better)",
@@ -28,6 +32,5 @@ int main(int Argc, char **Argv) {
       bench::runComparison(Spec, Suite, Curves, Metric::edp());
   bench::printComparison(Rows);
   bench::maybeWriteCsv(Args, Rows);
-  Args.reportUnknown();
   return 0;
 }

@@ -17,6 +17,10 @@ using namespace ecas;
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"scale", "seed", "csv"},
+                         "usage: fig10_desktop_energy [--scale=X] "
+                         "[--seed=N] [--csv=PATH]"))
+    return 2;
   bench::printBanner(
       "Figure 10: relative energy-use efficiency vs Oracle (desktop, "
       "higher is better)",
@@ -29,6 +33,5 @@ int main(int Argc, char **Argv) {
       bench::runComparison(Spec, Suite, Curves, Metric::energy());
   bench::printComparison(Rows);
   bench::maybeWriteCsv(Args, Rows);
-  Args.reportUnknown();
   return 0;
 }

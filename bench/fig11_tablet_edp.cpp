@@ -17,6 +17,10 @@ using namespace ecas;
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"scale", "seed", "csv"},
+                         "usage: fig11_tablet_edp [--scale=X] [--seed=N] "
+                         "[--csv=PATH]"))
+    return 2;
   bench::printBanner(
       "Figure 11: relative EDP efficiency vs Oracle (Bay Trail tablet)",
       "EAS 93.2% of Oracle; better than PERF/GPU/CPU by 4.4%/19.6%/85.9%");
@@ -28,6 +32,5 @@ int main(int Argc, char **Argv) {
       bench::runComparison(Spec, Suite, Curves, Metric::edp());
   bench::printComparison(Rows);
   bench::maybeWriteCsv(Args, Rows);
-  Args.reportUnknown();
   return 0;
 }

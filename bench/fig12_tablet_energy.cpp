@@ -18,6 +18,10 @@ using namespace ecas;
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"scale", "seed", "csv"},
+                         "usage: fig12_tablet_energy [--scale=X] [--seed=N] "
+                         "[--csv=PATH]"))
+    return 2;
   bench::printBanner(
       "Figure 12: relative energy-use efficiency vs Oracle (Bay Trail "
       "tablet)",
@@ -30,6 +34,5 @@ int main(int Argc, char **Argv) {
       bench::runComparison(Spec, Suite, Curves, Metric::energy());
   bench::printComparison(Rows);
   bench::maybeWriteCsv(Args, Rows);
-  Args.reportUnknown();
   return 0;
 }

@@ -41,6 +41,9 @@ static bool classifyByProfiling(const PlatformSpec &Spec,
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"scale", "seed"},
+                         "usage: table1_workloads [--scale=X] [--seed=N]"))
+    return 2;
   bench::printBanner(
       "Table 1: workload statistics and online classification (desktop)",
       "7 irregular + 5 regular workloads; classifications per Table 1's "
@@ -78,6 +81,5 @@ int main(int Argc, char **Argv) {
   std::printf("(paper invocation counts: BFS 1748, CC 2147, SP 2577 on "
               "W-USA; graph traces here derive from the synthetic road "
               "network, so counts scale with --scale)\n");
-  Args.reportUnknown();
   return 0;
 }

@@ -23,6 +23,10 @@ using namespace ecas;
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"spec-out", "curves-out"},
+                         "usage: characterize_platform [--spec-out=PATH] "
+                         "[--curves-out=PATH]"))
+    return 2;
 
   // A hypothetical next-generation part: start from the desktop preset,
   // widen the GPU, shrink the budget.
@@ -95,6 +99,5 @@ int main(int Argc, char **Argv) {
   std::printf("MM on the custom part: EAS alpha %.2f, %.1f%% of oracle "
               "EDP (the wider GPU pulls work toward alpha=1)\n",
               Eas.MeanAlpha, 100.0 * Oracle.MetricValue / Eas.MetricValue);
-  Args.reportUnknown();
   return 0;
 }

@@ -26,6 +26,8 @@ using namespace ecas;
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"scale"}, "usage: graph_analytics [--scale=X]"))
+    return 2;
   WorkloadConfig Config;
   ErrorOr<double> Scale = Args.getNumber("scale", 0.2);
   if (!Scale || !WorkloadConfig::validScale(*Scale)) {
@@ -102,6 +104,5 @@ int main(int Argc, char **Argv) {
               "minimum energy at %.0f%% — \"the lowest energy use or best "
               "performance may require both the CPU and GPU\"\n",
               100 * BestPerfAlpha, 100 * BestEnergyAlpha);
-  Args.reportUnknown();
   return 0;
 }

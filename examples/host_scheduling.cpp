@@ -41,6 +41,9 @@ static void benchmarkSink(double Value) {
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"n", "chunk"},
+                         "usage: host_scheduling [--n=N] [--chunk=N]"))
+    return 2;
   ErrorOr<long long> NFlag =
       Args.getNumber<long long>("n", 2'000'000, 1, 1LL << 40);
   ErrorOr<long long> ChunkFlag =
@@ -151,6 +154,5 @@ int main(int Argc, char **Argv) {
       CpuAloneIters == Remaining && Done.load() == Expected;
   std::printf("(every iteration ran exactly once: %s)\n",
               ExactlyOnce ? "yes" : "accounting off");
-  Args.reportUnknown();
   return ExactlyOnce ? 0 : 1;
 }

@@ -32,6 +32,9 @@ static double wallSeconds() {
 
 int main(int Argc, char **Argv) {
   Flags Args(Argc, Argv);
+  if (Args.rejectUnknown({"width", "height"},
+                         "usage: image_pipeline [--width=N] [--height=N]"))
+    return 2;
   ErrorOr<long long> WidthFlag =
       Args.getNumber<long long>("width", 1024, 1, 65536);
   ErrorOr<long long> HeightFlag =
@@ -126,6 +129,5 @@ int main(int Argc, char **Argv) {
               formatDuration(Eas.Seconds).c_str(),
               formatEnergy(Eas.Joules).c_str(), Eas.MeanAlpha,
               100.0 * Eas.Joules / Cpu.Joules);
-  Args.reportUnknown();
   return (PoolMatches && HybridMatches) ? 0 : 1;
 }

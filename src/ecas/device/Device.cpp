@@ -44,7 +44,8 @@ void SimDevice::enqueue(const KernelCost &Kernel, double Iterations) {
   // Amortized: the drained-ring rewind above reuses capacity, so a
   // warmed device appends in place (HotPathTest pins zero allocations).
   // ecas-hotpath: allow(alloc)
-  Queue.push_back({Kernel, Iterations, Iterations, setupSeconds()});
+  Queue.push_back(
+      {Kernel, Iterations, Iterations, setupSeconds(), -1.0, RatePoint()});
 }
 
 void SimDevice::popHead() {
@@ -121,13 +122,56 @@ double SimDevice::timeToHeadDrain(double FreqGHz,
                     BandwidthShareGBs, EffRate, StallFraction);
   if (EffRate <= 0.0)
     return 1e30;
-  return Item.IterationsLeft / EffRate;
+  return drainSeconds(Item.IterationsLeft, EffRate);
+}
+
+void SimDevice::chargeIterations(const KernelCost &Kernel, double Iterations) {
+  Counters.IterationsDone += Iterations;
+  Counters.InstructionsRetired += Iterations * Kernel.InstrsPerIter;
+  Counters.LoadStores += Iterations * Kernel.LoadStoresPerIter;
+  Counters.LlcMisses +=
+      Iterations * Kernel.LoadStoresPerIter * Kernel.LlcMissRatio;
+  Counters.BytesTransferred += Iterations * Kernel.BytesPerIter;
+}
+
+void SimDevice::closeSlice(double ExecSeconds, double Activity,
+                           double TrafficGBs) {
+  Counters.BusySeconds += ExecSeconds;
+  LastActivity = Activity;
+  LastTrafficGBs = TrafficGBs;
+}
+
+void SimDevice::replaySlice(const KernelCost &Kernel, double Dt,
+                            const DeviceSlice &Slice) {
+  // advance() ran one phase for all of Dt: a setup phase adds Dt to the
+  // setup counter and 0.0 busy seconds; an execution phase charges its
+  // iterations and adds 0.0 + Dt busy seconds, which is Dt.
+  if (Slice.Setup)
+    Counters.SetupSeconds += Dt;
+  else
+    chargeIterations(Kernel, Slice.Iterations);
+  closeSlice(Slice.Setup ? 0.0 : Dt, Slice.Activity, Slice.TrafficGBs);
 }
 
 double SimDevice::advance(double Dt, double FreqGHz,
                           double BandwidthShareGBs) {
+  return advanceSlice(Dt, FreqGHz, BandwidthShareGBs, nullptr,
+                      std::false_type{});
+}
+
+double SimDevice::advance(double Dt, double FreqGHz, double BandwidthShareGBs,
+                          DeviceSlice &Record) {
+  return advanceSlice(Dt, FreqGHz, BandwidthShareGBs, &Record,
+                      std::true_type{});
+}
+
+template <bool Recorded>
+double SimDevice::advanceSlice(double Dt, double FreqGHz,
+                               double BandwidthShareGBs, DeviceSlice *Record,
+                               std::bool_constant<Recorded>) {
   ECAS_CHECK(Dt >= 0.0, "advance requires non-negative time step");
   const DevicePowerSpec &Power = powerSpec();
+  DeviceSlice Slice;
   double Remaining = Dt;
   double ActivityTime = 0.0; // integral of activity over busy time
   double Bytes = 0.0;
@@ -143,6 +187,10 @@ double SimDevice::advance(double Dt, double FreqGHz,
       Consumed += Step;
       Counters.SetupSeconds += Step;
       ActivityTime += Power.IdleActivity * Step;
+      if constexpr (Recorded) {
+        ++Slice.Phases;
+        Slice.Setup = true;
+      }
       continue;
     }
     double EffRate, StallFraction;
@@ -150,17 +198,12 @@ double SimDevice::advance(double Dt, double FreqGHz,
                       BandwidthShareGBs, EffRate, StallFraction);
     if (EffRate <= 0.0)
       break; // Malformed operating point; refuse to spin forever.
-    double TimeToDrain = Item.IterationsLeft / EffRate;
+    double TimeToDrain = drainSeconds(Item.IterationsLeft, EffRate);
     double Step = std::min(Remaining, TimeToDrain);
     double Iterations = EffRate * Step;
 
     Item.IterationsLeft -= Iterations;
-    Counters.IterationsDone += Iterations;
-    Counters.InstructionsRetired += Iterations * Item.Kernel.InstrsPerIter;
-    Counters.LoadStores += Iterations * Item.Kernel.LoadStoresPerIter;
-    Counters.LlcMisses += Iterations * Item.Kernel.LoadStoresPerIter *
-                          Item.Kernel.LlcMissRatio;
-    Counters.BytesTransferred += Iterations * Item.Kernel.BytesPerIter;
+    chargeIterations(Item.Kernel, Iterations);
     Bytes += Iterations * Item.Kernel.BytesPerIter;
 
     double Activity = Power.ComputeActivity * (1.0 - StallFraction) +
@@ -169,17 +212,26 @@ double SimDevice::advance(double Dt, double FreqGHz,
     Remaining -= Step;
     Consumed += Step;
     ExecSeconds += Step;
-    if (Item.IterationsLeft <= 1e-9 * std::max(1.0, Iterations))
+    bool Drained = drainedAfter(Item.IterationsLeft, Iterations);
+    if constexpr (Recorded) {
+      ++Slice.Phases;
+      Slice.Setup = false;
+      Slice.Drained = Drained;
+      Slice.Iterations = Iterations;
+      Slice.EffRate = EffRate;
+    }
+    if (Drained)
       popHead();
   }
 
-  Counters.BusySeconds += ExecSeconds;
-  if (Consumed > 0.0) {
-    LastActivity = ActivityTime / Consumed;
-    LastTrafficGBs = Bytes / Consumed / 1e9;
-  } else {
-    LastActivity = Power.IdleActivity;
-    LastTrafficGBs = 0.0;
+  if (Consumed > 0.0)
+    closeSlice(ExecSeconds, ActivityTime / Consumed, Bytes / Consumed / 1e9);
+  else
+    closeSlice(ExecSeconds, Power.IdleActivity, 0.0);
+  if constexpr (Recorded) {
+    Slice.Activity = LastActivity;
+    Slice.TrafficGBs = LastTrafficGBs;
+    *Record = Slice;
   }
   return Consumed;
 }
@@ -196,7 +248,7 @@ double SimDevice::estimateCompletion(double FreqGHz,
                       EffRate, StallFraction);
     if (EffRate <= 0.0)
       return 1e30;
-    Total += Item.IterationsLeft / EffRate;
+    Total += drainSeconds(Item.IterationsLeft, EffRate);
   }
   return Total;
 }

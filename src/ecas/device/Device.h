@@ -18,7 +18,9 @@
 #include "ecas/device/KernelDesc.h"
 #include "ecas/hw/PlatformSpec.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 namespace ecas {
@@ -54,6 +56,27 @@ struct RatePoint {
   double LatencyStallFraction = 0.0;
 };
 
+/// One device's part in one simulator slice, as advance() charged it.
+/// When the slice ran a single phase of one work item (its launch setup
+/// or its execution) for the whole slice, this is everything needed to
+/// charge that slice again without the rate model: SimProcessor's
+/// profiling-repetition replay does, through replaySlice().
+struct DeviceSlice {
+  /// Phases advance() ran: 0 when idle, more than 1 when an item
+  /// finished its setup or drained and the next one started.
+  unsigned Phases = 0;
+  /// The (last) phase was launch setup, not execution.
+  bool Setup = false;
+  /// The executed item drained in this slice.
+  bool Drained = false;
+  /// Iterations retired, and the bandwidth-capped rate they ran at.
+  double Iterations = 0.0;
+  double EffRate = 0.0;
+  /// lastActivity() and lastTrafficGBs() after the slice.
+  double Activity = 0.0;
+  double TrafficGBs = 0.0;
+};
+
 /// One simulated compute device with a FIFO of enqueued kernels.
 class SimDevice {
 public:
@@ -83,6 +106,24 @@ public:
   /// Idle devices report a zero RatePoint.
   RatePoint currentRate(double FreqGHz) const;
 
+  /// The operating point currentRate() would report for \p Iterations of
+  /// \p Kernel enqueued on an idle device, without enqueueing them.
+  RatePoint rateFor(const KernelCost &Kernel, double FreqGHz,
+                    double Iterations) const {
+    return rateModel(Kernel, FreqGHz, Iterations);
+  }
+
+  /// Seconds for an item with \p IterationsLeft to drain at \p EffRate.
+  static double drainSeconds(double IterationsLeft, double EffRate) {
+    return IterationsLeft / EffRate;
+  }
+
+  /// True when an item left with \p IterationsLeft after retiring
+  /// \p Iterations in a slice counts as drained.
+  static bool drainedAfter(double IterationsLeft, double Iterations) {
+    return IterationsLeft <= 1e-9 * std::max(1.0, Iterations);
+  }
+
   /// Seconds until the head work item (including its setup cost) drains
   /// at a fixed operating point; +inf-like sentinel when idle.
   double timeToHeadDrain(double FreqGHz, double BandwidthShareGBs) const;
@@ -92,6 +133,17 @@ public:
   /// \returns the seconds actually consumed: less than \p Dt only when
   /// the queue empties first.
   double advance(double Dt, double FreqGHz, double BandwidthShareGBs);
+
+  /// advance(), also overwriting \p Record with what the slice charged.
+  double advance(double Dt, double FreqGHz, double BandwidthShareGBs,
+                 DeviceSlice &Record);
+
+  /// Charges \p Slice, recorded by advance() over a slice of \p Dt
+  /// seconds that ran one phase of an item of \p Kernel, to the counters
+  /// and lastActivity()/lastTrafficGBs(), with the same additions
+  /// advance() made. The queue is not touched.
+  void replaySlice(const KernelCost &Kernel, double Dt,
+                   const DeviceSlice &Slice);
 
   /// Seconds to drain the whole queue at a fixed operating point.
   double estimateCompletion(double FreqGHz, double BandwidthShareGBs) const;
@@ -153,6 +205,19 @@ private:
 
   /// rateModel for \p Item at \p FreqGHz, through the item's cache.
   RatePoint itemRate(const WorkItem &Item, double FreqGHz) const;
+
+  /// Both advance() overloads; the unrecorded one, on every simulated
+  /// slice, carries no recording code.
+  template <bool Recorded>
+  double advanceSlice(double Dt, double FreqGHz, double BandwidthShareGBs,
+                      DeviceSlice *Record, std::bool_constant<Recorded>);
+
+  /// The counter additions for \p Iterations of \p Kernel retired.
+  void chargeIterations(const KernelCost &Kernel, double Iterations);
+
+  /// Closes a slice: adds \p ExecSeconds of kernel execution to the busy
+  /// counter and sets lastActivity()/lastTrafficGBs().
+  void closeSlice(double ExecSeconds, double Activity, double TrafficGBs);
 
   /// FIFO access over the vector-backed ring. The live items are
   /// [Head, Queue.size()); draining resets Head and clear()s the vector

@@ -96,16 +96,22 @@ ProfileSample OnlineProfiler::profileOnce(const KernelDesc &Kernel,
   double Start = Proc.now();
   double HostStart = Trace ? obs::FlightRecorder::hostSeconds() : 0.0;
 
-  Proc.gpu().enqueue(Kernel, GpuChunk);
-  if (CpuShare > 0.0)
-    Proc.cpu().enqueue(Kernel, CpuShare);
-
-  // Fig. 7 step 32: the proxy waits for the GPU chunk. With an injector
-  // active the wait is guarded by a progress watchdog: a GPU that stays
-  // busy without retiring an iteration across a whole poll interval is
-  // declared hung and its unprocessed chunk cancelled. Without an
-  // injector the wait is the exact unbounded legacy wait.
-  if (Faults) {
+  // Fig. 7 step 32: the proxy waits for the GPU chunk while the CPU
+  // workers drain the pool; then (step 33) it terminates the CPU
+  // workers, returning their unprocessed share to the pool.
+  double Unprocessed = 0.0;
+  if (!Faults) {
+    // The exact unbounded wait. A repetition that would take the same
+    // slices as the last stepped one is charged from its plan.
+    Unprocessed = Proc.runRepetition(Kernel, GpuChunk, CpuShare, Plan);
+  } else {
+    // With an injector active the wait is guarded by a progress
+    // watchdog: a GPU that stays busy without retiring an iteration
+    // across a whole poll interval is declared hung and its unprocessed
+    // chunk cancelled.
+    Proc.gpu().enqueue(Kernel, GpuChunk);
+    if (CpuShare > 0.0)
+      Proc.cpu().enqueue(Kernel, CpuShare);
     while (Proc.gpu().busy()) {
       double PendingBefore = Proc.gpu().pendingIterations();
       Proc.runUntilGpuIdle(WatchdogPollSec);
@@ -116,12 +122,8 @@ ProfileSample OnlineProfiler::profileOnce(const KernelDesc &Kernel,
         break;
       }
     }
-  } else {
-    Proc.runUntilGpuIdle();
+    Unprocessed = Proc.cpu().cancelRemaining();
   }
-  // ...then (step 33) terminates the CPU workers, returning their
-  // unprocessed share to the pool.
-  double Unprocessed = Proc.cpu().cancelRemaining();
 
   double Elapsed = Proc.now() - Start;
   PerfCounters CpuDelta = Proc.cpu().counters() - CpuBefore;

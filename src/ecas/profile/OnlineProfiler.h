@@ -108,6 +108,10 @@ public:
   /// of \p Kernel to the GPU while the CPU drains the rest of the shared
   /// pool; on GPU completion the CPU share is cancelled back into the
   /// pool. \p RemainingIters is decremented by everything processed.
+  /// Without a fault injector the simulator runs it through
+  /// SimProcessor::runRepetition() and the plan kept here, so a steady
+  /// repetition costs a replay of the last stepped one's slices, with
+  /// the same measurements bit for bit.
   ProfileSample profileOnce(const KernelDesc &Kernel, double &RemainingIters);
 
   /// Classifies from a (possibly accumulated) sample: single-device
@@ -122,6 +126,7 @@ private:
   double WatchdogPollSec = 0.02;
   obs::FlightRecorder *Trace = nullptr;
   obs::Histogram *RepSeconds = nullptr;
+  SimProcessor::RepetitionPlan Plan;
 };
 
 } // namespace ecas

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <tuple>
 
 using namespace ecas;
 
@@ -34,7 +36,49 @@ void SimProcessor::setMaxSliceSec(double Seconds) {
   MaxSlice = Seconds;
 }
 
+// Both helpers below sit on every step; inline keeps them in it.
+inline std::pair<double, double> SimProcessor::effectiveClocks() const {
+  double CpuFreq = Governor.cpuFreqGHz();
+  double GpuFreq = Governor.gpuFreqGHz();
+  // Device-level frequency hints clamp the governor's pick for the
+  // slice (hints below the hardware floor clamp to the floor; 0 = no
+  // hint). The governor itself is not consulted — hints are the
+  // runtime's black-box feedback channel, not a policy input.
+  if (Cpu.frequencyHintGHz() > 0.0)
+    CpuFreq = std::min(
+        CpuFreq, std::max(Cpu.frequencyHintGHz(), Spec.Cpu.MinFreqGHz));
+  if (Gpu.frequencyHintGHz() > 0.0)
+    GpuFreq = std::min(
+        GpuFreq, std::max(Gpu.frequencyHintGHz(), Spec.Gpu.MinFreqGHz));
+  return {CpuFreq, GpuFreq};
+}
+
+inline void SimProcessor::depositAndAdvance(double Dt,
+                                            const SliceDeposit &Deposit) {
+  // RAPL faults hit only the package meter the characterization reads;
+  // PP0/PP1 stay truthful so tests can still see the ground truth. A
+  // dropped sample is energy that flowed but was never counted; a
+  // counter jump is the reverse.
+  bool DropSample = Faults && Faults->dropRaplSample(Now);
+  if (!DropSample)
+    Meter.deposit(Deposit.PkgJoules, Deposit.PkgUnits);
+  if (Faults) {
+    if (uint64_t Jump = Faults->pendingRaplJumpUnits(Now))
+      Meter.injectCounterJump(Jump);
+  }
+  Pp0Meter.deposit(Deposit.Pp0Joules, Deposit.Pp0Units);
+  Pp1Meter.deposit(Deposit.Pp1Joules, Deposit.Pp1Units);
+  LastTrafficGBs = Deposit.TrafficGBs;
+  Now += Dt;
+}
+
 double SimProcessor::step(double MaxDt) {
+  return Recording ? stepSlice(MaxDt, std::true_type{})
+                   : stepSlice(MaxDt, std::false_type{});
+}
+
+template <bool Recorded>
+double SimProcessor::stepSlice(double MaxDt, std::bool_constant<Recorded>) {
   ECAS_CHECK(MaxDt > 0.0, "step requires positive time budget");
 
   // Fault injection: the GPU's throughput derate is re-sampled each
@@ -49,7 +93,8 @@ double SimProcessor::step(double MaxDt) {
   // the sampling interval are invisible to the governor proper).
   bool CpuBusyNow = Cpu.busy();
   bool GpuBusyNow = Gpu.busy();
-  if (Now >= NextEpoch - 1e-12) {
+  bool Governed = true;
+  if (epochDueAt(Now)) {
     PcuObservation Obs;
     Obs.CpuActive = CpuBusyNow;
     Obs.GpuActive = GpuBusyNow;
@@ -65,21 +110,11 @@ double SimProcessor::step(double MaxDt) {
     Governor.noteActivityTransition(CpuBusyNow, GpuBusyNow);
     LastCpuBusy = CpuBusyNow;
     LastGpuBusy = GpuBusyNow;
+  } else {
+    Governed = false;
   }
 
-  double CpuFreq = Governor.cpuFreqGHz();
-  double GpuFreq = Governor.gpuFreqGHz();
-
-  // Device-level frequency hints clamp the governor's pick for the
-  // slice (hints below the hardware floor clamp to the floor; 0 = no
-  // hint). The governor itself is not consulted — hints are the
-  // runtime's black-box feedback channel, not a policy input.
-  if (Cpu.frequencyHintGHz() > 0.0)
-    CpuFreq = std::min(
-        CpuFreq, std::max(Cpu.frequencyHintGHz(), Spec.Cpu.MinFreqGHz));
-  if (Gpu.frequencyHintGHz() > 0.0)
-    GpuFreq = std::min(
-        GpuFreq, std::max(Gpu.frequencyHintGHz(), Spec.Gpu.MinFreqGHz));
+  auto [CpuFreq, GpuFreq] = effectiveClocks();
 
   // DRAM bandwidth arbitration: max-min fairness, like a round-robin
   // memory controller — each device is guaranteed half the bandwidth,
@@ -101,40 +136,38 @@ double SimProcessor::step(double MaxDt) {
 
   // The slice ends at the earliest of: caller budget, next epoch, either
   // device draining its head work item.
+  double EpochLeft = NextEpoch - Now;
+  double CpuDrain =
+      CpuBusyNow ? Cpu.timeToHeadDrain(CpuFreq, CpuShare) : 1e30;
   double Dt = std::min(MaxDt, MaxSlice);
-  Dt = std::min(Dt, NextEpoch - Now);
-  if (Cpu.busy())
-    Dt = std::min(Dt, Cpu.timeToHeadDrain(CpuFreq, CpuShare));
-  if (Gpu.busy())
+  Dt = std::min(Dt, EpochLeft);
+  Dt = std::min(Dt, CpuDrain);
+  if (GpuBusyNow)
     Dt = std::min(Dt, Gpu.timeToHeadDrain(GpuFreq, GpuShare));
   Dt = std::max(Dt, 1e-9); // Guarantee progress against rounding.
 
-  double CpuBusySec = Cpu.advance(Dt, CpuFreq, CpuShare);
-  double GpuBusySec = Gpu.advance(Dt, GpuFreq, GpuShare);
+  // A repetition being recorded (runRepetition) charges the slice into
+  // the next slot of its plan.
+  RepetitionPlan::Slice *Slot = nullptr;
+  if constexpr (Recorded)
+    Slot = recordingSlot(Governed);
+  double CpuBusySec = Slot ? Cpu.advance(Dt, CpuFreq, CpuShare, Slot->Cpu)
+                           : Cpu.advance(Dt, CpuFreq, CpuShare);
+  double GpuBusySec = Slot ? Gpu.advance(Dt, GpuFreq, GpuShare, Slot->Gpu)
+                           : Gpu.advance(Dt, GpuFreq, GpuShare);
   const SliceEnergy &Energy = sliceEnergy(
       {Dt, CpuBusySec, GpuBusySec, Cpu.lastActivity(), Gpu.lastActivity(),
        Cpu.lastTrafficGBs(), Gpu.lastTrafficGBs(), CpuFreq, GpuFreq});
-
-  // RAPL faults hit only the package meter the characterization reads;
-  // PP0/PP1 stay truthful so tests can still see the ground truth. A
-  // dropped sample is energy that flowed but was never counted; a
-  // counter jump is the reverse.
-  bool DropSample = Faults && Faults->dropRaplSample(Now);
-  if (!DropSample)
-    Meter.deposit(Energy.PkgJoules, Energy.PkgUnits);
-  if (Faults) {
-    if (uint64_t Jump = Faults->pendingRaplJumpUnits(Now))
-      Meter.injectCounterJump(Jump);
-  }
-  Pp0Meter.deposit(Energy.Pp0Joules, Energy.Pp0Units);
-  Pp1Meter.deposit(Energy.Pp1Joules, Energy.Pp1Units);
+  if (Slot)
+    keepSlice(*Slot, Dt,
+              EpochLeft > Dt && CpuDrain > Dt && CpuBusySec == Dt &&
+                  GpuBusySec == Dt,
+              Energy.Deposit);
   if (Trace) { // power-trace capture is opt-in (enableTrace)
     // ecas-hotpath: allow(alloc)
     Trace->addSegment(Now, Dt, Energy.Power, CpuFreq, GpuFreq);
   }
-
-  LastTrafficGBs = Energy.TrafficGBs;
-  Now += Dt;
+  depositAndAdvance(Dt, Energy.Deposit);
   return Dt;
 }
 
@@ -159,17 +192,132 @@ SimProcessor::sliceEnergy(const std::array<double, 9> &Inputs) {
       BlendActivity(CpuBusySec, Inputs[3], Spec.CpuPower.IdleActivity);
   double GpuActivity =
       BlendActivity(GpuBusySec, Inputs[4], Spec.GpuPower.IdleActivity);
+  SliceDeposit &D = Out.Deposit;
   Out.Key = Key;
-  Out.TrafficGBs = (Inputs[5] * CpuBusySec + Inputs[6] * GpuBusySec) / Dt;
+  D.TrafficGBs = (Inputs[5] * CpuBusySec + Inputs[6] * GpuBusySec) / Dt;
   Out.Power = packagePower(Spec, Inputs[7], CpuActivity, Inputs[8],
-                           GpuActivity, Out.TrafficGBs);
-  Out.PkgJoules = Out.Power.packageWatts() * Dt;
-  Out.PkgUnits = Out.PkgJoules / Meter.energyUnitJoules();
-  Out.Pp0Joules = Out.Power.CpuWatts * Dt;
-  Out.Pp0Units = Out.Pp0Joules / Pp0Meter.energyUnitJoules();
-  Out.Pp1Joules = Out.Power.GpuWatts * Dt;
-  Out.Pp1Units = Out.Pp1Joules / Pp1Meter.energyUnitJoules();
+                           GpuActivity, D.TrafficGBs);
+  D.PkgJoules = Out.Power.packageWatts() * Dt;
+  D.PkgUnits = D.PkgJoules / Meter.energyUnitJoules();
+  D.Pp0Joules = Out.Power.CpuWatts * Dt;
+  D.Pp0Units = D.Pp0Joules / Pp0Meter.energyUnitJoules();
+  D.Pp1Joules = Out.Power.GpuWatts * Dt;
+  D.Pp1Units = D.Pp1Joules / Pp1Meter.energyUnitJoules();
   return Out;
+}
+
+/// Bitwise equality: the replay guards compare the inputs a slice was
+/// computed from by bit pattern, so +0/-0 and NaN never alias.
+template <typename T> static bool sameBits(const T &A, const T &B) {
+  return std::memcmp(&A, &B, sizeof(T)) == 0;
+}
+
+double SimProcessor::runRepetition(const KernelCost &Kernel, double GpuChunk,
+                                   double CpuShare, RepetitionPlan &Plan) {
+  if (std::optional<double> Unprocessed =
+          replayRepetition(Plan, Kernel, GpuChunk, CpuShare)) {
+    ++Replayed;
+    return *Unprocessed;
+  }
+  // Step the repetition. Its slices become the new plan when it starts
+  // from idle devices and neither a power trace nor a fault injector
+  // needs each slice to run in full.
+  Plan.NumSlices = 0;
+  if (!Faults && !Trace && !Cpu.busy() && !Gpu.busy())
+    Recording = &Plan;
+  Gpu.enqueue(Kernel, GpuChunk);
+  if (CpuShare > 0.0)
+    Cpu.enqueue(Kernel, CpuShare);
+  runUntilGpuIdle();
+  if (Recording) {
+    // Every slice was kept, so all ran at the clocks and CPU rate the
+    // repetition ends with.
+    Recording = nullptr;
+    Plan.Kernel = Kernel;
+    Plan.GpuChunk = GpuChunk;
+    Plan.MaxSlice = MaxSlice;
+    Plan.GpuDerate = Gpu.throughputDerate();
+    std::tie(Plan.CpuFreq, Plan.GpuFreq) = effectiveClocks();
+    Plan.CpuRate = Cpu.rateFor(Kernel, Plan.CpuFreq, CpuShare);
+  }
+  return Cpu.cancelRemaining();
+}
+
+SimProcessor::RepetitionPlan::Slice *
+SimProcessor::recordingSlot(bool Governed) {
+  RepetitionPlan &Plan = *Recording;
+  // Every slice must run at the clocks of the first: only the first may
+  // start with a governor move.
+  if ((Governed && Plan.NumSlices != 0) ||
+      Plan.NumSlices == RepetitionPlan::MaxSlices) {
+    dropRecording();
+    return nullptr;
+  }
+  return &Plan.Slices[Plan.NumSlices];
+}
+
+void SimProcessor::keepSlice(RepetitionPlan::Slice &Slot, double Dt,
+                             bool Whole, const SliceDeposit &Deposit) {
+  const DeviceSlice &CpuSlice = Slot.Cpu;
+  const DeviceSlice &GpuSlice = Slot.Gpu;
+  if (!Whole || CpuSlice.Phases != 1 || CpuSlice.Setup || CpuSlice.Drained ||
+      GpuSlice.Phases != 1) {
+    dropRecording();
+    return;
+  }
+  Slot.Dt = Dt;
+  Slot.Deposit = Deposit;
+  ++Recording->NumSlices;
+}
+
+void SimProcessor::dropRecording() {
+  Recording->NumSlices = 0;
+  Recording = nullptr;
+}
+
+std::optional<double>
+SimProcessor::replayRepetition(const RepetitionPlan &Plan,
+                               const KernelCost &Kernel, double GpuChunk,
+                               double CpuShare) {
+  // A stepped repetition would take the plan's slices when it starts from
+  // the same state: idle devices whose busy flags are already set (no
+  // transition at the first slice), the same GPU work at the same derate
+  // and slice bound, the same clocks (caps and hints included), and a
+  // CPU share that runs at the plan's rate (a share below the CPU's
+  // thread count does not; a zero share rates zero, which no plan holds).
+  if (Plan.NumSlices == 0 || Faults || Trace || Cpu.busy() || Gpu.busy() ||
+      !LastCpuBusy || !LastGpuBusy || !sameBits(Kernel, Plan.Kernel) ||
+      !sameBits(GpuChunk, Plan.GpuChunk) ||
+      !sameBits(MaxSlice, Plan.MaxSlice) ||
+      !sameBits(Gpu.throughputDerate(), Plan.GpuDerate))
+    return std::nullopt;
+  auto [CpuFreq, GpuFreq] = effectiveClocks();
+  if (!sameBits(CpuFreq, Plan.CpuFreq) || !sameBits(GpuFreq, Plan.GpuFreq) ||
+      !sameBits(Cpu.rateFor(Kernel, CpuFreq, CpuShare), Plan.CpuRate))
+    return std::nullopt;
+  // ...and no slice meets the events the plan never saw: no governor
+  // epoch falls due at its start or ends it early, and the CPU item
+  // neither ends it nor drains in it.
+  double T = Now;
+  double Left = CpuShare;
+  for (unsigned I = 0; I != Plan.NumSlices; ++I) {
+    const RepetitionPlan::Slice &Slice = Plan.Slices[I];
+    if (epochDueAt(T) || NextEpoch - T < Slice.Dt ||
+        SimDevice::drainSeconds(Left, Slice.Cpu.EffRate) < Slice.Dt)
+      return std::nullopt;
+    Left -= Slice.Cpu.Iterations;
+    if (SimDevice::drainedAfter(Left, Slice.Cpu.Iterations))
+      return std::nullopt;
+    T += Slice.Dt;
+  }
+
+  for (unsigned I = 0; I != Plan.NumSlices; ++I) {
+    const RepetitionPlan::Slice &Slice = Plan.Slices[I];
+    Cpu.replaySlice(Kernel, Slice.Dt, Slice.Cpu);
+    Gpu.replaySlice(Kernel, Slice.Dt, Slice.Gpu);
+    depositAndAdvance(Slice.Dt, Slice.Deposit);
+  }
+  return Left;
 }
 
 double SimProcessor::runUntilIdle(double DeadlineSec) {

@@ -29,12 +29,55 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <type_traits>
+#include <utility>
 
 namespace ecas {
+
+/// What one slice adds to the three meters (each deposit with its
+/// quotient by the energy unit) and the combined DRAM traffic the
+/// governor reads at its next epoch.
+struct SliceDeposit {
+  double TrafficGBs = 0.0;
+  double PkgJoules = 0.0, PkgUnits = 0.0;
+  double Pp0Joules = 0.0, Pp0Units = 0.0;
+  double Pp1Joules = 0.0, Pp1Units = 0.0;
+};
 
 /// One simulated integrated CPU-GPU processor with virtual time.
 class SimProcessor {
 public:
+  /// The slices of the last stepped profiling repetition, kept by
+  /// runRepetition() so that later repetitions can charge the same
+  /// slices again instead of stepping through them. Fixed size and
+  /// inline: keeping or replaying a plan never allocates.
+  class RepetitionPlan {
+  public:
+    /// A repetition that takes more slices than this keeps no plan.
+    static constexpr unsigned MaxSlices = 8;
+
+  private:
+    friend class SimProcessor;
+    struct Slice {
+      double Dt = 0.0;
+      DeviceSlice Cpu;
+      DeviceSlice Gpu;
+      SliceDeposit Deposit;
+    };
+    /// The inputs every slice depended on beyond the CPU share.
+    KernelCost Kernel;
+    double GpuChunk = 0.0;
+    double MaxSlice = 0.0;
+    double GpuDerate = 0.0;
+    double CpuFreq = 0.0;
+    double GpuFreq = 0.0;
+    RatePoint CpuRate;
+    /// 0: no plan.
+    unsigned NumSlices = 0;
+    Slice Slices[MaxSlices];
+  };
+
   explicit SimProcessor(const PlatformSpec &Spec);
 
   const PlatformSpec &spec() const { return Spec; }
@@ -84,6 +127,20 @@ public:
   /// slices refine power integration between governor epochs.
   void setMaxSliceSec(double Seconds);
 
+  /// One fault-free profiling repetition (Fig. 7 steps 31-33): enqueues
+  /// \p GpuChunk iterations of \p Kernel on the GPU and \p CpuShare on
+  /// the CPU, runs until the GPU is idle, and cancels the CPU's rest.
+  /// \returns the CPU iterations cancelled. When \p Plan holds the
+  /// slices of an earlier repetition and this one would take the same
+  /// slices, they are charged again from the plan with the same
+  /// additions to the counters, meters and now() that stepping makes;
+  /// otherwise the repetition is stepped and its slices become the plan.
+  double runRepetition(const KernelCost &Kernel, double GpuChunk,
+                       double CpuShare, RepetitionPlan &Plan);
+
+  /// Repetitions runRepetition() charged from a plan instead of stepping.
+  uint64_t repetitionsReplayed() const { return Replayed; }
+
 private:
   /// What a slice feeds the meters and the trace once both devices have
   /// advanced. It is a pure function of nine doubles (see
@@ -96,17 +153,57 @@ private:
     /// clock. Dt is at least 1e-9, so the all-zero key of an entry never
     /// filled cannot match.
     std::array<uint64_t, 9> Key{};
-    double TrafficGBs = 0.0;
     PowerBreakdown Power;
-    /// Each meter's deposit and its quotient by the energy unit.
-    double PkgJoules = 0.0, PkgUnits = 0.0;
-    double Pp0Joules = 0.0, Pp0Units = 0.0;
-    double Pp1Joules = 0.0, Pp1Units = 0.0;
+    SliceDeposit Deposit;
   };
 
   /// Advances one slice of at most \p MaxDt seconds. Returns the slice
   /// length (always positive).
   double step(double MaxDt);
+
+  /// step() while runRepetition() records a plan, or not: the
+  /// unrecorded slice, which every dispatch runs, carries no recording
+  /// code.
+  template <bool Recorded>
+  double stepSlice(double MaxDt, std::bool_constant<Recorded>);
+
+  /// The governor's CPU and GPU clocks clamped by each device's
+  /// frequency hint: the clocks a slice runs at.
+  std::pair<double, double> effectiveClocks() const;
+
+  /// True when a slice starting at virtual time \p T first runs a
+  /// governor epoch.
+  bool epochDueAt(double T) const { return T >= NextEpoch - 1e-12; }
+
+  /// The tail of a slice once both devices have advanced: the meter
+  /// deposits (with the RAPL fault hooks), the traffic the governor
+  /// reads next, and now() moving on by \p Dt.
+  void depositAndAdvance(double Dt, const SliceDeposit &Deposit);
+
+  /// The plan slot the slice step() is about to run is recorded into,
+  /// or nullptr, with the recording ended and no plan kept, when the
+  /// plan is full or a governor move (\p Governed) starts any slice but
+  /// the first.
+  RepetitionPlan::Slice *recordingSlot(bool Governed);
+
+  /// Keeps the slice of \p Dt seconds that advance() charged into
+  /// \p Slot, with its \p Deposit, when a replay can reproduce it: it
+  /// ran \p Whole (neither the epoch nor the CPU ended it and both
+  /// devices ran all of it) and each device ran one phase throughout,
+  /// the CPU without draining. Otherwise ends the recording with no plan.
+  void keepSlice(RepetitionPlan::Slice &Slot, double Dt, bool Whole,
+                 const SliceDeposit &Deposit);
+
+  /// Ends the recording and leaves its plan empty.
+  void dropRecording();
+
+  /// Charges \p Plan's slices for a repetition of \p Kernel with
+  /// \p GpuChunk and \p CpuShare when every guard holds. \returns the
+  /// CPU iterations a stepped repetition would cancel, or nothing, with
+  /// no state changed, when a guard fails.
+  std::optional<double> replayRepetition(const RepetitionPlan &Plan,
+                                         const KernelCost &Kernel,
+                                         double GpuChunk, double CpuShare);
 
   /// The slice result for \p Inputs (ordered as SliceEnergy::Key), from
   /// the two most recent distinct inputs when either matches bit for
@@ -132,6 +229,9 @@ private:
   SliceEnergy Memo[2];
   /// Index of the most recently used Memo entry.
   unsigned MemoNewest = 0;
+  /// The plan runRepetition() is recording into, while it steps.
+  RepetitionPlan *Recording = nullptr;
+  uint64_t Replayed = 0;
 };
 
 } // namespace ecas

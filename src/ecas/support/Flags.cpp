@@ -4,8 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// ecas-lint: allow-file(no-raw-output) -- reportUnknown()'s warnings go
-// to stderr by design: the parser runs before any reporting machinery.
+// ecas-lint: allow-file(no-raw-output) -- rejectUnknown()'s usage error
+// goes to stderr by design: the parser runs before any reporting
+// machinery.
 
 #include "ecas/support/Flags.h"
 
@@ -35,16 +36,10 @@ Flags::Flags(int Argc, const char *const *Argv) {
     // supported: it is ambiguous against positional arguments.
     Values[Body] = "true";
   }
-  for (const auto &[Name, Unused] : Values)
-    Queried[Name] = false;
 }
 
 bool Flags::has(const std::string &Name) const {
-  auto It = Values.find(Name);
-  if (It == Values.end())
-    return false;
-  Queried[Name] = true;
-  return true;
+  return Values.count(Name) != 0;
 }
 
 std::string Flags::getString(const std::string &Name,
@@ -52,7 +47,6 @@ std::string Flags::getString(const std::string &Name,
   auto It = Values.find(Name);
   if (It == Values.end())
     return Default;
-  Queried[Name] = true;
   return It->second;
 }
 
@@ -62,7 +56,6 @@ ErrorOr<T> Flags::getNumber(const std::string &Name, T Default, T Min,
   auto It = Values.find(Name);
   if (It == Values.end())
     return Default;
-  Queried[Name] = true;
   T Value;
   bool Parsed;
   if constexpr (std::is_same_v<T, double>)
@@ -102,18 +95,15 @@ bool Flags::getBool(const std::string &Name, bool Default) const {
   auto It = Values.find(Name);
   if (It == Values.end())
     return Default;
-  Queried[Name] = true;
   const std::string &Text = It->second;
   return Text == "true" || Text == "1" || Text == "yes" || Text == "on";
 }
 
-unsigned Flags::reportUnknown() const {
-  unsigned Count = 0;
-  for (const auto &[Name, WasQueried] : Queried) {
-    if (WasQueried)
-      continue;
-    std::fprintf(stderr, "warning: unknown flag --%s ignored\n", Name.c_str());
-    ++Count;
-  }
-  return Count;
+bool Flags::rejectUnknown(const std::vector<std::string> &Accepted,
+                          const char *Usage) const {
+  Status Unknown = checkAccepted(Accepted);
+  if (Unknown.ok())
+    return false;
+  std::fprintf(stderr, "error: %s\n%s\n", Unknown.message().c_str(), Usage);
+  return true;
 }

@@ -27,8 +27,8 @@ namespace ecas {
 ///
 /// Accepted forms: "--name=value" and bare "--name" (recorded with value
 /// "true"). Anything not starting with "--" is a positional argument.
-/// Unknown flags are kept; callers query what they need and either
-/// reject the rest with checkAccepted() or warn with reportUnknown().
+/// Unknown flags are kept; callers query what they need and reject the
+/// rest with checkAccepted() or rejectUnknown().
 class Flags {
 public:
   Flags(int Argc, const char *const *Argv);
@@ -52,13 +52,14 @@ public:
   /// An error naming the first flag given that \p Accepted does not list.
   Status checkAccepted(const std::vector<std::string> &Accepted) const;
 
-  /// Prints "unknown flag" warnings to stderr for any flag never queried.
-  /// \returns the number of unqueried flags.
-  unsigned reportUnknown() const;
+  /// For a program's main(): when a flag \p Accepted does not list was
+  /// given, prints the error and \p Usage to stderr and returns true, and
+  /// the program exits with status 2 (a usage error) before any work.
+  bool rejectUnknown(const std::vector<std::string> &Accepted,
+                     const char *Usage) const;
 
 private:
   std::map<std::string, std::string> Values;
-  mutable std::map<std::string, bool> Queried;
   std::vector<std::string> Positional;
 };
 

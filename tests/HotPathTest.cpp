@@ -24,6 +24,7 @@
 #include "ecas/obs/Metrics.h"
 #include "ecas/power/Characterizer.h"
 #include "ecas/power/MicroBenchmarks.h"
+#include "ecas/profile/OnlineProfiler.h"
 #include "ecas/support/AllocGuard.h"
 
 #include "TestSupport.h"
@@ -220,6 +221,27 @@ TEST(HotPath, WarmedHitWithFlightRecorderIsAllocationFree) {
                 68.0);
     }
   }
+}
+
+// A profiling repetition replays the slices of the last stepped one
+// from a plan kept inline in the profiler: once the first repetition
+// has warmed the device rings, neither replayed repetitions nor the
+// stepped ones that re-plan at governor epochs touch the heap.
+TEST(HotPath, ProfilingRepetitionsAreAllocationFree) {
+  PlatformSpec Spec = haswellDesktop();
+  SimProcessor Proc(Spec);
+  OnlineProfiler Profiler(Proc, Spec.defaultGpuProfileSize());
+  KernelDesc Kernel = computeBoundMicroKernel();
+  double Nrem = 1e12;
+  Profiler.profileOnce(Kernel, Nrem);
+
+  AllocTally Tally;
+  // Long enough to cross two governor epochs.
+  while (Proc.now() < 2.5 * Spec.Pcu.SamplingIntervalSec)
+    Profiler.profileOnce(Kernel, Nrem);
+  EXPECT_EQ(Tally.allocations(), 0u)
+      << "warmed profiling repetitions must not allocate";
+  EXPECT_GT(Proc.repetitionsReplayed(), 0u);
 }
 
 // Fault-monitor reads sit on every dispatch; the lock-free mirrors must

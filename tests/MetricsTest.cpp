@@ -23,12 +23,14 @@
 #include "ecas/obs/MetricsExport.h"
 #include "ecas/power/Characterizer.h"
 #include "ecas/support/AtomicFile.h"
+#include "ecas/support/Format.h"
 
 #include "TestSupport.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -627,6 +629,63 @@ void expectSameOutcome(const EasScheduler::InvocationOutcome &A,
 // report's model-fidelity figures are bit-identical with nothing, each
 // sink alone, and all three attached, at fixed frequency and with the
 // joint (alpha, P-state) search.
+// Replayed profiling repetitions are observed exactly as stepped ones
+// are: one profile-rep span per repetition, at the virtual start and
+// with the measured split of the stepped reference's sample, and the
+// same eas_profile_rep_seconds series.
+TEST(EasTelemetry, ReplayedRepetitionsEmitTheSteppedSpans) {
+  PlatformSpec Spec = haswellDesktop();
+  SimProcessor Proc(Spec);
+  obs::FlightRecorder Recorder(obs::FlightRecorder::Unbounded);
+  obs::MetricsRegistry Registry;
+  EasConfig Config;
+  Config.Trace = &Recorder;
+  Config.Metrics = &Registry;
+  EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
+  KernelDesc Kernel = testKernel();
+  const double Iterations = 2e7;
+  EasScheduler::InvocationOutcome Outcome =
+      Scheduler.execute(Proc, Kernel, Iterations);
+  ASSERT_TRUE(Outcome.Profiled);
+  ASSERT_GT(Outcome.ProfileRepetitions, 10u);
+  EXPECT_GT(Proc.repetitionsReplayed(), Outcome.ProfileRepetitions / 2);
+
+  std::vector<const obs::TraceEvent *> Spans;
+  obs::TraceLog Log = Recorder.drain().Trace;
+  for (const obs::TraceEvent &E : Log.Events)
+    if (std::string(E.Name) == "profile-rep")
+      Spans.push_back(&E);
+  ASSERT_EQ(Spans.size(), Outcome.ProfileRepetitions);
+
+  // The stepped reference: the same repetitions from the same pool on a
+  // fresh twin of the processor.
+  SimProcessor Twin(Spec);
+  double Nrem = Iterations;
+  uint64_t Count = 0;
+  double Sum = 0.0;
+  for (const obs::TraceEvent *Span : Spans) {
+    double Start = Twin.now();
+    ProfileSample Sample = steppedRepetition(
+        Twin, Kernel, Spec.defaultGpuProfileSize(), Nrem);
+    EXPECT_EQ(std::bit_cast<uint64_t>(Span->VirtualSeconds),
+              std::bit_cast<uint64_t>(Start));
+    EXPECT_EQ(Span->Detail,
+              formatString("cpu=%.0f gpu=%.0f elapsed=%.6fs",
+                           Sample.CpuIterations, Sample.GpuIterations,
+                           Sample.ElapsedSeconds));
+    if (Sample.ElapsedSeconds > 0.0) {
+      ++Count;
+      Sum += Sample.ElapsedSeconds;
+    }
+  }
+  obs::MetricsSnapshot Snap = Registry.snapshot();
+  const obs::MetricSample *Reps = Snap.find(obs::names::ProfileRepSeconds);
+  ASSERT_NE(Reps, nullptr);
+  EXPECT_EQ(Reps->Hist.Count, Count);
+  EXPECT_EQ(std::bit_cast<uint64_t>(Reps->Hist.Sum),
+            std::bit_cast<uint64_t>(Sum));
+}
+
 TEST(EasTelemetry, AttachedSinksCannotChangeTheRecord) {
   InvocationTrace Trace = mixedPathTrace();
   for (unsigned NumPStates : {1u, 4u}) {

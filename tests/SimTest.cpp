@@ -16,6 +16,8 @@
 #include "ecas/support/Format.h"
 #include "ecas/support/Random.h"
 
+#include "TestSupport.h"
+
 #include <gtest/gtest.h>
 
 #include <array>
@@ -975,4 +977,175 @@ TEST(SimProcessor, SliceResultsMatchParentBits) {
   EXPECT_TRUE(Mismatches.empty()) << "actual results of the mismatched "
                                      "cases:\n"
                                   << Mismatches;
+}
+
+//===----------------------------------------------------------------------===//
+// Repetition replay: profileOnce charges a steady repetition from the plan
+// of the last stepped one. After every repetition, its sample and the
+// whole observable simulator state must equal, bit for bit, a twin
+// processor driven by the fault-free profileOnce body as it was before
+// replay existed.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every ProfileSample field, then the pool left, as doubles.
+std::array<double, 12> sampleFields(const ProfileSample &S, double Nrem) {
+  return {S.CpuThroughput,
+          S.GpuThroughput,
+          S.CpuIterations,
+          S.GpuIterations,
+          S.ElapsedSeconds,
+          S.CpuBusySeconds,
+          S.GpuBusySeconds,
+          S.MissPerLoadStore,
+          S.InstructionsRetired,
+          S.GpuLaunchFailed ? 1.0 : 0.0,
+          S.GpuHung ? 1.0 : 0.0,
+          Nrem};
+}
+
+template <size_t N>
+bool sameBits(const std::array<double, N> &A, const std::array<double, N> &B) {
+  for (size_t I = 0; I != N; ++I)
+    if (std::bit_cast<uint64_t>(A[I]) != std::bit_cast<uint64_t>(B[I]))
+      return false;
+  return true;
+}
+
+struct ReplayCase {
+  std::string Name;
+  PlatformSpec Spec;
+  KernelDesc Kernel;
+  double ProfileSize;
+  /// Cap both clocks at 80% and hint the CPU to 60% of its turbo.
+  bool CapAndHint = false;
+};
+
+struct ReplayCaseResult {
+  unsigned Repetitions = 0;
+  uint64_t Replayed = 0;
+  /// Empty when every repetition matched.
+  std::string Mismatch;
+};
+
+/// Runs \p Case on a processor profiled through OnlineProfiler and on a
+/// twin driven by steppedRepetition(), in lockstep: steady repetitions
+/// across two governor epochs, with a GPU hint switched on and off
+/// between repetitions (it moves the GPU clock and nothing the CPU
+/// sees); then pools that end in each tail a guard must catch: the CPU
+/// share draining within a repetition, a share below the CPU's thread
+/// count, and a GPU chunk smaller than the profile size.
+ReplayCaseResult runReplayCase(const ReplayCase &Case) {
+  ReplayCaseResult Result;
+  const PlatformSpec &Spec = Case.Spec;
+  SimProcessor Replaying(Spec), Stepping(Spec);
+  OnlineProfiler Profiler(Replaying, Case.ProfileSize);
+  for (SimProcessor *Proc : {&Replaying, &Stepping}) {
+    if (!Case.CapAndHint)
+      continue;
+    Proc->pcu().setFrequencyCap(0.8 * Spec.Cpu.MaxTurboGHz,
+                                0.8 * Spec.Gpu.MaxFreqGHz);
+    Proc->cpu().setFrequencyHintGHz(0.6 * Spec.Cpu.MaxTurboGHz);
+  }
+  double NremA = 1e9, NremB = 1e9;
+  double LastCpuIterations = 0.0;
+  // One lockstep repetition; false on a mismatch.
+  auto Repeat = [&] {
+    ProfileSample A = Profiler.profileOnce(Case.Kernel, NremA);
+    ProfileSample B =
+        steppedRepetition(Stepping, Case.Kernel, Case.ProfileSize, NremB);
+    ++Result.Repetitions;
+    LastCpuIterations = A.CpuIterations;
+    if (sameBits(sampleFields(A, NremA), sampleFields(B, NremB)) &&
+        sameBits(sliceObservables(Replaying), sliceObservables(Stepping)))
+      return true;
+    Result.Mismatch = formatString(
+        "%s: repetition %u differs (replayed %llu so far; elapsed %a vs "
+        "%a, now %a vs %a)",
+        Case.Name.c_str(), Result.Repetitions,
+        static_cast<unsigned long long>(Replaying.repetitionsReplayed()),
+        A.ElapsedSeconds, B.ElapsedSeconds, Replaying.now(),
+        Stepping.now());
+    return false;
+  };
+  auto SetPool = [&](double Pool) { NremA = NremB = Pool; };
+
+  double Epochs = 2.5 * Spec.Pcu.SamplingIntervalSec;
+  for (unsigned Rep = 0; Replaying.now() < Epochs; ++Rep) {
+    if (Rep == 6 || Rep == 12)
+      for (SimProcessor *Proc : {&Replaying, &Stepping})
+        Proc->gpu().setFrequencyHintGHz(Rep == 6 ? 0.7 * Spec.Gpu.MaxFreqGHz
+                                                 : 0.0);
+    if (!Repeat())
+      return Result;
+  }
+
+  double Chunk = Case.ProfileSize;
+  double Threads = Replaying.cpu().effectiveThreads();
+  for (double Pool : {Chunk + 2.0 * LastCpuIterations, Chunk + 3.0 * Threads,
+                      Chunk + 0.5 * Threads, 0.5 * Chunk}) {
+    // Two steady repetitions leave a plan for the tail to start from.
+    SetPool(1e9);
+    for (int I = 0; I != 2; ++I)
+      if (!Repeat())
+        return Result;
+    SetPool(Pool);
+    while (NremA > 0.0)
+      if (!Repeat())
+        return Result;
+  }
+  Result.Replayed = Replaying.repetitionsReplayed();
+  return Result;
+}
+
+/// A kernel slow enough on the GPU that one chunk of \p ProfileSize
+/// iterations at the GPU's top clock spans about 2.5 ms, several 1 ms
+/// slices.
+KernelDesc slowGpuKernel(const PlatformSpec &Spec, double ProfileSize) {
+  KernelDesc Kernel = computeBoundMicroKernel();
+  double Lanes =
+      static_cast<double>(Spec.Gpu.ExecutionUnits) * Spec.Gpu.SimdWidth;
+  Kernel.GpuCyclesPerIter = 2.5e-3 * Lanes * Kernel.GpuEfficiency *
+                            Spec.Gpu.MaxFreqGHz * 1e9 / ProfileSize;
+  Kernel.Name = "slow-gpu";
+  return Kernel;
+}
+
+} // namespace
+
+TEST(OnlineProfiler, ReplayedRepetitionsMatchSteppedBits) {
+  std::vector<ReplayCase> Cases;
+  for (const PlatformSpec &Spec : {haswellDesktop(), bayTrailTablet()}) {
+    double Default = Spec.defaultGpuProfileSize();
+    for (unsigned C = 0; C != WorkloadClass::NumClasses; ++C) {
+      WorkloadClass Class = WorkloadClass::fromIndex(C);
+      KernelDesc Kernel = makeMicroBenchmark(Spec, Class).Kernel;
+      for (double Size : {64.0, Default, 32768.0})
+        Cases.push_back({formatString("%s/%s/size-%.0f", Spec.Name.c_str(),
+                                      Class.name().c_str(), Size),
+                         Spec, Kernel, Size});
+      Cases.push_back({Spec.Name + "/" + Class.name() + "/cap-and-hint", Spec,
+                       Kernel, Default, /*CapAndHint=*/true});
+    }
+    Cases.push_back({Spec.Name + "/slow-gpu", Spec,
+                     slowGpuKernel(Spec, Default), Default});
+  }
+
+  unsigned Repetitions = 0;
+  uint64_t Replayed = 0;
+  std::string Unreplayed;
+  for (const ReplayCase &Case : Cases) {
+    ReplayCaseResult Result = runReplayCase(Case);
+    EXPECT_TRUE(Result.Mismatch.empty()) << Result.Mismatch;
+    Repetitions += Result.Repetitions;
+    Replayed += Result.Replayed;
+    if (Result.Mismatch.empty() && Result.Replayed == 0)
+      Unreplayed += " " + Case.Name;
+  }
+  // The comparison means something only if most repetitions replayed.
+  EXPECT_TRUE(Unreplayed.empty()) << "cases that never replayed:"
+                                  << Unreplayed;
+  EXPECT_GT(Replayed, Repetitions / 2)
+      << Replayed << " of " << Repetitions << " repetitions replayed";
 }

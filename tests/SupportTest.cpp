@@ -214,13 +214,16 @@ TEST(Flags, ParsingForms) {
   EXPECT_EQ(F.getString("missing", "dflt"), "dflt");
   ASSERT_EQ(F.positional().size(), 1u);
   EXPECT_EQ(F.positional()[0], "positional");
-  EXPECT_EQ(F.reportUnknown(), 0u);
+  EXPECT_FALSE(F.rejectUnknown({"alpha", "count", "enable"}, "usage: prog"));
 }
 
-TEST(Flags, UnknownFlagsAreCounted) {
-  const char *Argv[] = {"prog", "--typo=1"};
-  Flags F(2, Argv);
-  EXPECT_EQ(F.reportUnknown(), 1u);
+TEST(Flags, RejectUnknownPrintsTheFlagAndUsage) {
+  const char *Argv[] = {"prog", "--scale=1", "--typo=1"};
+  Flags F(3, Argv);
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(F.rejectUnknown({"scale"}, "usage: prog [--scale=X]"));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "error: unknown flag --typo\nusage: prog [--scale=X]\n");
 }
 
 TEST(Flags, BadNumberIsAnError) {

@@ -8,7 +8,8 @@
 /// Fixtures several test binaries share: the desktop characterization
 /// (measured once per binary), the desktop with a 4-state DVFS ladder
 /// and its coarse per-state characterization, a fault-injected desktop
-/// spec, and a named kernel with a stable id.
+/// spec, a named kernel with a stable id, and the stepped profiling
+/// repetition that replayed ones are checked against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,9 +21,12 @@
 #include "ecas/hw/Presets.h"
 #include "ecas/power/Characterizer.h"
 #include "ecas/power/PowerCurve.h"
+#include "ecas/profile/OnlineProfiler.h"
+#include "ecas/sim/SimProcessor.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 namespace ecas {
@@ -78,6 +82,43 @@ inline KernelDesc namedKernel(const std::string &Name) {
   KernelDesc Kernel;
   Kernel.Name = Name;
   return Kernel.withAutoId();
+}
+
+/// The fault-free profileOnce body before repetitions were replayed:
+/// enqueue both shares, wait for the GPU, cancel the CPU's rest, and read
+/// the counters' deltas.
+inline ProfileSample steppedRepetition(SimProcessor &Proc,
+                                       const KernelDesc &Kernel,
+                                       double ProfileSize, double &Nrem) {
+  ProfileSample Sample;
+  if (Nrem <= 0.0)
+    return Sample;
+  double GpuChunk = std::min(ProfileSize, Nrem);
+  double CpuShare = Nrem - GpuChunk;
+  PerfCounters CpuBefore = Proc.cpu().counters();
+  PerfCounters GpuBefore = Proc.gpu().counters();
+  double Start = Proc.now();
+  Proc.gpu().enqueue(Kernel, GpuChunk);
+  if (CpuShare > 0.0)
+    Proc.cpu().enqueue(Kernel, CpuShare);
+  Proc.runUntilGpuIdle();
+  double Unprocessed = Proc.cpu().cancelRemaining();
+  PerfCounters CpuDelta = Proc.cpu().counters() - CpuBefore;
+  PerfCounters GpuDelta = Proc.gpu().counters() - GpuBefore;
+  Sample.GpuIterations = GpuChunk;
+  Sample.CpuIterations = CpuShare - Unprocessed;
+  Sample.ElapsedSeconds = Proc.now() - Start;
+  Sample.CpuBusySeconds = CpuDelta.BusySeconds;
+  Sample.GpuBusySeconds = GpuDelta.BusySeconds;
+  if (CpuDelta.BusySeconds > 0.0)
+    Sample.CpuThroughput = Sample.CpuIterations / CpuDelta.BusySeconds;
+  if (GpuDelta.BusySeconds > 0.0)
+    Sample.GpuThroughput = Sample.GpuIterations / GpuDelta.BusySeconds;
+  Sample.MissPerLoadStore = CpuDelta.missPerLoadStore();
+  Sample.InstructionsRetired = CpuDelta.InstructionsRetired;
+  Nrem -= Sample.GpuIterations + Sample.CpuIterations;
+  Nrem = std::max(Nrem, 0.0);
+  return Sample;
 }
 
 } // namespace ecas
