@@ -6,7 +6,6 @@
 
 #include "ecas/core/EasScheduler.h"
 
-#include "ecas/core/HistorySnapshot.h"
 #include "ecas/core/Schedulers.h"
 #include "ecas/core/TimeModel.h"
 #include "ecas/hw/PlatformSpec.h"
@@ -87,8 +86,8 @@ Status EasConfig::validate() const {
                                 IdleWatts));
   if (Journal.Enabled) {
     if (HistoryFile.empty())
-      return Invalid("journaling requires a history file (the journal is "
-                     "the delta against a snapshot; alone it is neither)");
+      return Invalid("journaling requires a history file (the journal "
+                     "appends to it)");
     if (Journal.GroupCommitRecords == 0)
       return Invalid("zero group-commit record threshold (1 means "
                      "per-record commit)");
@@ -126,22 +125,18 @@ void EasScheduler::initDurability() {
   if (Config.HistoryFile.empty())
     return;
 
-  // One restore path: the newest valid snapshot, then — with the
-  // journal on — replay, compacted to a fresh epoch before the journal
-  // reopens for appending. Without a journal, journalPath() is "", so
-  // nothing is replayed and nothing is written.
+  // One restore path: one read and one scan of the history file. With
+  // the journal on, recovery compacts the file to a fresh generation
+  // before the journal reopens it for appending.
   obs::ScopedSpan RecoverySpan(Config.Trace, "eas", "recovery");
-  Recovery = recoverKernelHistory(History, Config.HistoryFile, journalPath(),
+  Recovery = recoverKernelHistory(History, Config.HistoryFile,
                                   /*Compact=*/Config.Journal.Enabled);
-  RestoredRecords = Recovery.SnapshotRecords + Recovery.ReplayedRecords;
-  if (!Recovery.SnapshotStatus.ok())
-    RestoreStatus = Recovery.SnapshotStatus;
   if (Config.Trace)
     RecoverySpan.setEndDetail(formatString(
-        "outcome=%s snapshot=%zu replayed=%zu truncated=%zu epoch=%llu",
-        recoveryOutcomeName(Recovery.Outcome), Recovery.SnapshotRecords,
+        "outcome=%s base=%zu replayed=%zu truncated=%zu generation=%llu",
+        recoveryOutcomeName(Recovery.Outcome), Recovery.BaseRecords,
         Recovery.ReplayedRecords, Recovery.TruncatedRecords,
-        static_cast<unsigned long long>(Recovery.Epoch)));
+        static_cast<unsigned long long>(Recovery.Generation)));
   if (Ins.ReplayedRecords && Recovery.ReplayedRecords)
     Ins.ReplayedRecords->add(Recovery.ReplayedRecords);
   if (Ins.TruncatedRecords && Recovery.TruncatedRecords)
@@ -154,13 +149,11 @@ void EasScheduler::initDurability() {
 
   if (!Config.Journal.Enabled)
     return;
-  JournalOptions Opts = Config.Journal;
-  Opts.Path = journalPath();
-  ErrorOr<std::unique_ptr<HistoryJournal>> Opened =
-      HistoryJournal::open(std::move(Opts), Recovery.Epoch);
+  ErrorOr<std::unique_ptr<HistoryJournal>> Opened = HistoryJournal::open(
+      {Config.Journal, Config.HistoryFile}, Recovery.Generation);
   if (!Opened) {
-    // Snapshot-only mode: scheduling is unaffected, durability degrades
-    // to what pre-journal builds offered, journalStatus() says why.
+    // Shutdown-only durability: scheduling is unaffected, shutdown
+    // still compacts the file, journalStatus() says why.
     noteJournalFailure(Opened.status());
     return;
   }
@@ -169,14 +162,6 @@ void EasScheduler::initDurability() {
   Hooks.Appends = Ins.JournalAppends;
   Hooks.Bytes = Ins.JournalBytes;
   Journal->setMetrics(Hooks);
-}
-
-std::string EasScheduler::journalPath() const {
-  if (!Config.Journal.Enabled)
-    return {};
-  if (!Config.Journal.Path.empty())
-    return Config.Journal.Path;
-  return Config.HistoryFile + ".wal";
 }
 
 Status EasScheduler::journalStatus() const {
@@ -503,22 +488,20 @@ Status EasScheduler::shutdown(double DrainGraceSec) {
                                std::chrono::steady_clock::now() - DrainStart)
                                .count());
 
-  // Phase 3: persist table G. With a live journal this is a compaction:
-  // flush the tail, snapshot at the next epoch, and only then reset the
-  // journal to it — dying between the two leaves a stale journal the
-  // next recovery skips, never a double-apply.
+  // Phase 3: compact table G into the history file — one atomic
+  // rewrite as a base image. The journal's flushed tail makes the file
+  // whole if the rewrite fails; its compaction drops what the image
+  // already holds.
   Status S = Status::success();
   if (!Config.HistoryFile.empty()) {
     obs::ScopedSpan SnapshotSpan(Config.Trace, "eas", "snapshot");
     if (Journal) {
       if (Status FlushS = Journal->flush(); !FlushS.ok())
         noteJournalFailure(FlushS);
-      uint64_t NewEpoch = Journal->epoch() + 1;
-      S = saveKernelHistory(History, Config.HistoryFile, NewEpoch);
-      if (S.ok())
-        S = Journal->reset(NewEpoch);
+      S = Journal->compact(History);
     } else {
-      S = saveKernelHistory(History, Config.HistoryFile);
+      S = writeHistoryFile(History, Config.HistoryFile,
+                           Recovery.Generation + 1);
     }
     if (Config.Trace)
       SnapshotSpan.setEndDetail(S.toString());
@@ -534,8 +517,9 @@ Status EasScheduler::shutdown(double DrainGraceSec) {
 }
 
 Status EasScheduler::snapshot(const std::string &Path) const {
-  return saveKernelHistory(History, Path,
-                           Journal ? Journal->epoch() : uint64_t{0});
+  return writeHistoryFile(History, Path,
+                          Journal ? Journal->generation()
+                                  : Recovery.Generation);
 }
 
 EasScheduler::InvocationOutcome

@@ -20,7 +20,7 @@
 /// deadline/cancellation token, honoured at cooperative points between
 /// profiling repetitions and before the remainder execution; shutdown()
 /// closes admission, drains in-flight work against a grace period, and
-/// snapshots table G to the configured history file.
+/// writes table G to the configured history file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,18 +100,17 @@ struct EasConfig {
   /// goes wrong; with a healthy platform the scheduler never deviates
   /// from Fig. 7.
   GpuHealthConfig Health;
-  /// Durable table-G snapshot path. When non-empty the constructor
-  /// restores the table from it (corruption degrades to a cold table,
-  /// reported by restoreStatus()) and shutdown()/the destructor write it
-  /// back atomically, so learned alphas survive restarts.
+  /// Durable table-G file (DESIGN.md §13). When non-empty the
+  /// constructor recovers the table from it (corruption degrades to the
+  /// records before the tear, reported by restoreStatus()) and
+  /// shutdown()/the destructor rewrite it atomically, so learned alphas
+  /// survive restarts.
   std::string HistoryFile;
-  /// Write-ahead journaling of table-G merges (DESIGN.md §13). Off by
-  /// default: snapshot-only durability is what every pre-§13 caller
-  /// gets. The serve front end turns it on whenever --history-file is
-  /// set. The fields are the journal's own JournalOptions plus the
-  /// switch; an empty Path derives "<HistoryFile>.wal".
-  struct JournalConfig : JournalOptions {
-    /// Journal every table-G mutation and recover snapshot + journal at
+  /// Journaling of table-G merges: each one is appended to HistoryFile
+  /// as it happens, not only at shutdown. Off by default; the serve
+  /// front end turns it on whenever --history-file is set.
+  struct JournalConfig : GroupCommitOptions {
+    /// Append every table-G mutation, and compact the recovered file at
     /// construction. Requires HistoryFile.
     bool Enabled = false;
   };
@@ -172,7 +171,8 @@ public:
   EasScheduler(PowerCurveFamily Curves, Metric Objective,
                EasConfig Config = {});
 
-  /// Drains and snapshots via shutdown() if the caller has not already.
+  /// Drains and writes table G via shutdown() if the caller has not
+  /// already.
   ~EasScheduler();
 
   /// What one invocation did.
@@ -288,10 +288,10 @@ public:
   /// Rejected), wait up to \p DrainGraceSec (host wall-clock) for
   /// in-flight invocations to finish, then fire the internal drain
   /// token so stragglers stop at their next cancellation point, and
-  /// finally snapshot table G to EasConfig::HistoryFile (when set).
+  /// finally compact table G into EasConfig::HistoryFile (when set).
   /// Idempotent — later calls wait for and return the first call's
-  /// result. \returns the snapshot status (success when no history file
-  /// is configured).
+  /// result. \returns the compaction status (success when no history
+  /// file is configured).
   Status shutdown(double DrainGraceSec = 5.0);
 
   /// False once shutdown() has begun; new invocations are rejected.
@@ -299,20 +299,22 @@ public:
     return Admitting.load(std::memory_order_acquire);
   }
 
-  /// Outcome of the constructor's snapshot restore: success with a cold
-  /// table when no file existed, an error (table left cold) when the
-  /// snapshot was corrupt, truncated, or version-mismatched.
-  const Status &restoreStatus() const { return RestoreStatus; }
+  /// Outcome of the constructor's restore: success when the history
+  /// file was missing or read cleanly; an error when it was corrupt,
+  /// truncated, or version-mismatched, and the table holds only the
+  /// records before the damage (none for a bad header).
+  const Status &restoreStatus() const { return Recovery.ReadStatus; }
   /// Records recovered by the constructor's restore.
-  size_t restoredRecords() const { return RestoredRecords; }
+  size_t restoredRecords() const {
+    return Recovery.BaseRecords + Recovery.ReplayedRecords;
+  }
 
-  /// What the constructor's recovery did. A snapshot-only restore runs
-  /// the same recovery without a journal: Cold, Clean or Truncated,
-  /// with zero replayed records.
+  /// What the constructor's recovery did. Without a journal the same
+  /// recovery runs without compacting the file.
   const RecoveryReport &recoveryReport() const { return Recovery; }
   /// Non-success when journaling was requested but the journal could
   /// not be opened (or a flush failed); the scheduler keeps running
-  /// with snapshot-only durability.
+  /// with shutdown-only durability.
   Status journalStatus() const;
   /// True while the write-ahead journal is live.
   bool journaling() const { return Journal != nullptr; }
@@ -323,12 +325,11 @@ public:
   /// Durably commits every journaled record enqueued so far (the
   /// service's idle-flush hook). No-op without a live journal.
   Status flushJournal();
-  /// Resolved journal path ("" when journaling is off).
-  std::string journalPath() const;
 
-  /// Writes a snapshot of table G to \p Path now (atomic tmp+rename),
-  /// stamped with the live journal epoch so a copy taken mid-run pairs
-  /// with the journal it rode alongside.
+  /// Writes table G as a base image to \p Path now (atomic tmp+rename):
+  /// a complete table-G file that a scheduler with that HistoryFile
+  /// restores. \p Path must not be the live HistoryFile of a journaling
+  /// scheduler, whose appends would then go to the replaced file.
   Status snapshot(const std::string &Path) const;
 
   /// Forgets all table-G state (a fresh application run). Health state
@@ -444,8 +445,6 @@ private:
     obs::Gauge *PStateResidency[kMaxPStates] = {};
   };
   MetricInstruments Ins;
-  Status RestoreStatus = Status::success();
-  size_t RestoredRecords = 0;
 
   //===--------------------------------------------------------------===//
   // Durability (DESIGN.md §13). The journal pointer is set once in the
@@ -456,7 +455,8 @@ private:
   // failure).
   //===--------------------------------------------------------------===//
   /// Runs the constructor's recovery + journal open; never throws —
-  /// failures degrade to snapshot-only mode, reported by journalStatus().
+  /// failures degrade to shutdown-only durability, reported by
+  /// journalStatus().
   void initDurability();
   /// Buffers one delta record into the journal (no IO; legal inside the
   /// table-G shard-locked merge closure). No-op without a live journal.

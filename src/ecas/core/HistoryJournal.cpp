@@ -1,4 +1,4 @@
-//===-- ecas/core/HistoryJournal.cpp - Table-G write-ahead journal --------===//
+//===-- ecas/core/HistoryJournal.cpp - The durable table-G file -----------===//
 //
 // Part of the ecas project, under the MIT License.
 //
@@ -6,13 +6,12 @@
 
 #include "ecas/core/HistoryJournal.h"
 
-#include "ecas/core/HistoryCodec.h"
-#include "ecas/core/HistorySnapshot.h"
 #include "ecas/fault/StorageFaults.h"
 #include "ecas/support/AtomicFile.h"
 #include "ecas/support/Crc32.h"
 #include "ecas/support/CrashPoint.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -24,14 +23,16 @@
 #endif
 
 using namespace ecas;
-using namespace ecas::history_codec;
 
 namespace {
 
-constexpr char Magic[8] = {'E', 'C', 'A', 'S', 'J', 'R', 'N', 'L'};
-constexpr size_t HeaderBytes = 24;
+constexpr char Magic[8] = {'E', 'C', 'A', 'S', 'T', 'B', 'L', 'G'};
+constexpr size_t HeaderBytes = 32;
+/// The header CRC covers version, generation and base-record count.
+constexpr size_t HeaderCrcOffset = 8, HeaderCrcBytes = 20;
 constexpr size_t FrameHeaderBytes = 8;
-/// Fixed part of a record payload (everything but the merged sample).
+constexpr size_t BaseRecordBytes = 116;
+/// Fixed part of a delta payload (everything but the merged sample).
 constexpr size_t RecordFixedBytes = 8 + 4 + 4 + 1 + 4 + 8 + 8 + 4 + 2;
 constexpr size_t SampleBytes = 9 * 8 + 2;
 /// Structural sanity bound: a frame longer than this cannot have been
@@ -50,11 +51,77 @@ constexpr uint8_t FlagsKnown = FlagHasAlphaSample | FlagSetCpuOnly |
                                FlagBecameConfident | FlagHasClass |
                                FlagHasPState | FlagHasMergedSample;
 
-/// Semantic bound for a replayed P-state (mirrors core/OperatingPoint.h
+/// Semantic bound for a decoded P-state (mirrors core/OperatingPoint.h
 /// kMaxPStates without pulling the decision core into the codec).
 constexpr uint32_t MaxPStateIndex = 8;
 
-void encodeSample(std::string &Out, const ProfileSample &S) {
+void putU32(std::string &Out, uint32_t V) {
+  for (int I = 0; I != 4; ++I)
+    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xffu));
+}
+
+void putU64(std::string &Out, uint64_t V) {
+  for (int I = 0; I != 8; ++I)
+    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xffu));
+}
+
+void putF64(std::string &Out, double V) {
+  uint64_t Bits;
+  static_assert(sizeof(Bits) == sizeof(V));
+  std::memcpy(&Bits, &V, sizeof(Bits));
+  putU64(Out, Bits);
+}
+
+uint32_t getU32(const unsigned char *P) {
+  uint32_t V = 0;
+  for (int I = 0; I != 4; ++I)
+    V |= static_cast<uint32_t>(P[I]) << (8 * I);
+  return V;
+}
+
+uint64_t getU64(const unsigned char *P) {
+  uint64_t V = 0;
+  for (int I = 0; I != 8; ++I)
+    V |= static_cast<uint64_t>(P[I]) << (8 * I);
+  return V;
+}
+
+double getF64(const unsigned char *P) {
+  uint64_t Bits = getU64(P);
+  double V;
+  std::memcpy(&V, &Bits, sizeof(V));
+  return V;
+}
+
+/// Overwrites the four bytes at \p P with \p V, little-endian.
+void storeU32(char *P, uint32_t V) {
+  for (int I = 0; I != 4; ++I)
+    P[I] = static_cast<char>((V >> (8 * I)) & 0xffu);
+}
+
+/// Appends one frame whose payload \p Fn appends to \p Out: the frame
+/// header is reserved first and filled in after, so there is no
+/// temporary payload string.
+template <typename EncodeFn> void appendFrame(std::string &Out, EncodeFn Fn) {
+  size_t Frame = Out.size();
+  Out.append(FrameHeaderBytes, '\0');
+  Fn(Out);
+  char *Header = Out.data() + Frame;
+  size_t PayloadBytes = Out.size() - Frame - FrameHeaderBytes;
+  storeU32(Header, static_cast<uint32_t>(PayloadBytes));
+  storeU32(Header + 4, crc32(Header + FrameHeaderBytes, PayloadBytes));
+}
+
+void encodeHeader(std::string &Out, uint64_t Generation, uint64_t Count) {
+  Out.append(Magic, sizeof(Magic));
+  putU32(Out, HistoryFileVersion);
+  putU64(Out, Generation);
+  putU64(Out, Count);
+  putU32(Out, crc32(Out.data() + Out.size() - HeaderCrcBytes, HeaderCrcBytes));
+}
+
+/// The nine measured values of a sample, without its fault flags.
+void putSampleValues(std::string &Out, const ProfileSample &S) {
   putF64(Out, S.CpuThroughput);
   putF64(Out, S.GpuThroughput);
   putF64(Out, S.CpuIterations);
@@ -64,12 +131,9 @@ void encodeSample(std::string &Out, const ProfileSample &S) {
   putF64(Out, S.GpuBusySeconds);
   putF64(Out, S.MissPerLoadStore);
   putF64(Out, S.InstructionsRetired);
-  Out.push_back(static_cast<char>(S.GpuLaunchFailed ? 1 : 0));
-  Out.push_back(static_cast<char>(S.GpuHung ? 1 : 0));
 }
 
-ProfileSample decodeSample(const unsigned char *P) {
-  ProfileSample S;
+void getSampleValues(const unsigned char *P, ProfileSample &S) {
   S.CpuThroughput = getF64(P);
   S.GpuThroughput = getF64(P + 8);
   S.CpuIterations = getF64(P + 16);
@@ -79,9 +143,67 @@ ProfileSample decodeSample(const unsigned char *P) {
   S.GpuBusySeconds = getF64(P + 48);
   S.MissPerLoadStore = getF64(P + 56);
   S.InstructionsRetired = getF64(P + 64);
+}
+
+void encodeSample(std::string &Out, const ProfileSample &S) {
+  putSampleValues(Out, S);
+  Out.push_back(static_cast<char>(S.GpuLaunchFailed ? 1 : 0));
+  Out.push_back(static_cast<char>(S.GpuHung ? 1 : 0));
+}
+
+ProfileSample decodeSample(const unsigned char *P) {
+  ProfileSample S;
+  getSampleValues(P, S);
   S.GpuLaunchFailed = P[72] != 0;
   S.GpuHung = P[73] != 0;
   return S;
+}
+
+void encodeBasePayload(std::string &Out, uint64_t Key,
+                       const KernelRecord &Rec) {
+  putU64(Out, Key);
+  putF64(Out, Rec.Alpha.weightedSum());
+  putF64(Out, Rec.Alpha.totalWeight());
+  putU32(Out, Rec.Class.index());
+  Out.push_back(static_cast<char>(Rec.CpuOnly ? 1 : 0));
+  Out.push_back(static_cast<char>(Rec.Confident ? 1 : 0));
+  Out.push_back(static_cast<char>(Rec.Sample.GpuLaunchFailed ? 1 : 0));
+  Out.push_back(static_cast<char>(Rec.Sample.GpuHung ? 1 : 0));
+  putU32(Out, Rec.Invocations);
+  putU32(Out, Rec.QuarantinedRuns);
+  putSampleValues(Out, Rec.Sample);
+  putU32(Out, Rec.PState);
+}
+
+/// Validates like decodeDeltaPayload, so a CRC-valid but malformed base
+/// record (a negative or NaN alpha weight, an out-of-range class) is a
+/// tear instead of an ECAS_CHECK abort in SampleWeightedAlpha::fromParts.
+bool decodeBasePayload(std::string_view Payload, uint64_t &Key,
+                       KernelRecord &Rec) {
+  if (Payload.size() != BaseRecordBytes)
+    return false;
+  const auto *P = reinterpret_cast<const unsigned char *>(Payload.data());
+  Key = getU64(P);
+  double WeightedSum = getF64(P + 8);
+  double TotalWeight = getF64(P + 16);
+  uint32_t ClassIndex = getU32(P + 24);
+  uint32_t PState = getU32(P + 112);
+  if (Key == 0 || !std::isfinite(WeightedSum) ||
+      !std::isfinite(TotalWeight) || TotalWeight < 0.0 ||
+      ClassIndex >= WorkloadClass::NumClasses || PState >= MaxPStateIndex ||
+      std::any_of(P + 28, P + 32, [](unsigned char B) { return B > 1; }))
+    return false;
+  Rec.Alpha = SampleWeightedAlpha::fromParts(WeightedSum, TotalWeight);
+  Rec.Class = WorkloadClass::fromIndex(ClassIndex);
+  Rec.CpuOnly = P[28] != 0;
+  Rec.Confident = P[29] != 0;
+  Rec.Sample.GpuLaunchFailed = P[30] != 0;
+  Rec.Sample.GpuHung = P[31] != 0;
+  Rec.Invocations = getU32(P + 32);
+  Rec.QuarantinedRuns = getU32(P + 36);
+  getSampleValues(P + 40, Rec.Sample);
+  Rec.PState = PState;
+  return true;
 }
 
 void encodeDeltaPayload(std::string &Out, const HistoryDeltaRecord &Rec) {
@@ -110,12 +232,6 @@ void encodeDeltaPayload(std::string &Out, const HistoryDeltaRecord &Rec) {
   Out.append(2, '\0');
   if (Rec.HasMergedSample)
     encodeSample(Out, Rec.MergedSample);
-}
-
-/// Overwrites the four bytes at \p P with \p V, little-endian.
-void storeU32(char *P, uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    P[I] = static_cast<char>((V >> (8 * I)) & 0xffu);
 }
 
 /// Structural + semantic validation, so a CRC-colliding corruption (or
@@ -167,6 +283,51 @@ bool decodeDeltaPayload(std::string_view Payload, HistoryDeltaRecord &Rec) {
   return true;
 }
 
+/// Why \p Bytes does not open with a current-version header, or success.
+Status checkHeader(std::string_view Bytes) {
+  const auto *P = reinterpret_cast<const unsigned char *>(Bytes.data());
+  if (Bytes.size() < HeaderBytes)
+    return Status::error(ErrCode::Truncated,
+                         "table-G file smaller than its 32-byte header (" +
+                             std::to_string(Bytes.size()) + " bytes)");
+  if (std::memcmp(P, Magic, sizeof(Magic)) != 0)
+    return Status::error(ErrCode::CorruptData,
+                         "magic mismatch (not a table-G file)");
+  if (uint32_t Version = getU32(P + 8); Version != HistoryFileVersion)
+    return Status::error(ErrCode::VersionMismatch,
+                         "table-G format v" + std::to_string(Version) +
+                             ", this build reads v" +
+                             std::to_string(HistoryFileVersion));
+  if (crc32(P + HeaderCrcOffset, HeaderCrcBytes) != getU32(P + 28))
+    return Status::error(ErrCode::CorruptData, "header CRC mismatch");
+  return Status::success();
+}
+
+/// Reads the frame at \p Off into \p Payload, checking its length and
+/// CRC. \returns why the frame is torn, or success.
+Status readFrame(std::string_view Bytes, size_t Off,
+                 std::string_view &Payload) {
+  const auto *P = reinterpret_cast<const unsigned char *>(Bytes.data()) + Off;
+  size_t Left = Bytes.size() - Off;
+  if (Left < FrameHeaderBytes)
+    return Status::error(ErrCode::Truncated,
+                         "torn frame header at offset " +
+                             std::to_string(Off) + " (" +
+                             std::to_string(Left) + " trailing bytes)");
+  uint32_t Len = getU32(P);
+  if (Len == 0 || Len > MaxFrameBytes || Left - FrameHeaderBytes < Len)
+    return Status::error(ErrCode::Truncated,
+                         "torn frame at offset " + std::to_string(Off) +
+                             " (declares " + std::to_string(Len) +
+                             " payload bytes)");
+  Payload = Bytes.substr(Off + FrameHeaderBytes, Len);
+  if (crc32(Payload.data(), Payload.size()) != getU32(P + 4))
+    return Status::error(ErrCode::CorruptData,
+                         "frame CRC mismatch at offset " +
+                             std::to_string(Off));
+  return Status::success();
+}
+
 } // namespace
 
 void ecas::applyDeltaFields(KernelRecord &R, const HistoryDeltaRecord &Rec) {
@@ -197,109 +358,91 @@ void ecas::applyDeltaRecord(KernelHistory &History,
     History.bumpQuarantinedRuns(Rec.Key);
 }
 
-std::string ecas::encodeJournalHeader(uint64_t Epoch) {
+std::string ecas::encodeHistoryFile(const KernelHistory &History,
+                                    uint64_t Generation) {
+  std::vector<std::pair<uint64_t, KernelRecord>> Entries = History.entries();
   std::string Out;
-  Out.reserve(HeaderBytes);
-  Out.append(Magic, sizeof(Magic));
-  putU32(Out, HistoryJournalVersion);
-  putU64(Out, Epoch);
-  putU32(Out, crc32(Out.data() + 8, 12));
+  Out.reserve(HeaderBytes +
+              Entries.size() * (FrameHeaderBytes + BaseRecordBytes));
+  encodeHeader(Out, Generation, Entries.size());
+  for (const auto &[Key, Rec] : Entries)
+    appendFrame(Out, [&](std::string &Payload) {
+      encodeBasePayload(Payload, Key, Rec);
+    });
   return Out;
 }
 
-void ecas::encodeDeltaFrame(std::string &Out, const HistoryDeltaRecord &Rec) {
-  // Reserve the frame header, encode the payload after it, then fill
-  // the header in: no temporary payload string.
-  size_t Frame = Out.size();
-  Out.append(FrameHeaderBytes, '\0');
-  encodeDeltaPayload(Out, Rec);
-  char *Header = Out.data() + Frame;
-  size_t PayloadBytes = Out.size() - Frame - FrameHeaderBytes;
-  storeU32(Header, static_cast<uint32_t>(PayloadBytes));
-  storeU32(Header + 4, crc32(Header + FrameHeaderBytes, PayloadBytes));
+Status ecas::writeHistoryFile(const KernelHistory &History,
+                              const std::string &Path, uint64_t Generation) {
+  return writeFileAtomic(Path, encodeHistoryFile(History, Generation));
 }
 
-JournalScan ecas::scanJournal(std::string_view Bytes) {
-  JournalScan Scan;
-  if (Bytes.size() < HeaderBytes) {
-    Scan.Torn = !Bytes.empty();
-    Scan.Error = Status::error(ErrCode::Truncated,
-                               "journal smaller than its 24-byte header (" +
-                                   std::to_string(Bytes.size()) + " bytes)");
+void ecas::encodeDeltaFrame(std::string &Out, const HistoryDeltaRecord &Rec) {
+  appendFrame(Out, [&Rec](std::string &Payload) {
+    encodeDeltaPayload(Payload, Rec);
+  });
+}
+
+HistoryFileScan ecas::scanHistoryFile(std::string_view Bytes) {
+  HistoryFileScan Scan;
+  auto Tear = [&Scan](Status Why, size_t Lost) {
+    Scan.Torn = true;
+    Scan.TruncatedRecords = Lost;
+    Scan.Error = std::move(Why);
+  };
+  if (Status S = checkHeader(Bytes); !S) {
+    Tear(std::move(S), 0);
     return Scan;
   }
   const auto *P = reinterpret_cast<const unsigned char *>(Bytes.data());
-  if (std::memcmp(P, Magic, sizeof(Magic)) != 0) {
-    Scan.Torn = true;
-    Scan.Error = Status::error(ErrCode::CorruptData,
-                               "journal magic mismatch (not a table-G WAL)");
-    return Scan;
-  }
-  uint32_t Version = getU32(P + 8);
-  if (Version != HistoryJournalVersion) {
-    Scan.Torn = true;
-    Scan.Error = Status::error(ErrCode::VersionMismatch,
-                               "journal format v" + std::to_string(Version) +
-                                   ", this build reads v" +
-                                   std::to_string(HistoryJournalVersion));
-    return Scan;
-  }
-  if (crc32(P + 8, 12) != getU32(P + 20)) {
-    Scan.Torn = true;
-    Scan.Error =
-        Status::error(ErrCode::CorruptData, "journal header CRC mismatch");
-    return Scan;
-  }
   Scan.HeaderValid = true;
-  Scan.Epoch = getU64(P + 12);
+  Scan.Generation = getU64(P + 12);
+  Scan.BaseCount = getU64(P + 20);
   Scan.ValidBytes = HeaderBytes;
 
+  // The count is CRC-covered but still bounded by the bytes present
+  // before anything is reserved: a file cut short must not turn its
+  // declared count into an unhandled length_error.
   size_t Off = HeaderBytes;
+  Scan.Base.reserve(std::min<uint64_t>(
+      Scan.BaseCount,
+      (Bytes.size() - Off) / (FrameHeaderBytes + BaseRecordBytes)));
+  // The first BaseCount frames are base records, the rest deltas. A tear
+  // in the base image loses the records it declares after the tear.
   while (Off < Bytes.size()) {
-    if (Bytes.size() - Off < FrameHeaderBytes) {
-      Scan.Torn = true;
-      Scan.TruncatedRecords = 1;
-      Scan.Error = Status::error(
-          ErrCode::Truncated, "torn frame header at offset " +
-                                  std::to_string(Off) + " (" +
-                                  std::to_string(Bytes.size() - Off) +
-                                  " trailing bytes)");
-      break;
+    bool InBase = Scan.Base.size() < Scan.BaseCount;
+    std::string_view Payload;
+    Status S = readFrame(Bytes, Off, Payload);
+    if (S && InBase) {
+      std::pair<uint64_t, KernelRecord> Entry;
+      if (decodeBasePayload(Payload, Entry.first, Entry.second))
+        Scan.Base.push_back(std::move(Entry));
+      else
+        S = Status::error(ErrCode::CorruptData,
+                          "malformed base record at offset " +
+                              std::to_string(Off));
+    } else if (S) {
+      HistoryDeltaRecord Rec;
+      if (decodeDeltaPayload(Payload, Rec))
+        Scan.Deltas.push_back(std::move(Rec));
+      else
+        S = Status::error(ErrCode::CorruptData,
+                          "malformed delta record at offset " +
+                              std::to_string(Off));
     }
-    uint32_t Len = getU32(P + Off);
-    uint32_t ExpectedCrc = getU32(P + Off + 4);
-    if (Len == 0 || Len > MaxFrameBytes ||
-        Bytes.size() - Off - FrameHeaderBytes < Len) {
-      Scan.Torn = true;
-      Scan.TruncatedRecords = 1;
-      Scan.Error = Status::error(
-          ErrCode::Truncated, "torn frame at offset " + std::to_string(Off) +
-                                  " (declares " + std::to_string(Len) +
-                                  " payload bytes)");
-      break;
+    if (!S) {
+      Tear(std::move(S), InBase ? Scan.BaseCount - Scan.Base.size() : 1);
+      return Scan;
     }
-    std::string_view Payload = Bytes.substr(Off + FrameHeaderBytes, Len);
-    if (crc32(Payload.data(), Payload.size()) != ExpectedCrc) {
-      Scan.Torn = true;
-      Scan.TruncatedRecords = 1;
-      Scan.Error = Status::error(ErrCode::CorruptData,
-                                 "frame CRC mismatch at offset " +
-                                     std::to_string(Off));
-      break;
-    }
-    HistoryDeltaRecord Rec;
-    if (!decodeDeltaPayload(Payload, Rec)) {
-      Scan.Torn = true;
-      Scan.TruncatedRecords = 1;
-      Scan.Error = Status::error(ErrCode::CorruptData,
-                                 "malformed record at offset " +
-                                     std::to_string(Off));
-      break;
-    }
-    Scan.Records.push_back(std::move(Rec));
-    Off += FrameHeaderBytes + Len;
+    Off += FrameHeaderBytes + Payload.size();
     Scan.ValidBytes = Off;
   }
+  if (Scan.Base.size() < Scan.BaseCount)
+    Tear(Status::error(ErrCode::Truncated,
+                       "file ends after " + std::to_string(Scan.Base.size()) +
+                           " of " + std::to_string(Scan.BaseCount) +
+                           " base records"),
+         Scan.BaseCount - Scan.Base.size());
   return Scan;
 }
 
@@ -318,101 +461,54 @@ const char *ecas::recoveryOutcomeName(RecoveryOutcome Outcome) {
 }
 
 RecoveryReport ecas::recoverKernelHistory(KernelHistory &History,
-                                          const std::string &SnapshotPath,
-                                          const std::string &JournalPath,
+                                          const std::string &Path,
                                           bool Compact) {
   RecoveryReport Report;
   std::chrono::steady_clock::time_point Start =
       std::chrono::steady_clock::now();
 
-  // Phase 1: the newest valid snapshot (a missing file is a cold start,
-  // a corrupt one degrades to cold with the status preserved).
-  uint64_t SnapshotEpoch = 0;
-  bool SnapshotOk = true;
-  bool SnapshotExisted = false;
+  // One read, one scan: restore the base image, replay the deltas after
+  // it. A missing file is a cold start; an unreadable one degrades to
+  // whatever came before the tear, with the status saying why.
+  HistoryFileScan Scan;
+  bool Existed = false;
   {
     std::string Bytes;
-    Status Read = readFileBytes(SnapshotPath, Bytes, SnapshotExisted);
-    if (!Read) {
-      History.clear();
-      SnapshotOk = false;
-      Report.SnapshotStatus = Read;
-    } else if (SnapshotExisted) {
-      ErrorOr<size_t> Loaded =
-          deserializeKernelHistory(History, Bytes, &SnapshotEpoch);
-      if (Loaded) {
-        Report.SnapshotRecords = *Loaded;
-      } else {
-        SnapshotOk = false;
-        SnapshotEpoch = 0;
-        Report.SnapshotStatus = Status::error(
-            Loaded.status().code(),
-            SnapshotPath + ": " + Loaded.status().message());
-      }
-    } else {
-      History.clear();
-    }
+    if (Status Read = readFileBytes(Path, Bytes, Existed); !Read)
+      Report.ReadStatus = Read;
+    else if (Existed)
+      Scan = scanHistoryFile(Bytes);
   }
-
-  // Phase 2: replay the journal — unless its epoch says the snapshot
-  // already contains it (a crash between compaction's snapshot write
-  // and journal reset leaves exactly that state; replaying would apply
-  // every delta twice).
-  uint64_t JournalEpoch = SnapshotEpoch;
-  bool JournalTorn = false;
-  bool JournalExisted = false;
-  if (!JournalPath.empty()) {
-    std::string Bytes;
-    Status Read = readFileBytes(JournalPath, Bytes, JournalExisted);
-    if (!Read) {
-      Report.JournalStatus = Read;
-      JournalTorn = true;
-    } else if (JournalExisted && !Bytes.empty()) {
-      JournalScan Scan = scanJournal(Bytes);
-      if (Scan.HeaderValid && Scan.Epoch < SnapshotEpoch) {
-        Report.StaleJournalSkipped = true;
-      } else {
-        if (Scan.HeaderValid)
-          JournalEpoch = std::max(JournalEpoch, Scan.Epoch);
-        for (const HistoryDeltaRecord &Rec : Scan.Records)
-          applyDeltaRecord(History, Rec);
-        Report.ReplayedRecords = Scan.Records.size();
-        Report.TruncatedRecords = Scan.TruncatedRecords;
-        JournalTorn = Scan.Torn;
-        if (!Scan.Error.ok())
-          Report.JournalStatus = Status::error(
-              Scan.Error.code(), JournalPath + ": " + Scan.Error.message());
-      }
-    }
-  }
+  if (!Scan.Error.ok())
+    Report.ReadStatus = Status::error(Scan.Error.code(),
+                                      Path + ": " + Scan.Error.message());
+  History.restore(Scan.Base);
+  for (const HistoryDeltaRecord &Rec : Scan.Deltas)
+    applyDeltaRecord(History, Rec);
+  Report.BaseRecords = Scan.Base.size();
+  Report.ReplayedRecords = Scan.Deltas.size();
+  Report.TruncatedRecords = Scan.TruncatedRecords;
+  Report.Generation = Scan.Generation;
   ECAS_CRASHPOINT("recovery.after-replay");
 
   // Classify before compaction: compaction failures are reported via
   // CompactStatus, not by downgrading what recovery found.
-  bool LostData = JournalTorn || (SnapshotExisted && !SnapshotOk);
-  if (LostData)
+  if (!Report.ReadStatus.ok())
     Report.Outcome = RecoveryOutcome::Truncated;
+  else if (!Existed)
+    Report.Outcome = RecoveryOutcome::Cold;
   else if (Report.ReplayedRecords > 0)
     Report.Outcome = RecoveryOutcome::Replayed;
-  else if (SnapshotExisted)
-    Report.Outcome = RecoveryOutcome::Clean;
   else
-    Report.Outcome = RecoveryOutcome::Cold;
+    Report.Outcome = RecoveryOutcome::Clean;
 
-  // Phase 3: compact — fresh snapshot at the next epoch, then (and only
-  // then) reset the journal to match. The ordering is the crash-safety
-  // argument: die between the two writes and the journal is stale, not
-  // double-applied.
-  Report.Epoch = std::max(SnapshotEpoch, JournalEpoch);
+  // Compact: one atomic rewrite. A crash before the rename leaves the
+  // old file, deltas and all; after it, the new base image alone. No
+  // state holds a delta both in a base image and after it.
   if (Compact) {
-    Report.Epoch += 1;
     Report.CompactStatus =
-        saveKernelHistory(History, SnapshotPath, Report.Epoch);
-    ECAS_CRASHPOINT("recovery.after-snapshot");
-    if (Report.CompactStatus.ok() && !JournalPath.empty())
-      Report.CompactStatus =
-          writeFileAtomic(JournalPath, encodeJournalHeader(Report.Epoch));
-    ECAS_CRASHPOINT("recovery.after-reset");
+        writeHistoryFile(History, Path, ++Report.Generation);
+    ECAS_CRASHPOINT("recovery.after-compact");
   }
 
   Report.Seconds = std::chrono::duration<double>(
@@ -426,7 +522,7 @@ RecoveryReport ecas::recoverKernelHistory(KernelHistory &History,
 //===----------------------------------------------------------------------===//
 
 ErrorOr<std::unique_ptr<HistoryJournal>>
-HistoryJournal::open(JournalOptions Options, uint64_t Epoch) {
+HistoryJournal::open(JournalOptions Options, uint64_t Generation) {
   if (Options.Path.empty())
     return Status::error(ErrCode::InvalidArgument, "empty journal path");
   if (Options.GroupCommitRecords == 0)
@@ -443,24 +539,24 @@ HistoryJournal::open(JournalOptions Options, uint64_t Epoch) {
     return S;
   size_t KeepBytes = 0;
   if (Existed && !Existing.empty()) {
-    JournalScan Scan = scanJournal(Existing);
-    if (!Scan.HeaderValid)
+    HistoryFileScan Scan = scanHistoryFile(Existing);
+    if (!Scan.HeaderValid || Scan.Base.size() != Scan.BaseCount)
       return Status::error(Scan.Error.code(),
                            Options.Path + ": " + Scan.Error.message() +
                                " (recover before opening)");
-    if (Scan.Epoch != Epoch)
+    if (Scan.Generation != Generation)
       return Status::error(
           ErrCode::VersionMismatch,
-          Options.Path + ": journal epoch " + std::to_string(Scan.Epoch) +
-              " does not match recovery epoch " + std::to_string(Epoch) +
-              " (recover before opening)");
+          Options.Path + ": generation " + std::to_string(Scan.Generation) +
+              " does not match recovery generation " +
+              std::to_string(Generation) + " (recover before opening)");
     // A torn tail from the previous crash must not bury new appends
     // behind unparseable bytes: drop it, keep the valid prefix.
     KeepBytes = Scan.ValidBytes;
   }
 
   std::unique_ptr<HistoryJournal> Journal(
-      new HistoryJournal(std::move(Options), Epoch));
+      new HistoryJournal(std::move(Options), Generation));
   const std::string &Path = Journal->Options.Path;
   LockGuard Io(Journal->IoMutex);
   if (!Existed || Existing.empty()) {
@@ -468,15 +564,16 @@ HistoryJournal::open(JournalOptions Options, uint64_t Epoch) {
     if (Journal->Fd < 0)
       return Status::error(ErrCode::IoError, "cannot create " + Path + ": " +
                                                  std::strerror(errno));
-    std::string Header = encodeJournalHeader(Epoch);
+    std::string Header;
+    encodeHeader(Header, Generation, 0);
     if (::write(Journal->Fd, Header.data(), Header.size()) !=
         static_cast<ssize_t>(Header.size()))
       return Status::error(ErrCode::IoError, "short header write to " + Path);
     if (::fsync(Journal->Fd) != 0)
       return Status::error(ErrCode::IoError, "fsync " + Path + ": " +
                                                  std::strerror(errno));
-    // The file *name* must survive a crash too, or recovery finds a
-    // snapshot with no journal and cannot tell loss from first-boot.
+    // The file *name* must survive a crash too, or recovery cannot tell
+    // loss from first boot.
     if (Status S = syncParentDir(Path); !S)
       return S;
   } else {
@@ -598,32 +695,31 @@ Status HistoryJournal::writeBatch() {
 #endif
 }
 
-Status HistoryJournal::reset(uint64_t NewEpoch) {
+Status HistoryJournal::compact(const KernelHistory &History) {
 #ifdef _WIN32
   return Status::success();
 #else
   LockGuard Io(IoMutex);
   {
-    // Compaction committed everything enqueued before it read the
-    // table; anything still pending was enqueued concurrently and is in
-    // the table the new snapshot serialized, so dropping it is correct
-    // (replaying it would double-apply).
+    // Every pending record's effect is already in the table the image
+    // below serializes; appending it after the image would apply it
+    // twice on replay.
     LockGuard Lock(BufferMutex);
     Pending.clear();
     PendingRecords = 0;
     GroupFull.store(false, std::memory_order_relaxed);
   }
+  uint64_t Next = generation() + 1;
+  if (Status S = writeHistoryFile(History, Options.Path, Next); !S)
+    return S;
+  // The descriptor still names the replaced file; reopen the new one.
   if (Fd >= 0)
     ::close(Fd);
-  Fd = -1;
-  if (Status S = writeFileAtomic(Options.Path, encodeJournalHeader(NewEpoch));
-      !S)
-    return S;
   Fd = ::open(Options.Path.c_str(), O_WRONLY | O_APPEND, 0644);
   if (Fd < 0)
     return Status::error(ErrCode::IoError, "cannot reopen " + Options.Path +
                                                ": " + std::strerror(errno));
-  Epoch.store(NewEpoch, std::memory_order_release);
+  Generation.store(Next, std::memory_order_release);
   return Status::success();
 #endif
 }

@@ -13,8 +13,8 @@
 /// prints). parsePrometheusText() inverts the first form so `stats` can
 /// re-render a scraped file and tests can assert round-trips.
 ///
-/// Snapshot files are rewritten atomically (tmp + rename, the
-/// HistorySnapshot idiom) so a scraper never observes a torn file.
+/// Snapshot files are rewritten through writeFileAtomic (tmp + fsync +
+/// rename) so a scraper never observes a torn file.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -30,8 +30,7 @@ constexpr const char *DeclaredPoints[] = {
     "atomicfile.after-temp-write", // temp durable, destination untouched
     "atomicfile.after-rename",     // renamed, parent dir not yet fsynced
     "recovery.after-replay",       // table rebuilt, compaction not begun
-    "recovery.after-snapshot",     // new snapshot durable, journal stale
-    "recovery.after-reset",        // journal reset, before reporting
+    "recovery.after-compact",      // new base image durable, before reporting
 };
 
 struct Arming {

@@ -112,12 +112,11 @@ int usage() {
       "        [--metric=M] [--scale=S]    rejections with capped backoff\n"
       "        [--fault-plan=PLAN] [--history-file=FILE]\n"
       "        [--pstates=N] [--policy=NAME] [--idle-watts=W]\n"
-      "        [--no-journal] [--journal=FILE]\n"
-      "                                    with --history-file, table-G\n"
-      "                                    merges journal to FILE (default\n"
-      "                                    <history>.wal) and restarts\n"
-      "                                    recover snapshot + journal;\n"
-      "                                    --no-journal opts out\n"
+      "        [--no-journal]              with --history-file, table-G\n"
+      "                                    merges append to that file and\n"
+      "                                    restarts replay them;\n"
+      "                                    --no-journal writes it only at\n"
+      "                                    shutdown\n"
       "        [--drain-grace-ms=N] [--trace-out=FILE] [--metrics]\n"
       "        [--metrics-out=FILE] [--metrics-interval-ms=N]\n"
       "        [--metrics-json=FILE] [--decision-log=FILE]\n"
@@ -214,7 +213,6 @@ acceptedFlags(const std::string &Command) {
                  {"detector-interval-ms", F::Real, 1e-3, Inf},
                  {"no-flight-recorder"},
                  {"no-journal"},
-                 {"journal"},
                  {"metrics-interval-ms", F::Real, 0, Inf}});
   if (Command == "inspect")
     return std::vector<F>{{"validate"}, {"validate-lastgasp"}};
@@ -758,10 +756,9 @@ int cmdServe(const Flags &Args) {
   Config.HistoryFile = Args.getString("history-file", "");
   // Journaling is the default whenever history persists: a kill -9 then
   // costs at most one group-commit window, not everything since the
-  // last snapshot. --no-journal opts back into snapshot-only mode.
+  // last shutdown. --no-journal opts back into shutdown-only writes.
   Config.Journal.Enabled =
       !Config.HistoryFile.empty() && !Args.getBool("no-journal", false);
-  Config.Journal.Path = Args.getString("journal", "");
   if (wantsObservability(Args))
     Config.Trace = &Recorder;
   if (wantsMetricsRegistry(Args) || Forensics)
@@ -777,23 +774,24 @@ int cmdServe(const Flags &Args) {
                      : PowerCurveFamily::fromSingle(curvesFor(*Spec, Args));
   EasScheduler Scheduler(std::move(Curves), Objective, Config);
   if (!Scheduler.restoreStatus())
-    std::fprintf(stderr, "warning: %s (starting cold)\n",
-                 Scheduler.restoreStatus().message().c_str());
+    std::fprintf(stderr, "warning: %s (kept the %zu table-G records "
+                 "before it)\n",
+                 Scheduler.restoreStatus().message().c_str(),
+                 Scheduler.restoredRecords());
   else if (Scheduler.restoredRecords() > 0)
     std::printf("restored %zu table-G records from %s\n",
                 Scheduler.restoredRecords(), Config.HistoryFile.c_str());
   if (Config.Journal.Enabled) {
     const RecoveryReport &Recovery = Scheduler.recoveryReport();
-    std::printf("recovery: outcome=%s snapshot=%zu replayed=%zu "
-                "truncated=%zu epoch=%llu %.3f ms (journal %s)\n",
-                recoveryOutcomeName(Recovery.Outcome),
-                Recovery.SnapshotRecords, Recovery.ReplayedRecords,
-                Recovery.TruncatedRecords,
-                static_cast<unsigned long long>(Recovery.Epoch),
-                1e3 * Recovery.Seconds, Scheduler.journalPath().c_str());
+    std::printf("recovery: outcome=%s base=%zu replayed=%zu "
+                "truncated=%zu generation=%llu %.3f ms (%s)\n",
+                recoveryOutcomeName(Recovery.Outcome), Recovery.BaseRecords,
+                Recovery.ReplayedRecords, Recovery.TruncatedRecords,
+                static_cast<unsigned long long>(Recovery.Generation),
+                1e3 * Recovery.Seconds, Config.HistoryFile.c_str());
     if (!Scheduler.journalStatus())
       std::fprintf(stderr,
-                   "warning: journal unavailable, snapshot-only "
+                   "warning: journal unavailable, shutdown-only "
                    "durability: %s\n",
                    Scheduler.journalStatus().message().c_str());
   }
