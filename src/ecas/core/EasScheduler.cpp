@@ -56,9 +56,6 @@ Status EasConfig::validate() const {
   if (!(ProfileFraction > 0.0 && ProfileFraction <= 1.0))
     return Invalid(
         formatString("profile fraction %g outside (0, 1]", ProfileFraction));
-  if (MinProfileIters < 0.0)
-    return Invalid(formatString("negative minimum profile iterations %g",
-                                MinProfileIters));
   if (GpuProfileSize < 0.0)
     return Invalid(
         formatString("negative GPU profile size %g", GpuProfileSize));
@@ -651,9 +648,7 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
                               ? Config.GpuProfileSize
                               : Proc.spec().defaultGpuProfileSize();
 
-  double MinProfileIters = Config.MinProfileIters > 0.0
-                               ? Config.MinProfileIters
-                               : GpuProfileSize / 4.0;
+  double ConfidentIters = GpuProfileSize / 4.0;
 
   OperatingPoint Point;
   double Nrem = Iterations;
@@ -889,8 +884,8 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
       // accumulated while one device was starved of observations.
       Delta.BecameConfident =
           !Rec.Confident &&
-          Delta.MergedSample.CpuIterations >= MinProfileIters &&
-          Delta.MergedSample.GpuIterations >= MinProfileIters;
+          Delta.MergedSample.CpuIterations >= ConfidentIters &&
+          Delta.MergedSample.GpuIterations >= ConfidentIters;
       if (AddAlpha) {
         Delta.HasAlphaSample = true;
         Delta.AlphaValue = Point.Alpha;

@@ -52,7 +52,10 @@ namespace ecas {
 /// Tunables of the EAS algorithm.
 struct EasConfig {
   /// GPU profiling chunk (Fig. 7 step 31). 0 selects the platform
-  /// default, PlatformSpec::defaultGpuProfileSize().
+  /// default, PlatformSpec::defaultGpuProfileSize(). A kernel's learned
+  /// alpha is trusted and reused only once each device has executed a
+  /// quarter of this chunk during profiling; below that the next
+  /// large-enough invocation profiles again.
   double GpuProfileSize = 0.0;
   /// Offload-ratio grid increment for step 20.
   double AlphaStep = 0.1;
@@ -61,11 +64,6 @@ struct EasConfig {
   /// Profiling repeats until fewer than this fraction of the invocation's
   /// iterations remain (step 13: "while N_rem > N/2").
   double ProfileFraction = 0.5;
-  /// Minimum iterations each device must have executed during profiling
-  /// before the learned alpha is trusted and reused; below this the next
-  /// large-enough invocation profiles again. 0 selects
-  /// GPU_PROFILE_SIZE / 4.
-  double MinProfileIters = 0.0;
   /// Announce the chosen split to the PCU before executing it (the
   /// paper's future-work extension): the governor jumps to the matching
   /// steady state instead of re-discovering it through wake resets and
@@ -148,7 +146,7 @@ struct EasConfig {
 
   /// Checks every tunable for sanity: AlphaStep outside (0, 1],
   /// non-positive ProfileFraction (or above 1), negative
-  /// MinProfileIters/GpuProfileSize, and zero-capacity Health budgets
+  /// GpuProfileSize, and zero-capacity Health budgets
   /// (no launch retries, non-positive quarantine or watchdog intervals,
   /// shrinking backoff multipliers) are all InvalidArgument. The
   /// EasScheduler constructor calls this and treats a failure as a
@@ -304,10 +302,8 @@ public:
   /// truncated, or version-mismatched, and the table holds only the
   /// records before the damage (none for a bad header).
   const Status &restoreStatus() const { return Recovery.ReadStatus; }
-  /// Records recovered by the constructor's restore.
-  size_t restoredRecords() const {
-    return Recovery.BaseRecords + Recovery.ReplayedRecords;
-  }
+  /// Records in table G after the constructor's restore.
+  size_t restoredRecords() const { return Recovery.Records; }
 
   /// What the constructor's recovery did. Without a journal the same
   /// recovery runs without compacting the file.
@@ -410,9 +406,9 @@ private:
 
   /// Instruments cached at construction (all null without a registry).
   /// Per-class histograms are indexed by WorkloadClass::index(); the
-  /// second axis is the chosen P-state. A single-state family fills
-  /// only column 0, registered under the legacy label sets (no pstate
-  /// label), so pre-DVFS scrapes are byte-identical.
+  /// second axis is the chosen P-state. Every per-state series carries
+  /// its pstate label; a single-state family fills only column 0
+  /// (pstate="0").
   struct MetricInstruments {
     obs::Histogram *TimeRelError[WorkloadClass::NumClasses][kMaxPStates] = {};
     obs::Histogram *EnergyRelError[WorkloadClass::NumClasses][kMaxPStates] =

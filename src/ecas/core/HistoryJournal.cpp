@@ -17,10 +17,8 @@
 #include <cmath>
 #include <cstring>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 using namespace ecas;
 
@@ -487,6 +485,7 @@ RecoveryReport ecas::recoverKernelHistory(KernelHistory &History,
     applyDeltaRecord(History, Rec);
   Report.BaseRecords = Scan.Base.size();
   Report.ReplayedRecords = Scan.Deltas.size();
+  Report.Records = History.size();
   Report.TruncatedRecords = Scan.TruncatedRecords;
   Report.Generation = Scan.Generation;
   ECAS_CRASHPOINT("recovery.after-replay");
@@ -529,10 +528,6 @@ HistoryJournal::open(JournalOptions Options, uint64_t Generation) {
     return Status::error(ErrCode::InvalidArgument,
                          "zero group-commit record threshold (1 means "
                          "per-record commit)");
-#ifdef _WIN32
-  return Status::error(ErrCode::DeviceUnavailable,
-                       "journaling needs POSIX file IO");
-#else
   std::string Existing;
   bool Existed = false;
   if (Status S = readFileBytes(Options.Path, Existing, Existed); !S)
@@ -589,17 +584,14 @@ HistoryJournal::open(JournalOptions Options, uint64_t Generation) {
                                                  std::strerror(errno));
   }
   return Journal;
-#endif
 }
 
 HistoryJournal::~HistoryJournal() {
   (void)flush();
-#ifndef _WIN32
   LockGuard Io(IoMutex);
   if (Fd >= 0)
     ::close(Fd);
   Fd = -1;
-#endif
 }
 
 // Hot-path exception (DESIGN.md §14): journaling is opt-in durability.
@@ -660,9 +652,6 @@ Status HistoryJournal::flushLocked() {
 }
 
 Status HistoryJournal::writeBatch() {
-#ifdef _WIN32
-  return Status::success();
-#else
   if (Batch.empty())
     return Status::success();
   if (Fd < 0)
@@ -692,13 +681,9 @@ Status HistoryJournal::writeBatch() {
   ECAS_CRASHPOINT("journal.flush.after-sync");
   FlushCount.fetch_add(1, std::memory_order_relaxed);
   return Status::success();
-#endif
 }
 
 Status HistoryJournal::compact(const KernelHistory &History) {
-#ifdef _WIN32
-  return Status::success();
-#else
   LockGuard Io(IoMutex);
   {
     // Every pending record's effect is already in the table the image
@@ -721,7 +706,6 @@ Status HistoryJournal::compact(const KernelHistory &History) {
                                                ": " + std::strerror(errno));
   Generation.store(Next, std::memory_order_release);
   return Status::success();
-#endif
 }
 
 HistoryJournal::Stats HistoryJournal::stats() const {

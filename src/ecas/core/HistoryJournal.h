@@ -207,7 +207,11 @@ const char *recoveryOutcomeName(RecoveryOutcome Outcome);
 struct RecoveryReport {
   RecoveryOutcome Outcome = RecoveryOutcome::Cold;
   size_t BaseRecords = 0;
+  /// Delta frames replayed onto the base image; one record can take
+  /// many, so this is not a record count.
   size_t ReplayedRecords = 0;
+  /// Records in the table after replay.
+  size_t Records = 0;
   size_t TruncatedRecords = 0;
   /// Generation the file is at after recovery (the compacted one's).
   uint64_t Generation = 0;

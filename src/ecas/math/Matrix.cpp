@@ -8,16 +8,10 @@
 
 #include "ecas/support/Assert.h"
 
+#include <algorithm>
 #include <cmath>
 
 using namespace ecas;
-
-Matrix Matrix::identity(size_t N) {
-  Matrix M(N, N);
-  for (size_t I = 0; I != N; ++I)
-    M.at(I, I) = 1.0;
-  return M;
-}
 
 double &Matrix::at(size_t Row, size_t Col) {
   assert(Row < RowCount && Col < ColCount && "matrix index out of range");
@@ -27,90 +21,6 @@ double &Matrix::at(size_t Row, size_t Col) {
 double Matrix::at(size_t Row, size_t Col) const {
   assert(Row < RowCount && Col < ColCount && "matrix index out of range");
   return Data[Row * ColCount + Col];
-}
-
-Matrix Matrix::transposed() const {
-  Matrix T(ColCount, RowCount);
-  for (size_t R = 0; R != RowCount; ++R)
-    for (size_t C = 0; C != ColCount; ++C)
-      T.at(C, R) = at(R, C);
-  return T;
-}
-
-Matrix Matrix::multiply(const Matrix &Rhs) const {
-  ECAS_CHECK(ColCount == Rhs.RowCount, "matrix multiply shape mismatch");
-  Matrix Out(RowCount, Rhs.ColCount);
-  for (size_t R = 0; R != RowCount; ++R) {
-    for (size_t K = 0; K != ColCount; ++K) {
-      double Lhs = at(R, K);
-      if (Lhs == 0.0)
-        continue;
-      for (size_t C = 0; C != Rhs.ColCount; ++C)
-        Out.at(R, C) += Lhs * Rhs.at(K, C);
-    }
-  }
-  return Out;
-}
-
-std::vector<double> Matrix::multiply(const std::vector<double> &Vec) const {
-  ECAS_CHECK(Vec.size() == ColCount, "matrix-vector shape mismatch");
-  std::vector<double> Out(RowCount, 0.0);
-  for (size_t R = 0; R != RowCount; ++R) {
-    double Sum = 0.0;
-    for (size_t C = 0; C != ColCount; ++C)
-      Sum += at(R, C) * Vec[C];
-    Out[R] = Sum;
-  }
-  return Out;
-}
-
-bool Matrix::solveLinear(const std::vector<double> &B,
-                         std::vector<double> &X) const {
-  ECAS_CHECK(RowCount == ColCount, "solveLinear requires a square matrix");
-  ECAS_CHECK(B.size() == RowCount, "solveLinear rhs size mismatch");
-  const size_t N = RowCount;
-  Matrix A = *this; // Working copy for in-place elimination.
-  std::vector<double> Rhs = B;
-
-  for (size_t Col = 0; Col != N; ++Col) {
-    // Partial pivoting: move the largest-magnitude entry into the pivot row.
-    size_t Pivot = Col;
-    double Best = std::fabs(A.at(Col, Col));
-    for (size_t Row = Col + 1; Row != N; ++Row) {
-      double Cand = std::fabs(A.at(Row, Col));
-      if (Cand > Best) {
-        Best = Cand;
-        Pivot = Row;
-      }
-    }
-    if (Best < 1e-300)
-      return false;
-    if (Pivot != Col) {
-      for (size_t C = 0; C != N; ++C)
-        std::swap(A.at(Pivot, C), A.at(Col, C));
-      std::swap(Rhs[Pivot], Rhs[Col]);
-    }
-    double Inv = 1.0 / A.at(Col, Col);
-    for (size_t Row = Col + 1; Row != N; ++Row) {
-      double Factor = A.at(Row, Col) * Inv;
-      if (Factor == 0.0)
-        continue;
-      A.at(Row, Col) = 0.0;
-      for (size_t C = Col + 1; C != N; ++C)
-        A.at(Row, C) -= Factor * A.at(Col, C);
-      Rhs[Row] -= Factor * Rhs[Col];
-    }
-  }
-
-  X.assign(N, 0.0);
-  for (size_t RowPlus1 = N; RowPlus1 != 0; --RowPlus1) {
-    size_t Row = RowPlus1 - 1;
-    double Sum = Rhs[Row];
-    for (size_t C = Row + 1; C != N; ++C)
-      Sum -= A.at(Row, C) * X[C];
-    X[Row] = Sum / A.at(Row, Row);
-  }
-  return true;
 }
 
 bool Matrix::solveLeastSquares(const std::vector<double> &B,
@@ -165,11 +75,15 @@ bool Matrix::solveLeastSquares(const std::vector<double> &B,
       Rhs[Row] -= Dot * V[Row - Col];
   }
 
+  // Rank test relative to the largest entry of the input matrix.
+  double MaxAbs = 0.0;
+  for (double Entry : Data)
+    MaxAbs = std::max(MaxAbs, std::fabs(Entry));
   X.assign(N, 0.0);
   for (size_t ColPlus1 = N; ColPlus1 != 0; --ColPlus1) {
     size_t Col = ColPlus1 - 1;
     double Diag = A.at(Col, Col);
-    if (std::fabs(Diag) < 1e-12 * (1.0 + maxAbs()))
+    if (std::fabs(Diag) < 1e-12 * (1.0 + MaxAbs))
       return false;
     double Sum = Rhs[Col];
     for (size_t C = Col + 1; C != N; ++C)
@@ -177,11 +91,4 @@ bool Matrix::solveLeastSquares(const std::vector<double> &B,
     X[Col] = Sum / Diag;
   }
   return true;
-}
-
-double Matrix::maxAbs() const {
-  double Best = 0.0;
-  for (double V : Data)
-    Best = std::max(Best, std::fabs(V));
-  return Best;
 }

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Row-major dense matrix with the linear-algebra kernels the polynomial
-/// fitter needs: multiplication, transpose, linear solves via partially
-/// pivoted LU, and a Householder QR least-squares solve. Sizes here are
-/// tiny (a 6th-order fit is an 11x7 system), so clarity beats blocking.
+/// Row-major dense matrix with the one linear-algebra kernel the
+/// polynomial fitter needs: a Householder QR least-squares solve. Sizes
+/// here are tiny (a 6th-order fit is an 11x7 system), so clarity beats
+/// blocking.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,8 +27,6 @@ public:
   Matrix(size_t NumRows, size_t NumCols)
       : RowCount(NumRows), ColCount(NumCols), Data(NumRows * NumCols, 0.0) {}
 
-  static Matrix identity(size_t N);
-
   size_t rows() const { return RowCount; }
   size_t cols() const { return ColCount; }
   bool empty() const { return Data.empty(); }
@@ -36,24 +34,11 @@ public:
   double &at(size_t Row, size_t Col);
   double at(size_t Row, size_t Col) const;
 
-  Matrix transposed() const;
-  Matrix multiply(const Matrix &Rhs) const;
-
-  /// Multiplies by a vector (Cols-length), producing a Rows-length vector.
-  std::vector<double> multiply(const std::vector<double> &Vec) const;
-
-  /// Solves the square system A*x = B in-place via LU with partial
-  /// pivoting. \returns false if the matrix is (numerically) singular.
-  bool solveLinear(const std::vector<double> &B, std::vector<double> &X) const;
-
   /// Least-squares solve of the (possibly overdetermined) system
   /// A*x ~= B via Householder QR. Requires rows() >= cols().
   /// \returns false if A is rank-deficient to working precision.
   bool solveLeastSquares(const std::vector<double> &B,
                          std::vector<double> &X) const;
-
-  /// Maximum absolute entry; zero for an empty matrix.
-  double maxAbs() const;
 
 private:
   size_t RowCount = 0;

@@ -14,8 +14,7 @@ using namespace ecas;
 
 std::optional<FitResult> ecas::fitPolynomial(const std::vector<double> &Xs,
                                              const std::vector<double> &Ys,
-                                             unsigned Degree,
-                                             FitMethod Method) {
+                                             unsigned Degree) {
   ECAS_CHECK(Xs.size() == Ys.size(), "polyfit sample size mismatch");
   const size_t NumSamples = Xs.size();
   const size_t NumCoeffs = static_cast<size_t>(Degree) + 1;
@@ -32,20 +31,7 @@ std::optional<FitResult> ecas::fitPolynomial(const std::vector<double> &Xs,
   }
 
   std::vector<double> Coeffs;
-  bool Solved = false;
-  switch (Method) {
-  case FitMethod::QR:
-    Solved = Vandermonde.solveLeastSquares(Ys, Coeffs);
-    break;
-  case FitMethod::NormalEquations: {
-    Matrix Vt = Vandermonde.transposed();
-    Matrix Gram = Vt.multiply(Vandermonde);
-    std::vector<double> Rhs = Vt.multiply(Ys);
-    Solved = Gram.solveLinear(Rhs, Coeffs);
-    break;
-  }
-  }
-  if (!Solved)
+  if (!Vandermonde.solveLeastSquares(Ys, Coeffs))
     return std::nullopt;
 
   FitResult Result;

@@ -6,10 +6,9 @@
 ///
 /// \file
 /// Fits the sixth-order power characterization polynomials of Section 2
-/// ("fit a smooth curve to derive a polynomial approximation"). Two
-/// algorithms are provided: Householder QR on the Vandermonde system
-/// (the default — numerically robust) and the classical normal equations
-/// (kept as an ablation of the fitting method).
+/// ("fit a smooth curve to derive a polynomial approximation") by
+/// Householder QR on the Vandermonde system, which stays numerically
+/// robust where the normal equations would square its condition number.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,12 +21,6 @@
 #include <vector>
 
 namespace ecas {
-
-/// How the least-squares system is solved.
-enum class FitMethod {
-  QR,              ///< Householder QR on the Vandermonde matrix.
-  NormalEquations, ///< (V^T V) x = V^T y via pivoted LU.
-};
 
 /// Result of a fit: the polynomial plus goodness-of-fit measures over the
 /// input sample.
@@ -44,8 +37,7 @@ struct FitResult {
 /// fewer than Degree+1 distinct X values).
 std::optional<FitResult> fitPolynomial(const std::vector<double> &Xs,
                                        const std::vector<double> &Ys,
-                                       unsigned Degree,
-                                       FitMethod Method = FitMethod::QR);
+                                       unsigned Degree);
 
 } // namespace ecas
 

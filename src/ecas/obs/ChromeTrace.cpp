@@ -18,38 +18,6 @@ using namespace ecas::obs;
 // Export
 //===----------------------------------------------------------------------===//
 
-/// JSON string escaping for the small set of payloads we emit (names,
-/// details): quotes, backslashes, and control characters.
-static std::string jsonEscape(const std::string &Text) {
-  std::string Out;
-  Out.reserve(Text.size() + 2);
-  for (char C : Text) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  return Out;
-}
-
 namespace {
 /// Stream-builder for one trace document; keeps the comma bookkeeping in
 /// one place.
@@ -79,11 +47,11 @@ static std::string commonFields(const char *Phase, const TraceEvent &E,
   std::string Fields = formatString(
       "\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,"
       "\"pid\":%lld,\"tid\":%u",
-      jsonEscape(E.Name).c_str(), jsonEscape(E.Category).c_str(), Phase,
+      escapeJson(E.Name).c_str(), escapeJson(E.Category).c_str(), Phase,
       TsUs, Pid, E.ThreadId);
   std::string Args;
   if (!E.Detail.empty())
-    Args = "\"detail\":\"" + jsonEscape(E.Detail) + "\"";
+    Args = "\"detail\":\"" + escapeJson(E.Detail) + "\"";
   if (Payload != 0.0 && std::isfinite(Payload))
     Args += formatString("%s\"value\":%.6g", Args.empty() ? "" : ",",
                          Payload);
@@ -97,7 +65,7 @@ static std::string metadataEvent(const char *What, long long Pid,
   std::string Fields = formatString(
       "\"name\":\"%s\",\"ph\":\"M\",\"pid\":%lld,\"tid\":%lld,"
       "\"args\":{\"name\":\"%s\"}",
-      What, Pid, Tid, jsonEscape(Name).c_str());
+      What, Pid, Tid, escapeJson(Name).c_str());
   return Fields;
 }
 
@@ -141,7 +109,7 @@ std::string ecas::obs::renderChromeTrace(const TraceLog &Log) {
       Out.add(formatString(
           "\"name\":\"%s\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":%.3f,"
           "\"pid\":%lld,\"tid\":0,\"args\":{\"value\":%.6g}",
-          jsonEscape(E.Name).c_str(), HostUs, HostPid, Value));
+          escapeJson(E.Name).c_str(), HostUs, HostPid, Value));
       break;
     }
     }

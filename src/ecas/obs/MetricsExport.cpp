@@ -95,37 +95,6 @@ std::string renderLabels(const MetricLabels &Labels,
   return Out + "}";
 }
 
-/// JSON string escaping (control characters, quote, backslash).
-std::string escapeJson(const std::string &V) {
-  std::string Out;
-  Out.reserve(V.size());
-  for (char C : V) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  return Out;
-}
-
 /// NaN/Inf have no JSON literal; snapshots encode them as null.
 std::string jsonNumber(double V) {
   if (std::isnan(V) || std::isinf(V))

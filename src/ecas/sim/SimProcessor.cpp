@@ -31,11 +31,6 @@ void SimProcessor::enableTrace(double SampleIntervalSec) {
   Trace = std::make_unique<PowerTrace>(SampleIntervalSec);
 }
 
-void SimProcessor::setMaxSliceSec(double Seconds) {
-  ECAS_CHECK(Seconds > 0.0, "slice length must be positive");
-  MaxSlice = Seconds;
-}
-
 // Both helpers below sit on every step; inline keeps them in it.
 inline std::pair<double, double> SimProcessor::effectiveClocks() const {
   double CpuFreq = Governor.cpuFreqGHz();
@@ -139,7 +134,7 @@ double SimProcessor::stepSlice(double MaxDt, std::bool_constant<Recorded>) {
   double EpochLeft = NextEpoch - Now;
   double CpuDrain =
       CpuBusyNow ? Cpu.timeToHeadDrain(CpuFreq, CpuShare) : 1e30;
-  double Dt = std::min(MaxDt, MaxSlice);
+  double Dt = std::min(MaxDt, MaxSliceSec);
   Dt = std::min(Dt, EpochLeft);
   Dt = std::min(Dt, CpuDrain);
   if (GpuBusyNow)
@@ -235,7 +230,6 @@ double SimProcessor::runRepetition(const KernelCost &Kernel, double GpuChunk,
     Recording = nullptr;
     Plan.Kernel = Kernel;
     Plan.GpuChunk = GpuChunk;
-    Plan.MaxSlice = MaxSlice;
     Plan.GpuDerate = Gpu.throughputDerate();
     std::tie(Plan.CpuFreq, Plan.GpuFreq) = effectiveClocks();
     Plan.CpuRate = Cpu.rateFor(Kernel, Plan.CpuFreq, CpuShare);
@@ -281,14 +275,13 @@ SimProcessor::replayRepetition(const RepetitionPlan &Plan,
                                double CpuShare) {
   // A stepped repetition would take the plan's slices when it starts from
   // the same state: idle devices whose busy flags are already set (no
-  // transition at the first slice), the same GPU work at the same derate
-  // and slice bound, the same clocks (caps and hints included), and a
-  // CPU share that runs at the plan's rate (a share below the CPU's
-  // thread count does not; a zero share rates zero, which no plan holds).
+  // transition at the first slice), the same GPU work at the same derate,
+  // the same clocks (caps and hints included), and a CPU share that runs
+  // at the plan's rate (a share below the CPU's thread count does not; a
+  // zero share rates zero, which no plan holds).
   if (Plan.NumSlices == 0 || Faults || Trace || Cpu.busy() || Gpu.busy() ||
       !LastCpuBusy || !LastGpuBusy || !sameBits(Kernel, Plan.Kernel) ||
       !sameBits(GpuChunk, Plan.GpuChunk) ||
-      !sameBits(MaxSlice, Plan.MaxSlice) ||
       !sameBits(Gpu.throughputDerate(), Plan.GpuDerate))
     return std::nullopt;
   auto [CpuFreq, GpuFreq] = effectiveClocks();

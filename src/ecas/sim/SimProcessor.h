@@ -68,7 +68,6 @@ public:
     /// The inputs every slice depended on beyond the CPU share.
     KernelCost Kernel;
     double GpuChunk = 0.0;
-    double MaxSlice = 0.0;
     double GpuDerate = 0.0;
     double CpuFreq = 0.0;
     double GpuFreq = 0.0;
@@ -122,10 +121,6 @@ public:
   /// Advances exactly \p Seconds of virtual time, accruing idle power if
   /// there is no work.
   void runFor(double Seconds);
-
-  /// Upper bound on a single integration slice (default 1 ms). Tighter
-  /// slices refine power integration between governor epochs.
-  void setMaxSliceSec(double Seconds);
 
   /// One fault-free profiling repetition (Fig. 7 steps 31-33): enqueues
   /// \p GpuChunk iterations of \p Kernel on the GPU and \p CpuShare on
@@ -221,7 +216,8 @@ private:
   std::unique_ptr<PowerTrace> Trace;
   double Now = 0.0;
   double NextEpoch = 0.0;
-  double MaxSlice = 1e-3;
+  /// Upper bound on a single integration slice.
+  static constexpr double MaxSliceSec = 1e-3;
   double LastTrafficGBs = 0.0;
   bool LastCpuBusy = false;
   bool LastGpuBusy = false;

@@ -15,18 +15,15 @@
 #include <fstream>
 #include <sstream>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 using namespace ecas;
 
 namespace {
 
-/// fsyncs \p Path's data. Best-effort no-op where fsync does not exist.
+/// fsyncs \p Path's data.
 Status syncFile(const std::string &Path) {
-#ifndef _WIN32
   int Fd = ::open(Path.c_str(), O_RDONLY);
   if (Fd < 0)
     return Status::error(ErrCode::IoError, "cannot reopen " + Path +
@@ -37,14 +34,12 @@ Status syncFile(const std::string &Path) {
   if (Rc != 0)
     return Status::error(ErrCode::IoError,
                          "fsync " + Path + ": " + std::strerror(errno));
-#endif
   return Status::success();
 }
 
 } // namespace
 
 Status ecas::syncParentDir(const std::string &Path) {
-#ifndef _WIN32
   size_t Slash = Path.find_last_of('/');
   std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
   if (Dir.empty())
@@ -63,7 +58,6 @@ Status ecas::syncParentDir(const std::string &Path) {
     return Status::error(ErrCode::IoError,
                          "fsync directory " + Dir + ": " +
                              std::strerror(errno));
-#endif
   return Status::success();
 }
 

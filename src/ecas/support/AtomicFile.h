@@ -52,8 +52,8 @@ Status writeFileAtomic(const std::string &Path, std::string_view Bytes);
 Status readFileBytes(const std::string &Path, std::string &Out,
                      bool &Existed);
 
-/// Flushes the directory containing \p Path (best-effort no-op on
-/// platforms without directory fsync). Exposed for the journal, whose
+/// Flushes the directory containing \p Path (a filesystem that refuses
+/// directory fsync is not an error). Exposed for the journal, whose
 /// append-mode writes need the same rename-durability step after
 /// creating the file.
 Status syncParentDir(const std::string &Path);

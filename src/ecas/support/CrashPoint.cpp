@@ -10,9 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 using namespace ecas;
 
@@ -76,14 +74,10 @@ void ecas::crashPointHit(const char *Name) {
     return;
   if (Armed.Remaining.fetch_sub(1, std::memory_order_acq_rel) != 1)
     return;
-#ifndef _WIN32
   // _exit, not exit: no atexit handlers, no stream flushes, no
   // destructors — the simulated power cut leaves whatever the kernel
   // already has and nothing else.
   _exit(CrashPointExitCode);
-#else
-  std::_Exit(CrashPointExitCode);
-#endif
 }
 
 void ecas::armCrashPoint(const char *Name, unsigned Hit) {

@@ -116,3 +116,33 @@ std::string ecas::padRight(const std::string &Text, unsigned Width) {
     return Text;
   return Text + std::string(Width - Text.size(), ' ');
 }
+
+std::string ecas::escapeJson(const std::string &Text) {
+  std::string Out;
+  Out.reserve(Text.size() + 2);
+  for (char C : Text) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20)
+        Out += formatString("\\u%04x", C);
+      else
+        Out += C;
+    }
+  }
+  return Out;
+}

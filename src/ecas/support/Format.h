@@ -46,6 +46,10 @@ bool parseDouble(const std::string &Text, double &Out);
 /// Parses a signed 64-bit integer, returning true on success.
 bool parseInt64(const std::string &Text, long long &Out);
 
+/// Escapes \p Text for a JSON string literal: quotes, backslashes, and
+/// control characters.
+std::string escapeJson(const std::string &Text);
+
 /// Renders a left-padded, fixed-width table cell for plain-text reports.
 std::string padLeft(const std::string &Text, unsigned Width);
 

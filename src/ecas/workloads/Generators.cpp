@@ -1,4 +1,4 @@
-//===-- ecas/workloads/Generators.cpp - Synthetic input builders ----------===//
+//===-- ecas/workloads/Generators.cpp - Synthetic road network ------------===//
 //
 // Part of the ecas project, under the MIT License.
 //
@@ -60,48 +60,4 @@ RoadGraph ecas::makeRoadGraph(uint32_t Width, uint32_t Height,
     Graph.Weights[Cursor[B]++] = W;
   }
   return Graph;
-}
-
-BodySet ecas::makeBodies(size_t Count, uint64_t Seed) {
-  BodySet Bodies;
-  Bodies.X.reserve(Count);
-  Bodies.Y.reserve(Count);
-  Bodies.Z.reserve(Count);
-  Bodies.Mass.reserve(Count);
-  Xoshiro256 Rng(Seed);
-  for (size_t I = 0; I != Count; ++I) {
-    Bodies.X.push_back(static_cast<float>(Rng.nextDouble()));
-    Bodies.Y.push_back(static_cast<float>(Rng.nextDouble()));
-    Bodies.Z.push_back(static_cast<float>(Rng.nextDouble()));
-    Bodies.Mass.push_back(static_cast<float>(Rng.nextDouble(0.5, 2.0)));
-  }
-  return Bodies;
-}
-
-OptionBatch ecas::makeOptions(size_t Count, uint64_t Seed) {
-  OptionBatch Batch;
-  Batch.Spot.reserve(Count);
-  Batch.Strike.reserve(Count);
-  Batch.Years.reserve(Count);
-  Batch.Volatility.reserve(Count);
-  Batch.Rate.reserve(Count);
-  Xoshiro256 Rng(Seed);
-  for (size_t I = 0; I != Count; ++I) {
-    Batch.Spot.push_back(static_cast<float>(Rng.nextDouble(10.0, 200.0)));
-    Batch.Strike.push_back(static_cast<float>(Rng.nextDouble(10.0, 200.0)));
-    Batch.Years.push_back(static_cast<float>(Rng.nextDouble(0.1, 5.0)));
-    Batch.Volatility.push_back(
-        static_cast<float>(Rng.nextDouble(0.05, 0.9)));
-    Batch.Rate.push_back(static_cast<float>(Rng.nextDouble(0.0, 0.08)));
-  }
-  return Batch;
-}
-
-std::vector<uint64_t> ecas::makeKeys(size_t Count, uint64_t Seed) {
-  std::vector<uint64_t> Keys;
-  Keys.reserve(Count);
-  Xoshiro256 Rng(Seed);
-  for (size_t I = 0; I != Count; ++I)
-    Keys.push_back(Rng.next());
-  return Keys;
 }

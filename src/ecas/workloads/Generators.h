@@ -1,14 +1,13 @@
-//===-- ecas/workloads/Generators.h - Synthetic input builders -*- C++ -*-===//
+//===-- ecas/workloads/Generators.h - Synthetic road network ----*- C++ -*-===//
 //
 // Part of the ecas project, under the MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Deterministic input generators standing in for the paper's external
-/// datasets: a synthetic road network in the spirit of the W-USA graph
-/// (planar, low degree, huge diameter), particle/body sets, option
-/// batches, and key streams. All are seeded, so traces and checksums are
+/// Deterministic input generator standing in for the paper's W-USA road
+/// graph: a synthetic road network (planar, low degree, huge diameter).
+/// It is seeded, so the graph workloads' traces and checksums are
 /// reproducible across runs and platforms.
 ///
 //===----------------------------------------------------------------------===//
@@ -41,23 +40,6 @@ struct RoadGraph {
 /// thousands of levels — the irregularity profile the paper's graph
 /// workloads exhibit.
 RoadGraph makeRoadGraph(uint32_t Width, uint32_t Height, uint64_t Seed);
-
-/// 3-D body set with positions in the unit cube and masses in [0.5, 2).
-struct BodySet {
-  std::vector<float> X, Y, Z, Mass;
-  size_t size() const { return X.size(); }
-};
-BodySet makeBodies(size_t Count, uint64_t Seed);
-
-/// Black-Scholes option batch.
-struct OptionBatch {
-  std::vector<float> Spot, Strike, Years, Volatility, Rate;
-  size_t size() const { return Spot.size(); }
-};
-OptionBatch makeOptions(size_t Count, uint64_t Seed);
-
-/// Uniformly random 64-bit keys (skip-list inserts).
-std::vector<uint64_t> makeKeys(size_t Count, uint64_t Seed);
 
 } // namespace ecas
 

@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The twelve evaluation workloads of Table 1, each in two forms: a real
-/// host implementation (actual algorithm on generated data, runnable on
-/// the work-stealing runtime) and a simulator trace (per-invocation
-/// iteration counts plus a calibrated kernel cost descriptor). Graph
-/// workloads derive their invocation sequence from running the real
-/// algorithm, so the irregularity the paper discusses is genuine.
+/// The twelve evaluation workloads of Table 1, each a simulator trace:
+/// per-invocation iteration counts plus a calibrated kernel cost
+/// descriptor. The graph workloads derive their invocation sequence from
+/// running the real algorithm, so the irregularity the paper discusses is
+/// genuine; MB also has a host implementation for the work-stealing
+/// runtime.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,9 +31,9 @@ namespace ecas {
 struct WorkloadConfig {
   /// Shrinks the *graph* workloads' host-side construction (node count
   /// scales linearly; invocation-trace totals scale with sqrt so the
-  /// per-invocation frontier magnitude stays at the W-USA level). The
-  /// other workloads' traces cost nothing to build and always use the
-  /// Table 1 sizes.
+  /// per-invocation frontier magnitude stays at the W-USA level). FD's
+  /// window count scales linearly; the other workloads' traces cost
+  /// nothing to build and always use the Table 1 sizes.
   double Scale = 1.0;
   /// Largest Scale whose road graph still numbers its nodes in 32 bits
   /// (graphDimensions: side 875 * sqrt(Scale), side^2 nodes).

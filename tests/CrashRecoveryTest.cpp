@@ -55,28 +55,35 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
 #include <csignal>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 using namespace ecas;
 
 namespace {
 
 /// One scratch table-G file, removed on destruction together with its
-/// temp sibling and a leftover two-file-era journal.
+/// temp sibling and a leftover two-file-era journal. The path carries the
+/// running test's name: ctest runs each test in its own process, in
+/// parallel, and two tests sharing a \p Name must not share a file.
 class ScratchFile {
 public:
   explicit ScratchFile(const std::string &Name)
-      : Path(::testing::TempDir() + "ecas-cr-" + Name + ".tblg") {
+      : Path(::testing::TempDir() + "ecas-cr-" + currentTestName() + "-" +
+             Name + ".tblg") {
     remove();
   }
   ~ScratchFile() { remove(); }
   const std::string &path() const { return Path; }
 
 private:
+  static std::string currentTestName() {
+    const ::testing::TestInfo *Info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return Info ? std::string(Info->test_suite_name()) + "." + Info->name()
+                : std::string("none");
+  }
   void remove() {
     for (const char *Suffix : {"", ".tmp", ".wal"})
       std::remove((Path + Suffix).c_str());
@@ -957,6 +964,7 @@ TEST(SchedulerJournal, KillWithoutShutdownLosesNothingFlushed) {
     Hanging.Faults = *FaultPlan::scenario("gpu-hang");
 
     std::vector<std::pair<uint64_t, KernelRecord>> Live;
+    std::string Killed;
     {
       EasScheduler Scheduler(States > 1 ? ladderFamily() : desktopFamily(),
                              Metric::edp(), Config);
@@ -1018,7 +1026,8 @@ TEST(SchedulerJournal, KillWithoutShutdownLosesNothingFlushed) {
 
       // Freeze the on-disk state exactly as a kill -9 here would leave
       // it, before the destructor's orderly shutdown compacts it.
-      writeRaw(Copy.path(), readFile(File.path()));
+      Killed = readFile(File.path());
+      writeRaw(Copy.path(), Killed);
     }
     // Journaling wrote the one history file and nothing beside it.
     EXPECT_FALSE(fileExists(File.path() + ".wal"));
@@ -1036,6 +1045,17 @@ TEST(SchedulerJournal, KillWithoutShutdownLosesNothingFlushed) {
       // costs nothing — every field bit-identical.
       expectSameRecord(Entries[I].second, Live[I].second);
     }
+
+    // A scheduler restarted on the killed file (recovery above compacted
+    // the copy) counts the records in its table, not the base records
+    // plus the delta frames replayed onto them.
+    writeRaw(Copy.path(), Killed);
+    EasConfig RestartConfig = Config;
+    RestartConfig.HistoryFile = Copy.path();
+    EasScheduler Restarted(States > 1 ? ladderFamily() : desktopFamily(),
+                           Metric::edp(), RestartConfig);
+    EXPECT_EQ(Restarted.recoveryReport().Outcome, RecoveryOutcome::Replayed);
+    EXPECT_EQ(Restarted.restoredRecords(), Restarted.history().size());
   }
 }
 
@@ -1421,8 +1441,6 @@ TEST(CorruptionMatrix, RandomMultiFaultRoundsNeverCrashRecovery) {
 // 6. The fork harness: die at every declared crash point
 //===----------------------------------------------------------------------===//
 
-#ifndef _WIN32
-
 namespace {
 
 /// What the crash-sweep child does after arming one point: a full
@@ -1611,5 +1629,3 @@ TEST(CrashHarness, RandomSigkillUnderLoadNeverLosesFlushedPrefix) {
     expectSameEntries(Recovered, Again);
   }
 }
-
-#endif // !_WIN32

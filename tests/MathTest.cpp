@@ -16,79 +16,6 @@
 
 using namespace ecas;
 
-TEST(Matrix, MultiplyIdentity) {
-  Matrix A(2, 3);
-  A.at(0, 0) = 1;
-  A.at(0, 1) = 2;
-  A.at(0, 2) = 3;
-  A.at(1, 0) = 4;
-  A.at(1, 1) = 5;
-  A.at(1, 2) = 6;
-  Matrix I = Matrix::identity(3);
-  Matrix P = A.multiply(I);
-  for (size_t R = 0; R != 2; ++R)
-    for (size_t C = 0; C != 3; ++C)
-      EXPECT_DOUBLE_EQ(P.at(R, C), A.at(R, C));
-}
-
-TEST(Matrix, TransposeRoundTrip) {
-  Matrix A(3, 2);
-  int V = 0;
-  for (size_t R = 0; R != 3; ++R)
-    for (size_t C = 0; C != 2; ++C)
-      A.at(R, C) = ++V;
-  Matrix T = A.transposed();
-  EXPECT_EQ(T.rows(), 2u);
-  EXPECT_EQ(T.cols(), 3u);
-  Matrix Back = T.transposed();
-  for (size_t R = 0; R != 3; ++R)
-    for (size_t C = 0; C != 2; ++C)
-      EXPECT_DOUBLE_EQ(Back.at(R, C), A.at(R, C));
-}
-
-TEST(Matrix, SolveLinearKnownSystem) {
-  // 2x + y = 5; x - y = 1  =>  x = 2, y = 1.
-  Matrix A(2, 2);
-  A.at(0, 0) = 2;
-  A.at(0, 1) = 1;
-  A.at(1, 0) = 1;
-  A.at(1, 1) = -1;
-  std::vector<double> X;
-  ASSERT_TRUE(A.solveLinear({5.0, 1.0}, X));
-  EXPECT_NEAR(X[0], 2.0, 1e-12);
-  EXPECT_NEAR(X[1], 1.0, 1e-12);
-}
-
-TEST(Matrix, SolveLinearSingularFails) {
-  Matrix A(2, 2);
-  A.at(0, 0) = 1;
-  A.at(0, 1) = 2;
-  A.at(1, 0) = 2;
-  A.at(1, 1) = 4;
-  std::vector<double> X;
-  EXPECT_FALSE(A.solveLinear({1.0, 2.0}, X));
-}
-
-TEST(Matrix, SolveLinearRandomRoundTrip) {
-  Xoshiro256 Rng(42);
-  for (int Trial = 0; Trial != 20; ++Trial) {
-    const size_t N = 6;
-    Matrix A(N, N);
-    std::vector<double> Truth(N);
-    for (size_t R = 0; R != N; ++R) {
-      Truth[R] = Rng.nextDouble(-5.0, 5.0);
-      for (size_t C = 0; C != N; ++C)
-        A.at(R, C) = Rng.nextDouble(-1.0, 1.0);
-      A.at(R, R) += 4.0; // Diagonally dominant: well-conditioned.
-    }
-    std::vector<double> B = A.multiply(Truth);
-    std::vector<double> X;
-    ASSERT_TRUE(A.solveLinear(B, X));
-    for (size_t I = 0; I != N; ++I)
-      EXPECT_NEAR(X[I], Truth[I], 1e-9);
-  }
-}
-
 TEST(Matrix, LeastSquaresExactSystem) {
   // Overdetermined but consistent: y = 3x + 1 sampled at 5 points.
   Matrix A(5, 2);
@@ -116,10 +43,11 @@ TEST(Matrix, LeastSquaresMinimizesResidual) {
   std::vector<double> Coef;
   ASSERT_TRUE(A.solveLeastSquares(B, Coef));
   auto Residual = [&](const std::vector<double> &C) {
-    std::vector<double> Fit = A.multiply(C);
     double Sum = 0.0;
-    for (size_t I = 0; I != 4; ++I)
-      Sum += (Fit[I] - B[I]) * (Fit[I] - B[I]);
+    for (size_t I = 0; I != 4; ++I) {
+      double Fit = A.at(I, 0) * C[0] + A.at(I, 1) * C[1];
+      Sum += (Fit - B[I]) * (Fit - B[I]);
+    }
     return Sum;
   };
   double Best = Residual(Coef);
@@ -182,13 +110,16 @@ TEST(Polynomial, Arithmetic) {
   EXPECT_DOUBLE_EQ(A.scaled(3.0).evaluate(2.0), 3.0 * A.evaluate(2.0));
 }
 
-/// Property sweep: fitting recovers exact polynomials of every degree
-/// with both solver backends.
+/// The fitter's one solver. It stays a parameter axis so each degree's
+/// case keeps its name.
+enum class Solver { HouseholderQr };
+
+/// Property sweep: fitting recovers exact polynomials of every degree.
 class PolyFitRecovery
-    : public ::testing::TestWithParam<std::tuple<unsigned, FitMethod>> {};
+    : public ::testing::TestWithParam<std::tuple<unsigned, Solver>> {};
 
 TEST_P(PolyFitRecovery, RecoversExactCoefficients) {
-  auto [Degree, Method] = GetParam();
+  unsigned Degree = std::get<0>(GetParam());
   Xoshiro256 Rng(1000 + Degree);
   std::vector<double> Coeffs(Degree + 1);
   for (double &C : Coeffs)
@@ -200,7 +131,7 @@ TEST_P(PolyFitRecovery, RecoversExactCoefficients) {
     Xs.push_back(X);
     Ys.push_back(Truth.evaluate(X));
   }
-  auto Fit = fitPolynomial(Xs, Ys, Degree, Method);
+  auto Fit = fitPolynomial(Xs, Ys, Degree);
   ASSERT_TRUE(Fit.has_value());
   EXPECT_GT(Fit->RSquared, 1.0 - 1e-9);
   for (double X = 0.0; X <= 1.0; X += 0.013)
@@ -210,8 +141,7 @@ TEST_P(PolyFitRecovery, RecoversExactCoefficients) {
 INSTANTIATE_TEST_SUITE_P(
     DegreesAndMethods, PolyFitRecovery,
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 6u, 8u),
-                       ::testing::Values(FitMethod::QR,
-                                         FitMethod::NormalEquations)));
+                       ::testing::Values(Solver::HouseholderQr)));
 
 TEST(PolyFit, UnderdeterminedReturnsNullopt) {
   EXPECT_FALSE(fitPolynomial({0.0, 1.0}, {1.0, 2.0}, 6).has_value());

@@ -386,9 +386,6 @@ TEST(EasConfigValidate, RejectsEachBadTunable) {
   C.ProfileFraction = 1.1;
   Expect(C, "profile fraction above 1");
   C = EasConfig();
-  C.MinProfileIters = -1.0;
-  Expect(C, "negative min profile iters");
-  C = EasConfig();
   C.GpuProfileSize = -64.0;
   Expect(C, "negative profile size");
   C = EasConfig();
