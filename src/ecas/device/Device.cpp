@@ -153,22 +153,28 @@ void SimDevice::replaySlice(const KernelCost &Kernel, double Dt,
   closeSlice(Slice.Setup ? 0.0 : Dt, Slice.Activity, Slice.TrafficGBs);
 }
 
-double SimDevice::advance(double Dt, double FreqGHz,
-                          double BandwidthShareGBs) {
-  return advanceSlice(Dt, FreqGHz, BandwidthShareGBs, nullptr,
-                      std::false_type{});
+bool SimDevice::canRepeat(double Dt, const DeviceSlice &Slice) const {
+  if (Slice.Phases == 0)
+    return !busy();
+  return Slice.Phases == 1 && !Slice.Setup && !Slice.Drained && busy() &&
+         runsUndrained(head().IterationsLeft, Dt, Slice);
+}
+
+void SimDevice::repeatSlice(double Dt, const DeviceSlice &Slice) {
+  // An idle slice adds 0.0 busy seconds; an execution slice retires the
+  // same iterations from the head item as advance() did, which
+  // replaySlice() then charges.
+  if (Slice.Phases == 0) {
+    closeSlice(0.0, Slice.Activity, Slice.TrafficGBs);
+    return;
+  }
+  WorkItem &Item = head();
+  Item.IterationsLeft -= Slice.Iterations;
+  replaySlice(Item.Kernel, Dt, Slice);
 }
 
 double SimDevice::advance(double Dt, double FreqGHz, double BandwidthShareGBs,
                           DeviceSlice &Record) {
-  return advanceSlice(Dt, FreqGHz, BandwidthShareGBs, &Record,
-                      std::true_type{});
-}
-
-template <bool Recorded>
-double SimDevice::advanceSlice(double Dt, double FreqGHz,
-                               double BandwidthShareGBs, DeviceSlice *Record,
-                               std::bool_constant<Recorded>) {
   ECAS_CHECK(Dt >= 0.0, "advance requires non-negative time step");
   const DevicePowerSpec &Power = powerSpec();
   DeviceSlice Slice;
@@ -187,10 +193,8 @@ double SimDevice::advanceSlice(double Dt, double FreqGHz,
       Consumed += Step;
       Counters.SetupSeconds += Step;
       ActivityTime += Power.IdleActivity * Step;
-      if constexpr (Recorded) {
-        ++Slice.Phases;
-        Slice.Setup = true;
-      }
+      ++Slice.Phases;
+      Slice.Setup = true;
       continue;
     }
     double EffRate, StallFraction;
@@ -213,13 +217,11 @@ double SimDevice::advanceSlice(double Dt, double FreqGHz,
     Consumed += Step;
     ExecSeconds += Step;
     bool Drained = drainedAfter(Item.IterationsLeft, Iterations);
-    if constexpr (Recorded) {
-      ++Slice.Phases;
-      Slice.Setup = false;
-      Slice.Drained = Drained;
-      Slice.Iterations = Iterations;
-      Slice.EffRate = EffRate;
-    }
+    ++Slice.Phases;
+    Slice.Setup = false;
+    Slice.Drained = Drained;
+    Slice.Iterations = Iterations;
+    Slice.EffRate = EffRate;
     if (Drained)
       popHead();
   }
@@ -228,11 +230,9 @@ double SimDevice::advanceSlice(double Dt, double FreqGHz,
     closeSlice(ExecSeconds, ActivityTime / Consumed, Bytes / Consumed / 1e9);
   else
     closeSlice(ExecSeconds, Power.IdleActivity, 0.0);
-  if constexpr (Recorded) {
-    Slice.Activity = LastActivity;
-    Slice.TrafficGBs = LastTrafficGBs;
-    *Record = Slice;
-  }
+  Slice.Activity = LastActivity;
+  Slice.TrafficGBs = LastTrafficGBs;
+  Record = Slice;
   return Consumed;
 }
 

@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <type_traits>
 #include <vector>
 
 namespace ecas {
@@ -60,7 +59,8 @@ struct RatePoint {
 /// When the slice ran a single phase of one work item (its launch setup
 /// or its execution) for the whole slice, this is everything needed to
 /// charge that slice again without the rate model: SimProcessor's
-/// profiling-repetition replay does, through replaySlice().
+/// profiling-repetition replay does, through replaySlice(), and so does
+/// its fast-forward of steady slices, through repeatSlice().
 struct DeviceSlice {
   /// Phases advance() ran: 0 when idle, more than 1 when an item
   /// finished its setup or drained and the next one started.
@@ -124,19 +124,32 @@ public:
     return IterationsLeft <= 1e-9 * std::max(1.0, Iterations);
   }
 
+  /// True when an item with \p IterationsLeft, run for \p Dt seconds at
+  /// the rate of \p Slice's execution phase, neither drains before the
+  /// slice ends (which would end it early) nor drains in it.
+  static bool runsUndrained(double IterationsLeft, double Dt,
+                            const DeviceSlice &Slice) {
+    return drainSeconds(IterationsLeft, Slice.EffRate) >= Dt &&
+           !drainedAfter(IterationsLeft - Slice.Iterations, Slice.Iterations);
+  }
+
   /// Seconds until the head work item (including its setup cost) drains
   /// at a fixed operating point; +inf-like sentinel when idle.
   double timeToHeadDrain(double FreqGHz, double BandwidthShareGBs) const;
 
   /// Advances the device by up to \p Dt seconds at \p FreqGHz, allowed to
-  /// draw at most \p BandwidthShareGBs of DRAM bandwidth.
+  /// draw at most \p BandwidthShareGBs of DRAM bandwidth, and overwrites
+  /// \p Record with what the slice charged.
   /// \returns the seconds actually consumed: less than \p Dt only when
   /// the queue empties first.
-  double advance(double Dt, double FreqGHz, double BandwidthShareGBs);
-
-  /// advance(), also overwriting \p Record with what the slice charged.
   double advance(double Dt, double FreqGHz, double BandwidthShareGBs,
                  DeviceSlice &Record);
+
+  /// advance() with the record dropped.
+  double advance(double Dt, double FreqGHz, double BandwidthShareGBs) {
+    DeviceSlice Unused;
+    return advance(Dt, FreqGHz, BandwidthShareGBs, Unused);
+  }
 
   /// Charges \p Slice, recorded by advance() over a slice of \p Dt
   /// seconds that ran one phase of an item of \p Kernel, to the counters
@@ -144,6 +157,18 @@ public:
   /// advance() made. The queue is not touched.
   void replaySlice(const KernelCost &Kernel, double Dt,
                    const DeviceSlice &Slice);
+
+  /// True when advance() over the next \p Dt seconds, at the operating
+  /// point of the slice of \p Dt seconds it just recorded as \p Slice,
+  /// would charge \p Slice again: the device was idle for that slice and
+  /// still is, or it ran one execution phase of the head item for all of
+  /// it and the item runsUndrained() through the next one too.
+  bool canRepeat(double Dt, const DeviceSlice &Slice) const;
+
+  /// Charges \p Slice once more over \p Dt seconds, with the same
+  /// additions to the head item, the counters and lastActivity()/
+  /// lastTrafficGBs() that advance() would make. canRepeat() must hold.
+  void repeatSlice(double Dt, const DeviceSlice &Slice);
 
   /// Seconds to drain the whole queue at a fixed operating point.
   double estimateCompletion(double FreqGHz, double BandwidthShareGBs) const;
@@ -205,12 +230,6 @@ private:
 
   /// rateModel for \p Item at \p FreqGHz, through the item's cache.
   RatePoint itemRate(const WorkItem &Item, double FreqGHz) const;
-
-  /// Both advance() overloads; the unrecorded one, on every simulated
-  /// slice, carries no recording code.
-  template <bool Recorded>
-  double advanceSlice(double Dt, double FreqGHz, double BandwidthShareGBs,
-                      DeviceSlice *Record, std::bool_constant<Recorded>);
 
   /// The counter additions for \p Iterations of \p Kernel retired.
   void chargeIterations(const KernelCost &Kernel, double Iterations);

@@ -8,24 +8,11 @@
 
 #include "ecas/support/Assert.h"
 
-#include <cmath>
-
 using namespace ecas;
 
 EnergyMeter::EnergyMeter(double EnergyUnitJoules)
     : UnitJoules(EnergyUnitJoules) {
   ECAS_CHECK(EnergyUnitJoules > 0.0, "energy unit must be positive");
-}
-
-void EnergyMeter::deposit(double Joules, double Units) {
-  ECAS_CHECK(Joules >= 0.0, "energy deposits cannot be negative");
-  Total += Joules;
-  Fraction += Units;
-  double Whole = std::floor(Fraction);
-  Fraction -= Whole;
-  // Wraparound is the defined MSR behaviour; uint32_t addition provides it.
-  Counter += static_cast<uint32_t>(
-      static_cast<uint64_t>(Whole) & 0xffffffffULL);
 }
 
 double EnergyMeter::counterPeriodJoules() const {

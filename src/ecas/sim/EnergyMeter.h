@@ -17,7 +17,9 @@
 #define ECAS_SIM_ENERGYMETER_H
 
 #include "ecas/obs/Metrics.h"
+#include "ecas/support/Assert.h"
 
+#include <cmath>
 #include <cstdint>
 
 namespace ecas {
@@ -43,8 +45,19 @@ public:
 
   /// deposit() given \p Units == Joules / energyUnitJoules(), already
   /// computed by the caller. The simulator deposits a few distinct
-  /// amounts over and over and computes each quotient once.
-  void deposit(double Joules, double Units);
+  /// amounts over and over and computes each quotient once; inline, as
+  /// every simulated slice makes three deposits.
+  void deposit(double Joules, double Units) {
+    ECAS_CHECK(Joules >= 0.0, "energy deposits cannot be negative");
+    Total += Joules;
+    Fraction += Units;
+    double Whole = std::floor(Fraction);
+    Fraction -= Whole;
+    // Wraparound is the defined MSR behaviour; uint32_t addition provides
+    // it.
+    Counter += static_cast<uint32_t>(static_cast<uint64_t>(Whole) &
+                                     0xffffffffULL);
+  }
 
   /// Reads the emulated MSR_PKG_ENERGY_STATUS value.
   uint32_t readMsr() const {

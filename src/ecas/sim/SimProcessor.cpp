@@ -10,7 +10,6 @@
 #include "ecas/support/Assert.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <tuple>
 
@@ -68,12 +67,6 @@ inline void SimProcessor::depositAndAdvance(double Dt,
 }
 
 double SimProcessor::step(double MaxDt) {
-  return Recording ? stepSlice(MaxDt, std::true_type{})
-                   : stepSlice(MaxDt, std::false_type{});
-}
-
-template <bool Recorded>
-double SimProcessor::stepSlice(double MaxDt, std::bool_constant<Recorded>) {
   ECAS_CHECK(MaxDt > 0.0, "step requires positive time budget");
 
   // Fault injection: the GPU's throughput derate is re-sampled each
@@ -141,23 +134,17 @@ double SimProcessor::stepSlice(double MaxDt, std::bool_constant<Recorded>) {
     Dt = std::min(Dt, Gpu.timeToHeadDrain(GpuFreq, GpuShare));
   Dt = std::max(Dt, 1e-9); // Guarantee progress against rounding.
 
-  // A repetition being recorded (runRepetition) charges the slice into
-  // the next slot of its plan.
-  RepetitionPlan::Slice *Slot = nullptr;
-  if constexpr (Recorded)
-    Slot = recordingSlot(Governed);
-  double CpuBusySec = Slot ? Cpu.advance(Dt, CpuFreq, CpuShare, Slot->Cpu)
-                           : Cpu.advance(Dt, CpuFreq, CpuShare);
-  double GpuBusySec = Slot ? Gpu.advance(Dt, GpuFreq, GpuShare, Slot->Gpu)
-                           : Gpu.advance(Dt, GpuFreq, GpuShare);
-  const SliceEnergy &Energy = sliceEnergy(
-      {Dt, CpuBusySec, GpuBusySec, Cpu.lastActivity(), Gpu.lastActivity(),
-       Cpu.lastTrafficGBs(), Gpu.lastTrafficGBs(), CpuFreq, GpuFreq});
-  if (Slot)
-    keepSlice(*Slot, Dt,
-              EpochLeft > Dt && CpuDrain > Dt && CpuBusySec == Dt &&
-                  GpuBusySec == Dt,
-              Energy.Deposit);
+  double CpuBusySec = Cpu.advance(Dt, CpuFreq, CpuShare, Last.Cpu);
+  double GpuBusySec = Gpu.advance(Dt, GpuFreq, GpuShare, Last.Gpu);
+  SliceEnergy Energy =
+      sliceEnergy(Dt, CpuBusySec, GpuBusySec, CpuFreq, GpuFreq);
+  Last.Dt = Dt;
+  Last.Deposit = Energy.Deposit;
+  // A repetition being recorded (runRepetition) keeps the slice in its
+  // plan.
+  if (Recording)
+    keepSlice(Governed, EpochLeft > Dt && CpuDrain > Dt && CpuBusySec == Dt &&
+                            GpuBusySec == Dt);
   if (Trace) { // power-trace capture is opt-in (enableTrace)
     // ecas-hotpath: allow(alloc)
     Trace->addSegment(Now, Dt, Energy.Power, CpuFreq, GpuFreq);
@@ -166,32 +153,26 @@ double SimProcessor::stepSlice(double MaxDt, std::bool_constant<Recorded>) {
   return Dt;
 }
 
-const SimProcessor::SliceEnergy &
-SimProcessor::sliceEnergy(const std::array<double, 9> &Inputs) {
-  auto Key = std::bit_cast<std::array<uint64_t, 9>>(Inputs);
-  if (Memo[MemoNewest].Key == Key)
-    return Memo[MemoNewest];
-  MemoNewest ^= 1;
-  SliceEnergy &Out = Memo[MemoNewest];
-  if (Out.Key == Key)
-    return Out;
-
-  double Dt = Inputs[0], CpuBusySec = Inputs[1], GpuBusySec = Inputs[2];
+SimProcessor::SliceEnergy
+SimProcessor::sliceEnergy(double Dt, double CpuBusySec, double GpuBusySec,
+                          double CpuFreq, double GpuFreq) const {
   // Time-weighted activity: a device that drained mid-slice idles for the
   // remainder.
   auto BlendActivity = [Dt](double BusySec, double BusyActivity,
                             double IdleActivity) {
     return (BusyActivity * BusySec + IdleActivity * (Dt - BusySec)) / Dt;
   };
-  double CpuActivity =
-      BlendActivity(CpuBusySec, Inputs[3], Spec.CpuPower.IdleActivity);
-  double GpuActivity =
-      BlendActivity(GpuBusySec, Inputs[4], Spec.GpuPower.IdleActivity);
+  double CpuActivity = BlendActivity(CpuBusySec, Cpu.lastActivity(),
+                                     Spec.CpuPower.IdleActivity);
+  double GpuActivity = BlendActivity(GpuBusySec, Gpu.lastActivity(),
+                                     Spec.GpuPower.IdleActivity);
+  SliceEnergy Out;
   SliceDeposit &D = Out.Deposit;
-  Out.Key = Key;
-  D.TrafficGBs = (Inputs[5] * CpuBusySec + Inputs[6] * GpuBusySec) / Dt;
-  Out.Power = packagePower(Spec, Inputs[7], CpuActivity, Inputs[8],
-                           GpuActivity, D.TrafficGBs);
+  D.TrafficGBs = (Cpu.lastTrafficGBs() * CpuBusySec +
+                  Gpu.lastTrafficGBs() * GpuBusySec) /
+                 Dt;
+  Out.Power = packagePower(Spec, CpuFreq, CpuActivity, GpuFreq, GpuActivity,
+                           D.TrafficGBs);
   D.PkgJoules = Out.Power.packageWatts() * Dt;
   D.PkgUnits = D.PkgJoules / Meter.energyUnitJoules();
   D.Pp0Joules = Out.Power.CpuWatts * Dt;
@@ -237,36 +218,19 @@ double SimProcessor::runRepetition(const KernelCost &Kernel, double GpuChunk,
   return Cpu.cancelRemaining();
 }
 
-SimProcessor::RepetitionPlan::Slice *
-SimProcessor::recordingSlot(bool Governed) {
+void SimProcessor::keepSlice(bool Governed, bool Whole) {
   RepetitionPlan &Plan = *Recording;
   // Every slice must run at the clocks of the first: only the first may
   // start with a governor move.
   if ((Governed && Plan.NumSlices != 0) ||
-      Plan.NumSlices == RepetitionPlan::MaxSlices) {
-    dropRecording();
-    return nullptr;
-  }
-  return &Plan.Slices[Plan.NumSlices];
-}
-
-void SimProcessor::keepSlice(RepetitionPlan::Slice &Slot, double Dt,
-                             bool Whole, const SliceDeposit &Deposit) {
-  const DeviceSlice &CpuSlice = Slot.Cpu;
-  const DeviceSlice &GpuSlice = Slot.Gpu;
-  if (!Whole || CpuSlice.Phases != 1 || CpuSlice.Setup || CpuSlice.Drained ||
-      GpuSlice.Phases != 1) {
-    dropRecording();
+      Plan.NumSlices == RepetitionPlan::MaxSlices || !Whole ||
+      Last.Cpu.Phases != 1 || Last.Cpu.Setup || Last.Cpu.Drained ||
+      Last.Gpu.Phases != 1) {
+    Plan.NumSlices = 0;
+    Recording = nullptr;
     return;
   }
-  Slot.Dt = Dt;
-  Slot.Deposit = Deposit;
-  ++Recording->NumSlices;
-}
-
-void SimProcessor::dropRecording() {
-  Recording->NumSlices = 0;
-  Recording = nullptr;
+  Plan.Slices[Plan.NumSlices++] = Last;
 }
 
 std::optional<double>
@@ -294,18 +258,16 @@ SimProcessor::replayRepetition(const RepetitionPlan &Plan,
   double T = Now;
   double Left = CpuShare;
   for (unsigned I = 0; I != Plan.NumSlices; ++I) {
-    const RepetitionPlan::Slice &Slice = Plan.Slices[I];
-    if (epochDueAt(T) || NextEpoch - T < Slice.Dt ||
-        SimDevice::drainSeconds(Left, Slice.Cpu.EffRate) < Slice.Dt)
+    const SliceRecord &Slice = Plan.Slices[I];
+    if (!epochClearOf(T, Slice.Dt) ||
+        !SimDevice::runsUndrained(Left, Slice.Dt, Slice.Cpu))
       return std::nullopt;
     Left -= Slice.Cpu.Iterations;
-    if (SimDevice::drainedAfter(Left, Slice.Cpu.Iterations))
-      return std::nullopt;
     T += Slice.Dt;
   }
 
   for (unsigned I = 0; I != Plan.NumSlices; ++I) {
-    const RepetitionPlan::Slice &Slice = Plan.Slices[I];
+    const SliceRecord &Slice = Plan.Slices[I];
     Cpu.replaySlice(Kernel, Slice.Dt, Slice.Cpu);
     Gpu.replaySlice(Kernel, Slice.Dt, Slice.Gpu);
     depositAndAdvance(Slice.Dt, Slice.Deposit);
@@ -313,23 +275,50 @@ SimProcessor::replayRepetition(const RepetitionPlan &Plan,
   return Left;
 }
 
+void SimProcessor::repeatSlices(double Start, double DeadlineSec) {
+  // The next slice would start from the state the last one started from,
+  // apart from the head items' iterations left and now(). With no epoch
+  // due and no busy flag flipped the governor neither moves nor notes a
+  // transition, so the slice runs at the same clocks, rates and
+  // bandwidth split; when nothing ends it before MaxSliceSec it charges
+  // the same iterations, activities and deposits again.
+  if (Faults || Trace || Recording || Last.Dt != MaxSliceSec)
+    return;
+  while (DeadlineSec - (Now - Start) >= MaxSliceSec &&
+         epochClearOf(Now, MaxSliceSec) &&
+         Cpu.canRepeat(MaxSliceSec, Last.Cpu) &&
+         Gpu.canRepeat(MaxSliceSec, Last.Gpu)) {
+    Cpu.repeatSlice(MaxSliceSec, Last.Cpu);
+    Gpu.repeatSlice(MaxSliceSec, Last.Gpu);
+    depositAndAdvance(MaxSliceSec, Last.Deposit);
+    ++Repeated;
+  }
+}
+
 double SimProcessor::runUntilIdle(double DeadlineSec) {
   double Start = Now;
-  while ((Cpu.busy() || Gpu.busy()) && Now - Start < DeadlineSec)
+  while ((Cpu.busy() || Gpu.busy()) && Now - Start < DeadlineSec) {
     step(DeadlineSec - (Now - Start));
+    repeatSlices(Start, DeadlineSec);
+  }
   return Now - Start;
 }
 
 double SimProcessor::runUntilGpuIdle(double DeadlineSec) {
   double Start = Now;
-  while (Gpu.busy() && Now - Start < DeadlineSec)
+  while (Gpu.busy() && Now - Start < DeadlineSec) {
     step(DeadlineSec - (Now - Start));
+    repeatSlices(Start, DeadlineSec);
+  }
   return Now - Start;
 }
 
 void SimProcessor::runFor(double Seconds) {
   ECAS_CHECK(Seconds >= 0.0, "runFor requires non-negative duration");
   double End = Now + Seconds;
-  while (Now < End - 1e-12)
+  while (Now < End - 1e-12) {
     step(End - Now);
+    // End - (Now - 0.0) is End - Now, the budget step() was given.
+    repeatSlices(0.0, End);
+  }
 }

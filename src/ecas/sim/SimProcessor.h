@@ -26,11 +26,9 @@
 #include "ecas/sim/PowerModel.h"
 #include "ecas/sim/PowerTrace.h"
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <utility>
 
 namespace ecas {
@@ -43,6 +41,16 @@ struct SliceDeposit {
   double PkgJoules = 0.0, PkgUnits = 0.0;
   double Pp0Joules = 0.0, Pp0Units = 0.0;
   double Pp1Joules = 0.0, Pp1Units = 0.0;
+};
+
+/// One slice as the simulator charged it: its length, each device's
+/// part, and what it added to the meters. Enough to charge the same
+/// slice again without the rate or power models.
+struct SliceRecord {
+  double Dt = 0.0;
+  DeviceSlice Cpu;
+  DeviceSlice Gpu;
+  SliceDeposit Deposit;
 };
 
 /// One simulated integrated CPU-GPU processor with virtual time.
@@ -59,12 +67,6 @@ public:
 
   private:
     friend class SimProcessor;
-    struct Slice {
-      double Dt = 0.0;
-      DeviceSlice Cpu;
-      DeviceSlice Gpu;
-      SliceDeposit Deposit;
-    };
     /// The inputs every slice depended on beyond the CPU share.
     KernelCost Kernel;
     double GpuChunk = 0.0;
@@ -74,7 +76,7 @@ public:
     RatePoint CpuRate;
     /// 0: no plan.
     unsigned NumSlices = 0;
-    Slice Slices[MaxSlices];
+    SliceRecord Slices[MaxSlices];
   };
 
   explicit SimProcessor(const PlatformSpec &Spec);
@@ -136,31 +138,33 @@ public:
   /// Repetitions runRepetition() charged from a plan instead of stepping.
   uint64_t repetitionsReplayed() const { return Replayed; }
 
+  /// Slices the drivers above charged by repeating the slice before
+  /// instead of stepping (see repeatSlices()).
+  uint64_t slicesRepeated() const { return Repeated; }
+
 private:
   /// What a slice feeds the meters and the trace once both devices have
-  /// advanced. It is a pure function of nine doubles (see
-  /// sliceEnergy()), which often repeat bit for bit: profiling
-  /// repetitions alternate a launch slice and an execution slice, and a
-  /// long dispatch repeats one slice between governor epochs.
+  /// advanced.
   struct SliceEnergy {
-    /// Bit patterns of the inputs: Dt, CPU and GPU busy seconds, CPU and
-    /// GPU lastActivity(), CPU and GPU lastTrafficGBs(), CPU and GPU
-    /// clock. Dt is at least 1e-9, so the all-zero key of an entry never
-    /// filled cannot match.
-    std::array<uint64_t, 9> Key{};
     PowerBreakdown Power;
     SliceDeposit Deposit;
   };
 
-  /// Advances one slice of at most \p MaxDt seconds. Returns the slice
-  /// length (always positive).
+  /// Advances one slice of at most \p MaxDt seconds and records it as
+  /// Last. Returns the slice length (always positive).
   double step(double MaxDt);
 
-  /// step() while runRepetition() records a plan, or not: the
-  /// unrecorded slice, which every dispatch runs, carries no recording
-  /// code.
-  template <bool Recorded>
-  double stepSlice(double MaxDt, std::bool_constant<Recorded>);
+  /// Charges the slices that follow the one step() just charged from
+  /// its record, in a tight loop, while stepping would repeat it bit for
+  /// bit: no fault injector, power trace or plan recording; a full
+  /// MaxSliceSec slice; a budget DeadlineSec - (now() - \p Start) of at
+  /// least that; no governor epoch due at or within the next slice; and
+  /// each device SimDevice::canRepeat() it. runUntilIdle(),
+  /// runUntilGpuIdle() and runFor() call it after every step(). A
+  /// repeated slice keeps their loop conditions as it found them: the
+  /// device they wait on stays busy, and the budget keeps now() short of
+  /// their deadline.
+  void repeatSlices(double Start, double DeadlineSec);
 
   /// The governor's CPU and GPU clocks clamped by each device's
   /// frequency hint: the clocks a slice runs at.
@@ -170,27 +174,25 @@ private:
   /// governor epoch.
   bool epochDueAt(double T) const { return T >= NextEpoch - 1e-12; }
 
+  /// True when a slice of \p Dt seconds starting at virtual time \p T
+  /// meets no governor epoch: none falls due at its start or ends it
+  /// early.
+  bool epochClearOf(double T, double Dt) const {
+    return !epochDueAt(T) && NextEpoch - T >= Dt;
+  }
+
   /// The tail of a slice once both devices have advanced: the meter
   /// deposits (with the RAPL fault hooks), the traffic the governor
   /// reads next, and now() moving on by \p Dt.
   void depositAndAdvance(double Dt, const SliceDeposit &Deposit);
 
-  /// The plan slot the slice step() is about to run is recorded into,
-  /// or nullptr, with the recording ended and no plan kept, when the
-  /// plan is full or a governor move (\p Governed) starts any slice but
-  /// the first.
-  RepetitionPlan::Slice *recordingSlot(bool Governed);
-
-  /// Keeps the slice of \p Dt seconds that advance() charged into
-  /// \p Slot, with its \p Deposit, when a replay can reproduce it: it
-  /// ran \p Whole (neither the epoch nor the CPU ended it and both
-  /// devices ran all of it) and each device ran one phase throughout,
-  /// the CPU without draining. Otherwise ends the recording with no plan.
-  void keepSlice(RepetitionPlan::Slice &Slot, double Dt, bool Whole,
-                 const SliceDeposit &Deposit);
-
-  /// Ends the recording and leaves its plan empty.
-  void dropRecording();
+  /// Appends Last to the plan being recorded when a replay can
+  /// reproduce it: the plan has room, no governor move (\p Governed)
+  /// started it unless it is the first, it ran \p Whole (neither the
+  /// epoch nor the CPU ended it and both devices ran all of it), and each
+  /// device ran one phase throughout, the CPU without draining.
+  /// Otherwise ends the recording and leaves its plan empty.
+  void keepSlice(bool Governed, bool Whole);
 
   /// Charges \p Plan's slices for a repetition of \p Kernel with
   /// \p GpuChunk and \p CpuShare when every guard holds. \returns the
@@ -200,10 +202,11 @@ private:
                                          const KernelCost &Kernel,
                                          double GpuChunk, double CpuShare);
 
-  /// The slice result for \p Inputs (ordered as SliceEnergy::Key), from
-  /// the two most recent distinct inputs when either matches bit for
-  /// bit, else computed and kept in place of the older one.
-  const SliceEnergy &sliceEnergy(const std::array<double, 9> &Inputs);
+  /// The power and deposits of a slice of \p Dt seconds at \p CpuFreq
+  /// and \p GpuFreq in which the devices, just advanced, were busy for
+  /// \p CpuBusySec and \p GpuBusySec.
+  SliceEnergy sliceEnergy(double Dt, double CpuBusySec, double GpuBusySec,
+                          double CpuFreq, double GpuFreq) const;
 
   PlatformSpec Spec;
   SimCpuDevice Cpu;
@@ -222,12 +225,12 @@ private:
   bool LastCpuBusy = false;
   bool LastGpuBusy = false;
   double LastGovernorTime = 0.0;
-  SliceEnergy Memo[2];
-  /// Index of the most recently used Memo entry.
-  unsigned MemoNewest = 0;
+  /// The slice step() charged last.
+  SliceRecord Last;
   /// The plan runRepetition() is recording into, while it steps.
   RepetitionPlan *Recording = nullptr;
   uint64_t Replayed = 0;
+  uint64_t Repeated = 0;
 };
 
 } // namespace ecas

@@ -244,6 +244,28 @@ TEST(HotPath, ProfilingRepetitionsAreAllocationFree) {
   EXPECT_GT(Proc.repetitionsReplayed(), 0u);
 }
 
+// A long dispatch charges its steady 1 ms slices between governor epochs
+// by repeating the slice stepped before them: a warmed dispatch across
+// several epochs, mostly repeated slices, touches no heap either.
+TEST(HotPath, RepeatedSlicesAreAllocationFree) {
+  PlatformSpec Spec = haswellDesktop();
+  SimProcessor Proc(Spec);
+  KernelDesc Kernel = computeBoundMicroKernel();
+  Proc.cpu().enqueue(Kernel, 1e6);
+  Proc.gpu().enqueue(Kernel, 1e6);
+  Proc.runUntilIdle();
+
+  AllocTally Tally;
+  Proc.cpu().enqueue(Kernel, 2e8);
+  Proc.gpu().enqueue(Kernel, 2e8);
+  double Seconds = Proc.runUntilIdle();
+  Proc.runFor(3.0 * Spec.Pcu.SamplingIntervalSec);
+  EXPECT_EQ(Tally.allocations(), 0u)
+      << "a warmed multi-epoch dispatch must not allocate";
+  EXPECT_GT(Seconds, 3.0 * Spec.Pcu.SamplingIntervalSec);
+  EXPECT_GT(Proc.slicesRepeated(), 0u);
+}
+
 // Fault-monitor reads sit on every dispatch; the lock-free mirrors must
 // answer without the health mutex or any heap traffic.
 TEST(HotPath, GpuHealthReadsAreAllocationFree) {

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -639,9 +640,13 @@ TEST(SimProcessor, CappedClocksDrawLessPowerAndRunLonger) {
 // repetitions (launch and execution slices in turn), a long co-run
 // dispatch across governor epochs, GPU dispatches below the lane count,
 // a frequency cap with a frequency hint, a hint that moves one clock in
-// mid-dispatch, idle time, and the GPU-throttle and RAPL-dropout faults. The expected values are hexfloat literals
-// printed by the simulator as it was before step() reused its last two
-// slice results; a mismatch prints the case's actual line.
+// mid-dispatch, idle time, and the GPU-throttle and RAPL-dropout faults.
+// The "long" cases add multi-epoch dispatches, idle gaps and deadlines
+// that end mid-slice, where most slices are repeated instead of stepped.
+// The expected values are hexfloat literals printed by the simulator as
+// it was before step() reused its last two slice results (the long
+// cases: before slices were repeated); a mismatch prints the case's
+// actual line.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -717,6 +722,64 @@ SliceObservables runSliceScenario(const PlatformSpec &Spec,
     Proc.runUntilIdle();
   }
   Proc.runFor(0.0123);
+  return sliceObservables(Proc);
+}
+
+/// Drives a processor of \p Spec through long dispatches of \p Micro's
+/// kernel, each lasting several governor epochs, and through the events
+/// that end a run of steady 1 ms slices: a co-run whose CPU share drains
+/// mid-epoch, GPU-only and CPU-only dispatches, a co-run under a cap and
+/// a hint, a dispatch polled by runUntilIdle() with a deadline that ends
+/// mid-slice (the watchdog poll of the partitioned schedulers), and
+/// runFor() gaps across epochs, idle and with a dispatch ending inside.
+/// With the memory-bound kernel every co-run saturates DRAM bandwidth.
+/// Sets \p RepeatedShare to the share of virtual time charged by
+/// repeated 1 ms slices instead of stepped ones.
+SliceObservables runLongDispatchScenario(const PlatformSpec &Spec,
+                                         const MicroBenchmark &Micro,
+                                         double &RepeatedShare) {
+  SimProcessor Proc(Spec);
+  const KernelDesc &Kernel = Micro.Kernel;
+  double Epoch = Spec.Pcu.SamplingIntervalSec;
+  // Cpu(E) and Gpu(E): iterations that keep the device busy for about E
+  // governor epochs at its top clock with all of DRAM bandwidth to
+  // itself.
+  double BandwidthRate = Spec.Memory.BandwidthGBs * 1e9 / Kernel.BytesPerIter;
+  double CpuRate = std::min(
+      Proc.cpu().rateFor(Kernel, Spec.Cpu.MaxTurboGHz, Micro.Iterations)
+          .ComputeRate,
+      BandwidthRate);
+  double GpuRate = std::min(
+      Proc.gpu().rateFor(Kernel, Spec.Gpu.MaxFreqGHz, Micro.Iterations)
+          .ComputeRate,
+      BandwidthRate);
+  auto Cpu = [&](double Epochs) { return CpuRate * Epochs * Epoch; };
+  auto Gpu = [&](double Epochs) { return GpuRate * Epochs * Epoch; };
+
+  Proc.cpu().enqueue(Kernel, Cpu(1.37));
+  Proc.gpu().enqueue(Kernel, Gpu(4.6));
+  Proc.runUntilIdle();
+  Proc.gpu().enqueue(Kernel, Gpu(3.3));
+  Proc.runUntilIdle();
+  Proc.cpu().enqueue(Kernel, Cpu(3.1));
+  Proc.runUntilIdle();
+  Proc.pcu().setFrequencyCap(0.8 * Spec.Cpu.MaxTurboGHz,
+                             0.8 * Spec.Gpu.MaxFreqGHz);
+  Proc.gpu().setFrequencyHintGHz(0.6 * Spec.Gpu.MaxFreqGHz);
+  Proc.cpu().enqueue(Kernel, Cpu(2.4));
+  Proc.gpu().enqueue(Kernel, Gpu(2.9));
+  Proc.runUntilIdle();
+  Proc.pcu().clearFrequencyCap();
+  Proc.gpu().setFrequencyHintGHz(0.0);
+  Proc.cpu().enqueue(Kernel, Cpu(2.2));
+  Proc.gpu().enqueue(Kernel, Gpu(3.5));
+  while (Proc.cpu().busy() || Proc.gpu().busy())
+    Proc.runUntilIdle(0.685 * Epoch);
+  Proc.runFor(2.71 * Epoch);
+  Proc.gpu().enqueue(Kernel, Gpu(1.45));
+  Proc.runFor(3.03 * Epoch);
+  RepeatedShare =
+      static_cast<double>(Proc.slicesRepeated()) * 1e-3 / Proc.now();
   return sliceObservables(Proc);
 }
 
@@ -927,6 +990,102 @@ const SliceCase ParentSliceResults[] = {
       0x1.aeb36431eb58fp-2, 0x0p+0, 0x1.6335ebd93f6a4p+29,
       0x1.1c2b231432bb2p+25, 0x1.1c2b231432bb2p+25, 0x1.1c2b231432bb2p+25,
       0x1.1c2b231432bb2p+31, 0x1.8f961c2fadbb4p-2, 0x1.d7dbf487fcb9p-12}},
+    {"haswell-desktop/long/compute/cpu-long/gpu-long",
+     {0x1.00d159e26af3bp-1, 0x1.dde67813ead75p+3, 0x1.dde6p+17,
+      0x1.8225a864e8e33p+2, 0x1.8225p+16, 0x1.b93e9ad1b75e9p+2,
+      0x1.b93ep+16, 0x1.86b3ab27fffffp+34, 0x1.c6a2860000004p+28,
+      0x0p+0, 0x1.c6a2860000004p+26, 0x0p+0,
+      0x1.ebbcc7a060572p-3, 0x0p+0, 0x1.efac16ffffffdp+36,
+      0x1.20642p+31, 0x0p+0, 0x1.20642p+29,
+      0x0p+0, 0x1.6a27983c131dcp-2, 0x1.a36e2eb1c432dp-16}},
+    {"haswell-desktop/long/gpu-throttle/compute/cpu-long/gpu-long",
+     {0x1.2f6e10de44dc5p-1, 0x1.1988b63265926p+4, 0x1.19888p+18,
+      0x1.8a1e1122915e1p+2, 0x1.8a1ep+16, 0x1.2226df9bf143p+3,
+      0x1.22268p+17, 0x1.86b3ab27ffffep+34, 0x1.c6a286p+28,
+      0x0p+0, 0x1.c6a286p+26, 0x0p+0,
+      0x1.efc1707c0a347p-3, 0x0p+0, 0x1.efac16ffffffep+36,
+      0x1.20642p+31, 0x0p+0, 0x1.20642p+29,
+      0x0p+0, 0x1.c6d6d9788f40ap-2, 0x1.a36e2eb1c432dp-16}},
+    {"haswell-desktop/long/rapl-dropout/compute/cpu-long/gpu-long",
+     {0x1.00d159e26af3bp-1, 0x1.457d4cb85bd68p+3, 0x1.457dp+17,
+      0x1.8225a864e8e33p+2, 0x1.8225p+16, 0x1.b93e9ad1b75e9p+2,
+      0x1.b93ep+16, 0x1.86b3ab27fffffp+34, 0x1.c6a2860000004p+28,
+      0x0p+0, 0x1.c6a2860000004p+26, 0x0p+0,
+      0x1.ebbcc7a060572p-3, 0x0p+0, 0x1.efac16ffffffdp+36,
+      0x1.20642p+31, 0x0p+0, 0x1.20642p+29,
+      0x0p+0, 0x1.6a27983c131dcp-2, 0x1.a36e2eb1c432dp-16}},
+    {"haswell-desktop/long/memory/cpu-long/gpu-long",
+     {0x1.2a16d6dc1a47fp-1, 0x1.9277eb19a3254p+4, 0x1.9277cp+18,
+      0x1.8075003fd18a1p+2, 0x1.8075p+16, 0x1.2a0ad3f9e8cf9p+2,
+      0x1.2a0ap+16, 0x1.59fe380000002p+30, 0x1.14cb600000002p+26,
+      0x1.14cb600000002p+26, 0x1.14cb600000002p+26, 0x1.14cb600000002p+32,
+      0x1.3a67a52ac7544p-2, 0x0p+0, 0x1.2c684c0000001p+31,
+      0x1.e0a6e00000002p+26, 0x1.e0a6e00000002p+26, 0x1.e0a6e00000002p+26,
+      0x1.e0a6e00000002p+32, 0x1.bccf8d716d2b2p-2, 0x1.a36e2eb1c432dp-16}},
+    {"haswell-desktop/long/gpu-throttle/memory/cpu-long/gpu-long",
+     {0x1.2a16d6dc1a47fp-1, 0x1.92d8a8279568fp+4, 0x1.92d88p+18,
+      0x1.8075003fd18a1p+2, 0x1.8075p+16, 0x1.2b8dc831b1df2p+2,
+      0x1.2b8dp+16, 0x1.59fe380000002p+30, 0x1.14cb600000002p+26,
+      0x1.14cb600000002p+26, 0x1.14cb600000002p+26, 0x1.14cb600000002p+32,
+      0x1.3a67a52ac7544p-2, 0x0p+0, 0x1.2c684c0000001p+31,
+      0x1.e0a6e00000002p+26, 0x1.e0a6e00000002p+26, 0x1.e0a6e00000002p+26,
+      0x1.e0a6e00000002p+32, 0x1.bccf8d716d2b2p-2, 0x1.a36e2eb1c432dp-16}},
+    {"haswell-desktop/long/rapl-dropout/memory/cpu-long/gpu-long",
+     {0x1.2a16d6dc1a47fp-1, 0x1.0ff416df35b05p+4, 0x1.0ff4p+18,
+      0x1.8075003fd18a1p+2, 0x1.8075p+16, 0x1.2a0ad3f9e8cf9p+2,
+      0x1.2a0ap+16, 0x1.59fe380000002p+30, 0x1.14cb600000002p+26,
+      0x1.14cb600000002p+26, 0x1.14cb600000002p+26, 0x1.14cb600000002p+32,
+      0x1.3a67a52ac7544p-2, 0x0p+0, 0x1.2c684c0000001p+31,
+      0x1.e0a6e00000002p+26, 0x1.e0a6e00000002p+26, 0x1.e0a6e00000002p+26,
+      0x1.e0a6e00000002p+32, 0x1.bccf8d716d2b2p-2, 0x1.a36e2eb1c432dp-16}},
+    {"baytrail-tablet/long/compute/cpu-long/gpu-long",
+     {0x1.85089c4a71f66p-1, 0x1.288a5344c8c2dp+0, 0x1.288ap+16,
+      0x1.231ba590a7fc2p-2, 0x1.2318p+14, 0x1.852bef82dfa49p-1,
+      0x1.852ap+15, 0x1.20e2e9e78787ap+32, 0x1.5028a07878775p+26,
+      0x0p+0, 0x1.5028a07878775p+24, 0x0p+0,
+      0x1.6573d68a31f67p-2, 0x0p+0, 0x1.4a9d061fffff3p+34,
+      0x1.80b6b7fffffefp+28, 0x0p+0, 0x1.80b6b7fffffefp+26,
+      0x0p+0, 0x1.107fcc7fd8b04p-1, 0x1.3a92a30553262p-14}},
+    {"baytrail-tablet/long/gpu-throttle/compute/cpu-long/gpu-long",
+     {0x1.b31d172bb9a48p-1, 0x1.56a4aff3c5596p+0, 0x1.56a4p+16,
+      0x1.2c6d4ed0a7c5fp-2, 0x1.2c6cp+14, 0x1.d5ce5b6bdaee3p-1,
+      0x1.d5cep+15, 0x1.20e2e9e78787ap+32, 0x1.5028a07878777p+26,
+      0x0p+0, 0x1.5028a07878777p+24, 0x0p+0,
+      0x1.6573d68a31f68p-2, 0x0p+0, 0x1.4a9d061fffff4p+34,
+      0x1.80b6b7ffffffp+28, 0x0p+0, 0x1.80b6b7ffffffp+26,
+      0x0p+0, 0x1.3e944761205e2p-1, 0x1.3a92a30553262p-14}},
+    {"baytrail-tablet/long/rapl-dropout/compute/cpu-long/gpu-long",
+     {0x1.85089c4a71f66p-1, 0x1.9ab738778a61dp-1, 0x1.9ab6p+15,
+      0x1.231ba590a7fc2p-2, 0x1.2318p+14, 0x1.852bef82dfa49p-1,
+      0x1.852ap+15, 0x1.20e2e9e78787ap+32, 0x1.5028a07878775p+26,
+      0x0p+0, 0x1.5028a07878775p+24, 0x0p+0,
+      0x1.6573d68a31f67p-2, 0x0p+0, 0x1.4a9d061fffff3p+34,
+      0x1.80b6b7fffffefp+28, 0x0p+0, 0x1.80b6b7fffffefp+26,
+      0x0p+0, 0x1.107fcc7fd8b04p-1, 0x1.3a92a30553262p-14}},
+    {"baytrail-tablet/long/memory/cpu-long/gpu-long",
+     {0x1.b5d5a0f2a13b2p-1, 0x1.d669b599b5f04p-1, 0x1.d668p+15,
+      0x1.7ebea5f4567c7p-3, 0x1.7eb8p+13, 0x1.0f3c7af85c7f3p-1,
+      0x1.0f3cp+15, 0x1.623eff8f441bcp+29, 0x1.1b65993f69b03p+25,
+      0x1.1b65993f69b03p+25, 0x1.1b65993f69b03p+25, 0x1.1b65993f69b03p+31,
+      0x1.9f6cadf82d97cp-2, 0x0p+0, 0x1.75298e6800004p+30,
+      0x1.2a87a5200000ap+26, 0x1.2a87a5200000ap+26, 0x1.2a87a5200000ap+26,
+      0x1.2a87a5200000ap+32, 0x1.3d7ccbc8122b7p-1, 0x1.3a92a30553262p-14}},
+    {"baytrail-tablet/long/gpu-throttle/memory/cpu-long/gpu-long",
+     {0x1.b5d5a0f2a13b2p-1, 0x1.d9c2cfb3670a1p-1, 0x1.d9c2p+15,
+      0x1.7ebea5f4567c7p-3, 0x1.7eb8p+13, 0x1.129595120d98bp-1,
+      0x1.1294p+15, 0x1.623eff8f441bcp+29, 0x1.1b65993f69b03p+25,
+      0x1.1b65993f69b03p+25, 0x1.1b65993f69b03p+25, 0x1.1b65993f69b03p+31,
+      0x1.9f6cadf82d97cp-2, 0x0p+0, 0x1.75298e6800004p+30,
+      0x1.2a87a5200000ap+26, 0x1.2a87a5200000ap+26, 0x1.2a87a5200000ap+26,
+      0x1.2a87a5200000ap+32, 0x1.3d7ccbc8122b7p-1, 0x1.3a92a30553262p-14}},
+    {"baytrail-tablet/long/rapl-dropout/memory/cpu-long/gpu-long",
+     {0x1.b5d5a0f2a13b2p-1, 0x1.48f29909f757ep-1, 0x1.48f2p+15,
+      0x1.7ebea5f4567c7p-3, 0x1.7eb8p+13, 0x1.0f3c7af85c7f3p-1,
+      0x1.0f3cp+15, 0x1.623eff8f441bcp+29, 0x1.1b65993f69b03p+25,
+      0x1.1b65993f69b03p+25, 0x1.1b65993f69b03p+25, 0x1.1b65993f69b03p+31,
+      0x1.9f6cadf82d97cp-2, 0x0p+0, 0x1.75298e6800004p+30,
+      0x1.2a87a5200000ap+26, 0x1.2a87a5200000ap+26, 0x1.2a87a5200000ap+26,
+      0x1.2a87a5200000ap+32, 0x1.3d7ccbc8122b7p-1, 0x1.3a92a30553262p-14}},
 };
 // clang-format on
 
@@ -959,6 +1118,36 @@ TEST(SimProcessor, SliceResultsMatchParentBits) {
         Actual.emplace_back(Healthy.Name + "/" + faultKindName(Event.Kind) +
                                 "/" + WorkloadClass::fromIndex(C).name(),
                             runSliceScenario(Faulty, Micros[C]));
+    }
+  }
+  for (const PlatformSpec &Healthy : {haswellDesktop(), bayTrailTablet()}) {
+    FaultEvent Throttle;
+    Throttle.Kind = FaultKind::GpuThrottle;
+    Throttle.StartSec = 0.05;
+    Throttle.EndSec = 0.2;
+    Throttle.Magnitude = 0.4;
+    FaultEvent Dropout;
+    Dropout.Kind = FaultKind::RaplDropout;
+    Dropout.Probability = 0.3;
+    for (unsigned C : {0u, 4u}) {
+      WorkloadClass Class = WorkloadClass::fromIndex(C);
+      MicroBenchmark Micro = makeMicroBenchmark(Healthy, Class);
+      double RepeatedShare = 0.0;
+      Actual.emplace_back(Healthy.Name + "/long/" + Class.name(),
+                          runLongDispatchScenario(Healthy, Micro,
+                                                  RepeatedShare));
+      // Most of the time is in steady slices between epochs, which repeat.
+      EXPECT_GT(RepeatedShare, 0.8) << Actual.back().first;
+      for (const FaultEvent &Event : {Throttle, Dropout}) {
+        PlatformSpec Faulty = Healthy;
+        Faulty.Faults.addEvent(Event);
+        Actual.emplace_back(Healthy.Name + "/long/" +
+                                faultKindName(Event.Kind) + "/" + Class.name(),
+                            runLongDispatchScenario(Faulty, Micro,
+                                                    RepeatedShare));
+        // A fault injector re-samples every slice: none repeats.
+        EXPECT_EQ(RepeatedShare, 0.0) << Actual.back().first;
+      }
     }
   }
 
