@@ -768,6 +768,20 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
       Measured = true;
       if (Local.CpuThroughput <= 0.0 && Local.GpuThroughput <= 0.0)
         break;
+      // The steady repetitions after this one run in one batch that
+      // keeps this loop's steps for each: the stop check (cancellation
+      // point 2), the pool update and both accumulations, in order. Each
+      // measured a GPU chunk. Noting their successes once, after the
+      // batch, is noting each with a racing quarantine landing before
+      // the last.
+      if (unsigned Batch = Profiler.profileReplayed(
+              Kernel, Nrem, ProfileFloor, Local, Fresh,
+              [&] { return stopRequested(Proc.now(), Cancel); })) {
+        Outcome.ProfileRepetitions += Batch;
+        Monitor.noteGpuSuccess(Proc.now());
+        if (Local.CpuThroughput <= 0.0 && Local.GpuThroughput <= 0.0)
+          break;
+      }
       SearchSample = Local;
       SearchNrem = Nrem;
       Searchable = true;

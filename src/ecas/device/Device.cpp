@@ -160,6 +160,22 @@ bool SimDevice::canRepeat(double Dt, const DeviceSlice &Slice) const {
          runsUndrained(head().IterationsLeft, Dt, Slice);
 }
 
+uint64_t SimDevice::certainRepeats(const DeviceSlice &Slice) const {
+  if (Slice.Phases == 0)
+    return busy() ? 0 : UINT64_MAX;
+  if (Slice.Phases != 1 || Slice.Setup || Slice.Drained || !busy())
+    return 0;
+  // At most 1024 repeated subtractions drift from the exact difference
+  // by under 1.2e-13 of the iterations left, so after k repeats, k below
+  // the count, more than 4.9 slices' worth are left: their drain time is
+  // above Dt, and with at least 1e-6 iterations a slice the item does not
+  // count as drained after the next.
+  double Slices = head().IterationsLeft / Slice.Iterations;
+  if (!(Slice.Iterations >= 1e-6 && Slices >= 5.0))
+    return 0;
+  return static_cast<uint64_t>(std::min(Slices, 1028.0)) - 4;
+}
+
 void SimDevice::repeatSlice(double Dt, const DeviceSlice &Slice) {
   // An idle slice adds 0.0 busy seconds; an execution slice retires the
   // same iterations from the head item as advance() did, which
@@ -234,21 +250,4 @@ double SimDevice::advance(double Dt, double FreqGHz, double BandwidthShareGBs,
   Slice.TrafficGBs = LastTrafficGBs;
   Record = Slice;
   return Consumed;
-}
-
-double SimDevice::estimateCompletion(double FreqGHz,
-                                     double BandwidthShareGBs) const {
-  double Total = 0.0;
-  for (size_t I = Head; I != Queue.size(); ++I) {
-    const WorkItem &Item = Queue[I];
-    Total += Item.SetupSecondsLeft;
-    RatePoint Rate = rateModel(Item.Kernel, FreqGHz, Item.InitialIterations);
-    double EffRate, StallFraction;
-    applyBandwidthCap(Rate, Item.Kernel.BytesPerIter, BandwidthShareGBs,
-                      EffRate, StallFraction);
-    if (EffRate <= 0.0)
-      return 1e30;
-    Total += drainSeconds(Item.IterationsLeft, EffRate);
-  }
-  return Total;
 }

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace ecas {
@@ -145,12 +146,6 @@ public:
   double advance(double Dt, double FreqGHz, double BandwidthShareGBs,
                  DeviceSlice &Record);
 
-  /// advance() with the record dropped.
-  double advance(double Dt, double FreqGHz, double BandwidthShareGBs) {
-    DeviceSlice Unused;
-    return advance(Dt, FreqGHz, BandwidthShareGBs, Unused);
-  }
-
   /// Charges \p Slice, recorded by advance() over a slice of \p Dt
   /// seconds that ran one phase of an item of \p Kernel, to the counters
   /// and lastActivity()/lastTrafficGBs(), with the same additions
@@ -165,13 +160,19 @@ public:
   /// it and the item runsUndrained() through the next one too.
   bool canRepeat(double Dt, const DeviceSlice &Slice) const;
 
+  /// A count of slices that canRepeat() certainly allows one after
+  /// another, each charged by repeatSlice(), for \p Slice recorded over
+  /// the Dt they repeat: unbounded for an idle slice on a device that is
+  /// still idle, none when canRepeat() fails now, and otherwise four
+  /// short of the head item's iterations left in whole slices, at most
+  /// 1024: every one of them then ends more than three slices from
+  /// draining, whatever the rounding of the repeated subtraction.
+  uint64_t certainRepeats(const DeviceSlice &Slice) const;
+
   /// Charges \p Slice once more over \p Dt seconds, with the same
   /// additions to the head item, the counters and lastActivity()/
   /// lastTrafficGBs() that advance() would make. canRepeat() must hold.
   void repeatSlice(double Dt, const DeviceSlice &Slice);
-
-  /// Seconds to drain the whole queue at a fixed operating point.
-  double estimateCompletion(double FreqGHz, double BandwidthShareGBs) const;
 
   const PerfCounters &counters() const { return Counters; }
 

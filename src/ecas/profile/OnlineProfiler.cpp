@@ -14,29 +14,12 @@
 using namespace ecas;
 
 void ProfileSample::accumulate(const ProfileSample &Other) {
-  double SelfTime = ElapsedSeconds;
-  double OtherTime = Other.ElapsedSeconds;
-  double Total = SelfTime + OtherTime;
-  if (Total <= 0.0) {
+  if (ElapsedSeconds + Other.ElapsedSeconds <= 0.0) {
     *this = Other;
     return;
   }
-  GpuLaunchFailed = GpuLaunchFailed || Other.GpuLaunchFailed;
-  GpuHung = GpuHung || Other.GpuHung;
-  CpuIterations += Other.CpuIterations;
-  GpuIterations += Other.GpuIterations;
-  CpuBusySeconds += Other.CpuBusySeconds;
-  GpuBusySeconds += Other.GpuBusySeconds;
-  InstructionsRetired += Other.InstructionsRetired;
-  // Time-weighted blend of the ratio statistics.
-  MissPerLoadStore = (MissPerLoadStore * SelfTime +
-                      Other.MissPerLoadStore * OtherTime) /
-                     Total;
-  ElapsedSeconds = Total;
-  CpuThroughput =
-      CpuBusySeconds > 0.0 ? CpuIterations / CpuBusySeconds : 0.0;
-  GpuThroughput =
-      GpuBusySeconds > 0.0 ? GpuIterations / GpuBusySeconds : 0.0;
+  addSums(Other);
+  updateThroughputs();
 }
 
 void SampleWeightedAlpha::addSample(double Alpha, double Weight) {

@@ -23,6 +23,11 @@
 #include "ecas/obs/FlightRecorder.h"
 #include "ecas/profile/WorkloadClass.h"
 #include "ecas/sim/SimProcessor.h"
+#include "ecas/support/HotPath.h"
+
+#include <algorithm>
+#include <cfloat>
+#include <optional>
 
 namespace ecas {
 
@@ -47,14 +52,54 @@ struct ProfileSample {
   /// was returned to the pool and the throughputs cover only what ran.
   bool GpuHung = false;
 
-  /// True when this repetition observed any GPU fault.
-  bool faulted() const { return GpuLaunchFailed || GpuHung; }
-
   /// Merges another repetition into this sample: iteration counts,
   /// busy seconds, elapsed time and instructions add; the throughputs
   /// are recomputed from the summed iterations and busy seconds; the
-  /// miss ratio is blended weighted by elapsed time.
+  /// miss ratio is blended weighted by elapsed time. When neither sample
+  /// has elapsed time, this one becomes \p Other.
   void accumulate(const ProfileSample &Other);
+
+  /// accumulate() without the throughputs, which it never reads: a run
+  /// of addSums() calls and then updateThroughputs() leaves the bits the
+  /// same run of accumulate() calls leaves, given samples whose
+  /// throughputs come from their own sums (as profileOnce() makes them).
+  void addSums(const ProfileSample &Other) {
+    double SelfTime = ElapsedSeconds;
+    double OtherTime = Other.ElapsedSeconds;
+    double Total = SelfTime + OtherTime;
+    if (Total <= 0.0) {
+      *this = Other;
+      return;
+    }
+    GpuLaunchFailed = GpuLaunchFailed || Other.GpuLaunchFailed;
+    GpuHung = GpuHung || Other.GpuHung;
+    CpuIterations += Other.CpuIterations;
+    GpuIterations += Other.GpuIterations;
+    CpuBusySeconds += Other.CpuBusySeconds;
+    GpuBusySeconds += Other.GpuBusySeconds;
+    InstructionsRetired += Other.InstructionsRetired;
+    // Time-weighted blend of the ratio statistics.
+    MissPerLoadStore = (MissPerLoadStore * SelfTime +
+                        Other.MissPerLoadStore * OtherTime) /
+                       Total;
+    ElapsedSeconds = Total;
+  }
+
+  /// The throughputs from the summed iterations and busy seconds.
+  void updateThroughputs() {
+    CpuThroughput =
+        CpuBusySeconds > 0.0 ? CpuIterations / CpuBusySeconds : 0.0;
+    GpuThroughput =
+        GpuBusySeconds > 0.0 ? GpuIterations / GpuBusySeconds : 0.0;
+  }
+
+  /// True when updateThroughputs() would certainly find a positive GPU
+  /// throughput, without dividing: at least one GPU iteration over a
+  /// positive, finite busy time.
+  bool gpuThroughputPositive() const {
+    return GpuIterations >= 1.0 && GpuBusySeconds > 0.0 &&
+           GpuBusySeconds <= DBL_MAX;
+  }
 };
 
 /// Sample-weighted accumulator for the GPU offload ratio across kernel
@@ -111,8 +156,39 @@ public:
   /// Without a fault injector the simulator runs it through
   /// SimProcessor::runRepetition() and the plan kept here, so a steady
   /// repetition costs a replay of the last stepped one's slices, with
-  /// the same measurements bit for bit.
+  /// the same measurements bit for bit. profileReplayed() runs the steady
+  /// repetitions that follow one of these in a batch.
   ProfileSample profileOnce(const KernelDesc &Kernel, double &RemainingIters);
+
+  /// The repetitions that follow a profileOnce() of \p Kernel, batched.
+  /// Each is what profileOnce() would do next, charged from the plan it
+  /// kept: the same additions to the simulator, the same sample bits.
+  ///
+  /// Checked once: no trace recorder attached (it times each
+  /// repetition's span), a full GpuProfileSize chunk left, and
+  /// SimProcessor::canReplay(). Then, per repetition, while
+  /// \p RemainingIters is above \p Floor and a full chunk is left:
+  /// - SimProcessor::checkReplay() (the epoch, the CPU share's drain and
+  ///   rate) must hold, or the batch ends before the repetition;
+  /// - \p Fn(), the caller's stop check, must be false, or the batch
+  ///   ends there too. It is asked once for each repetition the batch
+  ///   runs, and not for one the batch leaves to the caller;
+  /// - the repetition is charged, its counter deltas make the sample,
+  ///   RemainingIters goes down as profileOnce() takes it down, and the
+  ///   rep histogram records the elapsed time;
+  /// - the sample is added to \p Into, then to \p AlsoInto
+  ///   (ProfileSample::addSums()). The batch ends after a repetition
+  ///   that might leave \p Into without a positive GPU throughput, so a
+  ///   caller that stops on a sample with none checks \p Into after the
+  ///   batch.
+  /// Both samples' throughputs are computed once, from the final sums.
+  /// \returns the repetitions run. The next one, if any, goes through
+  /// profileOnce().
+  template <typename FnT>
+  ECAS_HOT unsigned profileReplayed(const KernelDesc &Kernel,
+                                    double &RemainingIters, double Floor,
+                                    ProfileSample &Into,
+                                    ProfileSample &AlsoInto, const FnT &Fn);
 
   /// Classifies from a (possibly accumulated) sample: single-device
   /// completion estimates for the remaining iterations are derived from
@@ -128,6 +204,60 @@ private:
   obs::Histogram *RepSeconds = nullptr;
   SimProcessor::RepetitionPlan Plan;
 };
+
+template <typename FnT>
+ECAS_HOT unsigned
+OnlineProfiler::profileReplayed(const KernelDesc &Kernel,
+                                double &RemainingIters, double Floor,
+                                ProfileSample &Into, ProfileSample &AlsoInto,
+                                const FnT &Fn) {
+  if (Trace || !(RemainingIters > Floor && RemainingIters >= GpuProfileSize) ||
+      !Proc.canReplay(Plan, Kernel, GpuProfileSize))
+    return 0;
+  const PerfCounters &Cpu = Proc.cpu().counters();
+  const PerfCounters &Gpu = Proc.gpu().counters();
+  unsigned Repetitions = 0;
+  while (RemainingIters > Floor && RemainingIters >= GpuProfileSize) {
+    double CpuShare = RemainingIters - GpuProfileSize;
+    std::optional<double> Unprocessed = Proc.checkReplay(Plan, CpuShare);
+    if (!Unprocessed || Fn())
+      break;
+    double Start = Proc.now();
+    double CpuBusyBefore = Cpu.BusySeconds;
+    double GpuBusyBefore = Gpu.BusySeconds;
+    double LoadStoresBefore = Cpu.LoadStores;
+    double MissesBefore = Cpu.LlcMisses;
+    double InstructionsBefore = Cpu.InstructionsRetired;
+    Proc.replay(Plan);
+    // profileOnce()'s sample, field for field, without the throughputs.
+    ProfileSample Sample;
+    Sample.GpuIterations = GpuProfileSize;
+    Sample.CpuIterations = CpuShare - *Unprocessed;
+    Sample.ElapsedSeconds = Proc.now() - Start;
+    Sample.CpuBusySeconds = Cpu.BusySeconds - CpuBusyBefore;
+    Sample.GpuBusySeconds = Gpu.BusySeconds - GpuBusyBefore;
+    double LoadStores = Cpu.LoadStores - LoadStoresBefore;
+    Sample.MissPerLoadStore =
+        LoadStores > 0.0 ? (Cpu.LlcMisses - MissesBefore) / LoadStores : 0.0;
+    Sample.InstructionsRetired = Cpu.InstructionsRetired - InstructionsBefore;
+    RemainingIters -= Sample.GpuIterations + Sample.CpuIterations;
+    RemainingIters = std::max(RemainingIters, 0.0);
+    if (RepSeconds && Sample.ElapsedSeconds > 0.0)
+      // A lock-free bucket increment (obs/Metrics.cpp).
+      // ecas-hotpath: allow(extern-call)
+      RepSeconds->record(Sample.ElapsedSeconds);
+    Into.addSums(Sample);
+    AlsoInto.addSums(Sample);
+    ++Repetitions;
+    if (!Into.gpuThroughputPositive())
+      break;
+  }
+  if (Repetitions != 0) {
+    Into.updateThroughputs();
+    AlsoInto.updateThroughputs();
+  }
+  return Repetitions;
+}
 
 } // namespace ecas
 

@@ -10,6 +10,7 @@
 #include "ecas/support/Assert.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <tuple>
 
@@ -190,10 +191,11 @@ template <typename T> static bool sameBits(const T &A, const T &B) {
 
 double SimProcessor::runRepetition(const KernelCost &Kernel, double GpuChunk,
                                    double CpuShare, RepetitionPlan &Plan) {
-  if (std::optional<double> Unprocessed =
-          replayRepetition(Plan, Kernel, GpuChunk, CpuShare)) {
-    ++Replayed;
-    return *Unprocessed;
+  if (canReplay(Plan, Kernel, GpuChunk)) {
+    if (std::optional<double> Unprocessed = checkReplay(Plan, CpuShare)) {
+      replay(Plan);
+      return *Unprocessed;
+    }
   }
   // Step the repetition. Its slices become the new plan when it starts
   // from idle devices and neither a power trace nor a fault injector
@@ -206,14 +208,19 @@ double SimProcessor::runRepetition(const KernelCost &Kernel, double GpuChunk,
     Cpu.enqueue(Kernel, CpuShare);
   runUntilGpuIdle();
   if (Recording) {
-    // Every slice was kept, so all ran at the clocks and CPU rate the
-    // repetition ends with.
+    // Every slice was kept, so all ran at the clocks the repetition ends
+    // with. The CPU's rate depends on its share only through the part of
+    // its threads the share fills (SimCpuDevice::rateModel): every share
+    // of at least effectiveThreads() runs at this one's rate when this
+    // one is that large, and otherwise only this share does.
     Recording = nullptr;
     Plan.Kernel = Kernel;
     Plan.GpuChunk = GpuChunk;
     Plan.GpuDerate = Gpu.throughputDerate();
     std::tie(Plan.CpuFreq, Plan.GpuFreq) = effectiveClocks();
-    Plan.CpuRate = Cpu.rateFor(Kernel, Plan.CpuFreq, CpuShare);
+    double Threads = Cpu.effectiveThreads();
+    Plan.MinCpuShare = std::min(CpuShare, Threads);
+    Plan.MaxCpuShare = CpuShare >= Threads ? HUGE_VAL : CpuShare;
   }
   return Cpu.cancelRemaining();
 }
@@ -233,28 +240,32 @@ void SimProcessor::keepSlice(bool Governed, bool Whole) {
   Plan.Slices[Plan.NumSlices++] = Last;
 }
 
-std::optional<double>
-SimProcessor::replayRepetition(const RepetitionPlan &Plan,
-                               const KernelCost &Kernel, double GpuChunk,
-                               double CpuShare) {
+bool SimProcessor::canReplay(const RepetitionPlan &Plan,
+                             const KernelCost &Kernel, double GpuChunk) const {
   // A stepped repetition would take the plan's slices when it starts from
   // the same state: idle devices whose busy flags are already set (no
   // transition at the first slice), the same GPU work at the same derate,
-  // the same clocks (caps and hints included), and a CPU share that runs
-  // at the plan's rate (a share below the CPU's thread count does not; a
-  // zero share rates zero, which no plan holds).
+  // and the same clocks (caps and hints included). A replay changes none
+  // of these: it leaves the queues empty and the governor alone.
   if (Plan.NumSlices == 0 || Faults || Trace || Cpu.busy() || Gpu.busy() ||
       !LastCpuBusy || !LastGpuBusy || !sameBits(Kernel, Plan.Kernel) ||
       !sameBits(GpuChunk, Plan.GpuChunk) ||
       !sameBits(Gpu.throughputDerate(), Plan.GpuDerate))
-    return std::nullopt;
+    return false;
   auto [CpuFreq, GpuFreq] = effectiveClocks();
-  if (!sameBits(CpuFreq, Plan.CpuFreq) || !sameBits(GpuFreq, Plan.GpuFreq) ||
-      !sameBits(Cpu.rateFor(Kernel, CpuFreq, CpuShare), Plan.CpuRate))
+  return sameBits(CpuFreq, Plan.CpuFreq) && sameBits(GpuFreq, Plan.GpuFreq);
+}
+
+std::optional<double> SimProcessor::checkReplay(const RepetitionPlan &Plan,
+                                                double CpuShare) const {
+  // The CPU share runs at the plan's rate (a share below the CPU's
+  // thread count runs slower; a zero share at none, which no plan
+  // holds)...
+  if (!(CpuShare >= Plan.MinCpuShare && CpuShare <= Plan.MaxCpuShare))
     return std::nullopt;
-  // ...and no slice meets the events the plan never saw: no governor
-  // epoch falls due at its start or ends it early, and the CPU item
-  // neither ends it nor drains in it.
+  // ...no slice meets the events the plan never saw: no governor epoch
+  // falls due at its start or ends it early, and the CPU item neither
+  // ends it nor drains in it...
   double T = Now;
   double Left = CpuShare;
   for (unsigned I = 0; I != Plan.NumSlices; ++I) {
@@ -265,14 +276,32 @@ SimProcessor::replayRepetition(const RepetitionPlan &Plan,
     Left -= Slice.Cpu.Iterations;
     T += Slice.Dt;
   }
+  // ...and the repetition takes time: the profiler ends on one that
+  // does not, after stepping it.
+  if (!(T > Now))
+    return std::nullopt;
+  return Left;
+}
 
+void SimProcessor::replay(const RepetitionPlan &Plan) {
   for (unsigned I = 0; I != Plan.NumSlices; ++I) {
     const SliceRecord &Slice = Plan.Slices[I];
-    Cpu.replaySlice(Kernel, Slice.Dt, Slice.Cpu);
-    Gpu.replaySlice(Kernel, Slice.Dt, Slice.Gpu);
+    Cpu.replaySlice(Plan.Kernel, Slice.Dt, Slice.Cpu);
+    Gpu.replaySlice(Plan.Kernel, Slice.Dt, Slice.Gpu);
     depositAndAdvance(Slice.Dt, Slice.Deposit);
   }
-  return Left;
+  ++Replayed;
+}
+
+uint64_t SimProcessor::repeatsWithin(double Span) {
+  // Below 2^30 s each addition of a slice to now() rounds by at most
+  // 2^-24 s, so the starts of up to 1024 repeated slices drift by at most
+  // 2^-14 s, a sixteenth of a slice: two spare slices cover that and the
+  // rounding of the guard's own subtraction.
+  double Slices = Span / MaxSliceSec;
+  if (!(Slices >= 3.0))
+    return 0;
+  return static_cast<uint64_t>(std::min(Slices, 1026.0)) - 2;
 }
 
 void SimProcessor::repeatSlices(double Start, double DeadlineSec) {
@@ -284,6 +313,21 @@ void SimProcessor::repeatSlices(double Start, double DeadlineSec) {
   // the same iterations, activities and deposits again.
   if (Faults || Trace || Recording || Last.Dt != MaxSliceSec)
     return;
+  // Each guard below only tightens as slices repeat (now() rises, the
+  // head items shrink), so every guard holds for each of the first
+  // Certain slices when it holds, with room to spare, for the last.
+  uint64_t Certain =
+      Now < 0x1p30 ? std::min({repeatsWithin(DeadlineSec - (Now - Start)),
+                               repeatsWithin(NextEpoch - Now),
+                               Cpu.certainRepeats(Last.Cpu),
+                               Gpu.certainRepeats(Last.Gpu)})
+                   : 0;
+  Repeated += Certain;
+  for (; Certain != 0; --Certain) {
+    Cpu.repeatSlice(MaxSliceSec, Last.Cpu);
+    Gpu.repeatSlice(MaxSliceSec, Last.Gpu);
+    depositAndAdvance(MaxSliceSec, Last.Deposit);
+  }
   while (DeadlineSec - (Now - Start) >= MaxSliceSec &&
          epochClearOf(Now, MaxSliceSec) &&
          Cpu.canRepeat(MaxSliceSec, Last.Cpu) &&

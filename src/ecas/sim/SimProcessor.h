@@ -58,7 +58,9 @@ class SimProcessor {
 public:
   /// The slices of the last stepped profiling repetition, kept by
   /// runRepetition() so that later repetitions can charge the same
-  /// slices again instead of stepping through them. Fixed size and
+  /// slices again instead of stepping through them: one at a time
+  /// through runRepetition(), or in a batch that checks canReplay() once
+  /// and then checkReplay() and replay() per repetition. Fixed size and
   /// inline: keeping or replaying a plan never allocates.
   class RepetitionPlan {
   public:
@@ -73,7 +75,9 @@ public:
     double GpuDerate = 0.0;
     double CpuFreq = 0.0;
     double GpuFreq = 0.0;
-    RatePoint CpuRate;
+    /// The CPU shares that run at the rate the plan's share ran at.
+    double MinCpuShare = 0.0;
+    double MaxCpuShare = 0.0;
     /// 0: no plan.
     unsigned NumSlices = 0;
     SliceRecord Slices[MaxSlices];
@@ -135,7 +139,31 @@ public:
   double runRepetition(const KernelCost &Kernel, double GpuChunk,
                        double CpuShare, RepetitionPlan &Plan);
 
-  /// Repetitions runRepetition() charged from a plan instead of stepping.
+  /// The half of the replay guard that no replay can change: true when
+  /// \p Plan holds slices that a repetition of \p Kernel with \p GpuChunk
+  /// would take from the state the processor is in, up to its CPU share
+  /// and the time it starts at. That needs no fault injector or power
+  /// trace, idle devices whose busy flags are already set (no transition
+  /// at the first slice), the plan's kernel, GPU chunk and GPU derate,
+  /// and the plan's clocks after caps and hints.
+  bool canReplay(const RepetitionPlan &Plan, const KernelCost &Kernel,
+                 double GpuChunk) const;
+
+  /// The other half, checked per repetition: when a repetition with
+  /// \p CpuShare starting now runs at the plan's CPU rate, meets no
+  /// governor epoch and no CPU drain in any slice, and moves now() on,
+  /// \returns the CPU iterations it leaves for the profiler to cancel;
+  /// otherwise nothing. canReplay() must hold for the plan's kernel and
+  /// chunk, and nothing may have stepped since it was checked.
+  std::optional<double> checkReplay(const RepetitionPlan &Plan,
+                                    double CpuShare) const;
+
+  /// Charges \p Plan's slices with the same additions to the counters,
+  /// meters and now() that stepping the repetition makes. checkReplay()
+  /// must have just held; canReplay() still holds afterwards.
+  void replay(const RepetitionPlan &Plan);
+
+  /// Repetitions charged from a plan instead of stepping.
   uint64_t repetitionsReplayed() const { return Replayed; }
 
   /// Slices the drivers above charged by repeating the slice before
@@ -163,8 +191,17 @@ private:
   /// runUntilGpuIdle() and runFor() call it after every step(). A
   /// repeated slice keeps their loop conditions as it found them: the
   /// device they wait on stays busy, and the budget keeps now() short of
-  /// their deadline.
+  /// their deadline. The slices every guard certainly allows (the
+  /// fewest of repeatsWithin() over the budget and the epoch distance
+  /// and of SimDevice::certainRepeats()) go first, unchecked; the
+  /// guarded loop charges the rest. Each guard only tightens as slices
+  /// repeat, so a count below the exact one changes nothing.
   void repeatSlices(double Start, double DeadlineSec);
+
+  /// A count of MaxSliceSec slices that certainly fit in \p Span seconds
+  /// with two to spare, whatever the rounding of the sums that reach
+  /// them (for a now() below 2^30 s); 0 when fewer fit. At most 1024.
+  static uint64_t repeatsWithin(double Span);
 
   /// The governor's CPU and GPU clocks clamped by each device's
   /// frequency hint: the clocks a slice runs at.
@@ -193,14 +230,6 @@ private:
   /// device ran one phase throughout, the CPU without draining.
   /// Otherwise ends the recording and leaves its plan empty.
   void keepSlice(bool Governed, bool Whole);
-
-  /// Charges \p Plan's slices for a repetition of \p Kernel with
-  /// \p GpuChunk and \p CpuShare when every guard holds. \returns the
-  /// CPU iterations a stepped repetition would cancel, or nothing, with
-  /// no state changed, when a guard fails.
-  std::optional<double> replayRepetition(const RepetitionPlan &Plan,
-                                         const KernelCost &Kernel,
-                                         double GpuChunk, double CpuShare);
 
   /// The power and deposits of a slice of \p Dt seconds at \p CpuFreq
   /// and \p GpuFreq in which the devices, just advanced, were busy for

@@ -23,10 +23,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 using namespace ecas;
 
@@ -848,4 +853,463 @@ TEST(EasScheduler, ColdMergeMatchesPerRepetitionAccumulation) {
     EXPECT_EQ(Got.GpuHung, Want.GpuHung);
     EXPECT_GT(Got.ElapsedSeconds, 0.0);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Batched repetitions: after each repetition that profileOnce() runs, the
+// profiling loop charges the steady ones that follow in one batch
+// (OnlineProfiler::profileReplayed). Driven in lockstep with a twin whose
+// every repetition steps (steppedRepetition), the batched loop must leave
+// the same accumulated samples, pool, repetition count and simulator
+// state, bit for bit, after every batch.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// What a profiling loop has built so far.
+struct LoopState {
+  /// The known sample with every repetition accumulated onto it, and the
+  /// repetitions alone (EasScheduler's Local and Fresh).
+  ProfileSample Local;
+  ProfileSample Fresh;
+  double Nrem = 0.0;
+  unsigned Repetitions = 0;
+  bool Stopped = false;
+};
+
+/// The stop check both loops make before each repetition: a token that
+/// fires once \p FireAfter checks have come back false, and a virtual
+/// deadline.
+struct StopRule {
+  StopRule(unsigned FireAfter, double DeadlineSec)
+      : Token(CancellationToken::withDeadline(DeadlineSec)),
+        FireAfter(FireAfter) {}
+  bool operator()(double NowSec) {
+    if (Checks++ == FireAfter)
+      Token.cancel();
+    return Token.shouldStop(NowSec);
+  }
+  CancellationToken Token;
+  unsigned FireAfter;
+  unsigned Checks = 0;
+};
+
+/// One pass of EasScheduler's profiling loop body (fault-free): a
+/// repetition through profileOnce(), then the batch after it. False when
+/// the loop ends.
+bool batchedPass(SimProcessor &Proc, OnlineProfiler &Profiler,
+                 const KernelDesc &Kernel, double Floor, LoopState &S,
+                 StopRule &Stop) {
+  if (!(S.Nrem > Floor))
+    return false;
+  if (Stop(Proc.now())) {
+    S.Stopped = true;
+    return false;
+  }
+  ProfileSample Sample = Profiler.profileOnce(Kernel, S.Nrem);
+  ++S.Repetitions;
+  if (Sample.ElapsedSeconds <= 0.0)
+    return false;
+  S.Local.accumulate(Sample);
+  S.Fresh.accumulate(Sample);
+  if (S.Local.CpuThroughput <= 0.0 && S.Local.GpuThroughput <= 0.0)
+    return false;
+  S.Repetitions += Profiler.profileReplayed(
+      Kernel, S.Nrem, Floor, S.Local, S.Fresh,
+      [&] { return Stop(Proc.now()); });
+  return S.Local.CpuThroughput > 0.0 || S.Local.GpuThroughput > 0.0;
+}
+
+/// The same loop body with one repetition, \p Repeat(Nrem), and no
+/// batch.
+template <typename RepeatT>
+bool singlePass(SimProcessor &Proc, const RepeatT &Repeat, double Floor,
+                LoopState &S, StopRule &Stop) {
+  if (!(S.Nrem > Floor))
+    return false;
+  if (Stop(Proc.now())) {
+    S.Stopped = true;
+    return false;
+  }
+  ProfileSample Sample = Repeat(S.Nrem);
+  ++S.Repetitions;
+  if (Sample.ElapsedSeconds <= 0.0)
+    return false;
+  S.Local.accumulate(Sample);
+  S.Fresh.accumulate(Sample);
+  return S.Local.CpuThroughput > 0.0 || S.Local.GpuThroughput > 0.0;
+}
+
+/// singlePass() with a stepped repetition.
+bool steppedPass(SimProcessor &Proc, const KernelDesc &Kernel,
+                 double ProfileSize, double Floor, LoopState &S,
+                 StopRule &Stop) {
+  return singlePass(
+      Proc,
+      [&](double &Nrem) {
+        return steppedRepetition(Proc, Kernel, ProfileSize, Nrem);
+      },
+      Floor, S, Stop);
+}
+
+/// Every ProfileSample field as bits.
+std::vector<uint64_t> sampleBits(const ProfileSample &S) {
+  std::vector<uint64_t> Out;
+  for (double V : {S.CpuThroughput, S.GpuThroughput, S.CpuIterations,
+                   S.GpuIterations, S.ElapsedSeconds, S.CpuBusySeconds,
+                   S.GpuBusySeconds, S.MissPerLoadStore,
+                   S.InstructionsRetired})
+    Out.push_back(std::bit_cast<uint64_t>(V));
+  Out.push_back(S.GpuLaunchFailed);
+  Out.push_back(S.GpuHung);
+  return Out;
+}
+
+/// now(), the three meters and both devices' counters, as bits.
+std::vector<uint64_t> processorBits(const SimProcessor &Proc) {
+  std::vector<double> Values = {Proc.now()};
+  for (const EnergyMeter *Meter :
+       {&Proc.meter(), &Proc.pp0Meter(), &Proc.pp1Meter()}) {
+    Values.push_back(Meter->totalJoules());
+    Values.push_back(static_cast<double>(Meter->readMsr()));
+  }
+  for (const PerfCounters *C : {&Proc.cpu().counters(), &Proc.gpu().counters()})
+    for (double V : {C->InstructionsRetired, C->LoadStores, C->LlcMisses,
+                     C->IterationsDone, C->BytesTransferred, C->BusySeconds,
+                     C->SetupSeconds})
+      Values.push_back(V);
+  std::vector<uint64_t> Out;
+  for (double V : Values)
+    Out.push_back(std::bit_cast<uint64_t>(V));
+  return Out;
+}
+
+/// Everything the lockstep compares.
+std::vector<uint64_t> loopBits(const LoopState &S, const SimProcessor &Proc) {
+  std::vector<uint64_t> Out = sampleBits(S.Local);
+  std::vector<uint64_t> Fresh = sampleBits(S.Fresh);
+  std::vector<uint64_t> Sim = processorBits(Proc);
+  Out.insert(Out.end(), Fresh.begin(), Fresh.end());
+  Out.insert(Out.end(), Sim.begin(), Sim.end());
+  Out.push_back(std::bit_cast<uint64_t>(S.Nrem));
+  Out.push_back(S.Repetitions);
+  Out.push_back(S.Stopped);
+  return Out;
+}
+
+struct LockstepCase {
+  std::string Name;
+  PlatformSpec Spec;
+  KernelDesc Kernel;
+  double ProfileSize = 0.0;
+  double Iterations = 0.0;
+  double Floor = 0.0;
+  /// Where the token fires and the virtual deadline falls, as fractions
+  /// of the repetitions and the virtual time of the whole loop (never
+  /// when negative).
+  double FireAt = -1.0;
+  double DeadlineAt = -1.0;
+  /// Cap both clocks at 80% and hint the CPU to 60% of its turbo.
+  bool CapAndHint = false;
+  /// Profile once beforehand, so Local starts from a measured sample.
+  bool Known = false;
+};
+
+struct LockstepResult {
+  /// Empty when every batch matched.
+  std::string Mismatch;
+  unsigned Repetitions = 0;
+  unsigned Batched = 0;
+  bool Stopped = false;
+};
+
+/// Runs \p Case's profiling loop batched and stepped in lockstep,
+/// comparing after every pass of the batched loop.
+LockstepResult runLockstep(const LockstepCase &Case) {
+  LockstepResult Result;
+  SimProcessor A(Case.Spec), B(Case.Spec), Pilot(Case.Spec);
+  for (SimProcessor *Proc : {&A, &B, &Pilot}) {
+    if (!Case.CapAndHint)
+      continue;
+    Proc->pcu().setFrequencyCap(0.8 * Case.Spec.Cpu.MaxTurboGHz,
+                                0.8 * Case.Spec.Gpu.MaxFreqGHz);
+    Proc->cpu().setFrequencyHintGHz(0.6 * Case.Spec.Cpu.MaxTurboGHz);
+  }
+  // A pilot of the whole loop places the token and the deadline.
+  unsigned FireAfter = ~0u;
+  double DeadlineSec = std::numeric_limits<double>::infinity();
+  {
+    OnlineProfiler Profiler(Pilot, Case.ProfileSize);
+    LoopState S;
+    S.Nrem = Case.Iterations;
+    StopRule Never(~0u, DeadlineSec);
+    while (batchedPass(Pilot, Profiler, Case.Kernel, Case.Floor, S, Never)) {
+    }
+    if (Case.FireAt >= 0.0)
+      FireAfter = static_cast<unsigned>(Case.FireAt * S.Repetitions);
+    if (Case.DeadlineAt >= 0.0)
+      DeadlineSec = Case.DeadlineAt * Pilot.now();
+  }
+  OnlineProfiler Profiler(A, Case.ProfileSize);
+  LoopState SA, SB;
+  if (Case.Known) {
+    double Pool = Case.Iterations;
+    SA.Local = Profiler.profileOnce(Case.Kernel, Pool);
+    Pool = Case.Iterations;
+    SB.Local =
+        steppedRepetition(B, Case.Kernel, Case.ProfileSize, Pool);
+  }
+  SA.Nrem = SB.Nrem = Case.Iterations;
+  StopRule StopA(FireAfter, DeadlineSec);
+  StopRule StopB(FireAfter, DeadlineSec);
+  for (unsigned Pass = 1;; ++Pass) {
+    unsigned Before = SA.Repetitions;
+    bool MoreA = batchedPass(A, Profiler, Case.Kernel, Case.Floor, SA, StopA);
+    if (SA.Repetitions > Before + 1)
+      Result.Batched += SA.Repetitions - Before - 1;
+    bool MoreB = true;
+    while (MoreB && (SB.Repetitions < SA.Repetitions || !MoreA))
+      MoreB = steppedPass(B, Case.Kernel, Case.ProfileSize, Case.Floor, SB,
+                          StopB);
+    if (MoreA != MoreB || loopBits(SA, A) != loopBits(SB, B)) {
+      Result.Mismatch = formatString(
+          "%s: pass %u differs: repetitions %u vs %u, nrem %a vs %a, now "
+          "%a vs %a, stopped %d vs %d, local cpu %a vs %a",
+          Case.Name.c_str(), Pass, SA.Repetitions, SB.Repetitions, SA.Nrem,
+          SB.Nrem, A.now(), B.now(), SA.Stopped, SB.Stopped,
+          SA.Local.CpuIterations, SB.Local.CpuIterations);
+      return Result;
+    }
+    if (!MoreA)
+      break;
+  }
+  Result.Repetitions = SA.Repetitions;
+  Result.Stopped = SA.Stopped;
+  return Result;
+}
+
+} // namespace
+
+TEST(OnlineProfiler, BatchedRepetitionsMatchSteppedLockstep) {
+  Xoshiro256 Rng(0xba7c4edULL);
+  std::vector<LockstepCase> Cases;
+  unsigned Counter = 0;
+  for (const PlatformSpec &Spec : {haswellDesktop(), bayTrailTablet()}) {
+    double Default = Spec.defaultGpuProfileSize();
+    double Threads = SimCpuDevice(Spec).effectiveThreads();
+    std::vector<KernelDesc> Kernels;
+    for (unsigned C = 0; C < WorkloadClass::NumClasses; C += 2)
+      Kernels.push_back(
+          makeMicroBenchmark(Spec, WorkloadClass::fromIndex(C)).Kernel);
+    for (unsigned K = 0; K != 2; ++K)
+      Kernels.push_back(randomKernel(Rng, 1000 + K));
+    for (const KernelDesc &Kernel : Kernels) {
+      for (double Size : {64.0, Default}) {
+        auto Add = [&](const std::string &What) -> LockstepCase & {
+          LockstepCase Case;
+          Case.Name = formatString("%s/%s/size-%.0f/%s/%u",
+                                   Spec.Name.c_str(), Kernel.Name.c_str(),
+                                   Size, What.c_str(), Counter++);
+          Case.Spec = Spec;
+          Case.Kernel = Kernel;
+          Case.ProfileSize = Size;
+          Case.Iterations = std::floor(
+              std::exp(Rng.nextDouble(std::log(Size * 8.0), std::log(4e7))));
+          Case.Floor = 0.5 * Case.Iterations;
+          Case.Known = Rng.nextBounded(2) == 1;
+          Cases.push_back(Case);
+          return Cases.back();
+        };
+        // A token fired after a seeded number of repetitions.
+        Add("token").FireAt = Rng.nextDouble(0.0, 1.0);
+        // A virtual deadline; most fall inside a would-be batch.
+        Add("deadline").DeadlineAt = Rng.nextDouble(0.0, 1.0);
+        // A floor somewhere in the pool, crossed mid-batch.
+        LockstepCase &Floor = Add("floor");
+        Floor.Floor = Floor.Iterations * Rng.nextDouble(0.05, 0.95);
+        // No floor: the pool runs dry, the last chunks shrinking below
+        // the profile size.
+        Add("dry").Floor = 0.0;
+        // A CPU so slow that it retires under one iteration a
+        // repetition, and a pool whose last full chunk leaves it a share
+        // below its thread count: only the rate check tells that share
+        // from the full ones before it.
+        LockstepCase &Thin = Add("thin-share");
+        Thin.Kernel.CpuCyclesPerIter *= 1e4;
+        Thin.Iterations = Size * static_cast<double>(3 + Rng.nextBounded(38)) +
+                          Threads * Rng.nextDouble(0.1, 0.9);
+        Thin.Floor = 0.0;
+        LockstepCase &Capped = Add("cap-and-hint");
+        Capped.CapAndHint = true;
+        Capped.Floor = Capped.Iterations * Rng.nextDouble(0.0, 0.6);
+        Capped.DeadlineAt = Rng.nextDouble(0.0, 1.2);
+      }
+    }
+  }
+
+  unsigned Repetitions = 0, Batched = 0, StoppedCases = 0;
+  for (const LockstepCase &Case : Cases) {
+    LockstepResult Result = runLockstep(Case);
+    EXPECT_TRUE(Result.Mismatch.empty()) << Result.Mismatch;
+    Repetitions += Result.Repetitions;
+    Batched += Result.Batched;
+    StoppedCases += Result.Stopped && Result.Repetitions > 0;
+  }
+  // The comparison means something only if most repetitions ran in
+  // batches and the stop checks fired mid-loop.
+  EXPECT_GT(Batched, Repetitions / 2)
+      << Batched << " of " << Repetitions << " repetitions batched";
+  EXPECT_GE(StoppedCases, Cases.size() / 4);
+}
+
+// The scheduler's own loop: cold invocations stopped by virtual
+// deadlines, which land inside batches, or by nothing. Their profiling
+// must leave table G's sample (the accumulated Local), the repetition
+// count and the virtual time spent exactly as stepping every repetition
+// does, and a stopped one the whole simulator state too.
+TEST(EasScheduler, BatchedProfilingMatchesSteppedRepetitions) {
+  Xoshiro256 Rng(0x5ca1ab1eULL);
+  unsigned MidProfile = 0;
+  for (unsigned Case = 0; Case != 48; ++Case) {
+    const PlatformSpec &Spec =
+        Case % 2 ? bayTrailTablet() : haswellDesktop();
+    KernelDesc Kernel = randomKernel(Rng, 2000 + Case);
+    double Size = Spec.defaultGpuProfileSize();
+    double Iterations = std::floor(
+        std::exp(Rng.nextDouble(std::log(Size * 8.0), std::log(4e7))));
+    EasConfig Config;
+    double Floor = Iterations * Config.ProfileFraction;
+    // A stepped pilot of the whole loop places the deadline in it.
+    SimProcessor Pilot(Spec);
+    LoopState PilotLoop;
+    PilotLoop.Nrem = Iterations;
+    StopRule Never(~0u, std::numeric_limits<double>::infinity());
+    while (steppedPass(Pilot, Kernel, Size, Floor, PilotLoop, Never)) {
+    }
+    double Deadline = Case % 4 == 3 ? std::numeric_limits<double>::infinity()
+                                    : Pilot.now() * Rng.nextDouble(0.0, 1.0);
+    SCOPED_TRACE(formatString("case %u: n=%.0f deadline=%g", Case,
+                              Iterations, Deadline));
+    SimProcessor Proc(Spec);
+    CancellationToken Token = CancellationToken::withDeadline(Deadline);
+    // The curves only steer the remainder, which nothing here compares.
+    EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
+    EasScheduler::InvocationOutcome Got =
+        Scheduler.execute(Proc, Kernel, Iterations, {}, &Token);
+
+    SimProcessor Ref(Spec);
+    LoopState S;
+    S.Nrem = Iterations;
+    StopRule Stop(~0u, Deadline);
+    while (steppedPass(Ref, Kernel, Size, Floor, S, Stop)) {
+    }
+    ASSERT_TRUE(Got.Profiled);
+    EXPECT_EQ(Got.ProfileRepetitions, S.Repetitions);
+    EXPECT_EQ(std::bit_cast<uint64_t>(Got.ProfileSeconds),
+              std::bit_cast<uint64_t>(Ref.now()));
+    std::optional<KernelRecord> Rec = Scheduler.history().find(Kernel.Id);
+    ASSERT_TRUE(Rec.has_value());
+    if (S.Repetitions > 0) {
+      EXPECT_EQ(sampleBits(Rec->Sample), sampleBits(S.Local));
+    }
+    if (S.Stopped) {
+      EXPECT_TRUE(Got.Cancelled);
+      EXPECT_EQ(processorBits(Proc), processorBits(Ref));
+      MidProfile += S.Repetitions > 0;
+    }
+  }
+  EXPECT_GE(MidProfile, 16u);
+}
+
+// A token cancelled from another thread lands at whatever stop check
+// follows: the batched loop must then match one that runs every
+// repetition through profileOnce(), stopped at that same check. (That
+// one-at-a-time loop matches stepping, bit for bit:
+// OnlineProfiler.ReplayedRepetitionsMatchSteppedBits. Stepping each of
+// the many repetitions needed to give a cancel time to land would be
+// slow under TSan.)
+TEST(EasScheduler, BatchedProfilingCancelledFromAnotherThread) {
+  const PlatformSpec &Spec = haswellDesktop();
+  KernelDesc Kernel = computeBoundMicroKernel();
+  Kernel.Name = "cross-thread-cancel";
+  Kernel = Kernel.withAutoId();
+  double Size = Spec.defaultGpuProfileSize();
+  double Iterations = 2e9;
+  EasConfig Config;
+
+  // An uncancelled run times the invocation; the cancels aim inside its
+  // profiling, moving later after one cancelled before any repetition and
+  // earlier after one whose profiling ended before its cancel.
+  auto Elapsed = [](std::chrono::steady_clock::time_point T0) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         T0)
+        .count();
+  };
+  double AimSec;
+  {
+    SimProcessor Proc(Spec);
+    EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
+    auto T0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(Scheduler.execute(Proc, Kernel, Iterations).Profiled);
+    AimSec = Elapsed(T0);
+  }
+  Xoshiro256 Rng(0xc0ffeeULL);
+  unsigned MidProfile = 0;
+  for (unsigned Round = 0; Round != 64 && MidProfile < 2; ++Round) {
+    SimProcessor Proc(Spec);
+    EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
+    CancellationToken Token;
+    std::atomic<bool> Ready{false}, Go{false};
+    double DelaySec = AimSec * Rng.nextDouble(0.05, 0.9);
+    std::thread Canceller([&] {
+      Ready.store(true, std::memory_order_release);
+      while (!Go.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      auto T0 = std::chrono::steady_clock::now();
+      while (Elapsed(T0) < DelaySec)
+        std::this_thread::yield();
+      Token.cancel();
+    });
+    while (!Ready.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    Go.store(true, std::memory_order_release);
+    EasScheduler::InvocationOutcome Got =
+        Scheduler.execute(Proc, Kernel, Iterations, {}, &Token);
+    Canceller.join();
+
+    // The stop check after the last repetition fired, or none did and the
+    // loop ran out of pool; a stepped loop whose token fires at that
+    // check makes the same repetitions either way.
+    SimProcessor Ref(Spec);
+    OnlineProfiler OneAtATime(Ref, Size);
+    LoopState S;
+    S.Nrem = Iterations;
+    StopRule Stop(Got.ProfileRepetitions,
+                  std::numeric_limits<double>::infinity());
+    while (singlePass(
+        Ref,
+        [&](double &Nrem) { return OneAtATime.profileOnce(Kernel, Nrem); },
+        Iterations * Config.ProfileFraction, S, Stop)) {
+    }
+    ASSERT_EQ(Got.ProfileRepetitions, S.Repetitions) << "round " << Round;
+    if (Got.Profiled) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(Got.ProfileSeconds),
+                std::bit_cast<uint64_t>(Ref.now()));
+      std::optional<KernelRecord> Rec = Scheduler.history().find(Kernel.Id);
+      ASSERT_TRUE(Rec.has_value());
+      if (S.Repetitions > 0) {
+        EXPECT_EQ(sampleBits(Rec->Sample), sampleBits(S.Local));
+      }
+    }
+    if (Got.Cancelled) {
+      EXPECT_EQ(processorBits(Proc), processorBits(Ref));
+    }
+    if (S.Repetitions == 0)
+      AimSec *= 1.5;
+    else if (S.Stopped)
+      ++MidProfile;
+    else
+      AimSec *= 0.5;
+  }
+  EXPECT_GE(MidProfile, 1u);
 }

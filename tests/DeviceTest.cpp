@@ -8,6 +8,7 @@
 #include "ecas/device/SimGpuDevice.h"
 #include "ecas/hw/Presets.h"
 #include "ecas/power/MicroBenchmarks.h"
+#include "TestSupport.h"
 
 #include <gtest/gtest.h>
 
@@ -130,7 +131,7 @@ TEST(SimGpuDevice, RateFollowsFrequencyAndDerateMidItem) {
   EXPECT_DOUBLE_EQ(Dev.currentRate(1.2).ComputeRate, Nominal / 2);
   Dev.setThroughputDerate(0.0); // Hung: the item stops retiring.
   EXPECT_DOUBLE_EQ(Dev.currentRate(1.2).ComputeRate, 0.0);
-  EXPECT_DOUBLE_EQ(Dev.advance(1e-3, 1.2, 100.0), 0.0);
+  EXPECT_DOUBLE_EQ(advanceFor(Dev, 1e-3, 1.2, 100.0), 0.0);
   Dev.setThroughputDerate(1.0);
   EXPECT_DOUBLE_EQ(Dev.currentRate(1.2).ComputeRate, Nominal);
 }
@@ -142,7 +143,7 @@ TEST(SimGpuDevice, LaunchLatencyDelaysWork) {
   // During setup the device reports no issue rate.
   EXPECT_DOUBLE_EQ(Dev.currentRate(1.2).ComputeRate, 0.0);
   double Consumed =
-      Dev.advance(Spec.Gpu.LaunchLatencySec / 2, 1.2, 100.0);
+      advanceFor(Dev, Spec.Gpu.LaunchLatencySec / 2, 1.2, 100.0);
   EXPECT_DOUBLE_EQ(Consumed, Spec.Gpu.LaunchLatencySec / 2);
   EXPECT_DOUBLE_EQ(Dev.counters().IterationsDone, 0.0);
 }
@@ -151,8 +152,8 @@ TEST(SimDevice, AdvanceStopsWhenQueueDrains) {
   PlatformSpec Spec = haswellDesktop();
   SimCpuDevice Dev(Spec);
   Dev.enqueue(simpleKernel(), 1000.0);
-  double Needed = Dev.estimateCompletion(3.0, 100.0);
-  double Consumed = Dev.advance(Needed * 10.0, 3.0, 100.0);
+  double Needed = Dev.timeToHeadDrain(3.0, 100.0);
+  double Consumed = advanceFor(Dev, Needed * 10.0, 3.0, 100.0);
   EXPECT_NEAR(Consumed, Needed, Needed * 1e-9);
   EXPECT_FALSE(Dev.busy());
   EXPECT_NEAR(Dev.counters().IterationsDone, 1000.0, 1e-6);
@@ -163,7 +164,7 @@ TEST(SimDevice, CountersTrackKernelModel) {
   SimCpuDevice Dev(Spec);
   KernelDesc Kernel = simpleKernel();
   Dev.enqueue(Kernel, 1000.0);
-  Dev.advance(10.0, 3.0, 100.0);
+  advanceFor(Dev, 10.0, 3.0, 100.0);
   const PerfCounters &C = Dev.counters();
   EXPECT_NEAR(C.InstructionsRetired, 1000.0 * Kernel.InstrsPerIter, 1e-3);
   EXPECT_NEAR(C.LoadStores, 1000.0 * Kernel.LoadStoresPerIter, 1e-3);
@@ -177,8 +178,8 @@ TEST(SimDevice, CancelReturnsUnprocessed) {
   PlatformSpec Spec = haswellDesktop();
   SimCpuDevice Dev(Spec);
   Dev.enqueue(simpleKernel(), 1000.0);
-  double Half = Dev.estimateCompletion(3.0, 100.0) / 2.0;
-  Dev.advance(Half, 3.0, 100.0);
+  double Half = Dev.timeToHeadDrain(3.0, 100.0) / 2.0;
+  advanceFor(Dev, Half, 3.0, 100.0);
   double Returned = Dev.cancelRemaining();
   EXPECT_NEAR(Returned + Dev.counters().IterationsDone, 1000.0, 1e-6);
   EXPECT_FALSE(Dev.busy());
@@ -188,10 +189,10 @@ TEST(SimDevice, CounterDeltasSubtract) {
   PlatformSpec Spec = haswellDesktop();
   SimCpuDevice Dev(Spec);
   Dev.enqueue(simpleKernel(), 500.0);
-  Dev.advance(10.0, 3.0, 100.0);
+  advanceFor(Dev, 10.0, 3.0, 100.0);
   PerfCounters Snapshot = Dev.counters();
   Dev.enqueue(simpleKernel(), 300.0);
-  Dev.advance(10.0, 3.0, 100.0);
+  advanceFor(Dev, 10.0, 3.0, 100.0);
   PerfCounters Delta = Dev.counters() - Snapshot;
   EXPECT_NEAR(Delta.IterationsDone, 300.0, 1e-6);
 }
@@ -202,7 +203,7 @@ TEST(SimDevice, BandwidthCapLimitsRate) {
   KernelDesc Streamy = memoryBoundMicroKernel();
   Dev.enqueue(Streamy, 1e9);
   // 1 GB/s share: at 64 B/iter the cap is ~15.6M iters/s.
-  double Consumed = Dev.advance(0.1, 3.6, 1.0);
+  double Consumed = advanceFor(Dev, 0.1, 3.6, 1.0);
   EXPECT_DOUBLE_EQ(Consumed, 0.1);
   EXPECT_NEAR(Dev.counters().IterationsDone, 0.1 * 1.0e9 / 64.0, 2.0);
   EXPECT_NEAR(Dev.lastTrafficGBs(), 1.0, 1e-6);
@@ -213,32 +214,21 @@ TEST(SimDevice, ActivityBlendsTowardMemoryUnderStalls) {
   SimCpuDevice Dev(Spec);
   KernelDesc Compute = computeBoundMicroKernel();
   Dev.enqueue(Compute, 1e9);
-  Dev.advance(0.01, 3.6, 100.0);
+  advanceFor(Dev, 0.01, 3.6, 100.0);
   EXPECT_NEAR(Dev.lastActivity(), Spec.CpuPower.ComputeActivity, 1e-6);
 
   SimCpuDevice Dev2(Spec);
   Dev2.enqueue(memoryBoundMicroKernel(), 1e9);
-  Dev2.advance(0.01, 3.6, 100.0);
+  advanceFor(Dev2, 0.01, 3.6, 100.0);
   EXPECT_LT(Dev2.lastActivity(), Spec.CpuPower.ComputeActivity);
   EXPECT_GT(Dev2.lastActivity(), Spec.CpuPower.MemoryActivity - 0.05);
-}
-
-TEST(SimDevice, EstimateCompletionSpansQueuedItems) {
-  PlatformSpec Spec = haswellDesktop();
-  SimCpuDevice Dev(Spec);
-  KernelDesc Kernel = simpleKernel();
-  Dev.enqueue(Kernel, 1000.0);
-  double One = Dev.estimateCompletion(3.0, 100.0);
-  Dev.enqueue(Kernel, 1000.0);
-  double Two = Dev.estimateCompletion(3.0, 100.0);
-  EXPECT_NEAR(Two, 2.0 * One, 1e-9);
 }
 
 TEST(SimDevice, SetupSecondsSeparateFromBusy) {
   PlatformSpec Spec = haswellDesktop();
   SimGpuDevice Dev(Spec);
   Dev.enqueue(simpleKernel(), 10000.0);
-  Dev.advance(1.0, 1.2, 100.0);
+  advanceFor(Dev, 1.0, 1.2, 100.0);
   EXPECT_NEAR(Dev.counters().SetupSeconds, Spec.Gpu.LaunchLatencySec,
               1e-12);
   EXPECT_GT(Dev.counters().BusySeconds, 0.0);
@@ -251,7 +241,7 @@ TEST(SimDevice, TimeToHeadDrainReturnsSetupFirst) {
   // During launch setup the next event is setup completion.
   EXPECT_DOUBLE_EQ(Dev.timeToHeadDrain(1.2, 100.0),
                    Spec.Gpu.LaunchLatencySec);
-  Dev.advance(Spec.Gpu.LaunchLatencySec, 1.2, 100.0);
+  advanceFor(Dev, Spec.Gpu.LaunchLatencySec, 1.2, 100.0);
   EXPECT_GT(Dev.timeToHeadDrain(1.2, 100.0), 0.0);
   EXPECT_LT(Dev.timeToHeadDrain(1.2, 100.0), 1.0);
 }

@@ -244,6 +244,34 @@ TEST(HotPath, ProfilingRepetitionsAreAllocationFree) {
   EXPECT_GT(Proc.repetitionsReplayed(), 0u);
 }
 
+// The scheduler's profiling loop runs the steady repetitions after each
+// profileOnce() in one batch (profileReplayed): a warmed loop across
+// several governor epochs, mostly batched, touches no heap either.
+TEST(HotPath, BatchedProfilingRepetitionsAreAllocationFree) {
+  PlatformSpec Spec = haswellDesktop();
+  SimProcessor Proc(Spec);
+  OnlineProfiler Profiler(Proc, Spec.defaultGpuProfileSize());
+  KernelDesc Kernel = computeBoundMicroKernel();
+  double Nrem = 1e12;
+  ProfileSample Local = Profiler.profileOnce(Kernel, Nrem);
+  ProfileSample Fresh = Local;
+  CancellationToken Token;
+  auto Stop = [&] { return Token.shouldStop(Proc.now()); };
+
+  AllocTally Tally;
+  unsigned Stepped = 0, Batched = 0;
+  while (Proc.now() < 3.5 * Spec.Pcu.SamplingIntervalSec) {
+    ProfileSample Sample = Profiler.profileOnce(Kernel, Nrem);
+    ++Stepped;
+    Local.accumulate(Sample);
+    Fresh.accumulate(Sample);
+    Batched += Profiler.profileReplayed(Kernel, Nrem, 0.0, Local, Fresh, Stop);
+  }
+  EXPECT_EQ(Tally.allocations(), 0u)
+      << "warmed batched profiling repetitions must not allocate";
+  EXPECT_GT(Batched, 10u * Stepped);
+}
+
 // A long dispatch charges its steady 1 ms slices between governor epochs
 // by repeating the slice stepped before them: a warmed dispatch across
 // several epochs, mostly repeated slices, touches no heap either.

@@ -643,10 +643,13 @@ TEST(SimProcessor, CappedClocksDrawLessPowerAndRunLonger) {
 // mid-dispatch, idle time, and the GPU-throttle and RAPL-dropout faults.
 // The "long" cases add multi-epoch dispatches, idle gaps and deadlines
 // that end mid-slice, where most slices are repeated instead of stepped.
+// The "edge" cases end runs of repeated slices where a guard holds with
+// nothing to spare: budgets of whole slices, a CPU share that drains at a
+// slice edge, and runFor() ends that land on a governor epoch.
 // The expected values are hexfloat literals printed by the simulator as
 // it was before step() reused its last two slice results (the long
-// cases: before slices were repeated); a mismatch prints the case's
-// actual line.
+// cases: before slices were repeated; the edge cases: before repeated
+// slices were counted ahead); a mismatch prints the case's actual line.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -780,6 +783,86 @@ SliceObservables runLongDispatchScenario(const PlatformSpec &Spec,
   Proc.runFor(3.03 * Epoch);
   RepeatedShare =
       static_cast<double>(Proc.slicesRepeated()) * 1e-3 / Proc.now();
+  return sliceObservables(Proc);
+}
+
+/// The boundary a run of repeated slices meets in sliceEdgeScenario().
+enum class SliceEdge { Budget, Drain, EpochEnd };
+
+const char *sliceEdgeName(SliceEdge Edge) {
+  switch (Edge) {
+  case SliceEdge::Budget:
+    return "budget";
+  case SliceEdge::Drain:
+    return "drain";
+  case SliceEdge::EpochEnd:
+    return "epoch-end";
+  }
+  return "?";
+}
+
+/// Drives a processor of \p Spec with \p Micro's kernel to one \p Edge
+/// of a run of repeated 1 ms slices, where a guard holds with nothing to
+/// spare: a long co-run polled by runUntilIdle() with budgets of whole
+/// slices (Budget); the CPU alone given shares that drain at a slice
+/// edge, just after a governor epoch set its clock (Drain); and runFor()
+/// spans whose end lands on the next governor epoch (EpochEnd).
+SliceObservables runSliceEdgeScenario(const PlatformSpec &Spec,
+                                      const MicroBenchmark &Micro,
+                                      SliceEdge Edge) {
+  SimProcessor Proc(Spec);
+  const KernelDesc &Kernel = Micro.Kernel;
+  double Epoch = Spec.Pcu.SamplingIntervalSec;
+  double BandwidthRate = Spec.Memory.BandwidthGBs * 1e9 / Kernel.BytesPerIter;
+  double CpuRate = std::min(
+      Proc.cpu().rateFor(Kernel, Spec.Cpu.MaxTurboGHz, Micro.Iterations)
+          .ComputeRate,
+      BandwidthRate);
+  double GpuRate = std::min(
+      Proc.gpu().rateFor(Kernel, Spec.Gpu.MaxFreqGHz, Micro.Iterations)
+          .ComputeRate,
+      BandwidthRate);
+  switch (Edge) {
+  case SliceEdge::Budget: {
+    Proc.cpu().enqueue(Kernel, CpuRate * 2.6 * Epoch);
+    Proc.gpu().enqueue(Kernel, GpuRate * 3.4 * Epoch);
+    const double Budgets[] = {7e-3, 1e-3, 2e-3, Epoch, 5e-3};
+    for (unsigned Poll = 0; Proc.cpu().busy() || Proc.gpu().busy(); ++Poll)
+      Proc.runUntilIdle(Budgets[Poll % std::size(Budgets)]);
+    break;
+  }
+  case SliceEdge::Drain: {
+    for (double Slices : {3.0, 4.0, 7.0, 12.0}) {
+      // Keep the CPU busy into the slice that runs the next epoch, so the
+      // governor sets its clock for a busy CPU; then swap the item for
+      // one that drains after a whole number of slices at that clock.
+      Proc.cpu().enqueue(Kernel, CpuRate * 2.0 * Epoch);
+      Proc.runFor(Epoch);
+      Proc.runFor(0.5e-3);
+      Proc.cpu().cancelRemaining();
+      double Freq = Proc.pcu().cpuFreqGHz();
+      RatePoint Rate = Proc.cpu().rateFor(Kernel, Freq, 1e9);
+      double EffRate = Rate.ComputeRate;
+      if (Kernel.BytesPerIter > 0.0 &&
+          Rate.BandwidthDemandGBs > Spec.Memory.BandwidthGBs)
+        EffRate = std::min(EffRate, Spec.Memory.BandwidthGBs * 1e9 /
+                                        Kernel.BytesPerIter);
+      Proc.cpu().enqueue(Kernel, Slices * (EffRate * 1e-3));
+      Proc.runUntilIdle();
+    }
+    break;
+  }
+  case SliceEdge::EpochEnd:
+    Proc.cpu().enqueue(Kernel, CpuRate * 3.3 * Epoch);
+    Proc.gpu().enqueue(Kernel, GpuRate * 5.2 * Epoch);
+    Proc.runFor(Epoch);
+    Proc.runFor(Epoch);
+    Proc.runFor(2.0 * Epoch);
+    Proc.runFor(Epoch);
+    Proc.runUntilIdle();
+    Proc.runFor(Epoch);
+    break;
+  }
   return sliceObservables(Proc);
 }
 
@@ -1086,6 +1169,102 @@ const SliceCase ParentSliceResults[] = {
       0x1.9f6cadf82d97cp-2, 0x0p+0, 0x1.75298e6800004p+30,
       0x1.2a87a5200000ap+26, 0x1.2a87a5200000ap+26, 0x1.2a87a5200000ap+26,
       0x1.2a87a5200000ap+32, 0x1.3d7ccbc8122b7p-1, 0x1.3a92a30553262p-14}},
+    {"haswell-desktop/edge/budget/compute/cpu-long/gpu-long",
+     {0x1.48d351336fc91p-4, 0x1.ab261444dff0cp+1, 0x1.ab26p+15,
+      0x1.5f1fe96d3382p+0, 0x1.5f1cp+14, 0x1.a4f76acfb06fp+0,
+      0x1.a4f4p+14, 0x1.bffe478000002p+32, 0x1.04a69p+27,
+      0x0p+0, 0x1.04a69p+25, 0x0p+0,
+      0x1.48d351336fc91p-4, 0x0p+0, 0x1.ac024ffffffffp+34,
+      0x1.f20cp+28, 0x0p+0, 0x1.f20cp+26,
+      0x0p+0, 0x1.16872b020c49ep-4, 0x1.4f8b588e368f1p-18}},
+    {"haswell-desktop/edge/budget/memory/cpu-long/gpu-long",
+     {0x1.eb851eb851eb9p-4, 0x1.8992778c5b13bp+2, 0x1.8992p+16,
+      0x1.38ba13cb3abd3p+0, 0x1.38b8p+14, 0x1.8210f64abbec7p+0,
+      0x1.821p+14, 0x1.8cba800000001p+28, 0x1.3d62p+24,
+      0x1.3d62p+24, 0x1.3d62p+24, 0x1.3d62p+30,
+      0x1.b6c3760bf5d7fp-4, 0x0p+0, 0x1.03663fffffffap+29,
+      0x1.9f09ffffffff5p+24, 0x1.9f09ffffffff5p+24, 0x1.9f09ffffffff5p+24,
+      0x1.9f09ffffffff5p+30, 0x1.eb7fe08aefb2bp-4, 0x1.4f8b588e368f1p-18}},
+    {"haswell-desktop/edge/drain/compute/cpu-long/gpu-long",
+     {0x1.ba5e353f7cedap-4, 0x1.2f6e87161facdp+2, 0x1.2f6ep+16,
+      0x1.0ccaf8dd0216ap+2, 0x1.0ccap+16, 0x1.bf6ab94971bffp-4,
+      0x1.bf4p+10, 0x1.cc70025fffffap+33, 0x1.0be413ffffffdp+28,
+      0x0p+0, 0x1.0be413ffffffdp+26, 0x0p+0,
+      0x1.ba5e353f7cedap-4, 0x0p+0, 0x0p+0,
+      0x0p+0, 0x0p+0, 0x0p+0,
+      0x0p+0, 0x0p+0, 0x0p+0}},
+    {"haswell-desktop/edge/drain/memory/cpu-long/gpu-long",
+     {0x1.ba5e353f7cedap-4, 0x1.a753ab7cef33bp+2, 0x1.a753p+16,
+      0x1.b6b2ee899de81p+1, 0x1.b6b2p+15, 0x1.bf6ab94971bffp-4,
+      0x1.bf4p+10, 0x1.9bfcbfffffffap+29, 0x1.4996ffffffffdp+25,
+      0x1.4996ffffffffdp+25, 0x1.4996ffffffffdp+25, 0x1.4996ffffffffdp+31,
+      0x1.ba5e353f7cedap-4, 0x0p+0, 0x0p+0,
+      0x0p+0, 0x0p+0, 0x0p+0,
+      0x0p+0, 0x0p+0, 0x0p+0}},
+    {"haswell-desktop/edge/epoch-end/compute/cpu-long/gpu-long",
+     {0x1.03225a77f5b52p-3, 0x1.235e393614f08p+2, 0x1.235ep+16,
+      0x1.871a7e253ad7cp+0, 0x1.8718p+14, 0x1.42669cbb8f097p+1,
+      0x1.4266p+15, 0x1.1c4dad6p+33, 0x1.4ad368p+27,
+      0x0p+0, 0x1.4ad368p+25, 0x0p+0,
+      0x1.b4592fd133185p-4, 0x0p+0, 0x1.474d100000001p+35,
+      0x1.7cdbfffffffffp+29, 0x0p+0, 0x1.7cdbfffffffffp+27,
+      0x0p+0, 0x1.a9fbe76c8b43ep-4, 0x1.4f8b588e368f1p-18}},
+    {"haswell-desktop/edge/epoch-end/memory/cpu-long/gpu-long",
+     {0x1.851eb851eb852p-3, 0x1.1ce61a68e38eep+3, 0x1.1ce6p+17,
+      0x1.d214335f078f8p+0, 0x1.d214p+14, 0x1.142c5e676abf2p+1,
+      0x1.142cp+15, 0x1.f78a4p+28, 0x1.92d5p+24,
+      0x1.92d5p+24, 0x1.92d5p+24, 0x1.92d5p+30,
+      0x1.14b9cb6848beep-3, 0x0p+0, 0x1.8cba7fffffffap+29,
+      0x1.3d61ffffffffbp+25, 0x1.3d61ffffffffbp+25, 0x1.3d61ffffffffbp+25,
+      0x1.3d61ffffffffbp+31, 0x1.5c2656abde3fcp-3, 0x1.4f8b588e368f1p-18}},
+    {"baytrail-tablet/edge/budget/compute/cpu-long/gpu-long",
+     {0x1.ce94c587468e1p-4, 0x1.01c70f80dfd1cp-2, 0x1.01c4p+14,
+      0x1.cb732301fd0afp-5, 0x1.cb6p+11, 0x1.6dffc770b4b0ap-3,
+      0x1.6df8p+13, 0x1.4b3f75c3c3c31p+30, 0x1.8173bc3c3c3bbp+24,
+      0x0p+0, 0x1.8173bc3c3c3bbp+22, 0x0p+0,
+      0x1.ce94c587468e1p-4, 0x0p+0, 0x1.1d7b660000001p+32,
+      0x1.4c32800000004p+26, 0x0p+0, 0x1.4c32800000004p+24,
+      0x0p+0, 0x1.a3067335a777fp-4, 0x1.f75104d551d69p-17}},
+    {"baytrail-tablet/edge/budget/memory/cpu-long/gpu-long",
+     {0x1.549336d88b499p-3, 0x1.f4c891e732d37p-3, 0x1.f4c8p+13,
+      0x1.4ec8ccebd6cdfp-5, 0x1.4ecp+11, 0x1.49e6c907e8bafp-3,
+      0x1.49ep+13, 0x1.9631177c7a211p+27, 0x1.44f412c9fb4d8p+23,
+      0x1.44f412c9fb4d8p+23, 0x1.44f412c9fb4d8p+23, 0x1.44f412c9fb4d8p+29,
+      0x1.0b9796559da22p-3, 0x0p+0, 0x1.4239037ffffffp+28,
+      0x1.01c735fffffffp+24, 0x1.01c735fffffffp+24, 0x1.01c735fffffffp+24,
+      0x1.01c735fffffffp+30, 0x1.548b599477f45p-3, 0x1.f75104d551d69p-17}},
+    {"baytrail-tablet/edge/drain/compute/cpu-long/gpu-long",
+     {0x1.2f1a9fbe76c8cp-3, 0x1.7db28ee3f5d45p-3, 0x1.7dbp+13,
+      0x1.2f7a14ae4222p-3, 0x1.2f78p+13, 0x1.060a452f757b6p-6,
+      0x1.06p+10, 0x1.1d7e0d6969693p+31, 0x1.4c3596969696fp+25,
+      0x0p+0, 0x1.4c3596969696fp+23, 0x0p+0,
+      0x1.2f1a9fbe76c8cp-3, 0x0p+0, 0x0p+0,
+      0x0p+0, 0x0p+0, 0x0p+0,
+      0x0p+0, 0x0p+0, 0x0p+0}},
+    {"baytrail-tablet/edge/drain/memory/cpu-long/gpu-long",
+     {0x1.2f1a9fbe76c8cp-3, 0x1.029561da4b2bfp-3, 0x1.029p+13,
+      0x1.389c50fc0c4cp-4, 0x1.389p+12, 0x1.060a452f757b6p-6,
+      0x1.06p+10, 0x1.5e158f441c2e6p+28, 0x1.18113f69b025cp+24,
+      0x1.18113f69b025cp+24, 0x1.18113f69b025cp+24, 0x1.18113f69b025cp+30,
+      0x1.2f1a9fbe76c8cp-3, 0x0p+0, 0x0p+0,
+      0x0p+0, 0x0p+0, 0x0p+0,
+      0x0p+0, 0x0p+0, 0x0p+0}},
+    {"baytrail-tablet/edge/epoch-end/compute/cpu-long/gpu-long",
+     {0x1.7fb95b5844b84p-3, 0x1.85683343b09a1p-2, 0x1.8568p+14,
+      0x1.4802d69e664a4p-4, 0x1.48p+12, 0x1.169ffd28ab79bp-2,
+      0x1.169cp+14, 0x1.a46e15787878ap+30, 0x1.e93a47878787p+24,
+      0x0p+0, 0x1.e93a47878787p+22, 0x0p+0,
+      0x1.1b5878e385b85p-3, 0x0p+0, 0x1.b49e9c0000006p+32,
+      0x1.fc11000000013p+26, 0x0p+0, 0x1.fc11000000013p+24,
+      0x0p+0, 0x1.4240da3d27258p-3, 0x1.f75104d551d69p-17}},
+    {"baytrail-tablet/edge/epoch-end/memory/cpu-long/gpu-long",
+     {0x1.1207219954c7ap-2, 0x1.70a1a7968fe97p-2, 0x1.70ap+14,
+      0x1.f33a6611204f5p-5, 0x1.f32p+11, 0x1.deaae8972e5d4p-3,
+      0x1.dea8p+13, 0x1.01c689fb4d816p+28, 0x1.9c70dcc548ceap+23,
+      0x1.9c70dcc548ceap+23, 0x1.9c70dcc548ceap+23, 0x1.9c70dcc548ceap+29,
+      0x1.527d4cbc073a6p-3, 0x0p+0, 0x1.eccfab000001p+28,
+      0x1.8a3fbc000000ep+24, 0x1.8a3fbc000000ep+24, 0x1.8a3fbc000000ep+24,
+      0x1.8a3fbc000000ep+30, 0x1.e695c2178bfc9p-3, 0x1.f75104d551d69p-17}},
 };
 // clang-format on
 
@@ -1150,6 +1329,16 @@ TEST(SimProcessor, SliceResultsMatchParentBits) {
       }
     }
   }
+  for (const PlatformSpec &Spec : {haswellDesktop(), bayTrailTablet()})
+    for (SliceEdge Edge :
+         {SliceEdge::Budget, SliceEdge::Drain, SliceEdge::EpochEnd})
+      for (unsigned C : {0u, 4u}) {
+        WorkloadClass Class = WorkloadClass::fromIndex(C);
+        Actual.emplace_back(Spec.Name + "/edge/" + sliceEdgeName(Edge) + "/" +
+                                Class.name(),
+                            runSliceEdgeScenario(
+                                Spec, makeMicroBenchmark(Spec, Class), Edge));
+      }
 
   std::string Mismatches;
   size_t NumExpected = std::size(ParentSliceResults);

@@ -8,8 +8,9 @@
 /// Fixtures several test binaries share: the desktop characterization
 /// (measured once per binary), the desktop with a 4-state DVFS ladder
 /// and its coarse per-state characterization, a fault-injected desktop
-/// spec, a named kernel with a stable id, and the stepped profiling
-/// repetition that replayed ones are checked against.
+/// spec, a named kernel with a stable id, a device advance that drops
+/// its slice record, and the stepped profiling repetition that replayed
+/// ones are checked against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,6 +83,13 @@ inline KernelDesc namedKernel(const std::string &Name) {
   KernelDesc Kernel;
   Kernel.Name = Name;
   return Kernel.withAutoId();
+}
+
+/// SimDevice::advance() with the slice record dropped.
+inline double advanceFor(SimDevice &Device, double Dt, double FreqGHz,
+                         double BandwidthShareGBs) {
+  DeviceSlice Unused;
+  return Device.advance(Dt, FreqGHz, BandwidthShareGBs, Unused);
 }
 
 /// The fault-free profileOnce body before repetitions were replayed:
