@@ -6,7 +6,6 @@
 
 #include "ecas/core/HistoryJournal.h"
 
-#include "ecas/fault/StorageFaults.h"
 #include "ecas/support/AtomicFile.h"
 #include "ecas/support/Crc32.h"
 #include "ecas/support/CrashPoint.h"
@@ -657,11 +656,6 @@ Status HistoryJournal::writeBatch() {
   if (Fd < 0)
     return Status::error(ErrCode::IoError, "journal file is closed");
   ECAS_CRASHPOINT("journal.flush.before-write");
-  // An injected fault here is *silent*: a short write models the pages
-  // a power cut never committed (the torn tail recovery truncates at),
-  // a bit flip models media corruption (the frame CRC catches it).
-  if (StorageFaultInjector *Injector = storageFaultInjector())
-    Injector->mangle(Batch);
   size_t Written = 0;
   while (Written < Batch.size()) {
     ssize_t N = ::write(Fd, Batch.data() + Written, Batch.size() - Written);

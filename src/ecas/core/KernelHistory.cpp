@@ -88,32 +88,6 @@ bool KernelHistory::lookup(uint64_t KernelId, KernelRecord &Out) const {
   return true;
 }
 
-std::optional<KernelRecord> KernelHistory::find(uint64_t KernelId) const {
-  KernelRecord Rec;
-  if (!lookup(KernelId, Rec))
-    return std::nullopt;
-  return Rec;
-}
-
-void KernelHistory::update(uint64_t KernelId,
-                           const std::function<void(KernelRecord &)> &Fn) {
-  Entry &E = obtainEntry(KernelId);
-  Shard &S = Shards[shardIndex(KernelId)];
-  LockGuard Lock(S.Mutex);
-  Version *Cur = E.Current.load(std::memory_order_relaxed);
-  auto *Fresh = new Version();
-  composeRecord(E, Cur, Fresh->Rec);
-  unsigned InvocationsBefore = Fresh->Rec.Invocations;
-  unsigned QuarantinedBefore = Fresh->Rec.QuarantinedRuns;
-  Fn(Fresh->Rec);
-  // Counters are owned by the bump*() atomics; a stale copy must not be
-  // resurrected into the published version.
-  Fresh->Rec.Invocations = InvocationsBefore;
-  Fresh->Rec.QuarantinedRuns = QuarantinedBefore;
-  Fresh->Older = Cur;
-  E.Current.store(Fresh, std::memory_order_release);
-}
-
 unsigned KernelHistory::bumpInvocations(uint64_t KernelId) {
   return obtainEntry(KernelId).Invocations.fetch_add(
              1, std::memory_order_relaxed) +

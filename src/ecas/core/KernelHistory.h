@@ -34,8 +34,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -88,9 +86,6 @@ public:
   /// Returns false (leaving \p Out untouched) when never seen.
   ECAS_HOT bool lookup(uint64_t KernelId, KernelRecord &Out) const;
 
-  /// Convenience form of lookup().
-  std::optional<KernelRecord> find(uint64_t KernelId) const;
-
   /// Mutates the record (creating it on first use): \p Fn receives a
   /// private copy of the current record and the result is republished
   /// for lock-free readers. Runs under the shard lock, so concurrent
@@ -98,9 +93,11 @@ public:
   /// (Sample.accumulate, Alpha.addSample) never lose a contribution.
   /// The counters in the copy (Invocations, QuarantinedRuns) are
   /// read-only context: changes \p Fn makes to them are discarded; use
-  /// the bump*() calls, which are their only writers.
-  void update(uint64_t KernelId,
-              const std::function<void(KernelRecord &)> &Fn);
+  /// the bump*() calls, which are their only writers. A template over
+  /// the callable, not a std::function: the scheduler's merge closure
+  /// captures more than libstdc++'s 16-byte small buffer holds, so
+  /// erasing its type would heap-allocate on every merge.
+  template <typename FnT> void update(uint64_t KernelId, FnT &&Fn);
 
   /// Lock-free monotone counters, the per-invocation hot path. Both
   /// create the entry on first use (that slow path takes the shard lock
@@ -167,6 +164,25 @@ private:
   AnnotatedMutex RetiredMutex{"KernelHistory.Retired"};
   std::vector<Entry *> RetiredChains ECAS_GUARDED_BY(RetiredMutex);
 };
+
+template <typename FnT>
+void KernelHistory::update(uint64_t KernelId, FnT &&Fn) {
+  Entry &E = obtainEntry(KernelId);
+  Shard &S = Shards[shardIndex(KernelId)];
+  LockGuard Lock(S.Mutex);
+  Version *Cur = E.Current.load(std::memory_order_relaxed);
+  auto *Fresh = new Version();
+  composeRecord(E, Cur, Fresh->Rec);
+  unsigned InvocationsBefore = Fresh->Rec.Invocations;
+  unsigned QuarantinedBefore = Fresh->Rec.QuarantinedRuns;
+  Fn(Fresh->Rec);
+  // Counters are owned by the bump*() atomics; a stale copy must not be
+  // resurrected into the published version.
+  Fresh->Rec.Invocations = InvocationsBefore;
+  Fresh->Rec.QuarantinedRuns = QuarantinedBefore;
+  Fresh->Older = Cur;
+  E.Current.store(Fresh, std::memory_order_release);
+}
 
 } // namespace ecas
 

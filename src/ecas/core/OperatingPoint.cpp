@@ -13,18 +13,6 @@
 
 using namespace ecas;
 
-const char *ecas::schedulingPolicyName(SchedulingPolicy Policy) {
-  switch (Policy) {
-  case SchedulingPolicy::MinimizeMetric:
-    return "minimize";
-  case SchedulingPolicy::RaceToIdle:
-    return "race-to-idle";
-  case SchedulingPolicy::PaceToDeadline:
-    return "pace-to-deadline";
-  }
-  return "minimize";
-}
-
 std::optional<SchedulingPolicy>
 ecas::schedulingPolicyByName(const std::string &Name) {
   if (Name == "minimize")

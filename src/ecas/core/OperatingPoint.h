@@ -65,10 +65,8 @@ enum class SchedulingPolicy {
   PaceToDeadline,
 };
 
-/// Stable lowercase name, e.g. "race-to-idle".
-const char *schedulingPolicyName(SchedulingPolicy Policy);
-
-/// Inverse of schedulingPolicyName; nullopt for unknown names.
+/// The policy named "minimize", "race-to-idle" or "pace-to-deadline";
+/// nullopt for unknown names.
 std::optional<SchedulingPolicy>
 schedulingPolicyByName(const std::string &Name);
 

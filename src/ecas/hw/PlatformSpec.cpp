@@ -15,10 +15,6 @@
 
 using namespace ecas;
 
-const char *ecas::deviceKindName(DeviceKind Kind) {
-  return Kind == DeviceKind::Cpu ? "cpu" : "gpu";
-}
-
 unsigned PlatformSpec::gpuHardwareParallelism() const {
   return Gpu.ExecutionUnits * Gpu.ThreadsPerEU * Gpu.SimdWidth;
 }

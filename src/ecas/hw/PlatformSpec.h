@@ -28,9 +28,6 @@ namespace ecas {
 /// Which side of the integrated processor a device sits on.
 enum class DeviceKind { Cpu, Gpu };
 
-/// Returns "cpu" or "gpu".
-const char *deviceKindName(DeviceKind Kind);
-
 /// CPU complex: cores, frequency envelope, and memory-latency behaviour.
 struct CpuSpec {
   unsigned Cores = 4;

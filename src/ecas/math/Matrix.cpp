@@ -18,11 +18,6 @@ double &Matrix::at(size_t Row, size_t Col) {
   return Data[Row * ColCount + Col];
 }
 
-double Matrix::at(size_t Row, size_t Col) const {
-  assert(Row < RowCount && Col < ColCount && "matrix index out of range");
-  return Data[Row * ColCount + Col];
-}
-
 bool Matrix::solveLeastSquares(const std::vector<double> &B,
                                std::vector<double> &X) const {
   ECAS_CHECK(RowCount >= ColCount,

@@ -32,7 +32,6 @@ public:
   bool empty() const { return Data.empty(); }
 
   double &at(size_t Row, size_t Col);
-  double at(size_t Row, size_t Col) const;
 
   /// Least-squares solve of the (possibly overdetermined) system
   /// A*x ~= B via Householder QR. Requires rows() >= cols().

@@ -6,10 +6,8 @@
 
 #include "ecas/math/Polynomial.h"
 
-#include "ecas/support/Assert.h"
 #include "ecas/support/Format.h"
 
-#include <algorithm>
 #include <cmath>
 
 using namespace ecas;
@@ -17,24 +15,11 @@ using namespace ecas;
 Polynomial::Polynomial(std::vector<double> Coefficients)
     : Coeffs(std::move(Coefficients)) {}
 
-unsigned Polynomial::degree() const {
-  return Coeffs.empty() ? 0 : static_cast<unsigned>(Coeffs.size() - 1);
-}
-
 double Polynomial::evaluate(double X) const {
   double Acc = 0.0;
   for (size_t IdxPlus1 = Coeffs.size(); IdxPlus1 != 0; --IdxPlus1)
     Acc = Acc * X + Coeffs[IdxPlus1 - 1];
   return Acc;
-}
-
-Polynomial Polynomial::derivative() const {
-  if (Coeffs.size() <= 1)
-    return Polynomial(std::vector<double>{0.0});
-  std::vector<double> Out(Coeffs.size() - 1);
-  for (size_t K = 1; K != Coeffs.size(); ++K)
-    Out[K - 1] = Coeffs[K] * static_cast<double>(K);
-  return Polynomial(std::move(Out));
 }
 
 std::vector<double>
@@ -44,50 +29,6 @@ Polynomial::evaluateMany(const std::vector<double> &Xs) const {
   for (double X : Xs)
     Ys.push_back(evaluate(X));
   return Ys;
-}
-
-double Polynomial::minimumOn(double Lo, double Hi, double &ArgMin) const {
-  ECAS_CHECK(Lo <= Hi, "minimumOn requires Lo <= Hi");
-  double BestX = Lo;
-  double BestY = evaluate(Lo);
-  auto Consider = [&](double X) {
-    double Y = evaluate(X);
-    if (Y < BestY) {
-      BestY = Y;
-      BestX = X;
-    }
-  };
-  Consider(Hi);
-
-  // Locate interior critical points: scan the derivative on a fine grid and
-  // bisect each sign change. Degree <= 8 polynomials have few roots, so a
-  // 512-cell grid comfortably separates them.
-  Polynomial Deriv = derivative();
-  constexpr int GridCells = 512;
-  double PrevX = Lo;
-  double PrevD = Deriv.evaluate(Lo);
-  for (int Cell = 1; Cell <= GridCells; ++Cell) {
-    double X = Lo + (Hi - Lo) * static_cast<double>(Cell) / GridCells;
-    double D = Deriv.evaluate(X);
-    if ((PrevD < 0.0 && D >= 0.0) || (PrevD > 0.0 && D <= 0.0)) {
-      double A = PrevX, B = X, Fa = PrevD;
-      for (int Iter = 0; Iter != 60; ++Iter) {
-        double Mid = 0.5 * (A + B);
-        double Fm = Deriv.evaluate(Mid);
-        if ((Fa < 0.0) == (Fm < 0.0)) {
-          A = Mid;
-          Fa = Fm;
-        } else {
-          B = Mid;
-        }
-      }
-      Consider(0.5 * (A + B));
-    }
-    PrevX = X;
-    PrevD = D;
-  }
-  ArgMin = BestX;
-  return BestY;
 }
 
 std::string Polynomial::toEquationString() const {
@@ -115,24 +56,4 @@ std::string Polynomial::toEquationString() const {
   if (First)
     Out += "0";
   return Out;
-}
-
-Polynomial Polynomial::plus(const Polynomial &Rhs) const {
-  std::vector<double> Out(std::max(Coeffs.size(), Rhs.Coeffs.size()), 0.0);
-  for (size_t K = 0; K != Coeffs.size(); ++K)
-    Out[K] += Coeffs[K];
-  for (size_t K = 0; K != Rhs.Coeffs.size(); ++K)
-    Out[K] += Rhs.Coeffs[K];
-  return Polynomial(std::move(Out));
-}
-
-Polynomial Polynomial::minus(const Polynomial &Rhs) const {
-  return plus(Rhs.scaled(-1.0));
-}
-
-Polynomial Polynomial::scaled(double Factor) const {
-  std::vector<double> Out = Coeffs;
-  for (double &C : Out)
-    C *= Factor;
-  return Polynomial(std::move(Out));
 }

@@ -7,8 +7,8 @@
 /// \file
 /// The power-characterization functions of Section 2 are sixth-order
 /// polynomials P(alpha); this class stores arbitrary-degree coefficient
-/// vectors, evaluates them with Horner's rule, differentiates them, and
-/// prints them in the "y = a6*x^6 + ... + a0" style of Figs. 5 and 6.
+/// vectors, evaluates them with Horner's rule, and prints them in the
+/// "y = a6*x^6 + ... + a0" style of Figs. 5 and 6.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,35 +27,19 @@ public:
   Polynomial() = default;
   explicit Polynomial(std::vector<double> Coefficients);
 
-  /// Degree of the stored coefficient vector (trailing zeros are not
-  /// stripped; an empty polynomial has degree 0 and evaluates to 0).
-  unsigned degree() const;
-
+  /// An empty polynomial evaluates to 0.
   bool empty() const { return Coeffs.empty(); }
   const std::vector<double> &coefficients() const { return Coeffs; }
 
   /// Evaluates at \p X with Horner's rule.
   double evaluate(double X) const;
 
-  /// First derivative.
-  Polynomial derivative() const;
-
   /// Evaluates at each element of \p Xs.
   std::vector<double> evaluateMany(const std::vector<double> &Xs) const;
-
-  /// Minimum value of the polynomial over [Lo, Hi], located by comparing
-  /// endpoint values against sign changes of the derivative found with
-  /// bisection on a fine grid. \p ArgMin receives the minimizing x.
-  double minimumOn(double Lo, double Hi, double &ArgMin) const;
 
   /// Renders "y = a6*x^6 + a5*x^5 + ... + a0" with %.4g coefficients,
   /// matching the equation labels in the paper's Figs. 5-6.
   std::string toEquationString() const;
-
-  /// Sum / difference / scale, used by the fitting tests.
-  Polynomial plus(const Polynomial &Rhs) const;
-  Polynomial minus(const Polynomial &Rhs) const;
-  Polynomial scaled(double Factor) const;
 
 private:
   std::vector<double> Coeffs;

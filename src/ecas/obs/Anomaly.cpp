@@ -54,14 +54,6 @@ void histogramTotals(const MetricsSnapshot &Snap, const char *Name,
 AnomalyDetector::AnomalyDetector(AnomalyConfig ConfigIn)
     : Config(ConfigIn) {}
 
-bool AnomalyDetector::driftBaselineFrozen(const std::string &Which) const {
-  if (Which == "time")
-    return TimeDrift.Frozen;
-  if (Which == "energy")
-    return EnergyDrift.Frozen;
-  return false;
-}
-
 std::vector<AnomalyTrigger>
 AnomalyDetector::evaluate(const MetricsSnapshot &Snap, double NowSec) {
   (void)NowSec; // Rules are delta-based; rate limiting is the incident

@@ -90,14 +90,6 @@ public:
   std::vector<AnomalyTrigger> evaluate(const MetricsSnapshot &Snap,
                                        double NowSec);
 
-  const AnomalyConfig &config() const { return Config; }
-
-  /// True once the named drift baseline ("time"/"energy") is frozen —
-  /// exposed so tests can pin the cold-baseline edge case.
-  bool driftBaselineFrozen(const std::string &Which) const;
-  /// True once the latency p99 baseline is frozen.
-  bool latencyBaselineFrozen() const { return Latency.Frozen; }
-
 private:
   /// Windowed-mean + EWMA drift state for one rel-error family.
   struct DriftState {

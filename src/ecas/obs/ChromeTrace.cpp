@@ -351,20 +351,6 @@ private:
 
 } // namespace
 
-size_t ChromeTraceData::countPhase(const std::string &Phase) const {
-  size_t N = 0;
-  for (const ChromeTraceEvent &E : Events)
-    N += E.Phase == Phase ? 1 : 0;
-  return N;
-}
-
-bool ChromeTraceData::hasEventNamed(const std::string &Name) const {
-  for (const ChromeTraceEvent &E : Events)
-    if (E.Phase != "M" && E.Name == Name)
-      return true;
-  return false;
-}
-
 ErrorOr<ChromeTraceData> ecas::obs::parseChromeTrace(const std::string &Json) {
   ErrorOr<JsonValue> Root = JsonParser(Json).parse();
   if (!Root)

@@ -52,11 +52,6 @@ struct ChromeTraceEvent {
 /// Parsed form of a Chrome trace document.
 struct ChromeTraceData {
   std::vector<ChromeTraceEvent> Events;
-
-  /// Events with \p Phase ("B", "X", ...).
-  size_t countPhase(const std::string &Phase) const;
-  /// True when any event (metadata aside) has \p Name.
-  bool hasEventNamed(const std::string &Name) const;
 };
 
 /// Parses a Chrome trace-event JSON document produced by

@@ -43,8 +43,6 @@ std::atomic_flag WroteOnce = ATOMIC_FLAG_INIT;
 /// Serializes refresh/arm against each other (never taken by handlers).
 AnnotatedMutex StateMutex{"Obs.LastGasp"};
 
-std::terminate_handler PreviousTerminate = nullptr;
-
 /// The crash write itself: open(2) + write(2) of the pre-serialized
 /// active buffer. Every call below is on the async-signal-safe list;
 /// the ECAS_SIGNAL_SAFE marker puts the body under ecas-lint's
@@ -94,8 +92,6 @@ LastGasp &LastGasp::instance() {
   return Singleton;
 }
 
-size_t LastGasp::bufferBytes() { return kBufferBytes; }
-
 Status LastGasp::arm(const std::string &Path) {
   if (Path.empty() || Path.size() + 1 > kPathBytes)
     return Status::error(
@@ -111,23 +107,9 @@ Status LastGasp::arm(const std::string &Path) {
     sigemptyset(&Action.sa_mask);
     for (int Sig : kFatalSignals)
       (void)::sigaction(Sig, &Action, nullptr);
-    PreviousTerminate = std::set_terminate(terminateOnCrash);
+    std::set_terminate(terminateOnCrash);
   }
   return Status::success();
-}
-
-void LastGasp::disarm() {
-  LockGuard Lock(StateMutex);
-  if (!Armed.exchange(false, std::memory_order_acq_rel))
-    return;
-  struct sigaction Action;
-  std::memset(&Action, 0, sizeof(Action));
-  Action.sa_handler = SIG_DFL;
-  sigemptyset(&Action.sa_mask);
-  for (int Sig : kFatalSignals)
-    (void)::sigaction(Sig, &Action, nullptr);
-  std::set_terminate(PreviousTerminate);
-  GaspPath[0] = '\0';
 }
 
 void LastGasp::refresh(const std::string &Snapshot) {
@@ -138,14 +120,4 @@ void LastGasp::refresh(const std::string &Snapshot) {
   std::memcpy(Buffers[Standby], Snapshot.data(), Len);
   BufferLens[Standby].store(Len, std::memory_order_relaxed);
   ActiveIndex.store(Standby, std::memory_order_release);
-}
-
-bool LastGasp::armed() const {
-  return Armed.load(std::memory_order_acquire);
-}
-
-std::string LastGasp::path() const {
-  LockGuard Lock(StateMutex);
-  return Armed.load(std::memory_order_acquire) ? std::string(GaspPath)
-                                               : std::string();
 }

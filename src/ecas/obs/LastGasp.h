@@ -46,22 +46,12 @@ public:
   /// SIGFPE, SIGABRT) and the std::terminate hook, and records \p Path
   /// as the crash-write destination. Idempotent; re-arming just swaps
   /// the path. Fails InvalidArgument on an empty or over-long path.
+  /// There is no disarm: a serving process stays armed for life.
   Status arm(const std::string &Path);
-
-  /// Restores default dispositions and forgets the path (tests only;
-  /// a serving process stays armed for life).
-  void disarm();
 
   /// Publishes \p Snapshot as the document a crash would write. Bounded
   /// copy into a static double buffer; truncates past the buffer size.
   void refresh(const std::string &Snapshot);
-
-  bool armed() const;
-  std::string path() const;
-
-  /// Capacity of each snapshot buffer, exposed so callers can size
-  /// their documents to fit.
-  static size_t bufferBytes();
 
 private:
   LastGasp() = default;

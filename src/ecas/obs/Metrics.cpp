@@ -20,24 +20,6 @@ double HistogramSnapshot::quantile(double Q) const {
   return quantileFromBuckets(UpperBounds, Counts, Q);
 }
 
-void HistogramSnapshot::merge(const HistogramSnapshot &Other) {
-  ECAS_CHECK(UpperBounds == Other.UpperBounds,
-             "merging histograms with different bucket layouts");
-  for (size_t I = 0; I != Counts.size(); ++I)
-    Counts[I] += Other.Counts[I];
-  if (Other.Count == 0)
-    return;
-  if (Count == 0) {
-    Min = Other.Min;
-    Max = Other.Max;
-  } else {
-    Min = std::min(Min, Other.Min);
-    Max = std::max(Max, Other.Max);
-  }
-  Count += Other.Count;
-  Sum += Other.Sum;
-}
-
 Histogram::Histogram(std::vector<double> Bounds)
     : UpperBounds(std::move(Bounds)),
       Buckets(new std::atomic<uint64_t>[UpperBounds.size() + 1]),
@@ -126,14 +108,6 @@ const char *ecas::obs::metricKindName(MetricKind Kind) {
 const MetricSample *MetricsSnapshot::find(const std::string &Name) const {
   for (const MetricSample &S : Samples)
     if (S.Name == Name)
-      return &S;
-  return nullptr;
-}
-
-const MetricSample *MetricsSnapshot::find(const std::string &Name,
-                                          const MetricLabels &Labels) const {
-  for (const MetricSample &S : Samples)
-    if (S.Name == Name && S.Labels == Labels)
       return &S;
   return nullptr;
 }
@@ -231,9 +205,4 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
               return A.Labels < B.Labels;
             });
   return Snap;
-}
-
-size_t MetricsRegistry::size() const {
-  LockGuard Lock(Mutex);
-  return Instruments.size();
 }

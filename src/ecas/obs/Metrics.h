@@ -71,7 +71,7 @@ private:
   std::atomic<double> Value{0.0};
 };
 
-/// One histogram's state, copied out for export or cross-thread merges.
+/// One histogram's state, copied out for export.
 struct HistogramSnapshot {
   /// Ascending finite bucket upper edges; Counts carries one entry per
   /// edge plus a trailing overflow bucket.
@@ -86,8 +86,6 @@ struct HistogramSnapshot {
   /// Bucket-interpolated quantile (support/Stats' shared
   /// quantileFromBuckets); NaN when empty.
   double quantile(double Q) const;
-  /// Folds \p Other in (bucket layouts must match).
-  void merge(const HistogramSnapshot &Other);
 };
 
 /// Log- or linear-bucketed distribution. record() is lock-free: one
@@ -158,9 +156,6 @@ struct MetricsSnapshot {
 
   /// First sample named \p Name (any labels), or nullptr.
   const MetricSample *find(const std::string &Name) const;
-  /// Sample matching \p Name and \p Labels exactly, or nullptr.
-  const MetricSample *find(const std::string &Name,
-                           const MetricLabels &Labels) const;
   /// Sum of counter/gauge values across every labelled variant of
   /// \p Name (0 when absent).
   double total(const std::string &Name) const;
@@ -190,8 +185,6 @@ public:
   /// Copies every instrument's current state. Safe under concurrent
   /// recording (each writer's published prefix is visible).
   MetricsSnapshot snapshot() const;
-
-  size_t size() const;
 
 private:
   struct Instrument {

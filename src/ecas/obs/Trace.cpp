@@ -13,20 +13,6 @@
 using namespace ecas;
 using namespace ecas::obs;
 
-double TraceLog::counterTotal(const std::string &Name) const {
-  for (const CounterTotal &C : Counters)
-    if (C.Name == Name)
-      return C.Total;
-  return 0.0;
-}
-
-size_t TraceLog::countNamed(const std::string &Name) const {
-  size_t N = 0;
-  for (const TraceEvent &E : Events)
-    N += Name == E.Name ? 1 : 0;
-  return N;
-}
-
 std::string ecas::obs::renderTraceSummary(const TraceLog &Log) {
   // Pair begin/end per (thread, name) by nesting order to charge each
   // span its host-clock duration; SpanComplete events carry theirs.

@@ -87,11 +87,6 @@ struct TraceLog {
   /// Host steady-clock seconds at recorder construction; renderers
   /// print timestamps relative to this epoch.
   double EpochHostSeconds = 0.0;
-
-  /// The total for \p Name, or 0 when the counter never fired.
-  double counterTotal(const std::string &Name) const;
-  /// Number of events with \p Name (any kind).
-  size_t countNamed(const std::string &Name) const;
 };
 
 /// Per-span-name durations (count, total host seconds), instant tallies,

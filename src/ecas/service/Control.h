@@ -58,7 +58,6 @@ public:
   void stop();
 
   bool running() const { return Running.load(std::memory_order_acquire); }
-  const std::string &socketPath() const { return SocketPath; }
 
 private:
   void serveLoop();

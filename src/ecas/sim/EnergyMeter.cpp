@@ -15,10 +15,6 @@ EnergyMeter::EnergyMeter(double EnergyUnitJoules)
   ECAS_CHECK(EnergyUnitJoules > 0.0, "energy unit must be positive");
 }
 
-double EnergyMeter::counterPeriodJoules() const {
-  return 4294967296.0 * UnitJoules;
-}
-
 double EnergyMeter::joulesSince(uint32_t EarlierSample) const {
   uint32_t Delta = Counter - EarlierSample; // Modulo-2^32 by construction.
   return static_cast<double>(Delta) * UnitJoules;

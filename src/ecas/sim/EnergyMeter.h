@@ -31,11 +31,11 @@ namespace ecas {
 /// samples, because a 32-bit difference is inherently modulo 2^32. With
 /// the desktop unit (61 uJ) one full wrap is ~262 kJ — minutes at TDP —
 /// so readers must sample at least that often. An interval spanning k >= 2
-/// wraps aliases: the reader sees the true energy minus floor(k) *
-/// counterPeriodJoules() and cannot detect the loss. This mirrors real
-/// RAPL, where the kernel's polling thread exists precisely to bound the
-/// sample interval; the fault injector's RaplWrapJump event exercises the
-/// aliasing case deliberately.
+/// wraps aliases: the reader sees the true energy minus floor(k) counter
+/// periods (one period is 2^32 energy units) and cannot detect the loss.
+/// This mirrors real RAPL, where the kernel's polling thread exists
+/// precisely to bound the sample interval; the fault injector's
+/// RaplWrapJump event exercises the aliasing case deliberately.
 class EnergyMeter {
 public:
   explicit EnergyMeter(double EnergyUnitJoules);
@@ -75,11 +75,6 @@ public:
 
   /// Joules represented by one counter increment.
   double energyUnitJoules() const { return UnitJoules; }
-
-  /// Joules represented by one full trip around the 32-bit counter:
-  /// 2^32 * energyUnitJoules(). Energy amounts congruent modulo this
-  /// period are indistinguishable to joulesSince().
-  double counterPeriodJoules() const;
 
   /// Energy elapsed since an earlier MSR sample. Correct for intervals
   /// containing at most one wraparound (see the class contract above);

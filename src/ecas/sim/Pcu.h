@@ -86,7 +86,6 @@ public:
   double cpuFreqGHz() const { return CpuFreq; }
   double gpuFreqGHz() const { return GpuFreq; }
   double cpuFreqCapGHz() const { return CpuCapGHz; }
-  double gpuFreqCapGHz() const { return GpuCapGHz; }
 
   /// Restores power-on frequencies and forgets activity history.
   void reset();

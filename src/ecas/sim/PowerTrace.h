@@ -50,7 +50,6 @@ public:
   void finish();
 
   const std::vector<TraceSample> &samples() const { return Samples; }
-  double sampleIntervalSec() const { return IntervalSec; }
 
   /// Renders "time_s,package_w,cpu_w,gpu_w,uncore_w,cpu_ghz,gpu_ghz" CSV.
   std::string toCsv() const;

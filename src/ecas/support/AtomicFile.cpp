@@ -6,7 +6,6 @@
 
 #include "ecas/support/AtomicFile.h"
 
-#include "ecas/fault/StorageFaults.h"
 #include "ecas/support/CrashPoint.h"
 
 #include <cerrno>
@@ -64,27 +63,15 @@ Status ecas::syncParentDir(const std::string &Path) {
 Status ecas::writeFileAtomic(const std::string &Path,
                              std::string_view Bytes) {
   std::string TempPath = Path + ".tmp";
-  // The injector mangles the staged copy, never the caller's bytes: an
-  // injected short write is detected below (a real failed write(2)
-  // would be too), an injected bit flip is silent media corruption.
-  std::string Staged(Bytes);
-  StorageFaultInjector::Effect Fault;
-  if (StorageFaultInjector *Injector = storageFaultInjector())
-    Fault = Injector->mangle(Staged);
   {
     std::ofstream File(TempPath, std::ios::binary | std::ios::trunc);
     if (!File)
       return Status::error(ErrCode::IoError, "cannot write " + TempPath);
-    File.write(Staged.data(), static_cast<std::streamsize>(Staged.size()));
+    File.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
     File.flush();
     if (!File)
       return Status::error(ErrCode::IoError, "short write to " + TempPath);
   }
-  if (Fault.ShortWrite)
-    return Status::error(ErrCode::IoError,
-                         "short write to " + TempPath + " (injected: " +
-                             std::to_string(Staged.size()) + " of " +
-                             std::to_string(Bytes.size()) + " bytes)");
   if (Status S = syncFile(TempPath); !S)
     return S;
   ECAS_CRASHPOINT("atomicfile.after-temp-write");

@@ -22,12 +22,6 @@
 /// atomic-write rule now forbids raw std::rename/fsync outside this
 /// file and the journal, so the fix cannot regress silently.
 ///
-/// The write path consults the process-global storage-fault injector
-/// (fault/StorageFaults.h): an injected short write is detected and
-/// reported as IoError (the destination is untouched, like ENOSPC),
-/// while an injected bit flip is silent (media corruption — the
-/// reader's CRC is the defense).
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef ECAS_SUPPORT_ATOMICFILE_H

@@ -86,12 +86,6 @@ void ecas::armCrashPoint(const char *Name, unsigned Hit) {
   AnyArmed.store(true, std::memory_order_release);
 }
 
-void ecas::disarmCrashPoints() {
-  AnyArmed.store(false, std::memory_order_release);
-  Armed.Name = nullptr;
-  Armed.Remaining.store(0, std::memory_order_release);
-}
-
 const char *const *ecas::declaredCrashPoints(size_t &Count) {
   Count = sizeof(DeclaredPoints) / sizeof(DeclaredPoints[0]);
   return DeclaredPoints;

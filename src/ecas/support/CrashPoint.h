@@ -42,9 +42,6 @@ void crashPointHit(const char *Name);
 /// literals do).
 void armCrashPoint(const char *Name, unsigned Hit = 1);
 
-/// Disarms everything (used by the harness parent after fork returns).
-void disarmCrashPoints();
-
 /// All declared crash-point names, for "the harness kills at every
 /// declared point" sweeps. Terminated by nullptr.
 const char *const *declaredCrashPoints(size_t &Count);

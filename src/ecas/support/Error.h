@@ -115,9 +115,6 @@ public:
   T *operator->() { return &value(); }
   const T *operator->() const { return &value(); }
 
-  /// Value on success, \p Fallback otherwise.
-  T valueOr(T Fallback) const { return ok() ? *Value : std::move(Fallback); }
-
 private:
   Status Err;
   std::optional<T> Value;

@@ -38,10 +38,6 @@ Flags::Flags(int Argc, const char *const *Argv) {
   }
 }
 
-bool Flags::has(const std::string &Name) const {
-  return Values.count(Name) != 0;
-}
-
 std::string Flags::getString(const std::string &Name,
                              const std::string &Default) const {
   auto It = Values.find(Name);

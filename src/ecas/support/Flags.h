@@ -33,8 +33,6 @@ class Flags {
 public:
   Flags(int Argc, const char *const *Argv);
 
-  bool has(const std::string &Name) const;
-
   std::string getString(const std::string &Name,
                         const std::string &Default) const;
   bool getBool(const std::string &Name, bool Default) const;

@@ -105,12 +105,6 @@ bool ecas::parseInt64(const std::string &Text, long long &Out) {
   return true;
 }
 
-std::string ecas::padLeft(const std::string &Text, unsigned Width) {
-  if (Text.size() >= Width)
-    return Text;
-  return std::string(Width - Text.size(), ' ') + Text;
-}
-
 std::string ecas::padRight(const std::string &Text, unsigned Width) {
   if (Text.size() >= Width)
     return Text;

@@ -50,9 +50,6 @@ bool parseInt64(const std::string &Text, long long &Out);
 /// control characters.
 std::string escapeJson(const std::string &Text);
 
-/// Renders a left-padded, fixed-width table cell for plain-text reports.
-std::string padLeft(const std::string &Text, unsigned Width);
-
 /// Renders a right-padded, fixed-width table cell for plain-text reports.
 std::string padRight(const std::string &Text, unsigned Width);
 

@@ -22,38 +22,8 @@ void RunningStats::add(double Value) {
     Hi = std::max(Hi, Value);
   }
   ++N;
-  double Delta = Value - Mean;
-  Mean += Delta / static_cast<double>(N);
-  M2 += Delta * (Value - Mean);
+  Mean += (Value - Mean) / static_cast<double>(N);
 }
-
-void RunningStats::merge(const RunningStats &Other) {
-  if (Other.N == 0)
-    return;
-  if (N == 0) {
-    *this = Other;
-    return;
-  }
-  double Delta = Other.Mean - Mean;
-  size_t Total = N + Other.N;
-  double NewMean = Mean + Delta * static_cast<double>(Other.N) /
-                              static_cast<double>(Total);
-  M2 += Other.M2 + Delta * Delta * static_cast<double>(N) *
-                       static_cast<double>(Other.N) /
-                       static_cast<double>(Total);
-  Mean = NewMean;
-  N = Total;
-  Lo = std::min(Lo, Other.Lo);
-  Hi = std::max(Hi, Other.Hi);
-}
-
-double RunningStats::variance() const {
-  if (N < 2)
-    return 0.0;
-  return M2 / static_cast<double>(N);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double ecas::arithmeticMean(const std::vector<double> &Values) {
   if (Values.empty())
@@ -62,24 +32,6 @@ double ecas::arithmeticMean(const std::vector<double> &Values) {
   for (double V : Values)
     Sum += V;
   return Sum / static_cast<double>(Values.size());
-}
-
-double ecas::geometricMean(const std::vector<double> &Values) {
-  ECAS_CHECK(!Values.empty(), "geometric mean of empty sample");
-  double LogSum = 0.0;
-  for (double V : Values) {
-    ECAS_CHECK(V > 0.0, "geometric mean requires positive values");
-    LogSum += std::log(V);
-  }
-  return std::exp(LogSum / static_cast<double>(Values.size()));
-}
-
-double ecas::quantile(std::vector<double> Values, double Q) {
-  Values.erase(std::remove_if(Values.begin(), Values.end(),
-                              [](double V) { return std::isnan(V); }),
-               Values.end());
-  std::sort(Values.begin(), Values.end());
-  return quantileSorted(Values, Q);
 }
 
 double ecas::quantileSorted(const std::vector<double> &Sorted, double Q) {

@@ -7,8 +7,8 @@
 /// \file
 /// Running and batch descriptive statistics. Characterization averages
 /// power samples; the evaluation harness aggregates per-benchmark
-/// efficiencies with arithmetic and geometric means, matching the paper's
-/// "on average X% of Oracle" reporting.
+/// efficiencies with arithmetic means, matching the paper's "on average
+/// X% of Oracle" reporting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,19 +21,13 @@
 
 namespace ecas {
 
-/// Single-pass running mean/variance accumulator (Welford's algorithm).
+/// Single-pass running mean/min/max accumulator (Welford's mean update).
 class RunningStats {
 public:
   void add(double Value);
 
-  /// Merges another accumulator into this one (parallel reduction).
-  void merge(const RunningStats &Other);
-
   size_t count() const { return N; }
   double mean() const { return N ? Mean : 0.0; }
-  /// Population variance; zero with fewer than two samples.
-  double variance() const;
-  double stddev() const;
   double min() const { return N ? Lo : 0.0; }
   double max() const { return N ? Hi : 0.0; }
   double sum() const { return Mean * static_cast<double>(N); }
@@ -41,7 +35,6 @@ public:
 private:
   size_t N = 0;
   double Mean = 0.0;
-  double M2 = 0.0;
   double Lo = 0.0;
   double Hi = 0.0;
 };
@@ -49,20 +42,11 @@ private:
 /// Arithmetic mean of \p Values; zero for an empty vector.
 double arithmeticMean(const std::vector<double> &Values);
 
-/// Geometric mean of \p Values; all entries must be positive.
-double geometricMean(const std::vector<double> &Values);
-
-/// Returns the \p Q quantile (0..1) using linear interpolation between
-/// order statistics. \p Values need not be sorted; NaN entries are
-/// dropped first, and an empty (or all-NaN) sample yields NaN rather
-/// than a value pulled from thin air.
-double quantile(std::vector<double> Values, double Q);
-
-/// The single quantile implementation every other helper delegates to
-/// (quantile(), the metrics histograms, the bench JSON summaries).
+/// The \p Q quantile (0..1) of a sample, by linear interpolation between
+/// order statistics: the one rule every benchmark percentile uses.
 /// \p Sorted must be ascending and NaN-free; returns NaN for an empty
-/// vector, the sole element for a one-sample vector, and clamps \p Q
-/// into [0, 1].
+/// vector (not a value pulled from thin air), the sole element for a
+/// one-sample vector, and clamps \p Q into [0, 1].
 double quantileSorted(const std::vector<double> &Sorted, double Q);
 
 /// Quantile estimated from log- or linear-bucketed counts, the way

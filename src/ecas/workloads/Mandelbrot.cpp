@@ -36,16 +36,6 @@ void ecas::renderMandelbrot(uint32_t Width, uint32_t Height,
   }
 }
 
-uint64_t ecas::mandelbrotChecksum(uint32_t Width, uint32_t Height,
-                                  uint32_t MaxIter) {
-  std::vector<uint16_t> Raster;
-  renderMandelbrot(Width, Height, MaxIter, Raster);
-  uint64_t Sum = 0;
-  for (uint16_t Count : Raster)
-    Sum += Count;
-  return Sum;
-}
-
 Workload ecas::makeMandelbrotWorkload(const WorkloadConfig &Config) {
   KernelDesc Kernel;
   Kernel.Name = "mb.escape";

@@ -27,10 +27,6 @@ namespace ecas {
 void renderMandelbrot(uint32_t Width, uint32_t Height, uint32_t MaxIter,
                       std::vector<uint16_t> &Out);
 
-/// Sum of all escape counts — the validation checksum.
-uint64_t mandelbrotChecksum(uint32_t Width, uint32_t Height,
-                            uint32_t MaxIter);
-
 /// Table 1 row MB: 7680x6144 image, one kernel invocation.
 Workload makeMandelbrotWorkload(const WorkloadConfig &Config);
 

@@ -72,14 +72,14 @@ TEST(Concurrency, KernelHistoryLosesNoContributions) {
 
   // The shared record saw every one of the Threads * PerThread merges:
   // weights are integral, so the sums are exact.
-  std::optional<KernelRecord> Shared = History.find(1);
+  std::optional<KernelRecord> Shared = findRecord(History, 1);
   ASSERT_TRUE(Shared.has_value());
   EXPECT_EQ(Shared->Alpha.totalWeight(), double(Threads) * PerThread);
   EXPECT_EQ(Shared->Alpha.weightedSum(), 0.5 * Threads * PerThread);
   EXPECT_EQ(Shared->Invocations, Threads * PerThread);
 
   for (unsigned T = 0; T != Threads; ++T) {
-    std::optional<KernelRecord> Mine = History.find(100 + T);
+    std::optional<KernelRecord> Mine = findRecord(History, 100 + T);
     ASSERT_TRUE(Mine.has_value()) << "kernel " << (100 + T);
     EXPECT_EQ(Mine->Alpha.totalWeight(), 2.0 * PerThread);
     EXPECT_EQ(Mine->QuarantinedRuns, PerThread);
@@ -120,7 +120,7 @@ TEST(Concurrency, KernelHistoryReadersSeeConsistentVersions) {
     Reader.join();
   EXPECT_EQ(Torn.load(), 0u);
 
-  std::optional<KernelRecord> Final = History.find(77);
+  std::optional<KernelRecord> Final = findRecord(History, 77);
   ASSERT_TRUE(Final.has_value());
   EXPECT_EQ(Final->Alpha.totalWeight(), 20000.0);
   EXPECT_EQ(Final->Invocations, 20000u);
@@ -190,7 +190,8 @@ TEST(Concurrency, ExpiredDeadlineCancelsWithoutPoisoningTableG) {
   // Learn the kernel normally first.
   EasScheduler::InvocationOutcome First = Scheduler.execute(Proc, Kernel, 2e6);
   EXPECT_TRUE(First.Profiled);
-  std::optional<KernelRecord> Before = Scheduler.history().find(Kernel.Id);
+  std::optional<KernelRecord> Before =
+      findRecord(Scheduler.history(), Kernel.Id);
   ASSERT_TRUE(Before.has_value());
 
   // A deadline already expired on the virtual clock: the invocation is
@@ -201,7 +202,8 @@ TEST(Concurrency, ExpiredDeadlineCancelsWithoutPoisoningTableG) {
   EXPECT_TRUE(Cancelled.Cancelled);
   EXPECT_FALSE(Cancelled.Rejected);
 
-  std::optional<KernelRecord> After = Scheduler.history().find(Kernel.Id);
+  std::optional<KernelRecord> After =
+      findRecord(Scheduler.history(), Kernel.Id);
   ASSERT_TRUE(After.has_value());
   EXPECT_EQ(After->Alpha.weightedSum(), Before->Alpha.weightedSum());
   EXPECT_EQ(After->Alpha.totalWeight(), Before->Alpha.totalWeight());
@@ -213,7 +215,8 @@ TEST(Concurrency, ExpiredDeadlineCancelsWithoutPoisoningTableG) {
   EasScheduler::InvocationOutcome Normal =
       Scheduler.execute(Proc, Kernel, 2e6, {}, &Roomy);
   EXPECT_FALSE(Normal.Cancelled);
-  std::optional<KernelRecord> Counted = Scheduler.history().find(Kernel.Id);
+  std::optional<KernelRecord> Counted =
+      findRecord(Scheduler.history(), Kernel.Id);
   ASSERT_TRUE(Counted.has_value());
   EXPECT_EQ(Counted->Invocations, Before->Invocations + 1);
 }
@@ -240,7 +243,8 @@ TEST(Concurrency, SameKeyProfilesRaceWithoutLosingIterations) {
     SimProcessor Proc(haswellDesktop());
     KernelDesc Kernel = namedKernel("same-key-solo");
     ASSERT_TRUE(Scheduler.execute(Proc, Kernel, Sizes[I]).Profiled);
-    std::optional<KernelRecord> Rec = Scheduler.history().find(Kernel.Id);
+    std::optional<KernelRecord> Rec =
+        findRecord(Scheduler.history(), Kernel.Id);
     ASSERT_TRUE(Rec.has_value());
     Solo[I] = Rec->Sample.CpuIterations + Rec->Sample.GpuIterations;
   }
@@ -262,7 +266,8 @@ TEST(Concurrency, SameKeyProfilesRaceWithoutLosingIterations) {
     for (std::thread &Client : Clients)
       Client.join();
 
-    std::optional<KernelRecord> Rec = Scheduler.history().find(Kernel.Id);
+    std::optional<KernelRecord> Rec =
+        findRecord(Scheduler.history(), Kernel.Id);
     ASSERT_TRUE(Rec.has_value());
     const ProfileSample &Merged = Rec->Sample;
     double Want = (Profiled[0] ? Solo[0] : 0.0) + (Profiled[1] ? Solo[1] : 0.0);

@@ -252,13 +252,12 @@ TEST(OperatingPoint, PaceToDeadlineMinimizesEnergyAmongFeasible) {
 }
 
 TEST(OperatingPoint, PolicyNamesRoundTrip) {
-  for (SchedulingPolicy Policy :
-       {SchedulingPolicy::MinimizeMetric, SchedulingPolicy::RaceToIdle,
-        SchedulingPolicy::PaceToDeadline}) {
-    auto Back = schedulingPolicyByName(schedulingPolicyName(Policy));
-    ASSERT_TRUE(Back.has_value());
-    EXPECT_EQ(*Back, Policy);
-  }
+  EXPECT_EQ(schedulingPolicyByName("minimize"),
+            SchedulingPolicy::MinimizeMetric);
+  EXPECT_EQ(schedulingPolicyByName("race-to-idle"),
+            SchedulingPolicy::RaceToIdle);
+  EXPECT_EQ(schedulingPolicyByName("pace-to-deadline"),
+            SchedulingPolicy::PaceToDeadline);
   EXPECT_FALSE(schedulingPolicyByName("overclock-to-eleven").has_value());
 }
 
@@ -280,16 +279,16 @@ TEST(TimeModel, ScaledToAmdahlEndpoints) {
 
 TEST(KernelHistory, LookupAndUpdate) {
   KernelHistory History;
-  EXPECT_FALSE(History.find(42).has_value());
+  EXPECT_FALSE(findRecord(History, 42).has_value());
   History.update(42, [](KernelRecord &Record) {
     Record.Alpha.addSample(0.5, 10.0);
   });
-  std::optional<KernelRecord> Found = History.find(42);
+  std::optional<KernelRecord> Found = findRecord(History, 42);
   ASSERT_TRUE(Found.has_value());
   EXPECT_NEAR(Found->Alpha.value(), 0.5, 1e-12);
   EXPECT_EQ(History.size(), 1u);
   History.clear();
-  EXPECT_FALSE(History.find(42).has_value());
+  EXPECT_FALSE(findRecord(History, 42).has_value());
 }
 
 TEST(EasScheduler, SmallInvocationsRunCpuOnly) {
@@ -442,7 +441,7 @@ TEST(EasScheduler, ExternalGpuBusyForcesCpuAlone) {
   EXPECT_DOUBLE_EQ(Outcome.AlphaUsed, 0.0);
   EXPECT_FALSE(Outcome.Profiled);
   // Nothing was learned while the GPU belonged to someone else.
-  EXPECT_FALSE(Scheduler.history().find(Kernel.Id).has_value());
+  EXPECT_FALSE(findRecord(Scheduler.history(), Kernel.Id).has_value());
 
   // Once the GPU frees up, the kernel profiles normally.
   Scheduler.setExternalGpuBusy(false);
@@ -733,10 +732,10 @@ TEST(EasScheduler, OneSearchPerInvocationMatchesPerRepetitionSearch) {
     SchedulingPolicy Policy = Policies[Rng.nextBounded(3)];
     ExitKind Exit = static_cast<ExitKind>(Rng.nextBounded(4));
     SCOPED_TRACE(formatString("case %u: n=%.0f metric=%s pstates=%d "
-                              "refine=%d policy=%s exit=%d",
+                              "refine=%d policy=%d exit=%d",
                               Case, Iterations, Objective.name().c_str(),
                               Config.PStates, Config.RefineAlpha,
-                              schedulingPolicyName(Policy),
+                              static_cast<int>(Policy),
                               static_cast<int>(Exit)));
 
     // A healthy pilot run times the profiling phase and the remainder,
@@ -835,7 +834,8 @@ TEST(EasScheduler, ColdMergeMatchesPerRepetitionAccumulation) {
     SimProcessor Proc(Spec);
     EasScheduler Scheduler(ladderFamily(), Objective, Config);
     ASSERT_TRUE(Scheduler.execute(Proc, Kernel, Iterations).Profiled);
-    std::optional<KernelRecord> Rec = Scheduler.history().find(Kernel.Id);
+    std::optional<KernelRecord> Rec =
+        findRecord(Scheduler.history(), Kernel.Id);
     ASSERT_TRUE(Rec.has_value());
 
     auto Bits = [](double Value) { return std::bit_cast<uint64_t>(Value); };
@@ -1207,7 +1207,8 @@ TEST(EasScheduler, BatchedProfilingMatchesSteppedRepetitions) {
     EXPECT_EQ(Got.ProfileRepetitions, S.Repetitions);
     EXPECT_EQ(std::bit_cast<uint64_t>(Got.ProfileSeconds),
               std::bit_cast<uint64_t>(Ref.now()));
-    std::optional<KernelRecord> Rec = Scheduler.history().find(Kernel.Id);
+    std::optional<KernelRecord> Rec =
+        findRecord(Scheduler.history(), Kernel.Id);
     ASSERT_TRUE(Rec.has_value());
     if (S.Repetitions > 0) {
       EXPECT_EQ(sampleBits(Rec->Sample), sampleBits(S.Local));
@@ -1295,7 +1296,8 @@ TEST(EasScheduler, BatchedProfilingCancelledFromAnotherThread) {
     if (Got.Profiled) {
       EXPECT_EQ(std::bit_cast<uint64_t>(Got.ProfileSeconds),
                 std::bit_cast<uint64_t>(Ref.now()));
-      std::optional<KernelRecord> Rec = Scheduler.history().find(Kernel.Id);
+      std::optional<KernelRecord> Rec =
+          findRecord(Scheduler.history(), Kernel.Id);
       ASSERT_TRUE(Rec.has_value());
       if (S.Repetitions > 0) {
         EXPECT_EQ(sampleBits(Rec->Sample), sampleBits(S.Local));

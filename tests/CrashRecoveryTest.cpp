@@ -591,7 +591,7 @@ TEST(JournalFormat, BecameConfidentResetsAlphaBeforeAdding) {
   // The confident transition discards the provisional accumulator: the
   // replayed alpha is exactly the one confident sample, as on the live
   // merge path.
-  auto Entry = History.find(77);
+  auto Entry = findRecord(History, 77);
   ASSERT_TRUE(Entry.has_value());
   EXPECT_TRUE(Entry->Confident);
   EXPECT_EQ(Entry->Alpha.weightedSum(), 0.6 * 100.0);
@@ -656,9 +656,9 @@ TEST(Recovery, ReplaysJournalOntoSnapshotThenCompacts) {
   EXPECT_TRUE(Report.CompactStatus.ok());
 
   EXPECT_EQ(History.size(), 4u);
-  EXPECT_EQ(History.find(7)->Invocations, 7u);
-  EXPECT_EQ(History.find(555)->Invocations, 3u);
-  EXPECT_TRUE(History.find(555)->CpuOnly);
+  EXPECT_EQ(findRecord(History, 7)->Invocations, 7u);
+  EXPECT_EQ(findRecord(History, 555)->Invocations, 3u);
+  EXPECT_TRUE(findRecord(History, 555)->CpuOnly);
 
   // Compaction folded the deltas into the base image.
   HistoryFileScan Scan = scanHistoryFile(readFile(File.path()));
@@ -687,7 +687,7 @@ TEST(Recovery, TornJournalTailTruncates) {
   EXPECT_EQ(Report.Outcome, RecoveryOutcome::Truncated);
   EXPECT_EQ(Report.ReplayedRecords, 1u);
   EXPECT_EQ(Report.TruncatedRecords, 1u);
-  EXPECT_EQ(History.find(7)->Invocations, 6u);
+  EXPECT_EQ(findRecord(History, 7)->Invocations, 6u);
 
   // After compaction the tear is gone for good.
   KernelHistory Again;
@@ -712,7 +712,7 @@ TEST(HistorySnapshot, TruncatedFileIsRejected) {
   EXPECT_EQ(Cut.BaseRecords, 2u);
   EXPECT_EQ(Cut.TruncatedRecords, 1u);
   EXPECT_EQ(History.size(), 2u);
-  EXPECT_FALSE(History.find(42));
+  EXPECT_FALSE(findRecord(History, 42));
 
   // Even the header can be cut short.
   RecoveryReport Short = recoverBytes(File, Good.substr(0, 12), History);
@@ -936,7 +936,7 @@ TEST(Journal, ResetRewritesHeaderAndDropsPending) {
   KernelHistory Recovered;
   RecoveryReport Report = recoverKernelHistory(Recovered, File.path());
   EXPECT_EQ(Report.Outcome, RecoveryOutcome::Replayed);
-  EXPECT_EQ(Recovered.find(7)->Invocations, 6u);
+  EXPECT_EQ(findRecord(Recovered, 7)->Invocations, 6u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1016,7 +1016,7 @@ TEST(SchedulerJournal, KillWithoutShutdownLosesNothingFlushed) {
       Live = Scheduler.history().entries();
       ASSERT_EQ(Live.size(), 5u);
       std::optional<KernelRecord> HangRec =
-          Scheduler.history().find(KernelH.Id);
+          findRecord(Scheduler.history(), KernelH.Id);
       ASSERT_TRUE(HangRec);
       EXPECT_GT(HangRec->QuarantinedRuns, 0u);
       unsigned ReducedStates = 0;
@@ -1137,7 +1137,8 @@ TEST(SchedulerJournal, MetricsExposeJournalAndRecovery) {
   // Exactly one recovery happened, and it was a cold start.
   EXPECT_EQ(Snap.total(obs::names::HistoryRecoveryOutcome), 1.0);
   const obs::MetricSample *Cold =
-      Snap.find(obs::names::HistoryRecoveryOutcome, {{"outcome", "cold"}});
+      findSample(Snap, obs::names::HistoryRecoveryOutcome,
+                 {{"outcome", "cold"}});
   ASSERT_NE(Cold, nullptr);
   EXPECT_EQ(Cold->Value, 1.0);
 }
@@ -1523,22 +1524,22 @@ TEST(CrashHarness, EveryDeclaredPointHoldsRecoveryInvariants) {
     // file was fsynced before the fork, so the base table *plus both
     // deltas* must survive no matter where the child died — and, the
     // file being replaced whole, neither delta is applied twice.
-    ASSERT_NE(Recovered.find(7), std::nullopt);
-    EXPECT_EQ(Recovered.find(7)->Invocations, 7u); // 5 base + 2 replayed
-    ASSERT_NE(Recovered.find(11), std::nullopt);
-    EXPECT_EQ(Recovered.find(11)->Invocations, 1u);
-    EXPECT_EQ(Recovered.find(11)->QuarantinedRuns, 1u);
-    ASSERT_NE(Recovered.find(9001), std::nullopt);
-    ASSERT_NE(Recovered.find(555), std::nullopt);
-    EXPECT_EQ(Recovered.find(555)->Invocations, 3u);
-    EXPECT_TRUE(Recovered.find(555)->CpuOnly);
+    ASSERT_NE(findRecord(Recovered, 7), std::nullopt);
+    EXPECT_EQ(findRecord(Recovered, 7)->Invocations, 7u); // 5 base + 2 replayed
+    ASSERT_NE(findRecord(Recovered, 11), std::nullopt);
+    EXPECT_EQ(findRecord(Recovered, 11)->Invocations, 1u);
+    EXPECT_EQ(findRecord(Recovered, 11)->QuarantinedRuns, 1u);
+    ASSERT_NE(findRecord(Recovered, 9001), std::nullopt);
+    ASSERT_NE(findRecord(Recovered, 555), std::nullopt);
+    EXPECT_EQ(findRecord(Recovered, 555)->Invocations, 3u);
+    EXPECT_TRUE(findRecord(Recovered, 555)->CpuOnly);
 
     // Invariant 2 — nothing the crash could not have persisted appears.
     // The child's post-recovery delta (key 777) is all-or-nothing: its
     // record was framed in one write, so it is either fully present or
     // fully absent, and the table never grows beyond the golden set.
     EXPECT_LE(Recovered.size(), 5u);
-    if (auto Extra = Recovered.find(777)) {
+    if (auto Extra = findRecord(Recovered, 777)) {
       EXPECT_EQ(Extra->Invocations, 4u);
     }
 

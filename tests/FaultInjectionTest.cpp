@@ -135,7 +135,8 @@ TEST(FaultInjection, EasPerInvocationOutcomesShowTheFullArc) {
   EXPECT_GE(Scheduler.health().stats().Recoveries, 1u);
 
   // Quarantined runs were recorded in table G without polluting alpha.
-  std::optional<KernelRecord> Record = Scheduler.history().find(Kernel.Id);
+  std::optional<KernelRecord> Record =
+      findRecord(Scheduler.history(), Kernel.Id);
   ASSERT_TRUE(Record.has_value());
   EXPECT_GE(Record->QuarantinedRuns, 1u);
 }

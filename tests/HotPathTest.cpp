@@ -294,6 +294,31 @@ TEST(HotPath, RepeatedSlicesAreAllocationFree) {
   EXPECT_GT(Proc.slicesRepeated(), 0u);
 }
 
+// A warmed re-profiled invocation (Section 3.1's repeated profiling)
+// merges its fresh measurement into table G. The table copies a record
+// on write, so the merge's one `new Version()` is by design; the merge
+// closure itself must reach KernelHistory::update() as a template
+// argument. Its captures overflow libstdc++'s 16-byte small buffer, so
+// erasing them into a std::function would allocate a second time.
+TEST(HotPath, WarmedReprofileAllocatesOnlyTheNewRecordVersion) {
+  PlatformSpec Spec = haswellDesktop();
+  SimProcessor Proc(Spec);
+  EasConfig Config;
+  Config.ReprofileEveryInvocations = 1;
+  EasScheduler Scheduler(desktopFamily(), Metric::edp(), Config);
+  KernelDesc Kernel = computeBoundMicroKernel();
+
+  for (int I = 0; I != 3; ++I)
+    ASSERT_TRUE(Scheduler.execute(Proc, Kernel, 4e7).Profiled);
+
+  AllocTally Tally;
+  auto Again = Scheduler.execute(Proc, Kernel, 4e7);
+  EXPECT_TRUE(Again.Profiled);
+  EXPECT_LE(Tally.allocations(), 1u)
+      << "a warmed re-profiled invocation allocates only table G's new "
+         "record version";
+}
+
 // Fault-monitor reads sit on every dispatch; the lock-free mirrors must
 // answer without the health mutex or any heap traffic.
 TEST(HotPath, GpuHealthReadsAreAllocationFree) {

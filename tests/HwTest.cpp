@@ -91,11 +91,6 @@ TEST(PlatformSpec, ValidateCatchesBadRanges) {
   EXPECT_FALSE(Spec.validate(Error));
 }
 
-TEST(PlatformSpec, DeviceKindNames) {
-  EXPECT_STREQ(deviceKindName(DeviceKind::Cpu), "cpu");
-  EXPECT_STREQ(deviceKindName(DeviceKind::Gpu), "gpu");
-}
-
 TEST(PlatformSpec, LoadReportsParseErrorsWithLineNumbers) {
   ErrorOr<PlatformSpec> Result = PlatformSpec::load("no equals sign");
   ASSERT_FALSE(Result.ok());

@@ -78,10 +78,10 @@ TEST(CaptureRecorder, RecordsSpansInstantsAndCounters) {
   ASSERT_EQ(Log.Events.size(), 5u);
   EXPECT_EQ(Log.Events.front().Kind, obs::EventKind::SpanBegin);
   EXPECT_EQ(Log.Events.back().Kind, obs::EventKind::SpanEnd);
-  EXPECT_EQ(Log.countNamed("tick"), 1u);
+  EXPECT_EQ(countNamed(Log, "tick"), 1u);
   EXPECT_EQ(Log.Events[1].Detail, "n=1");
-  EXPECT_DOUBLE_EQ(Log.counterTotal("t.events"), 3.0);
-  EXPECT_DOUBLE_EQ(Log.counterTotal("never-fired"), 0.0);
+  EXPECT_DOUBLE_EQ(counterTotal(Log, "t.events"), 3.0);
+  EXPECT_DOUBLE_EQ(counterTotal(Log, "never-fired"), 0.0);
   ASSERT_EQ(Log.Counters.size(), 1u);
   EXPECT_EQ(Log.Counters.front().Samples, 2u);
   EXPECT_EQ(Rec.eventsRecorded(), 5u);
@@ -117,7 +117,7 @@ TEST(CaptureRecorder, ConcurrentWritersMergeInOrder) {
   const obs::TraceLog &Log = Snap.Trace;
   EXPECT_EQ(Log.Events.size(), size_t{2} * Threads * PerThread);
   EXPECT_EQ(Snap.EventsDropped, 0u);
-  EXPECT_DOUBLE_EQ(Log.counterTotal("mt.count"),
+  EXPECT_DOUBLE_EQ(counterTotal(Log, "mt.count"),
                    double(Threads) * PerThread);
   for (size_t I = 1; I < Log.Events.size(); ++I)
     EXPECT_LE(Log.Events[I - 1].HostSeconds, Log.Events[I].HostSeconds);
@@ -131,8 +131,8 @@ TEST(CaptureRecorder, DrainWhileRecordingSeesAPrefix) {
   for (unsigned I = 0; I != 50; ++I)
     Rec.count("pre.drain");
   obs::TraceLog Second = Rec.drain().Trace;
-  EXPECT_DOUBLE_EQ(First.counterTotal("pre.drain"), 100.0);
-  EXPECT_DOUBLE_EQ(Second.counterTotal("pre.drain"), 150.0);
+  EXPECT_DOUBLE_EQ(counterTotal(First, "pre.drain"), 100.0);
+  EXPECT_DOUBLE_EQ(counterTotal(Second, "pre.drain"), 150.0);
 
   // Drains racing a live writer (the race the TSan job repeats): each
   // sees a prefix of the writer's stream, so a later drain never holds
@@ -233,7 +233,7 @@ TEST(CaptureRecorder, MatchesANeverWrappingBoundedRecorder) {
     EXPECT_EQ(A.Trace.Counters[I].Total, B.Trace.Counters[I].Total);
     EXPECT_EQ(A.Trace.Counters[I].Samples, B.Trace.Counters[I].Samples);
   }
-  EXPECT_DOUBLE_EQ(A.Trace.counterTotal("eas.invocations"),
+  EXPECT_DOUBLE_EQ(counterTotal(A.Trace, "eas.invocations"),
                    double(Rounds) * (1 + 2 + 3 + 4));
 }
 
@@ -306,15 +306,15 @@ TEST(ChromeTrace, RoundTripsSpansOnBothClockTracks) {
 
   // Span begin/end appear on the host track (pid 1) and again on the
   // virtual track (pid 2) because the span carries virtual timestamps.
-  EXPECT_EQ(Parsed->countPhase("B"), 2u);
-  EXPECT_EQ(Parsed->countPhase("E"), 2u);
-  EXPECT_EQ(Parsed->countPhase("X"), 1u);
+  EXPECT_EQ(countPhase(*Parsed, "B"), 2u);
+  EXPECT_EQ(countPhase(*Parsed, "E"), 2u);
+  EXPECT_EQ(countPhase(*Parsed, "X"), 1u);
   // alpha-search on both tracks, shed on the host track only.
-  EXPECT_EQ(Parsed->countPhase("i"), 3u);
-  EXPECT_EQ(Parsed->countPhase("C"), 1u);
-  EXPECT_TRUE(Parsed->hasEventNamed("invocation"));
-  EXPECT_TRUE(Parsed->hasEventNamed("alpha-search"));
-  EXPECT_TRUE(Parsed->hasEventNamed("profile-rep"));
+  EXPECT_EQ(countPhase(*Parsed, "i"), 3u);
+  EXPECT_EQ(countPhase(*Parsed, "C"), 1u);
+  EXPECT_TRUE(hasEventNamed(*Parsed, "invocation"));
+  EXPECT_TRUE(hasEventNamed(*Parsed, "alpha-search"));
+  EXPECT_TRUE(hasEventNamed(*Parsed, "profile-rep"));
   bool SawHostPid = false, SawVirtualPid = false;
   for (const obs::ChromeTraceEvent &E : Parsed->Events) {
     SawHostPid = SawHostPid || E.Pid == 1;
@@ -338,7 +338,7 @@ TEST(ChromeTrace, EscapesHostileDetailPayloads) {
   std::string Json = renderChromeTrace(Rec.drain().Trace);
   ErrorOr<obs::ChromeTraceData> Parsed = obs::parseChromeTrace(Json);
   ASSERT_TRUE(Parsed.ok()) << Parsed.status().toString();
-  EXPECT_TRUE(Parsed->hasEventNamed("hostile"));
+  EXPECT_TRUE(hasEventNamed(*Parsed, "hostile"));
 }
 
 TEST(ChromeTrace, ParserRejectsMalformedDocuments) {
@@ -469,23 +469,23 @@ TEST(GoldenPath, TracedEasRunEmitsTheSchedulingStory) {
 
   obs::TraceLog Log = Recorder.drain().Trace;
   // The spans and instants the issue's golden path names.
-  EXPECT_GE(Log.countNamed("session"), 2u); // begin + end
-  EXPECT_GE(Log.countNamed("invocation"), 2u);
-  EXPECT_GE(Log.countNamed("profile"), 2u);
-  EXPECT_GE(Log.countNamed("profile-rep"), 1u);
-  EXPECT_GE(Log.countNamed("dispatch"), 2u);
-  EXPECT_GE(Log.countNamed("classify"), 1u);
-  EXPECT_GE(Log.countNamed("alpha-search"), 1u);
-  EXPECT_GE(Log.countNamed("drain"), 2u); // shutdown drain span
+  EXPECT_GE(countNamed(Log, "session"), 2u); // begin + end
+  EXPECT_GE(countNamed(Log, "invocation"), 2u);
+  EXPECT_GE(countNamed(Log, "profile"), 2u);
+  EXPECT_GE(countNamed(Log, "profile-rep"), 1u);
+  EXPECT_GE(countNamed(Log, "dispatch"), 2u);
+  EXPECT_GE(countNamed(Log, "classify"), 1u);
+  EXPECT_GE(countNamed(Log, "alpha-search"), 1u);
+  EXPECT_GE(countNamed(Log, "drain"), 2u); // shutdown drain span
 
   // Counter totals must agree with the report's aggregates.
-  EXPECT_DOUBLE_EQ(Log.counterTotal("eas.invocations"),
+  EXPECT_DOUBLE_EQ(counterTotal(Log, "eas.invocations"),
                    double(Report.Invocations));
-  EXPECT_DOUBLE_EQ(Log.counterTotal("eas.profile_reps"),
+  EXPECT_DOUBLE_EQ(counterTotal(Log, "eas.profile_reps"),
                    double(Report.ProfileRepetitions));
-  EXPECT_DOUBLE_EQ(Log.counterTotal("eas.alpha_searches"),
+  EXPECT_DOUBLE_EQ(counterTotal(Log, "eas.alpha_searches"),
                    double(Report.AlphaSearches));
-  EXPECT_DOUBLE_EQ(Log.counterTotal("eas.cpu_only"),
+  EXPECT_DOUBLE_EQ(counterTotal(Log, "eas.cpu_only"),
                    double(Report.CpuOnlyFastPaths));
   EXPECT_GT(Report.AlphaSearches, 0u);
   EXPECT_GT(Report.ProfileRepetitions, 0u);
@@ -501,11 +501,11 @@ TEST(GoldenPath, TracedEasRunEmitsTheSchedulingStory) {
   std::string Json = renderChromeTrace(Log);
   ErrorOr<obs::ChromeTraceData> Parsed = obs::parseChromeTrace(Json);
   ASSERT_TRUE(Parsed.ok()) << Parsed.status().toString();
-  EXPECT_TRUE(Parsed->hasEventNamed("session"));
-  EXPECT_TRUE(Parsed->hasEventNamed("profile"));
-  EXPECT_TRUE(Parsed->hasEventNamed("alpha-search"));
-  EXPECT_TRUE(Parsed->hasEventNamed("dispatch"));
-  EXPECT_GT(Parsed->countPhase("C"), 0u);
+  EXPECT_TRUE(hasEventNamed(*Parsed, "session"));
+  EXPECT_TRUE(hasEventNamed(*Parsed, "profile"));
+  EXPECT_TRUE(hasEventNamed(*Parsed, "alpha-search"));
+  EXPECT_TRUE(hasEventNamed(*Parsed, "dispatch"));
+  EXPECT_GT(countPhase(*Parsed, "C"), 0u);
 }
 
 TEST(GoldenPath, QuarantineArcShowsUpInTheTrace) {
@@ -524,22 +524,22 @@ TEST(GoldenPath, QuarantineArcShowsUpInTheTrace) {
 
   obs::TraceLog Log = Recorder.drain().Trace;
   // Health-state transitions: hang -> quarantine -> probe -> recovery.
-  EXPECT_GE(Log.countNamed("hang"), 1u);
-  EXPECT_GE(Log.countNamed("quarantine"), 1u);
-  EXPECT_GE(Log.countNamed("recovery"), 1u);
+  EXPECT_GE(countNamed(Log, "hang"), 1u);
+  EXPECT_GE(countNamed(Log, "quarantine"), 1u);
+  EXPECT_GE(countNamed(Log, "recovery"), 1u);
   // The quarantined-run counter is read off each invocation's outcome,
   // so pre-dispatch and mid-dispatch quarantines both count.
-  EXPECT_GE(Log.counterTotal("eas.quarantined_runs"), 1.0);
-  EXPECT_DOUBLE_EQ(Log.counterTotal("eas.quarantined_runs"),
+  EXPECT_GE(counterTotal(Log, "eas.quarantined_runs"), 1.0);
+  EXPECT_DOUBLE_EQ(counterTotal(Log, "eas.quarantined_runs"),
                    double(Report.Resilience.QuarantinedInvocations));
-  EXPECT_GE(Log.counterTotal("eas.hangs"), 1.0);
-  EXPECT_GE(Log.counterTotal("eas.cpu_only"), 1.0);
+  EXPECT_GE(counterTotal(Log, "eas.hangs"), 1.0);
+  EXPECT_GE(counterTotal(Log, "eas.cpu_only"), 1.0);
   EXPECT_TRUE(Report.Resilience.degraded());
 
   std::string Json = renderChromeTrace(Log);
   ErrorOr<obs::ChromeTraceData> Parsed = obs::parseChromeTrace(Json);
   ASSERT_TRUE(Parsed.ok()) << Parsed.status().toString();
-  EXPECT_TRUE(Parsed->hasEventNamed("quarantine"));
+  EXPECT_TRUE(hasEventNamed(*Parsed, "quarantine"));
 
   // One count, three consumers: each eas.* trace counter and its
   // eas_*_total metric come from the same InvocationOutcome field, and
@@ -558,9 +558,9 @@ TEST(GoldenPath, QuarantineArcShowsUpInTheTrace) {
   };
   for (const auto &[TraceName, MetricName] : Pairs) {
     SCOPED_TRACE(TraceName);
-    EXPECT_DOUBLE_EQ(Log.counterTotal(TraceName), Snap.total(MetricName));
+    EXPECT_DOUBLE_EQ(counterTotal(Log, TraceName), Snap.total(MetricName));
   }
-  EXPECT_DOUBLE_EQ(Log.counterTotal("eas.alpha_searches"),
+  EXPECT_DOUBLE_EQ(counterTotal(Log, "eas.alpha_searches"),
                    double(Report.AlphaSearches));
   obs::FlightSnapshot FlightSnap = Flight.drain();
   EXPECT_EQ(FlightSnap.DecisionsRecorded, uint64_t{Report.Invocations});

@@ -136,7 +136,7 @@ TEST(Characterizer, FitsCategoryWithGoodQuality) {
   PowerCurve Curve =
       Probe.characterizeCategory(WorkloadClass::fromIndex(0), &Samples);
   EXPECT_EQ(Samples.size(), 11u);
-  EXPECT_EQ(Curve.Poly.degree(), 6u);
+  EXPECT_EQ(Curve.Poly.coefficients().size() - 1, 6u); // degree
   EXPECT_GT(Curve.RSquared, 0.90);
   // The curve should reproduce the sweep samples closely.
   for (const PowerSamplePoint &Point : Samples)
@@ -163,7 +163,7 @@ TEST(Characterizer, CoarseSweepLowersFitOrder) {
   Config.AlphaStep = 0.25; // 5 samples: degree must drop to 4.
   Characterizer Probe(Spec, Config);
   PowerCurve Curve = Probe.characterizeCategory(WorkloadClass::fromIndex(0));
-  EXPECT_LE(Curve.Poly.degree(), 4u);
+  EXPECT_LE(Curve.Poly.coefficients().size() - 1, 4u); // degree
 }
 
 TEST(Characterizer, DeterministicAcrossRuns) {

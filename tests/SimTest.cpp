@@ -56,8 +56,14 @@ TEST(EnergyMeter, WraparoundHandledBySamplingProtocol) {
 }
 
 TEST(EnergyMeter, CounterPeriodIsOneFullCounterTrip) {
+  // One period is 2^32 energy units: a deposit of exactly one period
+  // brings the 32-bit MSR back to where it was.
   EnergyMeter Meter(61e-6); // Desktop RAPL unit.
-  EXPECT_DOUBLE_EQ(Meter.counterPeriodJoules(), 4294967296.0 * 61e-6);
+  Meter.deposit(0.5);
+  uint32_t Sample = Meter.readMsr();
+  Meter.deposit(4294967296.0 * 61e-6, 4294967296.0);
+  EXPECT_EQ(Meter.readMsr(), Sample);
+  EXPECT_DOUBLE_EQ(Meter.joulesSince(Sample), 0.0);
 }
 
 TEST(EnergyMeter, TwoWrapIntervalAliasesByWholePeriods) {
@@ -65,13 +71,14 @@ TEST(EnergyMeter, TwoWrapIntervalAliasesByWholePeriods) {
   // k >= 2 wraps under-reports by exactly k counter periods, and the
   // reader has no way to detect the loss.
   EnergyMeter Meter(1.0);
+  const double PeriodJoules = 4294967296.0 * Meter.energyUnitJoules();
   uint32_t Sample = Meter.readMsr();
-  double TwoWrapsAndChange = 2.0 * Meter.counterPeriodJoules() + 10.0;
+  double TwoWrapsAndChange = 2.0 * PeriodJoules + 10.0;
   Meter.deposit(TwoWrapsAndChange);
   EXPECT_DOUBLE_EQ(Meter.totalJoules(), TwoWrapsAndChange);
   EXPECT_NEAR(Meter.joulesSince(Sample), 10.0, 1.0);
   EXPECT_NEAR(TwoWrapsAndChange - Meter.joulesSince(Sample),
-              2.0 * Meter.counterPeriodJoules(), 1.0);
+              2.0 * PeriodJoules, 1.0);
 }
 
 TEST(EnergyMeter, InjectedJumpSkewsMsrNotGroundTruth) {
@@ -547,7 +554,8 @@ TEST(SimProcessor, RaplWrapJumpAliasesMeasurementNotTruth) {
   // case the EnergyMeter contract documents.
   double Skew = Faulted.meter().joulesSince(FaultedBefore) -
                 Clean.meter().joulesSince(CleanBefore);
-  EXPECT_NEAR(Skew, 0.25 * Faulted.meter().counterPeriodJoules(), 1e-6);
+  double PeriodJoules = 4294967296.0 * Faulted.meter().energyUnitJoules();
+  EXPECT_NEAR(Skew, 0.25 * PeriodJoules, 1e-6);
   EXPECT_DOUBLE_EQ(Faulted.meter().totalJoules(),
                    Clean.meter().totalJoules());
   EXPECT_EQ(Faulted.faults()->stats().RaplCounterJumps, 1u);

@@ -10,16 +10,22 @@
 /// and its coarse per-state characterization, a fault-injected desktop
 /// spec, a named kernel with a stable id, a device advance that drops
 /// its slice record, and the stepped profiling repetition that replayed
-/// ones are checked against.
+/// ones are checked against. Also the queries only tests make of
+/// library types, written over their public API: table-G, trace and
+/// metrics lookups.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ECAS_TESTS_TESTSUPPORT_H
 #define ECAS_TESTS_TESTSUPPORT_H
 
+#include "ecas/core/KernelHistory.h"
 #include "ecas/device/KernelDesc.h"
 #include "ecas/fault/FaultPlan.h"
 #include "ecas/hw/Presets.h"
+#include "ecas/obs/ChromeTrace.h"
+#include "ecas/obs/Metrics.h"
+#include "ecas/obs/Trace.h"
 #include "ecas/power/Characterizer.h"
 #include "ecas/power/PowerCurve.h"
 #include "ecas/profile/OnlineProfiler.h"
@@ -28,6 +34,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 namespace ecas {
@@ -127,6 +134,63 @@ inline ProfileSample steppedRepetition(SimProcessor &Proc,
   Nrem -= Sample.GpuIterations + Sample.CpuIterations;
   Nrem = std::max(Nrem, 0.0);
   return Sample;
+}
+
+/// Table G's record for \p KernelId, or nullopt when never seen.
+inline std::optional<KernelRecord> findRecord(const KernelHistory &History,
+                                              uint64_t KernelId) {
+  KernelRecord Rec;
+  if (!History.lookup(KernelId, Rec))
+    return std::nullopt;
+  return Rec;
+}
+
+/// Number of events in \p Log named \p Name (any kind).
+inline size_t countNamed(const obs::TraceLog &Log, const std::string &Name) {
+  return std::count_if(
+      Log.Events.begin(), Log.Events.end(),
+      [&](const obs::TraceEvent &E) { return Name == E.Name; });
+}
+
+/// The total of counter \p Name in \p Log, or 0 when it never fired.
+inline double counterTotal(const obs::TraceLog &Log, const std::string &Name) {
+  for (const obs::CounterTotal &C : Log.Counters)
+    if (C.Name == Name)
+      return C.Total;
+  return 0.0;
+}
+
+/// Number of events in \p Trace with phase \p Phase ("B", "X", ...).
+inline size_t countPhase(const obs::ChromeTraceData &Trace,
+                         const std::string &Phase) {
+  return std::count_if(
+      Trace.Events.begin(), Trace.Events.end(),
+      [&](const obs::ChromeTraceEvent &E) { return E.Phase == Phase; });
+}
+
+/// True when an event of \p Trace other than metadata is named \p Name.
+inline bool hasEventNamed(const obs::ChromeTraceData &Trace,
+                          const std::string &Name) {
+  return std::any_of(Trace.Events.begin(), Trace.Events.end(),
+                     [&](const obs::ChromeTraceEvent &E) {
+                       return E.Phase != "M" && E.Name == Name;
+                     });
+}
+
+/// The sample of \p Snap with \p Name and exactly \p Labels, or nullptr.
+inline const obs::MetricSample *findSample(const obs::MetricsSnapshot &Snap,
+                                           const std::string &Name,
+                                           const obs::MetricLabels &Labels) {
+  for (const obs::MetricSample &S : Snap.Samples)
+    if (S.Name == Name && S.Labels == Labels)
+      return &S;
+  return nullptr;
+}
+
+/// Instruments registered in \p Registry (a snapshot has one sample per
+/// instrument).
+inline size_t instrumentCount(const obs::MetricsRegistry &Registry) {
+  return Registry.snapshot().Samples.size();
 }
 
 } // namespace ecas

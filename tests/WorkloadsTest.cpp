@@ -230,12 +230,6 @@ TEST(Mandelbrot, KnownInteriorAndExterior) {
   EXPECT_LT(Raster.front(), 5);
 }
 
-TEST(Mandelbrot, ChecksumScalesWithResolution) {
-  uint64_t Small = mandelbrotChecksum(32, 32, 64);
-  uint64_t Large = mandelbrotChecksum(64, 64, 64);
-  EXPECT_GT(Large, Small * 3); // ~4x pixels.
-}
-
 TEST(Registry, DesktopSuiteMatchesTable1) {
   std::vector<Workload> Suite = desktopSuite(tinyConfig());
   ASSERT_EQ(Suite.size(), 12u);
