@@ -432,11 +432,6 @@ double EasScheduler::memBoundFraction(double MissPerLoadStore) const {
   return std::min(MissPerLoadStore / Threshold, 1.0);
 }
 
-bool EasScheduler::stopRequested(double NowSec,
-                                 const CancellationToken *Cancel) const {
-  return DrainToken.cancelled() || (Cancel && Cancel->shouldStop(NowSec));
-}
-
 void EasScheduler::endInvocation() {
   if (InFlight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     // Take the lifecycle mutex so a shutdown() thread between its
@@ -776,7 +771,7 @@ EasScheduler::executeAdmitted(SimProcessor &Proc, const KernelDesc &Kernel,
       // the last.
       if (unsigned Batch = Profiler.profileReplayed(
               Kernel, Nrem, ProfileFloor, Local, Fresh,
-              [&] { return stopRequested(Proc.now(), Cancel); })) {
+              [&](double NowSec) { return stopRequested(NowSec, Cancel); })) {
         Outcome.ProfileRepetitions += Batch;
         Monitor.noteGpuSuccess(Proc.now());
         if (Local.CpuThroughput <= 0.0 && Local.GpuThroughput <= 0.0)

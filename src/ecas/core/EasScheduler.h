@@ -383,7 +383,11 @@ private:
   /// memory-intensity threshold.
   ECAS_HOT double memBoundFraction(double MissPerLoadStore) const;
   /// True when the caller's token or the shutdown drain token fired.
-  bool stopRequested(double NowSec, const CancellationToken *Cancel) const;
+  /// Inline: a batch of profiling repetitions asks it once per
+  /// repetition, and a call would spill the batch's registers.
+  bool stopRequested(double NowSec, const CancellationToken *Cancel) const {
+    return DrainToken.cancelled() || (Cancel && Cancel->shouldStop(NowSec));
+  }
   void endInvocation();
   /// Pre-registers every instrument when Config.Metrics is set, so the
   /// execute() fast path never touches the registry mutex.

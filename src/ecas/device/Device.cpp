@@ -125,32 +125,11 @@ double SimDevice::timeToHeadDrain(double FreqGHz,
   return drainSeconds(Item.IterationsLeft, EffRate);
 }
 
-void SimDevice::chargeIterations(const KernelCost &Kernel, double Iterations) {
-  Counters.IterationsDone += Iterations;
-  Counters.InstructionsRetired += Iterations * Kernel.InstrsPerIter;
-  Counters.LoadStores += Iterations * Kernel.LoadStoresPerIter;
-  Counters.LlcMisses +=
-      Iterations * Kernel.LoadStoresPerIter * Kernel.LlcMissRatio;
-  Counters.BytesTransferred += Iterations * Kernel.BytesPerIter;
-}
-
 void SimDevice::closeSlice(double ExecSeconds, double Activity,
                            double TrafficGBs) {
   Counters.BusySeconds += ExecSeconds;
   LastActivity = Activity;
   LastTrafficGBs = TrafficGBs;
-}
-
-void SimDevice::replaySlice(const KernelCost &Kernel, double Dt,
-                            const DeviceSlice &Slice) {
-  // advance() ran one phase for all of Dt: a setup phase adds Dt to the
-  // setup counter and 0.0 busy seconds; an execution phase charges its
-  // iterations and adds 0.0 + Dt busy seconds, which is Dt.
-  if (Slice.Setup)
-    Counters.SetupSeconds += Dt;
-  else
-    chargeIterations(Kernel, Slice.Iterations);
-  closeSlice(Slice.Setup ? 0.0 : Dt, Slice.Activity, Slice.TrafficGBs);
 }
 
 bool SimDevice::canRepeat(double Dt, const DeviceSlice &Slice) const {
@@ -178,15 +157,17 @@ uint64_t SimDevice::certainRepeats(const DeviceSlice &Slice) const {
 
 void SimDevice::repeatSlice(double Dt, const DeviceSlice &Slice) {
   // An idle slice adds 0.0 busy seconds; an execution slice retires the
-  // same iterations from the head item as advance() did, which
-  // replaySlice() then charges.
+  // same iterations from the head item as advance() did and charges them
+  // as it did. advance() added 0.0 + Dt busy seconds, which is Dt.
   if (Slice.Phases == 0) {
     closeSlice(0.0, Slice.Activity, Slice.TrafficGBs);
     return;
   }
   WorkItem &Item = head();
   Item.IterationsLeft -= Slice.Iterations;
-  replaySlice(Item.Kernel, Dt, Slice);
+  Counters += sliceCharge(Item.Kernel, Dt, Slice);
+  LastActivity = Slice.Activity;
+  LastTrafficGBs = Slice.TrafficGBs;
 }
 
 double SimDevice::advance(double Dt, double FreqGHz, double BandwidthShareGBs,
@@ -223,7 +204,7 @@ double SimDevice::advance(double Dt, double FreqGHz, double BandwidthShareGBs,
     double Iterations = EffRate * Step;
 
     Item.IterationsLeft -= Iterations;
-    chargeIterations(Item.Kernel, Iterations);
+    Counters += iterationCharge(Item.Kernel, Iterations);
     Bytes += Iterations * Item.Kernel.BytesPerIter;
 
     double Activity = Power.ComputeActivity * (1.0 - StallFraction) +

@@ -41,6 +41,18 @@ struct PerfCounters {
   double SetupSeconds = 0.0;
 
   PerfCounters operator-(const PerfCounters &Rhs) const;
+  /// Adds every counter of \p Rhs: how a device charges the additions
+  /// of a slice (SimDevice::iterationCharge(), SimDevice::sliceCharge()).
+  PerfCounters &operator+=(const PerfCounters &Rhs) {
+    InstructionsRetired += Rhs.InstructionsRetired;
+    LoadStores += Rhs.LoadStores;
+    LlcMisses += Rhs.LlcMisses;
+    IterationsDone += Rhs.IterationsDone;
+    BytesTransferred += Rhs.BytesTransferred;
+    BusySeconds += Rhs.BusySeconds;
+    SetupSeconds += Rhs.SetupSeconds;
+    return *this;
+  }
   /// Misses / load-stores; 0 when no memory ops were counted.
   double missPerLoadStore() const;
 };
@@ -60,7 +72,7 @@ struct RatePoint {
 /// When the slice ran a single phase of one work item (its launch setup
 /// or its execution) for the whole slice, this is everything needed to
 /// charge that slice again without the rate model: SimProcessor's
-/// profiling-repetition replay does, through replaySlice(), and so does
+/// profiling-repetition replay does, through sliceCharge(), and so does
 /// its fast-forward of steady slices, through repeatSlice().
 struct DeviceSlice {
   /// Phases advance() ran: 0 when idle, more than 1 when an item
@@ -146,12 +158,33 @@ public:
   double advance(double Dt, double FreqGHz, double BandwidthShareGBs,
                  DeviceSlice &Record);
 
-  /// Charges \p Slice, recorded by advance() over a slice of \p Dt
-  /// seconds that ran one phase of an item of \p Kernel, to the counters
-  /// and lastActivity()/lastTrafficGBs(), with the same additions
-  /// advance() made. The queue is not touched.
-  void replaySlice(const KernelCost &Kernel, double Dt,
-                   const DeviceSlice &Slice);
+  /// The counter additions advance() made for \p Slice, recorded over a
+  /// slice of \p Dt seconds that ran one phase of an item of \p Kernel
+  /// for all of it: \p Dt setup seconds for a launch setup phase, or the
+  /// iterations' charge and \p Dt busy seconds for an execution phase.
+  /// Adding it leaves the bits advance() left, as adding +0.0 to a
+  /// counter (never -0.0) changes nothing.
+  static PerfCounters sliceCharge(const KernelCost &Kernel, double Dt,
+                                  const DeviceSlice &Slice) {
+    PerfCounters Charge;
+    if (Slice.Setup) {
+      Charge.SetupSeconds = Dt;
+    } else {
+      Charge = iterationCharge(Kernel, Slice.Iterations);
+      Charge.BusySeconds = Dt;
+    }
+    return Charge;
+  }
+
+  /// Stores what a batch of replayed slices charged on a copy of
+  /// counters(): \p Charged becomes the counters, and \p Last, the
+  /// batch's last slice, sets lastActivity() and lastTrafficGBs(). The
+  /// queue is not touched.
+  void storeReplayed(const PerfCounters &Charged, const DeviceSlice &Last) {
+    Counters = Charged;
+    LastActivity = Last.Activity;
+    LastTrafficGBs = Last.TrafficGBs;
+  }
 
   /// True when advance() over the next \p Dt seconds, at the operating
   /// point of the slice of \p Dt seconds it just recorded as \p Slice,
@@ -232,8 +265,19 @@ private:
   /// rateModel for \p Item at \p FreqGHz, through the item's cache.
   RatePoint itemRate(const WorkItem &Item, double FreqGHz) const;
 
-  /// The counter additions for \p Iterations of \p Kernel retired.
-  void chargeIterations(const KernelCost &Kernel, double Iterations);
+  /// The counter additions of \p Iterations of \p Kernel retired: the
+  /// products advance() charges, with no busy or setup seconds.
+  static PerfCounters iterationCharge(const KernelCost &Kernel,
+                                      double Iterations) {
+    PerfCounters Charge;
+    Charge.IterationsDone = Iterations;
+    Charge.InstructionsRetired = Iterations * Kernel.InstrsPerIter;
+    Charge.LoadStores = Iterations * Kernel.LoadStoresPerIter;
+    Charge.LlcMisses =
+        Iterations * Kernel.LoadStoresPerIter * Kernel.LlcMissRatio;
+    Charge.BytesTransferred = Iterations * Kernel.BytesPerIter;
+    return Charge;
+  }
 
   /// Closes a slice: adds \p ExecSeconds of kernel execution to the busy
   /// counter and sets lastActivity()/lastTrafficGBs().

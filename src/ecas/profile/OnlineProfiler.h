@@ -168,27 +168,31 @@ public:
   /// repetition's span), a full GpuProfileSize chunk left, and
   /// SimProcessor::canReplay(). Then, per repetition, while
   /// \p RemainingIters is above \p Floor and a full chunk is left:
-  /// - SimProcessor::checkReplay() (the epoch, the CPU share's drain and
-  ///   rate) must hold, or the batch ends before the repetition;
-  /// - \p Fn(), the caller's stop check, must be false, or the batch
-  ///   ends there too. It is asked once for each repetition the batch
-  ///   runs, and not for one the batch leaves to the caller;
+  /// - SimProcessor::ReplayBatch::checkRepetition() (the epoch, the CPU
+  ///   share's drain and rate) must hold, or the batch ends before the
+  ///   repetition;
+  /// - \p Fn(NowSec), the caller's stop check, must be false, or the
+  ///   batch ends there too. NowSec is the batch's virtual time, which
+  ///   the processor's now() shows only after the batch. It is asked once
+  ///   for each repetition the batch runs, and not for one the batch
+  ///   leaves to the caller;
   /// - the repetition is charged, its counter deltas make the sample,
   ///   RemainingIters goes down as profileOnce() takes it down, and the
   ///   rep histogram records the elapsed time;
-  /// - the sample is added to \p Into, then to \p AlsoInto
-  ///   (ProfileSample::addSums()). The batch ends after a repetition
-  ///   that might leave \p Into without a positive GPU throughput, so a
-  ///   caller that stops on a sample with none checks \p Into after the
-  ///   batch.
-  /// Both samples' throughputs are computed once, from the final sums.
-  /// \returns the repetitions run. The next one, if any, goes through
-  /// profileOnce().
+  /// - the sample is added to \p Into, then to \p AlsoInto, two distinct
+  ///   samples (ProfileSample::addSums()). The batch ends after a
+  ///   repetition that might leave \p Into without a positive GPU
+  ///   throughput, so a caller that stops on a sample with none checks
+  ///   \p Into after the batch.
+  /// The simulator's state, the pool and both samples stay in locals and
+  /// are stored back once, after the batch; both samples' throughputs
+  /// are computed then, from the final sums. \returns the repetitions
+  /// run. The next one, if any, goes through profileOnce().
   template <typename FnT>
-  ECAS_HOT unsigned profileReplayed(const KernelDesc &Kernel,
-                                    double &RemainingIters, double Floor,
-                                    ProfileSample &Into,
-                                    ProfileSample &AlsoInto, const FnT &Fn);
+  ECAS_HOT ECAS_NOINLINE unsigned
+  profileReplayed(const KernelDesc &Kernel, double &RemainingIters,
+                  double Floor, ProfileSample &Into, ProfileSample &AlsoInto,
+                  const FnT &Fn);
 
   /// Classifies from a (possibly accumulated) sample: single-device
   /// completion estimates for the remaining iterations are derived from
@@ -206,7 +210,7 @@ private:
 };
 
 template <typename FnT>
-ECAS_HOT unsigned
+ECAS_HOT ECAS_NOINLINE unsigned
 OnlineProfiler::profileReplayed(const KernelDesc &Kernel,
                                 double &RemainingIters, double Floor,
                                 ProfileSample &Into, ProfileSample &AlsoInto,
@@ -214,47 +218,54 @@ OnlineProfiler::profileReplayed(const KernelDesc &Kernel,
   if (Trace || !(RemainingIters > Floor && RemainingIters >= GpuProfileSize) ||
       !Proc.canReplay(Plan, Kernel, GpuProfileSize))
     return 0;
-  const PerfCounters &Cpu = Proc.cpu().counters();
-  const PerfCounters &Gpu = Proc.gpu().counters();
+  SimProcessor::ReplayBatch Sim(Proc, Plan);
+  double Remaining = RemainingIters;
+  ProfileSample Local = Into;
+  ProfileSample Also = AlsoInto;
   unsigned Repetitions = 0;
-  while (RemainingIters > Floor && RemainingIters >= GpuProfileSize) {
-    double CpuShare = RemainingIters - GpuProfileSize;
-    std::optional<double> Unprocessed = Proc.checkReplay(Plan, CpuShare);
-    if (!Unprocessed || Fn())
+  while (Remaining > Floor && Remaining >= GpuProfileSize) {
+    double CpuShare = Remaining - GpuProfileSize;
+    std::optional<double> Unprocessed = Sim.checkRepetition(CpuShare);
+    if (!Unprocessed || Fn(Sim.now()))
       break;
-    double Start = Proc.now();
+    double Start = Sim.now();
+    const PerfCounters &Cpu = Sim.cpuCounters();
     double CpuBusyBefore = Cpu.BusySeconds;
-    double GpuBusyBefore = Gpu.BusySeconds;
+    double GpuBusyBefore = Sim.gpuCounters().BusySeconds;
     double LoadStoresBefore = Cpu.LoadStores;
     double MissesBefore = Cpu.LlcMisses;
     double InstructionsBefore = Cpu.InstructionsRetired;
-    Proc.replay(Plan);
+    Sim.chargeRepetition();
     // profileOnce()'s sample, field for field, without the throughputs.
     ProfileSample Sample;
     Sample.GpuIterations = GpuProfileSize;
     Sample.CpuIterations = CpuShare - *Unprocessed;
-    Sample.ElapsedSeconds = Proc.now() - Start;
+    Sample.ElapsedSeconds = Sim.now() - Start;
     Sample.CpuBusySeconds = Cpu.BusySeconds - CpuBusyBefore;
-    Sample.GpuBusySeconds = Gpu.BusySeconds - GpuBusyBefore;
+    Sample.GpuBusySeconds = Sim.gpuCounters().BusySeconds - GpuBusyBefore;
     double LoadStores = Cpu.LoadStores - LoadStoresBefore;
     Sample.MissPerLoadStore =
         LoadStores > 0.0 ? (Cpu.LlcMisses - MissesBefore) / LoadStores : 0.0;
     Sample.InstructionsRetired = Cpu.InstructionsRetired - InstructionsBefore;
-    RemainingIters -= Sample.GpuIterations + Sample.CpuIterations;
-    RemainingIters = std::max(RemainingIters, 0.0);
+    Remaining -= Sample.GpuIterations + Sample.CpuIterations;
+    Remaining = std::max(Remaining, 0.0);
     if (RepSeconds && Sample.ElapsedSeconds > 0.0)
       // A lock-free bucket increment (obs/Metrics.cpp).
       // ecas-hotpath: allow(extern-call)
       RepSeconds->record(Sample.ElapsedSeconds);
-    Into.addSums(Sample);
-    AlsoInto.addSums(Sample);
+    Local.addSums(Sample);
+    Also.addSums(Sample);
     ++Repetitions;
-    if (!Into.gpuThroughputPositive())
+    if (!Local.gpuThroughputPositive())
       break;
   }
+  Sim.writeBack();
   if (Repetitions != 0) {
-    Into.updateThroughputs();
-    AlsoInto.updateThroughputs();
+    RemainingIters = Remaining;
+    Local.updateThroughputs();
+    Also.updateThroughputs();
+    Into = Local;
+    AlsoInto = Also;
   }
   return Repetitions;
 }

@@ -19,7 +19,6 @@
 #include "ecas/obs/Metrics.h"
 #include "ecas/support/Assert.h"
 
-#include <cmath>
 #include <cstdint>
 
 namespace ecas {
@@ -46,17 +45,30 @@ public:
   /// deposit() given \p Units == Joules / energyUnitJoules(), already
   /// computed by the caller. The simulator deposits a few distinct
   /// amounts over and over and computes each quotient once; inline, as
-  /// every simulated slice makes three deposits.
+  /// every simulated slice makes three deposits. A batch of replayed
+  /// slices deposits into a copy of the meter and stores it back once.
   void deposit(double Joules, double Units) {
     ECAS_CHECK(Joules >= 0.0, "energy deposits cannot be negative");
     Total += Joules;
     Fraction += Units;
-    double Whole = std::floor(Fraction);
-    Fraction -= Whole;
     // Wraparound is the defined MSR behaviour; uint32_t addition provides
     // it.
-    Counter += static_cast<uint32_t>(static_cast<uint64_t>(Whole) &
-                                     0xffffffffULL);
+    Counter += takeWholeUnits(Fraction);
+  }
+
+  /// Takes the whole units out of \p Units, leaving the sub-unit rest
+  /// there, and \returns them modulo 2^32. \p Units must be finite,
+  /// non-negative and below 2^63; a deposit's running fraction is, unless
+  /// one deposit brings 2^63 units or more. There truncation toward zero
+  /// is floor, so the rest is Units - floor(Units) bit for bit, and the
+  /// conversion to int64_t is exact. The carried chain is add, convert,
+  /// subtract, with no call to a rounding function.
+  static uint32_t takeWholeUnits(double &Units) {
+    ECAS_CHECK(Units >= 0.0 && Units < 0x1p63,
+               "energy units must be finite, non-negative and below 2^63");
+    int64_t Whole = static_cast<int64_t>(Units);
+    Units -= static_cast<double>(Whole);
+    return static_cast<uint32_t>(Whole);
   }
 
   /// Reads the emulated MSR_PKG_ENERGY_STATUS value.

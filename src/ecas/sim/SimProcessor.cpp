@@ -83,7 +83,7 @@ double SimProcessor::step(double MaxDt) {
   bool CpuBusyNow = Cpu.busy();
   bool GpuBusyNow = Gpu.busy();
   bool Governed = true;
-  if (epochDueAt(Now)) {
+  if (epochDueAt(NextEpoch, Now)) {
     PcuObservation Obs;
     Obs.CpuActive = CpuBusyNow;
     Obs.GpuActive = GpuBusyNow;
@@ -192,8 +192,10 @@ template <typename T> static bool sameBits(const T &A, const T &B) {
 double SimProcessor::runRepetition(const KernelCost &Kernel, double GpuChunk,
                                    double CpuShare, RepetitionPlan &Plan) {
   if (canReplay(Plan, Kernel, GpuChunk)) {
-    if (std::optional<double> Unprocessed = checkReplay(Plan, CpuShare)) {
-      replay(Plan);
+    ReplayBatch Batch(*this, Plan);
+    if (std::optional<double> Unprocessed = Batch.checkRepetition(CpuShare)) {
+      Batch.chargeRepetition();
+      Batch.writeBack();
       return *Unprocessed;
     }
   }
@@ -221,6 +223,11 @@ double SimProcessor::runRepetition(const KernelCost &Kernel, double GpuChunk,
     double Threads = Cpu.effectiveThreads();
     Plan.MinCpuShare = std::min(CpuShare, Threads);
     Plan.MaxCpuShare = CpuShare >= Threads ? HUGE_VAL : CpuShare;
+    for (unsigned I = 0; I != Plan.NumSlices; ++I) {
+      const SliceRecord &Slice = Plan.Slices[I];
+      Plan.CpuCharges[I] = SimDevice::sliceCharge(Kernel, Slice.Dt, Slice.Cpu);
+      Plan.GpuCharges[I] = SimDevice::sliceCharge(Kernel, Slice.Dt, Slice.Gpu);
+    }
   }
   return Cpu.cancelRemaining();
 }
@@ -254,43 +261,6 @@ bool SimProcessor::canReplay(const RepetitionPlan &Plan,
     return false;
   auto [CpuFreq, GpuFreq] = effectiveClocks();
   return sameBits(CpuFreq, Plan.CpuFreq) && sameBits(GpuFreq, Plan.GpuFreq);
-}
-
-std::optional<double> SimProcessor::checkReplay(const RepetitionPlan &Plan,
-                                                double CpuShare) const {
-  // The CPU share runs at the plan's rate (a share below the CPU's
-  // thread count runs slower; a zero share at none, which no plan
-  // holds)...
-  if (!(CpuShare >= Plan.MinCpuShare && CpuShare <= Plan.MaxCpuShare))
-    return std::nullopt;
-  // ...no slice meets the events the plan never saw: no governor epoch
-  // falls due at its start or ends it early, and the CPU item neither
-  // ends it nor drains in it...
-  double T = Now;
-  double Left = CpuShare;
-  for (unsigned I = 0; I != Plan.NumSlices; ++I) {
-    const SliceRecord &Slice = Plan.Slices[I];
-    if (!epochClearOf(T, Slice.Dt) ||
-        !SimDevice::runsUndrained(Left, Slice.Dt, Slice.Cpu))
-      return std::nullopt;
-    Left -= Slice.Cpu.Iterations;
-    T += Slice.Dt;
-  }
-  // ...and the repetition takes time: the profiler ends on one that
-  // does not, after stepping it.
-  if (!(T > Now))
-    return std::nullopt;
-  return Left;
-}
-
-void SimProcessor::replay(const RepetitionPlan &Plan) {
-  for (unsigned I = 0; I != Plan.NumSlices; ++I) {
-    const SliceRecord &Slice = Plan.Slices[I];
-    Cpu.replaySlice(Plan.Kernel, Slice.Dt, Slice.Cpu);
-    Gpu.replaySlice(Plan.Kernel, Slice.Dt, Slice.Gpu);
-    depositAndAdvance(Slice.Dt, Slice.Deposit);
-  }
-  ++Replayed;
 }
 
 uint64_t SimProcessor::repeatsWithin(double Span) {
@@ -329,7 +299,7 @@ void SimProcessor::repeatSlices(double Start, double DeadlineSec) {
     depositAndAdvance(MaxSliceSec, Last.Deposit);
   }
   while (DeadlineSec - (Now - Start) >= MaxSliceSec &&
-         epochClearOf(Now, MaxSliceSec) &&
+         epochClearOf(NextEpoch, Now, MaxSliceSec) &&
          Cpu.canRepeat(MaxSliceSec, Last.Cpu) &&
          Gpu.canRepeat(MaxSliceSec, Last.Gpu)) {
     Cpu.repeatSlice(MaxSliceSec, Last.Cpu);

@@ -25,6 +25,7 @@
 #include "ecas/sim/Pcu.h"
 #include "ecas/sim/PowerModel.h"
 #include "ecas/sim/PowerTrace.h"
+#include "ecas/support/HotPath.h"
 
 #include <cstdint>
 #include <memory>
@@ -58,10 +59,10 @@ class SimProcessor {
 public:
   /// The slices of the last stepped profiling repetition, kept by
   /// runRepetition() so that later repetitions can charge the same
-  /// slices again instead of stepping through them: one at a time
-  /// through runRepetition(), or in a batch that checks canReplay() once
-  /// and then checkReplay() and replay() per repetition. Fixed size and
-  /// inline: keeping or replaying a plan never allocates.
+  /// slices again instead of stepping through them, in a ReplayBatch:
+  /// one at a time through runRepetition(), or many in a batch that
+  /// checks canReplay() once. Fixed size and inline: keeping or replaying
+  /// a plan never allocates.
   class RepetitionPlan {
   public:
     /// A repetition that takes more slices than this keeps no plan.
@@ -81,6 +82,110 @@ public:
     /// 0: no plan.
     unsigned NumSlices = 0;
     SliceRecord Slices[MaxSlices];
+    /// Each slice's counter additions per device (SimDevice::sliceCharge),
+    /// computed once, when the plan is recorded.
+    PerfCounters CpuCharges[MaxSlices];
+    PerfCounters GpuCharges[MaxSlices];
+  };
+
+  /// Repetitions charged from one plan on copies of the state they
+  /// change: now(), both devices' counters and the three meters live in
+  /// the batch, in registers where the compiler can keep them, until
+  /// writeBack() stores them once. Nothing may use the processor in
+  /// between. canReplay() must hold for the plan when the batch starts;
+  /// it still holds after writeBack().
+  class ReplayBatch {
+  public:
+    ReplayBatch(SimProcessor &Proc, const RepetitionPlan &Plan)
+        : Proc(Proc), Plan(Plan), NextEpoch(Proc.NextEpoch), Now(Proc.Now),
+          Cpu(Proc.Cpu.counters()), Gpu(Proc.Gpu.counters()),
+          Pkg(Proc.Meter), Pp0(Proc.Pp0Meter), Pp1(Proc.Pp1Meter) {}
+
+    /// now() after the repetitions charged so far.
+    double now() const { return Now; }
+    /// Each device's counters() after the repetitions charged so far.
+    const PerfCounters &cpuCounters() const { return Cpu; }
+    const PerfCounters &gpuCounters() const { return Gpu; }
+
+    /// The replay guard's other half, checked per repetition: when a
+    /// repetition with \p CpuShare starting at now() runs at the plan's
+    /// CPU rate, meets no governor epoch and no CPU drain in any slice,
+    /// and moves now() on, \returns the CPU iterations it leaves for the
+    /// profiler to cancel; otherwise nothing.
+    ECAS_HOT ECAS_ALWAYS_INLINE std::optional<double>
+    checkRepetition(double CpuShare) const {
+      // The CPU share runs at the plan's rate (a share below the CPU's
+      // thread count runs slower; a zero share at none, which no plan
+      // holds)...
+      if (!(CpuShare >= Plan.MinCpuShare && CpuShare <= Plan.MaxCpuShare))
+        return std::nullopt;
+      // ...no slice meets the events the plan never saw: no governor
+      // epoch falls due at its start or ends it early, and the CPU item
+      // neither ends it nor drains in it...
+      double T = Now;
+      double Left = CpuShare;
+      for (unsigned I = 0; I != Plan.NumSlices; ++I) {
+        const SliceRecord &Slice = Plan.Slices[I];
+        if (!epochClearOf(NextEpoch, T, Slice.Dt) ||
+            !SimDevice::runsUndrained(Left, Slice.Dt, Slice.Cpu))
+          return std::nullopt;
+        Left -= Slice.Cpu.Iterations;
+        T += Slice.Dt;
+      }
+      // ...and the repetition takes time: the profiler ends on one that
+      // does not, after stepping it.
+      if (!(T > Now))
+        return std::nullopt;
+      return Left;
+    }
+
+    /// Charges the plan's slices with the same additions to the
+    /// counters, meters and now() that stepping the repetition makes.
+    /// checkRepetition() must have just held.
+    ECAS_HOT ECAS_ALWAYS_INLINE void chargeRepetition() {
+      for (unsigned I = 0; I != Plan.NumSlices; ++I) {
+        const SliceDeposit &Deposit = Plan.Slices[I].Deposit;
+        Cpu += Plan.CpuCharges[I];
+        Gpu += Plan.GpuCharges[I];
+        Pkg.deposit(Deposit.PkgJoules, Deposit.PkgUnits);
+        Pp0.deposit(Deposit.Pp0Joules, Deposit.Pp0Units);
+        Pp1.deposit(Deposit.Pp1Joules, Deposit.Pp1Units);
+        Now += Plan.Slices[I].Dt;
+      }
+      ++Charged;
+    }
+
+    /// Stores the batch into the processor, when it charged anything:
+    /// the counters, the meters and now(), each device's lastActivity()
+    /// and lastTrafficGBs() and the traffic the governor reads next, all
+    /// three as the plan's last slice left them, and
+    /// repetitionsReplayed() += the repetitions charged.
+    void writeBack() {
+      if (Charged == 0)
+        return;
+      const SliceRecord &Last = Plan.Slices[Plan.NumSlices - 1];
+      Proc.Cpu.storeReplayed(Cpu, Last.Cpu);
+      Proc.Gpu.storeReplayed(Gpu, Last.Gpu);
+      Proc.Meter = Pkg;
+      Proc.Pp0Meter = Pp0;
+      Proc.Pp1Meter = Pp1;
+      Proc.LastTrafficGBs = Last.Deposit.TrafficGBs;
+      Proc.Now = Now;
+      Proc.Replayed += Charged;
+      Charged = 0;
+    }
+
+  private:
+    SimProcessor &Proc;
+    const RepetitionPlan &Plan;
+    double NextEpoch;
+    double Now;
+    PerfCounters Cpu;
+    PerfCounters Gpu;
+    EnergyMeter Pkg;
+    EnergyMeter Pp0;
+    EnergyMeter Pp1;
+    uint64_t Charged = 0;
   };
 
   explicit SimProcessor(const PlatformSpec &Spec);
@@ -133,13 +238,15 @@ public:
   /// the CPU, runs until the GPU is idle, and cancels the CPU's rest.
   /// \returns the CPU iterations cancelled. When \p Plan holds the
   /// slices of an earlier repetition and this one would take the same
-  /// slices, they are charged again from the plan with the same
-  /// additions to the counters, meters and now() that stepping makes;
-  /// otherwise the repetition is stepped and its slices become the plan.
+  /// slices, they are charged again from the plan, in a ReplayBatch of
+  /// one, with the same additions to the counters, meters and now() that
+  /// stepping makes; otherwise the repetition is stepped and its slices
+  /// become the plan.
   double runRepetition(const KernelCost &Kernel, double GpuChunk,
                        double CpuShare, RepetitionPlan &Plan);
 
-  /// The half of the replay guard that no replay can change: true when
+  /// The half of the replay guard that no replay can change (the other
+  /// is ReplayBatch::checkRepetition()): true when
   /// \p Plan holds slices that a repetition of \p Kernel with \p GpuChunk
   /// would take from the state the processor is in, up to its CPU share
   /// and the time it starts at. That needs no fault injector or power
@@ -148,20 +255,6 @@ public:
   /// and the plan's clocks after caps and hints.
   bool canReplay(const RepetitionPlan &Plan, const KernelCost &Kernel,
                  double GpuChunk) const;
-
-  /// The other half, checked per repetition: when a repetition with
-  /// \p CpuShare starting now runs at the plan's CPU rate, meets no
-  /// governor epoch and no CPU drain in any slice, and moves now() on,
-  /// \returns the CPU iterations it leaves for the profiler to cancel;
-  /// otherwise nothing. canReplay() must hold for the plan's kernel and
-  /// chunk, and nothing may have stepped since it was checked.
-  std::optional<double> checkReplay(const RepetitionPlan &Plan,
-                                    double CpuShare) const;
-
-  /// Charges \p Plan's slices with the same additions to the counters,
-  /// meters and now() that stepping the repetition makes. checkReplay()
-  /// must have just held; canReplay() still holds afterwards.
-  void replay(const RepetitionPlan &Plan);
 
   /// Repetitions charged from a plan instead of stepping.
   uint64_t repetitionsReplayed() const { return Replayed; }
@@ -207,15 +300,17 @@ private:
   /// frequency hint: the clocks a slice runs at.
   std::pair<double, double> effectiveClocks() const;
 
-  /// True when a slice starting at virtual time \p T first runs a
-  /// governor epoch.
-  bool epochDueAt(double T) const { return T >= NextEpoch - 1e-12; }
+  /// True when a slice starting at virtual time \p T first runs the
+  /// governor epoch due at \p NextEpoch.
+  static bool epochDueAt(double NextEpoch, double T) {
+    return T >= NextEpoch - 1e-12;
+  }
 
   /// True when a slice of \p Dt seconds starting at virtual time \p T
-  /// meets no governor epoch: none falls due at its start or ends it
-  /// early.
-  bool epochClearOf(double T, double Dt) const {
-    return !epochDueAt(T) && NextEpoch - T >= Dt;
+  /// meets no governor epoch, the next due at \p NextEpoch: none falls
+  /// due at its start or ends it early.
+  static bool epochClearOf(double NextEpoch, double T, double Dt) {
+    return !epochDueAt(NextEpoch, T) && NextEpoch - T >= Dt;
   }
 
   /// The tail of a slice once both devices have advanced: the meter

@@ -34,4 +34,23 @@
 #define ECAS_HOT
 #endif
 
+/// ECAS_ALWAYS_INLINE puts a hot helper into each caller whatever the
+/// inliner's size estimate. A helper that updates state its caller keeps
+/// in locals (SimProcessor::ReplayBatch) would otherwise take that state
+/// through memory at every call.
+#if defined(__GNUC__) || defined(__clang__)
+#define ECAS_ALWAYS_INLINE __attribute__((always_inline))
+#else
+#define ECAS_ALWAYS_INLINE
+#endif
+
+/// ECAS_NOINLINE keeps a hot loop out of its callers, so that it gets the
+/// registers to itself instead of sharing a large caller's
+/// (OnlineProfiler::profileReplayed() inside EasScheduler's invocation).
+#if defined(__GNUC__) || defined(__clang__)
+#define ECAS_NOINLINE __attribute__((noinline))
+#else
+#define ECAS_NOINLINE
+#endif
+
 #endif // ECAS_SUPPORT_HOTPATH_H

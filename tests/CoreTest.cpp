@@ -916,7 +916,7 @@ bool batchedPass(SimProcessor &Proc, OnlineProfiler &Profiler,
     return false;
   S.Repetitions += Profiler.profileReplayed(
       Kernel, S.Nrem, Floor, S.Local, S.Fresh,
-      [&] { return Stop(Proc.now()); });
+      [&](double NowSec) { return Stop(NowSec); });
   return S.Local.CpuThroughput > 0.0 || S.Local.GpuThroughput > 0.0;
 }
 
@@ -965,7 +965,8 @@ std::vector<uint64_t> sampleBits(const ProfileSample &S) {
   return Out;
 }
 
-/// now(), the three meters and both devices' counters, as bits.
+/// now(), the three meters, and both devices' counters and the activity
+/// and traffic the governor observes next, as bits.
 std::vector<uint64_t> processorBits(const SimProcessor &Proc) {
   std::vector<double> Values = {Proc.now()};
   for (const EnergyMeter *Meter :
@@ -973,11 +974,16 @@ std::vector<uint64_t> processorBits(const SimProcessor &Proc) {
     Values.push_back(Meter->totalJoules());
     Values.push_back(static_cast<double>(Meter->readMsr()));
   }
-  for (const PerfCounters *C : {&Proc.cpu().counters(), &Proc.gpu().counters()})
-    for (double V : {C->InstructionsRetired, C->LoadStores, C->LlcMisses,
-                     C->IterationsDone, C->BytesTransferred, C->BusySeconds,
-                     C->SetupSeconds})
+  for (const SimDevice *Device :
+       {static_cast<const SimDevice *>(&Proc.cpu()),
+        static_cast<const SimDevice *>(&Proc.gpu())}) {
+    const PerfCounters &C = Device->counters();
+    for (double V : {C.InstructionsRetired, C.LoadStores, C.LlcMisses,
+                     C.IterationsDone, C.BytesTransferred, C.BusySeconds,
+                     C.SetupSeconds, Device->lastActivity(),
+                     Device->lastTrafficGBs()})
       Values.push_back(V);
+  }
   std::vector<uint64_t> Out;
   for (double V : Values)
     Out.push_back(std::bit_cast<uint64_t>(V));
@@ -1013,6 +1019,10 @@ struct LockstepCase {
   bool CapAndHint = false;
   /// Profile once beforehand, so Local starts from a measured sample.
   bool Known = false;
+  /// Then step one repetition of this kernel on both processors, so the
+  /// profiler's first replay starts from another kernel's last activity
+  /// and traffic.
+  std::optional<KernelDesc> Between;
 };
 
 struct LockstepResult {
@@ -1059,6 +1069,11 @@ LockstepResult runLockstep(const LockstepCase &Case) {
     SB.Local =
         steppedRepetition(B, Case.Kernel, Case.ProfileSize, Pool);
   }
+  if (Case.Between)
+    for (SimProcessor *Proc : {&A, &B}) {
+      double Pool = Case.Iterations;
+      steppedRepetition(*Proc, *Case.Between, Case.ProfileSize, Pool);
+    }
   SA.Nrem = SB.Nrem = Case.Iterations;
   StopRule StopA(FireAfter, DeadlineSec);
   StopRule StopB(FireAfter, DeadlineSec);
@@ -1160,6 +1175,34 @@ TEST(OnlineProfiler, BatchedRepetitionsMatchSteppedLockstep) {
   EXPECT_GT(Batched, Repetitions / 2)
       << Batched << " of " << Repetitions << " repetitions batched";
   EXPECT_GE(StoppedCases, Cases.size() / 4);
+}
+
+// A replay that follows other work must leave each device's last
+// activity and traffic as the plan's last slice set them, as stepping
+// does: the governor reads them at its next epoch.
+TEST(OnlineProfiler, BatchAfterOtherWorkMatchesSteppedLockstep) {
+  unsigned Batched = 0;
+  for (const PlatformSpec &Spec : {haswellDesktop(), bayTrailTablet()}) {
+    for (unsigned C = 0; C != WorkloadClass::NumClasses; ++C) {
+      LockstepCase Case;
+      Case.Name = formatString("%s/after-other/%u", Spec.Name.c_str(), C);
+      Case.Spec = Spec;
+      Case.Kernel =
+          makeMicroBenchmark(Spec, WorkloadClass::fromIndex(C)).Kernel;
+      Case.Between = makeMicroBenchmark(
+                         Spec, WorkloadClass::fromIndex(
+                                   (C + 1) % WorkloadClass::NumClasses))
+                         .Kernel;
+      Case.ProfileSize = Spec.defaultGpuProfileSize();
+      Case.Iterations = 200.0 * Case.ProfileSize;
+      Case.Floor = 0.5 * Case.Iterations;
+      Case.Known = true;
+      LockstepResult Result = runLockstep(Case);
+      EXPECT_TRUE(Result.Mismatch.empty()) << Result.Mismatch;
+      Batched += Result.Batched;
+    }
+  }
+  EXPECT_GT(Batched, 0u);
 }
 
 // The scheduler's own loop: cold invocations stopped by virtual

@@ -256,7 +256,7 @@ TEST(HotPath, BatchedProfilingRepetitionsAreAllocationFree) {
   ProfileSample Local = Profiler.profileOnce(Kernel, Nrem);
   ProfileSample Fresh = Local;
   CancellationToken Token;
-  auto Stop = [&] { return Token.shouldStop(Proc.now()); };
+  auto Stop = [&](double NowSec) { return Token.shouldStop(NowSec); };
 
   AllocTally Tally;
   unsigned Stepped = 0, Batched = 0;

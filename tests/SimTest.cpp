@@ -24,6 +24,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,134 @@ TEST(EnergyMeter, InjectedJumpSkewsMsrNotGroundTruth) {
   Meter.injectCounterJump((uint64_t(2) << 32) + 5); // Two wraps + 5 units.
   EXPECT_EQ(Meter.readMsr(), Before + 5u); // Only the low 32 bits survive.
   EXPECT_DOUBLE_EQ(Meter.totalJoules(), 100.0); // Truth untouched.
+}
+
+namespace {
+
+/// The split EnergyMeter::takeWholeUnits() replaces: std::floor, then the
+/// whole units' low 32 bits through uint64_t.
+uint32_t floorWholeUnits(double &Units) {
+  double Whole = std::floor(Units);
+  Units -= Whole;
+  return static_cast<uint32_t>(static_cast<uint64_t>(Whole) & 0xffffffffULL);
+}
+
+/// EnergyMeter::deposit() with the floor split.
+struct FloorMeter {
+  double Total = 0.0;
+  double Fraction = 0.0;
+  uint32_t Counter = 0;
+  void deposit(double Joules, double Units) {
+    Total += Joules;
+    Fraction += Units;
+    Counter += floorWholeUnits(Fraction);
+  }
+};
+
+uint64_t bitsOf(double V) { return std::bit_cast<uint64_t>(V); }
+
+} // namespace
+
+// The meter takes whole units by truncating its running fraction, which
+// is finite and non-negative there: the rest and the units taken must
+// match the floor split bit for bit, at the edges of the domain too.
+TEST(EnergyMeter, TruncatingSplitMatchesFloor) {
+  const double OneUlpBelowOne = std::nextafter(1.0, 0.0);
+  std::vector<double> Units = {
+      0.0,
+      std::numeric_limits<double>::denorm_min(),
+      1e-300,
+      std::nextafter(1e-300, 1.0),
+      OneUlpBelowOne,
+      1.0,
+      1.0 + 0x1p-52,
+      std::nextafter(2.0, 0.0),
+      2.0,
+      2.5,
+      0x1p32 - 0.5,
+      0x1p32,
+      0x1p32 + 0.25,
+      0x1p52 - 0.5,
+      0x1p52,
+      0x1p52 + 1.0,
+      0x1p53,
+      0x1p53 + 2.0,
+      std::nextafter(0x1p63, 0.0),
+  };
+  Xoshiro256 Rng(0x5b117ULL);
+  for (int I = 0; I != 4000; ++I) {
+    // Spread over every binade of the domain.
+    double Scale = std::ldexp(1.0, static_cast<int>(Rng.nextBounded(126)) - 63);
+    Units.push_back(Rng.nextDouble(0.0, 1.0) * Scale);
+  }
+  for (double U : Units) {
+    SCOPED_TRACE(formatString("units %a", U));
+    double Truncated = U, Floored = U;
+    uint32_t Taken = EnergyMeter::takeWholeUnits(Truncated);
+    EXPECT_EQ(Taken, floorWholeUnits(Floored));
+    EXPECT_EQ(bitsOf(Truncated), bitsOf(Floored));
+    EXPECT_GE(Truncated, 0.0);
+    EXPECT_LT(Truncated, 1.0);
+  }
+}
+
+// Deposit sequences through the meter and through the floor split keep
+// the same Counter, totalJoules() and remaining fraction, where a carried
+// fraction ends one ulp below 1, sums land exactly on integers, units are
+// near 1e-300 or at 2^52 and 2^53, and the counter wraps across 2^32. The
+// meter's remaining fraction is the rest takeWholeUnits() leaves in the
+// carried sum, so the carry is checked on that chain.
+TEST(EnergyMeter, DepositsMatchFloorSplit) {
+  struct Sequence {
+    const char *Name;
+    double Unit;
+    std::vector<double> Units;
+  };
+  const double OneUlpBelowOne = std::nextafter(1.0, 0.0);
+  std::vector<Sequence> Sequences = {
+      {"ulp-below-one", 1.0, {OneUlpBelowOne, 0x1p-53, 0x1p-54, 0.5}},
+      {"ulp-below-one-carried", 1e-3, {0.5, 0.5 - 0x1p-53, 0x1p-53, 0.25}},
+      {"exact-integers", 61e-6, {0.25, 0.25, 0.5, 1.5, 0.5, 3.0, 0.125}},
+      {"tiny", 61e-6, {1e-300, 1e-300, 0.999, 1e-300, 0.001}},
+      {"two-pow-52", 1.0, {0.5, 0x1p52, 0.5, 0x1p52 + 1.0, 0.75}},
+      {"two-pow-53", 1.0, {0x1p53, 0.5, 0x1p53, 2.0, 0.25}},
+      {"wrap", 61e-6, {0x1p32 - 3.5, 1.25, 2.0, 0.5, 0x1p32 + 0.75, 7.0}},
+  };
+  Xoshiro256 Rng(0xd3905171ULL);
+  for (int S = 0; S != 64; ++S) {
+    Sequence Random{"random", Rng.nextDouble(1e-6, 1e-3), {}};
+    for (int I = 0; I != 200; ++I)
+      Random.Units.push_back(Rng.nextDouble(0.0, 2.0) *
+                             std::ldexp(1.0, static_cast<int>(
+                                                 Rng.nextBounded(40)) -
+                                                 8));
+    Sequences.push_back(Random);
+  }
+  for (const Sequence &Seq : Sequences) {
+    SCOPED_TRACE(Seq.Name);
+    EnergyMeter Meter(Seq.Unit);
+    FloorMeter Ref;
+    double Carry = 0.0;
+    for (double U : Seq.Units) {
+      SCOPED_TRACE(formatString("units %a", U));
+      double Joules = U * Seq.Unit;
+      Meter.deposit(Joules, U);
+      Ref.deposit(Joules, U);
+      Carry += U;
+      EnergyMeter::takeWholeUnits(Carry);
+      ASSERT_EQ(Meter.readMsr(), Ref.Counter);
+      ASSERT_EQ(bitsOf(Meter.totalJoules()), bitsOf(Ref.Total));
+      ASSERT_EQ(bitsOf(Carry), bitsOf(Ref.Fraction));
+    }
+  }
+}
+
+TEST(EnergyMeter, SplitDomainIsChecked) {
+  double Inf = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(EnergyMeter(1.0).deposit(1.0, Inf), "below 2\\^63");
+  EXPECT_DEATH(EnergyMeter(1.0).deposit(1.0, 0x1p63), "below 2\\^63");
+  EXPECT_DEATH(EnergyMeter(1.0).deposit(1.0, -1.0), "below 2\\^63");
+  EXPECT_DEATH(EnergyMeter(1.0).deposit(1.0, std::nan("")), "below 2\\^63");
 }
 
 TEST(PowerModel, ComponentsAddUp) {
